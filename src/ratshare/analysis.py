@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import montecarlo
 from .engine import DEFAULT_CAP
 from .seeding import derive_int
-from .strategies import UtilityTable, validate_utilities
+from .strategies import UtilityTable, parse_deviation, validate_utilities
 
 
 @dataclass(frozen=True)
@@ -179,21 +179,6 @@ class NashAuditReport:
         return any(e.verdict == PROFITABLE for e in self.entries)
 
 
-def parse_deviation_spec(spec: str) -> tuple[str, float | None]:
-    """Split "name" / "name:param" and validate the name."""
-    name, _, param = spec.partition(":")
-    if name not in montecarlo.SUPPORTED_DEVIATIONS:
-        raise ValueError(f"unknown deviation {name!r}")
-    alpha_prime = None
-    if name == "biased-coin":
-        alpha_prime = float(param) if param else 1.0
-        if not 0 < alpha_prime <= 1:
-            raise ValueError(f"biased coin needs alpha' in (0, 1], got {alpha_prime}")
-    elif param:
-        raise ValueError(f"deviation {name!r} takes no parameter")
-    return name, alpha_prime
-
-
 DEFAULT_AUDIT_DEVIATIONS = (
     "withhold",
     "biased-coin:1",
@@ -225,7 +210,7 @@ def nash_audit(
     _checked(table)
     entries = []
     for spec in deviations:
-        name, alpha_prime = parse_deviation_spec(spec)
+        name, alpha_prime = parse_deviation(spec)
         for deviator in deviators:
             stats = montecarlo.sample_runs(
                 alpha,

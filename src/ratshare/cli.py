@@ -24,8 +24,8 @@ from . import analysis, dominance, montecarlo
 from .engine import DEFAULT_CAP, InvariantViolationError, run_mechanism
 from .protocol import TerminalCause
 from .report import Report
-from .shamir import exhaustive_hiding_check, exhaustive_round_trip_check
-from .strategies import UtilityTable, build_deviation, validate_utilities
+from .shamir import exhaustive_hiding_check, exhaustive_round_trip_check, is_prime
+from .strategies import UtilityTable, deviation_profile, parse_deviation, validate_utilities
 
 
 class ConfigError(ValueError):
@@ -110,6 +110,8 @@ def cmd_simulate(args) -> Report:
     if args.alpha == "auto":
         table = _load_table(args)
     alpha = _resolve_alpha(args, table)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     deviation = deviator = None
     alpha_prime = None
     if args.deviant:
@@ -121,7 +123,7 @@ def cmd_simulate(args) -> Report:
         if deviator not in (1, 2, 3):
             raise ConfigError("--deviant player must be 1, 2, or 3")
         try:
-            deviation, alpha_prime = analysis.parse_deviation_spec(spec)
+            deviation, alpha_prime = parse_deviation(spec)
         except ValueError as exc:
             raise ConfigError(str(exc))
 
@@ -129,22 +131,19 @@ def cmd_simulate(args) -> Report:
     _config_section(report, args, ["alpha", "trials", "seed", "cap", "deviant"])
 
     start = time.perf_counter()
-    if args.dump_transcripts:
-        profile = {}
-        if deviation:
-            spec = deviation if alpha_prime is None else f"{deviation}:{alpha_prime}"
-            profile = {deviator: build_deviation(spec)}
-        stats = montecarlo.sample_runs_reference(
+    sample = montecarlo.sample_runs_reference if args.dump_transcripts else montecarlo.sample_runs
+    try:
+        stats = sample(
             alpha, args.trials, args.seed,
             deviation=deviation, deviator=deviator, alpha_prime=alpha_prime, cap=args.cap,
         )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    if args.dump_transcripts:
+        profile = deviation_profile(deviation, deviator, alpha_prime)
         _dump_transcripts(args.dump_transcripts, args.trials, alpha, args.seed, profile, args.cap)
         sampler = "reference-engine"
     else:
-        stats = montecarlo.sample_runs(
-            alpha, args.trials, args.seed,
-            deviation=deviation, deviator=deviator, alpha_prime=alpha_prime, cap=args.cap,
-        )
         sampler = "vectorized"
     elapsed = time.perf_counter() - start
 
@@ -195,7 +194,10 @@ def cmd_audit(args) -> Report:
     table = _load_table(args)
     alpha = _resolve_alpha(args, table)
     deviations = tuple(args.deviations.split(",")) if args.deviations else analysis.DEFAULT_AUDIT_DEVIATIONS
-    deviators = tuple(int(d) for d in args.deviators.split(",")) if args.deviators else (1, 2, 3)
+    try:
+        deviators = tuple(int(d) for d in args.deviators.split(",")) if args.deviators else (1, 2, 3)
+    except ValueError:
+        raise ConfigError(f"--deviators must be a comma list of players, got {args.deviators!r}")
     report = Report("audit")
     _config_section(report, args, ["alpha", "trials", "seed", "deviations", "deviators"])
     start = time.perf_counter()
@@ -296,6 +298,10 @@ def cmd_dominance(args) -> Report:
 
 
 def cmd_hiding(args) -> Report:
+    if not is_prime(args.prime):
+        raise ConfigError(f"--prime must be prime, got {args.prime}")
+    if not 3 <= args.n < args.prime:
+        raise ConfigError(f"--n must satisfy 3 <= n < prime, got n={args.n}")
     report = Report("hiding")
     _config_section(report, args, ["prime", "n"])
     start = time.perf_counter()

@@ -7,6 +7,12 @@ hit.  A player that stops simply goes silent; the others notice the
 missing bits one round later and abort, which is the minimal synchronous
 realization of stopping.
 
+`GroupedExchange.run` is the only run loop.  Players sit in three
+groups; each group's leader takes one seat on the coin ring and
+broadcasts its group's bundle.  The 3-of-3 mechanism is the m-of-n share
+exchange with three one-player groups, and the lifts in `ratshare.lifts`
+supply the other groupings and payloads through the exchange's hooks.
+
 Runs are deterministic given (seed, trial, profile, config): each player
 and the issuer draw from independent derived substreams.
 """
@@ -17,6 +23,7 @@ from random import Random
 
 from .protocol import (
     ISSUER_ID,
+    RESTART,
     RING,
     Decision,
     DecisionKind,
@@ -25,7 +32,6 @@ from .protocol import (
     RoundMessage,
     RunOutcome,
     Step,
-    STEPS_PER_ITERATION,
     TerminalCause,
     parity_rule,
 )
@@ -40,6 +46,9 @@ from .strategies import (
 
 DEFAULT_CAP = 10**6
 
+_SUCC = {pos: RING.successor(pos) for pos in (1, 2, 3)}
+_PRED = {pos: RING.predecessor(pos) for pos in (1, 2, 3)}
+
 
 class InvariantViolationError(RuntimeError):
     """A protocol invariant that must hold under honest rules was broken."""
@@ -47,6 +56,14 @@ class InvariantViolationError(RuntimeError):
 
 class DuplicateEpochError(ValueError):
     """An epoch was issued twice."""
+
+
+def check_run_config(alpha: float, cap: int) -> None:
+    """Reject a coin bias outside (0, 1] or an iteration cap below 1."""
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if cap < 1:
+        raise ValueError("iteration cap must be >= 1")
 
 
 def issue_round(
@@ -86,8 +103,8 @@ def _run_coin_iteration(
     iteration: int,
     epoch: int,
     accept_broadcast,
-    observers: list[LocalState] | None = None,
-    record: bool = False,
+    observers: list[LocalState],
+    record: bool,
 ):
     """Execute steps 1-4 of one iteration among the seated ring members.
 
@@ -111,9 +128,7 @@ def _run_coin_iteration(
 
     def send(seat: _Seat, receiver_pos: int, step: Step, kind: MessageKind, payload) -> None:
         if record:
-            msg = RoundMessage(seat.pid, pid_of(receiver_pos), step, kind, payload, iteration)
-            msgs.append(msg)
-            seat.state.messages_sent.append(msg)
+            msgs.append(RoundMessage(seat.pid, pid_of(receiver_pos), step, kind, payload, iteration))
 
     def abort(pos: int, step: Step, about_pos: int, detail: str) -> None:
         seat = live.pop(pos)
@@ -131,7 +146,7 @@ def _run_coin_iteration(
         seat.state.coins = triple
         if triple is None:
             continue
-        succ, pred = RING.successor(pos), RING.predecessor(pos)
+        succ, pred = _SUCC[pos], _PRED[pos]
         inbox_plus[succ] = triple.c_plus
         inbox_minus[pred] = triple.c_minus
         send(seat, succ, Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, triple.c_plus)
@@ -146,12 +161,12 @@ def _run_coin_iteration(
         st.bit_from_pred = inbox_plus.get(pos)
         st.bit_from_succ = inbox_minus.get(pos)
         if st.bit_from_pred is None or st.bit_from_succ is None:
-            missing = RING.predecessor(pos) if st.bit_from_pred is None else RING.successor(pos)
+            missing = _PRED[pos] if st.bit_from_pred is None else _SUCC[pos]
             abort(pos, Step.MASKED_BIT, missing, "expected coin bit never arrived")
             continue
         bit = seat.strategy.masked_bit(st, seat.rng)
         if bit is not None:
-            pred = RING.predecessor(pos)
+            pred = _PRED[pos]
             inbox_masked[pred] = bit
             send(seat, pred, Step.MASKED_BIT, MessageKind.MASKED_BIT, bit)
 
@@ -163,7 +178,7 @@ def _run_coin_iteration(
         masked = inbox_masked.get(pos)
         st.masked_from_succ = masked
         if masked is None:
-            abort(pos, Step.BROADCAST, RING.successor(pos), "expected masked bit never arrived")
+            abort(pos, Step.BROADCAST, _SUCC[pos], "expected masked bit never arrived")
             continue
         if st.coins is not None:
             st.parity = parity_rule(st.bit_from_pred, masked, st.coins.c)
@@ -175,7 +190,7 @@ def _run_coin_iteration(
                 if other != pos and seats[other] is not None:
                     send(seat, other, Step.BROADCAST, MessageKind.SHARE_BROADCAST, st.own_payload)
             if record:
-                for obs in observers or ():
+                for obs in observers:
                     msgs.append(
                         RoundMessage(
                             seat.pid,
@@ -194,7 +209,7 @@ def _run_coin_iteration(
                 continue
             if accept_broadcast(seat.state, sender_pid, payload):
                 seat.state.observed_broadcasts.add(sender_pid)
-        for obs in observers or ():
+        for obs in observers:
             accept_broadcast(obs, sender_pid, payload)
     for pos in sorted(live):
         seat = live[pos]
@@ -266,6 +281,235 @@ def _merge_events(
     return first_event
 
 
+class GroupedExchange:
+    """The run loop shared by the 3-of-3 mechanism and the group lifts.
+
+    Players 1..n sit in three groups; `leaders[k]` takes ring seat k+1.
+    Each iteration every player begins afresh, the issuer hands out the
+    epoch's material, forwarders hand their bundle to their group leader,
+    and the seated leaders run the coin iteration with their group's
+    bundle as the broadcast payload.  A seated leader left short by a
+    forwarder asks the issuer to restart before any coins are tossed.
+
+    Subclasses define what one epoch issues, who forwards, what a
+    player's bundle is, and how a received item is validated.
+    """
+
+    def __init__(
+        self,
+        secret: FieldElement | int,
+        groups: list[list[int]],
+        leaders: list[int],
+        threshold: int,
+        *,
+        alpha: float,
+        profile: dict[int, Strategy] | None,
+        seed: int,
+        trial: int,
+        cap: int,
+        prime: int,
+        record: bool,
+    ):
+        check_run_config(alpha, cap)
+        self.n = sum(len(group) for group in groups)
+        self.threshold = threshold
+        self.alpha = alpha
+        self.cap = cap
+        self.record = record
+        self.players = tuple(range(1, self.n + 1))
+        self.strategies = normalize_profile(profile, self.players)
+        self.honest = all(self.strategies[p].honest_rules for p in self.players)
+        self.leaders = leaders
+        self.leader_of = {p: leaders[g] for g, group in enumerate(groups) for p in group}
+        self.issuer = ShareIssuer(derive_bytes(seed, trial, "issuer-key"), prime)
+        self.issuer_rng = derive_rng(seed, trial, "issuer")
+        self.rngs = {p: derive_rng(seed, trial, "player", p) for p in self.players}
+        self.states = {
+            p: LocalState(player=p, n_players=self.n, threshold=threshold) for p in self.players
+        }
+        self.issued: set[int] = set()
+        if not isinstance(secret, FieldElement):
+            secret = FieldElement(secret % prime, prime)
+        self.secret = secret
+
+    # Subclass hooks ----------------------------------------------------------
+
+    def _issue_epoch(self, epoch: int) -> None:
+        """Distribute fresh material for `epoch` into player holdings."""
+        raise NotImplementedError
+
+    def _forwarders(self):
+        """Players expected to forward their bundle to their group leader."""
+        raise NotImplementedError
+
+    def _bundle(self, player: int, epoch: int) -> list:
+        """What `player` holds for `epoch` and hands on: a fresh list."""
+        raise NotImplementedError
+
+    def _accept_item(self, state: LocalState, sender: int, item) -> bool:
+        """Validate one broadcast/forwarded item of the state's epoch and store it."""
+        raise NotImplementedError
+
+    def _payload(self, bundle: list) -> object:
+        return tuple(bundle)
+
+    def _accept_payload(self, state: LocalState, sender: int, payload) -> bool:
+        if not isinstance(payload, tuple):
+            return False
+        ok = True
+        for item in payload:
+            if not self._accept_item(state, sender, item):
+                ok = False
+        return ok
+
+    # Main loop ----------------------------------------------------------------
+
+    def run(self) -> RunOutcome:
+        states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
+        seats: dict[int, _Seat | None] = {
+            pos: _Seat(pos, leader, states[leader], strategies[leader], rngs[leader])
+            for pos, leader in enumerate(self.leaders, start=1)
+        }
+        pids = {pos: leader for pos, leader in enumerate(self.leaders, start=1)}
+        observers = [states[p] for p in self.players if p not in self.leaders]
+        leader_states = [states[leader] for leader in self.leaders]
+        forwarders = [
+            (p, self.leader_of[p]) for p in self._forwarders() if self.leader_of[p] != p
+        ]
+        transcripts: list[IterationTranscript] = []
+        first_event = None
+        epoch = 0
+        iterations = 0
+
+        while iterations < self.cap:
+            iterations += 1
+            for state in states.values():
+                state.begin_iteration(iterations, epoch, None)
+            self._issue_epoch(epoch)
+
+            # Forwarding phase: every forwarder is asked, even when its
+            # leader's seat is vacated; only a seated leader can stall.
+            bundles = {leader: self._bundle(leader, epoch) for leader in self.leaders}
+            msgs: list[RoundMessage] = []
+            stalled = set()
+            for p, leader in forwarders:
+                if not strategies[p].forwards_to_leader(states[p], rngs[p]):
+                    stalled.add(leader)
+                    continue
+                items = self._bundle(p, epoch)
+                for item in items:
+                    if self._accept_item(states[leader], p, item):
+                        bundles[leader].append(item)
+                if record:
+                    msgs.append(
+                        RoundMessage(
+                            p, leader, Step.ISSUE, MessageKind.SHARE_BROADCAST, tuple(items), iterations
+                        )
+                    )
+
+            seated = [seat for seat in seats.values() if seat is not None]
+            if stalled and any(seat.pid in stalled for seat in seated):
+                # A leader cannot assemble its bundle: ask the issuer to
+                # restart before any coins are tossed.
+                if record:
+                    msgs += [
+                        RoundMessage(
+                            seat.pid, ISSUER_ID, Step.ISSUE, MessageKind.RESTART_REQUEST, None, iterations
+                        )
+                        for seat in seated
+                    ]
+                    transcripts.append(
+                        IterationTranscript(
+                            iteration=iterations,
+                            epoch=epoch,
+                            coins={},
+                            parities={},
+                            broadcasters=(),
+                            decisions={seat.pid: RESTART for seat in seated},
+                            messages=msgs,
+                        )
+                    )
+                epoch += 1
+                continue
+
+            for seat in seated:
+                seat.state.own_payload = self._payload(bundles[seat.pid])
+            decisions, transcript, events = _run_coin_iteration(
+                seats, pids, self.alpha, iterations, epoch, self._accept_payload, observers, record
+            )
+            first_event = _merge_events(first_event, iterations, events)
+            if record:
+                if msgs:
+                    transcript.messages = msgs + transcript.messages
+                transcripts.append(transcript)
+
+            if self.honest:
+                parities = {st.parity for st in leader_states if st.parity is not None}
+                if len(parities) > 1:
+                    raise InvariantViolationError(
+                        f"honest players disagree on parity at iteration {iterations}"
+                    )
+
+            restarters = [pos for pos, d in decisions.items() if d.kind == DecisionKind.RESTART]
+            if not restarters:
+                break
+            if len(restarters) < len(seated):
+                for seat in seated:
+                    if seat.pos not in restarters:
+                        seats[seat.pos] = None
+            epoch += 1
+
+        info = tuple(1 if states[p].has_learned() else 0 for p in self.players)
+        cause = _resolve_cause(info, first_event)
+        if cause == TerminalCause.ITERATION_CAP_HIT:
+            info = (0,) * self.n
+        if self.honest and any(info) and not all(info):
+            raise InvariantViolationError(f"honest run terminated with partial info {info}")
+        return RunOutcome(iterations=iterations, info=info, cause=cause, transcripts=transcripts)
+
+
+class MOfNExchange(GroupedExchange):
+    """m-of-n Shamir shares; designated players 1..m forward theirs to their leader."""
+
+    def _issue_epoch(self, epoch: int) -> None:
+        shares = issue_round(
+            self.issuer, self.secret, self.threshold, self.n, epoch, self.issuer_rng, self.issued
+        )
+        for p in self.players:
+            self.states[p].add_holding(epoch, ("share", p), shares[p])
+
+    def _forwarders(self):
+        return range(1, self.threshold + 1)
+
+    def _bundle(self, player: int, epoch: int) -> list[Share]:
+        return [self.states[player].holdings[epoch][("share", player)]]
+
+    def _accept_item(self, state: LocalState, sender: int, item) -> bool:
+        if not isinstance(item, Share) or item.epoch != state.epoch:
+            state.cheat_evidence.append(
+                CheatEvidence("stale-share", state.iteration, int(Step.DECIDE), sender)
+            )
+            return False
+        if not self.issuer.verify_tag(item):
+            state.cheat_evidence.append(
+                CheatEvidence("invalid-tag", state.iteration, int(Step.DECIDE), sender)
+            )
+            return False
+        state.add_holding(state.epoch, ("share", item.x.value), item)
+        return True
+
+    # The 3-of-3 ring (n = 3, one player per group) broadcasts the bare
+    # share rather than a one-share bundle.
+
+    def _payload(self, bundle: list[Share]) -> object:
+        return bundle[0] if self.n == 3 else tuple(bundle)
+
+    def _accept_payload(self, state: LocalState, sender: int, payload) -> bool:
+        if self.n == 3:
+            return self._accept_item(state, sender, payload)
+        return super()._accept_payload(state, sender, payload)
+
+
 def run_mechanism(
     secret: FieldElement | int,
     alpha: float,
@@ -301,100 +545,19 @@ def run_mechanism_detailed(
     trial: int = 0,
 ) -> tuple[RunOutcome, dict[int, LocalState]]:
     """run_mechanism plus the final per-player local states."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if cap < 1:
-        raise ValueError("iteration cap must be >= 1")
     if prime is None:
         prime = secret.modulus if isinstance(secret, FieldElement) else DEFAULT_PRIME
-    if not isinstance(secret, FieldElement):
-        secret = FieldElement(secret % prime, prime)
-
-    players = (1, 2, 3)
-    strategies = normalize_profile(profile, players)
-    honest_profile = all(strategies[p].honest_rules for p in players)
-    issuer = ShareIssuer(derive_bytes(seed, trial, "issuer-key"), prime)
-    issuer_rng = derive_rng(seed, trial, "issuer")
-    seats: dict[int, _Seat | None] = {
-        pid: _Seat(
-            pid,
-            pid,
-            LocalState(player=pid, n_players=3, threshold=3),
-            strategies[pid],
-            derive_rng(seed, trial, "player", pid),
-        )
-        for pid in players
-    }
-    all_states = {pid: seats[pid].state for pid in players}
-
-    issued: set[int] = set()
-    transcripts: list[IterationTranscript] = []
-    first_event: tuple[int, int, str] | None = None
-    epoch = 0
-    iterations = 0
-
-    while iterations < cap:
-        iterations += 1
-        shares = issue_round(issuer, secret, 3, 3, epoch, issuer_rng, issued)
-        current_epoch = epoch
-        for pos, seat in seats.items():
-            if seat is not None:
-                share = shares[seat.pid]
-                seat.state.begin_iteration(iterations, current_epoch, share)
-                seat.state.add_holding(current_epoch, ("share", share.x.value), share)
-
-        def accept(state: LocalState, sender_pid: int, payload) -> bool:
-            if not isinstance(payload, Share) or payload.epoch != current_epoch:
-                state.cheat_evidence.append(
-                    CheatEvidence("stale-share", iterations, int(Step.DECIDE), sender_pid)
-                )
-                return False
-            if not issuer.verify_tag(payload):
-                state.cheat_evidence.append(
-                    CheatEvidence("invalid-tag", iterations, int(Step.DECIDE), sender_pid)
-                )
-                return False
-            state.add_holding(current_epoch, ("share", payload.x.value), payload)
-            return True
-
-        decisions, transcript, events = _run_coin_iteration(
-            seats, {p: p for p in players}, alpha, iterations, current_epoch, accept, record=record
-        )
-        first_event = _merge_events(first_event, iterations, events)
-        if record:
-            transcripts.append(transcript)
-
-        if honest_profile:
-            parities = {
-                st.parity for st in all_states.values() if st.parity is not None
-            }
-            if len(parities) > 1:
-                raise InvariantViolationError(
-                    f"honest players disagree on parity at iteration {iterations}"
-                )
-
-        restarters = [pos for pos, d in decisions.items() if d.kind == DecisionKind.RESTART]
-        present = [pos for pos, seat in seats.items() if seat is not None]
-        if not restarters:
-            break
-        if len(restarters) < len(present):
-            for pos in present:
-                if pos not in restarters:
-                    seats[pos] = None
-        epoch += 1
-
-    info = tuple(1 if all_states[pid].has_learned() else 0 for pid in players)
-    cause = _resolve_cause(info, first_event)
-    if cause == TerminalCause.ITERATION_CAP_HIT:
-        info = (0,) * len(players)
-    if honest_profile and any(info) and not all(info):
-        raise InvariantViolationError(f"honest run terminated with partial info {info}")
-
-    outcome = RunOutcome(
-        iterations=iterations,
-        total_steps=STEPS_PER_ITERATION * iterations,
-        info=info,
-        cause=cause,
-        transcripts=transcripts,
+    ring = MOfNExchange(
+        secret,
+        [[1], [2], [3]],
+        [1, 2, 3],
+        3,
+        alpha=alpha,
+        profile=profile,
+        seed=seed,
+        trial=trial,
+        cap=cap,
+        prime=prime,
+        record=record,
     )
-    return outcome, all_states
+    return ring.run(), ring.states

@@ -21,28 +21,17 @@ from __future__ import annotations
 
 from .engine import (
     DEFAULT_CAP,
-    InvariantViolationError,
-    _Seat,
-    _merge_events,
-    _resolve_cause,
-    _run_coin_iteration,
+    GroupedExchange,
+    MOfNExchange,
     issue_round,
-    normalize_profile,
 )
-from .protocol import (
-    ISSUER_ID,
-    Decision,
-    DecisionKind,
-    IterationTranscript,
-    MessageKind,
-    RoundMessage,
-    RunOutcome,
-    Step,
-    STEPS_PER_ITERATION,
-    TerminalCause,
-)
-from .seeding import derive_bytes, derive_rng
-from .shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer, Subshare
+from .protocol import RunOutcome, Step
+
+# derive_bytes and derive_rng are unused here but stay importable:
+# bench/tracer.py patches lifts.issue_round, lifts.derive_bytes and
+# lifts.derive_rng by name.
+from .seeding import derive_bytes, derive_rng  # noqa: F401
+from .shamir import DEFAULT_PRIME, FieldElement, Subshare
 from .strategies import CheatEvidence, LocalState, Strategy
 
 
@@ -75,279 +64,6 @@ def partition_players(n: int, m: int) -> tuple[list[list[int]], list[int]]:
     return groups, leaders
 
 
-class _GroupedExchange:
-    """Shared loop for the grouped lifts.
-
-    Subclasses define what one epoch issues, which players forward to
-    their leaders and what, how a received broadcast is validated, and
-    when a player has learned the secret.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        m_designated: int,
-        alpha: float,
-        profile: dict[int, Strategy] | None,
-        seed: int,
-        trial: int,
-        cap: int,
-        prime: int,
-        record: bool,
-    ):
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if cap < 1:
-            raise ValueError("iteration cap must be >= 1")
-        self.n = n
-        self.alpha = alpha
-        self.cap = cap
-        self.prime = prime
-        self.record = record
-        self.players = tuple(range(1, n + 1))
-        self.strategies = normalize_profile(profile, self.players)
-        self.honest = all(self.strategies[p].honest_rules for p in self.players)
-        self.groups, self.leaders = partition_players(n, m_designated)
-        self.leader_of = {
-            p: self.leaders[g] for g, group in enumerate(self.groups) for p in group
-        }
-        self.issuer = ShareIssuer(derive_bytes(seed, trial, "issuer-key"), prime)
-        self.issuer_rng = derive_rng(seed, trial, "issuer")
-        self.rngs = {p: derive_rng(seed, trial, "player", p) for p in self.players}
-        self.states = {p: self._new_state(p) for p in self.players}
-        self.issued: set[int] = set()
-
-    def _new_state(self, player: int) -> LocalState:
-        state = LocalState(player=player, n_players=self.n, threshold=self._threshold())
-        state.learned_fn = self._learned
-        return state
-
-    # Subclass hooks ----------------------------------------------------------
-
-    def _threshold(self) -> int:
-        raise NotImplementedError
-
-    def _learned(self, state: LocalState) -> bool:
-        raise NotImplementedError
-
-    def _issue_epoch(self, epoch: int) -> None:
-        """Distribute fresh material for `epoch` into player holdings."""
-        raise NotImplementedError
-
-    def _forwarders(self) -> list[int]:
-        """Players expected to forward their item to their group leader."""
-        raise NotImplementedError
-
-    def _forward_items(self, player: int, epoch: int) -> list:
-        """What `player` forwards to its leader for `epoch`."""
-        raise NotImplementedError
-
-    def _own_items(self, leader: int, epoch: int) -> list:
-        """Items a leader contributes to its own bundle."""
-        raise NotImplementedError
-
-    def _accept_item(self, state: LocalState, sender: int, item, epoch: int) -> bool:
-        """Validate one broadcast/forwarded item and store it."""
-        raise NotImplementedError
-
-    # Main loop ----------------------------------------------------------------
-
-    def run(self) -> RunOutcome:
-        transcripts: list[IterationTranscript] = []
-        first_event = None
-        epoch = 0
-        iterations = 0
-        seats: dict[int, _Seat | None] = {
-            pos: _Seat(
-                pos,
-                leader,
-                self.states[leader],
-                self.strategies[leader],
-                self.rngs[leader],
-            )
-            for pos, leader in enumerate(self.leaders, start=1)
-        }
-        pids = {pos: leader for pos, leader in enumerate(self.leaders, start=1)}
-
-        while iterations < self.cap:
-            iterations += 1
-            current_epoch = epoch
-            for p in self.players:
-                self.states[p].begin_iteration(iterations, current_epoch, None)
-            self._issue_epoch(current_epoch)
-
-            # Forwarding phase: designated players hand their material to
-            # their leader; the leader's bundle becomes its broadcast payload.
-            msgs: list[RoundMessage] = []
-            bundles: dict[int, list] = {
-                leader: list(self._own_items(leader, current_epoch)) for leader in self.leaders
-            }
-            delivered: dict[int, set[int]] = {leader: set() for leader in self.leaders}
-            for p in self._forwarders():
-                leader = self.leader_of[p]
-                if p == leader:
-                    continue
-                if not self.strategies[p].forwards_to_leader(self.states[p], self.rngs[p]):
-                    continue
-                items = self._forward_items(p, current_epoch)
-                for item in items:
-                    if self._accept_item(self.states[leader], p, item, current_epoch):
-                        bundles[leader].append(item)
-                delivered[leader].add(p)
-                if self.record:
-                    msgs.append(
-                        RoundMessage(
-                            p, leader, Step.ISSUE, MessageKind.SHARE_BROADCAST, tuple(items), iterations
-                        )
-                    )
-
-            incomplete = [
-                leader
-                for g, leader in enumerate(self.leaders)
-                if seats[g + 1] is not None
-                and any(
-                    p != leader and p in self._forwarders() and p not in delivered[leader]
-                    for p in self.groups[g]
-                )
-            ]
-            if incomplete:
-                # A leader cannot assemble its bundle: ask the issuer to
-                # restart before any coins are tossed.
-                decisions = {}
-                for g, leader in enumerate(self.leaders):
-                    if seats[g + 1] is None:
-                        continue
-                    decisions[leader] = Decision(DecisionKind.RESTART)
-                    if self.record:
-                        msgs.append(
-                            RoundMessage(
-                                leader,
-                                ISSUER_ID,
-                                Step.ISSUE,
-                                MessageKind.RESTART_REQUEST,
-                                None,
-                                iterations,
-                            )
-                        )
-                if self.record:
-                    transcripts.append(
-                        IterationTranscript(
-                            iteration=iterations,
-                            epoch=current_epoch,
-                            coins={},
-                            parities={},
-                            broadcasters=(),
-                            decisions=decisions,
-                            messages=msgs,
-                        )
-                    )
-                epoch += 1
-                continue
-
-            for g, leader in enumerate(self.leaders):
-                seat = seats[g + 1]
-                if seat is not None:
-                    seat.state.own_payload = tuple(bundles[leader])
-
-            def accept_bundle(state: LocalState, sender_pid: int, payload) -> bool:
-                if not isinstance(payload, tuple):
-                    return False
-                ok = True
-                for item in payload:
-                    if not self._accept_item(state, sender_pid, item, current_epoch):
-                        ok = False
-                return ok
-
-            observers = [self.states[p] for p in self.players if p not in pids.values()]
-            decisions, transcript, events = _run_coin_iteration(
-                seats,
-                pids,
-                self.alpha,
-                iterations,
-                current_epoch,
-                accept_bundle,
-                observers=observers,
-                record=self.record,
-            )
-            if self.record:
-                transcript.messages = msgs + transcript.messages
-                transcripts.append(transcript)
-            first_event = _merge_events(first_event, iterations, events)
-
-            restarters = [pos for pos, d in decisions.items() if d.kind == DecisionKind.RESTART]
-            present = [pos for pos, seat in seats.items() if seat is not None]
-            if not restarters:
-                break
-            if len(restarters) < len(present):
-                for pos in present:
-                    if pos not in restarters:
-                        seats[pos] = None
-            epoch += 1
-
-        info = tuple(1 if self.states[p].has_learned() else 0 for p in self.players)
-        cause = _resolve_cause(info, first_event)
-        if cause == TerminalCause.ITERATION_CAP_HIT:
-            info = (0,) * self.n
-        if self.honest and any(info) and not all(info):
-            raise InvariantViolationError(f"honest lifted run ended with partial info {info}")
-        return RunOutcome(
-            iterations=iterations,
-            total_steps=STEPS_PER_ITERATION * iterations,
-            info=info,
-            cause=cause,
-            transcripts=transcripts,
-        )
-
-
-class MOfNExchange(_GroupedExchange):
-    def __init__(self, secret, m, n, **kw):
-        self.m = m
-        self.designated = set(range(1, m + 1))
-        super().__init__(n=n, m_designated=m, **kw)
-        self.secret = (
-            secret if isinstance(secret, FieldElement) else FieldElement(secret % self.prime, self.prime)
-        )
-
-    def _threshold(self) -> int:
-        return self.m
-
-    def _learned(self, state: LocalState) -> bool:
-        return any(
-            sum(1 for key in items if key[0] == "share") >= self.m
-            for items in state.holdings.values()
-        )
-
-    def _issue_epoch(self, epoch: int) -> None:
-        shares = issue_round(
-            self.issuer, self.secret, self.m, self.n, epoch, self.issuer_rng, self.issued
-        )
-        for p in self.players:
-            self.states[p].add_holding(epoch, ("share", p), shares[p])
-
-    def _forwarders(self) -> list[int]:
-        return sorted(self.designated)
-
-    def _forward_items(self, player: int, epoch: int) -> list[Share]:
-        return [self.states[player].holdings[epoch][("share", player)]]
-
-    def _own_items(self, leader: int, epoch: int) -> list[Share]:
-        return [self.states[leader].holdings[epoch][("share", leader)]]
-
-    def _accept_item(self, state: LocalState, sender: int, item, epoch: int) -> bool:
-        if not isinstance(item, Share) or item.epoch != epoch:
-            state.cheat_evidence.append(
-                CheatEvidence("stale-share", state.iteration, int(Step.DECIDE), sender)
-            )
-            return False
-        if not self.issuer.verify_tag(item):
-            state.cheat_evidence.append(
-                CheatEvidence("invalid-tag", state.iteration, int(Step.DECIDE), sender)
-            )
-            return False
-        state.add_holding(epoch, ("share", item.x.value), item)
-        return True
-
-
 def lift_m_of_n(
     secret: FieldElement | int,
     m: int,
@@ -368,10 +84,12 @@ def lift_m_of_n(
         raise ValueError(f"group lift needs n > 3, got n={n}")
     if m > n:
         raise ValueError(f"threshold m={m} cannot exceed n={n}")
+    groups, leaders = partition_players(n, m)
     game = MOfNExchange(
         secret,
+        groups,
+        leaders,
         m,
-        n,
         alpha=alpha,
         profile=profile,
         seed=seed,
@@ -383,21 +101,19 @@ def lift_m_of_n(
     return game.run()
 
 
-class TwoOfNExchange(_GroupedExchange):
+class TwoOfNExchange(GroupedExchange):
     """n-of-n subshare exchange realizing 2-of-n sharing."""
 
+    holders = (1, 2)
+
     def __init__(self, secret, n, subshare_filter=None, **kw):
-        self.holders = (1, 2)
+        groups, leaders = partition_players(n, n)
+        super().__init__(secret, groups, leaders, 2, **kw)
         self.subshare_filter = subshare_filter
-        super().__init__(n=n, m_designated=n, **kw)
         if subshare_filter is not None:
             self.honest = False  # fault injection voids the honest-play invariants
-        self.secret = (
-            secret if isinstance(secret, FieldElement) else FieldElement(secret % self.prime, self.prime)
-        )
-
-    def _threshold(self) -> int:
-        return 2
+        for state in self.states.values():
+            state.learned_fn = self._learned
 
     def _learned(self, state: LocalState) -> bool:
         n = self.n
@@ -426,23 +142,17 @@ class TwoOfNExchange(_GroupedExchange):
             for sub, recipient in zip(subs, recipients):
                 if self.subshare_filter is not None:
                     sub = self.subshare_filter(sub, recipient)
-                self._accept_item(self.states[recipient], holder, sub, epoch)
+                self._accept_item(self.states[recipient], holder, sub)
 
-    def _forwarders(self) -> list[int]:
-        return list(self.players)
+    def _forwarders(self):
+        return self.players
 
     def _bundle(self, player: int, epoch: int) -> list[Subshare]:
         items = self.states[player].holdings.get(epoch, {})
         return [items[key] for key in sorted(k for k in items if k[0] == "sub")]
 
-    def _forward_items(self, player: int, epoch: int) -> list[Subshare]:
-        return self._bundle(player, epoch)
-
-    def _own_items(self, leader: int, epoch: int) -> list[Subshare]:
-        return self._bundle(leader, epoch)
-
-    def _accept_item(self, state: LocalState, sender: int, item, epoch: int) -> bool:
-        if not isinstance(item, Subshare) or item.epoch != epoch:
+    def _accept_item(self, state: LocalState, sender: int, item) -> bool:
+        if not isinstance(item, Subshare) or item.epoch != state.epoch:
             state.cheat_evidence.append(
                 CheatEvidence("stale-subshare", state.iteration, int(Step.DECIDE), sender)
             )
@@ -452,7 +162,7 @@ class TwoOfNExchange(_GroupedExchange):
                 CheatEvidence("invalid-tag", state.iteration, int(Step.DECIDE), sender)
             )
             return False
-        state.add_holding(epoch, ("sub", item.parent_holder, item.index), item)
+        state.add_holding(state.epoch, ("sub", item.parent_holder, item.index), item)
         return True
 
 

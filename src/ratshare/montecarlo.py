@@ -2,11 +2,13 @@
 
 The honest profile and every catalogued single-deviator profile touch
 the shares only through who-broadcast-what, so their runs can be sampled
-as numpy array operations over coin matrices: hundreds of thousands of
-seeded trials finish in well under a second.  tests/test_montecarlo.py
-checks this sampler against the message-level engine on all 64 coin
-assignments for every supported profile, which makes the two
-implementations provably interchangeable per iteration.
+as numpy array operations over coin matrices.  An honest run lasts
+1/alpha^3 iterations on average and its cost grows with it: 200k trials
+take a fraction of a second at alpha = 0.5 but tens of seconds at
+alpha = 0.1.  tests/test_montecarlo.py checks this sampler against the
+message-level engine on all 64 coin assignments for every supported
+profile, which makes the two implementations provably interchangeable
+per iteration.
 
 Anything outside that family (custom strategies, lifts, transcript
 dumps) goes through `sample_runs_reference`, which loops the engine.
@@ -21,7 +23,7 @@ import numpy as np
 from . import engine
 from .protocol import TerminalCause
 from .seeding import derive_generator
-from .strategies import Strategy, UtilityTable, build_deviation, info_key
+from .strategies import DEVIATIONS, UtilityTable, deviation_profile, info_key
 
 CAUSE_ORDER = (
     TerminalCause.ALL_LEARNED,
@@ -30,15 +32,6 @@ CAUSE_ORDER = (
     TerminalCause.ITERATION_CAP_HIT,
 )
 CAUSE_CODE = {cause: idx for idx, cause in enumerate(CAUSE_ORDER)}
-
-SUPPORTED_DEVIATIONS = (
-    "withhold",
-    "biased-coin",
-    "garble-step2",
-    "always-silent",
-    "always-broadcast",
-)
-
 
 @dataclass
 class TrialStats:
@@ -136,10 +129,9 @@ def sample_runs(
     `deviation` of None runs the all-honest profile; otherwise `deviator`
     unilaterally plays the named catalogued deviation.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    engine.check_run_config(alpha, cap)
     if deviation is not None:
-        if deviation not in SUPPORTED_DEVIATIONS:
+        if deviation not in DEVIATIONS:
             raise ValueError(f"unknown deviation {deviation!r}")
         if deviator not in (1, 2, 3):
             raise ValueError("deviator must be one of players 1..3")
@@ -204,15 +196,6 @@ def sample_iteration_kinds(alpha: float, trials: int, seed: int) -> dict[str, in
     }
 
 
-def _deviation_profile(
-    deviation: str | None, deviator: int | None, alpha_prime: float | None
-) -> dict[int, Strategy]:
-    if deviation is None:
-        return {}
-    spec = deviation if deviation != "biased-coin" else f"biased-coin:{alpha_prime}"
-    return {deviator: build_deviation(spec)}
-
-
 def sample_runs_reference(
     alpha: float,
     trials: int,
@@ -224,7 +207,7 @@ def sample_runs_reference(
     secret: int = 5,
 ) -> TrialStats:
     """Same interface as sample_runs, but looping the message-level engine."""
-    profile = _deviation_profile(deviation, deviator, alpha_prime)
+    profile = deviation_profile(deviation, deviator, alpha_prime)
     iterations = np.zeros(trials, dtype=np.int64)
     causes = np.zeros(trials, dtype=np.uint8)
     info = np.zeros((trials, 3), dtype=np.uint8)

@@ -126,14 +126,13 @@ class RunOutcome:
     """Terminal summary of one mechanism run."""
 
     iterations: int
-    total_steps: int
     info: tuple[int, ...]
     cause: TerminalCause
     transcripts: list[IterationTranscript] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if self.total_steps != STEPS_PER_ITERATION * self.iterations:
-            raise ValueError("total steps must be 5 x iterations")
+    @property
+    def total_steps(self) -> int:
+        return STEPS_PER_ITERATION * self.iterations
 
 
 # --- pure per-step rules of the recommended strategy -------------------------

@@ -26,7 +26,6 @@ from .protocol import (
     CoinTriple,
     Decision,
     DecisionKind,
-    RoundMessage,
     Step,
     TerminalCause,
     broadcast_rule,
@@ -65,7 +64,6 @@ class LocalState:
     broadcast_own: bool = False
     observed_broadcasts: set[int] = field(default_factory=set)
     holdings: dict[int, dict[object, object]] = field(default_factory=dict)
-    messages_sent: list[RoundMessage] = field(default_factory=list)
     cheat_evidence: list[CheatEvidence] = field(default_factory=list)
     learned_fn: Callable | None = field(default=None, repr=False)
 
@@ -125,18 +123,6 @@ class Strategy:
         """Group lifts only: forward the own share/bundle to the group leader."""
         return True
 
-    def act(self, state: LocalState, rng: Random, alpha: float | None = None):
-        """Single-rule view: dispatch on the step recorded in the state."""
-        if state.step == Step.COIN_EXCHANGE:
-            return self.coins(state, rng, alpha)
-        if state.step == Step.MASKED_BIT:
-            return self.masked_bit(state, rng)
-        if state.step == Step.BROADCAST:
-            return self.wants_broadcast(state, rng)
-        if state.step == Step.DECIDE:
-            return self.decide(state, rng)
-        raise ValueError(f"no action at step {state.step!r}")
-
 
 class HonestStrategy(Strategy):
     """The recommended strategy: randomize only in the coin choice."""
@@ -188,7 +174,7 @@ class BiasedCoin(HonestStrategy):
     honest_rules = True
 
     def __init__(self, alpha_prime: float):
-        if not 0 < alpha_prime <= 1:
+        if alpha_prime is None or not 0 < alpha_prime <= 1:
             raise ValueError(f"biased coin needs alpha' in (0, 1], got {alpha_prime}")
         self.alpha_prime = alpha_prime
 
@@ -277,37 +263,64 @@ class ForcedCoins(Strategy):
         return self.inner.forwards_to_leader(state, rng)
 
 
-DEVIATION_NAMES = (
-    "withhold",
-    "biased-coin",
-    "garble-step2",
-    "always-silent",
-    "always-broadcast",
-)
+# --- deviation registry -------------------------------------------------------
+
+# Every name the audit, the samplers and the CLI accept.  Only biased-coin
+# takes a parameter, its coin bias alpha'.
+DEVIATIONS: dict[str, type[HonestStrategy]] = {
+    "withhold": WithholdShare,
+    "biased-coin": BiasedCoin,
+    "garble-step2": GarbleStep2,
+    "always-silent": AlwaysSilent,
+    "always-broadcast": AlwaysBroadcast,
+}
 
 
-def deviation_catalog(alpha_prime: float = 1.0) -> dict[str, Strategy]:
-    """The named deviations used by the incentive audit."""
-    return {
-        "withhold": WithholdShare(),
-        "biased-coin": BiasedCoin(alpha_prime),
-        "garble-step2": GarbleStep2(),
-        "always-silent": AlwaysSilent(),
-        "always-broadcast": AlwaysBroadcast(),
-    }
+def parse_deviation(spec: str) -> tuple[str, float | None]:
+    """Split "name" / "name:param" into (name, alpha') and validate both.
+
+    alpha' is None for every deviation but biased-coin, where it
+    defaults to 1.
+    """
+    name, _, param = spec.partition(":")
+    if name not in DEVIATIONS:
+        raise ValueError(f"unknown deviation {name!r}")
+    if name != "biased-coin":
+        if param:
+            raise ValueError(f"deviation {name!r} takes no parameter")
+        return name, None
+    alpha_prime = float(param) if param else 1.0
+    if not 0 < alpha_prime <= 1:
+        raise ValueError(f"biased coin needs alpha' in (0, 1], got {alpha_prime}")
+    return name, alpha_prime
+
+
+def _instantiate(name: str, alpha_prime: float | None) -> Strategy:
+    if name == "biased-coin":
+        return BiasedCoin(alpha_prime)
+    return DEVIATIONS[name]()
+
+
+def deviation_profile(
+    name: str | None, deviator: int | None, alpha_prime: float | None = None
+) -> dict[int, Strategy]:
+    """The profile in which `deviator` alone plays deviation `name`.
+
+    `name` of None is the all-honest profile, {}.
+    """
+    if name is None:
+        return {}
+    return {deviator: _instantiate(name, alpha_prime)}
 
 
 def build_deviation(spec: str) -> Strategy:
     """Parse "name" or "name:param" into a deviation strategy."""
-    name, _, param = spec.partition(":")
-    if name == "biased-coin":
-        return BiasedCoin(float(param) if param else 1.0)
-    if param:
-        raise ValueError(f"deviation {name!r} takes no parameter")
-    try:
-        return deviation_catalog()[name]
-    except KeyError:
-        raise ValueError(f"unknown deviation {name!r}") from None
+    return _instantiate(*parse_deviation(spec))
+
+
+def deviation_catalog(alpha_prime: float = 1.0) -> dict[str, Strategy]:
+    """One instance of every registered deviation, biased-coin at alpha'."""
+    return {name: _instantiate(name, alpha_prime) for name in DEVIATIONS}
 
 
 # --- info vectors and utilities ----------------------------------------------

@@ -200,6 +200,32 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--alpha", "0.25", "--trials", "10000", "--seed", "1", "--deviators", "x"],
+        ["simulate", "--alpha", "0.5", "--trials", "0", "--seed", "1"],
+        ["simulate", "--alpha", "0.5", "--trials", "-5", "--seed", "1"],
+        ["hiding", "--prime", "8"],
+        ["hiding", "--n", "9"],
+        # Both samplers share the engine's run-configuration check.
+        ["simulate", "--alpha", "0.5", "--trials", "10", "--seed", "1", "--cap", "0"],
+        ["simulate", "--alpha", "0.5", "--trials", "10", "--seed", "1", "--cap", "0",
+         "--dump-transcripts", "DUMP"],
+    ],
+    ids=[
+        "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
+        "cap-0-vectorized", "cap-0-dump",
+    ],
+)
+def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys):
+    argv = [str(tmp_path / "dump.jsonl") if arg == "DUMP" else arg for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_seed_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--alpha", "0.5", "--trials", "10"])

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from ratshare.engine import InvariantViolationError
 from ratshare.lifts import (
     TwoOfNExchange,
     lift_2_of_n,
@@ -12,7 +13,7 @@ from ratshare.lifts import (
 )
 from ratshare.protocol import MessageKind, TerminalCause
 from ratshare.shamir import combine_subshares, reconstruct
-from ratshare.strategies import WithholdFromLeader
+from ratshare.strategies import GarbleStep2, WithholdFromLeader
 
 
 def collect_broadcast_payloads(outcome):
@@ -151,3 +152,27 @@ def test_lift_alpha_validation():
         lift_2_of_n(42, 3, alpha=0.0, seed=1)
     with pytest.raises(ValueError):
         lift_m_of_n(42, 3, 6, alpha=1.0001, seed=1)
+
+
+# --- invariants of the shared run loop ----------------------------------------------
+
+
+class HonestFlaggedGarble(GarbleStep2):
+    """A garbling leader that claims to follow the honest rules."""
+
+    honest_rules = True
+
+
+@pytest.mark.parametrize(
+    "lift",
+    [
+        lambda profile: lift_m_of_n(5, 3, 6, alpha=0.5, profile=profile, seed=1, prime=101),
+        lambda profile: lift_2_of_n(5, 4, alpha=0.5, profile=profile, seed=1, prime=101),
+    ],
+    ids=["3-of-6", "2-of-4"],
+)
+def test_honest_lift_checks_parity_agreement(lift):
+    # Player 2 leads a group in both lifts; its predecessor's parity is
+    # corrupted in the first iteration.
+    with pytest.raises(InvariantViolationError, match="disagree on parity"):
+        lift({2: HonestFlaggedGarble()})

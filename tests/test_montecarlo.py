@@ -15,7 +15,13 @@ import pytest
 from ratshare import montecarlo
 from ratshare.engine import run_mechanism
 from ratshare.protocol import TerminalCause
-from ratshare.strategies import ForcedCoins, build_deviation, canonical_table
+from ratshare.strategies import (
+    DEVIATIONS,
+    ForcedCoins,
+    build_deviation,
+    canonical_table,
+    parse_deviation,
+)
 
 ALL64 = [
     tuple(zip(cs, cps))
@@ -43,7 +49,8 @@ def engine_signature(assignment, deviation, deviator):
 
 def vector_signature(assignment, deviation, deviator):
     coins = np.array([[assignment[i][0] for i in range(3)]], dtype=bool)
-    all_restart, info, cascade = montecarlo.iteration_outcome(coins, deviation, deviator)
+    name = parse_deviation(deviation)[0] if deviation is not None else None
+    all_restart, info, cascade = montecarlo.iteration_outcome(coins, name, deviator)
     if all_restart[0]:
         # Same coins forced again -> still restarting when the cap of 2 hits.
         return TerminalCause.ITERATION_CAP_HIT, (0, 0, 0), 2
@@ -52,7 +59,16 @@ def vector_signature(assignment, deviation, deviator):
     return cause, vec, 1 + int(cascade[0])
 
 
-@pytest.mark.parametrize("deviation", [None, "withhold", "garble-step2", "always-broadcast"])
+# Every registered deviation but always-silent, which has its own fast-path
+# test below; biased-coin's bias is overridden by the forced coins.
+EXHAUSTIVE_SPECS = [None] + [
+    "biased-coin:0.3" if name == "biased-coin" else name
+    for name in DEVIATIONS
+    if name != "always-silent"
+]
+
+
+@pytest.mark.parametrize("deviation", EXHAUSTIVE_SPECS)
 @pytest.mark.parametrize("deviator", [1, 2, 3])
 def test_iteration_semantics_match_engine_exhaustively(deviation, deviator):
     dev = deviation

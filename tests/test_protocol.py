@@ -80,7 +80,5 @@ def test_restart_rule(parity, count, expect_restart):
 
 
 def test_run_outcome_step_accounting():
-    out = RunOutcome(iterations=3, total_steps=15, info=(1, 1, 1), cause=TerminalCause.ALL_LEARNED)
+    out = RunOutcome(iterations=3, info=(1, 1, 1), cause=TerminalCause.ALL_LEARNED)
     assert out.total_steps == 15
-    with pytest.raises(ValueError):
-        RunOutcome(iterations=3, total_steps=14, info=(1, 1, 1), cause=TerminalCause.ALL_LEARNED)

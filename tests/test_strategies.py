@@ -10,7 +10,6 @@ from ratshare.protocol import (
     CoinTriple,
     DecisionKind,
     RunOutcome,
-    Step,
     TerminalCause,
 )
 from ratshare.strategies import (
@@ -194,19 +193,6 @@ def test_honest_strategy_alpha_validation():
         honest_strategy(1.0)
 
 
-def test_act_dispatches_on_step():
-    strat = honest_strategy(0.5)
-    state = make_state(coins=(1, 0), parity=1)
-    state.step = Step.BROADCAST
-    assert strat.act(state, Random(0)) is True
-    state.step = Step.DECIDE
-    state.observed_broadcasts = {1}
-    assert strat.act(state, Random(0)).kind == DecisionKind.RESTART
-    state.step = Step.ISSUE
-    with pytest.raises(ValueError):
-        strat.act(state, Random(0))
-
-
 # --- deviations -----------------------------------------------------------------
 
 
@@ -258,19 +244,19 @@ def test_always_silent_zeroes_the_info_vector():
 
 def test_utility_lookup_on_outcomes():
     table = canonical_table()
-    all_learned = RunOutcome(1, 5, (1, 1, 1), TerminalCause.ALL_LEARNED)
+    all_learned = RunOutcome(1, (1, 1, 1), TerminalCause.ALL_LEARNED)
     assert utility_of_run(all_learned, table, 1) == 1.0
-    cheat = RunOutcome(2, 10, (0, 1, 0), TerminalCause.CHEAT_STOP)
+    cheat = RunOutcome(2, (0, 1, 0), TerminalCause.CHEAT_STOP)
     assert utility_of_run(cheat, table, 2) == 2.0
     assert utility_of_run(cheat, table, 1) == -0.5
-    capped = RunOutcome(4, 20, (0, 0, 0), TerminalCause.ITERATION_CAP_HIT)
+    capped = RunOutcome(4, (0, 0, 0), TerminalCause.ITERATION_CAP_HIT)
     assert utility_of_run(capped, table, 1) == 0.0
 
 
 def test_equal_info_gives_equal_payoff_regardless_of_transcript():
     table = canonical_table()
-    a = RunOutcome(1, 5, (1, 1, 1), TerminalCause.ALL_LEARNED)
-    b = RunOutcome(9, 45, (1, 1, 1), TerminalCause.ALL_LEARNED)
+    a = RunOutcome(1, (1, 1, 1), TerminalCause.ALL_LEARNED)
+    b = RunOutcome(9, (1, 1, 1), TerminalCause.ALL_LEARNED)
     for player in (1, 2, 3):
         assert utility_of_run(a, table, player) == utility_of_run(b, table, player)
 
