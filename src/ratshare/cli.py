@@ -298,8 +298,8 @@ def cmd_dominance(args) -> Report:
 
 
 def cmd_hiding(args) -> Report:
-    if not is_prime(args.prime):
-        raise ConfigError(f"--prime must be prime, got {args.prime}")
+    if not (args.prime < 2**64 and is_prime(args.prime)):
+        raise ConfigError(f"--prime must be a prime below 2**64, got {args.prime}")
     if not 3 <= args.n < args.prime:
         raise ConfigError(f"--n must satisfy 3 <= n < prime, got n={args.n}")
     report = Report("hiding")

@@ -1,14 +1,13 @@
 """Bulk Monte Carlo sampling of mechanism runs.
 
-The honest profile and every catalogued single-deviator profile touch
-the shares only through who-broadcast-what, so their runs can be sampled
-as numpy array operations over coin matrices.  An honest run lasts
-1/alpha^3 iterations on average and its cost grows with it: 200k trials
-take a fraction of a second at alpha = 0.5 but tens of seconds at
-alpha = 0.1.  tests/test_montecarlo.py checks this sampler against the
-message-level engine on all 64 coin assignments for every supported
-profile, which makes the two implementations provably interchangeable
-per iteration.
+Iterations are independent and identically distributed, so a run is a
+geometric number of restarts that ends in one absorbing send-intent
+pattern.  `iteration_kernel` asks the message-level engine what one
+iteration does under each of the 8 patterns, for the honest profile or
+one catalogued deviation; `sample_runs` then draws each trial from two
+uniforms at fixed offsets of one Philox stream.  Cost is O(trials) at
+any alpha, trial t does not depend on the batch size, and the engine is
+the only definition of what an iteration does.
 
 Anything outside that family (custom strategies, lifts, transcript
 dumps) goes through `sample_runs_reference`, which loops the engine.
@@ -16,14 +15,17 @@ dumps) goes through `sample_runs_reference`, which loops the engine.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 
 import numpy as np
 
 from . import engine
 from .protocol import TerminalCause
 from .seeding import derive_generator
-from .strategies import DEVIATIONS, UtilityTable, deviation_profile, info_key
+from .strategies import ForcedCoins, UtilityTable, deviation_profile, info_key
 
 CAUSE_ORDER = (
     TerminalCause.ALL_LEARNED,
@@ -32,6 +34,15 @@ CAUSE_ORDER = (
     TerminalCause.ITERATION_CAP_HIT,
 )
 CAUSE_CODE = {cause: idx for idx, cause in enumerate(CAUSE_ORDER)}
+
+# The 8 send-intent patterns (c1, c2, c3), also the 8 info vectors; row
+# 4*c1 + 2*c2 + c3.
+_VECTORS = list(product((0, 1), repeat=3))
+PATTERNS = np.array(_VECTORS, dtype=bool)
+_PATTERN_CODE = np.array([4, 2, 1], dtype=np.int64)
+# One profile's iteration table: a column per field, a row per pattern.
+Kernel = namedtuple("Kernel", "restart info extra cause")
+
 
 @dataclass
 class TrialStats:
@@ -56,23 +67,13 @@ class TrialStats:
         }
 
     def info_histogram(self) -> dict[str, int]:
-        codes = self.info @ np.array([4, 2, 1], dtype=np.int64)
-        counts = np.bincount(codes, minlength=8)
-        return {
-            info_key(((code >> 2) & 1, (code >> 1) & 1, code & 1)): int(counts[code])
-            for code in range(8)
-        }
+        counts = np.bincount(self.info @ _PATTERN_CODE, minlength=8)
+        return {info_key(vec): int(count) for vec, count in zip(_VECTORS, counts)}
 
     def utilities(self, table: UtilityTable, player: int) -> np.ndarray:
         """Payoffs per trial; cap-hit trials already carry the all-zero vector."""
-        lut = np.array(
-            [
-                table.payoff(player, ((code >> 2) & 1, (code >> 1) & 1, code & 1))
-                for code in range(8)
-            ]
-        )
-        codes = self.info @ np.array([4, 2, 1], dtype=np.int64)
-        return lut[codes]
+        lut = np.array([table.payoff(player, vec) for vec in _VECTORS])
+        return lut[self.info @ _PATTERN_CODE]
 
     def mean_utility(self, table: UtilityTable, player: int) -> tuple[float, float]:
         """(mean, standard error) of the player's payoff."""
@@ -81,38 +82,42 @@ class TrialStats:
         return float(u.mean()), se
 
 
+@cache
+def iteration_kernel(deviation: str | None, deviator: int | None) -> Kernel:
+    """What one iteration does under each of the 8 send-intent patterns.
+
+    Runs the engine once per pattern with the coins forced (masking bits
+    0, cap 2, so a restarting pattern restarts again and hits the cap) and
+    records whether every player asked for a restart, who learned, the
+    abort iterations that follow a stop (iterations - 1) and the cause
+    code.  Forced coins make the table independent of alpha, alpha' and
+    the seed; biased-coin's bias only draws coins.
+    """
+    profile = deviation_profile(deviation, deviator, 1.0)
+    rows = []
+    for pattern in PATTERNS:
+        forced = {p: ForcedCoins([(int(pattern[p - 1]), 0)] * 2, profile.get(p)) for p in (1, 2, 3)}
+        out = engine.run_mechanism(5, 0.5, forced, seed=0, cap=2, record=False)
+        rows.append((out.cause == TerminalCause.ITERATION_CAP_HIT, out.info,
+                     out.iterations - 1, CAUSE_CODE[out.cause]))
+    kernel = Kernel(*(np.array(column) for column in zip(*rows)))
+    for column in kernel:
+        column.flags.writeable = False
+    return kernel
+
+
 def iteration_outcome(
     coins: np.ndarray, deviation: str | None, deviator: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classify one iteration for each row of a (T, 3) coin matrix.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Look up one iteration for each row of a (T, 3) coin matrix.
 
-    Returns (all_restart, info, cascade): whether every player asks for a
-    restart, who learned when the run absorbs, and whether an absorbed row
-    mixes stops with restarts (costing one extra abort iteration).
-    Columns are players 1..3; `deviation` of None means all honest.
+    Returns the profile's kernel columns (restart, info, extra, cause)
+    at each row's send-intent pattern.  Columns are players 1..3;
+    `deviation` of None means all honest.
     """
-    heads = coins.astype(bool)
-    t = heads.shape[0]
-    parity = heads[:, 0] ^ heads[:, 1] ^ heads[:, 2]
-    pview = np.repeat(parity[:, None], 3, axis=1)
-    d = deviator - 1 if deviator is not None else None
-    if deviation == "garble-step2":
-        victim = (d - 1) % 3  # the deviator's predecessor mis-computes parity
-        pview[:, victim] = ~pview[:, victim]
-    broadcast = heads & pview
-    if deviation == "withhold":
-        broadcast[:, d] = False
-    elif deviation == "always-broadcast":
-        broadcast[:, d] = True
-    count = broadcast.sum(axis=1)
-    restart = (~pview & (count[:, None] == 0)) | (pview & (count[:, None] == 1))
-    all_restart = restart.all(axis=1)
-    info = np.zeros((t, 3), dtype=np.uint8)
-    for j in range(3):
-        info[:, j] = broadcast[:, (j + 1) % 3] & broadcast[:, (j + 2) % 3]
-    info[all_restart] = 0
-    cascade = ~all_restart & restart.any(axis=1)
-    return all_restart, info, cascade
+    kernel = iteration_kernel(deviation, deviator if deviation is not None else None)
+    codes = np.asarray(coins, dtype=np.int64) @ _PATTERN_CODE
+    return tuple(column[codes] for column in kernel)
 
 
 def sample_runs(
@@ -127,52 +132,31 @@ def sample_runs(
     """Sample `trials` independent seeded runs of the mechanism.
 
     `deviation` of None runs the all-honest profile; otherwise `deviator`
-    unilaterally plays the named catalogued deviation.
+    unilaterally plays the named catalogued deviation.  Iterations are
+    i.i.d., so a run restarts a geometric number of times and absorbs in
+    one pattern drawn by its weight: trial t reads uniforms 2t and 2t+1
+    of one Philox stream for the two draws.
     """
     engine.check_run_config(alpha, cap)
-    if deviation is not None:
-        if deviation not in DEVIATIONS:
-            raise ValueError(f"unknown deviation {deviation!r}")
-        if deviator not in (1, 2, 3):
-            raise ValueError("deviator must be one of players 1..3")
+    deviation_profile(deviation, deviator, alpha_prime)
+    restart, info, extra, cause = iteration_outcome(PATTERNS, deviation, deviator)
+    heads = np.full(3, alpha)
     if deviation == "biased-coin":
-        if alpha_prime is None or not 0 < alpha_prime <= 1:
-            raise ValueError("biased-coin needs alpha' in (0, 1]")
-
-    iterations = np.zeros(trials, dtype=np.int64)
-    causes = np.full(trials, CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT], dtype=np.uint8)
-    info = np.zeros((trials, 3), dtype=np.uint8)
-
-    if deviation == "always-silent":
-        # Nobody ever receives the deviator's coin bits: both neighbors
-        # (everyone, on a 3-ring) abort in the first iteration.
-        iterations[:] = 1
-        causes[:] = CAUSE_CODE[TerminalCause.MISSING_BIT_ABORT]
-        return TrialStats(alpha, trials, deviation, deviator, iterations, causes, info)
+        heads[deviator - 1] = alpha_prime
+    weight = np.where(PATTERNS, heads, 1 - heads).prod(axis=1)
+    absorbing = np.flatnonzero(~restart & (weight > 0))
+    cdf = np.cumsum(weight[absorbing])
 
     rng = derive_generator(seed, "mc", deviation or "honest", deviator or 0, alpha_prime or 0.0)
-    alive = np.arange(trials)
-    d = deviator - 1 if deviator is not None else None
-    k = 0
-    code_all = CAUSE_CODE[TerminalCause.ALL_LEARNED]
-    code_cheat = CAUSE_CODE[TerminalCause.CHEAT_STOP]
-    while alive.size and k < cap:
-        k += 1
-        u = rng.random((alive.size, 3))
-        heads = u < alpha
-        if deviation == "biased-coin":
-            heads[:, d] = u[:, d] < alpha_prime
-        all_restart, step_info, cascade = iteration_outcome(heads, deviation, deviator)
-        done = ~all_restart
-        if done.any():
-            rows = alive[done]
-            info[rows] = step_info[done]
-            learned_all = step_info[done].all(axis=1)
-            causes[rows] = np.where(learned_all, code_all, code_cheat)
-            iterations[rows] = np.minimum(k + cascade[done], cap)
-        alive = alive[all_restart]
-    iterations[alive] = k
-    return TrialStats(alpha, trials, deviation, deviator, iterations, causes, info)
+    u = rng.random((trials, 2))
+    with np.errstate(divide="ignore"):  # all absorb: weights sum to 1 up to rounding, k = 1
+        k = 1 + np.floor(np.log1p(-u[:, 0]) / np.log1p(-min(cdf[-1], 1.0)))
+    pick = absorbing[np.minimum(np.searchsorted(cdf, u[:, 1] * cdf[-1], "right"), cdf.size - 1)]
+    capped = k > cap
+    iterations = np.minimum(k + extra[pick], cap).astype(np.int64)
+    causes = np.where(capped, CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT], cause[pick])
+    info = np.where(capped[:, None], 0, info[pick]).astype(np.uint8)
+    return TrialStats(alpha, trials, deviation, deviator, iterations, causes.astype(np.uint8), info)
 
 
 def sample_iteration_kinds(alpha: float, trials: int, seed: int) -> dict[str, int]:

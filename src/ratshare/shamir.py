@@ -21,10 +21,8 @@ from itertools import combinations, product
 from random import Random
 
 DEFAULT_PRIME = 2**31 - 1
-
-# Primality is verified by trial division only below this bound; the
-# default modulus sits just under it.
-_PRIMALITY_BOUND = 2**31
+# Miller-Rabin with these bases is exact for every n < 2**64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _checked_moduli: set[int] = set()
 
 
@@ -33,15 +31,26 @@ class ReconstructionError(ValueError):
 
 
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at 2**64 and above."""
+    if p >= 2**64:
+        raise ValueError(f"primality is only decided below 2**64, got {p}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for w in _WITNESSES:
+        if p % w == 0:
+            return p == w
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s, d odd
+    d = (p - 1) >> s
+    for w in _WITNESSES:
+        x = pow(w, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 
@@ -50,7 +59,7 @@ def _check_modulus(p: int) -> None:
         return
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
-    if p < _PRIMALITY_BOUND and not is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     _checked_moduli.add(p)
 

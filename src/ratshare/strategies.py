@@ -232,10 +232,12 @@ class WithholdFromLeader(HonestStrategy):
 
 
 class ForcedCoins(Strategy):
-    """Test harness: replay scripted coins, delegate everything else.
+    """Replay scripted coins, delegate everything else.
 
     The script holds one (c, c_plus) entry per iteration; iterations past
-    the end fall back to the inner strategy's own coin draw.
+    the end keep the inner strategy's own coin draw.  A script entry only
+    replaces a triple the inner strategy sends, so a silent player stays
+    silent.
     """
 
     def __init__(self, script: list[tuple[int, int]], inner: Strategy | None = None):
@@ -245,10 +247,10 @@ class ForcedCoins(Strategy):
         self.name = f"forced+{self.inner.name}"
 
     def coins(self, state: LocalState, rng: Random, alpha: float) -> CoinTriple | None:
-        if state.iteration - 1 < len(self.script):
-            c, c_plus = self.script[state.iteration - 1]
-            return CoinTriple.make(c, c_plus)
-        return self.inner.coins(state, rng, alpha)
+        triple = self.inner.coins(state, rng, alpha)
+        if triple is None or state.iteration > len(self.script):
+            return triple
+        return CoinTriple.make(*self.script[state.iteration - 1])
 
     def masked_bit(self, state: LocalState, rng: Random) -> int | None:
         return self.inner.masked_bit(state, rng)
@@ -306,10 +308,15 @@ def deviation_profile(
 ) -> dict[int, Strategy]:
     """The profile in which `deviator` alone plays deviation `name`.
 
-    `name` of None is the all-honest profile, {}.
+    `name` of None is the all-honest profile, {}.  Raises ValueError for
+    an unknown name, a deviator outside players 1..3 or a bad alpha'.
     """
     if name is None:
         return {}
+    if name not in DEVIATIONS:
+        raise ValueError(f"unknown deviation {name!r}")
+    if deviator not in (1, 2, 3):
+        raise ValueError("deviator must be one of players 1..3")
     return {deviator: _instantiate(name, alpha_prime)}
 
 

@@ -1,18 +1,22 @@
-"""Vectorized sampler vs the message-level engine.
+"""Kernel sampler vs the message-level engine.
 
 The equivalence tests drive the engine with forced coins over all 64
-(coin, masking bit) assignments for every supported profile and compare
-cause, info vector, and iteration count against the vectorized
-classification of the same coins.  Together with per-iteration
-independence this makes the two samplers interchangeable.
+(coin, masking bit) assignments for every registered profile and compare
+cause, info vector, and iteration count against the iteration kernel's
+row for the same coins.  Together with per-iteration independence this
+makes the two samplers interchangeable.
 """
 
+from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratshare import montecarlo
+from ratshare.analysis import expected_steps, iteration_distribution, withhold_lhs
 from ratshare.engine import run_mechanism
 from ratshare.protocol import TerminalCause
 from ratshare.strategies import (
@@ -39,10 +43,6 @@ def engine_signature(assignment, deviation, deviator):
     profile = {
         pid: ForcedCoins([assignment[pid - 1]] * 2, inner.get(pid)) for pid in (1, 2, 3)
     }
-    if deviation == "always-silent":
-        # Forcing coins would override the silence; the silent player's
-        # coins never reach the wire anyway.
-        profile[deviator] = inner[deviator]
     out = run_mechanism(5, 0.5, profile, seed=1, cap=2, record=False)
     return out.cause, out.info, out.iterations
 
@@ -50,21 +50,17 @@ def engine_signature(assignment, deviation, deviator):
 def vector_signature(assignment, deviation, deviator):
     coins = np.array([[assignment[i][0] for i in range(3)]], dtype=bool)
     name = parse_deviation(deviation)[0] if deviation is not None else None
-    all_restart, info, cascade = montecarlo.iteration_outcome(coins, name, deviator)
-    if all_restart[0]:
+    restart, info, extra, cause = montecarlo.iteration_outcome(coins, name, deviator)
+    if restart[0]:
         # Same coins forced again -> still restarting when the cap of 2 hits.
         return TerminalCause.ITERATION_CAP_HIT, (0, 0, 0), 2
-    vec = tuple(int(b) for b in info[0])
-    cause = TerminalCause.ALL_LEARNED if all(vec) else TerminalCause.CHEAT_STOP
-    return cause, vec, 1 + int(cascade[0])
+    return CAUSE_BY_CODE[int(cause[0])], tuple(int(b) for b in info[0]), 1 + int(extra[0])
 
 
-# Every registered deviation but always-silent, which has its own fast-path
-# test below; biased-coin's bias is overridden by the forced coins.
+# Every registered deviation; biased-coin's bias is overridden by the
+# forced coins.
 EXHAUSTIVE_SPECS = [None] + [
-    "biased-coin:0.3" if name == "biased-coin" else name
-    for name in DEVIATIONS
-    if name != "always-silent"
+    "biased-coin:0.3" if name == "biased-coin" else name for name in DEVIATIONS
 ]
 
 
@@ -79,14 +75,58 @@ def test_iteration_semantics_match_engine_exhaustively(deviation, deviator):
 
 
 def test_silent_fast_path_matches_engine():
-    for deviator in (1, 2, 3):
-        stats = montecarlo.sample_runs(0.5, 4, 3, deviation="always-silent", deviator=deviator)
+    # The engine side is covered by the exhaustive test above.  At alpha
+    # = 0.2 the 8 pattern weights sum to just above 1 in floating point.
+    for alpha, deviator in product((0.2, 0.5), (1, 2, 3)):
+        stats = montecarlo.sample_runs(alpha, 4, 3, deviation="always-silent", deviator=deviator)
         assert (stats.iterations == 1).all()
         assert (stats.causes == montecarlo.CAUSE_CODE[TerminalCause.MISSING_BIT_ABORT]).all()
         assert not stats.info.any()
-        for assignment in ALL64[:8]:
-            cause, info, iters = engine_signature(assignment, "always-silent", deviator)
-            assert (cause, info, iters) == (TerminalCause.MISSING_BIT_ABORT, (0, 0, 0), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.05, 1, exclude_min=True),
+    seed=st.integers(0, 2**32),
+    spec=st.sampled_from(EXHAUSTIVE_SPECS),
+    deviator=st.integers(1, 3),
+    n=st.integers(1, 300),
+    more=st.integers(1, 300),
+)
+def test_trial_results_do_not_depend_on_batch_size(alpha, seed, spec, deviator, n, more):
+    name, alpha_prime = parse_deviation(spec) if spec is not None else (None, None)
+    kwargs = dict(deviation=name, deviator=deviator if name else None, alpha_prime=alpha_prime)
+    small = montecarlo.sample_runs(alpha, n, seed, **kwargs)
+    large = montecarlo.sample_runs(alpha, n + more, seed, **kwargs)
+    assert (large.iterations >= 1).all()
+    assert (small.iterations == large.iterations[:n]).all()
+    assert (small.causes == large.causes[:n]).all()
+    assert (small.info == large.info[:n]).all()
+
+
+def kernel_absorption(alpha, deviation, deviator):
+    """Exact per-iteration weights of the kernel's absorbing patterns."""
+    a = Fraction(alpha)
+    kernel = montecarlo.iteration_kernel(deviation, deviator)
+    return [
+        (prod(a if c else 1 - a for c in pattern), tuple(int(b) for b in info))
+        for pattern, restart, info in zip(montecarlo.PATTERNS, kernel.restart, kernel.info)
+        if not restart
+    ]
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.6, 0.8, 0.95])
+def test_kernel_matches_closed_forms_exactly(alpha):
+    q = sum(w for w, _ in kernel_absorption(alpha, None, None))
+    assert q == Fraction(alpha) ** 3
+    assert float(q) == iteration_distribution(alpha).p_success
+    assert float(1 / q) == pytest.approx(expected_steps(alpha) / 5, rel=1e-12)
+    table = canonical_table()
+    for deviator in (1, 2, 3):
+        absorbed = kernel_absorption(alpha, "withhold", deviator)
+        payoff = sum(w * Fraction(table.payoff(deviator, info)) for w, info in absorbed)
+        payoff /= sum(w for w, _ in absorbed)
+        assert abs(float(payoff) - withhold_lhs(alpha, table, deviator)) < 1e-12
 
 
 def test_honest_runs_all_absorb_with_everyone_learning():
@@ -165,14 +205,15 @@ def test_sampler_reproducible():
 
 
 def test_sampler_validation():
-    with pytest.raises(ValueError):
-        montecarlo.sample_runs(0.0, 10, 1)
-    with pytest.raises(ValueError):
-        montecarlo.sample_runs(0.5, 10, 1, deviation="nonsense", deviator=1)
-    with pytest.raises(ValueError):
-        montecarlo.sample_runs(0.5, 10, 1, deviation="withhold", deviator=9)
-    with pytest.raises(ValueError):
-        montecarlo.sample_runs(0.5, 10, 1, deviation="biased-coin", deviator=1, alpha_prime=0.0)
+    for sample in (montecarlo.sample_runs, montecarlo.sample_runs_reference):
+        with pytest.raises(ValueError):
+            sample(0.0, 10, 1)
+        with pytest.raises(ValueError):
+            sample(0.5, 10, 1, deviation="nonsense", deviator=1)
+        with pytest.raises(ValueError):
+            sample(0.5, 10, 1, deviation="withhold", deviator=9)
+        with pytest.raises(ValueError):
+            sample(0.5, 10, 1, deviation="biased-coin", deviator=1, alpha_prime=0.0)
 
 
 def test_cap_leaves_cause_cap_hit():

@@ -74,11 +74,19 @@ def test_field_modulus_mismatch():
 
 
 def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13, 101, 2**31 - 1}
+    primes = {2, 3, 5, 7, 11, 13, 101, 2**31 - 1, 2**61 - 1, 2**64 - 59}
     for p in primes:
         assert is_prime(p)
-    for c in (1, 4, 9, 15, 21, 2**31 - 2):
+    # 561 and 3215031751 are Carmichael numbers; 3215031751 is also a
+    # strong pseudoprime to bases 2, 3, 5 and 7.
+    for c in (1, 4, 9, 15, 21, 2**31 - 2, 561, 3215031751, 2**64 - 1):
         assert not is_prime(c)
+    with pytest.raises(ValueError):
+        FieldElement(3, 2**33)
+    with pytest.raises(ValueError):
+        FieldElement(3, 3215031751)
+    with pytest.raises(ValueError):
+        FieldElement(3, 2**89 - 1)  # prime, but above the exact range
 
 
 # --- issuance ------------------------------------------------------------
