@@ -5,7 +5,8 @@ Subcommands:
   alpha-star  honesty threshold from a utility table
   audit       Monte Carlo incentive audit of the catalogued deviations
   dominance   iterated deletion on the built-in or a loaded game
-  hiding      exhaustive GF(7) reconstruction and hiding checks
+  hiding      exhaustive small-field reconstruction and hiding checks,
+              refused past 50,000 reconstructions (prime 31 at n = 3)
 
 Exit codes: 0 success, 2 configuration error, 3 protocol invariant
 violated during a run (should never happen).
@@ -21,15 +22,36 @@ import time
 import numpy as np
 
 from . import analysis, dominance, montecarlo
-from .engine import DEFAULT_CAP, InvariantViolationError, run_mechanism
+from .engine import DEFAULT_CAP, InvariantViolationError, check_run_config, run_mechanism
 from .protocol import TerminalCause
 from .report import Report
-from .shamir import exhaustive_hiding_check, exhaustive_round_trip_check, is_prime
+from .shamir import (
+    exhaustive_hiding_check,
+    exhaustive_round_trip_check,
+    is_prime,
+    round_trip_reconstructions,
+)
 from .strategies import UtilityTable, deviation_profile, parse_deviation, validate_utilities
+
+
+# `hiding` enumerates every polynomial over GF(p); past this many
+# reconstructions (p = 31, n = 3 makes 33,852) it runs for minutes to hours.
+HIDING_BUDGET = 50_000
+
+# What a malformed --game or --utilities document can raise while loading.
+_BAD_DOCUMENT = (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError)
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _create(path: str, what: str):
+    """Open `path` for writing; a path that cannot be written is a config error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} to {path}: {exc}")
 
 
 def _load_table(args) -> UtilityTable:
@@ -37,7 +59,7 @@ def _load_table(args) -> UtilityTable:
         try:
             with open(args.utilities) as fh:
                 table = UtilityTable.from_doc(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+        except _BAD_DOCUMENT as exc:
             raise ConfigError(f"cannot load utilities from {args.utilities}: {exc}")
     else:
         players = getattr(args, "players", 3)
@@ -81,28 +103,29 @@ def _share_record(payload) -> object:
     return payload
 
 
-def _dump_transcripts(path: str, trials: int, alpha: float, seed: int, profile, cap: int) -> None:
-    with open(path, "w") as fh:
-        for t in range(trials):
-            outcome = run_mechanism(5, alpha, profile, seed, cap=cap, record=True, trial=t)
-            for transcript in outcome.transcripts:
-                for msg in transcript.messages:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "trial": t,
-                                "iteration": msg.iteration,
-                                "epoch": transcript.epoch,
-                                "step": int(msg.step),
-                                "kind": msg.kind.value,
-                                "sender": msg.sender,
-                                "receiver": msg.receiver,
-                                "payload": _share_record(msg.payload),
-                            },
-                            separators=(",", ":"),
-                        )
-                        + "\n"
+def _dumped_runs(fh, trials: int, alpha: float, seed: int, profile, cap: int):
+    """Run each trial once with recording on, write its messages, yield its outcome."""
+    for t in range(trials):
+        outcome = run_mechanism(5, alpha, profile, seed, cap=cap, record=True, trial=t)
+        for transcript in outcome.transcripts:
+            for msg in transcript.messages:
+                fh.write(
+                    json.dumps(
+                        {
+                            "trial": t,
+                            "iteration": msg.iteration,
+                            "epoch": transcript.epoch,
+                            "step": int(msg.step),
+                            "kind": msg.kind.value,
+                            "sender": msg.sender,
+                            "receiver": msg.receiver,
+                            "payload": _share_record(msg.payload),
+                        },
+                        separators=(",", ":"),
                     )
+                    + "\n"
+                )
+        yield outcome
 
 
 def cmd_simulate(args) -> Report:
@@ -114,36 +137,34 @@ def cmd_simulate(args) -> Report:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     deviation = deviator = None
     alpha_prime = None
-    if args.deviant:
-        head, _, spec = args.deviant.partition(":")
-        try:
+    try:
+        if args.deviant:
+            head, _, spec = args.deviant.partition(":")
+            if not head.isdecimal():
+                raise ValueError(f"--deviant must look like PLAYER:NAME, got {args.deviant!r}")
             deviator = int(head)
-        except ValueError:
-            raise ConfigError(f"--deviant must look like PLAYER:NAME, got {args.deviant!r}")
-        if deviator not in (1, 2, 3):
-            raise ConfigError("--deviant player must be 1, 2, or 3")
-        try:
             deviation, alpha_prime = parse_deviation(spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        # Checked before any run, and before a dump file is opened.
+        profile = deviation_profile(deviation, deviator, alpha_prime)
+        check_run_config(alpha, args.cap)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
     report = Report("simulate")
     _config_section(report, args, ["alpha", "trials", "seed", "cap", "deviant"])
 
     start = time.perf_counter()
-    sample = montecarlo.sample_runs_reference if args.dump_transcripts else montecarlo.sample_runs
-    try:
-        stats = sample(
+    if args.dump_transcripts:
+        # The report counts the very runs the dump records.
+        with _create(args.dump_transcripts, "transcripts") as fh:
+            runs = _dumped_runs(fh, args.trials, alpha, args.seed, profile, args.cap)
+            stats = montecarlo.TrialStats.from_outcomes(alpha, deviation, deviator, runs)
+        sampler = "reference-engine"
+    else:
+        stats = montecarlo.sample_runs(
             alpha, args.trials, args.seed,
             deviation=deviation, deviator=deviator, alpha_prime=alpha_prime, cap=args.cap,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    if args.dump_transcripts:
-        profile = deviation_profile(deviation, deviator, alpha_prime)
-        _dump_transcripts(args.dump_transcripts, args.trials, alpha, args.seed, profile, args.cap)
-        sampler = "reference-engine"
-    else:
         sampler = "vectorized"
     elapsed = time.perf_counter() - start
 
@@ -230,7 +251,7 @@ def _build_game(args, table: UtilityTable):
     if args.game:
         try:
             return dominance.NormalFormGame.load(args.game), None
-        except (OSError, ValueError, KeyError, IndexError) as exc:
+        except _BAD_DOCUMENT as exc:
             raise ConfigError(f"cannot load game from {args.game}: {exc}")
     if args.builtin == "oneshot-2of2":
         game = dominance.build_oneshot_sharing_game(table)
@@ -302,6 +323,12 @@ def cmd_hiding(args) -> Report:
         raise ConfigError(f"--prime must be a prime below 2**64, got {args.prime}")
     if not 3 <= args.n < args.prime:
         raise ConfigError(f"--n must satisfy 3 <= n < prime, got n={args.n}")
+    work = round_trip_reconstructions(args.prime, args.n)
+    if work > HIDING_BUDGET:
+        raise ConfigError(
+            f"--prime {args.prime} --n {args.n} needs {work} reconstructions, "
+            f"over the budget of {HIDING_BUDGET}"
+        )
     report = Report("hiding")
     _config_section(report, args, ["prime", "n"])
     start = time.perf_counter()
@@ -374,7 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(p, players=2)
     p.set_defaults(handler=cmd_dominance)
 
-    p = sub.add_parser("hiding", help="exhaustive small-field sharing checks")
+    p = sub.add_parser(
+        "hiding",
+        help="exhaustive small-field sharing checks",
+        description="Enumerate every polynomial over GF(prime) to check reconstruction "
+        f"and hiding.  Inputs needing more than {HIDING_BUDGET:,} reconstructions "
+        "(prime 31 is the largest accepted at n = 3) are refused.",
+    )
     p.add_argument("--prime", type=int, default=7)
     p.add_argument("--n", type=int, default=3)
     p.set_defaults(handler=cmd_hiding)
@@ -386,19 +419,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.handler(args)
+        text = args.handler(args).render()
+        if args.out:
+            with _create(args.out, "the report") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    text = report.render()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

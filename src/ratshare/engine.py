@@ -7,7 +7,9 @@ hit.  A player that stops simply goes silent; the others notice the
 missing bits one round later and abort, which is the minimal synchronous
 realization of stopping.
 
-`GroupedExchange.run` is the only run loop.  Players sit in three
+`GroupedExchange` owns both the run loop (`run`, the only one) and the
+coin iteration it repeats (`_coin_iteration`), reading the players'
+states, strategies and streams from itself.  Players sit in three
 groups; each group's leader takes one seat on the coin ring and
 broadcasts its group's bundle.  The 3-of-3 mechanism is the m-of-n share
 exchange with three one-player groups, and the lifts in `ratshare.lifts`
@@ -83,167 +85,6 @@ def issue_round(
     return {share.holder: share for share in shares}
 
 
-class _Seat:
-    """One ring position: player id, local state, strategy, and stream."""
-
-    __slots__ = ("pos", "pid", "state", "strategy", "rng")
-
-    def __init__(self, pos: int, pid: int, state: LocalState, strategy: Strategy, rng: Random):
-        self.pos = pos
-        self.pid = pid
-        self.state = state
-        self.strategy = strategy
-        self.rng = rng
-
-
-def _run_coin_iteration(
-    seats: dict[int, _Seat | None],
-    pids: dict[int, int],
-    alpha: float,
-    iteration: int,
-    epoch: int,
-    accept_broadcast,
-    observers: list[LocalState],
-    record: bool,
-):
-    """Execute steps 1-4 of one iteration among the seated ring members.
-
-    `pids` maps every ring position (vacated or not) to its player id.
-    `accept_broadcast(state, sender_pid, payload)` validates a received
-    broadcast (tag and epoch), updates holdings, and returns whether it
-    counts as received.  Returns (decisions by position, transcript,
-    terminal events as (step, kind) pairs).
-    """
-    msgs: list[RoundMessage] = []
-    events: list[tuple[int, str]] = []
-    decisions: dict[int, Decision] = {}
-    live = {pos: seat for pos, seat in seats.items() if seat is not None}
-    inbox_plus: dict[int, int] = {}
-    inbox_minus: dict[int, int] = {}
-    inbox_masked: dict[int, int] = {}
-    broadcasts: list[tuple[int, int, object]] = []
-
-    def pid_of(pos: int) -> int:
-        return pids.get(pos, pos)  # the issuer (0) is not seated
-
-    def send(seat: _Seat, receiver_pos: int, step: Step, kind: MessageKind, payload) -> None:
-        if record:
-            msgs.append(RoundMessage(seat.pid, pid_of(receiver_pos), step, kind, payload, iteration))
-
-    def abort(pos: int, step: Step, about_pos: int, detail: str) -> None:
-        seat = live.pop(pos)
-        seat.state.cheat_evidence.append(
-            CheatEvidence("missing-bit", iteration, int(step), pid_of(about_pos), detail)
-        )
-        decisions[pos] = Decision(DecisionKind.ABORT)
-        events.append((int(step), "abort"))
-
-    # Step 1: each player commits coins and sends the masked pieces.
-    for pos in sorted(live):
-        seat = live[pos]
-        seat.state.step = Step.COIN_EXCHANGE
-        triple = seat.strategy.coins(seat.state, seat.rng, alpha)
-        seat.state.coins = triple
-        if triple is None:
-            continue
-        succ, pred = _SUCC[pos], _PRED[pos]
-        inbox_plus[succ] = triple.c_plus
-        inbox_minus[pred] = triple.c_minus
-        send(seat, succ, Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, triple.c_plus)
-        send(seat, pred, Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, triple.c_minus)
-
-    # Step 2: read the step-1 bits (delivered one round later), forward the
-    # masked combination to the predecessor.
-    for pos in sorted(live):
-        seat = live[pos]
-        st = seat.state
-        st.step = Step.MASKED_BIT
-        st.bit_from_pred = inbox_plus.get(pos)
-        st.bit_from_succ = inbox_minus.get(pos)
-        if st.bit_from_pred is None or st.bit_from_succ is None:
-            missing = _PRED[pos] if st.bit_from_pred is None else _SUCC[pos]
-            abort(pos, Step.MASKED_BIT, missing, "expected coin bit never arrived")
-            continue
-        bit = seat.strategy.masked_bit(st, seat.rng)
-        if bit is not None:
-            pred = _PRED[pos]
-            inbox_masked[pred] = bit
-            send(seat, pred, Step.MASKED_BIT, MessageKind.MASKED_BIT, bit)
-
-    # Step 3: assemble the parity and decide whether to broadcast.
-    for pos in sorted(live):
-        seat = live[pos]
-        st = seat.state
-        st.step = Step.BROADCAST
-        masked = inbox_masked.get(pos)
-        st.masked_from_succ = masked
-        if masked is None:
-            abort(pos, Step.BROADCAST, _SUCC[pos], "expected masked bit never arrived")
-            continue
-        if st.coins is not None:
-            st.parity = parity_rule(st.bit_from_pred, masked, st.coins.c)
-        if seat.strategy.wants_broadcast(st, seat.rng) and st.own_payload is not None:
-            st.broadcast_own = True
-            st.observed_broadcasts.add(seat.pid)
-            broadcasts.append((seat.pid, pos, st.own_payload))
-            for other in sorted(seats):
-                if other != pos and seats[other] is not None:
-                    send(seat, other, Step.BROADCAST, MessageKind.SHARE_BROADCAST, st.own_payload)
-            if record:
-                for obs in observers:
-                    msgs.append(
-                        RoundMessage(
-                            seat.pid,
-                            obs.player,
-                            Step.BROADCAST,
-                            MessageKind.SHARE_BROADCAST,
-                            st.own_payload,
-                            iteration,
-                        )
-                    )
-
-    # Step 4: take delivery of broadcasts, then stop or ask for a restart.
-    for sender_pid, sender_pos, payload in broadcasts:
-        for pos, seat in live.items():
-            if pos == sender_pos:
-                continue
-            if accept_broadcast(seat.state, sender_pid, payload):
-                seat.state.observed_broadcasts.add(sender_pid)
-        for obs in observers:
-            accept_broadcast(obs, sender_pid, payload)
-    for pos in sorted(live):
-        seat = live[pos]
-        st = seat.state
-        st.step = Step.DECIDE
-        decision = seat.strategy.decide(st, seat.rng)
-        decisions[pos] = decision
-        if decision.kind == DecisionKind.RESTART:
-            send(seat, ISSUER_ID, Step.DECIDE, MessageKind.RESTART_REQUEST, None)
-        elif decision.kind == DecisionKind.STOP:
-            events.append((int(Step.DECIDE), "stop"))
-            if not decision.learned:
-                st.cheat_evidence.append(
-                    CheatEvidence(
-                        "stopped-without-learning",
-                        iteration,
-                        int(Step.DECIDE),
-                        None,
-                        f"parity={st.parity} broadcasts={st.observed_count}",
-                    )
-                )
-
-    transcript = IterationTranscript(
-        iteration=iteration,
-        epoch=epoch,
-        coins={seat.pid: seat.state.coins for seat in seats.values() if seat},
-        parities={seat.pid: seat.state.parity for seat in seats.values() if seat},
-        broadcasters=tuple(sender for sender, _, _ in broadcasts),
-        decisions={pid_of(pos): d for pos, d in decisions.items()},
-        messages=msgs,
-    )
-    return decisions, transcript, events
-
-
 def normalize_profile(
     profile: dict[int, Strategy] | None, players: tuple[int, ...]
 ) -> dict[int, Strategy]:
@@ -253,32 +94,6 @@ def normalize_profile(
     if unknown:
         raise ValueError(f"profile names unknown players {sorted(unknown)}")
     return {pid: profile.get(pid, HonestStrategy()) for pid in players}
-
-
-def _resolve_cause(
-    info: tuple[int, ...], first_event: tuple[int, int, str] | None
-) -> TerminalCause:
-    if all(info):
-        return TerminalCause.ALL_LEARNED
-    if first_event is None:
-        return TerminalCause.ITERATION_CAP_HIT
-    return (
-        TerminalCause.CHEAT_STOP
-        if first_event[2] == "stop"
-        else TerminalCause.MISSING_BIT_ABORT
-    )
-
-
-def _merge_events(
-    first_event: tuple[int, int, str] | None,
-    iteration: int,
-    events: list[tuple[int, str]],
-) -> tuple[int, int, str] | None:
-    for step, kind in events:
-        candidate = (iteration, step, kind)
-        if first_event is None or candidate[:2] < first_event[:2]:
-            first_event = candidate
-    return first_event
 
 
 class GroupedExchange:
@@ -321,6 +136,7 @@ class GroupedExchange:
         self.honest = all(self.strategies[p].honest_rules for p in self.players)
         self.leaders = leaders
         self.leader_of = {p: leaders[g] for g, group in enumerate(groups) for p in group}
+        self.observers = [p for p in self.players if p not in leaders]
         self.issuer = ShareIssuer(derive_bytes(seed, trial, "issuer-key"), prime)
         self.issuer_rng = derive_rng(seed, trial, "issuer")
         self.rngs = {p: derive_rng(seed, trial, "player", p) for p in self.players}
@@ -362,22 +178,135 @@ class GroupedExchange:
                 ok = False
         return ok
 
+    # One iteration ------------------------------------------------------------
+
+    def _coin_iteration(
+        self, seats: dict[int, int | None], iteration: int, epoch: int
+    ) -> tuple[dict[int, Decision], IterationTranscript]:
+        """Execute steps 1-4 of one iteration among the seated leaders.
+
+        `seats` maps each ring position to its leader, or to None once the
+        leader has left.  Returns the decisions by player and the transcript.
+        """
+        states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
+        msgs: list[RoundMessage] = []
+        decisions: dict[int, Decision] = {}
+        live = {pos: pid for pos, pid in seats.items() if pid is not None}
+        inbox_plus: dict[int, int] = {}
+        inbox_minus: dict[int, int] = {}
+        inbox_masked: dict[int, int] = {}
+        broadcasts: list[tuple[int, object]] = []
+
+        def send(sender: int, receiver: int, step: Step, kind: MessageKind, payload) -> None:
+            if record:
+                msgs.append(RoundMessage(sender, receiver, step, kind, payload, iteration))
+
+        def abort(pos: int, step: Step, about_pos: int, detail: str) -> None:
+            pid = live.pop(pos)
+            states[pid].cheat_evidence.append(
+                CheatEvidence("missing-bit", iteration, int(step), self.leaders[about_pos - 1], detail)
+            )
+            decisions[pid] = Decision(DecisionKind.ABORT)
+
+        # Step 1: each player commits coins and sends the masked pieces.
+        for pos, pid in live.items():
+            st = states[pid]
+            st.step = Step.COIN_EXCHANGE
+            triple = strategies[pid].coins(st, rngs[pid], self.alpha)
+            st.coins = triple
+            if triple is None:
+                continue
+            succ, pred = _SUCC[pos], _PRED[pos]
+            inbox_plus[succ] = triple.c_plus
+            inbox_minus[pred] = triple.c_minus
+            send(pid, self.leaders[succ - 1], Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, triple.c_plus)
+            send(pid, self.leaders[pred - 1], Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, triple.c_minus)
+
+        # Step 2: read the step-1 bits (delivered one round later), forward the
+        # masked combination to the predecessor.
+        for pos, pid in list(live.items()):
+            st = states[pid]
+            st.step = Step.MASKED_BIT
+            st.bit_from_pred = inbox_plus.get(pos)
+            st.bit_from_succ = inbox_minus.get(pos)
+            if st.bit_from_pred is None or st.bit_from_succ is None:
+                missing = _PRED[pos] if st.bit_from_pred is None else _SUCC[pos]
+                abort(pos, Step.MASKED_BIT, missing, "expected coin bit never arrived")
+                continue
+            bit = strategies[pid].masked_bit(st, rngs[pid])
+            if bit is not None:
+                pred = _PRED[pos]
+                inbox_masked[pred] = bit
+                send(pid, self.leaders[pred - 1], Step.MASKED_BIT, MessageKind.MASKED_BIT, bit)
+
+        # Step 3: assemble the parity and decide whether to broadcast to the
+        # other seated leaders, then to every observer.
+        for pos, pid in list(live.items()):
+            st = states[pid]
+            st.step = Step.BROADCAST
+            masked = inbox_masked.get(pos)
+            st.masked_from_succ = masked
+            if masked is None:
+                abort(pos, Step.BROADCAST, _SUCC[pos], "expected masked bit never arrived")
+                continue
+            if st.coins is not None:
+                st.parity = parity_rule(st.bit_from_pred, masked, st.coins.c)
+            if strategies[pid].wants_broadcast(st, rngs[pid]) and st.own_payload is not None:
+                st.broadcast_own = True
+                st.observed_broadcasts.add(pid)
+                broadcasts.append((pid, st.own_payload))
+                recipients = [other for other in seats.values() if other not in (None, pid)]
+                for receiver in recipients + self.observers:
+                    send(pid, receiver, Step.BROADCAST, MessageKind.SHARE_BROADCAST, st.own_payload)
+
+        # Step 4: take delivery of broadcasts, then stop or ask for a restart.
+        for sender, payload in broadcasts:
+            for pid in live.values():
+                if pid != sender and self._accept_payload(states[pid], sender, payload):
+                    states[pid].observed_broadcasts.add(sender)
+            for obs in self.observers:
+                self._accept_payload(states[obs], sender, payload)
+        for pid in live.values():
+            st = states[pid]
+            st.step = Step.DECIDE
+            decision = strategies[pid].decide(st, rngs[pid])
+            decisions[pid] = decision
+            if decision.kind == DecisionKind.RESTART:
+                send(pid, ISSUER_ID, Step.DECIDE, MessageKind.RESTART_REQUEST, None)
+            elif decision.kind == DecisionKind.STOP and not decision.learned:
+                st.cheat_evidence.append(
+                    CheatEvidence(
+                        "stopped-without-learning",
+                        iteration,
+                        int(Step.DECIDE),
+                        None,
+                        f"parity={st.parity} broadcasts={st.observed_count}",
+                    )
+                )
+
+        seated = [pid for pid in seats.values() if pid is not None]
+        transcript = IterationTranscript(
+            iteration=iteration,
+            epoch=epoch,
+            coins={pid: states[pid].coins for pid in seated},
+            parities={pid: states[pid].parity for pid in seated},
+            broadcasters=tuple(sender for sender, _ in broadcasts),
+            decisions=decisions,
+            messages=msgs,
+        )
+        return decisions, transcript
+
     # Main loop ----------------------------------------------------------------
 
     def run(self) -> RunOutcome:
         states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
-        seats: dict[int, _Seat | None] = {
-            pos: _Seat(pos, leader, states[leader], strategies[leader], rngs[leader])
-            for pos, leader in enumerate(self.leaders, start=1)
-        }
-        pids = {pos: leader for pos, leader in enumerate(self.leaders, start=1)}
-        observers = [states[p] for p in self.players if p not in self.leaders]
+        seats: dict[int, int | None] = dict(enumerate(self.leaders, start=1))
         leader_states = [states[leader] for leader in self.leaders]
         forwarders = [
             (p, self.leader_of[p]) for p in self._forwarders() if self.leader_of[p] != p
         ]
         transcripts: list[IterationTranscript] = []
-        first_event = None
+        ending = None
         epoch = 0
         iterations = 0
 
@@ -407,16 +336,16 @@ class GroupedExchange:
                         )
                     )
 
-            seated = [seat for seat in seats.values() if seat is not None]
-            if stalled and any(seat.pid in stalled for seat in seated):
+            seated = [pid for pid in seats.values() if pid is not None]
+            if stalled and any(pid in stalled for pid in seated):
                 # A leader cannot assemble its bundle: ask the issuer to
                 # restart before any coins are tossed.
                 if record:
                     msgs += [
                         RoundMessage(
-                            seat.pid, ISSUER_ID, Step.ISSUE, MessageKind.RESTART_REQUEST, None, iterations
+                            pid, ISSUER_ID, Step.ISSUE, MessageKind.RESTART_REQUEST, None, iterations
                         )
-                        for seat in seated
+                        for pid in seated
                     ]
                     transcripts.append(
                         IterationTranscript(
@@ -425,19 +354,16 @@ class GroupedExchange:
                             coins={},
                             parities={},
                             broadcasters=(),
-                            decisions={seat.pid: RESTART for seat in seated},
+                            decisions={pid: RESTART for pid in seated},
                             messages=msgs,
                         )
                     )
                 epoch += 1
                 continue
 
-            for seat in seated:
-                seat.state.own_payload = self._payload(bundles[seat.pid])
-            decisions, transcript, events = _run_coin_iteration(
-                seats, pids, self.alpha, iterations, epoch, self._accept_payload, observers, record
-            )
-            first_event = _merge_events(first_event, iterations, events)
+            for pid in seated:
+                states[pid].own_payload = self._payload(bundles[pid])
+            decisions, transcript = self._coin_iteration(seats, iterations, epoch)
             if record:
                 if msgs:
                     transcript.messages = msgs + transcript.messages
@@ -450,19 +376,27 @@ class GroupedExchange:
                         f"honest players disagree on parity at iteration {iterations}"
                     )
 
-            restarters = [pos for pos, d in decisions.items() if d.kind == DecisionKind.RESTART]
+            restarters = [pid for pid, d in decisions.items() if d.kind == DecisionKind.RESTART]
+            if ending is None and len(restarters) < len(seated):
+                # The run's first ending decides its cause; within an
+                # iteration, aborts (steps 2-3) come before stops (step 4).
+                aborted = any(d.kind == DecisionKind.ABORT for d in decisions.values())
+                ending = TerminalCause.MISSING_BIT_ABORT if aborted else TerminalCause.CHEAT_STOP
             if not restarters:
                 break
-            if len(restarters) < len(seated):
-                for seat in seated:
-                    if seat.pos not in restarters:
-                        seats[seat.pos] = None
+            for pos, pid in seats.items():
+                if pid not in restarters:
+                    seats[pos] = None  # stopped or aborted: the seat stays empty
             epoch += 1
 
         info = tuple(1 if states[p].has_learned() else 0 for p in self.players)
-        cause = _resolve_cause(info, first_event)
-        if cause == TerminalCause.ITERATION_CAP_HIT:
+        if all(info):
+            cause = TerminalCause.ALL_LEARNED
+        elif ending is None:
+            cause = TerminalCause.ITERATION_CAP_HIT
             info = (0,) * self.n
+        else:
+            cause = ending
         if self.honest and any(info) and not all(info):
             raise InvariantViolationError(f"honest run terminated with partial info {info}")
         return RunOutcome(iterations=iterations, info=info, cause=cause, transcripts=transcripts)

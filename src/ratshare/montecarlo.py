@@ -9,13 +9,16 @@ uniforms at fixed offsets of one Philox stream.  Cost is O(trials) at
 any alpha, trial t does not depend on the batch size, and the engine is
 the only definition of what an iteration does.
 
-Anything outside that family (custom strategies, lifts, transcript
-dumps) goes through `sample_runs_reference`, which loops the engine.
+Anything outside that family goes through the engine:
+`sample_runs_reference` loops it, and `TrialStats.from_outcomes`
+collects any stream of engine runs, such as the recorded runs of a
+transcript dump.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -23,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from . import engine
-from .protocol import TerminalCause
+from .protocol import RunOutcome, TerminalCause
 from .seeding import derive_generator
 from .strategies import ForcedCoins, UtilityTable, deviation_profile, info_key
 
@@ -55,6 +58,30 @@ class TrialStats:
     iterations: np.ndarray
     causes: np.ndarray
     info: np.ndarray
+
+    @classmethod
+    def from_outcomes(
+        cls,
+        alpha: float,
+        deviation: str | None,
+        deviator: int | None,
+        outcomes: Iterable[RunOutcome],
+    ) -> TrialStats:
+        """Collect engine runs, trial by trial; keeps no transcript."""
+        iterations, causes, info = [], [], []
+        for outcome in outcomes:
+            iterations.append(outcome.iterations)
+            causes.append(CAUSE_CODE[outcome.cause])
+            info.append(outcome.info)
+        return cls(
+            alpha,
+            len(iterations),
+            deviation,
+            deviator,
+            np.array(iterations, dtype=np.int64),
+            np.array(causes, dtype=np.uint8),
+            np.array(info, dtype=np.uint8).reshape(-1, 3),
+        )
 
     @property
     def total_steps(self) -> np.ndarray:
@@ -192,15 +219,8 @@ def sample_runs_reference(
 ) -> TrialStats:
     """Same interface as sample_runs, but looping the message-level engine."""
     profile = deviation_profile(deviation, deviator, alpha_prime)
-    iterations = np.zeros(trials, dtype=np.int64)
-    causes = np.zeros(trials, dtype=np.uint8)
-    info = np.zeros((trials, 3), dtype=np.uint8)
-    for t in range(trials):
-        outcome = engine.run_mechanism(
-            secret, alpha, profile, seed, cap=cap, record=False, trial=t
-        )
-        iterations[t] = outcome.iterations
-        causes[t] = CAUSE_CODE[outcome.cause]
-        if outcome.cause != TerminalCause.ITERATION_CAP_HIT:
-            info[t] = outcome.info
-    return TrialStats(alpha, trials, deviation, deviator, iterations, causes, info)
+    outcomes = (
+        engine.run_mechanism(secret, alpha, profile, seed, cap=cap, record=False, trial=t)
+        for t in range(trials)
+    )
+    return TrialStats.from_outcomes(alpha, deviation, deviator, outcomes)

@@ -18,6 +18,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from random import Random
 
 DEFAULT_PRIME = 2**31 - 1
@@ -322,6 +323,15 @@ def combine_subshares(
 
 
 # --- exhaustive small-field verifiers ---------------------------------------
+
+
+def round_trip_reconstructions(p: int, n: int, thresholds: tuple[int, ...] = (1, 2, 3)) -> int:
+    """How many reconstructions `exhaustive_round_trip_check` makes.
+
+    Per threshold m: p**m polynomials, each recovered from every subset
+    of size m..n.
+    """
+    return sum(p**m * sum(comb(n, k) for k in range(m, n + 1)) for m in thresholds)
 
 
 def exhaustive_round_trip_check(

@@ -1,10 +1,11 @@
 """Command-line interface: reports, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
-from ratshare.cli import main
+from ratshare.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +167,53 @@ def test_transcript_dump(tmp_path, capsys):
     assert path.read_text() == first
 
 
+# sha256 of the JSONL and of Report.result_text() for
+# `simulate --alpha 0.5 --trials 5 --seed 3 --dump-transcripts FILE [--deviant ...]`,
+# recorded before the dump and the report shared one engine pass.
+GOLDEN_DUMPS = {
+    None: (
+        "22c238089872d671002571280d034a5c394395229b83e53be161fc7679987b9a",
+        "63cb087ce29a147d1fdc724adbe1ca99d7d8369585ca419cd71779ee2d9a6d51",
+    ),
+    "2:garble-step2": (
+        "b43240cd30be86493c0be2a00aab23a6ff5d25b588fdb5286913b27540a8f8cf",
+        "168f790bf1a04619dca6674a367c3de05ee2bbf073f36967e11097f571fe3b55",
+    ),
+}
+
+
+@pytest.mark.parametrize("deviant", list(GOLDEN_DUMPS), ids=["honest", "garble-step2"])
+def test_dump_and_report_match_golden_digests(deviant, tmp_path):
+    path = tmp_path / "run.jsonl"
+    argv = ["simulate", "--alpha", "0.5", "--trials", "5", "--seed", "3",
+            "--dump-transcripts", str(path)]
+    if deviant:
+        argv += ["--deviant", deviant]
+    args = build_parser().parse_args(argv)
+    report = args.handler(args)
+    dump_digest, report_digest = GOLDEN_DUMPS[deviant]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_digest
+    assert hashlib.sha256(report.result_text().encode()).hexdigest() == report_digest
+
+
+def test_dump_runs_each_trial_once(tmp_path, monkeypatch, capsys):
+    import ratshare.cli as cli
+    import ratshare.engine as engine
+
+    calls = []
+    for module in (cli, engine):
+        real = module.run_mechanism
+        monkeypatch.setattr(
+            module, "run_mechanism", lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k)
+        )
+    code, _ = run_cli(
+        capsys, "simulate", "--alpha", "0.5", "--trials", "7", "--seed", "4",
+        "--dump-transcripts", str(tmp_path / "run.jsonl"),
+    )
+    assert code == 0
+    assert len(calls) == 7
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "report.txt"
     code, _ = run_cli(
@@ -212,18 +260,52 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
         ["simulate", "--alpha", "0.5", "--trials", "10", "--seed", "1", "--cap", "0"],
         ["simulate", "--alpha", "0.5", "--trials", "10", "--seed", "1", "--cap", "0",
          "--dump-transcripts", "DUMP"],
+        # Paths that cannot be written.
+        ["simulate", "--alpha", "0.5", "--trials", "3", "--seed", "1",
+         "--dump-transcripts", "NODIR"],
+        ["--out", "NODIR", "alpha-star"],
+        # Documents of the wrong shape.
+        ["dominance", "--game", 'DOC:{"strategies": 5, "payoffs": {}}'],
+        ["dominance", "--game", "DOC:[1, 2]"],
+        ["alpha-star", "--utilities", 'DOC:{"players": 3, "payoffs": {"1": [1, 2]}}'],
+        ["alpha-star", "--utilities", "DOC:[]"],
+        # Fields too large to enumerate.
+        ["hiding", "--prime", "1009"],
+        ["hiding", "--prime", "2305843009213693951"],
+        ["hiding", "--prime", "13", "--n", "12"],
     ],
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
-        "cap-0-vectorized", "cap-0-dump",
+        "cap-0-vectorized", "cap-0-dump", "dump-no-dir", "out-no-dir", "game-strategies-int",
+        "game-list", "utilities-payoff-list", "utilities-list", "hiding-prime-1009",
+        "hiding-prime-2to61", "hiding-n-12",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys):
-    argv = [str(tmp_path / "dump.jsonl") if arg == "DUMP" else arg for arg in argv]
-    assert main(argv) == 2
+    def materialize(arg):
+        if arg == "DUMP":
+            return str(tmp_path / "dump.jsonl")
+        if arg == "NODIR":
+            return str(tmp_path / "no-such-dir" / "file")
+        if arg.startswith("DOC:"):
+            path = tmp_path / "doc.json"
+            path.write_text(arg[len("DOC:"):])
+            return str(path)
+        return arg
+
+    assert main([materialize(arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_rejected_dump_leaves_existing_file_unchanged(tmp_path, capsys):
+    path = tmp_path / "earlier.jsonl"
+    path.write_bytes(b'{"trial":0}\n')
+    argv = ["simulate", "--alpha", "0.5", "--trials", "10", "--seed", "1", "--cap", "0",
+            "--dump-transcripts", str(path)]
+    assert main(argv) == 2
+    assert path.read_bytes() == b'{"trial":0}\n'
 
 
 def test_missing_seed_is_a_usage_error():

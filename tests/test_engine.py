@@ -20,11 +20,13 @@ from ratshare.protocol import (
 from ratshare.seeding import derive_rng
 from ratshare.shamir import FieldElement, ShareIssuer, reconstruct
 from ratshare.strategies import (
+    DEVIATIONS,
     AlwaysBroadcast,
     AlwaysSilent,
     ForcedCoins,
     GarbleStep2,
     WithholdShare,
+    deviation_profile,
 )
 
 ALL64 = [
@@ -330,6 +332,35 @@ def test_different_trials_draw_independent_streams():
     # expected: compare a long run's iteration counts instead.
     runs_a = [run_mechanism(5, 0.3, seed=29, trial=t, record=False).iterations for t in range(30)]
     assert len(set(runs_a)) > 1
+
+
+RECORDED_PROFILES = [(None, None, None)] + [
+    (name, deviator, 0.3 if name == "biased-coin" else None)
+    for name in DEVIATIONS
+    for deviator in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize(
+    "name, deviator, alpha_prime",
+    RECORDED_PROFILES,
+    ids=[f"{d}-{n}" if n else "honest" for n, d, _ in RECORDED_PROFILES],
+)
+def test_recording_does_not_change_the_run(name, deviator, alpha_prime, alpha):
+    # A transcript dump records the same runs the report counts.
+    profile = deviation_profile(name, deviator, alpha_prime)
+    for trial in range(5):
+        runs = [
+            run_mechanism_detailed(5, alpha, profile, 37, cap=500, record=record, trial=trial)
+            for record in (True, False)
+        ]
+        (on, on_states), (off, off_states) = runs
+        assert (on.iterations, on.info, on.cause) == (off.iterations, off.info, off.cause)
+        for p in (1, 2, 3):
+            assert on_states[p].cheat_evidence == off_states[p].cheat_evidence
+            assert on_states[p].holdings == off_states[p].holdings
+        assert on.transcripts and not off.transcripts
 
 
 def test_player_rngs_are_stable_across_runs():

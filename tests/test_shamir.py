@@ -17,6 +17,7 @@ from ratshare.shamir import (
     exhaustive_round_trip_check,
     is_prime,
     reconstruct,
+    round_trip_reconstructions,
 )
 
 
@@ -272,6 +273,17 @@ def test_partial_subshares_leave_parent_uniform():
 
 def test_exhaustive_round_trip_checker():
     assert exhaustive_round_trip_check(p=7, n=3, thresholds=(1, 2, 3)) == {1: 0, 2: 0, 3: 0}
+
+
+@pytest.mark.parametrize("p, n", [(5, 3), (5, 4), (7, 3), (7, 6)])
+def test_round_trip_reconstructions_counts_the_checker(p, n, monkeypatch):
+    import ratshare.shamir as shamir
+
+    calls = []
+    real = shamir.reconstruct
+    monkeypatch.setattr(shamir, "reconstruct", lambda *a, **k: calls.append(1) or real(*a, **k))
+    exhaustive_round_trip_check(p=p, n=n, thresholds=(1, 2, 3))
+    assert len(calls) == round_trip_reconstructions(p, n, (1, 2, 3))
 
 
 def test_exhaustive_hiding_checker():
