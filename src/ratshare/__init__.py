@@ -48,9 +48,7 @@ from .strategies import (
     Strategy,
     UtilityTable,
     deviation_catalog,
-    honest_strategy,
     utility_of_run,
-    validate_utilities,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,11 @@ those two outcomes over the geometric restart process gives the
 withholding payoff, and equating it with the honest payoff yields the
 threshold alpha* = sqrt(R) / (1 + sqrt(R)) with
 R = (u_all - u_none) / (u_only - u_all).
+
+All of this is about the 3-ring (the withholding payoff rests on "both
+other coins"), so every function that takes a utility table first runs
+`table.require(3)`: a table of any other size, or one that breaks the
+axioms, raises ValueError.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 from . import montecarlo
 from .engine import DEFAULT_CAP
 from .seeding import derive_int
-from .strategies import UtilityTable, parse_deviation, validate_utilities
+from .strategies import UtilityTable, parse_deviation
 
 
 @dataclass(frozen=True)
@@ -50,18 +55,11 @@ def iteration_distribution(alpha: float) -> IterationDistribution:
     return IterationDistribution(alpha, float(p_success), float(p_lone), float(p_silent))
 
 
-def _checked(table: UtilityTable) -> UtilityTable:
-    report = validate_utilities(table)
-    if not report.ok:
-        raise ValueError(f"utility table violates the axioms: {report.violations[:3]}")
-    return table
-
-
 def expected_utility_honest(alpha: float, table: UtilityTable, player: int) -> float:
     """Expected payoff of honest play: the run ends with everyone learning."""
     if not 0 < alpha < 1:
         raise ValueError(f"honest-play analysis needs alpha in (0, 1), got {alpha}")
-    return _checked(table).u_all(player)
+    return table.require(3).u_all(player)
 
 
 def withhold_lhs(alpha: float, table: UtilityTable, player: int) -> float:
@@ -79,7 +77,7 @@ def expected_utility_withhold(alpha: float, table: UtilityTable, player: int) ->
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return withhold_lhs(alpha, _checked(table), player)
+    return withhold_lhs(alpha, table.require(3), player)
 
 
 def cheating_profitable(alpha: float, table: UtilityTable, player: int) -> bool:
@@ -89,10 +87,11 @@ def cheating_profitable(alpha: float, table: UtilityTable, player: int) -> bool:
 
 @dataclass(frozen=True)
 class AlphaStar:
-    """Per-player honesty thresholds and their minimum."""
+    """Per-player honesty thresholds, their minimum, and each player's R."""
 
     per_player: dict[int, float]
     global_star: float
+    ratio: dict[int, float]
 
 
 def alpha_star(table: UtilityTable) -> AlphaStar:
@@ -102,18 +101,19 @@ def alpha_star(table: UtilityTable) -> AlphaStar:
     alpha*_i = sqrt(R_i) / (1 + sqrt(R_i)) with
     R_i = (u_all - u_none) / (u_only - u_all).  The global threshold is
     the minimum over players; equality at the threshold still counts as
-    no incentive because the cheating condition is strict.
+    no incentive because the cheating condition is strict.  The axioms
+    make u_only > u_all for every player of a 3-player table, so R is
+    finite.
     """
-    _checked(table)
-    per_player = {}
-    for player in range(1, table.n_players + 1):
+    table.require(3)
+    per_player, ratio = {}, {}
+    for player in (1, 2, 3):
         gain = table.u_only(player) - table.u_all(player)
         loss = table.u_all(player) - table.u_none(player)
-        if gain <= 0:
-            raise ValueError(f"degenerate table: u_only <= u_all for player {player}")
-        root = math.sqrt(loss / gain)
+        ratio[player] = loss / gain
+        root = math.sqrt(ratio[player])
         per_player[player] = root / (1 + root)
-    return AlphaStar(per_player, min(per_player.values()))
+    return AlphaStar(per_player, min(per_player.values()), ratio)
 
 
 def expected_steps(alpha: float) -> float:
@@ -207,7 +207,7 @@ def nash_audit(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if trials < 10_000:
         raise ValueError(f"audit needs at least 10^4 trials, got {trials}")
-    _checked(table)
+    table.require(3)
     entries = []
     for spec in deviations:
         name, alpha_prime = parse_deviation(spec)

@@ -8,6 +8,8 @@ Subcommands:
   hiding      exhaustive small-field reconstruction and hiding checks,
               refused past 50,000 reconstructions (prime 31 at n = 3)
 
+`simulate` and `audit` take at most 10,000,000 trials (MAX_TRIALS).
+
 Exit codes: 0 success, 2 configuration error, 3 protocol invariant
 violated during a run (should never happen).
 """
@@ -18,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -31,12 +34,16 @@ from .shamir import (
     is_prime,
     round_trip_reconstructions,
 )
-from .strategies import UtilityTable, deviation_profile, parse_deviation, validate_utilities
+from .strategies import UtilityTable, deviation_profile, parse_deviation
 
 
 # `hiding` enumerates every polynomial over GF(p); past this many
 # reconstructions (p = 31, n = 3 makes 33,852) it runs for minutes to hours.
 HIDING_BUDGET = 50_000
+
+# The sampler peaks at about 112 bytes per trial, so this many take about
+# 1.1 GB; a dump of this many runs is several GB of JSONL.
+MAX_TRIALS = 10_000_000
 
 # What a malformed --game or --utilities document can raise while loading.
 _BAD_DOCUMENT = (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError)
@@ -55,37 +62,34 @@ def _create(path: str, what: str):
 
 
 def _load_table(args) -> UtilityTable:
-    if getattr(args, "utilities", None):
+    """The subcommand's utility table, of the size it needs (`args.players`)."""
+    if args.utilities:
         try:
             with open(args.utilities) as fh:
                 table = UtilityTable.from_doc(json.load(fh))
         except _BAD_DOCUMENT as exc:
             raise ConfigError(f"cannot load utilities from {args.utilities}: {exc}")
     else:
-        players = getattr(args, "players", 3)
-        table = UtilityTable.from_scalars(args.u_only, args.u_all, args.u_none, players)
-    report = validate_utilities(table)
-    if not report.ok:
-        first = report.violations[0]
-        raise ConfigError(
-            f"utility table violates {first[0]} for player {first[1]} "
-            f"({len(report.violations)} violations total)"
-        )
-    return table
+        table = UtilityTable.from_scalars(args.u_only, args.u_all, args.u_none, args.players)
+    try:
+        return table.require(args.players)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _resolve_alpha(args, table: UtilityTable | None) -> float:
+    """Parse --alpha; its range is checked by the sampler or the audit."""
     if args.alpha == "auto":
-        if table is None:
-            raise ConfigError("--alpha auto requires a utility table")
         return analysis.alpha_star(table).global_star / 2
     try:
-        alpha = float(args.alpha)
+        return float(args.alpha)
     except ValueError:
         raise ConfigError(f"--alpha must be a number or 'auto', got {args.alpha!r}")
-    if not 0 < alpha <= 1:
-        raise ConfigError(f"--alpha must be in (0, 1], got {alpha}")
-    return alpha
+
+
+def _check_trials(trials: int) -> None:
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"--trials must be at most {MAX_TRIALS:,}, got {trials}")
 
 
 def _config_section(report: Report, args, keys: list[str]) -> None:
@@ -135,6 +139,7 @@ def cmd_simulate(args) -> Report:
     alpha = _resolve_alpha(args, table)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    _check_trials(args.trials)
     deviation = deviator = None
     alpha_prime = None
     try:
@@ -158,7 +163,7 @@ def cmd_simulate(args) -> Report:
         # The report counts the very runs the dump records.
         with _create(args.dump_transcripts, "transcripts") as fh:
             runs = _dumped_runs(fh, args.trials, alpha, args.seed, profile, args.cap)
-            stats = montecarlo.TrialStats.from_outcomes(alpha, deviation, deviator, runs)
+            stats = montecarlo.TrialStats.from_outcomes(runs)
         sampler = "reference-engine"
     else:
         stats = montecarlo.sample_runs(
@@ -202,9 +207,7 @@ def cmd_alpha_star(args) -> Report:
     result = analysis.alpha_star(table)
     section = report.section("results.alpha_star")
     for player, value in sorted(result.per_player.items()):
-        gain = table.u_only(player) - table.u_all(player)
-        loss = table.u_all(player) - table.u_none(player)
-        section.add(f"player{player}.ratio", loss / gain)
+        section.add(f"player{player}.ratio", result.ratio[player])
         section.add(f"player{player}.alpha-star", value)
     section.add("global", result.global_star)
     report.section("timing").add("wall-clock-seconds", time.perf_counter() - start)
@@ -214,6 +217,7 @@ def cmd_alpha_star(args) -> Report:
 def cmd_audit(args) -> Report:
     table = _load_table(args)
     alpha = _resolve_alpha(args, table)
+    _check_trials(args.trials)
     deviations = tuple(args.deviations.split(",")) if args.deviations else analysis.DEFAULT_AUDIT_DEVIATIONS
     try:
         deviators = tuple(int(d) for d in args.deviators.split(",")) if args.deviators else (1, 2, 3)
@@ -244,33 +248,26 @@ def cmd_audit(args) -> Report:
     return report
 
 
-BUILTIN_GAMES = ("oneshot-2of2", "bounded-r1", "bounded-r2", "prisoners-dilemma")
+_SEND_ALL = dominance.bounded_strategy_label(dominance.SEND, (dominance.SEND,) * 3)
+# Each builtin game: its builder from the 2-player table, and the
+# recommended profile's labels.
+BUILTIN_GAMES = {
+    "oneshot-2of2": (dominance.build_oneshot_sharing_game, (dominance.SEND, dominance.SEND)),
+    "bounded-r1": (partial(dominance.build_bounded_game, 1), (dominance.SEND, dominance.SEND)),
+    "bounded-r2": (partial(dominance.build_bounded_game, 2), (_SEND_ALL, _SEND_ALL)),
+    "prisoners-dilemma": (lambda table: dominance.prisoners_dilemma(), ("defect", "defect")),
+}
 
 
 def _build_game(args, table: UtilityTable):
+    """The game and its recommended labels (None for a loaded game)."""
     if args.game:
         try:
             return dominance.NormalFormGame.load(args.game), None
         except _BAD_DOCUMENT as exc:
             raise ConfigError(f"cannot load game from {args.game}: {exc}")
-    if args.builtin == "oneshot-2of2":
-        game = dominance.build_oneshot_sharing_game(table)
-        recommended = (game.index(1, dominance.SEND), game.index(2, dominance.SEND))
-    elif args.builtin == "bounded-r1":
-        game = dominance.build_bounded_game(1, table)
-        recommended = (game.index(1, dominance.SEND), game.index(2, dominance.SEND))
-    elif args.builtin == "bounded-r2":
-        game = dominance.build_bounded_game(2, table)
-        send_all = dominance.bounded_strategy_label(
-            dominance.SEND, (dominance.SEND,) * 3
-        )
-        recommended = (game.index(1, send_all), game.index(2, send_all))
-    elif args.builtin == "prisoners-dilemma":
-        game = dominance.prisoners_dilemma()
-        recommended = (game.index(1, "defect"), game.index(2, "defect"))
-    else:
-        raise ConfigError(f"unknown builtin game {args.builtin!r}")
-    return game, recommended
+    build, labels = BUILTIN_GAMES[args.builtin]
+    return build(table), labels
 
 
 def cmd_dominance(args) -> Report:
@@ -278,9 +275,11 @@ def cmd_dominance(args) -> Report:
     report = Report("dominance")
     _config_section(report, args, ["builtin", "game", "u_only", "u_all", "u_none", "profile"])
     start = time.perf_counter()
-    game, recommended = _build_game(args, table)
+    game, labels = _build_game(args, table)
     if args.profile:
         labels = args.profile.split(",")
+    recommended = None
+    if labels is not None:
         if len(labels) != game.n_players:
             raise ConfigError(f"profile needs {game.n_players} strategies")
         try:
@@ -370,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run seeded mechanism trials")
     p.add_argument("--alpha", required=True, help="coin bias in (0, 1], or 'auto' for alpha*/2")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=10_000,
+                   help=f"number of runs, at most {MAX_TRIALS:,}")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="iteration cap per run")
     p.add_argument("--deviant", metavar="PLAYER:NAME[:PARAM]",
@@ -386,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="Monte Carlo incentive audit")
     p.add_argument("--alpha", required=True, help="coin bias in (0, 1), or 'auto' for alpha*/2")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int, default=100_000,
+                   help=f"runs per deviation and deviator, at most {MAX_TRIALS:,}")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--deviations", help="comma list (default: full catalogue)")
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_audit)
 
     p = sub.add_parser("dominance", help="iterated deletion of weakly dominated strategies")
-    p.add_argument("--builtin", choices=BUILTIN_GAMES, default="oneshot-2of2")
+    p.add_argument("--builtin", choices=list(BUILTIN_GAMES), default="oneshot-2of2")
     p.add_argument("--game", metavar="FILE", help="load a game document instead of a builtin")
     p.add_argument("--profile", metavar="S1,S2", help="recommended profile to check")
     _add_table_flags(p, players=2)

@@ -8,7 +8,8 @@ the current restriction sets, and repeats to a fixpoint.  Dominators are
 pure strategies only; mixed dominators would need an LP and none of the
 desk-scale demonstrations here require them.
 
-The builders materialize tiny two-player share-exchange games: the
+The builders materialize, from a valid 2-player utility table (checked
+by `UtilityTable.require(2)`), tiny two-player share-exchange games: the
 one-shot game, where withholding weakly dominates sending outright, and
 the two-round bounded game, where the same conclusion needs the full
 backward-induction cascade of deletion rounds.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .strategies import UtilityTable, validate_utilities
+from .strategies import UtilityTable
 
 Profile = tuple[int, ...]
 
@@ -281,21 +282,12 @@ def _exact(x) -> Fraction:
     return Fraction(x)
 
 
-def _pair_table(table: UtilityTable) -> UtilityTable:
-    if table.n_players != 2:
-        raise ValueError("share-exchange game builders need a 2-player table")
-    report = validate_utilities(table)
-    if not report.ok:
-        raise ValueError(f"utility table violates the axioms: {report.violations[:3]}")
-    return table
-
-
 def build_oneshot_sharing_game(table: UtilityTable) -> NormalFormGame:
     """Both players hold one share each; simultaneously send or withhold.
 
     A player learns exactly when the other sends.
     """
-    _pair_table(table)
+    table.require(2)
     labels = (SEND, WITHHOLD)
     payoffs = {}
     info_map = {}
@@ -356,7 +348,7 @@ def build_bounded_game(rounds: int, table: UtilityTable) -> NormalFormGame:
         return build_oneshot_sharing_game(table)
     if rounds != 2:
         raise ValueError("bounded builder supports 1 or 2 rounds only")
-    _pair_table(table)
+    table.require(2)
     pures = [
         (a1, plan)
         for a1 in (SEND, WITHHOLD)

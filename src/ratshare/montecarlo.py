@@ -4,10 +4,11 @@ Iterations are independent and identically distributed, so a run is a
 geometric number of restarts that ends in one absorbing send-intent
 pattern.  `iteration_kernel` asks the message-level engine what one
 iteration does under each of the 8 patterns, for the honest profile or
-one catalogued deviation; `sample_runs` then draws each trial from two
-uniforms at fixed offsets of one Philox stream.  Cost is O(trials) at
-any alpha, trial t does not depend on the batch size, and the engine is
-the only definition of what an iteration does.
+one catalogued deviation; `sample_runs` weights the patterns by each
+player's `coin_bias`, read from its strategy, and draws each trial from
+two uniforms at fixed offsets of one Philox stream.  Cost is O(trials)
+at any alpha, trial t does not depend on the batch size, and the engine
+and the strategies are the only definition of what an iteration does.
 
 Anything outside that family goes through the engine:
 `sample_runs_reference` loops it, and `TrialStats.from_outcomes`
@@ -28,7 +29,7 @@ import numpy as np
 from . import engine
 from .protocol import RunOutcome, TerminalCause
 from .seeding import derive_generator
-from .strategies import ForcedCoins, UtilityTable, deviation_profile, info_key
+from .strategies import ForcedCoins, HonestStrategy, UtilityTable, deviation_profile, info_key
 
 CAUSE_ORDER = (
     TerminalCause.ALL_LEARNED,
@@ -51,22 +52,12 @@ Kernel = namedtuple("Kernel", "restart info extra cause")
 class TrialStats:
     """Per-trial outcomes of a batch of runs."""
 
-    alpha: float
-    trials: int
-    deviation: str | None
-    deviator: int | None
     iterations: np.ndarray
     causes: np.ndarray
     info: np.ndarray
 
     @classmethod
-    def from_outcomes(
-        cls,
-        alpha: float,
-        deviation: str | None,
-        deviator: int | None,
-        outcomes: Iterable[RunOutcome],
-    ) -> TrialStats:
+    def from_outcomes(cls, outcomes: Iterable[RunOutcome]) -> TrialStats:
         """Collect engine runs, trial by trial; keeps no transcript."""
         iterations, causes, info = [], [], []
         for outcome in outcomes:
@@ -74,10 +65,6 @@ class TrialStats:
             causes.append(CAUSE_CODE[outcome.cause])
             info.append(outcome.info)
         return cls(
-            alpha,
-            len(iterations),
-            deviation,
-            deviator,
             np.array(iterations, dtype=np.int64),
             np.array(causes, dtype=np.uint8),
             np.array(info, dtype=np.uint8).reshape(-1, 3),
@@ -118,7 +105,7 @@ def iteration_kernel(deviation: str | None, deviator: int | None) -> Kernel:
     records whether every player asked for a restart, who learned, the
     abort iterations that follow a stop (iterations - 1) and the cause
     code.  Forced coins make the table independent of alpha, alpha' and
-    the seed; biased-coin's bias only draws coins.
+    the seed; a strategy's `coin_bias` only draws coins.
     """
     profile = deviation_profile(deviation, deviator, 1.0)
     rows = []
@@ -162,14 +149,13 @@ def sample_runs(
     unilaterally plays the named catalogued deviation.  Iterations are
     i.i.d., so a run restarts a geometric number of times and absorbs in
     one pattern drawn by its weight: trial t reads uniforms 2t and 2t+1
-    of one Philox stream for the two draws.
+    of one Philox stream for the two draws.  Each player's coin bias is
+    its strategy's own `coin_bias(alpha)`.
     """
     engine.check_run_config(alpha, cap)
-    deviation_profile(deviation, deviator, alpha_prime)
+    profile = deviation_profile(deviation, deviator, alpha_prime)
     restart, info, extra, cause = iteration_outcome(PATTERNS, deviation, deviator)
-    heads = np.full(3, alpha)
-    if deviation == "biased-coin":
-        heads[deviator - 1] = alpha_prime
+    heads = np.array([profile.get(p, HonestStrategy()).coin_bias(alpha) for p in (1, 2, 3)])
     weight = np.where(PATTERNS, heads, 1 - heads).prod(axis=1)
     absorbing = np.flatnonzero(~restart & (weight > 0))
     cdf = np.cumsum(weight[absorbing])
@@ -183,28 +169,7 @@ def sample_runs(
     iterations = np.minimum(k + extra[pick], cap).astype(np.int64)
     causes = np.where(capped, CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT], cause[pick])
     info = np.where(capped[:, None], 0, info[pick]).astype(np.uint8)
-    return TrialStats(alpha, trials, deviation, deviator, iterations, causes.astype(np.uint8), info)
-
-
-def sample_iteration_kinds(alpha: float, trials: int, seed: int) -> dict[str, int]:
-    """Classify `trials` independent honest iterations.
-
-    Kinds: success (all three coins 1), lone_send (exactly one coin 1, so
-    one share is broadcast and everyone restarts), silent_restart (parity
-    0, nothing broadcast).
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    rng = derive_generator(seed, "mc", "iteration-kinds")
-    heads = rng.random((trials, 3)) < alpha
-    n_heads = heads.sum(axis=1)
-    success = int(np.count_nonzero(n_heads == 3))
-    lone = int(np.count_nonzero(n_heads == 1))
-    return {
-        "success": success,
-        "lone_send": lone,
-        "silent_restart": trials - success - lone,
-    }
+    return TrialStats(iterations, causes.astype(np.uint8), info)
 
 
 def sample_runs_reference(
@@ -223,4 +188,4 @@ def sample_runs_reference(
         engine.run_mechanism(secret, alpha, profile, seed, cap=cap, record=False, trial=t)
         for t in range(trials)
     )
-    return TrialStats.from_outcomes(alpha, deviation, deviator, outcomes)
+    return TrialStats.from_outcomes(outcomes)

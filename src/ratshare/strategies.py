@@ -11,7 +11,8 @@ the secret).  A UtilityTable stores one payoff per info vector per
 player and is validated against three axioms: payoffs are a function of
 the info vector alone, every learning outcome strictly beats every
 non-learning outcome, and lowering any other player's bit strictly
-raises one's payoff.
+raises one's payoff.  `UtilityTable.require(n)` is the one check every
+consumer runs: the player count it needs, then the axioms.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .protocol import (
     Decision,
     DecisionKind,
     Step,
-    TerminalCause,
     broadcast_rule,
     masked_bit_rule,
     restart_rule,
@@ -130,8 +130,12 @@ class HonestStrategy(Strategy):
     name = "honest"
     honest_rules = True
 
+    def coin_bias(self, alpha: float) -> float:
+        """Probability that this player's send-intent coin is 1."""
+        return alpha
+
     def coins(self, state: LocalState, rng: Random, alpha: float) -> CoinTriple:
-        c = 1 if rng.random() < alpha else 0
+        c = 1 if rng.random() < self.coin_bias(alpha) else 0
         return CoinTriple.make(c, rng.getrandbits(1))
 
     def masked_bit(self, state: LocalState, rng: Random) -> int | None:
@@ -144,17 +148,6 @@ class HonestStrategy(Strategy):
         if restart_rule(state.parity, state.observed_count):
             return RESTART
         return Decision(DecisionKind.STOP, learned=state.has_learned())
-
-
-def honest_strategy(alpha: float) -> HonestStrategy:
-    """The recommended strategy of the mechanism with coin bias alpha.
-
-    The bias itself lives in the mechanism configuration and is handed to
-    the strategy at the coin step; this constructor just validates it.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return HonestStrategy()
 
 
 class WithholdShare(HonestStrategy):
@@ -178,8 +171,8 @@ class BiasedCoin(HonestStrategy):
             raise ValueError(f"biased coin needs alpha' in (0, 1], got {alpha_prime}")
         self.alpha_prime = alpha_prime
 
-    def coins(self, state: LocalState, rng: Random, alpha: float) -> CoinTriple:
-        return super().coins(state, rng, self.alpha_prime)
+    def coin_bias(self, alpha: float) -> float:
+        return self.alpha_prime
 
 
 class GarbleStep2(HonestStrategy):
@@ -279,10 +272,10 @@ DEVIATIONS: dict[str, type[HonestStrategy]] = {
 
 
 def parse_deviation(spec: str) -> tuple[str, float | None]:
-    """Split "name" / "name:param" into (name, alpha') and validate both.
+    """Split "name" / "name:param" into (name, alpha').
 
     alpha' is None for every deviation but biased-coin, where it
-    defaults to 1.
+    defaults to 1; its range is checked when the strategy is built.
     """
     name, _, param = spec.partition(":")
     if name not in DEVIATIONS:
@@ -291,10 +284,7 @@ def parse_deviation(spec: str) -> tuple[str, float | None]:
         if param:
             raise ValueError(f"deviation {name!r} takes no parameter")
         return name, None
-    alpha_prime = float(param) if param else 1.0
-    if not 0 < alpha_prime <= 1:
-        raise ValueError(f"biased coin needs alpha' in (0, 1], got {alpha_prime}")
-    return name, alpha_prime
+    return name, float(param) if param else 1.0
 
 
 def _instantiate(name: str, alpha_prime: float | None) -> Strategy:
@@ -397,6 +387,8 @@ class UtilityTable:
         u_none, so the expansion satisfies the axioms iff the scalars are
         ordered.
         """
+        if n_players < 2:
+            raise ValueError(f"scalar utilities need at least 2 players, got {n_players}")
         step_learn = (u_only - u_all) / (n_players - 1)
         step_miss = (u_all - u_none) / (n_players - 1)
         tables = []
@@ -468,10 +460,22 @@ class UtilityTable:
                         violations.append(("U3", player, lowered, vec))
         return UtilityValidationReport(violations)
 
+    def require(self, n_players: int) -> UtilityTable:
+        """This table, if it has `n_players` players and satisfies the axioms.
 
-def validate_utilities(table: UtilityTable) -> UtilityValidationReport:
-    """Check the strict-preference axioms; empty report iff they hold."""
-    return table.validate()
+        Otherwise raises ValueError naming the wrong size or the first
+        violated axiom.
+        """
+        if self.n_players != n_players:
+            raise ValueError(f"needs a {n_players}-player utility table, got {self.n_players}")
+        violations = self.validate().violations
+        if violations:
+            kind, player = violations[0][:2]
+            raise ValueError(
+                f"utility table violates {kind} for player {player} "
+                f"({len(violations)} violations total)"
+            )
+        return self
 
 
 def canonical_table(n_players: int = 3) -> UtilityTable:
@@ -482,9 +486,6 @@ def canonical_table(n_players: int = 3) -> UtilityTable:
 def utility_of_run(outcome, table: UtilityTable, player: int) -> float:
     """Payoff of a terminated run: a table lookup on its info vector.
 
-    Runs cut off at the iteration cap count as nobody-learned.
+    A run cut off at the iteration cap already carries the all-zero vector.
     """
-    info = outcome.info
-    if outcome.cause == TerminalCause.ITERATION_CAP_HIT:
-        info = (0,) * len(info)
-    return table.payoff(player, info)
+    return table.payoff(player, outcome.info)

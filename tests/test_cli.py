@@ -273,12 +273,37 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
         ["hiding", "--prime", "1009"],
         ["hiding", "--prime", "2305843009213693951"],
         ["hiding", "--prime", "13", "--n", "12"],
+        # Utility tables of the wrong size for the command.
+        ["alpha-star", "--utilities", 'DOC:{"players": 1, "u_only": 2, "u_all": 1, "u_none": 0}'],
+        ["alpha-star", "--utilities", 'DOC:{"players": 1, "payoffs": {"1": {"1": 1, "0": 0}}}'],
+        ["alpha-star", "--utilities", 'DOC:{"players": 0, "payoffs": {}}'],
+        ["alpha-star", "--utilities", 'DOC:{"players": 4, "u_only": 2, "u_all": 1, "u_none": 0}'],
+        ["audit", "--alpha", "0.25", "--trials", "10000", "--seed", "1",
+         "--utilities", 'DOC:{"players": 2, "u_only": 2, "u_all": 1, "u_none": 0}'],
+        ["audit", "--alpha", "0.25", "--trials", "10000", "--seed", "1",
+         "--utilities", 'DOC:{"players": 4, "u_only": 2, "u_all": 1, "u_none": 0}'],
+        ["simulate", "--alpha", "auto", "--trials", "10", "--seed", "1",
+         "--utilities", 'DOC:{"players": 1, "payoffs": {"1": {"1": 1, "0": 0}}}'],
+        ["dominance", "--builtin", "oneshot-2of2",
+         "--utilities", 'DOC:{"players": 3, "u_only": 2, "u_all": 1, "u_none": 0}'],
+        ["dominance", "--builtin", "bounded-r2",
+         "--utilities", 'DOC:{"players": 3, "u_only": 2, "u_all": 1, "u_none": 0}'],
+        # More trials than fit in memory; rejected before anything is allocated.
+        ["simulate", "--alpha", "0.5", "--trials", "100000000000000000000", "--seed", "1"],
+        ["simulate", "--alpha", "0.5", "--trials", "10000001", "--seed", "1"],
+        ["simulate", "--alpha", "0.5", "--trials", "100000000000000000000", "--seed", "1",
+         "--dump-transcripts", "DUMP"],
+        ["audit", "--alpha", "0.25", "--trials", "100000000000000000000", "--seed", "1"],
     ],
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
         "cap-0-vectorized", "cap-0-dump", "dump-no-dir", "out-no-dir", "game-strategies-int",
         "game-list", "utilities-payoff-list", "utilities-list", "hiding-prime-1009",
-        "hiding-prime-2to61", "hiding-n-12",
+        "hiding-prime-2to61", "hiding-n-12", "alpha-star-1-player-scalars",
+        "alpha-star-1-player-payoffs", "alpha-star-0-players", "alpha-star-4-players",
+        "audit-2-players", "audit-4-players", "simulate-auto-1-player", "dominance-oneshot-3-players",
+        "dominance-bounded-r2-3-players", "trials-1e20", "trials-over-bound", "trials-1e20-dump",
+        "audit-trials-1e20",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys):
@@ -297,6 +322,7 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "dump.jsonl").exists()
 
 
 def test_rejected_dump_leaves_existing_file_unchanged(tmp_path, capsys):

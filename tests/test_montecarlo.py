@@ -145,14 +145,6 @@ def test_mean_iterations_tracks_geometric_rate():
     assert abs(mean - 8.0) < 4 * se
 
 
-def test_iteration_kind_fractions():
-    kinds = montecarlo.sample_iteration_kinds(0.5, 100_000, 17)
-    assert kinds["success"] + kinds["lone_send"] + kinds["silent_restart"] == 100_000
-    assert abs(kinds["success"] / 1e5 - 0.125) < 0.004
-    assert abs(kinds["lone_send"] / 1e5 - 0.375) < 0.006
-    assert abs(kinds["silent_restart"] / 1e5 - 0.5) < 0.006
-
-
 def test_withhold_split_between_lone_learning_and_caught():
     stats = montecarlo.sample_runs(0.8, 50_000, 19, deviation="withhold", deviator=2)
     assert stats.cause_counts()[TerminalCause.ITERATION_CAP_HIT] == 0
@@ -184,10 +176,6 @@ def test_reference_and_vectorized_agree_for_withhold():
 def test_utilities_lookup():
     table = canonical_table()
     stats = montecarlo.TrialStats(
-        alpha=0.5,
-        trials=3,
-        deviation=None,
-        deviator=None,
         iterations=np.array([1, 2, 3]),
         causes=np.array([0, 1, 3], dtype=np.uint8),
         info=np.array([[1, 1, 1], [0, 1, 0], [0, 0, 0]], dtype=np.uint8),

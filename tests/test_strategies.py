@@ -5,6 +5,8 @@ from random import Random
 
 import pytest
 
+from ratshare import analysis
+from ratshare.dominance import build_bounded_game, build_oneshot_sharing_game
 from ratshare.engine import run_mechanism
 from ratshare.protocol import (
     CoinTriple,
@@ -24,11 +26,9 @@ from ratshare.strategies import (
     build_deviation,
     canonical_table,
     deviation_catalog,
-    honest_strategy,
     info_key,
     parse_info_key,
     utility_of_run,
-    validate_utilities,
 )
 
 
@@ -92,7 +92,7 @@ def test_info_key_round_trip():
 
 
 def test_canonical_table_is_valid():
-    assert validate_utilities(canonical_table()).ok
+    assert canonical_table().validate().ok
 
 
 def test_canonical_expansion_values():
@@ -120,7 +120,7 @@ def test_lower_none_than_all_inclusive_is_reported():
     broken = {vec: v for vec, v in table.payoffs[0].items()}
     broken[(0, 0, 0)] = 5.0
     bad = UtilityTable(3, (broken, table.payoffs[1], table.payoffs[2]))
-    report = validate_utilities(bad)
+    report = bad.validate()
     assert not report.ok
     assert any(v[0] == "U2" and v[1] == 1 for v in report.violations)
 
@@ -130,7 +130,7 @@ def test_u3_violation_reported():
     broken = dict(table.payoffs[0])
     broken[(1, 1, 1)] = 3.0  # prefers more others learning
     bad = UtilityTable(3, (broken, table.payoffs[1], table.payoffs[2]))
-    report = validate_utilities(bad)
+    report = bad.validate()
     assert any(v[0] == "U3" for v in report.violations)
 
 
@@ -139,7 +139,7 @@ def test_validator_agrees_with_brute_force_on_random_tables():
     agree = 0
     for _ in range(200):
         table = random_table(rng)
-        assert validate_utilities(table).ok == brute_force_axioms_hold(table)
+        assert table.validate().ok == brute_force_axioms_hold(table)
         agree += 1
     assert agree == 200
 
@@ -150,7 +150,7 @@ def test_missing_vector_entry_raises():
     del partial[(1, 0, 1)]
     bad = UtilityTable(3, (partial, table.payoffs[1], table.payoffs[2]))
     with pytest.raises(ValueError, match="missing vector entry"):
-        validate_utilities(bad)
+        bad.validate()
 
 
 def test_doc_round_trip(tmp_path):
@@ -164,11 +164,46 @@ def test_doc_round_trip(tmp_path):
         UtilityTable.from_doc({"players": 3})
 
 
+def test_require_names_the_size_or_the_first_violation():
+    table = canonical_table()
+    assert table.require(3) is table
+    with pytest.raises(ValueError, match="^needs a 3-player utility table, got 4$"):
+        canonical_table(4).require(3)
+    bad = UtilityTable.from_scalars(1.0, 2.0, 0.0)
+    count = len(bad.validate().violations)
+    with pytest.raises(ValueError, match=rf"^utility table violates U3 for player 1 \({count} violations total\)$"):
+        bad.require(3)
+    for players in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 players"):
+            canonical_table(players)
+
+
+# Each consumer of a utility table, and the player count it needs.
+TABLE_CONSUMERS = {
+    "alpha-star": (3, analysis.alpha_star),
+    "honest": (3, lambda table: analysis.expected_utility_honest(0.5, table, 1)),
+    "withhold": (3, lambda table: analysis.expected_utility_withhold(0.5, table, 1)),
+    "audit": (3, lambda table: analysis.nash_audit(0.5, table, trials=10_000, seed=1)),
+    "oneshot": (2, build_oneshot_sharing_game),
+    "bounded-r1": (2, lambda table: build_bounded_game(1, table)),
+    "bounded-r2": (2, lambda table: build_bounded_game(2, table)),
+}
+
+
+@pytest.mark.parametrize("consumer", TABLE_CONSUMERS)
+def test_table_consumers_reject_a_wrong_player_count(consumer):
+    players, consume = TABLE_CONSUMERS[consumer]
+    consume(canonical_table(players))
+    for wrong in sorted({2, 3, 4} - {players}):
+        with pytest.raises(ValueError, match=f"needs a {players}-player utility table, got {wrong}"):
+            consume(canonical_table(wrong))
+
+
 # --- honest strategy ----------------------------------------------------------
 
 
 def test_honest_broadcast_rule():
-    strat = honest_strategy(0.5)
+    strat = HonestStrategy()
     rng = Random(0)
     assert strat.wants_broadcast(make_state(coins=(1, 0), parity=1), rng)
     assert not strat.wants_broadcast(make_state(coins=(1, 0), parity=0), rng)
@@ -176,7 +211,7 @@ def test_honest_broadcast_rule():
 
 
 def test_honest_decide_rule():
-    strat = honest_strategy(0.5)
+    strat = HonestStrategy()
     rng = Random(0)
     stop = strat.decide(make_state(coins=(1, 0), parity=1, observed=(1, 2, 3), holdings_count=3), rng)
     assert stop.kind == DecisionKind.STOP and stop.learned
@@ -184,13 +219,6 @@ def test_honest_decide_rule():
     assert restart.kind == DecisionKind.RESTART
     caught = strat.decide(make_state(coins=(0, 0), parity=1, observed=()), rng)
     assert caught.kind == DecisionKind.STOP and not caught.learned
-
-
-def test_honest_strategy_alpha_validation():
-    with pytest.raises(ValueError):
-        honest_strategy(0.0)
-    with pytest.raises(ValueError):
-        honest_strategy(1.0)
 
 
 # --- deviations -----------------------------------------------------------------
