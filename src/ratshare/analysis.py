@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import montecarlo
 from .engine import DEFAULT_CAP
 from .seeding import derive_int
-from .strategies import UtilityTable, parse_deviation
+from .strategies import UtilityTable, deviation_profile, parse_deviation
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,13 @@ def nash_audit(
     if trials < 10_000:
         raise ValueError(f"audit needs at least 10^4 trials, got {trials}")
     table.require(3)
+    # Every spec and deviator is checked before anything is sampled.
+    parsed = [(spec, *parse_deviation(spec)) for spec in deviations]
+    for _, name, alpha_prime in parsed:
+        for deviator in deviators:
+            deviation_profile(name, deviator, alpha_prime)
     entries = []
-    for spec in deviations:
-        name, alpha_prime = parse_deviation(spec)
+    for spec, name, alpha_prime in parsed:
         for deviator in deviators:
             stats = montecarlo.sample_runs(
                 alpha,

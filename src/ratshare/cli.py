@@ -8,7 +8,9 @@ Subcommands:
   hiding      exhaustive small-field reconstruction and hiding checks,
               refused past 50,000 reconstructions (prime 31 at n = 3)
 
-`simulate` and `audit` take at most 10,000,000 trials (MAX_TRIALS).
+`simulate` and `audit` take at most 10,000,000 trials (MAX_TRIALS), and
+`simulate --dump-transcripts` refuses a dump expected to pass 1 GB
+(DUMP_BUDGET_BYTES).
 
 Exit codes: 0 success, 2 configuration error, 3 protocol invariant
 violated during a run (should never happen).
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import analysis, dominance, montecarlo
 from .engine import DEFAULT_CAP, InvariantViolationError, check_run_config, run_mechanism
-from .protocol import TerminalCause
+from .protocol import STEPS_PER_ITERATION, TerminalCause
 from .report import Report
 from .shamir import (
     exhaustive_hiding_check,
@@ -42,8 +44,16 @@ from .strategies import UtilityTable, deviation_profile, parse_deviation
 HIDING_BUDGET = 50_000
 
 # The sampler peaks at about 112 bytes per trial, so this many take about
-# 1.1 GB; a dump of this many runs is several GB of JSONL.
+# 1.1 GB.  A dump of this many runs at alpha 0.5 would be about 114 GB of
+# JSONL, so dumps have their own bound below.
 MAX_TRIALS = 10_000_000
+
+# A dump writes 11.4 KB per trial at alpha 0.5, whose honest runs take 8
+# iterations on average: about 1.4 KB per iteration.  A dump expected to
+# write more than DUMP_BUDGET_BYTES (about 89,000 trials at alpha 0.5) is
+# refused before its file is opened.
+BYTES_PER_ITERATION = 1_400
+DUMP_BUDGET_BYTES = 10**9
 
 # What a malformed --game or --utilities document can raise while loading.
 _BAD_DOCUMENT = (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError)
@@ -92,6 +102,17 @@ def _check_trials(trials: int) -> None:
         raise ConfigError(f"--trials must be at most {MAX_TRIALS:,}, got {trials}")
 
 
+def _check_dump_size(trials: int, alpha: float, cap: int) -> None:
+    """Refuse a dump whose honest runs would write past DUMP_BUDGET_BYTES."""
+    iterations = min(cap, analysis.expected_steps(alpha) / STEPS_PER_ITERATION)
+    size = trials * iterations * BYTES_PER_ITERATION
+    if size > DUMP_BUDGET_BYTES:
+        raise ConfigError(
+            f"--dump-transcripts of {trials} trials at alpha {alpha} would write about "
+            f"{size / 1e9:.3g} GB, over the budget of {DUMP_BUDGET_BYTES / 1e9:g} GB"
+        )
+
+
 def _config_section(report: Report, args, keys: list[str]) -> None:
     section = report.section("config")
     section.add("command", args.command)
@@ -107,28 +128,38 @@ def _share_record(payload) -> object:
     return payload
 
 
+# `json.dumps(..., separators=...)` builds an encoder per call; dump lines
+# share this one.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _jsonl_line(trial: int, epoch: int, msg) -> str:
+    """One dump line: `json.dumps` of the message record, byte for byte."""
+    payload = msg.payload
+    if type(payload) is int:
+        payload = str(payload)
+    elif payload is None:
+        payload = "null"
+    else:
+        payload = _encode(_share_record(payload))
+    return (
+        f'{{"trial":{trial},"iteration":{msg.iteration},"epoch":{epoch},'
+        f'"step":{int(msg.step)},"kind":{_encode(msg.kind.value)},'
+        f'"sender":{msg.sender},"receiver":{msg.receiver},"payload":{payload}}}\n'
+    )
+
+
 def _dumped_runs(fh, trials: int, alpha: float, seed: int, profile, cap: int):
     """Run each trial once with recording on, write its messages, yield its outcome."""
     for t in range(trials):
         outcome = run_mechanism(5, alpha, profile, seed, cap=cap, record=True, trial=t)
-        for transcript in outcome.transcripts:
-            for msg in transcript.messages:
-                fh.write(
-                    json.dumps(
-                        {
-                            "trial": t,
-                            "iteration": msg.iteration,
-                            "epoch": transcript.epoch,
-                            "step": int(msg.step),
-                            "kind": msg.kind.value,
-                            "sender": msg.sender,
-                            "receiver": msg.receiver,
-                            "payload": _share_record(msg.payload),
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+        fh.write(
+            "".join(
+                _jsonl_line(t, transcript.epoch, msg)
+                for transcript in outcome.transcripts
+                for msg in transcript.messages
+            )
+        )
         yield outcome
 
 
@@ -154,6 +185,8 @@ def cmd_simulate(args) -> Report:
         check_run_config(alpha, args.cap)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    if args.dump_transcripts:
+        _check_dump_size(args.trials, alpha, args.cap)
 
     report = Report("simulate")
     _config_section(report, args, ["alpha", "trials", "seed", "cap", "deviant"])
@@ -376,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deviant", metavar="PLAYER:NAME[:PARAM]",
                    help="one player deviates (e.g. 1:withhold, 2:biased-coin:0.9)")
     p.add_argument("--dump-transcripts", metavar="FILE",
-                   help="write the JSONL message stream (uses the reference engine)")
+                   help="write the JSONL message stream (uses the reference engine; "
+                   f"refused when expected to pass {DUMP_BUDGET_BYTES / 1e9:g} GB)")
     _add_table_flags(p)
     p.set_defaults(handler=cmd_simulate)
 

@@ -172,18 +172,27 @@ class ShareIssuer:
 
     def __init__(self, key: bytes, modulus: int = DEFAULT_PRIME):
         _check_modulus(modulus)
-        self._key = key
+        # Keyed once; each tag copies the keyed state instead of redoing
+        # the key schedule.
+        self._keyed = hmac.new(key, digestmod=hashlib.sha256)
         self.modulus = modulus
+        # The tags of the latest issue, so verifying one of its items is a
+        # lookup.  Keyed by the MAC message, not the field tuple, because
+        # 1 == True == 1.0 would match fields whose MAC differs.  A share's
+        # entry gives way to those of its first split, so this never holds
+        # more than one issue's items.
+        self._latest: dict[bytes, bytes] = {}
 
-    def _mac(self, *fields: int | str) -> bytes:
-        msg = "|".join(str(f) for f in fields).encode()
-        return hmac.new(self._key, msg, hashlib.sha256).digest()
+    def _mac(self, msg: bytes) -> bytes:
+        mac = self._keyed.copy()
+        mac.update(msg)
+        return mac.digest()
 
-    def _share_tag(self, epoch: int, x: int, y: int) -> bytes:
-        return self._mac("share", self.modulus, epoch, x, y)
+    def _share_msg(self, epoch: int, x: int, y: int) -> bytes:
+        return f"share|{self.modulus!s}|{epoch!s}|{x!s}|{y!s}".encode()
 
-    def _subshare_tag(self, epoch: int, parent: int, index: int, value: int) -> bytes:
-        return self._mac("subshare", self.modulus, epoch, parent, index, value)
+    def _subshare_msg(self, epoch: int, parent: int, index: int, value: int) -> bytes:
+        return f"subshare|{self.modulus!s}|{epoch!s}|{parent!s}|{index!s}|{value!s}".encode()
 
     def issue_shares(
         self,
@@ -213,28 +222,30 @@ class ShareIssuer:
         if len(coefficients) != m - 1:
             raise ValueError("need exactly m-1 coefficients")
         poly = [secret.value] + [c % p for c in coefficients]
+        self._latest = latest = {}
         shares = []
         for i in range(1, n + 1):
             y = _eval_poly(poly, i, p)
+            msg = self._share_msg(epoch, i, y)
+            tag = latest[msg] = self._mac(msg)
             shares.append(
-                Share(
-                    holder=i,
-                    x=FieldElement(i, p),
-                    y=FieldElement(y, p),
-                    epoch=epoch,
-                    tag=self._share_tag(epoch, i, y),
-                )
+                Share(holder=i, x=FieldElement(i, p), y=FieldElement(y, p), epoch=epoch, tag=tag)
             )
         return shares
 
     def verify_tag(self, item: Share | Subshare) -> bool:
-        """True iff the tag matches the issuer's keyed code over the fields."""
+        """True iff the tag matches the issuer's keyed code over the fields.
+
+        The code of an item from the latest issue is the one computed when
+        it was tagged; any other item's code is computed afresh.
+        """
         if isinstance(item, Share):
-            expected = self._share_tag(item.epoch, item.x.value, item.y.value)
+            msg = self._share_msg(item.epoch, item.x.value, item.y.value)
         else:
-            expected = self._subshare_tag(
-                item.epoch, item.parent_holder, item.index, item.value.value
-            )
+            msg = self._subshare_msg(item.epoch, item.parent_holder, item.index, item.value.value)
+        expected = self._latest.get(msg)
+        if expected is None:
+            expected = self._mac(msg)
         return hmac.compare_digest(item.tag, expected)
 
     def split_subshares(self, share: Share, count: int, rng: Random) -> list[Subshare]:
@@ -248,16 +259,25 @@ class ShareIssuer:
         p = self.modulus
         values = [rng.randrange(p) for _ in range(count - 1)]
         values.append((share.y.value - sum(values)) % p)
-        return [
-            Subshare(
-                parent_holder=share.holder,
-                index=k,
-                value=FieldElement(v, p),
-                epoch=share.epoch,
-                tag=self._subshare_tag(share.epoch, share.holder, k, v),
+        # A share of the latest issue hands its entry on to its subshares.
+        parent_msg = self._share_msg(share.epoch, share.x.value, share.y.value)
+        from_latest = self._latest.pop(parent_msg, None) is not None
+        subshares = []
+        for k, v in enumerate(values, start=1):
+            msg = self._subshare_msg(share.epoch, share.holder, k, v)
+            tag = self._mac(msg)
+            if from_latest:
+                self._latest[msg] = tag
+            subshares.append(
+                Subshare(
+                    parent_holder=share.holder,
+                    index=k,
+                    value=FieldElement(v, p),
+                    epoch=share.epoch,
+                    tag=tag,
+                )
             )
-            for k, v in enumerate(values, start=1)
-        ]
+        return subshares
 
 
 def reconstruct(

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+from random import Random
 
 import pytest
 
-from ratshare.cli import build_parser, main
+from ratshare.cli import _jsonl_line, _share_record, build_parser, main
+from ratshare.protocol import MessageKind, RoundMessage, Step
+from ratshare.shamir import FieldElement, ShareIssuer
 
 
 def run_cli(capsys, *argv):
@@ -179,10 +182,26 @@ GOLDEN_DUMPS = {
         "b43240cd30be86493c0be2a00aab23a6ff5d25b588fdb5286913b27540a8f8cf",
         "168f790bf1a04619dca6674a367c3de05ee2bbf073f36967e11097f571fe3b55",
     ),
+    "1:always-silent": (
+        "5637afd895160630f3ab8f5cc0c154144716523d3645fafb51e26c7f7bcd983f",
+        "c326265cb1309f905f85fb846a09e16b159710bdc0c70a5caeafeb481709bbd6",
+    ),
+    "3:withhold": (
+        "8e7f57df1b814084896b28d5b91f3a22d9a19f27e315d5b8d7bb7704bb0ef658",
+        "6d2934bda959c96b60a9ba0b835f8d0a1508d584bf3e3c4bb334023ad4e4d7d6",
+    ),
+    "2:biased-coin:0.3": (
+        "37a346032e2ba7c799faa05d5fe42f418e6f6c331e0130ef61552c465a128908",
+        "2437c78683944de7608de5cbdbaa2accf0b38e46f4d63701f395b6dfa17d8352",
+    ),
 }
 
 
-@pytest.mark.parametrize("deviant", list(GOLDEN_DUMPS), ids=["honest", "garble-step2"])
+@pytest.mark.parametrize(
+    "deviant",
+    list(GOLDEN_DUMPS),
+    ids=["honest", "garble-step2", "always-silent", "withhold", "biased-coin-0.3"],
+)
 def test_dump_and_report_match_golden_digests(deviant, tmp_path):
     path = tmp_path / "run.jsonl"
     argv = ["simulate", "--alpha", "0.5", "--trials", "5", "--seed", "3",
@@ -194,6 +213,38 @@ def test_dump_and_report_match_golden_digests(deviant, tmp_path):
     dump_digest, report_digest = GOLDEN_DUMPS[deviant]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_digest
     assert hashlib.sha256(report.result_text().encode()).hexdigest() == report_digest
+
+
+def _payloads() -> dict:
+    issuer = ShareIssuer(b"line", modulus=101)
+    shares = issuer.issue_shares(FieldElement(9, 101), 2, 3, 4, Random(0))
+    return {
+        "zero": 0, "one": 1, "int": 7, "none": None, "true": True, "false": False,
+        "str": "text", "float": 0.25, "share": shares[1], "share-tuple": tuple(shares),
+        "subshare-tuple": tuple(issuer.split_subshares(shares[0], 3, Random(1))),
+        "mixed-tuple": (0, None),
+    }
+
+
+PAYLOADS = _payloads()
+
+
+@pytest.mark.parametrize("name", list(PAYLOADS))
+def test_jsonl_line_is_json_dumps_of_the_record(name):
+    payload = PAYLOADS[name]
+    for kind in MessageKind:
+        msg = RoundMessage(2, 3, Step.BROADCAST, kind, payload, 11)
+        record = {
+            "trial": 6,
+            "iteration": msg.iteration,
+            "epoch": 4,
+            "step": int(msg.step),
+            "kind": msg.kind.value,
+            "sender": msg.sender,
+            "receiver": msg.receiver,
+            "payload": _share_record(payload),
+        }
+        assert _jsonl_line(6, 4, msg) == json.dumps(record, separators=(",", ":")) + "\n"
 
 
 def test_dump_runs_each_trial_once(tmp_path, monkeypatch, capsys):
@@ -294,6 +345,13 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
         ["simulate", "--alpha", "0.5", "--trials", "100000000000000000000", "--seed", "1",
          "--dump-transcripts", "DUMP"],
         ["audit", "--alpha", "0.25", "--trials", "100000000000000000000", "--seed", "1"],
+        # Dumps expected to write past DUMP_BUDGET_BYTES (11, 14 and 14 GB).
+        ["simulate", "--alpha", "0.5", "--trials", "1000000", "--seed", "1",
+         "--dump-transcripts", "DUMP"],
+        ["simulate", "--alpha", "0.1", "--trials", "10000", "--seed", "1",
+         "--dump-transcripts", "DUMP"],
+        ["simulate", "--alpha", "0.1", "--trials", "10000000", "--seed", "1", "--cap", "1",
+         "--dump-transcripts", "DUMP"],
     ],
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
@@ -303,7 +361,8 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
         "alpha-star-1-player-payoffs", "alpha-star-0-players", "alpha-star-4-players",
         "audit-2-players", "audit-4-players", "simulate-auto-1-player", "dominance-oneshot-3-players",
         "dominance-bounded-r2-3-players", "trials-1e20", "trials-over-bound", "trials-1e20-dump",
-        "audit-trials-1e20",
+        "audit-trials-1e20", "dump-over-budget", "dump-over-budget-low-alpha",
+        "dump-over-budget-cap-1",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys):
@@ -332,6 +391,25 @@ def test_rejected_dump_leaves_existing_file_unchanged(tmp_path, capsys):
             "--dump-transcripts", str(path)]
     assert main(argv) == 2
     assert path.read_bytes() == b'{"trial":0}\n'
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--deviations", "withhold,garble-step2,bogus"],
+     ["--deviations", "withhold,biased-coin:5"],
+     ["--deviations", "withhold", "--deviators", "1,4"]],
+    ids=["unknown-third-spec", "bad-alpha-prime", "deviator-4"],
+)
+def test_audit_checks_every_spec_before_sampling(flags, monkeypatch, capsys):
+    from ratshare import montecarlo
+
+    calls = []
+    real = montecarlo.sample_runs
+    monkeypatch.setattr(montecarlo, "sample_runs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    argv = ["audit", "--alpha", "0.25", "--trials", "10000", "--seed", "1", *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert calls == []
 
 
 def test_missing_seed_is_a_usage_error():

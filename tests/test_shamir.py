@@ -1,6 +1,8 @@
 """Field arithmetic, share issuance, reconstruction, tags, subshares."""
 
 import dataclasses
+import hashlib
+import hmac
 from itertools import combinations, product
 from random import Random
 
@@ -12,6 +14,7 @@ from ratshare.shamir import (
     ReconstructionError,
     Share,
     ShareIssuer,
+    Subshare,
     combine_subshares,
     exhaustive_hiding_check,
     exhaustive_round_trip_check,
@@ -28,6 +31,18 @@ def fe(v, p=13):
 @pytest.fixture
 def issuer13():
     return ShareIssuer(b"test-key-13", modulus=13)
+
+
+def oracle_tag(key: bytes, *fields) -> bytes:
+    """HMAC-SHA256 over the '|'-joined fields, computed afresh."""
+    return hmac.new(key, "|".join(map(str, fields)).encode(), hashlib.sha256).digest()
+
+
+def oracle_fields(issuer: ShareIssuer, item: Share | Subshare) -> tuple:
+    if isinstance(item, Share):
+        return ("share", issuer.modulus, item.epoch, item.x.value, item.y.value)
+    return ("subshare", issuer.modulus, item.epoch, item.parent_holder, item.index,
+            item.value.value)
 
 
 class ScriptRandom(Random):
@@ -207,6 +222,100 @@ def test_other_key_rejects(issuer13):
     assert not ShareIssuer(b"other-key", modulus=13).verify_tag(share)
 
 
+PRIMES = (13, 101, 2**31 - 1)
+
+
+@given(
+    key=st.binary(min_size=1, max_size=80),
+    p=st.sampled_from(PRIMES),
+    n=st.integers(min_value=2, max_value=6),
+    data=st.data(),
+)
+def test_tags_and_verification_agree_with_an_hmac_oracle(key, p, n, data):
+    issuer = ShareIssuer(key, modulus=p)
+    m = data.draw(st.integers(min_value=1, max_value=n))
+    epoch = data.draw(st.integers(min_value=0, max_value=10**6))
+    secret = data.draw(st.integers(min_value=0, max_value=p - 1))
+    rng = Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    shares = issuer.issue_shares(FieldElement(secret, p), m, n, epoch, rng)
+    items = list(shares)
+    for share in shares[: data.draw(st.integers(min_value=0, max_value=n))]:
+        items += issuer.split_subshares(share, data.draw(st.integers(2, 5)), rng)
+    for item in items:
+        assert item.tag == oracle_tag(key, *oracle_fields(issuer, item))
+        assert issuer.verify_tag(item)
+
+    # Each single-field change is caught, as the oracle says it must be.
+    item = data.draw(st.sampled_from(items))
+    if isinstance(item, Share):
+        field = data.draw(st.sampled_from(["epoch", "x", "y", "tag"]))
+    else:
+        field = data.draw(st.sampled_from(["epoch", "parent_holder", "index", "value", "tag"]))
+    delta = data.draw(st.integers(min_value=1, max_value=p - 1))
+    if field == "tag":
+        flip = data.draw(st.integers(min_value=0, max_value=len(item.tag) - 1))
+        changed = bytearray(item.tag)
+        changed[flip] ^= data.draw(st.integers(min_value=1, max_value=255))
+        mutant = dataclasses.replace(item, tag=bytes(changed))
+    else:
+        mutant = dataclasses.replace(item, **{field: getattr(item, field) + delta})
+    assert mutant.tag != oracle_tag(key, *oracle_fields(issuer, mutant))
+    assert not issuer.verify_tag(mutant)
+
+
+def test_items_of_an_earlier_issue_verify_by_recomputation(issuer13, monkeypatch):
+    old = issuer13.issue_shares(fe(7), m=2, n=3, epoch=0, rng=Random(1))
+    old_subs = issuer13.split_subshares(old[0], 3, Random(2))
+    issuer13.issue_shares(fe(7), m=2, n=3, epoch=1, rng=Random(3))
+
+    macs = []
+    real = issuer13._mac
+    monkeypatch.setattr(issuer13, "_mac", lambda msg: macs.append(msg) or real(msg))
+    for item in [*old, *old_subs]:
+        assert issuer13.verify_tag(item)
+        assert not issuer13.verify_tag(dataclasses.replace(item, epoch=5))
+    assert len(macs) == 2 * (len(old) + len(old_subs))
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["issue", "split"]),
+            st.integers(min_value=2, max_value=6),  # n, or the subshare count
+            st.integers(min_value=0, max_value=100),  # which earlier share to split
+        ),
+        max_size=25,
+    )
+)
+def test_remembered_tags_never_outlast_one_issue(ops):
+    issuer = ShareIssuer(b"bounded", modulus=101)
+    rng = Random(0)
+    issued: list[Share] = []
+    latest_n, latest_epoch, count = 0, None, 1
+    for epoch, (op, size, pick) in enumerate(ops):
+        if op == "issue":
+            issued += issuer.issue_shares(fe(5, 101), 2, size, epoch, rng)
+            latest_n, latest_epoch, count = size, epoch, 1
+        elif issued:
+            issuer.split_subshares(issued[pick % len(issued)], size, rng)
+            count = max(count, size)
+        # Only items of the latest issue are remembered: each of its shares,
+        # or in its place the subshares of that share's first split.
+        assert len(issuer._latest) <= latest_n * count
+        assert {msg.split(b"|")[2] for msg in issuer._latest} <= {str(latest_epoch).encode()}
+
+
+def test_two_of_n_issue_remembers_each_subshare_once(issuer13):
+    shares = issuer13.issue_shares(fe(4), m=2, n=2, epoch=0, rng=Random(0))
+    for share in shares:
+        issuer13.split_subshares(share, 4, Random(1))
+    assert len(issuer13._latest) == 8
+    # A second split of the same share is tagged but not remembered.
+    subs = issuer13.split_subshares(shares[0], 4, Random(2))
+    assert len(issuer13._latest) == 8
+    assert all(issuer13.verify_tag(s) for s in subs)
+
+
 # --- subshares --------------------------------------------------------------
 
 
@@ -254,7 +363,7 @@ def test_partial_subshares_leave_parent_uniform():
                 x=FieldElement(1, p),
                 y=FieldElement(parent_y, p),
                 epoch=0,
-                tag=issuer._share_tag(0, 1, parent_y),
+                tag=oracle_tag(b"sub7", "share", 7, 0, 1, parent_y),
             )
             for firsts in product(range(p), repeat=count - 1):
                 subs = issuer.split_subshares(share, count, ScriptRandom(list(firsts)))
