@@ -335,7 +335,7 @@ def cmd_dominance(args) -> Report:
     section.add("deletion-rounds", trace.deletion_rounds)
     section.add("fixpoint", trace.fixpoint)
     if recommended is not None:
-        verdict = dominance.check_practical(game, recommended)
+        verdict = dominance.check_practical(game, recommended, trace)
         section.add(
             "recommended",
             ",".join(game.label(i + 1, s) for i, s in enumerate(recommended)),

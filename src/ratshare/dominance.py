@@ -2,7 +2,12 @@
 
 Payoffs are exact rationals because weak dominance is equality-sensitive:
 a float tie would silently turn "never worse, somewhere better" into
-"sometimes worse".  Deletion removes, simultaneously for every player,
+"sometimes worse".  Weak dominance only compares one player's payoffs with
+each other, so a game also keeps, per player, the rank of each payoff
+among that player's distinct exact values; comparisons run on these small
+integers, and ties stay ties.  (A common denominator would not do: a
+`Fraction(float)` such as `Fraction(1e-300)` has a denominator near
+2**1049, far past int64.)  Deletion removes, simultaneously for every player,
 every strategy that some other pure strategy weakly dominates against
 the current restriction sets, and repeats to a fixpoint.  Dominators are
 pure strategies only; mixed dominators would need an LP and none of the
@@ -18,9 +23,12 @@ backward-induction cascade of deletion rounds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from .strategies import UtilityTable
 
@@ -32,7 +40,13 @@ WITHHOLD = "withhold"
 
 @dataclass
 class NormalFormGame:
-    """Strategy labels per player plus an exact payoff tensor."""
+    """Strategy labels per player plus an exact payoff tensor.
+
+    `ranks[i]` is derived at construction: player i+1's payoff ranks, one
+    int64 row per own strategy and one column per opponent profile (the
+    other players' indices in C order).  Mutating `payoffs` afterwards
+    leaves it stale.
+    """
 
     strategies: tuple[tuple[str, ...], ...]
     payoffs: dict[Profile, tuple[Fraction, ...]]
@@ -40,6 +54,7 @@ class NormalFormGame:
     # Optional: terminal info vector per profile, for games built from
     # share-exchange outcomes.
     info_map: dict[Profile, tuple[int, ...]] | None = None
+    ranks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     @property
     def n_players(self) -> int:
@@ -48,12 +63,17 @@ class NormalFormGame:
     def __post_init__(self) -> None:
         if not self.strategies or any(len(s) == 0 for s in self.strategies):
             raise ValueError("every player needs a nonempty strategy set")
-        expected = set(product(*(range(len(s)) for s in self.strategies)))
-        if set(self.payoffs) != expected:
+        shape = tuple(len(s) for s in self.strategies)
+        profiles = list(product(*map(range, shape)))
+        if set(self.payoffs) != set(profiles):
             raise ValueError("payoff tensor must be total over the profile space")
         for profile, us in self.payoffs.items():
             if len(us) != self.n_players:
                 raise ValueError(f"profile {profile} needs one payoff per player")
+        columns = zip(*(self.payoffs[p] for p in profiles))
+        self.ranks = tuple(
+            _rank_rows(values, shape, axis) for axis, values in enumerate(columns)
+        )
 
     def payoff(self, profile: Profile, player: int) -> Fraction:
         return self.payoffs[profile][player - 1]
@@ -79,9 +99,18 @@ class NormalFormGame:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "NormalFormGame":
+        for player, labels in enumerate(doc["strategies"], start=1):
+            if not (
+                isinstance(labels, list)
+                and all(isinstance(lbl, str) for lbl in labels)
+                and len(set(labels)) == len(labels)
+            ):
+                raise ValueError(f"player {player} strategies must be a list of distinct strings")
         strategies = tuple(tuple(s) for s in doc["strategies"])
         payoffs = {}
         for key, us in doc["payoffs"].items():
+            if not (isinstance(us, list) and all(map(_is_payoff, us))):
+                raise ValueError(f"payoffs of {key!r} must be a list of finite numbers or strings")
             labels = key.split(",")
             profile = tuple(strategies[i].index(lbl) for i, lbl in enumerate(labels))
             payoffs[profile] = tuple(Fraction(u) for u in us)
@@ -97,49 +126,48 @@ class NormalFormGame:
             return cls.from_doc(json.load(fh))
 
 
-def _opponent_profiles(
-    restriction: list[set[int]], player: int
-) -> list[tuple[int, ...]]:
-    others = [sorted(restriction[j]) for j in range(len(restriction)) if j != player - 1]
-    return list(product(*others))
+def _is_payoff(u) -> bool:
+    if isinstance(u, float):
+        return math.isfinite(u)
+    return isinstance(u, (int, str)) and not isinstance(u, bool)
 
 
-def _full_profile(player: int, own: int, opponents: tuple[int, ...]) -> Profile:
-    profile = list(opponents)
-    profile.insert(player - 1, own)
-    return tuple(profile)
+def _rank_rows(values, shape: tuple[int, ...], axis: int) -> np.ndarray:
+    """Rank each payoff among the distinct values; own strategies on axis 0."""
+    # Equal rationals have equal reduced (numerator, denominator) pairs,
+    # which hash far faster than Fractions.
+    keys = [(u.numerator, u.denominator) for u in values]
+    distinct = dict(zip(keys, values))
+    rank = {key: r for r, key in enumerate(sorted(distinct, key=distinct.__getitem__))}
+    flat = np.fromiter((rank[key] for key in keys), dtype=np.int64, count=len(keys))
+    return np.moveaxis(flat.reshape(shape), axis, 0).reshape(shape[axis], -1)
 
 
 def weakly_dominated(
     game: NormalFormGame, player: int, restriction: list[set[int]]
 ) -> dict[int, int]:
-    """Map each weakly dominated strategy to one pure dominator.
+    """Map each weakly dominated strategy to its lowest-index pure dominator.
 
     A strategy is dominated when some other strategy in the player's
     restricted set does at least as well against every restricted opponent
     profile and strictly better against at least one.
     """
+    sizes = [len(s) for s in game.strategies]
     if any(not r for r in restriction):
         raise ValueError("restriction sets must be nonempty")
-    opponents = _opponent_profiles(restriction, player)
+    if any(not 0 <= k < n for r, n in zip(restriction, sizes, strict=True) for k in r):
+        raise ValueError("restriction indexes an unknown strategy")
+    others = [sorted(restriction[j]) for j in range(len(sizes)) if j != player - 1]
+    columns = np.ravel_multi_index(
+        np.ix_(*others), [n for j, n in enumerate(sizes) if j != player - 1]
+    )
     mine = sorted(restriction[player - 1])
+    sub = game.ranks[player - 1][np.ix_(mine, np.ravel(columns))]
     dominated: dict[int, int] = {}
-    for sigma in mine:
-        for tau in mine:
-            if tau == sigma:
-                continue
-            strict = False
-            for opp in opponents:
-                u_sigma = game.payoff(_full_profile(player, sigma, opp), player)
-                u_tau = game.payoff(_full_profile(player, tau, opp), player)
-                if u_tau < u_sigma:
-                    break
-                if u_tau > u_sigma:
-                    strict = True
-            else:
-                if strict:
-                    dominated[sigma] = tau
-                    break
+    for sigma, row in zip(mine, sub):
+        dominators = (sub >= row).all(1) & (sub > row).any(1)
+        if dominators.any():
+            dominated[sigma] = mine[int(dominators.argmax())]
     return dominated
 
 
@@ -237,8 +265,10 @@ class PracticalVerdict:
         return self.is_nash and self.survives
 
 
-def check_practical(game: NormalFormGame, profile: Profile) -> PracticalVerdict:
-    """Sweep unilateral pure deviations and replay the deletion trace."""
+def check_practical(
+    game: NormalFormGame, profile: Profile, trace: DeletionTrace
+) -> PracticalVerdict:
+    """Sweep unilateral pure deviations and replay `trace`, the game's deletion."""
     for player in range(1, game.n_players + 1):
         if not 0 <= profile[player - 1] < len(game.strategies[player - 1]):
             raise ValueError(f"profile indexes an unknown strategy for player {player}")
@@ -255,7 +285,6 @@ def check_practical(game: NormalFormGame, profile: Profile) -> PracticalVerdict:
                 break
         if not is_nash:
             break
-    trace = iterate_deletion(game)
     survives = True
     dominance_witness = None
     for player in range(1, game.n_players + 1):

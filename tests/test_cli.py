@@ -140,6 +140,46 @@ def test_dominance_game_file(tmp_path, capsys):
     assert "recommended.practical = true" in out
 
 
+# Player 1's a and c tie exactly and both beat b only through float-derived
+# gaps (1e-300 against 0, 0.1 against 1/10); player 2's y beats x by the same
+# gap, then z falls once b is gone.  Deletion takes two rounds.
+TIES_AND_FLOATS = {
+    "name": "ties-and-floats",
+    "players": 2,
+    "strategies": [["a", "b", "c"], ["x", "y", "z"]],
+    "payoffs": {
+        "a,x": [1e-300, "1/10"], "a,y": [0.1, 0.1], "a,z": ["1", 0],
+        "b,x": [0, 0], "b,y": ["1/10", 0], "b,z": [1, 5],
+        "c,x": [1e-300, "1/10"], "c,y": [0.1, 0.1], "c,z": [1, "0"],
+    },
+}
+
+# sha256 of Report.result_text() for `dominance --builtin B` and for
+# `dominance --game TIES_AND_FLOATS --profile a,y`, recorded while deletion
+# still compared Fractions pair by pair.
+GOLDEN_DOMINANCE = {
+    "oneshot-2of2": "098837cf9fd51c22ed659994022325bc46656bfc3163b289a24ac1239e65d725",
+    "bounded-r1": "8e8066355170d6214e66e3d9cc285b839acdb1d5e08c749ddedee9cc775882f4",
+    "bounded-r2": "257e845954627336c8f1fb34bb104e8e98d3724033bbee119e3a3400cc43432c",
+    "prisoners-dilemma": "c67c0843fa094d029c8f9209349bd4456b8a2f7850c65c67973aaea8423ba3cd",
+    "ties-and-floats": "6ccb8dc1c3819803b0defe7b68f9bcee336093dfb13ceb29cb5b38e3b8589bc8",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_DOMINANCE))
+def test_dominance_reports_match_golden_digests(name, tmp_path, monkeypatch):
+    if name == "ties-and-floats":
+        # [config] echoes the path, so keep it relative.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "game.json").write_text(json.dumps(TIES_AND_FLOATS))
+        argv = ["dominance", "--game", "game.json", "--profile", "a,y"]
+    else:
+        argv = ["dominance", "--builtin", name]
+    args = build_parser().parse_args(argv)
+    digest = hashlib.sha256(args.handler(args).result_text().encode()).hexdigest()
+    assert digest == GOLDEN_DOMINANCE[name]
+
+
 def test_hiding_command(capsys):
     code, out = run_cli(capsys, "hiding")
     assert code == 0
@@ -318,6 +358,13 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
         # Documents of the wrong shape.
         ["dominance", "--game", 'DOC:{"strategies": 5, "payoffs": {}}'],
         ["dominance", "--game", "DOC:[1, 2]"],
+        ["dominance", "--game", 'DOC:{"strategies": ["ab", "ab"], "payoffs": '
+         '{"a,a": [1, 1], "a,b": [0, 0], "b,a": [0, 0], "b,b": [1, 1]}}'],
+        ["dominance", "--game", 'DOC:{"strategies": [["a"], ["b"]], "payoffs": {"a,b": "12"}}'],
+        ["dominance", "--game", 'DOC:{"strategies": [["a", "a"], ["b"]], "payoffs": '
+         '{"a,b": [1, 2]}}'],
+        ["dominance", "--game", 'DOC:{"strategies": [["a"], ["b"]], "payoffs": '
+         '{"a,b": [1e999, 2]}}'],
         ["alpha-star", "--utilities", 'DOC:{"players": 3, "payoffs": {"1": [1, 2]}}'],
         ["alpha-star", "--utilities", "DOC:[]"],
         # Fields too large to enumerate.
@@ -356,7 +403,8 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
         "cap-0-vectorized", "cap-0-dump", "dump-no-dir", "out-no-dir", "game-strategies-int",
-        "game-list", "utilities-payoff-list", "utilities-list", "hiding-prime-1009",
+        "game-list", "game-strategies-strings", "game-payoff-string", "game-duplicate-labels",
+        "game-payoff-infinite", "utilities-payoff-list", "utilities-list", "hiding-prime-1009",
         "hiding-prime-2to61", "hiding-n-12", "alpha-star-1-player-scalars",
         "alpha-star-1-player-payoffs", "alpha-star-0-players", "alpha-star-4-players",
         "audit-2-players", "audit-4-players", "simulate-auto-1-player", "dominance-oneshot-3-players",

@@ -5,6 +5,7 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratshare.dominance import (
     SEND,
@@ -84,10 +85,15 @@ def test_matching_pennies_has_no_dominated_strategies():
     assert weakly_dominated_set(game, 2) == set()
 
 
-def test_empty_restriction_rejected():
+@pytest.mark.parametrize(
+    "restriction",
+    [[set(), {0, 1}], [{-1}, {0, 1}], [{0, 2}, {0, 1}], [{0, 1}, {-1}], [{0, 1}]],
+    ids=["empty", "negative", "past-the-end", "opponent-negative", "one-set-short"],
+)
+def test_empty_restriction_rejected(restriction):
     game = matching_pennies()
     with pytest.raises(ValueError):
-        weakly_dominated(game, 1, [set(), {0, 1}])
+        weakly_dominated(game, 1, restriction)
 
 
 def test_engine_matches_brute_force_on_random_games():
@@ -153,6 +159,74 @@ def test_traces_are_monotone_and_witnessed():
                     assert sigma in confirmed
             previous = [set(s) for s in rnd.surviving]
         assert trace.fixpoint
+
+
+# Exact values with ties and float-derived neighbours: Fraction(0.1) is just
+# above 1/10, Fraction(1e-300) just above 0, Fraction(1/3) just below 1/3.
+PAYOFF_POOL = (
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 10), Fraction(0.1),
+    Fraction(1e-300), Fraction(-1e-300), Fraction(1, 3), Fraction(1 / 3),
+)
+
+
+@st.composite
+def small_games(draw):
+    shape = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    # A few values per game, so ties and dominance are common.
+    pool = draw(st.lists(st.sampled_from(PAYOFF_POOL), min_size=1, max_size=4, unique=True))
+    value = st.sampled_from(pool)
+    payoffs = {
+        profile: tuple(draw(value) for _ in shape)
+        for profile in product(*(range(n) for n in shape))
+    }
+    strategies = tuple(tuple(f"s{i}{k}" for k in range(n)) for i, n in enumerate(shape))
+    return NormalFormGame(strategies=strategies, payoffs=payoffs)
+
+
+def oracle_deletion(game):
+    """Delete-all deletion on the exact payoffs, as (deleted, surviving) per round.
+
+    Each deleted strategy maps to its lowest-index dominator.  Stops after
+    the first round that deletes nothing.
+    """
+    restriction = [set(range(len(s))) for s in game.strategies]
+    rounds = []
+    while True:
+        deleted = {}
+        for player in range(1, game.n_players + 1):
+            others = [sorted(restriction[j]) for j in range(game.n_players) if j != player - 1]
+            opps = list(product(*others))
+
+            def u(own, opp):
+                profile = list(opp)
+                profile.insert(player - 1, own)
+                return game.payoffs[tuple(profile)][player - 1]
+
+            deleted[player] = {}
+            for sigma in sorted(restriction[player - 1]):
+                for tau in sorted(restriction[player - 1]):
+                    if all(u(tau, o) >= u(sigma, o) for o in opps) and any(
+                        u(tau, o) > u(sigma, o) for o in opps
+                    ):
+                        deleted[player][sigma] = tau
+                        break
+            assert len(deleted[player]) < len(restriction[player - 1])
+        for player, gone in deleted.items():
+            restriction[player - 1] -= set(gone)
+        rounds.append((deleted, tuple(frozenset(r) for r in restriction)))
+        if not any(deleted.values()):
+            return rounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=small_games())
+def test_deletion_trace_matches_exact_oracle(game):
+    expected = oracle_deletion(game)
+    trace = iterate_deletion(game)
+    assert [(rnd.deleted, rnd.surviving) for rnd in trace.rounds] == expected
+    assert trace.surviving == expected[-1][1]
+    assert trace.fixpoint and trace.would_empty is None
+    assert trace.deletion_rounds == sum(1 for deleted, _ in expected if any(deleted.values()))
 
 
 # --- share-exchange game builders ------------------------------------------------------
@@ -226,7 +300,7 @@ def test_label_sends_predicate():
 def test_mutual_withholding_is_practical_but_fruitless():
     game = build_oneshot_sharing_game(pair_table())
     w = game.index(1, WITHHOLD)
-    verdict = check_practical(game, (w, w))
+    verdict = check_practical(game, (w, w), iterate_deletion(game))
     assert verdict.is_nash and verdict.survives and verdict.practical
     assert game.info_map[(w, w)] == (0, 0)
 
@@ -234,7 +308,7 @@ def test_mutual_withholding_is_practical_but_fruitless():
 def test_mutual_sending_is_not_practical():
     game = build_oneshot_sharing_game(pair_table())
     s = game.index(1, SEND)
-    verdict = check_practical(game, (s, s))
+    verdict = check_practical(game, (s, s), iterate_deletion(game))
     assert not verdict.is_nash
     assert verdict.nash_witness == (1, game.index(1, WITHHOLD))
     assert not verdict.survives
@@ -244,13 +318,14 @@ def test_mutual_sending_is_not_practical():
 def test_prisoners_dilemma_defection_is_practical():
     game = prisoners_dilemma()
     d = game.index(1, "defect")
-    verdict = check_practical(game, (d, d))
+    verdict = check_practical(game, (d, d), iterate_deletion(game))
     assert verdict.practical
 
 
 def test_check_practical_validates_profile():
+    game = matching_pennies()
     with pytest.raises(ValueError):
-        check_practical(matching_pennies(), (0, 7))
+        check_practical(game, (0, 7), iterate_deletion(game))
 
 
 # --- documents -------------------------------------------------------------------------
