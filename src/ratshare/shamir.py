@@ -7,9 +7,15 @@ leave the secret information-theoretically hidden.  A trusted issuer
 tags every share (and every additive subshare) with a keyed MAC so
 holders cannot substitute forged values.
 
+The parts that do not depend on the secret are built once: an issuer
+keeps its evaluation points x = 1..n, and the Lagrange weights at zero
+are cached per x-set and field.
+
 The exhaustive small-field verifiers (reconstruction round-trip and
 hiding-posterior uniformity) live here so the command-line `hiding`
 report and the test suite share one implementation of the enumeration.
+The hiding check evaluates each polynomial once, as one array over all
+polynomials and evaluation points.
 """
 
 from __future__ import annotations
@@ -17,14 +23,21 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from random import Random
+
+import numpy as np
 
 DEFAULT_PRIME = 2**31 - 1
 # Miller-Rabin with these bases is exact for every n < 2**64.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _checked_moduli: set[int] = set()
+# Distinct (x-set, field) pairs whose Lagrange weights are kept.  A
+# `hiding` run at n = 3 uses 7, and one at the largest accepted n (6, at
+# p = 7) uses 41.
+_LAGRANGE_CACHE_SIZE = 256
 
 
 class ReconstructionError(ValueError):
@@ -182,6 +195,9 @@ class ShareIssuer:
         # entry gives way to those of its first split, so this never holds
         # more than one issue's items.
         self._latest: dict[bytes, bytes] = {}
+        # The evaluation points x = 1, 2, ... built so far; an issue of n
+        # shares uses the first n.
+        self._xs: list[FieldElement] = []
 
     def _mac(self, msg: bytes) -> bytes:
         mac = self._keyed.copy()
@@ -222,15 +238,18 @@ class ShareIssuer:
         if len(coefficients) != m - 1:
             raise ValueError("need exactly m-1 coefficients")
         poly = [secret.value] + [c % p for c in coefficients]
+        xs = self._xs
+        while len(xs) < n:
+            xs.append(FieldElement(len(xs) + 1, p))
+        prefix = f"share|{p!s}|{epoch!s}|"  # the bytes of `_share_msg`
         self._latest = latest = {}
         shares = []
-        for i in range(1, n + 1):
+        for x in xs[:n]:
+            i = x.value
             y = _eval_poly(poly, i, p)
-            msg = self._share_msg(epoch, i, y)
+            msg = f"{prefix}{i!s}|{y!s}".encode()
             tag = latest[msg] = self._mac(msg)
-            shares.append(
-                Share(holder=i, x=FieldElement(i, p), y=FieldElement(y, p), epoch=epoch, tag=tag)
-            )
+            shares.append(Share(holder=i, x=x, y=FieldElement(y, p), epoch=epoch, tag=tag))
         return shares
 
     def verify_tag(self, item: Share | Subshare) -> bool:
@@ -257,6 +276,8 @@ class ShareIssuer:
         if count < 2:
             raise ValueError(f"subshare count must be >= 2, got {count}")
         p = self.modulus
+        if share.x.modulus != p or share.y.modulus != p:
+            raise ValueError("share modulus does not match issuer modulus")
         values = [rng.randrange(p) for _ in range(count - 1)]
         values.append((share.y.value - sum(values)) % p)
         # A share of the latest issue hands its entry on to its subshares.
@@ -280,6 +301,24 @@ class ShareIssuer:
         return subshares
 
 
+@lru_cache(maxsize=_LAGRANGE_CACHE_SIZE)
+def _lagrange_at_zero(xs: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Weights w with f(0) = sum(w[i] * f(xs[i])) mod p, for deg f < len(xs).
+
+    The xs must be distinct mod p.  The weights depend on p as well as on
+    the xs, so both make the cache key.
+    """
+    weights = []
+    for i, xi in enumerate(xs):
+        num, den = 1, 1
+        for j, xj in enumerate(xs):
+            if i != j:
+                num = num * -xj % p
+                den = den * (xi - xj) % p
+        weights.append(num * pow(den, p - 2, p) % p)
+    return tuple(weights)
+
+
 def reconstruct(
     shares: list[Share] | set[Share] | tuple[Share, ...],
     m: int,
@@ -290,6 +329,8 @@ def reconstruct(
     Uses exactly the first m shares in increasing x order so transcripts
     reproduce; verifies every supplied tag when an issuer is given.
     """
+    if m < 1:
+        raise ReconstructionError(f"threshold must be >= 1, got {m}")
     shares = sorted(shares, key=lambda s: s.x.value)
     if len(shares) < m:
         raise ReconstructionError(f"need at least {m} shares, got {len(shares)}")
@@ -307,16 +348,8 @@ def reconstruct(
             if not issuer.verify_tag(s):
                 raise ReconstructionError(f"tag verification failed for holder {s.holder}")
     p = moduli.pop()
-    points = shares[:m]
-    total = 0
-    for i, si in enumerate(points):
-        num, den = 1, 1
-        for j, sj in enumerate(points):
-            if i == j:
-                continue
-            num = (num * (-sj.x.value)) % p
-            den = (den * (si.x.value - sj.x.value)) % p
-        total = (total + si.y.value * num * pow(den, p - 2, p)) % p
+    weights = _lagrange_at_zero(tuple(xs[:m]), p)
+    total = sum(s.y.value * w for s, w in zip(shares, weights)) % p
     return FieldElement(total, p)
 
 
@@ -332,13 +365,16 @@ def combine_subshares(
     epochs = {s.epoch for s in subshares}
     if len(parents) != 1 or len(epochs) != 1:
         raise ReconstructionError("subshares from mixed parents or epochs")
+    moduli = {s.value.modulus for s in subshares}
+    if len(moduli) != 1:
+        raise ReconstructionError("subshares span different fields")
     if {s.index for s in subshares} != set(range(1, count + 1)):
         raise ReconstructionError("subshare indices are not 1..count")
     if issuer is not None:
         for s in subshares:
             if not issuer.verify_tag(s):
                 raise ReconstructionError(f"tag verification failed for subshare {s.index}")
-    p = subshares[0].value.modulus
+    p = moduli.pop()
     return FieldElement(sum(s.value.value for s in subshares) % p, p)
 
 
@@ -388,19 +424,27 @@ def exhaustive_hiding_check(p: int = 7, m: int = 2, n: int = 3) -> dict[int, boo
     often (counting over all degree-(m-1) polynomials).  Returns, per
     subset size, whether uniformity held for every subset of that size.
     """
-    results: dict[int, bool] = {}
-    for size in range(1, m):
-        uniform = True
-        for subset in combinations(range(1, n + 1), size):
-            counts: dict[tuple[int, ...], dict[int, int]] = {}
-            for secret in range(p):
-                for coeffs in product(range(p), repeat=m - 1):
-                    poly = [secret, *coeffs]
-                    obs = tuple(_eval_poly(poly, x, p) for x in subset)
-                    per_secret = counts.setdefault(obs, {})
-                    per_secret[secret] = per_secret.get(secret, 0) + 1
-            for per_secret in counts.values():
-                if len(per_secret) != p or len(set(per_secret.values())) != 1:
-                    uniform = False
-        results[size] = uniform
-    return results
+    if m < 2:
+        return {}  # no subset is smaller than a threshold of 1
+    # Row k holds the coefficients of one polynomial, secret first; every
+    # polynomial is evaluated once, at x = 1..n.  Each term is reduced mod
+    # p before it is summed, so the int64 sums stay below m * p.
+    coeffs = np.indices((p,) * m, dtype=np.int64).reshape(m, -1).T
+    powers = np.array([[pow(x, j, p) for x in range(1, n + 1)] for j in range(m)], dtype=np.int64)
+    values = (coeffs[:, :, None] * powers % p).sum(axis=1) % p
+    secrets = coeffs[:, 0]
+
+    def uniform(subset: tuple[int, ...]) -> bool:
+        # Count (observation, secret) pairs: one row per observation, one
+        # column per secret.  Uniform iff each observed row is constant
+        # (hence holds every secret, equally often).
+        observed = values[:, list(subset)] @ p ** np.arange(len(subset), dtype=np.int64)
+        counts = np.bincount(observed * p + secrets, minlength=p ** (len(subset) + 1))
+        counts = counts.reshape(-1, p)
+        counts = counts[counts.any(axis=1)]
+        return bool((counts.min(axis=1) == counts.max(axis=1)).all())
+
+    return {
+        size: all(uniform(subset) for subset in combinations(range(n), size))
+        for size in range(1, m)
+    }

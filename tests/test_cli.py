@@ -187,6 +187,24 @@ def test_hiding_command(capsys):
     assert "m2.hiding-subset-size1 = uniform" in out
 
 
+# sha256 of Report.result_text() for `hiding --prime P --n N`, recorded
+# while every reconstruction recomputed its Lagrange weights and the
+# hiding check re-evaluated each polynomial per subset.
+GOLDEN_HIDING = {
+    (5, 4): "1f7368c3025a1fcb131132a170c3593727f1d251b72a7bfb950a7a56479914ff",
+    (7, 3): "d302b0649ed6cf60bab0e4baaf0dc223f8afb02c8aebbc2305e1550edeae30c8",
+    (11, 5): "122fe574fea600c5fd253bbfcf5fdcd4905b8c83375a0230367754822f6f18b8",
+    (13, 3): "5d6d55795b6e020f955a9f390fa08cbb39f4feb04a31f36f9a702a9ecd29b0d4",
+}
+
+
+@pytest.mark.parametrize("prime, n", list(GOLDEN_HIDING))
+def test_hiding_reports_match_golden_digests(prime, n):
+    args = build_parser().parse_args(["hiding", "--prime", str(prime), "--n", str(n)])
+    digest = hashlib.sha256(args.handler(args).result_text().encode()).hexdigest()
+    assert digest == GOLDEN_HIDING[(prime, n)]
+
+
 def test_transcript_dump(tmp_path, capsys):
     path = tmp_path / "transcripts.jsonl"
     code, out = run_cli(

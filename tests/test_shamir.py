@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import hmac
+from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from random import Random
 
 import pytest
@@ -181,6 +183,48 @@ def test_reconstruct_errors(issuer13):
     forged = dataclasses.replace(shares[0], y=shares[0].y + 1)
     with pytest.raises(ReconstructionError):
         reconstruct([forged, shares[1], shares[2]], 3, issuer13)
+    # A threshold below 1 is refused, not read as "interpolate from none"
+    # (m = 0) or as a slice from the end (m = -1).
+    for m in (0, -1):
+        with pytest.raises(ReconstructionError):
+            reconstruct(shares, m, issuer13)
+    with pytest.raises(ReconstructionError):
+        reconstruct([], 0)
+
+
+def lagrange_oracle(points: list[tuple[int, int]], p: int) -> int:
+    """f(0) of the polynomial through `points`, over the rationals, then mod p.
+
+    Reduction mod p is a ring map on fractions whose denominators are
+    prime to p, so this equals interpolation in GF(p).
+    """
+    total = Fraction(0)
+    for xi, yi in points:
+        term = Fraction(yi)
+        for xj, _ in points:
+            if xj != xi:
+                term *= Fraction(xj, xj - xi)
+        total += term
+    return total.numerator * pow(total.denominator, -1, p) % p
+
+
+@given(data=st.data())
+def test_reconstruct_matches_textbook_lagrange(data):
+    # The same x-sets at two primes, interleaved, so weights cached
+    # without the field give the other field's answer.
+    m = data.draw(st.integers(1, 4), label="m")
+    n = data.draw(st.integers(m, 6), label="n")
+    order = data.draw(st.permutations(range(1, n + 1)), label="order")
+    xs = order[: data.draw(st.integers(m, n), label="k")]
+    for p in (13, 17, 13, 17):
+        # Arbitrary y values: the answer depends on which m points are used.
+        ys = data.draw(st.lists(st.integers(0, p - 1), min_size=len(xs), max_size=len(xs)))
+        shares = [
+            Share(holder=x, x=FieldElement(x, p), y=FieldElement(y, p), epoch=3, tag=b"")
+            for x, y in zip(xs, ys)
+        ]
+        expected = lagrange_oracle(sorted(zip(xs, ys))[:m], p)
+        assert reconstruct(shares, m) == FieldElement(expected, p)
 
 
 # --- tags ------------------------------------------------------------------
@@ -350,6 +394,22 @@ def test_combine_subshares_requires_all(issuer13):
         combine_subshares(subs[:2], 3, issuer13)
 
 
+def test_split_rejects_a_share_of_another_field(issuer13):
+    share = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0))[0]
+    with pytest.raises(ValueError):
+        ShareIssuer(b"test-key-17", modulus=17).split_subshares(share, 2, Random(0))
+
+
+def test_combine_subshares_rejects_mixed_fields(issuer13):
+    issuer17 = ShareIssuer(b"test-key-17", modulus=17)
+    share13 = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(9))[0]
+    share17 = issuer17.issue_shares(fe(5, 17), m=2, n=3, epoch=0, rng=Random(9))[0]
+    subs13 = issuer13.split_subshares(share13, 2, Random(9))
+    subs17 = issuer17.split_subshares(share17, 2, Random(9))
+    with pytest.raises(ReconstructionError):
+        combine_subshares([subs13[0], subs17[1]], 2)
+
+
 def test_partial_subshares_leave_parent_uniform():
     # Exhaustive at p=7: seeing all but one subshare says nothing about the
     # parent value, because the missing piece ranges over the whole field.
@@ -395,9 +455,59 @@ def test_round_trip_reconstructions_counts_the_checker(p, n, monkeypatch):
     assert len(calls) == round_trip_reconstructions(p, n, (1, 2, 3))
 
 
+def test_round_trip_check_counts_wrong_reconstructions(monkeypatch):
+    import ratshare.shamir as shamir
+
+    real = shamir.reconstruct
+
+    def off_by_one_above_threshold(shares, m, issuer=None):
+        value = real(shares, m, issuer)
+        return value + 1 if len(shares) > m else value
+
+    monkeypatch.setattr(shamir, "reconstruct", off_by_one_above_threshold)
+    p, n = 5, 3
+    expected = {m: p**m * sum(comb(n, k) for k in range(m + 1, n + 1)) for m in (1, 2, 3)}
+    assert expected == {1: 20, 2: 25, 3: 0}
+    assert exhaustive_round_trip_check(p=p, n=n, thresholds=(1, 2, 3)) == expected
+
+
 def test_exhaustive_hiding_checker():
     assert exhaustive_hiding_check(p=7, m=2, n=3) == {1: True}
     assert exhaustive_hiding_check(p=7, m=3, n=3) == {1: True, 2: True}
+
+
+def hiding_oracle(p: int, m: int, n: int) -> dict[int, bool]:
+    """Per subset size below m: every observation has each secret equally often."""
+    results = {}
+    for size in range(1, m):
+        uniform = True
+        for subset in combinations(range(1, n + 1), size):
+            counts: dict[tuple[int, ...], dict[int, int]] = {}
+            for poly in product(range(p), repeat=m):
+                obs = tuple(sum(c * x**j for j, c in enumerate(poly)) % p for x in subset)
+                per_secret = counts.setdefault(obs, {})
+                per_secret[poly[0]] = per_secret.get(poly[0], 0) + 1
+            uniform = uniform and all(
+                len(per_secret) == p and len(set(per_secret.values())) == 1
+                for per_secret in counts.values()
+            )
+        results[size] = uniform
+    return results
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("p", range(2, 14))
+def test_hiding_check_matches_counting_oracle(p, m):
+    results = {n: exhaustive_hiding_check(p=p, m=m, n=n) for n in range(m, 6)}
+    for n, result in results.items():
+        assert result == hiding_oracle(p, m, n), n
+    # Below p every x is a unit mod a prime; at n = 5 a composite p
+    # (4..12) has some x sharing a factor with it, whose value leaks.
+    uniform_at_five = all(results[5].values())
+    if not is_prime(p):
+        assert not uniform_at_five
+    elif p > 5:
+        assert uniform_at_five
 
 
 def test_single_player_view_uniform_over_polynomials():

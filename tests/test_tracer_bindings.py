@@ -5,6 +5,8 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+from ratshare.shamir import round_trip_reconstructions
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 MODULES = ("cli", "engine", "lifts", "montecarlo", "analysis", "shamir",
            "dominance", "strategies", "report")
@@ -22,11 +24,21 @@ def _bindings(mods) -> dict:
     return {(owner, attr): value for owner in owners for attr, value in vars(owner).items()}
 
 
-def test_tracer_installs_runs_and_restores(tmp_path, capsys):
+def _load_tracer():
+    """The benchmark's tracer module, loaded from its file (not modified)."""
     spec = importlib.util.spec_from_file_location("ratshare_bench_tracer", TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    mods = SimpleNamespace(**{m: importlib.import_module(f"ratshare.{m}") for m in MODULES})
+    return tracer_module
+
+
+def _modules():
+    return SimpleNamespace(**{m: importlib.import_module(f"ratshare.{m}") for m in MODULES})
+
+
+def test_tracer_installs_runs_and_restores(tmp_path, capsys):
+    tracer_module = _load_tracer()
+    mods = _modules()
 
     before = _bindings(mods)
     tracer = tracer_module.Tracer()
@@ -50,3 +62,19 @@ def test_tracer_installs_runs_and_restores(tmp_path, capsys):
     after = _bindings(mods)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_tracer_counts_each_hiding_reconstruction_and_issue(capsys):
+    # The shamir layer figures of the exact workload count these calls, so
+    # the round trip must still go through both traced entry points.
+    mods = _modules()
+    tracer = _load_tracer().Tracer()
+    tracer.install(mods)
+    try:
+        assert mods.cli.main(["hiding", "--prime", "7"]) == 0
+    finally:
+        tracer.uninstall()
+    spans, _ = tracer.take()
+    names = [span[0] for span in spans]
+    assert names.count("shamir.reconstruct") == round_trip_reconstructions(7, 3)
+    assert names.count("shamir.issue_shares") == 7 + 7**2 + 7**3
