@@ -28,7 +28,7 @@ import numpy as np
 
 from . import analysis, dominance, montecarlo
 from .engine import DEFAULT_CAP, InvariantViolationError, check_run_config, run_mechanism
-from .protocol import STEPS_PER_ITERATION, TerminalCause
+from .protocol import STEPS_PER_ITERATION, MessageKind, Step, TerminalCause
 from .report import Report
 from .shamir import (
     exhaustive_hiding_check,
@@ -46,16 +46,37 @@ from .strategies import UtilityTable, deviation_profile, parse_deviation
 HIDING_BUDGET = 50_000
 
 # The sampler peaks at about 112 bytes per trial, so this many take about
-# 1.1 GB.  A dump of this many runs at alpha 0.5 would be about 114 GB of
+# 1.1 GB.  A dump of this many runs at alpha 0.5 would be about 130 GB of
 # JSONL, so dumps have their own bound below.
 MAX_TRIALS = 10_000_000
 
-# A dump writes 11.4 KB per trial at alpha 0.5, whose honest runs take 8
-# iterations on average: about 1.4 KB per iteration.  A dump expected to
-# write more than DUMP_BUDGET_BYTES (about 89,000 trials at alpha 0.5) is
-# refused before its file is opened.
-BYTES_PER_ITERATION = 1_400
+# Longest dump lines with 7-digit trial, iteration and epoch numbers
+# (trials stay below MAX_TRIALS; the default cap is 10**6): a coin piece or
+# masked bit, a restart request, and a broadcast share with a 10-digit y.
+BIT_LINE_BYTES, RESTART_LINE_BYTES, SHARE_LINE_BYTES = 118, 126, 244
+# A dump expected to write more than this is refused before its file is
+# opened: about 71,000 trials at alpha 0.5 and 640 at alpha 0.1.
 DUMP_BUDGET_BYTES = 10**9
+
+
+def dump_bytes_per_iteration(alpha: float) -> float:
+    """At least what an honest iteration writes to a dump, on average.
+
+    Each iteration sends six coin pieces and three masked bits.  When
+    exactly one coin is 1, its owner broadcasts to the other two and all
+    three ask for a restart; when all three are 1, all broadcast and the
+    run ends; otherwise all three ask for a restart.  An iteration's coins
+    do not depend on whether it is reached, so a run's bytes per iteration
+    average to this expectation.  At alpha 0.5 it is 1.76 KB (measured:
+    about 1.55 KB).
+    """
+    broadcasters = 3 * alpha * (1 - alpha) ** 2 + 3 * alpha**3
+    return (
+        9 * BIT_LINE_BYTES
+        + 3 * (1 - alpha**3) * RESTART_LINE_BYTES
+        + 2 * broadcasters * SHARE_LINE_BYTES
+    )
+
 
 # What a malformed --game or --utilities document can raise while loading.
 _BAD_DOCUMENT = (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError)
@@ -107,7 +128,7 @@ def _check_trials(trials: int) -> None:
 def _check_dump_size(trials: int, alpha: float, cap: int) -> None:
     """Refuse a dump whose honest runs would write past DUMP_BUDGET_BYTES."""
     iterations = min(cap, analysis.expected_steps(alpha) / STEPS_PER_ITERATION)
-    size = trials * iterations * BYTES_PER_ITERATION
+    size = trials * iterations * dump_bytes_per_iteration(alpha)
     if size > DUMP_BUDGET_BYTES:
         raise ConfigError(
             f"--dump-transcripts of {trials} trials at alpha {alpha} would write about "
@@ -134,20 +155,41 @@ def _share_record(payload) -> object:
 # share this one.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
+# The `"step":..,"kind":..,` part of a dump line, per (step, kind).
+_STEP_KIND = {
+    (step, kind): f'"step":{int(step)},"kind":{_encode(kind.value)},'
+    for step in Step
+    for kind in MessageKind
+}
 
-def _jsonl_line(trial: int, epoch: int, msg) -> str:
-    """One dump line: `json.dumps` of the message record, byte for byte."""
-    payload = msg.payload
+
+def _line_head(trial: int, iteration: int, epoch: int) -> str:
+    return f'{{"trial":{trial},"iteration":{iteration},"epoch":{epoch},'
+
+
+def _payload_json(payload) -> str:
     if type(payload) is int:
-        payload = str(payload)
-    elif payload is None:
-        payload = "null"
-    else:
-        payload = _encode(_share_record(payload))
+        return str(payload)
+    if payload is None:
+        return "null"
+    return _encode(_share_record(payload))
+
+
+def _jsonl_line(trial: int, epoch: int, msg, head: str | None = None,
+                payload_json: str | None = None) -> str:
+    """One dump line: `json.dumps` of the message record, byte for byte.
+
+    The dump writer passes the line head of the message's iteration and
+    the payload's JSON, which it builds once for the messages that share
+    them.
+    """
+    if head is None:
+        head = _line_head(trial, msg.iteration, epoch)
+    if payload_json is None:
+        payload_json = _payload_json(msg.payload)
     return (
-        f'{{"trial":{trial},"iteration":{msg.iteration},"epoch":{epoch},'
-        f'"step":{int(msg.step)},"kind":{_encode(msg.kind.value)},'
-        f'"sender":{msg.sender},"receiver":{msg.receiver},"payload":{payload}}}\n'
+        f'{head}{_STEP_KIND[msg.step, msg.kind]}"sender":{msg.sender},'
+        f'"receiver":{msg.receiver},"payload":{payload_json}}}\n'
     )
 
 
@@ -155,13 +197,17 @@ def _dumped_runs(fh, trials: int, alpha: float, seed: int, profile, cap: int):
     """Run each trial once with recording on, write its messages, yield its outcome."""
     for t in range(trials):
         outcome = run_mechanism(5, alpha, profile, seed, cap=cap, record=True, trial=t)
-        fh.write(
-            "".join(
-                _jsonl_line(t, transcript.epoch, msg)
-                for transcript in outcome.transcripts
-                for msg in transcript.messages
-            )
-        )
+        lines = []
+        for transcript in outcome.transcripts:
+            epoch = transcript.epoch
+            head = _line_head(t, transcript.iteration, epoch)
+            # A broadcast sends one payload object to every recipient in a row.
+            payload = text = None
+            for msg in transcript.messages:
+                if text is None or msg.payload is not payload:
+                    payload, text = msg.payload, _payload_json(msg.payload)
+                lines.append(_jsonl_line(t, epoch, msg, head, text))
+        fh.write("".join(lines))
         yield outcome
 
 

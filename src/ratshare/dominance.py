@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -107,13 +108,19 @@ class NormalFormGame:
             ):
                 raise ValueError(f"player {player} strategies must be a list of distinct strings")
         strategies = tuple(tuple(s) for s in doc["strategies"])
+        indexes = [{lbl: k for k, lbl in enumerate(labels)} for labels in strategies]
+        # A game repeats few distinct payoffs: parse each raw value once.
+        fraction = lru_cache(maxsize=None, typed=True)(Fraction)
         payoffs = {}
         for key, us in doc["payoffs"].items():
             if not (isinstance(us, list) and all(map(_is_payoff, us))):
                 raise ValueError(f"payoffs of {key!r} must be a list of finite numbers or strings")
             labels = key.split(",")
-            profile = tuple(strategies[i].index(lbl) for i, lbl in enumerate(labels))
-            payoffs[profile] = tuple(Fraction(u) for u in us)
+            try:
+                profile = tuple(indexes[i][lbl] for i, lbl in enumerate(labels))
+            except KeyError as exc:
+                raise ValueError(f"payoffs of {key!r} name an unknown strategy {exc}") from None
+            payoffs[profile] = tuple(map(fraction, us))
         return cls(strategies=strategies, payoffs=payoffs, name=doc.get("name", "game"))
 
     def save(self, path) -> None:

@@ -182,13 +182,16 @@ class GroupedExchange:
 
     def _coin_iteration(
         self, seats: dict[int, int | None], iteration: int, epoch: int
-    ) -> tuple[dict[int, Decision], IterationTranscript]:
+    ) -> tuple[dict[int, Decision], IterationTranscript | None]:
         """Execute steps 1-4 of one iteration among the seated leaders.
 
         `seats` maps each ring position to its leader, or to None once the
-        leader has left.  Returns the decisions by player and the transcript.
+        leader has left.  Returns the decisions by player and, when
+        recording, the transcript; an unrecorded iteration builds no
+        message and no transcript.
         """
         states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
+        leaders = self.leaders
         msgs: list[RoundMessage] = []
         decisions: dict[int, Decision] = {}
         live = {pos: pid for pos, pid in seats.items() if pid is not None}
@@ -197,14 +200,10 @@ class GroupedExchange:
         inbox_masked: dict[int, int] = {}
         broadcasts: list[tuple[int, object]] = []
 
-        def send(sender: int, receiver: int, step: Step, kind: MessageKind, payload) -> None:
-            if record:
-                msgs.append(RoundMessage(sender, receiver, step, kind, payload, iteration))
-
         def abort(pos: int, step: Step, about_pos: int, detail: str) -> None:
             pid = live.pop(pos)
             states[pid].cheat_evidence.append(
-                CheatEvidence("missing-bit", iteration, int(step), self.leaders[about_pos - 1], detail)
+                CheatEvidence("missing-bit", iteration, int(step), leaders[about_pos - 1], detail)
             )
             decisions[pid] = Decision(DecisionKind.ABORT)
 
@@ -219,8 +218,15 @@ class GroupedExchange:
             succ, pred = _SUCC[pos], _PRED[pos]
             inbox_plus[succ] = triple.c_plus
             inbox_minus[pred] = triple.c_minus
-            send(pid, self.leaders[succ - 1], Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, triple.c_plus)
-            send(pid, self.leaders[pred - 1], Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, triple.c_minus)
+            if record:
+                msgs.append(RoundMessage(
+                    pid, leaders[succ - 1], Step.COIN_EXCHANGE, MessageKind.COIN_PLUS,
+                    triple.c_plus, iteration,
+                ))
+                msgs.append(RoundMessage(
+                    pid, leaders[pred - 1], Step.COIN_EXCHANGE, MessageKind.COIN_MINUS,
+                    triple.c_minus, iteration,
+                ))
 
         # Step 2: read the step-1 bits (delivered one round later), forward the
         # masked combination to the predecessor.
@@ -237,7 +243,10 @@ class GroupedExchange:
             if bit is not None:
                 pred = _PRED[pos]
                 inbox_masked[pred] = bit
-                send(pid, self.leaders[pred - 1], Step.MASKED_BIT, MessageKind.MASKED_BIT, bit)
+                if record:
+                    msgs.append(RoundMessage(
+                        pid, leaders[pred - 1], Step.MASKED_BIT, MessageKind.MASKED_BIT, bit, iteration
+                    ))
 
         # Step 3: assemble the parity and decide whether to broadcast to the
         # other seated leaders, then to every observer.
@@ -255,9 +264,15 @@ class GroupedExchange:
                 st.broadcast_own = True
                 st.observed_broadcasts.add(pid)
                 broadcasts.append((pid, st.own_payload))
-                recipients = [other for other in seats.values() if other not in (None, pid)]
-                for receiver in recipients + self.observers:
-                    send(pid, receiver, Step.BROADCAST, MessageKind.SHARE_BROADCAST, st.own_payload)
+                if record:
+                    recipients = [other for other in seats.values() if other not in (None, pid)]
+                    msgs += [
+                        RoundMessage(
+                            pid, receiver, Step.BROADCAST, MessageKind.SHARE_BROADCAST,
+                            st.own_payload, iteration,
+                        )
+                        for receiver in recipients + self.observers
+                    ]
 
         # Step 4: take delivery of broadcasts, then stop or ask for a restart.
         for sender, payload in broadcasts:
@@ -272,7 +287,10 @@ class GroupedExchange:
             decision = strategies[pid].decide(st, rngs[pid])
             decisions[pid] = decision
             if decision.kind == DecisionKind.RESTART:
-                send(pid, ISSUER_ID, Step.DECIDE, MessageKind.RESTART_REQUEST, None)
+                if record:
+                    msgs.append(RoundMessage(
+                        pid, ISSUER_ID, Step.DECIDE, MessageKind.RESTART_REQUEST, None, iteration
+                    ))
             elif decision.kind == DecisionKind.STOP and not decision.learned:
                 st.cheat_evidence.append(
                     CheatEvidence(
@@ -284,6 +302,8 @@ class GroupedExchange:
                     )
                 )
 
+        if not record:
+            return decisions, None
         seated = [pid for pid in seats.values() if pid is not None]
         transcript = IterationTranscript(
             iteration=iteration,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 
 class Step(IntEnum):
@@ -73,11 +74,20 @@ class CoinTriple:
 
     @classmethod
     def make(cls, c: int, c_plus: int) -> "CoinTriple":
+        """One of four prebuilt triples for int bits; anything else is built and checked."""
+        if type(c) is int and type(c_plus) is int:
+            triple = _TRIPLES.get((c, c_plus))
+            if triple is not None:
+                return triple
         return cls(c, c_plus, c ^ c_plus)
 
 
-@dataclass(frozen=True)
-class RoundMessage:
+_TRIPLES = {(c, c_plus): CoinTriple(c, c_plus, c ^ c_plus) for c in (0, 1) for c_plus in (0, 1)}
+
+
+class RoundMessage(NamedTuple):
+    """One message: a tuple, so it unpacks and compares as one."""
+
     sender: int
     receiver: int
     step: Step

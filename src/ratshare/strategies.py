@@ -147,7 +147,11 @@ class HonestStrategy(Strategy):
     def decide(self, state: LocalState, rng: Random) -> Decision:
         if restart_rule(state.parity, state.observed_count):
             return RESTART
-        return Decision(DecisionKind.STOP, learned=state.has_learned())
+        return _STOP_LEARNED if state.has_learned() else _STOP_UNLEARNED
+
+
+_STOP_LEARNED = Decision(DecisionKind.STOP, learned=True)
+_STOP_UNLEARNED = Decision(DecisionKind.STOP, learned=False)
 
 
 class WithholdShare(HonestStrategy):

@@ -1,14 +1,27 @@
 """Command-line interface: reports, determinism, exit codes."""
 
 import hashlib
+import io
 import json
 from random import Random
 
 import pytest
 
-from ratshare.cli import _jsonl_line, _share_record, build_parser, main
+from ratshare.cli import (
+    BIT_LINE_BYTES,
+    MAX_TRIALS,
+    RESTART_LINE_BYTES,
+    SHARE_LINE_BYTES,
+    _dumped_runs,
+    _jsonl_line,
+    _share_record,
+    build_parser,
+    dump_bytes_per_iteration,
+    main,
+)
+from ratshare.engine import DEFAULT_CAP
 from ratshare.protocol import MessageKind, RoundMessage, Step
-from ratshare.shamir import FieldElement, ShareIssuer
+from ratshare.shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +286,48 @@ def test_dump_and_report_match_golden_digests(deviant, tmp_path):
     assert hashlib.sha256(report.result_text().encode()).hexdigest() == report_digest
 
 
+def test_dump_with_multi_digit_numbers_matches_golden_digests(tmp_path):
+    # Trial numbers reach 11 and iteration and epoch numbers three digits,
+    # so each line's trial/iteration/epoch head is exercised past one digit.
+    # Recorded while every line was formatted whole.
+    path = tmp_path / "run.jsonl"
+    argv = ["simulate", "--alpha", "0.3", "--trials", "12", "--seed", "3",
+            "--dump-transcripts", str(path)]
+    args = build_parser().parse_args(argv)
+    report = args.handler(args)
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "dcc2c9c2a736884b13bf9838bea7cad8d2841435d57eb17be5b3e26a4e0ccb6d"
+    )
+    assert (
+        hashlib.sha256(report.result_text().encode()).hexdigest()
+        == "04adaff45a94686c47de9ed268c206c3557da89a97a05ea79282e98c1cbdbc77"
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+def test_dump_bytes_per_iteration_bounds_honest_dumps(alpha):
+    fh = io.StringIO()
+    iterations = sum(o.iterations for o in _dumped_runs(fh, 20, alpha, 17, {}, DEFAULT_CAP))
+    assert len(fh.getvalue().encode()) / iterations <= dump_bytes_per_iteration(alpha)
+
+
+def test_dump_line_sizes_bound_the_widest_lines():
+    wide = MAX_TRIALS - 1  # 7 digits, as are iterations up to the default cap
+    assert len(str(DEFAULT_CAP)) == len(str(wide))
+    share = Share(3, FieldElement(3, DEFAULT_PRIME), FieldElement(DEFAULT_PRIME - 1, DEFAULT_PRIME),
+                  wide, bytes(32))
+    cases = [
+        (BIT_LINE_BYTES, Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, 1),
+        (BIT_LINE_BYTES, Step.MASKED_BIT, MessageKind.MASKED_BIT, 1),
+        (RESTART_LINE_BYTES, Step.DECIDE, MessageKind.RESTART_REQUEST, None),
+        (SHARE_LINE_BYTES, Step.BROADCAST, MessageKind.SHARE_BROADCAST, share),
+    ]
+    for size, step, kind, payload in cases:
+        msg = RoundMessage(3, 3, step, kind, payload, wide)
+        assert len(_jsonl_line(wide, wide, msg).encode()) == size
+
+
 def _payloads() -> dict:
     issuer = ShareIssuer(b"line", modulus=101)
     shares = issuer.issue_shares(FieldElement(9, 101), 2, 3, 4, Random(0))
@@ -410,7 +465,7 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
         ["simulate", "--alpha", "0.5", "--trials", "100000000000000000000", "--seed", "1",
          "--dump-transcripts", "DUMP"],
         ["audit", "--alpha", "0.25", "--trials", "100000000000000000000", "--seed", "1"],
-        # Dumps expected to write past DUMP_BUDGET_BYTES (11, 14 and 14 GB).
+        # Dumps expected to write past DUMP_BUDGET_BYTES (14, 16 and 16 GB).
         ["simulate", "--alpha", "0.5", "--trials", "1000000", "--seed", "1",
          "--dump-transcripts", "DUMP"],
         ["simulate", "--alpha", "0.1", "--trials", "10000", "--seed", "1",

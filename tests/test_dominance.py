@@ -340,6 +340,21 @@ def test_save_load_round_trip(tmp_path):
     assert again.payoffs == game.payoffs
 
 
+def test_from_doc_parses_every_payoff_exactly():
+    raw = [[1, 1.0], ["1", 0.1], ["1/10", "0.1"], [0.1, 1e-300]]
+    doc = {
+        "strategies": [["a", "b"], ["x", "y"]],
+        "payoffs": {key: us for key, us in zip(["a,x", "a,y", "b,x", "b,y"], raw)},
+    }
+    game = NormalFormGame.from_doc(doc)
+    for profile, us in zip([(0, 0), (0, 1), (1, 0), (1, 1)], raw):
+        assert game.payoffs[profile] == tuple(Fraction(u) for u in us)
+    assert game.payoffs[(0, 1)][1] != game.payoffs[(1, 0)][0]  # float 0.1 is not 1/10
+    doc["payoffs"]["b,q"] = doc["payoffs"].pop("b,y")
+    with pytest.raises(ValueError, match="unknown strategy 'q'"):
+        NormalFormGame.from_doc(doc)
+
+
 def test_payoff_tensor_must_be_total():
     with pytest.raises(ValueError):
         NormalFormGame(

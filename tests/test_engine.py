@@ -1,16 +1,20 @@
 """The synchronous executor: issuance, message flow, decisions, termination."""
 
+import dataclasses
 from itertools import product
 from random import Random
 
 import pytest
 
+import ratshare.engine as engine
 from ratshare.engine import (
     DuplicateEpochError,
+    MOfNExchange,
     issue_round,
     run_mechanism,
     run_mechanism_detailed,
 )
+from ratshare.lifts import TwoOfNExchange, lift_2_of_n, lift_m_of_n, partition_players
 from ratshare.protocol import (
     DecisionKind,
     MessageKind,
@@ -25,6 +29,7 @@ from ratshare.strategies import (
     AlwaysSilent,
     ForcedCoins,
     GarbleStep2,
+    WithholdFromLeader,
     WithholdShare,
     deviation_profile,
 )
@@ -361,6 +366,70 @@ def test_recording_does_not_change_the_run(name, deviator, alpha_prime, alpha):
             assert on_states[p].cheat_evidence == off_states[p].cheat_evidence
             assert on_states[p].holdings == off_states[p].holdings
         assert on.transcripts and not off.transcripts
+
+
+def _tamper(sub, recipient):
+    """Forge the subshare player 1 hands player 3."""
+    if sub.parent_holder == 1 and recipient == 3:
+        return dataclasses.replace(sub, value=sub.value + 1)
+    return sub
+
+
+LIFTS = [("m-of-n", size) for size in ((3, 4), (3, 6), (4, 5))] + [
+    ("2-of-n", n) for n in (3, 4, 5)
+]
+
+
+def _lifted_exchange(lift, size, play, record, trial):
+    """The exchange a lift runs, so its final states can be read."""
+    m, n = size if lift == "m-of-n" else (2, size)
+    groups, leaders = partition_players(n, m if lift == "m-of-n" else n)
+    forwarders = range(1, m + 1) if lift == "m-of-n" else range(1, n + 1)
+    # A forwarder that leads no group, if there is one, stalls its leader.
+    withholder = next((p for p in forwarders if p not in leaders), 1)
+    profile = {withholder: WithholdFromLeader()} if play == "withhold-from-leader" else None
+    kw = dict(alpha=0.5, profile=profile, seed=43, trial=trial, cap=40, prime=101, record=record)
+    if lift == "m-of-n":
+        return MOfNExchange(5, groups, leaders, m, **kw)
+    return TwoOfNExchange(5, n, subshare_filter=_tamper if play == "tamper" else None, **kw)
+
+
+@pytest.mark.parametrize(
+    "lift, size, play",
+    [(lift, size, play) for lift, size in LIFTS for play in ("honest", "withhold-from-leader")]
+    + [("2-of-n", n, "tamper") for n in (3, 4, 5)],
+)
+def test_recording_does_not_change_lifted_runs(lift, size, play):
+    for trial in range(3):
+        on, off = (_lifted_exchange(lift, size, play, record, trial) for record in (True, False))
+        on_outcome, off_outcome = on.run(), off.run()
+        assert (on_outcome.iterations, on_outcome.info, on_outcome.cause) == (
+            off_outcome.iterations, off_outcome.info, off_outcome.cause
+        )
+        for p in on.players:
+            assert on.states[p].cheat_evidence == off.states[p].cheat_evidence
+            assert on.states[p].holdings == off.states[p].holdings
+        assert on_outcome.transcripts and not off_outcome.transcripts
+
+
+def test_unrecorded_runs_build_no_message(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unrecorded run built a message or a transcript")
+
+    monkeypatch.setattr(engine, "RoundMessage", refuse)
+    monkeypatch.setattr(engine, "IterationTranscript", refuse)
+    profiles = [{}, {3: WithholdFromLeader()}] + [
+        deviation_profile(name, deviator, 0.3 if name == "biased-coin" else None)
+        for name in DEVIATIONS
+        for deviator in (1, 2, 3)
+    ]
+    for profile in profiles:
+        for trial in range(2):
+            kw = dict(seed=47, cap=30, record=False, trial=trial)
+            run_mechanism(5, 0.5, profile, **kw)
+            lift_m_of_n(5, 3, 6, 0.5, profile, **kw)
+            lift_m_of_n(5, 4, 5, 0.5, profile, **kw)
+            lift_2_of_n(5, 5, 0.5, profile, **kw)
 
 
 def test_player_rngs_are_stable_across_runs():

@@ -1,9 +1,12 @@
 """Group lifts: m-of-n via leaders, 2-of-n via subshares."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
+from ratshare.cli import _share_record
 from ratshare.engine import InvariantViolationError
 from ratshare.lifts import (
     TwoOfNExchange,
@@ -152,6 +155,48 @@ def test_lift_alpha_validation():
         lift_2_of_n(42, 3, alpha=0.0, seed=1)
     with pytest.raises(ValueError):
         lift_m_of_n(42, 3, 6, alpha=1.0001, seed=1)
+
+
+# --- recorded messages -------------------------------------------------------------
+
+# sha256 of the compact JSON list of (sender, receiver, step, kind, payload
+# record, iteration) over a lifted run's recorded messages, recorded while
+# messages were frozen dataclasses.  The withholding runs cover the
+# restart requests of a stalled leader.
+GOLDEN_LIFT_MESSAGES = {
+    "3-of-6": (
+        lambda: lift_m_of_n(5, 3, 6, 0.5),
+        94, "5137b00aa3c6f4ba60963d273390fc0d23ebc5a55d8807db5335d6bd53fab34d",
+    ),
+    "3-of-6-trial-1": (
+        lambda: lift_m_of_n(5, 3, 6, 0.5, trial=1),
+        327, "7e044472529d4834fa32f8cf974c7da353287f7347428d024ce4f3975f58ccad",
+    ),
+    "2-of-5": (
+        lambda: lift_2_of_n(5, 5, 0.5),
+        23, "4edbd236fcd4a3dde4665970b8f3721053341b3c57d781b49ddb767f86d9cdf3",
+    ),
+    "4-of-5-withhold": (
+        lambda: lift_m_of_n(5, 4, 5, 0.5, {3: WithholdFromLeader()}, cap=3),
+        9, "01d502b760e07f2654ebfcd49299b8f8adf8288836ffe1b0728a2b4e850a1df8",
+    ),
+    "2-of-5-withhold": (
+        lambda: lift_2_of_n(5, 5, 0.5, {3: WithholdFromLeader()}, cap=3),
+        12, "f27239408b01fc38e0c82c9812524ceb722b65986c891a077b29a4ade8697275",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_LIFT_MESSAGES))
+def test_lifted_messages_match_golden_digests(name):
+    run, count, digest = GOLDEN_LIFT_MESSAGES[name]
+    rows = [
+        (m.sender, m.receiver, int(m.step), m.kind.value, _share_record(m.payload), m.iteration)
+        for t in run().transcripts
+        for m in t.messages
+    ]
+    assert len(rows) == count
+    assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == digest
 
 
 # --- invariants of the shared run loop ----------------------------------------------

@@ -38,6 +38,19 @@ def test_coin_triple_invariant():
         CoinTriple(2, 0, 0)
 
 
+def test_coin_triple_make_shares_prebuilt_triples_and_checks_the_rest():
+    for c in (0, 1):
+        for c_plus in (0, 1):
+            t = CoinTriple.make(c, c_plus)
+            assert t is CoinTriple.make(c, c_plus)
+            assert (t.c, t.c_plus, t.c_minus) == (c, c_plus, c ^ c_plus)
+    for bad in ((2, 0), (0, -1), (1, 3)):
+        with pytest.raises(ValueError):
+            CoinTriple.make(*bad)
+    # Non-int bits are built as given, as before prebuilt triples.
+    assert CoinTriple.make(True, 0).c is True
+
+
 def test_masked_bit_rule():
     assert masked_bit_rule(1, 1) == 0
     assert masked_bit_rule(0, 1) == 1
