@@ -188,6 +188,16 @@ DEFAULT_AUDIT_DEVIATIONS = (
 )
 
 
+def _reject_repeats(what: str, keys, labels) -> None:
+    """Raise ValueError when two labels name the same key."""
+    first = {}
+    for key, label in zip(keys, labels):
+        if key in first:
+            alias = f" (first as {first[key]!r})" if first[key] != label else ""
+            raise ValueError(f"{what} {label!r} is listed twice{alias}")
+        first[key] = label
+
+
 def nash_audit(
     alpha: float,
     table: UtilityTable,
@@ -201,15 +211,20 @@ def nash_audit(
 
     A deviation is flagged as profitable when its estimate beats the
     honest baseline by more than three standard errors, or when its
-    closed form (withholding only) strictly beats the baseline.
+    closed form (withholding only) strictly beats the baseline.  Two specs
+    that parse to the same deviation, or a repeated deviator, raise
+    ValueError before anything is sampled.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if trials < 10_000:
         raise ValueError(f"audit needs at least 10^4 trials, got {trials}")
     table.require(3)
-    # Every spec and deviator is checked before anything is sampled.
+    # Every spec and deviator is checked before anything is sampled.  A
+    # repeat would sample the same profile again.
     parsed = [(spec, *parse_deviation(spec)) for spec in deviations]
+    _reject_repeats("deviation", [(name, alpha_prime) for _, name, alpha_prime in parsed], deviations)
+    _reject_repeats("deviator", deviators, deviators)
     for _, name, alpha_prime in parsed:
         for deviator in deviators:
             deviation_profile(name, deviator, alpha_prime)

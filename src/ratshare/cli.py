@@ -45,9 +45,11 @@ from .strategies import UtilityTable, deviation_profile, parse_deviation
 # minute and one near 1,000 six to seven hours, so larger inputs are refused.
 HIDING_BUDGET = 50_000
 
-# The sampler peaks at about 112 bytes per trial, so this many take about
-# 1.1 GB.  A dump of this many runs at alpha 0.5 would be about 130 GB of
-# JSONL, so dumps have their own bound below.
+# `simulate` on the vectorized sampler peaks at about 34 bytes per trial
+# above the import baseline (ru_maxrss of a fresh process: 33.5 at 2*10**6
+# trials, 32.3 at 10**7, alpha 0.5), so this many take about 0.34 GB.  A
+# dump of this many runs at alpha 0.5 would be about 130 GB of JSONL, so
+# dumps have their own bound below.
 MAX_TRIALS = 10_000_000
 
 # Longest dump lines with 7-digit trial, iteration and epoch numbers

@@ -80,14 +80,27 @@ class TrialStats:
             for cause, code in CAUSE_CODE.items()
         }
 
+    def _info_codes(self) -> np.ndarray:
+        """Each trial's info vector as its pattern row, 4*i1 + 2*i2 + i3."""
+        codes = self.info[:, 0] << 2
+        codes |= self.info[:, 1] << 1
+        codes |= self.info[:, 2]
+        return codes
+
     def info_histogram(self) -> dict[str, int]:
-        counts = np.bincount(self.info @ _PATTERN_CODE, minlength=8)
-        return {info_key(vec): int(count) for vec, count in zip(_VECTORS, counts)}
+        # One count_nonzero per row: np.bincount first casts the uint8 codes
+        # to intp and takes about 2.7 times as long (0.36 against 0.13 ms
+        # at 10**5 trials).
+        codes = self._info_codes()
+        return {
+            info_key(vec): int(np.count_nonzero(codes == row))
+            for row, vec in enumerate(_VECTORS)
+        }
 
     def utilities(self, table: UtilityTable, player: int) -> np.ndarray:
         """Payoffs per trial; cap-hit trials already carry the all-zero vector."""
         lut = np.array([table.payoff(player, vec) for vec in _VECTORS])
-        return lut[self.info @ _PATTERN_CODE]
+        return lut.take(self._info_codes())
 
     def mean_utility(self, table: UtilityTable, player: int) -> tuple[float, float]:
         """(mean, standard error) of the player's payoff."""
@@ -159,17 +172,34 @@ def sample_runs(
     weight = np.where(PATTERNS, heads, 1 - heads).prod(axis=1)
     absorbing = np.flatnonzero(~restart & (weight > 0))
     cdf = np.cumsum(weight[absorbing])
+    # One row per absorbing pattern, then a cap row for a trial that
+    # restarts `cap` times: it stops at the cap and nobody learns.
+    cap_row = absorbing.size
+    info_rows = np.zeros((cap_row + 1, 3), dtype=np.uint8)
+    info_rows[:cap_row] = info[absorbing]
+    cause_rows = np.append(cause[absorbing], CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT]).astype(np.uint8)
+    extra_rows = np.append(extra[absorbing], 0)
 
     rng = derive_generator(seed, "mc", deviation or "honest", deviator or 0, alpha_prime or 0.0)
     u = rng.random((trials, 2))
     with np.errstate(divide="ignore"):  # all absorb: weights sum to 1 up to rounding, k = 1
-        k = 1 + np.floor(np.log1p(-u[:, 0]) / np.log1p(-min(cdf[-1], 1.0)))
-    pick = absorbing[np.minimum(np.searchsorted(cdf, u[:, 1] * cdf[-1], "right"), cdf.size - 1)]
-    capped = k > cap
-    iterations = np.minimum(k + extra[pick], cap).astype(np.int64)
-    causes = np.where(capped, CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT], cause[pick])
-    info = np.where(capped[:, None], 0, info[pick]).astype(np.uint8)
-    return TrialStats(iterations, causes.astype(np.uint8), info)
+        k = np.log1p(-u[:, 0])
+        k /= np.log1p(-min(cdf[-1], 1.0))
+    np.floor(k, out=k)
+    k += 1
+    # The absorbing row: how many cdf entries below the last one u * cdf[-1]
+    # reaches.  Each per-trial temporary is dropped once read, so a call
+    # peaks near 33 bytes per trial.
+    v = u[:, 1] * cdf[-1]
+    del u
+    row = np.zeros(trials, dtype=np.intp)
+    for edge in cdf[:-1]:
+        row += v >= edge
+    del v
+    row[k > cap] = cap_row
+    k += extra_rows.take(row)
+    np.minimum(k, cap, out=k)
+    return TrialStats(k.astype(np.int64), cause_rows.take(row), info_rows.take(row, axis=0))
 
 
 def sample_runs_reference(

@@ -518,8 +518,14 @@ def test_rejected_dump_leaves_existing_file_unchanged(tmp_path, capsys):
     "flags",
     [["--deviations", "withhold,garble-step2,bogus"],
      ["--deviations", "withhold,biased-coin:5"],
-     ["--deviations", "withhold", "--deviators", "1,4"]],
-    ids=["unknown-third-spec", "bad-alpha-prime", "deviator-4"],
+     ["--deviations", "withhold", "--deviators", "1,4"],
+     # A repeat would sample a profile again and print its report keys twice.
+     ["--deviations", "withhold,garble-step2,withhold"],
+     ["--deviations", "biased-coin,biased-coin:1"],
+     ["--deviators", "1,1"],
+     ["--deviations", "withhold,withhold", "--deviators", "1,1"]],
+    ids=["unknown-third-spec", "bad-alpha-prime", "deviator-4", "repeated-spec",
+         "same-profile-two-specs", "repeated-deviator", "both-repeated"],
 )
 def test_audit_checks_every_spec_before_sampling(flags, monkeypatch, capsys):
     from ratshare import montecarlo
@@ -529,7 +535,10 @@ def test_audit_checks_every_spec_before_sampling(flags, monkeypatch, capsys):
     monkeypatch.setattr(montecarlo, "sample_runs", lambda *a, **k: calls.append(1) or real(*a, **k))
     argv = ["audit", "--alpha", "0.25", "--trials", "10000", "--seed", "1", *flags]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
     assert calls == []
 
 

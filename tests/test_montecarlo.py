@@ -7,9 +7,12 @@ row for the same coins.  Together with per-iteration independence this
 makes the two samplers interchangeable.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 from math import prod
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,13 +20,16 @@ from hypothesis import given, settings, strategies as st
 
 from ratshare import montecarlo
 from ratshare.analysis import expected_steps, iteration_distribution, withhold_lhs
-from ratshare.engine import run_mechanism
+from ratshare.engine import DEFAULT_CAP, run_mechanism
 from ratshare.protocol import TerminalCause
+from ratshare.seeding import derive_generator
 from ratshare.strategies import (
     DEVIATIONS,
     ForcedCoins,
+    HonestStrategy,
     build_deviation,
     canonical_table,
+    deviation_profile,
     parse_deviation,
 )
 
@@ -211,3 +217,132 @@ def test_cap_leaves_cause_cap_hit():
     capped = stats.causes == montecarlo.CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT]
     assert (stats.iterations[capped] == 3).all()
     assert not stats.info[capped].any()
+
+
+# SHA-256 over iterations, causes and info (dtype, shape, bytes) of
+# sample_runs(alpha, 3000, 17, ...) for alpha in (0.3, 1) and each cap in
+# (1, 2, 5, DEFAULT_CAP), recorded with the searchsorted/np.where sampler
+# that the oracle below keeps.
+GOLDEN_DIGESTS = {
+    (None, None): "1733555e31eb806b6f8b91d5af926f6efb4cb5fed411e8218baee93a637c500f",
+    ("withhold", 1): "799430e11bc9ce601c3bda7178f7e7cebd17ad66348d16a1cfef3c8d17766982",
+    ("withhold", 2): "4d1355d36f16b02310b25ab8669c6d0411947bc9b2a5c4174fabe00ad9790c78",
+    ("withhold", 3): "6a222b598059fce7526a691ad9374d49266eac0cad398a34109d401f5a5f6856",
+    ("biased-coin:0.5", 1): "ca9b0ff7009fdf53f5c38cd97148da0a8ad48a2c04bf7be8922c4a3b33e6f602",
+    ("biased-coin:0.5", 2): "7d08a29e73b9d95ce4c7ccaec89b12042dbe802e1e0f576fa86ed57e85e0e525",
+    ("biased-coin:0.5", 3): "9304c47a89cc3468587cfbbff7c98d650d36f6330743bbbc69423670fc0196d4",
+    ("biased-coin:1", 1): "5f433eef0564e959ab116545457084be91fdfc5d36a753965a538fdf7fa5708e",
+    ("biased-coin:1", 2): "c203bfd1623bce0f4651a2307346d46eb172a0411d0eaac12bbace40c7c79fb9",
+    ("biased-coin:1", 3): "c5e887efaa3e99e0d2520dcde8053bb50c25fd6694b4713856feb2b74dcd1d0e",
+    ("garble-step2", 1): "8cca114f5fbbd68a60fd5a9c412316f0697e14403caa6b63e0a0bc4880d5a5d0",
+    ("garble-step2", 2): "ec3824c4f44988bb7cd7aa490971be889b09d6fb144ccc28c0e350cce180a1ee",
+    ("garble-step2", 3): "e54f2f42079c4c542cb9225dd4472d1cab06f402f9e8573ccb4c8fecb3b9fa51",
+    ("always-silent", 1): "b7fe83e888ce184a6d47af4c9fd8f6c29763e59025db109662503781a0e48aa0",
+    ("always-silent", 2): "b7fe83e888ce184a6d47af4c9fd8f6c29763e59025db109662503781a0e48aa0",
+    ("always-silent", 3): "b7fe83e888ce184a6d47af4c9fd8f6c29763e59025db109662503781a0e48aa0",
+    ("always-broadcast", 1): "e78943debc504e1df1bb6240824d82be6bc3c5dfffeb36570042a3c36039d887",
+    ("always-broadcast", 2): "6b1183b83fdb3417b60438adc9da8234a4b1fd2dd622311081e82d3bba31e84b",
+    ("always-broadcast", 3): "0038f7af60c4817b5b1a648a972f181d7d2a8b18173365f9b225fc1d16897b8c",
+}
+
+
+def test_golden_grid_covers_every_deviation():
+    names = {parse_deviation(spec)[0] for spec, _ in GOLDEN_DIGESTS if spec is not None}
+    assert names == set(DEVIATIONS)
+
+
+@pytest.mark.parametrize("spec, deviator", list(GOLDEN_DIGESTS), ids=str)
+def test_sample_runs_matches_golden_digest(spec, deviator):
+    name, alpha_prime = parse_deviation(spec) if spec is not None else (None, None)
+    digest = hashlib.sha256()
+    for alpha, cap in product((0.3, 1.0), (1, 2, 5, DEFAULT_CAP)):
+        stats = montecarlo.sample_runs(alpha, 3000, 17, deviation=name, deviator=deviator,
+                                       alpha_prime=alpha_prime, cap=cap)
+        for array in (stats.iterations, stats.causes, stats.info):
+            digest.update(array.dtype.str.encode())
+            digest.update(str(array.shape).encode())
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[spec, deviator]
+
+
+def absorbing_cdf(alpha, deviation, deviator, alpha_prime):
+    """The profile's absorbing pattern rows and their cumulative weights."""
+    profile = deviation_profile(deviation, deviator, alpha_prime)
+    kernel = montecarlo.iteration_kernel(deviation, deviator)
+    heads = np.array([profile.get(p, HonestStrategy()).coin_bias(alpha) for p in (1, 2, 3)])
+    weight = np.where(montecarlo.PATTERNS, heads, 1 - heads).prod(axis=1)
+    absorbing = np.flatnonzero(~kernel.restart & (weight > 0))
+    return absorbing, np.cumsum(weight[absorbing])
+
+
+def oracle_sample(u, alpha, deviation, deviator, alpha_prime, cap):
+    """The searchsorted/np.where sampler on given (T, 2) uniforms."""
+    _, info, extra, cause = montecarlo.iteration_kernel(deviation, deviator)
+    absorbing, cdf = absorbing_cdf(alpha, deviation, deviator, alpha_prime)
+    with np.errstate(divide="ignore"):
+        k = 1 + np.floor(np.log1p(-u[:, 0]) / np.log1p(-min(cdf[-1], 1.0)))
+    pick = absorbing[np.minimum(np.searchsorted(cdf, u[:, 1] * cdf[-1], "right"), cdf.size - 1)]
+    capped = k > cap
+    iterations = np.minimum(k + extra[pick], cap).astype(np.int64)
+    causes = np.where(capped, montecarlo.CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT], cause[pick])
+    info = np.where(capped[:, None], 0, info[pick]).astype(np.uint8)
+    return iterations, causes.astype(np.uint8), info
+
+
+def on_edge(edge, total):
+    """A uniform u < 1 with u * total == edge, when one is near edge / total."""
+    guess = min(edge / total, np.nextafter(1.0, 0.0))
+    for u in (guess, np.nextafter(guess, 0.0), np.nextafter(guess, 1.0)):
+        if u < 1 and u * total == edge:
+            return u
+    return guess
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1)),
+    alpha_prime=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1)),
+    deviation=st.sampled_from([None, *DEVIATIONS]),
+    deviator=st.integers(1, 3),
+    cap=st.one_of(st.integers(1, 6), st.just(DEFAULT_CAP)),
+    trials=st.integers(1, 200),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_sampler_matches_searchsorted_oracle(alpha, alpha_prime, deviation, deviator, cap,
+                                             trials, seed, data):
+    # Stream uniforms, some moved onto cdf entries (where "right" matters)
+    # and onto the ends of [0, 1).  At alpha 1 an honest cdf has one entry.
+    deviator = deviator if deviation is not None else None
+    alpha_prime = alpha_prime if deviation == "biased-coin" else None
+    _, cdf = absorbing_cdf(alpha, deviation, deviator, alpha_prime)
+    u = derive_generator(seed, "oracle").random((trials, 2))
+    rows = st.integers(0, trials - 1)
+    for t, j in data.draw(st.lists(st.tuples(rows, st.integers(0, cdf.size - 1)), max_size=20)):
+        u[t, 1] = on_edge(cdf[j], cdf[-1])
+    for t, u0 in data.draw(st.lists(st.tuples(rows, st.sampled_from([0.0, np.nextafter(1.0, 0.0)])),
+                                    max_size=5)):
+        u[t, 0] = u0
+
+    def fake_generator(*path):
+        def random(shape):
+            assert shape == u.shape
+            return u.copy()
+        return SimpleNamespace(random=random)
+
+    with mock.patch.object(montecarlo, "derive_generator", fake_generator):
+        stats = montecarlo.sample_runs(alpha, trials, seed, deviation=deviation, deviator=deviator,
+                                       alpha_prime=alpha_prime, cap=cap)
+    for got, want in zip((stats.iterations, stats.causes, stats.info),
+                         oracle_sample(u, alpha, deviation, deviator, alpha_prime, cap)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_oracle_reaches_cdf_entries_exactly():
+    # At alpha 0.5 the weights are multiples of 1/8, so every entry can be hit.
+    _, cdf = absorbing_cdf(0.5, "withhold", 1, None)
+    assert cdf.size > 1
+    assert all(on_edge(edge, cdf[-1]) * cdf[-1] == edge for edge in cdf[:-1])
+    _, cdf = absorbing_cdf(1.0, None, None, None)
+    assert cdf.tolist() == [1.0]

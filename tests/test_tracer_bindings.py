@@ -78,3 +78,23 @@ def test_tracer_counts_each_hiding_reconstruction_and_issue(capsys):
     names = [span[0] for span in spans]
     assert names.count("shamir.reconstruct") == round_trip_reconstructions(7, 3)
     assert names.count("shamir.issue_shares") == 7 + 7**2 + 7**3
+
+
+def test_one_sample_runs_is_one_kernel_lookup_and_one_stream():
+    # The sampler workload's exact counts rest on this: per sample_runs,
+    # one `montecarlo.iteration_outcome` call over the 8 kernel rows and
+    # one `derive_generator` stream, whatever the trial count.  The kernel
+    # is built (by engine runs) before tracing, as after a benchmark pass.
+    mods = _modules()
+    kernel = mods.montecarlo.iteration_kernel("withhold", 2)
+    tracer = _load_tracer().Tracer()
+    tracer.install(mods)
+    try:
+        mods.montecarlo.sample_runs(0.5, 1000, 1, deviation="withhold", deviator=2)
+    finally:
+        tracer.uninstall()
+    spans, counts = tracer.take()
+    assert sorted(span[0] for span in spans) == [
+        "montecarlo.iteration_outcome", "montecarlo.sample_runs", "seeding.derive"]
+    assert counts["montecarlo.rows"] == len(mods.montecarlo.PATTERNS)
+    assert counts["montecarlo.absorbed_rows"] == int((~kernel.restart).sum())
