@@ -100,8 +100,13 @@ def alpha_star(table: UtilityTable) -> AlphaStar:
     Solves a^2 (u_only - u_all) = (1-a)^2 (u_all - u_none) per player:
     alpha*_i = sqrt(R_i) / (1 + sqrt(R_i)) with
     R_i = (u_all - u_none) / (u_only - u_all).  The global threshold is
-    the minimum over players; equality at the threshold still counts as
-    no incentive because the cheating condition is strict.  The axioms
+    the minimum over players.  This is the Nash threshold: at alpha =
+    alpha* withholding only ties with honest play against honest
+    opponents (the cheating condition is strict), so honesty is still a
+    Nash equilibrium there.  It is not a threshold for surviving iterated
+    deletion of weakly dominated strategies: at alpha = alpha* withholding
+    weakly dominates honest play, being strictly better against some
+    non-honest opponents, so that holds only strictly below.  The axioms
     make u_only > u_all for every player of a 3-player table, so R is
     finite.
     """

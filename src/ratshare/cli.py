@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -264,7 +264,8 @@ def cmd_simulate(args) -> Report:
         count = cause_counts[cause]
         section.add(f"cause.{cause.value}.count", count)
         section.add(f"cause.{cause.value}.fraction", count / args.trials)
-    for key, count in sorted(stats.info_histogram().items()):
+    histogram = stats.info_histogram()
+    for key, count in sorted(histogram.items()):
         section.add(f"info.{key}.count", count)
     section.add("mean-iterations", float(stats.iterations.mean()))
     section.add("mean-total-steps", float(stats.total_steps.mean()))
@@ -272,7 +273,7 @@ def cmd_simulate(args) -> Report:
     if deviation is not None:
         absorbed = int(np.count_nonzero(stats.causes != montecarlo.CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT]))
         only = tuple(1 if p == deviator else 0 for p in (1, 2, 3))
-        only_count = int(stats.info_histogram()["".join(map(str, only))])
+        only_count = int(histogram["".join(map(str, only))])
         section.add("deviant.absorbed-count", absorbed)
         section.add(
             "deviant.only-deviator-learned-fraction",
@@ -301,9 +302,13 @@ def cmd_audit(args) -> Report:
     table = _load_table(args)
     alpha = _resolve_alpha(args, table)
     _check_trials(args.trials)
-    deviations = tuple(args.deviations.split(",")) if args.deviations else analysis.DEFAULT_AUDIT_DEVIATIONS
+    # An empty list is a list with one empty entry, rejected like "withhold,".
+    if args.deviations is None:
+        deviations = analysis.DEFAULT_AUDIT_DEVIATIONS
+    else:
+        deviations = tuple(args.deviations.split(","))
     try:
-        deviators = tuple(int(d) for d in args.deviators.split(",")) if args.deviators else (1, 2, 3)
+        deviators = (1, 2, 3) if args.deviators is None else tuple(int(d) for d in args.deviators.split(","))
     except ValueError:
         raise ConfigError(f"--deviators must be a comma list of players, got {args.deviators!r}")
     report = Report("audit")
@@ -500,9 +505,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first `main` call and reused by the rest.
+
+    Parsing leaves the parser as it was: each call gets a fresh namespace
+    filled from the defaults of the subcommand it names.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = args.handler(args).render()
         if args.out:

@@ -391,15 +391,17 @@ def build_bounded_game(rounds: int, table: UtilityTable) -> NormalFormGame:
         for plan in product((SEND, WITHHOLD), repeat=len(BOUNDED_HISTORIES))
     ]
     labels = tuple(bounded_strategy_label(a1, plan) for a1, plan in pures)
+    # 256 cells share 4 info vectors: convert each vector's payoffs once.
+    exact = {
+        info: (_exact(table.payoff(1, info)), _exact(table.payoff(2, info)))
+        for info in product((0, 1), repeat=2)
+    }
     payoffs = {}
     info_map = {}
     for i, s1 in enumerate(pures):
         for j, s2 in enumerate(pures):
             info = _bounded_outcome(s1, s2)
-            payoffs[(i, j)] = (
-                _exact(table.payoff(1, info)),
-                _exact(table.payoff(2, info)),
-            )
+            payoffs[(i, j)] = exact[info]
             info_map[(i, j)] = info
     return NormalFormGame(
         strategies=(labels, labels), payoffs=payoffs, name="bounded-r2", info_map=info_map

@@ -66,6 +66,21 @@ def test_simulate_deviant_fraction(capsys):
     assert abs(float(line.split(" = ")[1]) - 0.9412) < 0.01
 
 
+def test_deviant_simulate_builds_the_info_histogram_once(monkeypatch, capsys):
+    from ratshare.montecarlo import TrialStats
+
+    calls = []
+    real = TrialStats.info_histogram
+    monkeypatch.setattr(TrialStats, "info_histogram", lambda self: calls.append(1) or real(self))
+    code, out = run_cli(
+        capsys, "simulate", "--alpha", "0.8", "--trials", "1000", "--seed", "7",
+        "--deviant", "1:withhold",
+    )
+    assert code == 0
+    assert "deviant.only-deviator-learned-fraction" in out
+    assert calls == [1]
+
+
 def test_simulate_auto_alpha(capsys):
     code, out = run_cli(
         capsys, "simulate", "--alpha", "auto", "--trials", "100", "--seed", "3"
@@ -523,9 +538,13 @@ def test_rejected_dump_leaves_existing_file_unchanged(tmp_path, capsys):
      ["--deviations", "withhold,garble-step2,withhold"],
      ["--deviations", "biased-coin,biased-coin:1"],
      ["--deviators", "1,1"],
-     ["--deviations", "withhold,withhold", "--deviators", "1,1"]],
+     ["--deviations", "withhold,withhold", "--deviators", "1,1"],
+     # An empty list is not the default list.
+     ["--deviations", ""],
+     ["--deviators", ""]],
     ids=["unknown-third-spec", "bad-alpha-prime", "deviator-4", "repeated-spec",
-         "same-profile-two-specs", "repeated-deviator", "both-repeated"],
+         "same-profile-two-specs", "repeated-deviator", "both-repeated",
+         "empty-deviations", "empty-deviators"],
 )
 def test_audit_checks_every_spec_before_sampling(flags, monkeypatch, capsys):
     from ratshare import montecarlo
@@ -540,6 +559,46 @@ def test_audit_checks_every_spec_before_sampling(flags, monkeypatch, capsys):
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert calls == []
+
+
+def test_main_reuses_one_parser_and_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    from ratshare import cli
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    out = tmp_path / "star.txt"
+    simulate = ["simulate", "--alpha", "0.5", "--trials", "200", "--seed", "3"]
+    calls = [
+        simulate,
+        ["dominance", "--builtin", "bounded-r2"],  # players defaults to 2 here, 3 elsewhere
+        ["audit", "--alpha", "0.25", "--trials", "10000", "--seed", "1",
+         "--deviations", "withhold"],
+        ["--out", str(out), "alpha-star"],
+        ["alpha-star"],
+        ["simulate", "--alpha", "0.5", "--trials", "many", "--seed", "1"],  # argparse rejects it
+        simulate,
+    ]
+    for argv in calls:
+        try:
+            fresh = real().parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            with pytest.raises(SystemExit) as reused:
+                main(argv)
+            assert reused.value.code == 2
+            capsys.readouterr()
+            continue
+        assert vars(cli._parser().parse_args(argv)) == vars(fresh)
+        expected = result_sections(fresh.handler(fresh).render())
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        if fresh.out:
+            assert printed == ""
+            printed = out.read_text()
+        assert result_sections(printed) == expected
+    assert builds == [1]
 
 
 def test_missing_seed_is_a_usage_error():

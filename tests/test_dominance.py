@@ -1,5 +1,7 @@
 """Weak dominance, delete-all iteration, and the tiny exchange games."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -256,6 +258,16 @@ def test_bounded_two_rounds_strategy_count():
     assert len(game.strategies[0]) == 16
     assert len(game.strategies[1]) == 16
     assert len(game.payoffs) == 256
+    # Labels, exact payoffs and info map, recorded while each cell
+    # converted its own payoffs.
+    golden = {
+        (2, 1, 0): "8276eb0bd250f222edcc46059fed10042117e6b8dbcbf5634859bc80be473328",
+        (0.7, 0.3, 0.1): "37a8c320d42342649d22780989aae0b1052abb633265817664f179e265ae352e",
+    }
+    for scalars, digest in golden.items():
+        game = build_bounded_game(2, UtilityTable.from_scalars(*scalars, n_players=2))
+        blob = json.dumps([game.to_doc(), sorted(game.info_map.items())])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_bounded_builder_caps_at_two_rounds():
