@@ -122,10 +122,14 @@ def alpha_star(table: UtilityTable) -> AlphaStar:
 
 
 def expected_steps(alpha: float) -> float:
-    """Expected total steps of an honest run: five per iteration."""
+    """Expected total steps of an honest run: five per iteration.
+
+    Infinite once alpha**3 underflows to 0 (alpha below about 1e-108).
+    """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    return 5 / alpha**3
+    cube = alpha**3
+    return 5 / cube if cube else math.inf
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,8 @@ def dump_bytes_per_iteration(alpha: float) -> float:
     )
 
 
+TABLE_DEFAULTS = {"u_only": 2.0, "u_all": 1.0, "u_none": 0.0}
+
 # What a malformed --game or --utilities document can raise while loading.
 _BAD_DOCUMENT = (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError)
 
@@ -358,7 +360,22 @@ def _build_game(args, table: UtilityTable):
     return build(table), labels
 
 
+# `dominance` parses these with no default, so it can tell a given flag from
+# an absent one: with --game a given one is an error, since a loaded game
+# uses neither a builtin nor a utility table.  The defaults are filled in
+# here, so the [config] echo is the same as with parser defaults.
+_DOMINANCE_DEFAULTS = {"builtin": "oneshot-2of2", **TABLE_DEFAULTS}
+
+
 def cmd_dominance(args) -> Report:
+    if args.game:
+        given = [f"--{dest.replace('_', '-')}" for dest in (*_DOMINANCE_DEFAULTS, "utilities")
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ConfigError(f"--game cannot be combined with {', '.join(given)}")
+    for dest, value in _DOMINANCE_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     table = _load_table(args) if not args.game else None
     report = Report("dominance")
     _config_section(report, args, ["builtin", "game", "u_only", "u_all", "u_none", "profile"])
@@ -436,11 +453,11 @@ def cmd_hiding(args) -> Report:
 
 
 def _add_table_flags(parser, players: int = 3) -> None:
-    parser.add_argument("--u-only", type=float, default=2.0,
+    parser.add_argument("--u-only", type=float, default=TABLE_DEFAULTS["u_only"],
                         help="payoff when only this player learns (default 2)")
-    parser.add_argument("--u-all", type=float, default=1.0,
+    parser.add_argument("--u-all", type=float, default=TABLE_DEFAULTS["u_all"],
                         help="payoff when everyone learns (default 1)")
-    parser.add_argument("--u-none", type=float, default=0.0,
+    parser.add_argument("--u-none", type=float, default=TABLE_DEFAULTS["u_none"],
                         help="payoff when nobody learns (default 0)")
     parser.add_argument("--utilities", metavar="FILE",
                         help="JSON utility table (overrides the scalar flags)")
@@ -485,10 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_audit)
 
     p = sub.add_parser("dominance", help="iterated deletion of weakly dominated strategies")
-    p.add_argument("--builtin", choices=list(BUILTIN_GAMES), default="oneshot-2of2")
-    p.add_argument("--game", metavar="FILE", help="load a game document instead of a builtin")
+    p.add_argument("--builtin", choices=list(BUILTIN_GAMES),
+                   help="built-in game (default oneshot-2of2)")
+    p.add_argument("--game", metavar="FILE",
+                   help="load a game document instead of a builtin (takes no table flag)")
     p.add_argument("--profile", metavar="S1,S2", help="recommended profile to check")
     _add_table_flags(p, players=2)
+    p.set_defaults(**dict.fromkeys(_DOMINANCE_DEFAULTS))
     p.set_defaults(handler=cmd_dominance)
 
     p = sub.add_parser(

@@ -83,7 +83,10 @@ class NormalFormGame:
         return self.strategies[player - 1][strategy]
 
     def index(self, player: int, label: str) -> int:
-        return self.strategies[player - 1].index(label)
+        try:
+            return self.strategies[player - 1].index(label)
+        except ValueError:
+            raise ValueError(f"player {player} has no strategy {label!r}") from None
 
     def to_doc(self) -> dict:
         return {

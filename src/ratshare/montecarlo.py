@@ -179,6 +179,13 @@ def sample_runs(
     info_rows[:cap_row] = info[absorbing]
     cause_rows = np.append(cause[absorbing], CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT]).astype(np.uint8)
     extra_rows = np.append(extra[absorbing], 0)
+    if not cap_row:
+        # No pattern that ends a run has positive weight: the coin
+        # probabilities underflow (alpha**3 does below about 1e-108), so
+        # every trial restarts until the cap.
+        row = np.zeros(trials, dtype=np.intp)
+        return TrialStats(np.full(trials, cap, dtype=np.int64), cause_rows.take(row),
+                          info_rows.take(row, axis=0))
 
     rng = derive_generator(seed, "mc", deviation or "honest", deviator or 0, alpha_prime or 0.0)
     u = rng.random((trials, 2))

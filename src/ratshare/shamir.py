@@ -5,11 +5,14 @@ over GF(p) with f(0) = s; player i holds the point (i, f(i)).  Any m
 distinct points recover f(0) by Lagrange interpolation, while fewer
 leave the secret information-theoretically hidden.  A trusted issuer
 tags every share (and every additive subshare) with a keyed MAC so
-holders cannot substitute forged values.
+holders cannot substitute forged values.  The MAC is HMAC-SHA256 (RFC
+2104), computed from the inner and outer pad states that each issuer
+builds once from its key.
 
 The parts that do not depend on the secret are built once: an issuer
 keeps its evaluation points x = 1..n, and the Lagrange weights at zero
-are cached per x-set and field.
+are cached per x-set and field.  Reconstruction checks its items in one
+pass.
 
 The exhaustive small-field verifiers (reconstruction round-trip and
 hiding-posterior uniformity) live here so the command-line `hiding`
@@ -38,6 +41,11 @@ _checked_moduli: set[int] = set()
 # `hiding` run at n = 3 uses 7, and one at the largest accepted n (6, at
 # p = 7) uses 41.
 _LAGRANGE_CACHE_SIZE = 256
+# HMAC-SHA256's block size in bytes, and the inner and outer key pads as
+# byte translation tables (RFC 2104).
+_BLOCK = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 class ReconstructionError(ValueError):
@@ -86,7 +94,8 @@ class FieldElement:
     modulus: int
 
     def __post_init__(self) -> None:
-        _check_modulus(self.modulus)
+        if self.modulus not in _checked_moduli:
+            _check_modulus(self.modulus)
         if not 0 <= self.value < self.modulus:
             raise ValueError(f"value {self.value} outside [0, {self.modulus})")
 
@@ -185,9 +194,13 @@ class ShareIssuer:
 
     def __init__(self, key: bytes, modulus: int = DEFAULT_PRIME):
         _check_modulus(modulus)
-        # Keyed once; each tag copies the keyed state instead of redoing
-        # the key schedule.
-        self._keyed = hmac.new(key, digestmod=hashlib.sha256)
+        # HMAC-SHA256 (RFC 2104) keyed once: the inner and outer hash
+        # states after the padded key, which every tag copies.
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\0")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
         self.modulus = modulus
         # The tags of the latest issue, so verifying one of its items is a
         # lookup.  Keyed by the MAC message, not the field tuple, because
@@ -200,15 +213,34 @@ class ShareIssuer:
         self._xs: list[FieldElement] = []
 
     def _mac(self, msg: bytes) -> bytes:
-        mac = self._keyed.copy()
-        mac.update(msg)
-        return mac.digest()
+        inner = self._inner.copy()
+        inner.update(msg)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
-    def _share_msg(self, epoch: int, x: int, y: int) -> bytes:
-        return f"share|{self.modulus!s}|{epoch!s}|{x!s}|{y!s}".encode()
+    # The MAC message of an item is "|"-joined: its kind, the modulus, the
+    # epoch (and a subshare's parent), then the item's own fields.  These
+    # four methods are its only definition; a caller that tags many items
+    # of one epoch passes the prefix it built once.
 
-    def _subshare_msg(self, epoch: int, parent: int, index: int, value: int) -> bytes:
-        return f"subshare|{self.modulus!s}|{epoch!s}|{parent!s}|{index!s}|{value!s}".encode()
+    def _share_prefix(self, epoch: int) -> str:
+        return f"share|{self.modulus!s}|{epoch!s}|"
+
+    def _share_msg(self, epoch: int, x: int, y: int, prefix: str | None = None) -> bytes:
+        if prefix is None:
+            prefix = self._share_prefix(epoch)
+        return f"{prefix}{x!s}|{y!s}".encode()
+
+    def _subshare_prefix(self, epoch: int, parent: int) -> str:
+        return f"subshare|{self.modulus!s}|{epoch!s}|{parent!s}|"
+
+    def _subshare_msg(
+        self, epoch: int, parent: int, index: int, value: int, prefix: str | None = None
+    ) -> bytes:
+        if prefix is None:
+            prefix = self._subshare_prefix(epoch, parent)
+        return f"{prefix}{index!s}|{value!s}".encode()
 
     def issue_shares(
         self,
@@ -241,15 +273,17 @@ class ShareIssuer:
         xs = self._xs
         while len(xs) < n:
             xs.append(FieldElement(len(xs) + 1, p))
-        prefix = f"share|{p!s}|{epoch!s}|"  # the bytes of `_share_msg`
+        prefix = self._share_prefix(epoch)
+        encode, mac = self._share_msg, self._mac
         self._latest = latest = {}
         shares = []
+        append = shares.append
         for x in xs[:n]:
             i = x.value
             y = _eval_poly(poly, i, p)
-            msg = f"{prefix}{i!s}|{y!s}".encode()
-            tag = latest[msg] = self._mac(msg)
-            shares.append(Share(holder=i, x=x, y=FieldElement(y, p), epoch=epoch, tag=tag))
+            msg = encode(epoch, i, y, prefix)
+            tag = latest[msg] = mac(msg)
+            append(Share(i, x, FieldElement(y, p), epoch, tag))
         return shares
 
     def verify_tag(self, item: Share | Subshare) -> bool:
@@ -280,24 +314,21 @@ class ShareIssuer:
             raise ValueError("share modulus does not match issuer modulus")
         values = [rng.randrange(p) for _ in range(count - 1)]
         values.append((share.y.value - sum(values)) % p)
+        epoch, parent = share.epoch, share.holder
         # A share of the latest issue hands its entry on to its subshares.
-        parent_msg = self._share_msg(share.epoch, share.x.value, share.y.value)
-        from_latest = self._latest.pop(parent_msg, None) is not None
+        latest = self._latest
+        parent_msg = self._share_msg(epoch, share.x.value, share.y.value)
+        from_latest = latest.pop(parent_msg, None) is not None
+        prefix = self._subshare_prefix(epoch, parent)
+        encode, mac = self._subshare_msg, self._mac
         subshares = []
+        append = subshares.append
         for k, v in enumerate(values, start=1):
-            msg = self._subshare_msg(share.epoch, share.holder, k, v)
-            tag = self._mac(msg)
+            msg = encode(epoch, parent, k, v, prefix)
+            tag = mac(msg)
             if from_latest:
-                self._latest[msg] = tag
-            subshares.append(
-                Subshare(
-                    parent_holder=share.holder,
-                    index=k,
-                    value=FieldElement(v, p),
-                    epoch=share.epoch,
-                    tag=tag,
-                )
-            )
+                latest[msg] = tag
+            append(Subshare(parent, k, FieldElement(v, p), epoch, tag))
         return subshares
 
 
@@ -331,26 +362,44 @@ def reconstruct(
     """
     if m < 1:
         raise ReconstructionError(f"threshold must be >= 1, got {m}")
-    shares = sorted(shares, key=lambda s: s.x.value)
+    shares = sorted(shares, key=_x_value)
     if len(shares) < m:
         raise ReconstructionError(f"need at least {m} shares, got {len(shares)}")
-    epochs = {s.epoch for s in shares}
-    if len(epochs) != 1:
-        raise ReconstructionError(f"shares span epochs {sorted(epochs)}")
-    moduli = {s.x.modulus for s in shares} | {s.y.modulus for s in shares}
-    if len(moduli) != 1:
+    # One pass gathers what the checks need; they still fail in the order
+    # epochs, field, duplicate x, tags.  Sorted by x, a repeat is adjacent.
+    first = shares[0]
+    epoch, p = first.epoch, first.x.modulus
+    mixed_epochs = mixed_fields = duplicate = False
+    xs = []
+    prev = None
+    for s in shares:
+        x = s.x
+        if s.epoch != epoch:
+            mixed_epochs = True
+        if x.modulus != p or s.y.modulus != p:
+            mixed_fields = True
+        if x.value == prev:
+            duplicate = True
+        prev = x.value
+        xs.append(prev)
+    if mixed_epochs:
+        raise ReconstructionError(f"shares span epochs {sorted({s.epoch for s in shares})}")
+    if mixed_fields:
         raise ReconstructionError("shares span different fields")
-    xs = [s.x.value for s in shares]
-    if len(set(xs)) != len(xs):
+    if duplicate:
         raise ReconstructionError("duplicate x coordinates")
     if issuer is not None:
+        verify = issuer.verify_tag
         for s in shares:
-            if not issuer.verify_tag(s):
+            if not verify(s):
                 raise ReconstructionError(f"tag verification failed for holder {s.holder}")
-    p = moduli.pop()
     weights = _lagrange_at_zero(tuple(xs[:m]), p)
     total = sum(s.y.value * w for s, w in zip(shares, weights)) % p
     return FieldElement(total, p)
+
+
+def _x_value(share: Share) -> int:
+    return share.x.value
 
 
 def combine_subshares(
@@ -361,21 +410,34 @@ def combine_subshares(
     """Recover a parent share's y value from all `count` of its subshares."""
     if len(subshares) != count:
         raise ReconstructionError(f"need all {count} subshares, got {len(subshares)}")
-    parents = {s.parent_holder for s in subshares}
-    epochs = {s.epoch for s in subshares}
-    if len(parents) != 1 or len(epochs) != 1:
+    if not subshares:  # count 0: no parent at all
         raise ReconstructionError("subshares from mixed parents or epochs")
-    moduli = {s.value.modulus for s in subshares}
-    if len(moduli) != 1:
+    # One pass gathers what the checks need; they still fail in the order
+    # parents or epochs, field, indices, tags.
+    first = next(iter(subshares))
+    parent, epoch, p = first.parent_holder, first.epoch, first.value.modulus
+    mixed = mixed_fields = False
+    indices = set()
+    total = 0
+    for s in subshares:
+        if s.parent_holder != parent or s.epoch != epoch:
+            mixed = True
+        if s.value.modulus != p:
+            mixed_fields = True
+        indices.add(s.index)
+        total += s.value.value
+    if mixed:
+        raise ReconstructionError("subshares from mixed parents or epochs")
+    if mixed_fields:
         raise ReconstructionError("subshares span different fields")
-    if {s.index for s in subshares} != set(range(1, count + 1)):
+    if indices != set(range(1, count + 1)):
         raise ReconstructionError("subshare indices are not 1..count")
     if issuer is not None:
+        verify = issuer.verify_tag
         for s in subshares:
-            if not issuer.verify_tag(s):
+            if not verify(s):
                 raise ReconstructionError(f"tag verification failed for subshare {s.index}")
-    p = moduli.pop()
-    return FieldElement(sum(s.value.value for s in subshares) % p, p)
+    return FieldElement(total % p, p)
 
 
 # --- exhaustive small-field verifiers ---------------------------------------

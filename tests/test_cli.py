@@ -81,6 +81,26 @@ def test_deviant_simulate_builds_the_info_histogram_once(monkeypatch, capsys):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("deviant", [[], ["--deviant", "1:withhold"]], ids=["honest", "withhold"])
+def test_simulate_at_underflowing_alpha_hits_the_cap(deviant, capsys):
+    code, out = run_cli(capsys, "simulate", "--alpha", "1e-200", "--trials", "3", "--seed", "1",
+                        *deviant)
+    assert code == 0
+    assert "cause.IterationCapHit.fraction = 1\n" in out
+    assert f"mean-iterations = {DEFAULT_CAP}\n" in out
+    assert "honest-expected-steps = inf\n" in out
+
+
+def test_audit_at_underflowing_alpha_finds_no_incentive(capsys):
+    code, out = run_cli(capsys, "audit", "--alpha", "1e-300", "--trials", "10000", "--seed", "1")
+    assert code == 0
+    # Every run of every profile hits the cap, where nobody learns.
+    estimates = [line for line in out.splitlines() if ".mc-estimate = " in line]
+    assert len(estimates) == 15
+    assert all(line.endswith(" = 0") for line in estimates)
+    assert "any-profitable = false\n" in out
+
+
 def test_simulate_auto_alpha(capsys):
     code, out = run_cli(
         capsys, "simulate", "--alpha", "auto", "--trials", "100", "--seed", "3"
@@ -427,6 +447,13 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
     assert code == 2
 
 
+PD_DOC = json.dumps({
+    "strategies": [["cooperate", "defect"], ["cooperate", "defect"]],
+    "payoffs": {"cooperate,cooperate": [2, 2], "cooperate,defect": [0, 3],
+                "defect,cooperate": [3, 0], "defect,defect": [1, 1]},
+})
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -474,6 +501,15 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
          "--utilities", 'DOC:{"players": 3, "u_only": 2, "u_all": 1, "u_none": 0}'],
         ["dominance", "--builtin", "bounded-r2",
          "--utilities", 'DOC:{"players": 3, "u_only": 2, "u_all": 1, "u_none": 0}'],
+        # A loaded game uses no builtin and no utility table, so a flag that
+        # names one is refused, even at its default value.
+        ["dominance", "--game", f"DOC:{PD_DOC}", "--u-only", "5", "--utilities",
+         "/nonexistent.json"],
+        ["dominance", "--game", f"DOC:{PD_DOC}", "--builtin", "oneshot-2of2"],
+        ["dominance", "--game", f"DOC:{PD_DOC}", "--u-none", "0"],
+        # Labels the game does not have.
+        ["dominance", "--game", f"DOC:{PD_DOC}", "--profile", "X,Y"],
+        ["dominance", "--builtin", "oneshot-2of2", "--profile", "send,sned"],
         # More trials than fit in memory; rejected before anything is allocated.
         ["simulate", "--alpha", "0.5", "--trials", "100000000000000000000", "--seed", "1"],
         ["simulate", "--alpha", "0.5", "--trials", "10000001", "--seed", "1"],
@@ -496,7 +532,8 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
         "hiding-prime-2to61", "hiding-n-12", "alpha-star-1-player-scalars",
         "alpha-star-1-player-payoffs", "alpha-star-0-players", "alpha-star-4-players",
         "audit-2-players", "audit-4-players", "simulate-auto-1-player", "dominance-oneshot-3-players",
-        "dominance-bounded-r2-3-players", "trials-1e20", "trials-over-bound", "trials-1e20-dump",
+        "dominance-bounded-r2-3-players", "game-with-table-flags", "game-with-builtin",
+        "game-with-default-u-none", "game-unknown-labels", "builtin-unknown-label", "trials-1e20", "trials-over-bound", "trials-1e20-dump",
         "audit-trials-1e20", "dump-over-budget", "dump-over-budget-low-alpha",
         "dump-over-budget-cap-1",
     ],
@@ -517,6 +554,10 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+    if "--profile" in argv:
+        # The message names the first unknown label and its player.
+        player, label = (1, "X") if "X,Y" in argv else (2, "sned")
+        assert err == f"config error: player {player} has no strategy {label!r}\n"
     assert not (tmp_path / "dump.jsonl").exists()
 
 

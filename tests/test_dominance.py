@@ -241,6 +241,8 @@ def test_one_shot_payoff_matrix():
     assert game.payoffs[(s, w)] == (-1, 2)
     assert game.payoffs[(w, s)] == (2, -1)
     assert game.payoffs[(w, w)] == (0, 0)
+    with pytest.raises(ValueError, match="^player 2 has no strategy 'sned'$"):
+        game.index(2, "sned")
 
 
 def test_one_shot_requires_two_player_table():

@@ -219,6 +219,21 @@ def test_cap_leaves_cause_cap_hit():
     assert not stats.info[capped].any()
 
 
+@pytest.mark.parametrize("cap", [1, 7, DEFAULT_CAP])
+@pytest.mark.parametrize("spec", [None, "withhold", "biased-coin:0.5"])
+def test_underflowing_alpha_hits_the_cap_in_every_trial(spec, cap):
+    # Below alpha ~ 1e-108 alpha**3 is 0 in floating point, so no pattern
+    # absorbs with positive weight and each trial lands on the cap row.
+    name, alpha_prime = parse_deviation(spec) if spec is not None else (None, None)
+    stats = montecarlo.sample_runs(1e-200, 50, 3, deviation=name, deviator=2 if name else None,
+                                   alpha_prime=alpha_prime, cap=cap)
+    assert stats.iterations.dtype == np.int64 and (stats.iterations == cap).all()
+    assert stats.causes.dtype == np.uint8
+    assert (stats.causes == montecarlo.CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT]).all()
+    assert stats.info.dtype == np.uint8 and stats.info.shape == (50, 3) and not stats.info.any()
+    assert expected_steps(1e-200) == float("inf")
+
+
 # SHA-256 over iterations, causes and info (dtype, shape, bytes) of
 # sample_runs(alpha, 3000, 17, ...) for alpha in (0.3, 1) and each cap in
 # (1, 2, 5, DEFAULT_CAP), recorded with the searchsorted/np.where sampler

@@ -192,6 +192,84 @@ def test_reconstruct_errors(issuer13):
         reconstruct([], 0)
 
 
+def _share(x, epoch=0, p=13, y=1, tag=b""):
+    return Share(holder=x, x=FieldElement(x, p), y=FieldElement(y, p), epoch=epoch, tag=tag)
+
+
+def _forged(share):
+    return dataclasses.replace(share, tag=bytes(32))
+
+
+# Each case breaks two rules (or one rule twice) and expects the message
+# of the rule checked first: threshold, count, epochs, field, duplicate x,
+# then tags in increasing x order.
+RECONSTRUCT_PRECEDENCE = {
+    "threshold-over-count": (lambda s: [], 0, "threshold must be >= 1, got 0"),
+    "count-over-epochs": (lambda s: [s[0], _share(2, epoch=1)], 3, "need at least 3 shares, got 2"),
+    "epochs-over-field": (lambda s: [s[0], _share(2, epoch=1, p=17)], 2,
+                          "shares span epochs [0, 1]"),
+    # The duplicate comes first in x order, the other epoch last.
+    "epochs-over-duplicate-x": (lambda s: [s[0], s[0], _share(3, epoch=7)], 2,
+                                "shares span epochs [0, 7]"),
+    "field-over-duplicate-x": (lambda s: [s[0], s[0], _share(3, p=17)], 2,
+                               "shares span different fields"),
+    "field-in-y-only": (lambda s: [s[0], dataclasses.replace(s[1], y=FieldElement(1, 17))], 2,
+                        "shares span different fields"),
+    "duplicate-x-over-tag": (lambda s: [_forged(s[0]), s[1], s[1]], 2,
+                             "duplicate x coordinates"),
+    "epochs-over-tag": (lambda s: [_forged(s[0]), _share(2, epoch=1)], 2,
+                        "shares span epochs [0, 1]"),
+    "lowest-x-tag-first": (lambda s: [_forged(s[2]), _forged(s[1]), s[0]], 2,
+                           "tag verification failed for holder 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(RECONSTRUCT_PRECEDENCE))
+def test_reconstruct_reports_the_first_broken_rule(case, issuer13):
+    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0))
+    build, m, message = RECONSTRUCT_PRECEDENCE[case]
+    with pytest.raises(ReconstructionError) as exc:
+        reconstruct(build(shares), m, issuer13)
+    assert str(exc.value) == message
+
+
+def _sub(parent=1, index=1, epoch=0, p=13, tag=b""):
+    return Subshare(parent_holder=parent, index=index, value=FieldElement(1, p), epoch=epoch,
+                    tag=tag)
+
+
+# As above for subshares: count, parents or epochs, field, indices, then
+# tags in the given order.
+COMBINE_PRECEDENCE = {
+    "count-over-parents": (lambda s: [s[0], _sub(parent=2, index=2)], 3,
+                           "need all 3 subshares, got 2"),
+    "parents-over-field": (lambda s: [s[0], s[1], _sub(parent=2, index=3, p=17)], 3,
+                           "subshares from mixed parents or epochs"),
+    "epochs-over-indices": (lambda s: [s[0], s[0], _sub(index=3, epoch=4)], 3,
+                            "subshares from mixed parents or epochs"),
+    "field-over-indices": (lambda s: [s[0], s[0], _sub(index=3, p=17)], 3,
+                           "subshares span different fields"),
+    "indices-over-tag": (lambda s: [_forged(s[0]), s[1], s[1]], 3,
+                         "subshare indices are not 1..count"),
+    "index-out-of-range": (lambda s: [s[0], s[1], _sub(index=4)], 3,
+                           "subshare indices are not 1..count"),
+    "parents-over-tag": (lambda s: [_forged(s[0]), s[1], _sub(parent=2, index=3)], 3,
+                         "subshares from mixed parents or epochs"),
+    "first-listed-tag-first": (lambda s: [s[0], _forged(s[2]), _forged(s[1])], 3,
+                               "tag verification failed for subshare 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(COMBINE_PRECEDENCE))
+def test_combine_subshares_reports_the_first_broken_rule(case, issuer13):
+    share = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0))[0]
+    subs = issuer13.split_subshares(share, 3, Random(1))
+    build, count, message = COMBINE_PRECEDENCE[case]
+    with pytest.raises(ReconstructionError) as exc:
+        combine_subshares(build(subs), count, issuer13)
+    assert str(exc.value) == message
+
+
 def lagrange_oracle(points: list[tuple[int, int]], p: int) -> int:
     """f(0) of the polynomial through `points`, over the rationals, then mod p.
 
@@ -259,6 +337,19 @@ def test_tag_soundness_under_mutation(field, delta, secret):
     else:
         mutant = dataclasses.replace(share, y=share.y + delta)
     assert not issuer.verify_tag(mutant)
+
+
+@given(
+    key_len=st.sampled_from([0, 1, 16, 63, 64, 65, 200]),
+    data=st.data(),
+)
+def test_mac_is_hmac_sha256(key_len, data):
+    # Keys up to the 64-byte block are padded, longer ones hashed first;
+    # several messages per issuer show a tag leaves the keyed state as it was.
+    key = data.draw(st.binary(min_size=key_len, max_size=key_len), label="key")
+    issuer = ShareIssuer(key, modulus=13)
+    for msg in data.draw(st.lists(st.binary(max_size=300), min_size=1, max_size=4)):
+        assert issuer._mac(msg) == hmac.new(key, msg, hashlib.sha256).digest()
 
 
 def test_other_key_rejects(issuer13):
