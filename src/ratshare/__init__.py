@@ -6,11 +6,8 @@ from .analysis import (
     NashAuditReport,
     alpha_star,
     expected_steps,
-    expected_utility_honest,
-    expected_utility_withhold,
     iteration_distribution,
     nash_audit,
-    verify_running_time,
 )
 from .dominance import (
     DeletionTrace,
@@ -20,7 +17,6 @@ from .dominance import (
     build_oneshot_sharing_game,
     check_practical,
     iterate_deletion,
-    weakly_dominated_set,
 )
 from .engine import DEFAULT_CAP, InvariantViolationError, run_mechanism
 from .lifts import lift_2_of_n, lift_m_of_n, partition_players
@@ -29,7 +25,6 @@ from .protocol import (
     Decision,
     DecisionKind,
     IterationTranscript,
-    PlayerRing,
     RoundMessage,
     RunOutcome,
     TerminalCause,
@@ -47,8 +42,6 @@ from .strategies import (
     LocalState,
     Strategy,
     UtilityTable,
-    deviation_catalog,
-    utility_of_run,
 )
 
 __version__ = "0.1.0"

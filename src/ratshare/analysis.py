@@ -1,10 +1,10 @@
 """Exact incentive analysis of the coin mechanism.
 
 Closed forms for the per-iteration outcome distribution, the expected
-payoff of honest play and of withholding, the coin-bias threshold below
-which honesty is a Nash equilibrium, and the expected running time; plus
-a Monte Carlo audit that compares every catalogued deviation against the
-honest baseline.
+payoff of withholding, the coin-bias threshold below which honesty is a
+Nash equilibrium, and the expected running time; plus a Monte Carlo
+audit that compares every catalogued deviation against the honest
+baseline.
 
 Honest play absorbs only when everyone learns, so its expected payoff is
 exactly the everyone-learns entry of the utility table.  A withholding
@@ -16,9 +16,10 @@ threshold alpha* = sqrt(R) / (1 + sqrt(R)) with
 R = (u_all - u_none) / (u_only - u_all).
 
 All of this is about the 3-ring (the withholding payoff rests on "both
-other coins"), so every function that takes a utility table first runs
+other coins"), so `alpha_star` and `nash_audit` first run
 `table.require(3)`: a table of any other size, or one that breaks the
-axioms, raises ValueError.
+axioms, raises ValueError.  `withhold_lhs` is the bare closed form and
+checks nothing.
 """
 
 from __future__ import annotations
@@ -55,34 +56,16 @@ def iteration_distribution(alpha: float) -> IterationDistribution:
     return IterationDistribution(alpha, float(p_success), float(p_lone), float(p_silent))
 
 
-def expected_utility_honest(alpha: float, table: UtilityTable, player: int) -> float:
-    """Expected payoff of honest play: the run ends with everyone learning."""
-    if not 0 < alpha < 1:
-        raise ValueError(f"honest-play analysis needs alpha in (0, 1), got {alpha}")
-    return table.require(3).u_all(player)
-
-
 def withhold_lhs(alpha: float, table: UtilityTable, player: int) -> float:
-    """Expected payoff of withholding, no validation (used by the audit)."""
-    a2 = alpha**2
-    b2 = (1 - alpha) ** 2
-    return (a2 * table.u_only(player) + b2 * table.u_none(player)) / (a2 + b2)
-
-
-def expected_utility_withhold(alpha: float, table: UtilityTable, player: int) -> float:
     """Expected payoff of unilaterally withholding the share.
 
     Conditioned on absorption, the player alone learns with probability
-    a^2/(a^2+(1-a)^2) and nobody learns otherwise.
+    a^2/(a^2+(1-a)^2) and nobody learns otherwise.  No validation: the
+    audit checks alpha and the table first.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return withhold_lhs(alpha, table.require(3), player)
-
-
-def cheating_profitable(alpha: float, table: UtilityTable, player: int) -> bool:
-    """Strict inequality: withholding beats honest play."""
-    return withhold_lhs(alpha, table, player) > table.u_all(player)
+    a2 = alpha**2
+    b2 = (1 - alpha) ** 2
+    return (a2 * table.u_only(player) + b2 * table.u_none(player)) / (a2 + b2)
 
 
 @dataclass(frozen=True)
@@ -130,35 +113,6 @@ def expected_steps(alpha: float) -> float:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     cube = alpha**3
     return 5 / cube if cube else math.inf
-
-
-@dataclass(frozen=True)
-class RunningTimeReport:
-    alpha: float
-    trials: int
-    closed_form: float
-    empirical_mean: float
-    std_error: float
-    relative_error: float
-
-
-def verify_running_time(
-    alpha: float, trials: int, seed: int, cap: int = DEFAULT_CAP
-) -> RunningTimeReport:
-    """Compare the closed-form step count with seeded honest runs."""
-    stats = montecarlo.sample_runs(alpha, trials, seed, cap=cap)
-    steps = stats.total_steps
-    mean = float(steps.mean())
-    se = float(steps.std(ddof=1) / math.sqrt(trials))
-    closed = expected_steps(alpha)
-    return RunningTimeReport(
-        alpha=alpha,
-        trials=trials,
-        closed_form=closed,
-        empirical_mean=mean,
-        std_error=se,
-        relative_error=abs(mean - closed) / closed,
-    )
 
 
 NO_INCENTIVE = "NoIncentive"

@@ -36,7 +36,7 @@ from .shamir import (
     is_prime,
     round_trip_reconstructions,
 )
-from .strategies import UtilityTable, deviation_profile, parse_deviation
+from .strategies import TableSizeError, UtilityTable, deviation_profile, parse_deviation
 
 
 # `hiding` enumerates every polynomial over GF(p) at 20-25 us per
@@ -103,7 +103,9 @@ def _load_table(args) -> UtilityTable:
     if args.utilities:
         try:
             with open(args.utilities) as fh:
-                table = UtilityTable.from_doc(json.load(fh))
+                table = UtilityTable.from_doc(json.load(fh), args.players)
+        except TableSizeError as exc:
+            raise ConfigError(str(exc))
         except _BAD_DOCUMENT as exc:
             raise ConfigError(f"cannot load utilities from {args.utilities}: {exc}")
     else:
@@ -179,18 +181,13 @@ def _payload_json(payload) -> str:
     return _encode(_share_record(payload))
 
 
-def _jsonl_line(trial: int, epoch: int, msg, head: str | None = None,
-                payload_json: str | None = None) -> str:
+def _jsonl_line(msg, head: str, payload_json: str) -> str:
     """One dump line: `json.dumps` of the message record, byte for byte.
 
-    The dump writer passes the line head of the message's iteration and
-    the payload's JSON, which it builds once for the messages that share
-    them.
+    `head` is `_line_head` of the message's trial, iteration and epoch and
+    `payload_json` is `_payload_json` of its payload; the dump writer
+    builds each once for the messages that share them.
     """
-    if head is None:
-        head = _line_head(trial, msg.iteration, epoch)
-    if payload_json is None:
-        payload_json = _payload_json(msg.payload)
     return (
         f'{head}{_STEP_KIND[msg.step, msg.kind]}"sender":{msg.sender},'
         f'"receiver":{msg.receiver},"payload":{payload_json}}}\n'
@@ -203,14 +200,13 @@ def _dumped_runs(fh, trials: int, alpha: float, seed: int, profile, cap: int):
         outcome = run_mechanism(5, alpha, profile, seed, cap=cap, record=True, trial=t)
         lines = []
         for transcript in outcome.transcripts:
-            epoch = transcript.epoch
-            head = _line_head(t, transcript.iteration, epoch)
+            head = _line_head(t, transcript.iteration, transcript.epoch)
             # A broadcast sends one payload object to every recipient in a row.
             payload = text = None
             for msg in transcript.messages:
                 if text is None or msg.payload is not payload:
                     payload, text = msg.payload, _payload_json(msg.payload)
-                lines.append(_jsonl_line(t, epoch, msg, head, text))
+                lines.append(_jsonl_line(msg, head, text))
         fh.write("".join(lines))
         yield outcome
 
@@ -477,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000,
                    help=f"number of runs, at most {MAX_TRIALS:,}")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="iteration cap per run")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="iteration cap per run, at most 2**53")
     p.add_argument("--deviant", metavar="PLAYER:NAME[:PARAM]",
                    help="one player deviates (e.g. 1:withhold, 2:biased-coin:0.9)")
     p.add_argument("--dump-transcripts", metavar="FILE",
@@ -495,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000,
                    help=f"runs per deviation and deviator, at most {MAX_TRIALS:,}")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="iteration cap per run, at most 2**53")
     p.add_argument("--deviations", help="comma list (default: full catalogue)")
     p.add_argument("--deviators", help="comma list of players (default: 1,2,3)")
     _add_table_flags(p)

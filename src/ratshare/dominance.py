@@ -181,14 +181,6 @@ def weakly_dominated(
     return dominated
 
 
-def weakly_dominated_set(
-    game: NormalFormGame, player: int, restriction: list[set[int]] | None = None
-) -> set[int]:
-    if restriction is None:
-        restriction = [set(range(len(s))) for s in game.strategies]
-    return set(weakly_dominated(game, player, restriction))
-
-
 @dataclass
 class DeletionRound:
     """One delete-all round: removals (with dominator witnesses) and survivors."""

@@ -26,7 +26,6 @@ from random import Random
 from .protocol import (
     ISSUER_ID,
     RESTART,
-    RING,
     Decision,
     DecisionKind,
     IterationTranscript,
@@ -48,8 +47,9 @@ from .strategies import (
 
 DEFAULT_CAP = 10**6
 
-_SUCC = {pos: RING.successor(pos) for pos in (1, 2, 3)}
-_PRED = {pos: RING.predecessor(pos) for pos in (1, 2, 3)}
+# Successor and predecessor of each seat on the coin ring.
+_SUCC = {1: 2, 2: 3, 3: 1}
+_PRED = {1: 3, 2: 1, 3: 2}
 
 
 class InvariantViolationError(RuntimeError):
@@ -61,11 +61,16 @@ class DuplicateEpochError(ValueError):
 
 
 def check_run_config(alpha: float, cap: int) -> None:
-    """Reject a coin bias outside (0, 1] or an iteration cap below 1."""
+    """Reject a coin bias outside (0, 1] or an iteration cap outside [1, 2**53].
+
+    The bulk sampler counts iterations in float64, exact up to 2**53.
+    """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if cap < 1:
         raise ValueError("iteration cap must be >= 1")
+    if cap > 2**53:
+        raise ValueError(f"iteration cap must be at most 2**53, got {cap}")
 
 
 def issue_round(
@@ -333,7 +338,7 @@ class GroupedExchange:
         while iterations < self.cap:
             iterations += 1
             for state in states.values():
-                state.begin_iteration(iterations, epoch, None)
+                state.begin_iteration(iterations, epoch)
             self._issue_epoch(epoch)
 
             # Forwarding phase: every forwarder is asked, even when its
@@ -481,27 +486,9 @@ def run_mechanism(
     is a simulation guard, reported as its own terminal cause rather than
     raised.
     """
-    outcome, _ = run_mechanism_detailed(
-        secret, alpha, profile, seed, cap=cap, prime=prime, record=record, trial=trial
-    )
-    return outcome
-
-
-def run_mechanism_detailed(
-    secret: FieldElement | int,
-    alpha: float,
-    profile: dict[int, Strategy] | None = None,
-    seed: int = 0,
-    *,
-    cap: int = DEFAULT_CAP,
-    prime: int | None = None,
-    record: bool = True,
-    trial: int = 0,
-) -> tuple[RunOutcome, dict[int, LocalState]]:
-    """run_mechanism plus the final per-player local states."""
     if prime is None:
         prime = secret.modulus if isinstance(secret, FieldElement) else DEFAULT_PRIME
-    ring = MOfNExchange(
+    return MOfNExchange(
         secret,
         [[1], [2], [3]],
         [1, 2, 3],
@@ -513,5 +500,4 @@ def run_mechanism_detailed(
         cap=cap,
         prime=prime,
         record=record,
-    )
-    return ring.run(), ring.states
+    ).run()

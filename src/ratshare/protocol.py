@@ -42,22 +42,6 @@ ISSUER_ID = 0
 
 
 @dataclass(frozen=True)
-class PlayerRing:
-    """Ring of 3 positions with wraparound successor/predecessor."""
-
-    n: int = 3
-
-    def successor(self, i: int) -> int:
-        return i % self.n + 1
-
-    def predecessor(self, i: int) -> int:
-        return (i - 2) % self.n + 1
-
-
-RING = PlayerRing()
-
-
-@dataclass(frozen=True)
 class CoinTriple:
     """One iteration's coins: send-intent c plus the two masking pieces."""
 

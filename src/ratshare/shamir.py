@@ -96,8 +96,8 @@ class FieldElement:
     def __post_init__(self) -> None:
         if self.modulus not in _checked_moduli:
             _check_modulus(self.modulus)
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} outside [0, {self.modulus})")
+        if type(self.value) is not int or not 0 <= self.value < self.modulus:
+            raise ValueError(f"value {self.value!r} is not an int in [0, {self.modulus})")
 
     def _coerce(self, other: "FieldElement | int") -> "FieldElement":
         if isinstance(other, FieldElement):

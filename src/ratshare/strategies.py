@@ -12,7 +12,9 @@ player and is validated against three axioms: payoffs are a function of
 the info vector alone, every learning outcome strictly beats every
 non-learning outcome, and lowering any other player's bit strictly
 raises one's payoff.  `UtilityTable.require(n)` is the one check every
-consumer runs: the player count it needs, then the axioms.
+consumer runs: the player count it needs, then the axioms.  The size rule
+is `UtilityTable.check_size`, which `from_doc` also runs before it
+expands a document.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class LocalState:
         """Distinct valid broadcasts seen this iteration, own iff sent."""
         return len(self.observed_broadcasts)
 
-    def begin_iteration(self, iteration: int, epoch: int, own_payload: object) -> None:
+    def begin_iteration(self, iteration: int, epoch: int) -> None:
         self.iteration = iteration
         self.epoch = epoch
         self.step = Step.ISSUE
@@ -81,7 +83,7 @@ class LocalState:
         self.bit_from_succ = None
         self.masked_from_succ = None
         self.parity = None
-        self.own_payload = own_payload
+        self.own_payload = None
         self.broadcast_own = False
         self.observed_broadcasts = set()
         self.holdings.setdefault(epoch, {})
@@ -291,12 +293,6 @@ def parse_deviation(spec: str) -> tuple[str, float | None]:
     return name, float(param) if param else 1.0
 
 
-def _instantiate(name: str, alpha_prime: float | None) -> Strategy:
-    if name == "biased-coin":
-        return BiasedCoin(alpha_prime)
-    return DEVIATIONS[name]()
-
-
 def deviation_profile(
     name: str | None, deviator: int | None, alpha_prime: float | None = None
 ) -> dict[int, Strategy]:
@@ -311,17 +307,7 @@ def deviation_profile(
         raise ValueError(f"unknown deviation {name!r}")
     if deviator not in (1, 2, 3):
         raise ValueError("deviator must be one of players 1..3")
-    return {deviator: _instantiate(name, alpha_prime)}
-
-
-def build_deviation(spec: str) -> Strategy:
-    """Parse "name" or "name:param" into a deviation strategy."""
-    return _instantiate(*parse_deviation(spec))
-
-
-def deviation_catalog(alpha_prime: float = 1.0) -> dict[str, Strategy]:
-    """One instance of every registered deviation, biased-coin at alpha'."""
-    return {name: _instantiate(name, alpha_prime) for name in DEVIATIONS}
+    return {deviator: BiasedCoin(alpha_prime) if name == "biased-coin" else DEVIATIONS[name]()}
 
 
 # --- info vectors and utilities ----------------------------------------------
@@ -339,6 +325,10 @@ def parse_info_key(key: str) -> tuple[int, ...]:
 
 def all_info_vectors(n_players: int) -> list[tuple[int, ...]]:
     return [tuple(bits) for bits in product((0, 1), repeat=n_players)]
+
+
+class TableSizeError(ValueError):
+    """A utility table, or a document of one, has the wrong number of players."""
 
 
 @dataclass
@@ -407,10 +397,21 @@ class UtilityTable:
             tables.append(entries)
         return cls(n_players=n_players, payoffs=tuple(tables))
 
+    @staticmethod
+    def check_size(n_players: int, needed: int) -> None:
+        """Raise TableSizeError unless a table of `n_players` has the `needed` size."""
+        if n_players != needed:
+            raise TableSizeError(f"needs a {needed}-player utility table, got {n_players}")
+
     @classmethod
-    def from_doc(cls, doc: dict) -> "UtilityTable":
-        """Load from the document format (scalar aliases or explicit maps)."""
+    def from_doc(cls, doc: dict, n_players: int) -> "UtilityTable":
+        """Load from the document format (scalar aliases or explicit maps).
+
+        A document of other than `n_players` players raises TableSizeError
+        before anything is expanded: the scalar form grows as 2**players.
+        """
         n = int(doc.get("players", 3))
+        cls.check_size(n, n_players)
         if "payoffs" in doc:
             tables = []
             for player in range(1, n + 1):
@@ -470,8 +471,7 @@ class UtilityTable:
         Otherwise raises ValueError naming the wrong size or the first
         violated axiom.
         """
-        if self.n_players != n_players:
-            raise ValueError(f"needs a {n_players}-player utility table, got {self.n_players}")
+        self.check_size(self.n_players, n_players)
         violations = self.validate().violations
         if violations:
             kind, player = violations[0][:2]
@@ -485,11 +485,3 @@ class UtilityTable:
 def canonical_table(n_players: int = 3) -> UtilityTable:
     """The running example: u_only=2, u_all=1, u_none=0."""
     return UtilityTable.from_scalars(2.0, 1.0, 0.0, n_players)
-
-
-def utility_of_run(outcome, table: UtilityTable, player: int) -> float:
-    """Payoff of a terminated run: a table lookup on its info vector.
-
-    A run cut off at the iteration cap already carries the all-zero vector.
-    """
-    return table.payoff(player, outcome.info)

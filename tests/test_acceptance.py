@@ -51,11 +51,12 @@ def test_acceptance_01_running_time():
     def check():
         for alpha, expect in ((0.3, 185.19), (0.5, 40.0), (0.8, 9.77)):
             start = time.perf_counter()
-            report = analysis.verify_running_time(alpha, 200_000, SEED)
+            mean = float(montecarlo.sample_runs(alpha, 200_000, SEED).total_steps.mean())
             elapsed = time.perf_counter() - start
+            closed = analysis.expected_steps(alpha)
             assert elapsed < 60, f"alpha={alpha} took {elapsed:.1f}s"
-            assert report.relative_error <= 0.02, (alpha, report.empirical_mean)
-            assert abs(report.closed_form - expect) < 0.01
+            assert abs(mean - closed) / closed <= 0.02, (alpha, mean)
+            assert abs(closed - expect) < 0.01
 
     _announce(1, "mean total steps within 2% of 5/alpha^3 at alpha in {0.3, 0.5, 0.8}", check)
 

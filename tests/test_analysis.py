@@ -96,16 +96,16 @@ def test_distribution_rejects_bad_alpha():
 
 
 def test_withhold_value_at_half():
-    assert analysis.expected_utility_withhold(0.5, canonical_table(), 1) == pytest.approx(1.0)
+    assert analysis.withhold_lhs(0.5, canonical_table(), 1) == pytest.approx(1.0)
 
 
 def test_withhold_value_at_eight_tenths():
-    value = analysis.expected_utility_withhold(0.8, canonical_table(), 1)
+    value = analysis.withhold_lhs(0.8, canonical_table(), 1)
     assert value == pytest.approx(1.8823529411764706)
 
 
 def test_withhold_limit_small_alpha():
-    value = analysis.expected_utility_withhold(1e-6, canonical_table(), 1)
+    value = analysis.withhold_lhs(1e-6, canonical_table(), 1)
     assert value == pytest.approx(0.0, abs=1e-9)
 
 
@@ -114,18 +114,8 @@ def test_withhold_matches_simulation():
     for alpha in (0.3, 0.6):
         stats = montecarlo.sample_runs(alpha, 30_000, 7, deviation="withhold", deviator=1)
         mc, se = stats.mean_utility(table, 1)
-        closed = analysis.expected_utility_withhold(alpha, table, 1)
+        closed = analysis.withhold_lhs(alpha, table, 1)
         assert abs(mc - closed) <= 3 * se
-
-
-def test_honest_value_is_everyone_learns():
-    table = canonical_table()
-    for alpha in (0.1, 0.25, 0.5, 0.77, 0.9, 0.31, 0.62, 0.05, 0.45, 0.83):
-        assert analysis.expected_utility_honest(alpha, table, 1) == 1.0
-    with pytest.raises(ValueError):
-        analysis.expected_utility_honest(0.0, table, 1)
-    with pytest.raises(ValueError):
-        analysis.expected_utility_honest(1.0, table, 1)
 
 
 def test_honest_simulation_never_partial():
@@ -138,7 +128,9 @@ def test_honest_simulation_never_partial():
 def test_invalid_table_rejected():
     bad = UtilityTable.from_scalars(1.0, 2.0, 0.0)  # u_all above u_only
     with pytest.raises(ValueError):
-        analysis.expected_utility_withhold(0.5, bad, 1)
+        analysis.nash_audit(0.5, bad, trials=10_000, seed=1)
+    with pytest.raises(ValueError):
+        analysis.alpha_star(bad)
 
 
 # --- the threshold ---------------------------------------------------------------
@@ -174,9 +166,9 @@ def test_inequality_flips_exactly_at_the_threshold():
         for player in (1, 2, 3):
             star = result.per_player[player]
             if star - 0.01 > 0:
-                assert not analysis.cheating_profitable(star - 0.01, table, player)
+                assert not analysis.withhold_lhs(star - 0.01, table, player) > table.u_all(player)
             if star + 0.01 < 1:
-                assert analysis.cheating_profitable(star + 0.01, table, player)
+                assert analysis.withhold_lhs(star + 0.01, table, player) > table.u_all(player)
 
 
 def test_withhold_value_strictly_increasing_in_alpha():
@@ -202,10 +194,11 @@ def test_expected_steps_closed_form():
 
 
 def test_running_time_verifier():
-    report = analysis.verify_running_time(0.5, 30_000, 23)
-    assert report.closed_form == 40.0
-    assert report.relative_error < 0.02
-    assert report.std_error > 0
+    steps = montecarlo.sample_runs(0.5, 30_000, 23).total_steps
+    closed = analysis.expected_steps(0.5)
+    assert closed == 40.0
+    assert abs(steps.mean() - closed) / closed < 0.02
+    assert steps.std(ddof=1) / math.sqrt(len(steps)) > 0
 
 
 # --- the audit ---------------------------------------------------------------------

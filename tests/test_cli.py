@@ -14,6 +14,8 @@ from ratshare.cli import (
     SHARE_LINE_BYTES,
     _dumped_runs,
     _jsonl_line,
+    _line_head,
+    _payload_json,
     _share_record,
     build_parser,
     dump_bytes_per_iteration,
@@ -22,6 +24,7 @@ from ratshare.cli import (
 from ratshare.engine import DEFAULT_CAP
 from ratshare.protocol import MessageKind, RoundMessage, Step
 from ratshare.shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer
+from ratshare.strategies import UtilityTable
 
 
 def run_cli(capsys, *argv):
@@ -360,7 +363,8 @@ def test_dump_line_sizes_bound_the_widest_lines():
     ]
     for size, step, kind, payload in cases:
         msg = RoundMessage(3, 3, step, kind, payload, wide)
-        assert len(_jsonl_line(wide, wide, msg).encode()) == size
+        line = _jsonl_line(msg, _line_head(wide, msg.iteration, wide), _payload_json(payload))
+        assert len(line.encode()) == size
 
 
 def _payloads() -> dict:
@@ -392,7 +396,8 @@ def test_jsonl_line_is_json_dumps_of_the_record(name):
             "receiver": msg.receiver,
             "payload": _share_record(payload),
         }
-        assert _jsonl_line(6, 4, msg) == json.dumps(record, separators=(",", ":")) + "\n"
+        line = _jsonl_line(msg, _line_head(6, msg.iteration, 4), _payload_json(payload))
+        assert line == json.dumps(record, separators=(",", ":")) + "\n"
 
 
 def test_dump_runs_each_trial_once(tmp_path, monkeypatch, capsys):
@@ -523,6 +528,15 @@ PD_DOC = json.dumps({
          "--dump-transcripts", "DUMP"],
         ["simulate", "--alpha", "0.1", "--trials", "10000000", "--seed", "1", "--cap", "1",
          "--dump-transcripts", "DUMP"],
+        # Caps past 2**53, which the samplers cannot count exactly.
+        ["simulate", "--alpha", "1e-200", "--trials", "10", "--seed", "1",
+         "--cap", "9223372036854775808"],
+        ["simulate", "--alpha", "1e-100", "--trials", "3", "--seed", "1",
+         "--cap", "9223372036854775807"],
+        ["simulate", "--alpha", "0.5", "--trials", "3", "--seed", "1",
+         "--cap", "9007199254740993", "--dump-transcripts", "DUMP"],
+        ["audit", "--alpha", "1e-300", "--trials", "10000", "--seed", "1",
+         "--cap", "100000000000000000000000"],
     ],
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
@@ -535,7 +549,8 @@ PD_DOC = json.dumps({
         "dominance-bounded-r2-3-players", "game-with-table-flags", "game-with-builtin",
         "game-with-default-u-none", "game-unknown-labels", "builtin-unknown-label", "trials-1e20", "trials-over-bound", "trials-1e20-dump",
         "audit-trials-1e20", "dump-over-budget", "dump-over-budget-low-alpha",
-        "dump-over-budget-cap-1",
+        "dump-over-budget-cap-1", "cap-2to63", "cap-2to63-minus-1", "cap-2to53-plus-1-dump",
+        "audit-cap-1e23",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys):
@@ -559,6 +574,27 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys):
         player, label = (1, "X") if "X,Y" in argv else (2, "sned")
         assert err == f"config error: player {player} has no strategy {label!r}\n"
     assert not (tmp_path / "dump.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [(["alpha-star"], {"players": 40, "u_only": 2, "u_all": 1, "u_none": 0}),
+     (["alpha-star"], {"players": 40, "payoffs": {}}),
+     (["dominance", "--builtin", "bounded-r2"], {"players": 40, "u_only": 2, "u_all": 1, "u_none": 0})],
+    ids=["scalars", "payoffs", "dominance-scalars"],
+)
+def test_utilities_size_is_checked_before_the_table_is_expanded(argv, doc, tmp_path, capsys,
+                                                                 monkeypatch):
+    # 40 players would expand to 2**40 vectors per player.
+    def expand(*args):
+        raise AssertionError("expanded a table of the wrong size")
+
+    monkeypatch.setattr(UtilityTable, "from_scalars", expand)
+    path = tmp_path / "utilities.json"
+    path.write_text(json.dumps(doc))
+    assert main([*argv, "--utilities", str(path)]) == 2
+    needed = 2 if argv[0] == "dominance" else 3
+    assert capsys.readouterr().err == f"config error: needs a {needed}-player utility table, got 40\n"
 
 
 def test_rejected_dump_leaves_existing_file_unchanged(tmp_path, capsys):

@@ -22,13 +22,16 @@ from ratshare.dominance import (
     matching_pennies,
     prisoners_dilemma,
     weakly_dominated,
-    weakly_dominated_set,
 )
 from ratshare.strategies import UtilityTable, canonical_table
 
 
 def pair_table():
     return UtilityTable.from_scalars(2, 1, 0, n_players=2)
+
+
+def full_restriction(game):
+    return [set(range(len(s))) for s in game.strategies]
 
 
 def random_game(rng, shape=(3, 3, 3), lo=0, hi=5):
@@ -75,16 +78,13 @@ def test_send_is_dominated_in_the_one_shot_game():
     send = game.index(1, SEND)
     withhold = game.index(1, WITHHOLD)
     for player in (1, 2):
-        assert weakly_dominated_set(game, player) == {send}
-        assert weakly_dominated(
-            game, player, [set(range(2)), set(range(2))]
-        ) == {send: withhold}
+        assert weakly_dominated(game, player, full_restriction(game)) == {send: withhold}
 
 
 def test_matching_pennies_has_no_dominated_strategies():
     game = matching_pennies()
-    assert weakly_dominated_set(game, 1) == set()
-    assert weakly_dominated_set(game, 2) == set()
+    assert weakly_dominated(game, 1, full_restriction(game)) == {}
+    assert weakly_dominated(game, 2, full_restriction(game)) == {}
 
 
 @pytest.mark.parametrize(
@@ -102,9 +102,9 @@ def test_engine_matches_brute_force_on_random_games():
     rng = Random(99)
     for _ in range(100):
         game = random_game(rng)
-        restriction = [set(range(len(s))) for s in game.strategies]
+        restriction = full_restriction(game)
         for player in (1, 2, 3):
-            assert weakly_dominated_set(game, player, restriction) == brute_force_dominated(
+            assert set(weakly_dominated(game, player, restriction)) == brute_force_dominated(
                 game, player, restriction
             )
 
@@ -118,7 +118,7 @@ def test_engine_matches_brute_force_under_restriction():
             for s in game.strategies
         ]
         for player in (1, 2, 3):
-            assert weakly_dominated_set(game, player, restriction) == brute_force_dominated(
+            assert set(weakly_dominated(game, player, restriction)) == brute_force_dominated(
                 game, player, restriction
             )
 

@@ -12,7 +12,6 @@ from ratshare.engine import (
     MOfNExchange,
     issue_round,
     run_mechanism,
-    run_mechanism_detailed,
 )
 from ratshare.lifts import TwoOfNExchange, lift_2_of_n, lift_m_of_n, partition_players
 from ratshare.protocol import (
@@ -22,7 +21,7 @@ from ratshare.protocol import (
     TerminalCause,
 )
 from ratshare.seeding import derive_rng
-from ratshare.shamir import FieldElement, ShareIssuer, reconstruct
+from ratshare.shamir import DEFAULT_PRIME, FieldElement, ShareIssuer, reconstruct
 from ratshare.strategies import (
     DEVIATIONS,
     AlwaysBroadcast,
@@ -39,6 +38,26 @@ ALL64 = [
     for cs in product((0, 1), repeat=3)
     for cps in product((0, 1), repeat=3)
 ]
+
+
+def run_ring(alpha, profile, seed, *, cap=engine.DEFAULT_CAP, record=True, trial=0):
+    """The run `run_mechanism(5, ...)` makes, plus the players' final local states."""
+    ring = MOfNExchange(
+        5, [[1], [2], [3]], [1, 2, 3], 3, alpha=alpha, profile=profile, seed=seed,
+        trial=trial, cap=cap, prime=DEFAULT_PRIME, record=record,
+    )
+    return ring.run(), ring.states
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_run_ring_is_run_mechanism(record):
+    # The helper's outcome, transcripts included, is run_mechanism's.
+    for name, deviator in ((None, None), ("withhold", 2), ("garble-step2", 1), ("always-silent", 3)):
+        profile = deviation_profile(name, deviator)
+        for trial in range(3):
+            ring, _ = run_ring(0.5, profile, 11, cap=50, record=record, trial=trial)
+            assert ring == run_mechanism(5, 0.5, profile, 11, cap=50, record=record, trial=trial)
+            assert bool(ring.transcripts) is record
 
 
 def forced_profile(assignment, inner=None):
@@ -85,9 +104,7 @@ def test_issue_round_rejects_duplicate_epoch():
 
 def test_step1_delivery_fidelity():
     assignment = ((0, 0), (0, 1), (1, 0))
-    outcome, states = run_mechanism_detailed(
-        5, 0.5, forced_profile(assignment), seed=1, cap=1
-    )
+    outcome, states = run_ring(0.5, forced_profile(assignment), seed=1, cap=1)
     for pid in (1, 2, 3):
         pred = (pid - 2) % 3 + 1
         succ = pid % 3 + 1
@@ -135,7 +152,7 @@ def test_silent_player_makes_neighbors_abort():
 
 
 def test_missing_bit_evidence_recorded():
-    _, states = run_mechanism_detailed(5, 0.5, {2: AlwaysSilent()}, seed=7)
+    _, states = run_ring(0.5, {2: AlwaysSilent()}, seed=7)
     kinds = {e.kind for e in states[1].cheat_evidence}
     assert "missing-bit" in kinds
 
@@ -184,7 +201,7 @@ def test_withholder_against_two_heads_learns_alone():
 def test_withholder_against_two_tails_is_caught():
     assignment = ((0, 0), (1, 1), (0, 0))
     profile = forced_profile(assignment, inner={2: WithholdShare()})
-    outcome, states = run_mechanism_detailed(5, 0.5, profile, seed=1, cap=2)
+    outcome, states = run_ring(0.5, profile, seed=1, cap=2)
     assert outcome.cause == TerminalCause.CHEAT_STOP
     assert outcome.info == (0, 0, 0)
     tr = outcome.transcripts[0]
@@ -204,7 +221,7 @@ def test_tampered_broadcast_counts_as_missing():
 
     assignment = ((1, 0), (1, 1), (1, 0))
     profile = forced_profile(assignment, inner={2: TamperOwnShare()})
-    outcome, states = run_mechanism_detailed(5, 0.5, profile, seed=1, cap=2)
+    outcome, states = run_ring(0.5, profile, seed=1, cap=2)
     # Receivers drop the forged share: they see two valid broadcasts
     # (their own and the other honest player's) and stop without learning;
     # the cheater still collects both honest shares.
@@ -218,9 +235,7 @@ def test_tampered_broadcast_counts_as_missing():
 
 def test_honest_parity_agreement_and_atomicity_all_64():
     for assignment in ALL64:
-        outcome, states = run_mechanism_detailed(
-            5, 0.5, forced_profile(assignment), seed=9, cap=1
-        )
+        outcome, states = run_ring(0.5, forced_profile(assignment), seed=9, cap=1)
         cs = [assignment[i][0] for i in range(3)]
         expected_parity = cs[0] ^ cs[1] ^ cs[2]
         tr = outcome.transcripts[0]
@@ -357,7 +372,7 @@ def test_recording_does_not_change_the_run(name, deviator, alpha_prime, alpha):
     profile = deviation_profile(name, deviator, alpha_prime)
     for trial in range(5):
         runs = [
-            run_mechanism_detailed(5, alpha, profile, 37, cap=500, record=record, trial=trial)
+            run_ring(alpha, profile, 37, cap=500, record=record, trial=trial)
             for record in (True, False)
         ]
         (on, on_states), (off, off_states) = runs

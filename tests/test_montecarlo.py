@@ -27,7 +27,6 @@ from ratshare.strategies import (
     DEVIATIONS,
     ForcedCoins,
     HonestStrategy,
-    build_deviation,
     canonical_table,
     deviation_profile,
     parse_deviation,
@@ -45,7 +44,8 @@ CAUSE_BY_CODE = {code: cause for cause, code in montecarlo.CAUSE_CODE.items()}
 def engine_signature(assignment, deviation, deviator):
     inner = {}
     if deviation is not None:
-        inner[deviator] = build_deviation(deviation)
+        name, alpha_prime = parse_deviation(deviation)
+        inner = deviation_profile(name, deviator, alpha_prime)
     profile = {
         pid: ForcedCoins([assignment[pid - 1]] * 2, inner.get(pid)) for pid in (1, 2, 3)
     }
@@ -208,6 +208,10 @@ def test_sampler_validation():
             sample(0.5, 10, 1, deviation="withhold", deviator=9)
         with pytest.raises(ValueError):
             sample(0.5, 10, 1, deviation="biased-coin", deviator=1, alpha_prime=0.0)
+        # Iterations are counted in float64, exact only up to 2**53.
+        for cap in (2**53 + 1, 2**63, 10**23):
+            with pytest.raises(ValueError, match=r"^iteration cap must be at most 2\*\*53"):
+                sample(1e-100, 10, 1, cap=cap)
 
 
 def test_cap_leaves_cause_cap_hit():
@@ -217,6 +221,11 @@ def test_cap_leaves_cause_cap_hit():
     capped = stats.causes == montecarlo.CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT]
     assert (stats.iterations[capped] == 3).all()
     assert not stats.info[capped].any()
+    # At alpha 1e-100 no run absorbs within the largest cap, 2**53
+    # restarts, and the int64 count is that cap exactly.
+    stats = montecarlo.sample_runs(1e-100, 3, 1, cap=2**53)
+    assert stats.iterations.tolist() == [2**53] * 3
+    assert stats.total_steps.tolist() == [5 * 2**53] * 3
 
 
 @pytest.mark.parametrize("cap", [1, 7, DEFAULT_CAP])

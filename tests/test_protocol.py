@@ -2,10 +2,9 @@
 
 import pytest
 
+from ratshare.engine import _PRED, _SUCC
 from ratshare.protocol import (
-    RING,
     CoinTriple,
-    PlayerRing,
     RunOutcome,
     TerminalCause,
     broadcast_rule,
@@ -16,17 +15,17 @@ from ratshare.protocol import (
 
 
 def test_ring_wraparound():
-    assert RING.successor(3) == 1
-    assert RING.predecessor(1) == 3
-    assert RING.successor(1) == 2
-    assert RING.predecessor(2) == 1
+    assert _SUCC[3] == 1
+    assert _PRED[1] == 3
+    assert _SUCC[1] == 2
+    assert _PRED[2] == 1
 
 
 def test_ring_successor_predecessor_inverse():
-    ring = PlayerRing()
+    assert set(_SUCC) == set(_PRED) == {1, 2, 3}
     for i in (1, 2, 3):
-        assert ring.predecessor(ring.successor(i)) == i
-        assert ring.successor(ring.predecessor(i)) == i
+        assert _PRED[_SUCC[i]] == i
+        assert _SUCC[_PRED[i]] == i
 
 
 def test_coin_triple_invariant():

@@ -71,6 +71,17 @@ def test_field_element_range_checked():
         FieldElement(-1, 13)
 
 
+def test_field_element_rejects_values_that_are_not_ints():
+    for value in (1.5, 1.0, True, False):
+        with pytest.raises(ValueError, match="is not an int in"):
+            FieldElement(value, 13)
+    # A float secret never reaches the issuer: 2.5 would give y values
+    # 8.5, 1.5 and 7.5 and reconstruct to 9.0.
+    issuer = ShareIssuer(b"k", modulus=13)
+    with pytest.raises(ValueError, match="is not an int in"):
+        issuer.issue_shares(FieldElement(2.5, 13), 3, 3, 0, Random(0))
+
+
 def test_field_rejects_composite_modulus():
     with pytest.raises(ValueError):
         FieldElement(1, 15)

@@ -15,26 +15,28 @@ from ratshare.protocol import (
     TerminalCause,
 )
 from ratshare.strategies import (
+    DEVIATIONS,
     AlwaysSilent,
     BiasedCoin,
     ForcedCoins,
     HonestStrategy,
     LocalState,
+    TableSizeError,
     UtilityTable,
     WithholdShare,
     all_info_vectors,
-    build_deviation,
     canonical_table,
-    deviation_catalog,
+    deviation_profile,
     info_key,
+    parse_deviation,
     parse_info_key,
-    utility_of_run,
 )
 
 
 def make_state(player=1, coins=None, parity=None, observed=(), holdings_count=1, threshold=3):
     state = LocalState(player=player, n_players=3, threshold=threshold)
-    state.begin_iteration(1, 0, own_payload="share")
+    state.begin_iteration(1, 0)
+    state.own_payload = "share"
     if coins is not None:
         state.coins = CoinTriple.make(*coins)
     state.parity = parity
@@ -156,12 +158,14 @@ def test_missing_vector_entry_raises():
 def test_doc_round_trip(tmp_path):
     table = canonical_table()
     doc = table.to_doc()
-    again = UtilityTable.from_doc(doc)
+    again = UtilityTable.from_doc(doc, 3)
     assert again.payoffs == table.payoffs
-    scalars = UtilityTable.from_doc({"players": 3, "u_only": 2, "u_all": 1, "u_none": 0})
+    scalars = UtilityTable.from_doc({"players": 3, "u_only": 2, "u_all": 1, "u_none": 0}, 3)
     assert scalars.payoffs == table.payoffs
     with pytest.raises(ValueError):
-        UtilityTable.from_doc({"players": 3})
+        UtilityTable.from_doc({"players": 3}, 3)
+    with pytest.raises(TableSizeError, match="^needs a 2-player utility table, got 3$"):
+        UtilityTable.from_doc(doc, 2)
 
 
 def test_require_names_the_size_or_the_first_violation():
@@ -181,8 +185,6 @@ def test_require_names_the_size_or_the_first_violation():
 # Each consumer of a utility table, and the player count it needs.
 TABLE_CONSUMERS = {
     "alpha-star": (3, analysis.alpha_star),
-    "honest": (3, lambda table: analysis.expected_utility_honest(0.5, table, 1)),
-    "withhold": (3, lambda table: analysis.expected_utility_withhold(0.5, table, 1)),
     "audit": (3, lambda table: analysis.nash_audit(0.5, table, trials=10_000, seed=1)),
     "oneshot": (2, build_oneshot_sharing_game),
     "bounded-r1": (2, lambda table: build_bounded_game(1, table)),
@@ -224,11 +226,18 @@ def test_honest_decide_rule():
 # --- deviations -----------------------------------------------------------------
 
 
+def spec_strategy(spec):
+    """The strategy a "name[:param]" spec gives player 1, by the one spec path."""
+    name, alpha_prime = parse_deviation(spec)
+    return deviation_profile(name, 1, alpha_prime)[1]
+
+
 def test_catalog_contents():
-    catalog = deviation_catalog()
-    assert set(catalog) == {
+    assert set(DEVIATIONS) == {
         "withhold", "biased-coin", "garble-step2", "always-silent", "always-broadcast"
     }
+    for name in DEVIATIONS:
+        assert spec_strategy(name).name == name
 
 
 def test_withhold_never_broadcasts():
@@ -249,16 +258,17 @@ def test_biased_coin_validates_range():
     with pytest.raises(ValueError):
         BiasedCoin(1.5)
     with pytest.raises(ValueError):
-        build_deviation("biased-coin:0")
+        spec_strategy("biased-coin:0")
 
 
 def test_build_deviation_parsing():
-    assert build_deviation("withhold").name == "withhold"
-    assert build_deviation("biased-coin:0.25").alpha_prime == 0.25
+    assert spec_strategy("withhold").name == "withhold"
+    assert spec_strategy("biased-coin:0.25").alpha_prime == 0.25
+    assert spec_strategy("biased-coin").alpha_prime == 1.0
     with pytest.raises(ValueError):
-        build_deviation("nonsense")
+        spec_strategy("nonsense")
     with pytest.raises(ValueError):
-        build_deviation("withhold:0.5")
+        spec_strategy("withhold:0.5")
 
 
 def test_always_silent_zeroes_the_info_vector():
@@ -273,12 +283,12 @@ def test_always_silent_zeroes_the_info_vector():
 def test_utility_lookup_on_outcomes():
     table = canonical_table()
     all_learned = RunOutcome(1, (1, 1, 1), TerminalCause.ALL_LEARNED)
-    assert utility_of_run(all_learned, table, 1) == 1.0
+    assert table.payoff(1, all_learned.info) == 1.0
     cheat = RunOutcome(2, (0, 1, 0), TerminalCause.CHEAT_STOP)
-    assert utility_of_run(cheat, table, 2) == 2.0
-    assert utility_of_run(cheat, table, 1) == -0.5
+    assert table.payoff(2, cheat.info) == 2.0
+    assert table.payoff(1, cheat.info) == -0.5
     capped = RunOutcome(4, (0, 0, 0), TerminalCause.ITERATION_CAP_HIT)
-    assert utility_of_run(capped, table, 1) == 0.0
+    assert table.payoff(1, capped.info) == 0.0
 
 
 def test_equal_info_gives_equal_payoff_regardless_of_transcript():
@@ -286,7 +296,7 @@ def test_equal_info_gives_equal_payoff_regardless_of_transcript():
     a = RunOutcome(1, (1, 1, 1), TerminalCause.ALL_LEARNED)
     b = RunOutcome(9, (1, 1, 1), TerminalCause.ALL_LEARNED)
     for player in (1, 2, 3):
-        assert utility_of_run(a, table, player) == utility_of_run(b, table, player)
+        assert table.payoff(player, a.info) == table.payoff(player, b.info)
 
 
 # --- randomization discipline -------------------------------------------------------

@@ -1,0 +1,81 @@
+"""The package's public surface is what its own code, the benchmark and the README read.
+
+Every public top-level function and class in `src/ratshare` must be read
+outside its own definition and the package `__init__`: by other code in
+`src/ratshare`, by `bench/` (whose tracer also patches bindings by their
+string names), or in `README.md`.  Tests do not count, since a helper only
+tests call is a second copy of a path the package already has.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ratshare"
+
+# Kept on purpose, though only tests read them.
+KEPT = {
+    "shamir.combine_subshares": "the inverse that tests check split_subshares against",
+    "dominance.matching_pennies": "a reference game with no dominated strategy, a test fixture",
+    "strategies.canonical_table": "the running example's utility table, a test fixture",
+    "dominance.bounded_strategy_sends": "labels the bounded-r2 survivors in tests until r = 3 "
+    "replaces the hand-written game",
+    "strategies.WithholdFromLeader": "the lifts' forwarding deviation, a test fixture",
+}
+
+
+def _public_definitions() -> dict[str, ast.AST]:
+    """Each public top-level function and class, as "module.name", with its node."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found[f"{path.stem}.{node.name}"] = node
+    return found
+
+
+def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names, attribute names and whole-string constants that `tree` loads, outside `skip`."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _unread() -> set[str]:
+    definitions = _public_definitions()
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
+        if path.name != "__init__.py"
+    }
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    everywhere = {path: _reads(tree) for path, tree in trees.items()}
+    unread = set()
+    for qualified, node in definitions.items():
+        module, name = qualified.split(".")
+        own = SRC / f"{module}.py"
+        if name in readme or any(name in reads for path, reads in everywhere.items() if path != own):
+            continue
+        if name not in _reads(trees[own], skip=node):
+            unread.add(qualified)
+    return unread
+
+
+def test_every_public_name_is_read_outside_tests():
+    # Equality also keeps KEPT minimal: a kept name that gains a reader,
+    # or is deleted, leaves the list.
+    assert _unread() == set(KEPT)
