@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from . import montecarlo
 from .engine import DEFAULT_CAP
+from .protocol import STEPS_PER_ITERATION
 from .seeding import derive_int
 from .strategies import UtilityTable, deviation_profile, parse_deviation
 
@@ -112,7 +113,7 @@ def expected_steps(alpha: float) -> float:
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     cube = alpha**3
-    return 5 / cube if cube else math.inf
+    return STEPS_PER_ITERATION / cube if cube else math.inf
 
 
 NO_INCENTIVE = "NoIncentive"

@@ -12,6 +12,10 @@ Subcommands:
 `simulate --dump-transcripts` refuses a dump expected to pass 1 GB
 (DUMP_BUDGET_BYTES).
 
+`run_command` builds every report around the results section a
+subcommand's handler returns: [config] echoes the flags, and [timing]
+covers the whole handler.
+
 Exit codes: 0 success, 2 configuration error, 3 protocol invariant
 violated during a run (should never happen).
 """
@@ -29,7 +33,7 @@ import numpy as np
 from . import analysis, dominance, montecarlo
 from .engine import DEFAULT_CAP, InvariantViolationError, check_run_config, run_mechanism
 from .protocol import STEPS_PER_ITERATION, MessageKind, Step, TerminalCause
-from .report import Report
+from .report import Report, Section
 from .shamir import (
     exhaustive_hiding_check,
     exhaustive_round_trip_check,
@@ -72,10 +76,11 @@ def dump_bytes_per_iteration(alpha: float) -> float:
     average to this expectation.  At alpha 0.5 it is 1.76 KB (measured:
     about 1.55 KB).
     """
-    broadcasters = 3 * alpha * (1 - alpha) ** 2 + 3 * alpha**3
+    dist = analysis.iteration_distribution(alpha)
+    broadcasters = dist.p_lone_send + 3 * dist.p_success
     return (
         9 * BIT_LINE_BYTES
-        + 3 * (1 - alpha**3) * RESTART_LINE_BYTES
+        + 3 * (1 - dist.p_success) * RESTART_LINE_BYTES
         + 2 * broadcasters * SHARE_LINE_BYTES
     )
 
@@ -142,13 +147,6 @@ def _check_dump_size(trials: int, alpha: float, cap: int) -> None:
         )
 
 
-def _config_section(report: Report, args, keys: list[str]) -> None:
-    section = report.section("config")
-    section.add("command", args.command)
-    for key in keys:
-        section.add(key.replace("_", "-"), getattr(args, key, None))
-
-
 def _share_record(payload) -> object:
     if hasattr(payload, "to_record"):
         return payload.to_record()
@@ -211,7 +209,7 @@ def _dumped_runs(fh, trials: int, alpha: float, seed: int, profile, cap: int):
         yield outcome
 
 
-def cmd_simulate(args) -> Report:
+def cmd_simulate(args) -> Section:
     table = None
     if args.alpha == "auto":
         table = _load_table(args)
@@ -235,12 +233,6 @@ def cmd_simulate(args) -> Report:
         raise ConfigError(str(exc))
     if args.dump_transcripts:
         _check_dump_size(args.trials, alpha, args.cap)
-
-    report = Report("simulate")
-    _config_section(report, args, ["alpha", "trials", "seed", "cap", "deviant"])
-
-    start = time.perf_counter()
-    if args.dump_transcripts:
         # The report counts the very runs the dump records.
         with _create(args.dump_transcripts, "transcripts") as fh:
             runs = _dumped_runs(fh, args.trials, alpha, args.seed, profile, args.cap)
@@ -252,9 +244,8 @@ def cmd_simulate(args) -> Report:
             deviation=deviation, deviator=deviator, alpha_prime=alpha_prime, cap=args.cap,
         )
         sampler = "vectorized"
-    elapsed = time.perf_counter() - start
 
-    section = report.section("results.simulate")
+    section = Section("results.simulate")
     section.add("sampler", sampler)
     section.add("resolved-alpha", alpha)
     cause_counts = stats.cause_counts()
@@ -277,26 +268,20 @@ def cmd_simulate(args) -> Report:
             "deviant.only-deviator-learned-fraction",
             only_count / absorbed if absorbed else 0.0,
         )
-    report.section("timing").add("wall-clock-seconds", elapsed)
-    return report
+    return section
 
 
-def cmd_alpha_star(args) -> Report:
-    table = _load_table(args)
-    report = Report("alpha-star")
-    _config_section(report, args, ["u_only", "u_all", "u_none", "utilities"])
-    start = time.perf_counter()
-    result = analysis.alpha_star(table)
-    section = report.section("results.alpha_star")
+def cmd_alpha_star(args) -> Section:
+    result = analysis.alpha_star(_load_table(args))
+    section = Section("results.alpha_star")
     for player, value in sorted(result.per_player.items()):
         section.add(f"player{player}.ratio", result.ratio[player])
         section.add(f"player{player}.alpha-star", value)
     section.add("global", result.global_star)
-    report.section("timing").add("wall-clock-seconds", time.perf_counter() - start)
-    return report
+    return section
 
 
-def cmd_audit(args) -> Report:
+def cmd_audit(args) -> Section:
     table = _load_table(args)
     alpha = _resolve_alpha(args, table)
     _check_trials(args.trials)
@@ -309,9 +294,6 @@ def cmd_audit(args) -> Report:
         deviators = (1, 2, 3) if args.deviators is None else tuple(int(d) for d in args.deviators.split(","))
     except ValueError:
         raise ConfigError(f"--deviators must be a comma list of players, got {args.deviators!r}")
-    report = Report("audit")
-    _config_section(report, args, ["alpha", "trials", "seed", "deviations", "deviators"])
-    start = time.perf_counter()
     try:
         audit = analysis.nash_audit(
             alpha, table, deviations=deviations, trials=args.trials,
@@ -319,7 +301,7 @@ def cmd_audit(args) -> Report:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    section = report.section("results.audit")
+    section = Section("results.audit")
     section.add("resolved-alpha", alpha)
     for player in sorted({e.deviator for e in audit.entries}):
         section.add(f"baseline.player{player}", table.u_all(player))
@@ -330,8 +312,7 @@ def cmd_audit(args) -> Report:
         section.add(f"{prefix}.closed-form", entry.closed_form)
         section.add(f"{prefix}.verdict", entry.verdict)
     section.add("any-profitable", audit.any_profitable)
-    report.section("timing").add("wall-clock-seconds", time.perf_counter() - start)
-    return report
+    return section
 
 
 _SEND_ALL = dominance.bounded_strategy_label(dominance.SEND, (dominance.SEND,) * 3)
@@ -363,7 +344,7 @@ def _build_game(args, table: UtilityTable):
 _DOMINANCE_DEFAULTS = {"builtin": "oneshot-2of2", **TABLE_DEFAULTS}
 
 
-def cmd_dominance(args) -> Report:
+def cmd_dominance(args) -> Section:
     if args.game:
         given = [f"--{dest.replace('_', '-')}" for dest in (*_DOMINANCE_DEFAULTS, "utilities")
                  if getattr(args, dest) is not None]
@@ -373,9 +354,6 @@ def cmd_dominance(args) -> Report:
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     table = _load_table(args) if not args.game else None
-    report = Report("dominance")
-    _config_section(report, args, ["builtin", "game", "u_only", "u_all", "u_none", "profile"])
-    start = time.perf_counter()
     game, labels = _build_game(args, table)
     if args.profile:
         labels = args.profile.split(",")
@@ -388,7 +366,7 @@ def cmd_dominance(args) -> Report:
         except ValueError as exc:
             raise ConfigError(str(exc))
     trace = dominance.iterate_deletion(game)
-    section = report.section("results.dominance")
+    section = Section("results.dominance")
     section.add("game", game.name)
     for k, rnd in enumerate(trace.rounds, start=1):
         for player in sorted(rnd.deleted):
@@ -414,11 +392,10 @@ def cmd_dominance(args) -> Report:
         if verdict.nash_witness:
             player, alt = verdict.nash_witness
             section.add("recommended.nash-witness", f"player{player}:{game.label(player, alt)}")
-    report.section("timing").add("wall-clock-seconds", time.perf_counter() - start)
-    return report
+    return section
 
 
-def cmd_hiding(args) -> Report:
+def cmd_hiding(args) -> Section:
     if not (args.prime < 2**64 and is_prime(args.prime)):
         raise ConfigError(f"--prime must be a prime below 2**64, got {args.prime}")
     if not 3 <= args.n < args.prime:
@@ -429,10 +406,7 @@ def cmd_hiding(args) -> Report:
             f"--prime {args.prime} --n {args.n} needs {work} reconstructions, "
             f"over the budget of {HIDING_BUDGET}"
         )
-    report = Report("hiding")
-    _config_section(report, args, ["prime", "n"])
-    start = time.perf_counter()
-    section = report.section("results.hiding")
+    section = Section("results.hiding")
     all_ok = True
     failures = exhaustive_round_trip_check(p=args.prime, n=args.n, thresholds=(1, 2, 3))
     for m, count in sorted(failures.items()):
@@ -444,8 +418,7 @@ def cmd_hiding(args) -> Report:
             section.add(f"m{m}.hiding-subset-size{size}", "uniform" if ok else "NOT-uniform")
             all_ok = all_ok and ok
     section.add("all-pass", all_ok)
-    report.section("timing").add("wall-clock-seconds", time.perf_counter() - start)
-    return report
+    return section
 
 
 def _add_table_flags(parser, players: int = 3) -> None:
@@ -481,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the JSONL message stream (uses the reference engine; "
                    f"refused when expected to pass {DUMP_BUDGET_BYTES / 1e9:g} GB)")
     _add_table_flags(p)
-    p.set_defaults(handler=cmd_simulate)
+    p.set_defaults(handler=cmd_simulate, config_keys="alpha trials seed cap deviant")
 
     p = sub.add_parser("alpha-star", help="honesty threshold from a utility table")
     _add_table_flags(p)
-    p.set_defaults(handler=cmd_alpha_star)
+    p.set_defaults(handler=cmd_alpha_star, config_keys="u_only u_all u_none utilities")
 
     p = sub.add_parser("audit", help="Monte Carlo incentive audit")
     p.add_argument("--alpha", required=True, help="coin bias in (0, 1), or 'auto' for alpha*/2")
@@ -497,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deviations", help="comma list (default: full catalogue)")
     p.add_argument("--deviators", help="comma list of players (default: 1,2,3)")
     _add_table_flags(p)
-    p.set_defaults(handler=cmd_audit)
+    p.set_defaults(handler=cmd_audit, config_keys="alpha trials seed deviations deviators")
 
     p = sub.add_parser("dominance", help="iterated deletion of weakly dominated strategies")
     p.add_argument("--builtin", choices=list(BUILTIN_GAMES),
@@ -507,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", metavar="S1,S2", help="recommended profile to check")
     _add_table_flags(p, players=2)
     p.set_defaults(**dict.fromkeys(_DOMINANCE_DEFAULTS))
-    p.set_defaults(handler=cmd_dominance)
+    p.set_defaults(handler=cmd_dominance, config_keys="builtin game u_only u_all u_none profile")
 
     p = sub.add_parser(
         "hiding",
@@ -518,9 +491,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--prime", type=int, default=7)
     p.add_argument("--n", type=int, default=3)
-    p.set_defaults(handler=cmd_hiding)
+    p.set_defaults(handler=cmd_hiding, config_keys="prime n")
 
     return parser
+
+
+def run_command(args) -> Report:
+    """The report of one command: [config], the handler's results, [timing].
+
+    [config] echoes the flags named in `args.config_keys`, a --utilities file
+    replacing the scalar table flags it overrides; [timing] covers the whole handler.
+    """
+    start = time.perf_counter()
+    results = args.handler(args)
+    elapsed = time.perf_counter() - start
+    report = Report(args.command)
+    config = report.section("config").add("command", args.command)
+    keys = args.config_keys.split()
+    if getattr(args, "utilities", None):
+        keys = ["utilities" if k == "u_only" else k for k in keys
+                if k not in ("u_all", "u_none", "utilities")]
+    for key in keys:
+        config.add(key.replace("_", "-"), getattr(args, key, None))
+    report.sections.append(results)
+    report.section("timing").add("wall-clock-seconds", elapsed)
+    return report
 
 
 @cache
@@ -536,7 +531,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        text = args.handler(args).render()
+        text = run_command(args).render()
         if args.out:
             with _create(args.out, "the report") as fh:
                 fh.write(text)

@@ -217,39 +217,20 @@ def iterate_deletion(game: NormalFormGame) -> DeletionTrace:
     player instead of guessing.
     """
     restriction = [set(range(len(s))) for s in game.strategies]
+    players = range(1, game.n_players + 1)
     rounds: list[DeletionRound] = []
     while True:
-        doms = {
-            player: weakly_dominated(game, player, restriction)
-            for player in range(1, game.n_players + 1)
-        }
-        for player in range(1, game.n_players + 1):
-            if len(doms[player]) == len(restriction[player - 1]):
-                rounds.append(
-                    DeletionRound(
-                        deleted=doms, surviving=tuple(frozenset(r) for r in restriction)
-                    )
-                )
-                return DeletionTrace(
-                    rounds=rounds,
-                    surviving=tuple(frozenset(r) for r in restriction),
-                    fixpoint=False,
-                    would_empty=player,
-                )
-        if all(not d for d in doms.values()):
-            rounds.append(
-                DeletionRound(deleted=doms, surviving=tuple(frozenset(r) for r in restriction))
-            )
-            return DeletionTrace(
-                rounds=rounds,
-                surviving=tuple(frozenset(r) for r in restriction),
-                fixpoint=True,
-            )
-        for player in range(1, game.n_players + 1):
-            restriction[player - 1] -= set(doms[player])
-        rounds.append(
-            DeletionRound(deleted=doms, surviving=tuple(frozenset(r) for r in restriction))
-        )
+        doms = {player: weakly_dominated(game, player, restriction) for player in players}
+        would_empty = next((p for p in players if len(doms[p]) == len(restriction[p - 1])), None)
+        done = would_empty is not None or all(not d for d in doms.values())
+        if not done:
+            for player in players:
+                restriction[player - 1] -= set(doms[player])
+        surviving = tuple(frozenset(r) for r in restriction)
+        rounds.append(DeletionRound(deleted=doms, surviving=surviving))
+        if done:
+            fixpoint = would_empty is None
+            return DeletionTrace(rounds, surviving, fixpoint=fixpoint, would_empty=would_empty)
 
 
 @dataclass

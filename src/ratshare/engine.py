@@ -9,7 +9,8 @@ realization of stopping.
 
 `GroupedExchange` owns both the run loop (`run`, the only one) and the
 coin iteration it repeats (`_coin_iteration`), reading the players'
-states, strategies and streams from itself.  Players sit in three
+states, strategies and streams from itself.  A recorded run keeps, per
+iteration, the messages sent and nothing else.  Players sit in three
 groups; each group's leader takes one seat on the coin ring and
 broadcasts its group's bundle.  The 3-of-3 mechanism is the m-of-n share
 exchange with three one-player groups, and the lifts in `ratshare.lifts`
@@ -25,7 +26,6 @@ from random import Random
 
 from .protocol import (
     ISSUER_ID,
-    RESTART,
     Decision,
     DecisionKind,
     IterationTranscript,
@@ -112,7 +112,8 @@ class GroupedExchange:
     forwarder asks the issuer to restart before any coins are tossed.
 
     Subclasses define what one epoch issues, who forwards, what a
-    player's bundle is, and how a received item is validated.
+    player's bundle is, and its items' type, stale-item evidence kind and
+    holding key, which `_accept_item`, the one item check, reads.
     """
 
     def __init__(
@@ -167,9 +168,24 @@ class GroupedExchange:
         """What `player` holds for `epoch` and hands on: a fresh list."""
         raise NotImplementedError
 
+    item_type: type
+    stale_evidence: str
+
+    def _holding_key(self, item) -> tuple:
+        """Where a received item is kept in its holder's holdings."""
+        raise NotImplementedError
+
     def _accept_item(self, state: LocalState, sender: int, item) -> bool:
         """Validate one broadcast/forwarded item of the state's epoch and store it."""
-        raise NotImplementedError
+        if not isinstance(item, self.item_type) or item.epoch != state.epoch:
+            evidence = CheatEvidence(self.stale_evidence, state.iteration, int(Step.DECIDE), sender)
+        elif not self.issuer.verify_tag(item):
+            evidence = CheatEvidence("invalid-tag", state.iteration, int(Step.DECIDE), sender)
+        else:
+            state.add_holding(state.epoch, self._holding_key(item), item)
+            return True
+        state.cheat_evidence.append(evidence)
+        return False
 
     def _payload(self, bundle: list) -> object:
         return tuple(bundle)
@@ -186,18 +202,16 @@ class GroupedExchange:
     # One iteration ------------------------------------------------------------
 
     def _coin_iteration(
-        self, seats: dict[int, int | None], iteration: int, epoch: int
-    ) -> tuple[dict[int, Decision], IterationTranscript | None]:
+        self, seats: dict[int, int | None], iteration: int, msgs: list[RoundMessage]
+    ) -> dict[int, Decision]:
         """Execute steps 1-4 of one iteration among the seated leaders.
 
         `seats` maps each ring position to its leader, or to None once the
-        leader has left.  Returns the decisions by player and, when
-        recording, the transcript; an unrecorded iteration builds no
-        message and no transcript.
+        leader has left.  Returns the decisions by player, and appends the
+        messages sent to `msgs` only when recording.
         """
         states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
         leaders = self.leaders
-        msgs: list[RoundMessage] = []
         decisions: dict[int, Decision] = {}
         live = {pos: pid for pos, pid in seats.items() if pid is not None}
         inbox_plus: dict[int, int] = {}
@@ -307,19 +321,7 @@ class GroupedExchange:
                     )
                 )
 
-        if not record:
-            return decisions, None
-        seated = [pid for pid in seats.values() if pid is not None]
-        transcript = IterationTranscript(
-            iteration=iteration,
-            epoch=epoch,
-            coins={pid: states[pid].coins for pid in seated},
-            parities={pid: states[pid].parity for pid in seated},
-            broadcasters=tuple(sender for sender, _ in broadcasts),
-            decisions=decisions,
-            messages=msgs,
-        )
-        return decisions, transcript
+        return decisions
 
     # Main loop ----------------------------------------------------------------
 
@@ -345,6 +347,8 @@ class GroupedExchange:
             # leader's seat is vacated; only a seated leader can stall.
             bundles = {leader: self._bundle(leader, epoch) for leader in self.leaders}
             msgs: list[RoundMessage] = []
+            if record:
+                transcripts.append(IterationTranscript(iterations, epoch, msgs))
             stalled = set()
             for p, leader in forwarders:
                 if not strategies[p].forwards_to_leader(states[p], rngs[p]):
@@ -372,27 +376,12 @@ class GroupedExchange:
                         )
                         for pid in seated
                     ]
-                    transcripts.append(
-                        IterationTranscript(
-                            iteration=iterations,
-                            epoch=epoch,
-                            coins={},
-                            parities={},
-                            broadcasters=(),
-                            decisions={pid: RESTART for pid in seated},
-                            messages=msgs,
-                        )
-                    )
                 epoch += 1
                 continue
 
             for pid in seated:
                 states[pid].own_payload = self._payload(bundles[pid])
-            decisions, transcript = self._coin_iteration(seats, iterations, epoch)
-            if record:
-                if msgs:
-                    transcript.messages = msgs + transcript.messages
-                transcripts.append(transcript)
+            decisions = self._coin_iteration(seats, iterations, msgs)
 
             if self.honest:
                 parities = {st.parity for st in leader_states if st.parity is not None}
@@ -443,19 +432,11 @@ class MOfNExchange(GroupedExchange):
     def _bundle(self, player: int, epoch: int) -> list[Share]:
         return [self.states[player].holdings[epoch][("share", player)]]
 
-    def _accept_item(self, state: LocalState, sender: int, item) -> bool:
-        if not isinstance(item, Share) or item.epoch != state.epoch:
-            state.cheat_evidence.append(
-                CheatEvidence("stale-share", state.iteration, int(Step.DECIDE), sender)
-            )
-            return False
-        if not self.issuer.verify_tag(item):
-            state.cheat_evidence.append(
-                CheatEvidence("invalid-tag", state.iteration, int(Step.DECIDE), sender)
-            )
-            return False
-        state.add_holding(state.epoch, ("share", item.x.value), item)
-        return True
+    item_type = Share
+    stale_evidence = "stale-share"
+
+    def _holding_key(self, item: Share) -> tuple:
+        return ("share", item.x.value)
 
     # The 3-of-3 ring (n = 3, one player per group) broadcasts the bare
     # share rather than a one-share bundle.

@@ -25,14 +25,14 @@ from .engine import (
     MOfNExchange,
     issue_round,
 )
-from .protocol import RunOutcome, Step
+from .protocol import RunOutcome
 
 # derive_bytes and derive_rng are unused here but stay importable:
 # bench/tracer.py patches lifts.issue_round, lifts.derive_bytes and
 # lifts.derive_rng by name.
 from .seeding import derive_bytes, derive_rng  # noqa: F401
 from .shamir import DEFAULT_PRIME, FieldElement, Subshare
-from .strategies import CheatEvidence, LocalState, Strategy
+from .strategies import LocalState, Strategy
 
 
 def partition_players(n: int, m: int) -> tuple[list[list[int]], list[int]]:
@@ -151,19 +151,11 @@ class TwoOfNExchange(GroupedExchange):
         items = self.states[player].holdings.get(epoch, {})
         return [items[key] for key in sorted(k for k in items if k[0] == "sub")]
 
-    def _accept_item(self, state: LocalState, sender: int, item) -> bool:
-        if not isinstance(item, Subshare) or item.epoch != state.epoch:
-            state.cheat_evidence.append(
-                CheatEvidence("stale-subshare", state.iteration, int(Step.DECIDE), sender)
-            )
-            return False
-        if not self.issuer.verify_tag(item):
-            state.cheat_evidence.append(
-                CheatEvidence("invalid-tag", state.iteration, int(Step.DECIDE), sender)
-            )
-            return False
-        state.add_holding(state.epoch, ("sub", item.parent_holder, item.index), item)
-        return True
+    item_type = Subshare
+    stale_evidence = "stale-subshare"
+
+    def _holding_key(self, item: Subshare) -> tuple:
+        return ("sub", item.parent_holder, item.index)
 
 
 def lift_2_of_n(

@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from . import engine
-from .protocol import RunOutcome, TerminalCause
+from .protocol import STEPS_PER_ITERATION, RunOutcome, TerminalCause
 from .seeding import derive_generator
 from .strategies import ForcedCoins, HonestStrategy, UtilityTable, deviation_profile, info_key
 
@@ -72,7 +72,7 @@ class TrialStats:
 
     @property
     def total_steps(self) -> np.ndarray:
-        return 5 * self.iterations
+        return STEPS_PER_ITERATION * self.iterations
 
     def cause_counts(self) -> dict[TerminalCause, int]:
         return {

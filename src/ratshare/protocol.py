@@ -9,7 +9,8 @@ stops or asks the issuer to restart with fresh shares.
 
 Messages take exactly one synchronous round to arrive: bits sent at the
 coin-exchange step are read at the masked-bit step, masked bits at the
-broadcast step, and broadcasts at the decision step.
+broadcast step, and broadcasts at the decision step.  A recorded
+iteration (`IterationTranscript`) keeps the messages it sent and nothing else.
 """
 
 from __future__ import annotations
@@ -104,15 +105,12 @@ class TerminalCause(Enum):
 
 @dataclass
 class IterationTranscript:
-    """Everything one iteration produced, keyed by player id."""
+    """The messages one iteration sent, in sending order; they determine
+    its coins, parities, broadcasts and decisions."""
 
     iteration: int
     epoch: int
-    coins: dict[int, CoinTriple | None]
-    parities: dict[int, int | None]
-    broadcasters: tuple[int, ...]
-    decisions: dict[int, Decision]
-    messages: list[RoundMessage] = field(default_factory=list)
+    messages: list[RoundMessage]
 
 
 @dataclass

@@ -1,15 +1,13 @@
 """Structured text reports.
 
-One document per command: a schema line, a [config] echo, one or more
-[results.*] sections, and a [timing] section.  Keys are dotted paths,
+One document per command: a schema line, a [config] echo, one
+[results.*] section, and a [timing] section.  Keys are dotted paths,
 values render deterministically (floats at 12 significant digits), so
 equal configurations produce byte-identical result sections; only
 [timing] varies between runs.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 SCHEMA = "ratshare.report.v1"
 ARTIFACT_VERSION = "0.1.0"
@@ -22,8 +20,6 @@ def fmt_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".12g")
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -53,12 +49,13 @@ class Report:
         return section
 
     def render(self) -> str:
-        head = [f"schema = {SCHEMA}", f"artifact = ratshare {ARTIFACT_VERSION}"]
-        body = [section.render() for section in self.sections]
-        return "\n".join(head) + "\n\n" + "\n\n".join(body) + "\n"
+        return _render(self.sections)
 
     def result_text(self) -> str:
-        """Everything except [timing]; byte-identical for equal configs."""
-        head = [f"schema = {SCHEMA}", f"artifact = ratshare {ARTIFACT_VERSION}"]
-        body = [s.render() for s in self.sections if s.name != "timing"]
-        return "\n".join(head) + "\n\n" + "\n\n".join(body) + "\n"
+        """`render()` without [timing]; byte-identical for equal configs."""
+        return _render([s for s in self.sections if s.name != "timing"])
+
+
+def _render(sections: list[Section]) -> str:
+    body = "\n\n".join(section.render() for section in sections)
+    return f"schema = {SCHEMA}\nartifact = ratshare {ARTIFACT_VERSION}\n\n{body}\n"

@@ -410,7 +410,9 @@ class UtilityTable:
         A document of other than `n_players` players raises TableSizeError
         before anything is expanded: the scalar form grows as 2**players.
         """
-        n = int(doc.get("players", 3))
+        n = doc.get("players", 3)
+        if type(n) is not int:
+            raise ValueError(f"players must be an int, got {n!r}")
         cls.check_size(n, n_players)
         if "payoffs" in doc:
             tables = []

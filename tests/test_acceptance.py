@@ -31,6 +31,7 @@ from ratshare.shamir import (
     exhaustive_round_trip_check,
 )
 from ratshare.strategies import ForcedCoins, UtilityTable, canonical_table
+from test_engine import decode_iteration
 
 SEED = 20240314
 
@@ -73,7 +74,7 @@ def test_acceptance_02_iteration_distribution():
         for assignment in product(product((0, 1), repeat=2), repeat=3):
             profile = {p: ForcedCoins([assignment[p - 1]]) for p in (1, 2, 3)}
             out = run_mechanism(5, 0.5, profile, seed=SEED, cap=1, record=True)
-            broadcasts[assignment] = len(out.transcripts[0].broadcasters)
+            broadcasts[assignment] = len(decode_iteration(out.transcripts[0]).broadcasters)
         assert set(broadcasts.values()) == {0, 1, 3}
         for alpha in (0.1, 0.25, 0.5, 0.8, 1):
             a = Fraction(alpha)

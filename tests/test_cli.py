@@ -20,6 +20,7 @@ from ratshare.cli import (
     build_parser,
     dump_bytes_per_iteration,
     main,
+    run_command,
 )
 from ratshare.engine import DEFAULT_CAP
 from ratshare.protocol import MessageKind, RoundMessage, Step
@@ -145,6 +146,23 @@ def test_alpha_star_from_file(tmp_path, capsys):
     assert "global = 0.333333333333" in out
 
 
+@pytest.mark.parametrize(
+    "argv, players, echoed",
+    [(["alpha-star"], 3, ["utilities = {path}"]),
+     (["dominance", "--builtin", "bounded-r2"], 2,
+      ["builtin = bounded-r2", "game = none", "utilities = {path}", "profile = none"])],
+    ids=["alpha-star", "dominance"],
+)
+def test_config_names_the_utilities_file_in_place_of_the_scalars(argv, players, echoed, tmp_path,
+                                                                  capsys):
+    path = tmp_path / "utilities.json"
+    path.write_text(json.dumps({"players": players, "u_only": 5, "u_all": 1, "u_none": 0}))
+    code, out = run_cli(capsys, *argv, "--utilities", str(path))
+    assert code == 0
+    config = out.partition("[config]\n")[2].partition("\n\n")[0].splitlines()
+    assert config == [f"command = {argv[0]}", *(line.format(path=path) for line in echoed)]
+
+
 def test_audit_below_threshold(capsys):
     code, out = run_cli(
         capsys, "audit", "--alpha", "0.25", "--trials", "10000", "--seed", "5",
@@ -227,7 +245,7 @@ def test_dominance_reports_match_golden_digests(name, tmp_path, monkeypatch):
     else:
         argv = ["dominance", "--builtin", name]
     args = build_parser().parse_args(argv)
-    digest = hashlib.sha256(args.handler(args).result_text().encode()).hexdigest()
+    digest = hashlib.sha256(run_command(args).result_text().encode()).hexdigest()
     assert digest == GOLDEN_DOMINANCE[name]
 
 
@@ -252,7 +270,7 @@ GOLDEN_HIDING = {
 @pytest.mark.parametrize("prime, n", list(GOLDEN_HIDING))
 def test_hiding_reports_match_golden_digests(prime, n):
     args = build_parser().parse_args(["hiding", "--prime", str(prime), "--n", str(n)])
-    digest = hashlib.sha256(args.handler(args).result_text().encode()).hexdigest()
+    digest = hashlib.sha256(run_command(args).result_text().encode()).hexdigest()
     assert digest == GOLDEN_HIDING[(prime, n)]
 
 
@@ -318,7 +336,7 @@ def test_dump_and_report_match_golden_digests(deviant, tmp_path):
     if deviant:
         argv += ["--deviant", deviant]
     args = build_parser().parse_args(argv)
-    report = args.handler(args)
+    report = run_command(args)
     dump_digest, report_digest = GOLDEN_DUMPS[deviant]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_digest
     assert hashlib.sha256(report.result_text().encode()).hexdigest() == report_digest
@@ -332,7 +350,7 @@ def test_dump_with_multi_digit_numbers_matches_golden_digests(tmp_path):
     argv = ["simulate", "--alpha", "0.3", "--trials", "12", "--seed", "3",
             "--dump-transcripts", str(path)]
     args = build_parser().parse_args(argv)
-    report = args.handler(args)
+    report = run_command(args)
     assert (
         hashlib.sha256(path.read_bytes()).hexdigest()
         == "dcc2c9c2a736884b13bf9838bea7cad8d2841435d57eb17be5b3e26a4e0ccb6d"
@@ -487,6 +505,10 @@ PD_DOC = json.dumps({
          '{"a,b": [1e999, 2]}}'],
         ["alpha-star", "--utilities", 'DOC:{"players": 3, "payoffs": {"1": [1, 2]}}'],
         ["alpha-star", "--utilities", "DOC:[]"],
+        # A player count that is not an int is not rounded or coerced.
+        ["alpha-star", "--utilities", 'DOC:{"players": 3.9, "u_only": 2, "u_all": 1, "u_none": 0}'],
+        ["alpha-star", "--utilities", 'DOC:{"players": true, "u_only": 2, "u_all": 1, "u_none": 0}'],
+        ["alpha-star", "--utilities", 'DOC:{"players": "3", "u_only": 2, "u_all": 1, "u_none": 0}'],
         # Fields too large to enumerate.
         ["hiding", "--prime", "1009"],
         ["hiding", "--prime", "2305843009213693951"],
@@ -542,7 +564,8 @@ PD_DOC = json.dumps({
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
         "cap-0-vectorized", "cap-0-dump", "dump-no-dir", "out-no-dir", "game-strategies-int",
         "game-list", "game-strategies-strings", "game-payoff-string", "game-duplicate-labels",
-        "game-payoff-infinite", "utilities-payoff-list", "utilities-list", "hiding-prime-1009",
+        "game-payoff-infinite", "utilities-payoff-list", "utilities-list", "utilities-players-float",
+        "utilities-players-bool", "utilities-players-string", "hiding-prime-1009",
         "hiding-prime-2to61", "hiding-n-12", "alpha-star-1-player-scalars",
         "alpha-star-1-player-payoffs", "alpha-star-0-players", "alpha-star-4-players",
         "audit-2-players", "audit-4-players", "simulate-auto-1-player", "dominance-oneshot-3-players",
@@ -668,7 +691,7 @@ def test_main_reuses_one_parser_and_carries_nothing_between_calls(tmp_path, monk
             capsys.readouterr()
             continue
         assert vars(cli._parser().parse_args(argv)) == vars(fresh)
-        expected = result_sections(fresh.handler(fresh).render())
+        expected = result_sections(run_command(fresh).render())
         assert main(argv) == 0
         printed = capsys.readouterr().out
         if fresh.out:

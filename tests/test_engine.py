@@ -15,10 +15,15 @@ from ratshare.engine import (
 )
 from ratshare.lifts import TwoOfNExchange, lift_2_of_n, lift_m_of_n, partition_players
 from ratshare.protocol import (
+    ISSUER_ID,
+    CoinTriple,
     DecisionKind,
     MessageKind,
     Step,
     TerminalCause,
+    broadcast_rule,
+    parity_rule,
+    restart_rule,
 )
 from ratshare.seeding import derive_rng
 from ratshare.shamir import DEFAULT_PRIME, FieldElement, ShareIssuer, reconstruct
@@ -58,6 +63,53 @@ def test_run_ring_is_run_mechanism(record):
             ring, _ = run_ring(0.5, profile, 11, cap=50, record=record, trial=trial)
             assert ring == run_mechanism(5, 0.5, profile, 11, cap=50, record=record, trial=trial)
             assert bool(ring.transcripts) is record
+
+
+@dataclasses.dataclass
+class DecodedIteration:
+    """What one 3-ring iteration's messages say, by seat."""
+
+    coins: dict  # seat -> CoinTriple, for each seat that sent both pieces
+    parities: dict  # seat -> parity, for each seated player that could assemble it
+    broadcasters: tuple  # senders of step-3 broadcasts, in sending order
+    restarters: tuple  # senders of restart requests, in sending order
+    decisions: dict  # seat -> DecisionKind, for each seated player
+
+
+def decode_iteration(transcript, seated=(1, 2, 3)):
+    """Decode a 3-ring iteration from its messages alone.
+
+    `seated` are the players still at the ring.  A seated player that
+    missed a coin piece or the masked bit aborted; of the rest, those that
+    asked for a restart restarted and the others stopped.
+    """
+    sent = {(m.kind, m.sender, m.receiver): m.payload for m in transcript.messages}
+    coins, parities, decisions = {}, {}, {}
+    for pid in (1, 2, 3):
+        succ, pred = pid % 3 + 1, (pid - 2) % 3 + 1
+        c_plus = sent.get((MessageKind.COIN_PLUS, pid, succ))
+        c_minus = sent.get((MessageKind.COIN_MINUS, pid, pred))
+        if c_plus is not None and c_minus is not None:
+            coins[pid] = CoinTriple(c_plus ^ c_minus, c_plus, c_minus)
+    restarters = tuple(
+        m.sender for m in transcript.messages if m.kind == MessageKind.RESTART_REQUEST
+    )
+    for pid in seated:
+        succ, pred = pid % 3 + 1, (pid - 2) % 3 + 1
+        from_pred = sent.get((MessageKind.COIN_PLUS, pred, pid))
+        from_succ = sent.get((MessageKind.COIN_MINUS, succ, pid))
+        masked = sent.get((MessageKind.MASKED_BIT, succ, pid))
+        if pid in coins and from_pred is not None and masked is not None:
+            parities[pid] = parity_rule(from_pred, masked, coins[pid].c)
+        if from_pred is None or from_succ is None or masked is None:
+            decisions[pid] = DecisionKind.ABORT
+        else:
+            decisions[pid] = DecisionKind.RESTART if pid in restarters else DecisionKind.STOP
+    broadcasters = tuple(dict.fromkeys(
+        m.sender for m in transcript.messages
+        if m.kind == MessageKind.SHARE_BROADCAST and m.step == Step.BROADCAST
+    ))
+    return DecodedIteration(coins, parities, broadcasters, restarters, decisions)
 
 
 def forced_profile(assignment, inner=None):
@@ -146,9 +198,9 @@ def test_silent_player_makes_neighbors_abort():
     assert outcome.iterations == 1
     assert outcome.cause == TerminalCause.MISSING_BIT_ABORT
     assert outcome.info == (0, 0, 0)
-    decisions = outcome.transcripts[0].decisions
-    assert decisions[1].kind == DecisionKind.ABORT
-    assert decisions[3].kind == DecisionKind.ABORT
+    decisions = decode_iteration(outcome.transcripts[0]).decisions
+    assert decisions[1] == DecisionKind.ABORT
+    assert decisions[3] == DecisionKind.ABORT
 
 
 def test_missing_bit_evidence_recorded():
@@ -166,15 +218,15 @@ def test_all_heads_all_learn():
     assert outcome.cause == TerminalCause.ALL_LEARNED
     assert outcome.info == (1, 1, 1)
     assert outcome.iterations == 1
-    assert sorted(outcome.transcripts[0].broadcasters) == [1, 2, 3]
+    assert sorted(decode_iteration(outcome.transcripts[0]).broadcasters) == [1, 2, 3]
 
 
 def test_lone_head_restarts_everyone():
     assignment = ((1, 0), (0, 1), (0, 0))
     outcome = run_mechanism(5, 0.5, forced_profile(assignment), seed=1, cap=1)
-    tr = outcome.transcripts[0]
+    tr = decode_iteration(outcome.transcripts[0])
     assert tr.broadcasters == (1,)
-    assert all(d.kind == DecisionKind.RESTART for d in tr.decisions.values())
+    assert all(d == DecisionKind.RESTART for d in tr.decisions.values())
     assert outcome.cause == TerminalCause.ITERATION_CAP_HIT
     assert outcome.info == (0, 0, 0)
 
@@ -195,7 +247,7 @@ def test_withholder_against_two_heads_learns_alone():
     outcome = run_mechanism(5, 0.5, profile, seed=1, cap=2)
     assert outcome.cause == TerminalCause.CHEAT_STOP
     assert outcome.info == (0, 1, 0)
-    assert sorted(outcome.transcripts[0].broadcasters) == [1, 3]
+    assert sorted(decode_iteration(outcome.transcripts[0]).broadcasters) == [1, 3]
 
 
 def test_withholder_against_two_tails_is_caught():
@@ -204,9 +256,9 @@ def test_withholder_against_two_tails_is_caught():
     outcome, states = run_ring(0.5, profile, seed=1, cap=2)
     assert outcome.cause == TerminalCause.CHEAT_STOP
     assert outcome.info == (0, 0, 0)
-    tr = outcome.transcripts[0]
+    tr = decode_iteration(outcome.transcripts[0])
     assert tr.broadcasters == ()
-    assert all(d.kind == DecisionKind.STOP for d in tr.decisions.values())
+    assert all(d == DecisionKind.STOP for d in tr.decisions.values())
     assert any(e.kind == "stopped-without-learning" for e in states[1].cheat_evidence)
 
 
@@ -239,7 +291,8 @@ def test_honest_parity_agreement_and_atomicity_all_64():
         cs = [assignment[i][0] for i in range(3)]
         expected_parity = cs[0] ^ cs[1] ^ cs[2]
         tr = outcome.transcripts[0]
-        assert set(tr.parities.values()) == {expected_parity}
+        decoded = decode_iteration(tr)
+        assert set(decoded.parities.values()) == {expected_parity}
         if all(cs):
             assert outcome.cause == TerminalCause.ALL_LEARNED
             assert outcome.info == (1, 1, 1)
@@ -247,7 +300,7 @@ def test_honest_parity_agreement_and_atomicity_all_64():
             # Not absorbed: everyone restarts, nobody gained a usable epoch.
             assert outcome.cause == TerminalCause.ITERATION_CAP_HIT
             assert outcome.info == (0, 0, 0)
-            assert len(tr.broadcasters) <= 1
+            assert len(decoded.broadcasters) <= 1
             for st in states.values():
                 for epoch, items in st.holdings.items():
                     assert len(items) < 3
@@ -258,6 +311,42 @@ def test_honest_parity_agreement_and_atomicity_all_64():
                     ("share", 1), ("share", 2), ("share", 3)
                 }
                 assert len(st.holdings[tr.epoch]) <= 2
+
+
+def test_messages_determine_the_iteration():
+    # A transcript keeps only messages; they fix the iteration's coins,
+    # parities, broadcasts and restarts.
+    for assignment in ALL64:
+        outcome = run_mechanism(5, 0.5, forced_profile(assignment), seed=9, cap=1)
+        decoded = decode_iteration(outcome.transcripts[0])
+        coins = {pid: assignment[pid - 1][0] for pid in (1, 2, 3)}
+        parity = coins[1] ^ coins[2] ^ coins[3]
+        assert {pid: (t.c, t.c_plus) for pid, t in decoded.coins.items()} == {
+            pid: assignment[pid - 1] for pid in (1, 2, 3)
+        }
+        assert decoded.parities == {pid: parity for pid in (1, 2, 3)}
+        broadcasters = tuple(pid for pid in (1, 2, 3) if broadcast_rule(parity, coins[pid]))
+        assert decoded.broadcasters == broadcasters
+        # Honest receivers see every broadcast, their own included.
+        assert decoded.restarters == tuple(
+            pid for pid in (1, 2, 3) if restart_rule(parity, len(broadcasters))
+        )
+
+    # A stalled lift iteration sends the forwarded bundles and one restart
+    # request per seated leader, and nothing else.
+    exchange = _lifted_exchange("2-of-n", 5, "withhold-from-leader", True, 0)
+    stalled = exchange.run().transcripts[0]
+    withholder = next(p for p in exchange.players if p not in exchange.leaders)
+    forwards = [
+        (p, exchange.leader_of[p], Step.ISSUE, MessageKind.SHARE_BROADCAST)
+        for p in exchange.players
+        if p not in exchange.leaders and p != withholder
+    ]
+    restarts = [
+        (leader, ISSUER_ID, Step.ISSUE, MessageKind.RESTART_REQUEST) for leader in exchange.leaders
+    ]
+    assert forwards
+    assert [(m.sender, m.receiver, m.step, m.kind) for m in stalled.messages] == forwards + restarts
 
 
 def test_restart_reissues_a_fresh_polynomial():
@@ -286,8 +375,10 @@ def test_garble_mixed_stop_restart_cascades_one_iteration():
     assert outcome.iterations == 2
     assert outcome.cause == TerminalCause.CHEAT_STOP
     assert outcome.info == (0, 0, 0)
-    final = outcome.transcripts[1]
-    assert {d.kind for d in final.decisions.values()} == {DecisionKind.ABORT}
+    # The players still seated are those that asked for a restart.
+    seated = decode_iteration(outcome.transcripts[0]).restarters
+    final = decode_iteration(outcome.transcripts[1], seated)
+    assert set(final.decisions.values()) == {DecisionKind.ABORT}
 
 
 def test_garble_all_heads_feeds_the_victim():
@@ -295,7 +386,7 @@ def test_garble_all_heads_feeds_the_victim():
     profile = forced_profile(assignment, inner={2: GarbleStep2()})
     outcome = run_mechanism(5, 0.5, profile, seed=13, cap=2)
     assert outcome.info == (1, 0, 0)
-    assert sorted(outcome.transcripts[0].broadcasters) == [2, 3]
+    assert sorted(decode_iteration(outcome.transcripts[0]).broadcasters) == [2, 3]
 
 
 def test_alpha_one_terminates_immediately():
@@ -325,17 +416,19 @@ def test_alpha_validation():
 
 
 def _transcript_signature(outcome):
-    return [
-        (
+    signature, seated = [], (1, 2, 3)
+    for tr in outcome.transcripts:
+        decoded = decode_iteration(tr, seated)
+        seated = decoded.restarters
+        signature.append((
             tr.iteration,
             tr.epoch,
-            sorted((pid, c.c, c.c_plus) for pid, c in tr.coins.items() if c),
-            sorted(tr.broadcasters),
-            sorted((pid, d.kind.value, d.learned) for pid, d in tr.decisions.items()),
+            sorted((pid, c.c, c.c_plus) for pid, c in decoded.coins.items()),
+            sorted(decoded.broadcasters),
+            sorted((pid, kind.value) for pid, kind in decoded.decisions.items()),
             [(m.sender, m.receiver, m.kind.value, repr(m.payload)) for m in tr.messages],
-        )
-        for tr in outcome.transcripts
-    ]
+        ))
+    return signature
 
 
 def test_identical_seed_and_profile_reproduce_transcripts():
@@ -470,7 +563,8 @@ def test_strategy_actions_depend_only_on_observations():
             for m in tr.messages
             if m.sender == 1
         ]
-        return sent, tr.decisions[1], tr.parities[1]
+        decoded = decode_iteration(tr)
+        return sent, decoded.decisions[1], decoded.parities[1]
 
     sent_a, decision_a, parity_a = observe(world_a)
     sent_b, decision_b, parity_b = observe(world_b)

@@ -1,5 +1,6 @@
 """Utility axioms, deviation catalogue, and strategy behavior."""
 
+import re
 from itertools import product
 from random import Random
 
@@ -164,6 +165,10 @@ def test_doc_round_trip(tmp_path):
     assert scalars.payoffs == table.payoffs
     with pytest.raises(ValueError):
         UtilityTable.from_doc({"players": 3}, 3)
+    assert UtilityTable.from_doc({"u_only": 2, "u_all": 1, "u_none": 0}, 3).payoffs == table.payoffs
+    for players in (3.9, True, "3"):
+        with pytest.raises(ValueError, match=rf"^players must be an int, got {re.escape(repr(players))}$"):
+            UtilityTable.from_doc({"players": players, "u_only": 2, "u_all": 1, "u_none": 0}, 3)
     with pytest.raises(TableSizeError, match="^needs a 2-player utility table, got 3$"):
         UtilityTable.from_doc(doc, 2)
 
