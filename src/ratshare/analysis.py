@@ -91,8 +91,10 @@ def alpha_star(table: UtilityTable) -> AlphaStar:
     deletion of weakly dominated strategies: at alpha = alpha* withholding
     weakly dominates honest play, being strictly better against some
     non-honest opponents, so that holds only strictly below.  The axioms
-    make u_only > u_all for every player of a 3-player table, so R is
-    finite.
+    make the gain u_only - u_all and the loss u_all - u_none positive for
+    every player of a 3-player table.  Where their float ratio R still
+    overflows to inf or underflows to 0, the same threshold is computed
+    as sqrt(loss) / (sqrt(loss) + sqrt(gain)), which stays in (0, 1].
     """
     table.require(3)
     per_player, ratio = {}, {}
@@ -100,8 +102,11 @@ def alpha_star(table: UtilityTable) -> AlphaStar:
         gain = table.u_only(player) - table.u_all(player)
         loss = table.u_all(player) - table.u_none(player)
         ratio[player] = loss / gain
-        root = math.sqrt(ratio[player])
-        per_player[player] = root / (1 + root)
+        if 0 < ratio[player] < math.inf:
+            root = math.sqrt(ratio[player])
+            per_player[player] = root / (1 + root)
+        else:
+            per_player[player] = math.sqrt(loss) / (math.sqrt(loss) + math.sqrt(gain))
     return AlphaStar(per_player, min(per_player.values()), ratio)
 
 
@@ -133,9 +138,6 @@ class AuditEntry:
 
 @dataclass(frozen=True)
 class NashAuditReport:
-    alpha: float
-    trials: int
-    seed: int
     entries: tuple[AuditEntry, ...]
 
     @property
@@ -219,4 +221,4 @@ def nash_audit(
                     verdict=PROFITABLE if profitable else NO_INCENTIVE,
                 )
             )
-    return NashAuditReport(alpha=alpha, trials=trials, seed=seed, entries=tuple(entries))
+    return NashAuditReport(entries=tuple(entries))

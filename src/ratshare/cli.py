@@ -86,6 +86,8 @@ def dump_bytes_per_iteration(alpha: float) -> float:
 
 
 TABLE_DEFAULTS = {"u_only": 2.0, "u_all": 1.0, "u_none": 0.0}
+# The [config] keys that name the utility table a command analysed.
+TABLE_KEYS = "u_only u_all u_none utilities"
 
 # What a malformed --game or --utilities document can raise while loading.
 _BAD_DOCUMENT = (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError)
@@ -213,6 +215,7 @@ def cmd_simulate(args) -> Section:
     table = None
     if args.alpha == "auto":
         table = _load_table(args)
+        args.config_keys = f"{args.config_keys} {TABLE_KEYS}"
     alpha = _resolve_alpha(args, table)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
@@ -408,7 +411,7 @@ def cmd_hiding(args) -> Section:
         )
     section = Section("results.hiding")
     all_ok = True
-    failures = exhaustive_round_trip_check(p=args.prime, n=args.n, thresholds=(1, 2, 3))
+    failures = exhaustive_round_trip_check(p=args.prime, n=args.n)
     for m, count in sorted(failures.items()):
         section.add(f"m{m}.roundtrip-failures", count)
         all_ok = all_ok and count == 0
@@ -458,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha-star", help="honesty threshold from a utility table")
     _add_table_flags(p)
-    p.set_defaults(handler=cmd_alpha_star, config_keys="u_only u_all u_none utilities")
+    p.set_defaults(handler=cmd_alpha_star, config_keys=TABLE_KEYS)
 
     p = sub.add_parser("audit", help="Monte Carlo incentive audit")
     p.add_argument("--alpha", required=True, help="coin bias in (0, 1), or 'auto' for alpha*/2")
@@ -470,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deviations", help="comma list (default: full catalogue)")
     p.add_argument("--deviators", help="comma list of players (default: 1,2,3)")
     _add_table_flags(p)
-    p.set_defaults(handler=cmd_audit, config_keys="alpha trials seed deviations deviators")
+    p.set_defaults(handler=cmd_audit, config_keys=f"alpha trials seed deviations deviators {TABLE_KEYS}")
 
     p = sub.add_parser("dominance", help="iterated deletion of weakly dominated strategies")
     p.add_argument("--builtin", choices=list(BUILTIN_GAMES),

@@ -38,6 +38,8 @@ Profile = tuple[int, ...]
 SEND = "send"
 WITHHOLD = "withhold"
 
+_BAD_PAYOFFS = "payoffs of {!r} must be a list of finite numbers or strings"
+
 
 @dataclass
 class NormalFormGame:
@@ -117,18 +119,17 @@ class NormalFormGame:
         payoffs = {}
         for key, us in doc["payoffs"].items():
             if not (isinstance(us, list) and all(map(_is_payoff, us))):
-                raise ValueError(f"payoffs of {key!r} must be a list of finite numbers or strings")
+                raise ValueError(_BAD_PAYOFFS.format(key))
             labels = key.split(",")
             try:
                 profile = tuple(indexes[i][lbl] for i, lbl in enumerate(labels))
             except KeyError as exc:
                 raise ValueError(f"payoffs of {key!r} name an unknown strategy {exc}") from None
-            payoffs[profile] = tuple(map(fraction, us))
+            try:
+                payoffs[profile] = tuple(map(fraction, us))
+            except ZeroDivisionError:  # a string such as "1/0"
+                raise ValueError(_BAD_PAYOFFS.format(key)) from None
         return cls(strategies=strategies, payoffs=payoffs, name=doc.get("name", "game"))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_doc(), fh, indent=2)
 
     @classmethod
     def load(cls, path) -> "NormalFormGame":

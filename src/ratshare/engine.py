@@ -128,7 +128,6 @@ class GroupedExchange:
         seed: int,
         trial: int,
         cap: int,
-        prime: int,
         record: bool,
     ):
         check_run_config(alpha, cap)
@@ -143,16 +142,17 @@ class GroupedExchange:
         self.leaders = leaders
         self.leader_of = {p: leaders[g] for g, group in enumerate(groups) for p in group}
         self.observers = [p for p in self.players if p not in leaders]
-        self.issuer = ShareIssuer(derive_bytes(seed, trial, "issuer-key"), prime)
+        # The field is the secret's own; an int secret lives in DEFAULT_PRIME's.
+        if not isinstance(secret, FieldElement):
+            secret = FieldElement(secret % DEFAULT_PRIME, DEFAULT_PRIME)
+        self.secret = secret
+        self.issuer = ShareIssuer(derive_bytes(seed, trial, "issuer-key"), secret.modulus)
         self.issuer_rng = derive_rng(seed, trial, "issuer")
         self.rngs = {p: derive_rng(seed, trial, "player", p) for p in self.players}
         self.states = {
             p: LocalState(player=p, n_players=self.n, threshold=threshold) for p in self.players
         }
         self.issued: set[int] = set()
-        if not isinstance(secret, FieldElement):
-            secret = FieldElement(secret % prime, prime)
-        self.secret = secret
 
     # Subclass hooks ----------------------------------------------------------
 
@@ -239,12 +239,10 @@ class GroupedExchange:
             inbox_minus[pred] = triple.c_minus
             if record:
                 msgs.append(RoundMessage(
-                    pid, leaders[succ - 1], Step.COIN_EXCHANGE, MessageKind.COIN_PLUS,
-                    triple.c_plus, iteration,
+                    pid, leaders[succ - 1], Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, triple.c_plus
                 ))
                 msgs.append(RoundMessage(
-                    pid, leaders[pred - 1], Step.COIN_EXCHANGE, MessageKind.COIN_MINUS,
-                    triple.c_minus, iteration,
+                    pid, leaders[pred - 1], Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, triple.c_minus
                 ))
 
         # Step 2: read the step-1 bits (delivered one round later), forward the
@@ -264,7 +262,7 @@ class GroupedExchange:
                 inbox_masked[pred] = bit
                 if record:
                     msgs.append(RoundMessage(
-                        pid, leaders[pred - 1], Step.MASKED_BIT, MessageKind.MASKED_BIT, bit, iteration
+                        pid, leaders[pred - 1], Step.MASKED_BIT, MessageKind.MASKED_BIT, bit
                     ))
 
         # Step 3: assemble the parity and decide whether to broadcast to the
@@ -287,8 +285,7 @@ class GroupedExchange:
                     recipients = [other for other in seats.values() if other not in (None, pid)]
                     msgs += [
                         RoundMessage(
-                            pid, receiver, Step.BROADCAST, MessageKind.SHARE_BROADCAST,
-                            st.own_payload, iteration,
+                            pid, receiver, Step.BROADCAST, MessageKind.SHARE_BROADCAST, st.own_payload
                         )
                         for receiver in recipients + self.observers
                     ]
@@ -308,7 +305,7 @@ class GroupedExchange:
             if decision.kind == DecisionKind.RESTART:
                 if record:
                     msgs.append(RoundMessage(
-                        pid, ISSUER_ID, Step.DECIDE, MessageKind.RESTART_REQUEST, None, iteration
+                        pid, ISSUER_ID, Step.DECIDE, MessageKind.RESTART_REQUEST, None
                     ))
             elif decision.kind == DecisionKind.STOP and not decision.learned:
                 st.cheat_evidence.append(
@@ -360,9 +357,7 @@ class GroupedExchange:
                         bundles[leader].append(item)
                 if record:
                     msgs.append(
-                        RoundMessage(
-                            p, leader, Step.ISSUE, MessageKind.SHARE_BROADCAST, tuple(items), iterations
-                        )
+                        RoundMessage(p, leader, Step.ISSUE, MessageKind.SHARE_BROADCAST, tuple(items))
                     )
 
             seated = [pid for pid in seats.values() if pid is not None]
@@ -371,9 +366,7 @@ class GroupedExchange:
                 # restart before any coins are tossed.
                 if record:
                     msgs += [
-                        RoundMessage(
-                            pid, ISSUER_ID, Step.ISSUE, MessageKind.RESTART_REQUEST, None, iterations
-                        )
+                        RoundMessage(pid, ISSUER_ID, Step.ISSUE, MessageKind.RESTART_REQUEST, None)
                         for pid in seated
                     ]
                 epoch += 1
@@ -457,18 +450,15 @@ def run_mechanism(
     seed: int = 0,
     *,
     cap: int = DEFAULT_CAP,
-    prime: int | None = None,
     record: bool = True,
     trial: int = 0,
 ) -> RunOutcome:
-    """Run the 3-of-3 mechanism to termination.
+    """Run the 3-of-3 mechanism to termination, in the secret's field.
 
     Deterministic given (seed, trial, profile, config).  The iteration cap
     is a simulation guard, reported as its own terminal cause rather than
     raised.
     """
-    if prime is None:
-        prime = secret.modulus if isinstance(secret, FieldElement) else DEFAULT_PRIME
     return MOfNExchange(
         secret,
         [[1], [2], [3]],
@@ -479,6 +469,5 @@ def run_mechanism(
         seed=seed,
         trial=trial,
         cap=cap,
-        prime=prime,
         record=record,
     ).run()

@@ -31,7 +31,7 @@ from .protocol import RunOutcome
 # bench/tracer.py patches lifts.issue_round, lifts.derive_bytes and
 # lifts.derive_rng by name.
 from .seeding import derive_bytes, derive_rng  # noqa: F401
-from .shamir import DEFAULT_PRIME, FieldElement, Subshare
+from .shamir import FieldElement, Subshare
 from .strategies import LocalState, Strategy
 
 
@@ -73,11 +73,10 @@ def lift_m_of_n(
     seed: int = 0,
     *,
     cap: int = DEFAULT_CAP,
-    prime: int = DEFAULT_PRIME,
     record: bool = True,
     trial: int = 0,
 ) -> RunOutcome:
-    """Run m-of-n sharing (m >= 3, n > 3) through the three-group lift."""
+    """Run m-of-n sharing (m >= 3, n > 3) through the three-group lift, in the secret's field."""
     if m < 3:
         raise ValueError(f"group lift needs m >= 3, got m={m}")
     if n <= 3:
@@ -95,7 +94,6 @@ def lift_m_of_n(
         seed=seed,
         trial=trial,
         cap=cap,
-        prime=prime,
         record=record,
     )
     return game.run()
@@ -166,12 +164,11 @@ def lift_2_of_n(
     seed: int = 0,
     *,
     cap: int = DEFAULT_CAP,
-    prime: int = DEFAULT_PRIME,
     record: bool = True,
     trial: int = 0,
     subshare_filter=None,
 ) -> RunOutcome:
-    """Run 2-of-n sharing (n >= 3) through the subshare lift.
+    """Run 2-of-n sharing (n >= 3) through the subshare lift, in the secret's field.
 
     `subshare_filter(subshare, recipient)` is a fault-injection hook for
     tests; it may return a tampered subshare to deliver instead.
@@ -190,7 +187,6 @@ def lift_2_of_n(
         seed=seed,
         trial=trial,
         cap=cap,
-        prime=prime,
         record=record,
     )
     return game.run()

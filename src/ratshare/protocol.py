@@ -71,14 +71,14 @@ _TRIPLES = {(c, c_plus): CoinTriple(c, c_plus, c ^ c_plus) for c in (0, 1) for c
 
 
 class RoundMessage(NamedTuple):
-    """One message: a tuple, so it unpacks and compares as one."""
+    """One message: a tuple, so it unpacks and compares as one.  Its
+    iteration is that of the transcript holding it."""
 
     sender: int
     receiver: int
     step: Step
     kind: MessageKind
     payload: object
-    iteration: int
 
 
 class DecisionKind(Enum):

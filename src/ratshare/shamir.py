@@ -88,7 +88,7 @@ def _check_modulus(p: int) -> None:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of GF(p), p prime."""
+    """A checked element of GF(p), p prime; the arithmetic runs on ints."""
 
     value: int
     modulus: int
@@ -98,39 +98,6 @@ class FieldElement:
             _check_modulus(self.modulus)
         if type(self.value) is not int or not 0 <= self.value < self.modulus:
             raise ValueError(f"value {self.value!r} is not an int in [0, {self.modulus})")
-
-    def _coerce(self, other: "FieldElement | int") -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return other
-        return FieldElement(other % self.modulus, self.modulus)
-
-    def __add__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        return FieldElement((self.value + o.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        return FieldElement((self.value - o.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        return FieldElement((self.value * o.value) % self.modulus, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement((-self.value) % self.modulus, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        return self * self._coerce(other).inverse()
-
-    def __int__(self) -> int:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -443,28 +410,30 @@ def combine_subshares(
 # --- exhaustive small-field verifiers ---------------------------------------
 
 
-def round_trip_reconstructions(p: int, n: int, thresholds: tuple[int, ...] = (1, 2, 3)) -> int:
+_ROUND_TRIP_THRESHOLDS = (1, 2, 3)
+
+
+def round_trip_reconstructions(p: int, n: int) -> int:
     """How many reconstructions `exhaustive_round_trip_check` makes.
 
     Per threshold m: p**m polynomials, each recovered from every subset
     of size m..n.
     """
-    return sum(p**m * sum(comb(n, k) for k in range(m, n + 1)) for m in thresholds)
+    return sum(p**m * sum(comb(n, k) for k in range(m, n + 1)) for m in _ROUND_TRIP_THRESHOLDS)
 
 
-def exhaustive_round_trip_check(
-    p: int = 7, n: int = 3, thresholds: tuple[int, ...] = (1, 2, 3)
-) -> dict[int, int]:
+def exhaustive_round_trip_check(p: int = 7, n: int = 3) -> dict[int, int]:
     """Count reconstruction failures over every polynomial and k-subset.
 
-    For each threshold m, every secret and every coefficient vector is
-    shared and every subset of size m..n reconstructed.  Returns failures
-    per threshold (all zero for a correct implementation).
+    For each threshold m in 1..3, every secret and every coefficient
+    vector is shared and every subset of size m..n reconstructed.
+    Returns failures per threshold (all zero for a correct
+    implementation).
     """
     issuer = ShareIssuer(b"round-trip-check", modulus=p)
     rng = Random(0)
     failures = {}
-    for m in thresholds:
+    for m in _ROUND_TRIP_THRESHOLDS:
         bad = 0
         for secret in range(p):
             s = FieldElement(secret, p)

@@ -332,17 +332,6 @@ class TableSizeError(ValueError):
 
 
 @dataclass
-class UtilityValidationReport:
-    """Violated ordered pairs, empty iff the axioms hold."""
-
-    violations: list[tuple[str, int, tuple[int, ...], tuple[int, ...]]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
 class UtilityTable:
     """Per-player payoffs keyed by info vector.
 
@@ -444,7 +433,8 @@ class UtilityTable:
             },
         }
 
-    def validate(self) -> UtilityValidationReport:
+    def validate(self) -> list[tuple[str, int, tuple[int, ...], tuple[int, ...]]]:
+        """Violated (axiom, player, vector, vector) tuples, empty iff the axioms hold."""
         violations = []
         vectors = all_info_vectors(self.n_players)
         for player in range(1, self.n_players + 1):
@@ -465,7 +455,7 @@ class UtilityTable:
                     lowered = tuple(0 if k == j else b for k, b in enumerate(vec))
                     if not values[lowered] > values[vec]:
                         violations.append(("U3", player, lowered, vec))
-        return UtilityValidationReport(violations)
+        return violations
 
     def require(self, n_players: int) -> UtilityTable:
         """This table, if it has `n_players` players and satisfies the axioms.
@@ -474,7 +464,7 @@ class UtilityTable:
         violated axiom.
         """
         self.check_size(self.n_players, n_players)
-        violations = self.validate().violations
+        violations = self.validate()
         if violations:
             kind, player = violations[0][:2]
             raise ValueError(

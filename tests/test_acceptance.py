@@ -27,6 +27,7 @@ from ratshare.engine import run_mechanism
 from ratshare.lifts import lift_2_of_n, lift_m_of_n
 from ratshare.protocol import TerminalCause
 from ratshare.shamir import (
+    FieldElement,
     exhaustive_hiding_check,
     exhaustive_round_trip_check,
 )
@@ -195,7 +196,7 @@ def test_acceptance_06_alpha_star():
 
 def test_acceptance_07_shamir():
     def check():
-        assert exhaustive_round_trip_check(p=7, n=3, thresholds=(1, 2, 3)) == {1: 0, 2: 0, 3: 0}
+        assert exhaustive_round_trip_check(p=7, n=3) == {1: 0, 2: 0, 3: 0}
         assert exhaustive_hiding_check(p=7, m=2, n=3) == {1: True}
         assert exhaustive_hiding_check(p=7, m=3, n=3) == {1: True, 2: True}
 
@@ -291,9 +292,9 @@ def test_acceptance_08_desk_scale_impossibility():
 
 def test_acceptance_09_lifts():
     def check():
-        out = lift_m_of_n(55, 3, 6, alpha=0.6, seed=SEED, prime=101)
+        out = lift_m_of_n(FieldElement(55, 101), 3, 6, alpha=0.6, seed=SEED)
         assert out.cause == TerminalCause.ALL_LEARNED and out.info == (1,) * 6
-        out = lift_2_of_n(42, 3, alpha=0.6, seed=SEED, prime=101)
+        out = lift_2_of_n(FieldElement(42, 101), 3, alpha=0.6, seed=SEED)
         assert out.cause == TerminalCause.ALL_LEARNED and out.info == (1, 1, 1)
         with pytest.raises(ValueError, match="n >= 3"):
             lift_2_of_n(42, 2, alpha=0.5, seed=SEED)

@@ -22,6 +22,7 @@ from ratshare.cli import (
     main,
     run_command,
 )
+from ratshare import analysis
 from ratshare.engine import DEFAULT_CAP
 from ratshare.protocol import MessageKind, RoundMessage, Step
 from ratshare.shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer
@@ -32,6 +33,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _config(out: str) -> list[str]:
+    """The lines of the [config] section."""
+    return out.partition("[config]\n")[2].partition("\n\n")[0].splitlines()
 
 
 def result_sections(text: str) -> str:
@@ -150,8 +156,15 @@ def test_alpha_star_from_file(tmp_path, capsys):
     "argv, players, echoed",
     [(["alpha-star"], 3, ["utilities = {path}"]),
      (["dominance", "--builtin", "bounded-r2"], 2,
-      ["builtin = bounded-r2", "game = none", "utilities = {path}", "profile = none"])],
-    ids=["alpha-star", "dominance"],
+      ["builtin = bounded-r2", "game = none", "utilities = {path}", "profile = none"]),
+     (["audit", "--alpha", "0.25", "--trials", "10000", "--seed", "1", "--deviations", "withhold",
+       "--deviators", "1"], 3,
+      ["alpha = 0.25", "trials = 10000", "seed = 1", "deviations = withhold", "deviators = 1",
+       "utilities = {path}"]),
+     (["simulate", "--alpha", "auto", "--trials", "10", "--seed", "1"], 3,
+      ["alpha = auto", "trials = 10", "seed = 1", "cap = 1000000", "deviant = none",
+       "utilities = {path}"])],
+    ids=["alpha-star", "dominance", "audit", "simulate-auto"],
 )
 def test_config_names_the_utilities_file_in_place_of_the_scalars(argv, players, echoed, tmp_path,
                                                                   capsys):
@@ -159,8 +172,38 @@ def test_config_names_the_utilities_file_in_place_of_the_scalars(argv, players, 
     path.write_text(json.dumps({"players": players, "u_only": 5, "u_all": 1, "u_none": 0}))
     code, out = run_cli(capsys, *argv, "--utilities", str(path))
     assert code == 0
-    config = out.partition("[config]\n")[2].partition("\n\n")[0].splitlines()
-    assert config == [f"command = {argv[0]}", *(line.format(path=path) for line in echoed)]
+    assert _config(out) == [f"command = {argv[0]}", *(line.format(path=path) for line in echoed)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["audit", "--alpha", "0.25", "--trials", "10000", "--seed", "1", "--deviations", "withhold",
+      "--deviators", "1"],
+     ["simulate", "--alpha", "auto", "--trials", "10", "--seed", "1"]],
+    ids=["audit", "simulate-auto"],
+)
+def test_config_names_the_table_analysed(argv, capsys):
+    # The results differ with the table, so [config] must too.
+    outs = [run_cli(capsys, *argv, *flag)[1] for flag in ([], ["--u-only", "5"])]
+    assert _config(outs[0])[-4:] == ["u-only = 2", "u-all = 1", "u-none = 0", "utilities = none"]
+    assert _config(outs[1])[-4:] == ["u-only = 5", "u-all = 1", "u-none = 0", "utilities = none"]
+    results = [result_sections(out).partition("[results")[2] for out in outs]
+    assert results[0] != results[1]
+
+
+# R = (u_all - u_none) / (u_only - u_all) overflows to inf in the first
+# table and underflows to 0 in the second; the axioms accept both.
+@pytest.mark.parametrize(
+    "scalars", [(1e-300, 0.0, -1e300), (1e300, 0.0, -1e-300)], ids=["ratio-inf", "ratio-zero"]
+)
+def test_alpha_star_at_the_float_extremes(scalars, capsys):
+    star = analysis.alpha_star(UtilityTable.from_scalars(*scalars))
+    assert all(0 < value <= 1 for value in star.per_player.values())
+    flags = [f"--{name}={value!r}" for name, value in zip(("u-only", "u-all", "u-none"), scalars)]
+    assert run_cli(capsys, "audit", "--alpha", "auto", "--trials", "10000", "--seed", "1",
+                   *flags)[0] == 0
+    assert run_cli(capsys, "simulate", "--alpha", "auto", "--trials", "10", "--seed", "1",
+                   *flags)[0] == 0
 
 
 def test_audit_below_threshold(capsys):
@@ -201,7 +244,7 @@ def test_dominance_game_file(tmp_path, capsys):
     from ratshare.dominance import prisoners_dilemma
 
     path = tmp_path / "pd.json"
-    prisoners_dilemma().save(path)
+    path.write_text(json.dumps(prisoners_dilemma().to_doc()))
     code, out = run_cli(
         capsys, "dominance", "--game", str(path), "--profile", "defect,defect"
     )
@@ -380,8 +423,8 @@ def test_dump_line_sizes_bound_the_widest_lines():
         (SHARE_LINE_BYTES, Step.BROADCAST, MessageKind.SHARE_BROADCAST, share),
     ]
     for size, step, kind, payload in cases:
-        msg = RoundMessage(3, 3, step, kind, payload, wide)
-        line = _jsonl_line(msg, _line_head(wide, msg.iteration, wide), _payload_json(payload))
+        msg = RoundMessage(3, 3, step, kind, payload)
+        line = _jsonl_line(msg, _line_head(wide, wide, wide), _payload_json(payload))
         assert len(line.encode()) == size
 
 
@@ -403,10 +446,10 @@ PAYLOADS = _payloads()
 def test_jsonl_line_is_json_dumps_of_the_record(name):
     payload = PAYLOADS[name]
     for kind in MessageKind:
-        msg = RoundMessage(2, 3, Step.BROADCAST, kind, payload, 11)
+        msg = RoundMessage(2, 3, Step.BROADCAST, kind, payload)
         record = {
             "trial": 6,
-            "iteration": msg.iteration,
+            "iteration": 11,
             "epoch": 4,
             "step": int(msg.step),
             "kind": msg.kind.value,
@@ -414,7 +457,7 @@ def test_jsonl_line_is_json_dumps_of_the_record(name):
             "receiver": msg.receiver,
             "payload": _share_record(payload),
         }
-        line = _jsonl_line(msg, _line_head(6, msg.iteration, 4), _payload_json(payload))
+        line = _jsonl_line(msg, _line_head(6, 11, 4), _payload_json(payload))
         assert line == json.dumps(record, separators=(",", ":")) + "\n"
 
 
@@ -503,6 +546,8 @@ PD_DOC = json.dumps({
          '{"a,b": [1, 2]}}'],
         ["dominance", "--game", 'DOC:{"strategies": [["a"], ["b"]], "payoffs": '
          '{"a,b": [1e999, 2]}}'],
+        ["dominance", "--game", 'DOC:{"strategies": [["a"], ["b"]], "payoffs": '
+         '{"a,b": ["1/0", "1"]}}'],
         ["alpha-star", "--utilities", 'DOC:{"players": 3, "payoffs": {"1": [1, 2]}}'],
         ["alpha-star", "--utilities", "DOC:[]"],
         # A player count that is not an int is not rounded or coerced.
@@ -564,7 +609,7 @@ PD_DOC = json.dumps({
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
         "cap-0-vectorized", "cap-0-dump", "dump-no-dir", "out-no-dir", "game-strategies-int",
         "game-list", "game-strategies-strings", "game-payoff-string", "game-duplicate-labels",
-        "game-payoff-infinite", "utilities-payoff-list", "utilities-list", "utilities-players-float",
+        "game-payoff-infinite", "game-payoff-zero-denominator", "utilities-payoff-list", "utilities-list", "utilities-players-float",
         "utilities-players-bool", "utilities-players-string", "hiding-prime-1009",
         "hiding-prime-2to61", "hiding-n-12", "alpha-star-1-player-scalars",
         "alpha-star-1-player-payoffs", "alpha-star-0-players", "alpha-star-4-players",

@@ -348,7 +348,7 @@ def test_check_practical_validates_profile():
 def test_save_load_round_trip(tmp_path):
     game = build_oneshot_sharing_game(pair_table())
     path = tmp_path / "game.json"
-    game.save(path)
+    path.write_text(json.dumps(game.to_doc()))
     again = NormalFormGame.load(path)
     assert again.strategies == game.strategies
     assert again.payoffs == game.payoffs

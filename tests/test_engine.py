@@ -26,7 +26,7 @@ from ratshare.protocol import (
     restart_rule,
 )
 from ratshare.seeding import derive_rng
-from ratshare.shamir import DEFAULT_PRIME, FieldElement, ShareIssuer, reconstruct
+from ratshare.shamir import FieldElement, ShareIssuer, reconstruct
 from ratshare.strategies import (
     DEVIATIONS,
     AlwaysBroadcast,
@@ -49,7 +49,7 @@ def run_ring(alpha, profile, seed, *, cap=engine.DEFAULT_CAP, record=True, trial
     """The run `run_mechanism(5, ...)` makes, plus the players' final local states."""
     ring = MOfNExchange(
         5, [[1], [2], [3]], [1, 2, 3], 3, alpha=alpha, profile=profile, seed=seed,
-        trial=trial, cap=cap, prime=DEFAULT_PRIME, record=record,
+        trial=trial, cap=cap, record=record,
     )
     return ring.run(), ring.states
 
@@ -268,7 +268,8 @@ def test_tampered_broadcast_counts_as_missing():
     class TamperOwnShare(AlwaysBroadcast):
         def wants_broadcast(self, state, rng):
             share = state.own_payload
-            state.own_payload = dataclasses.replace(share, y=share.y + 1)
+            y = FieldElement((share.y.value + 1) % share.y.modulus, share.y.modulus)
+            state.own_payload = dataclasses.replace(share, y=y)
             return True
 
     assignment = ((1, 0), (1, 1), (1, 0))
@@ -479,7 +480,7 @@ def test_recording_does_not_change_the_run(name, deviator, alpha_prime, alpha):
 def _tamper(sub, recipient):
     """Forge the subshare player 1 hands player 3."""
     if sub.parent_holder == 1 and recipient == 3:
-        return dataclasses.replace(sub, value=sub.value + 1)
+        return dataclasses.replace(sub, value=FieldElement((sub.value.value + 1) % 101, 101))
     return sub
 
 
@@ -496,10 +497,11 @@ def _lifted_exchange(lift, size, play, record, trial):
     # A forwarder that leads no group, if there is one, stalls its leader.
     withholder = next((p for p in forwarders if p not in leaders), 1)
     profile = {withholder: WithholdFromLeader()} if play == "withhold-from-leader" else None
-    kw = dict(alpha=0.5, profile=profile, seed=43, trial=trial, cap=40, prime=101, record=record)
+    kw = dict(alpha=0.5, profile=profile, seed=43, trial=trial, cap=40, record=record)
+    secret = FieldElement(5, 101)
     if lift == "m-of-n":
-        return MOfNExchange(5, groups, leaders, m, **kw)
-    return TwoOfNExchange(5, n, subshare_filter=_tamper if play == "tamper" else None, **kw)
+        return MOfNExchange(secret, groups, leaders, m, **kw)
+    return TwoOfNExchange(secret, n, subshare_filter=_tamper if play == "tamper" else None, **kw)
 
 
 @pytest.mark.parametrize(

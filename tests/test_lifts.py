@@ -7,7 +7,7 @@ import json
 import pytest
 
 from ratshare.cli import _share_record
-from ratshare.engine import InvariantViolationError
+from ratshare.engine import InvariantViolationError, run_mechanism
 from ratshare.lifts import (
     TwoOfNExchange,
     lift_2_of_n,
@@ -15,7 +15,13 @@ from ratshare.lifts import (
     partition_players,
 )
 from ratshare.protocol import MessageKind, TerminalCause
-from ratshare.shamir import combine_subshares, reconstruct
+from ratshare.shamir import (
+    DEFAULT_PRIME,
+    FieldElement,
+    ShareIssuer,
+    combine_subshares,
+    reconstruct,
+)
 from ratshare.strategies import GarbleStep2, WithholdFromLeader
 
 
@@ -58,13 +64,13 @@ def test_partition_validation():
 
 
 def test_three_of_six_honest_everyone_learns():
-    outcome = lift_m_of_n(55, 3, 6, alpha=0.6, seed=2, prime=101)
+    outcome = lift_m_of_n(FieldElement(55, 101), 3, 6, alpha=0.6, seed=2)
     assert outcome.cause == TerminalCause.ALL_LEARNED
     assert outcome.info == (1,) * 6
 
 
 def test_four_of_five_reconstruction_from_bundles():
-    outcome = lift_m_of_n(77, 4, 5, alpha=0.7, seed=3, prime=101)
+    outcome = lift_m_of_n(FieldElement(77, 101), 4, 5, alpha=0.7, seed=3)
     assert outcome.info == (1,) * 5
     final_epoch = outcome.transcripts[-1].epoch
     shares = {}
@@ -78,8 +84,8 @@ def test_four_of_five_reconstruction_from_bundles():
 
 def test_withholding_from_leader_stalls_forever():
     outcome = lift_m_of_n(
-        55, 4, 5, alpha=0.7, profile={3: WithholdFromLeader()}, seed=5, cap=40,
-        prime=101, record=False,
+        FieldElement(55, 101), 4, 5, alpha=0.7, profile={3: WithholdFromLeader()}, seed=5,
+        cap=40, record=False,
     )
     assert outcome.cause == TerminalCause.ITERATION_CAP_HIT
     assert outcome.iterations == 40
@@ -96,8 +102,8 @@ def test_m_of_n_validation():
 
 
 def test_m_of_n_deterministic():
-    a = lift_m_of_n(55, 3, 6, alpha=0.4, seed=11, prime=101)
-    b = lift_m_of_n(55, 3, 6, alpha=0.4, seed=11, prime=101)
+    a = lift_m_of_n(FieldElement(55, 101), 3, 6, alpha=0.4, seed=11)
+    b = lift_m_of_n(FieldElement(55, 101), 3, 6, alpha=0.4, seed=11)
     assert (a.iterations, a.info, a.cause) == (b.iterations, b.info, b.cause)
     assert len(a.transcripts) == len(b.transcripts)
 
@@ -106,7 +112,7 @@ def test_m_of_n_deterministic():
 
 
 def test_two_of_three_honest_recovers_both_shares():
-    outcome = lift_2_of_n(42, 3, alpha=0.6, seed=7, prime=101)
+    outcome = lift_2_of_n(FieldElement(42, 101), 3, alpha=0.6, seed=7)
     assert outcome.cause == TerminalCause.ALL_LEARNED
     assert outcome.info == (1, 1, 1)
     final_epoch = outcome.transcripts[-1].epoch
@@ -122,7 +128,7 @@ def test_two_of_three_honest_recovers_both_shares():
 
 
 def test_two_of_five_honest():
-    outcome = lift_2_of_n(42, 5, alpha=0.6, seed=9, prime=101)
+    outcome = lift_2_of_n(FieldElement(42, 101), 5, alpha=0.6, seed=9)
     assert outcome.cause == TerminalCause.ALL_LEARNED
     assert outcome.info == (1,) * 5
 
@@ -135,12 +141,12 @@ def test_two_of_two_is_rejected():
 def test_tampered_subshare_treated_as_missing():
     def tamper(sub, recipient):
         if recipient == 3 and sub.parent_holder == 1:
-            return dataclasses.replace(sub, value=sub.value + 1)
+            return dataclasses.replace(sub, value=FieldElement((sub.value.value + 1) % 101, 101))
         return sub
 
     game = TwoOfNExchange(
-        42, 3, subshare_filter=tamper, alpha=1.0, profile=None, seed=13,
-        trial=0, cap=5, prime=101, record=True,
+        FieldElement(42, 101), 3, subshare_filter=tamper, alpha=1.0, profile=None, seed=13,
+        trial=0, cap=5, record=True,
     )
     outcome = game.run()
     # Player 3 dropped the forged piece, so its bundle cannot complete
@@ -160,8 +166,8 @@ def test_lift_alpha_validation():
 # --- recorded messages -------------------------------------------------------------
 
 # sha256 of the compact JSON list of (sender, receiver, step, kind, payload
-# record, iteration) over a lifted run's recorded messages, recorded while
-# messages were frozen dataclasses.  The withholding runs cover the
+# record, transcript iteration) over a lifted run's recorded messages,
+# recorded while messages were frozen dataclasses.  The withholding runs cover the
 # restart requests of a stalled leader.
 GOLDEN_LIFT_MESSAGES = {
     "3-of-6": (
@@ -191,12 +197,51 @@ GOLDEN_LIFT_MESSAGES = {
 def test_lifted_messages_match_golden_digests(name):
     run, count, digest = GOLDEN_LIFT_MESSAGES[name]
     rows = [
-        (m.sender, m.receiver, int(m.step), m.kind.value, _share_record(m.payload), m.iteration)
+        (m.sender, m.receiver, int(m.step), m.kind.value, _share_record(m.payload), t.iteration)
         for t in run().transcripts
         for m in t.messages
     ]
     assert len(rows) == count
     assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == digest
+
+
+# --- the secret's field ----------------------------------------------------------------
+
+RUNS = {
+    "3-ring": lambda secret: run_mechanism(secret, 0.9, seed=1),
+    "3-of-4": lambda secret: lift_m_of_n(secret, 3, 4, 0.9, seed=1),
+    "2-of-3": lambda secret: lift_2_of_n(secret, 3, 0.9, seed=1),
+}
+
+
+@pytest.fixture
+def issued(monkeypatch):
+    """Every share any issuer hands out while the test runs."""
+    shares = []
+    real = ShareIssuer.issue_shares
+
+    def issue_shares(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        shares.extend(out)
+        return out
+
+    monkeypatch.setattr(ShareIssuer, "issue_shares", issue_shares)
+    return shares
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+@pytest.mark.parametrize(
+    "secret, modulus",
+    [(FieldElement(5, 101), 101), (FieldElement(5, 13), 13), (5, DEFAULT_PRIME)],
+    ids=["gf101", "gf13", "int"],
+)
+def test_a_run_issues_shares_in_the_secret_field(run, secret, modulus, issued):
+    # A FieldElement secret brings its field; an int secret lives in
+    # DEFAULT_PRIME's.
+    outcome = RUNS[run](secret)
+    assert outcome.cause == TerminalCause.ALL_LEARNED
+    assert issued
+    assert {(share.x.modulus, share.y.modulus) for share in issued} == {(modulus, modulus)}
 
 
 # --- invariants of the shared run loop ----------------------------------------------
@@ -211,8 +256,8 @@ class HonestFlaggedGarble(GarbleStep2):
 @pytest.mark.parametrize(
     "lift",
     [
-        lambda profile: lift_m_of_n(5, 3, 6, alpha=0.5, profile=profile, seed=1, prime=101),
-        lambda profile: lift_2_of_n(5, 4, alpha=0.5, profile=profile, seed=1, prime=101),
+        lambda profile: lift_m_of_n(FieldElement(5, 101), 3, 6, alpha=0.5, profile=profile, seed=1),
+        lambda profile: lift_2_of_n(FieldElement(5, 101), 4, alpha=0.5, profile=profile, seed=1),
     ],
     ids=["3-of-6", "2-of-4"],
 )

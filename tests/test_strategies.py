@@ -95,7 +95,7 @@ def test_info_key_round_trip():
 
 
 def test_canonical_table_is_valid():
-    assert canonical_table().validate().ok
+    assert canonical_table().validate() == []
 
 
 def test_canonical_expansion_values():
@@ -123,9 +123,9 @@ def test_lower_none_than_all_inclusive_is_reported():
     broken = {vec: v for vec, v in table.payoffs[0].items()}
     broken[(0, 0, 0)] = 5.0
     bad = UtilityTable(3, (broken, table.payoffs[1], table.payoffs[2]))
-    report = bad.validate()
-    assert not report.ok
-    assert any(v[0] == "U2" and v[1] == 1 for v in report.violations)
+    violations = bad.validate()
+    assert violations
+    assert any(v[0] == "U2" and v[1] == 1 for v in violations)
 
 
 def test_u3_violation_reported():
@@ -133,8 +133,7 @@ def test_u3_violation_reported():
     broken = dict(table.payoffs[0])
     broken[(1, 1, 1)] = 3.0  # prefers more others learning
     bad = UtilityTable(3, (broken, table.payoffs[1], table.payoffs[2]))
-    report = bad.validate()
-    assert any(v[0] == "U3" for v in report.violations)
+    assert any(v[0] == "U3" for v in bad.validate())
 
 
 def test_validator_agrees_with_brute_force_on_random_tables():
@@ -142,7 +141,7 @@ def test_validator_agrees_with_brute_force_on_random_tables():
     agree = 0
     for _ in range(200):
         table = random_table(rng)
-        assert table.validate().ok == brute_force_axioms_hold(table)
+        assert (not table.validate()) == brute_force_axioms_hold(table)
         agree += 1
     assert agree == 200
 
@@ -179,7 +178,7 @@ def test_require_names_the_size_or_the_first_violation():
     with pytest.raises(ValueError, match="^needs a 3-player utility table, got 4$"):
         canonical_table(4).require(3)
     bad = UtilityTable.from_scalars(1.0, 2.0, 0.0)
-    count = len(bad.validate().violations)
+    count = len(bad.validate())
     with pytest.raises(ValueError, match=rf"^utility table violates U3 for player 1 \({count} violations total\)$"):
         bad.require(3)
     for players in (0, 1):
