@@ -22,7 +22,6 @@ from .engine import DEFAULT_CAP, InvariantViolationError, run_mechanism
 from .lifts import lift_2_of_n, lift_m_of_n, partition_players
 from .protocol import (
     CoinTriple,
-    Decision,
     DecisionKind,
     IterationTranscript,
     RoundMessage,

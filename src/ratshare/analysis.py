@@ -92,15 +92,19 @@ def alpha_star(table: UtilityTable) -> AlphaStar:
     weakly dominates honest play, being strictly better against some
     non-honest opponents, so that holds only strictly below.  The axioms
     make the gain u_only - u_all and the loss u_all - u_none positive for
-    every player of a 3-player table.  Where their float ratio R still
-    overflows to inf or underflows to 0, the same threshold is computed
-    as sqrt(loss) / (sqrt(loss) + sqrt(gain)), which stays in (0, 1].
+    every player of a 3-player table; where one overflows, both come from
+    halved payoffs (exact).  Where their float ratio R still overflows to
+    inf or underflows to 0, the same threshold is computed as
+    sqrt(loss) / (sqrt(loss) + sqrt(gain)), which stays in (0, 1].
     """
     table.require(3)
     per_player, ratio = {}, {}
     for player in (1, 2, 3):
         gain = table.u_only(player) - table.u_all(player)
         loss = table.u_all(player) - table.u_none(player)
+        if math.isinf(gain) or math.isinf(loss):
+            gain = table.u_only(player) / 2 - table.u_all(player) / 2
+            loss = table.u_all(player) / 2 - table.u_none(player) / 2
         ratio[player] = loss / gain
         if 0 < ratio[player] < math.inf:
             root = math.sqrt(ratio[player])

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import analysis, dominance, montecarlo
 from .engine import DEFAULT_CAP, InvariantViolationError, check_run_config, run_mechanism
-from .protocol import STEPS_PER_ITERATION, MessageKind, Step, TerminalCause
+from .protocol import MessageKind, Step, TerminalCause
 from .report import Report, Section
 from .shamir import (
     exhaustive_hiding_check,
@@ -138,15 +138,14 @@ def _check_trials(trials: int) -> None:
         raise ConfigError(f"--trials must be at most {MAX_TRIALS:,}, got {trials}")
 
 
-def _check_dump_size(trials: int, alpha: float, cap: int) -> None:
-    """Refuse a dump whose honest runs would write past DUMP_BUDGET_BYTES."""
-    iterations = min(cap, analysis.expected_steps(alpha) / STEPS_PER_ITERATION)
-    size = trials * iterations * dump_bytes_per_iteration(alpha)
-    if size > DUMP_BUDGET_BYTES:
-        raise ConfigError(
-            f"--dump-transcripts of {trials} trials at alpha {alpha} would write about "
-            f"{size / 1e9:.3g} GB, over the budget of {DUMP_BUDGET_BYTES / 1e9:g} GB"
-        )
+def _dump_size(trials: int, alpha: float, cap: int, deviation, deviator, profile) -> float:
+    """Expected dump bytes: a run lasts about 1/P iterations, at most `cap`, where P
+    is the weight `sample_runs` gives the patterns that end it under `profile`."""
+    restart = montecarlo.iteration_kernel(deviation, deviator).restart
+    cdf = montecarlo.absorbing_weights(alpha, profile, restart)[1]
+    ending = float(cdf[-1]) if cdf.size else 0.0
+    iterations = min(cap, 1 / ending) if ending else cap
+    return trials * iterations * dump_bytes_per_iteration(alpha)
 
 
 def _share_record(payload) -> object:
@@ -235,7 +234,12 @@ def cmd_simulate(args) -> Section:
     except ValueError as exc:
         raise ConfigError(str(exc))
     if args.dump_transcripts:
-        _check_dump_size(args.trials, alpha, args.cap)
+        size = _dump_size(args.trials, alpha, args.cap, deviation, deviator, profile)
+        if size > DUMP_BUDGET_BYTES:
+            raise ConfigError(
+                f"--dump-transcripts of {args.trials} trials at alpha {alpha} would write about "
+                f"{size / 1e9:.3g} GB, over the budget of {DUMP_BUDGET_BYTES / 1e9:g} GB"
+            )
         # The report counts the very runs the dump records.
         with _create(args.dump_transcripts, "transcripts") as fh:
             runs = _dumped_runs(fh, args.trials, alpha, args.seed, profile, args.cap)

@@ -26,7 +26,6 @@ from random import Random
 
 from .protocol import (
     ISSUER_ID,
-    Decision,
     DecisionKind,
     IterationTranscript,
     MessageKind,
@@ -149,9 +148,7 @@ class GroupedExchange:
         self.issuer = ShareIssuer(derive_bytes(seed, trial, "issuer-key"), secret.modulus)
         self.issuer_rng = derive_rng(seed, trial, "issuer")
         self.rngs = {p: derive_rng(seed, trial, "player", p) for p in self.players}
-        self.states = {
-            p: LocalState(player=p, n_players=self.n, threshold=threshold) for p in self.players
-        }
+        self.states = {p: LocalState(player=p) for p in self.players}
         self.issued: set[int] = set()
 
     # Subclass hooks ----------------------------------------------------------
@@ -174,6 +171,10 @@ class GroupedExchange:
     def _holding_key(self, item) -> tuple:
         """Where a received item is kept in its holder's holdings."""
         raise NotImplementedError
+
+    def _learned(self, state: LocalState) -> bool:
+        """Who learned, the exchange's call: `threshold` items of one epoch."""
+        return any(len(items) >= self.threshold for items in state.holdings.values())
 
     def _accept_item(self, state: LocalState, sender: int, item) -> bool:
         """Validate one broadcast/forwarded item of the state's epoch and store it."""
@@ -203,7 +204,7 @@ class GroupedExchange:
 
     def _coin_iteration(
         self, seats: dict[int, int | None], iteration: int, msgs: list[RoundMessage]
-    ) -> dict[int, Decision]:
+    ) -> dict[int, DecisionKind]:
         """Execute steps 1-4 of one iteration among the seated leaders.
 
         `seats` maps each ring position to its leader, or to None once the
@@ -212,7 +213,7 @@ class GroupedExchange:
         """
         states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
         leaders = self.leaders
-        decisions: dict[int, Decision] = {}
+        decisions: dict[int, DecisionKind] = {}
         live = {pos: pid for pos, pid in seats.items() if pid is not None}
         inbox_plus: dict[int, int] = {}
         inbox_minus: dict[int, int] = {}
@@ -224,12 +225,11 @@ class GroupedExchange:
             states[pid].cheat_evidence.append(
                 CheatEvidence("missing-bit", iteration, int(step), leaders[about_pos - 1], detail)
             )
-            decisions[pid] = Decision(DecisionKind.ABORT)
+            decisions[pid] = DecisionKind.ABORT
 
         # Step 1: each player commits coins and sends the masked pieces.
         for pos, pid in live.items():
             st = states[pid]
-            st.step = Step.COIN_EXCHANGE
             triple = strategies[pid].coins(st, rngs[pid], self.alpha)
             st.coins = triple
             if triple is None:
@@ -249,7 +249,6 @@ class GroupedExchange:
         # masked combination to the predecessor.
         for pos, pid in list(live.items()):
             st = states[pid]
-            st.step = Step.MASKED_BIT
             st.bit_from_pred = inbox_plus.get(pos)
             st.bit_from_succ = inbox_minus.get(pos)
             if st.bit_from_pred is None or st.bit_from_succ is None:
@@ -269,7 +268,6 @@ class GroupedExchange:
         # other seated leaders, then to every observer.
         for pos, pid in list(live.items()):
             st = states[pid]
-            st.step = Step.BROADCAST
             masked = inbox_masked.get(pos)
             st.masked_from_succ = masked
             if masked is None:
@@ -299,15 +297,14 @@ class GroupedExchange:
                 self._accept_payload(states[obs], sender, payload)
         for pid in live.values():
             st = states[pid]
-            st.step = Step.DECIDE
             decision = strategies[pid].decide(st, rngs[pid])
             decisions[pid] = decision
-            if decision.kind == DecisionKind.RESTART:
+            if decision == DecisionKind.RESTART:
                 if record:
                     msgs.append(RoundMessage(
                         pid, ISSUER_ID, Step.DECIDE, MessageKind.RESTART_REQUEST, None
                     ))
-            elif decision.kind == DecisionKind.STOP and not decision.learned:
+            elif decision == DecisionKind.STOP and not self._learned(st):
                 st.cheat_evidence.append(
                     CheatEvidence(
                         "stopped-without-learning",
@@ -383,11 +380,11 @@ class GroupedExchange:
                         f"honest players disagree on parity at iteration {iterations}"
                     )
 
-            restarters = [pid for pid, d in decisions.items() if d.kind == DecisionKind.RESTART]
+            restarters = [pid for pid, d in decisions.items() if d == DecisionKind.RESTART]
             if ending is None and len(restarters) < len(seated):
                 # The run's first ending decides its cause; within an
                 # iteration, aborts (steps 2-3) come before stops (step 4).
-                aborted = any(d.kind == DecisionKind.ABORT for d in decisions.values())
+                aborted = DecisionKind.ABORT in decisions.values()
                 ending = TerminalCause.MISSING_BIT_ABORT if aborted else TerminalCause.CHEAT_STOP
             if not restarters:
                 break
@@ -396,7 +393,7 @@ class GroupedExchange:
                     seats[pos] = None  # stopped or aborted: the seat stays empty
             epoch += 1
 
-        info = tuple(1 if states[p].has_learned() else 0 for p in self.players)
+        info = tuple(1 if self._learned(states[p]) else 0 for p in self.players)
         if all(info):
             cause = TerminalCause.ALL_LEARNED
         elif ending is None:

@@ -104,29 +104,20 @@ class TwoOfNExchange(GroupedExchange):
 
     holders = (1, 2)
 
-    def __init__(self, secret, n, subshare_filter=None, **kw):
+    def __init__(self, secret, n, **kw):
         groups, leaders = partition_players(n, n)
         super().__init__(secret, groups, leaders, 2, **kw)
-        self.subshare_filter = subshare_filter
-        if subshare_filter is not None:
-            self.honest = False  # fault injection voids the honest-play invariants
-        for state in self.states.values():
-            state.learned_fn = self._learned
 
     def _learned(self, state: LocalState) -> bool:
-        n = self.n
-        for epoch, items in state.holdings.items():
-            ok = True
-            for parent in self.holders:
-                if parent == state.player and ("share", parent) in items:
-                    continue
-                have = sum(1 for key in items if key[:2] == ("sub", parent))
-                if have < n - 1:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+        """All n-1 subshares of each holder's share in one epoch; a holder's own share will do."""
+        return any(
+            all(
+                (parent == state.player and ("share", parent) in items)
+                or sum(key[:2] == ("sub", parent) for key in items) >= self.n - 1
+                for parent in self.holders
+            )
+            for items in state.holdings.values()
+        )
 
     def _issue_epoch(self, epoch: int) -> None:
         shares = issue_round(self.issuer, self.secret, 2, 2, epoch, self.issuer_rng, self.issued)
@@ -138,8 +129,6 @@ class TwoOfNExchange(GroupedExchange):
             subs = self.issuer.split_subshares(shares[holder], self.n - 1, self.issuer_rng)
             recipients = [p for p in self.players if p != holder]
             for sub, recipient in zip(subs, recipients):
-                if self.subshare_filter is not None:
-                    sub = self.subshare_filter(sub, recipient)
                 self._accept_item(self.states[recipient], holder, sub)
 
     def _forwarders(self):
@@ -166,13 +155,8 @@ def lift_2_of_n(
     cap: int = DEFAULT_CAP,
     record: bool = True,
     trial: int = 0,
-    subshare_filter=None,
 ) -> RunOutcome:
-    """Run 2-of-n sharing (n >= 3) through the subshare lift, in the secret's field.
-
-    `subshare_filter(subshare, recipient)` is a fault-injection hook for
-    tests; it may return a tampered subshare to deliver instead.
-    """
+    """Run 2-of-n sharing (n >= 3) through the subshare lift, in the secret's field."""
     if n < 3:
         raise ValueError(
             "2-of-2 exchange is not liftable: no coin bias makes honesty an "
@@ -181,7 +165,6 @@ def lift_2_of_n(
     game = TwoOfNExchange(
         secret,
         n,
-        subshare_filter=subshare_filter,
         alpha=alpha,
         profile=profile,
         seed=seed,

@@ -18,6 +18,7 @@ transcript dump.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 from . import engine
 from .protocol import STEPS_PER_ITERATION, RunOutcome, TerminalCause
 from .seeding import derive_generator
-from .strategies import ForcedCoins, HonestStrategy, UtilityTable, deviation_profile, info_key
+from .strategies import ForcedCoins, HonestStrategy, Strategy, UtilityTable, deviation_profile, info_key
 
 CAUSE_ORDER = (
     TerminalCause.ALL_LEARNED,
@@ -103,10 +104,13 @@ class TrialStats:
         return lut.take(self._info_codes())
 
     def mean_utility(self, table: UtilityTable, player: int) -> tuple[float, float]:
-        """(mean, standard error) of the player's payoff."""
+        """(mean, standard error) of the player's payoff, computed on payoffs divided
+        exactly by a power of two near their largest, so squares near 1e308 stay finite."""
         u = self.utilities(table, player)
-        se = float(u.std(ddof=1) / np.sqrt(len(u))) if len(u) > 1 else 0.0
-        return float(u.mean()), se
+        scale = math.ldexp(1.0, math.frexp(float(np.abs(u).max(initial=0.0)))[1] - 1)
+        u /= scale
+        se = float(u.std(ddof=1) / np.sqrt(len(u))) * scale if len(u) > 1 else 0.0
+        return float(u.mean()) * scale, se
 
 
 @cache
@@ -147,6 +151,15 @@ def iteration_outcome(
     return tuple(column[codes] for column in kernel)
 
 
+def absorbing_weights(alpha: float, profile: dict[int, Strategy], restart: np.ndarray):
+    """The patterns of positive weight that do not `restart`, and their cumulative
+    weights; a pattern's weight comes from each player's `coin_bias(alpha)`."""
+    heads = np.array([profile.get(p, HonestStrategy()).coin_bias(alpha) for p in (1, 2, 3)])
+    weight = np.where(PATTERNS, heads, 1 - heads).prod(axis=1)
+    absorbing = np.flatnonzero(~restart & (weight > 0))
+    return absorbing, np.cumsum(weight[absorbing])
+
+
 def sample_runs(
     alpha: float,
     trials: int,
@@ -168,10 +181,7 @@ def sample_runs(
     engine.check_run_config(alpha, cap)
     profile = deviation_profile(deviation, deviator, alpha_prime)
     restart, info, extra, cause = iteration_outcome(PATTERNS, deviation, deviator)
-    heads = np.array([profile.get(p, HonestStrategy()).coin_bias(alpha) for p in (1, 2, 3)])
-    weight = np.where(PATTERNS, heads, 1 - heads).prod(axis=1)
-    absorbing = np.flatnonzero(~restart & (weight > 0))
-    cdf = np.cumsum(weight[absorbing])
+    absorbing, cdf = absorbing_weights(alpha, profile, restart)
     # One row per absorbing pattern, then a cap row for a trial that
     # restarts `cap` times: it stops at the cap and nobody learns.
     cap_row = absorbing.size

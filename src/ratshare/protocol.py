@@ -87,15 +87,6 @@ class DecisionKind(Enum):
     ABORT = "AbortCheatDetected"
 
 
-@dataclass(frozen=True)
-class Decision:
-    kind: DecisionKind
-    learned: bool = False
-
-
-RESTART = Decision(DecisionKind.RESTART)
-
-
 class TerminalCause(Enum):
     ALL_LEARNED = "AllLearned"
     CHEAT_STOP = "CheatStop"

@@ -4,7 +4,8 @@ A strategy is a decision rule from a player's local view (its own coins,
 the bits and shares it has received, the shares it holds) to the action
 of the current step.  Strategies can only read the LocalState they are
 handed, so locality is structural: nothing about other players' private
-coins is reachable from here.
+coins is reachable from here.  A decision is a DecisionKind: who
+learned is the exchange's call (`engine.GroupedExchange._learned`).
 
 Utilities depend only on the terminal info vector (which players learned
 the secret).  A UtilityTable stores one payoff per info vector per
@@ -22,14 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from random import Random
-from typing import Callable
 
 from .protocol import (
-    RESTART,
     CoinTriple,
-    Decision,
     DecisionKind,
-    Step,
     broadcast_rule,
     masked_bit_rule,
     restart_rule,
@@ -52,10 +49,7 @@ class LocalState:
     """Everything one player has observed; append-only across iterations."""
 
     player: int
-    n_players: int = 3
-    threshold: int = 3
     iteration: int = 0
-    step: Step = Step.ISSUE
     epoch: int = -1
     coins: CoinTriple | None = None
     bit_from_pred: int | None = None
@@ -67,7 +61,6 @@ class LocalState:
     observed_broadcasts: set[int] = field(default_factory=set)
     holdings: dict[int, dict[object, object]] = field(default_factory=dict)
     cheat_evidence: list[CheatEvidence] = field(default_factory=list)
-    learned_fn: Callable | None = field(default=None, repr=False)
 
     @property
     def observed_count(self) -> int:
@@ -77,7 +70,6 @@ class LocalState:
     def begin_iteration(self, iteration: int, epoch: int) -> None:
         self.iteration = iteration
         self.epoch = epoch
-        self.step = Step.ISSUE
         self.coins = None
         self.bit_from_pred = None
         self.bit_from_succ = None
@@ -90,11 +82,6 @@ class LocalState:
 
     def add_holding(self, epoch: int, key: object, item: object) -> None:
         self.holdings.setdefault(epoch, {})[key] = item
-
-    def has_learned(self) -> bool:
-        if self.learned_fn is not None:
-            return self.learned_fn(self)
-        return any(len(items) >= self.threshold for items in self.holdings.values())
 
 
 # --- strategies --------------------------------------------------------------
@@ -118,7 +105,7 @@ class Strategy:
     def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
         raise NotImplementedError
 
-    def decide(self, state: LocalState, rng: Random) -> Decision:
+    def decide(self, state: LocalState, rng: Random) -> DecisionKind:
         raise NotImplementedError
 
     def forwards_to_leader(self, state: LocalState, rng: Random) -> bool:
@@ -146,14 +133,8 @@ class HonestStrategy(Strategy):
     def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
         return broadcast_rule(state.parity, state.coins.c if state.coins else None)
 
-    def decide(self, state: LocalState, rng: Random) -> Decision:
-        if restart_rule(state.parity, state.observed_count):
-            return RESTART
-        return _STOP_LEARNED if state.has_learned() else _STOP_UNLEARNED
-
-
-_STOP_LEARNED = Decision(DecisionKind.STOP, learned=True)
-_STOP_UNLEARNED = Decision(DecisionKind.STOP, learned=False)
+    def decide(self, state: LocalState, rng: Random) -> DecisionKind:
+        return DecisionKind.RESTART if restart_rule(state.parity, state.observed_count) else DecisionKind.STOP
 
 
 class WithholdShare(HonestStrategy):
@@ -206,8 +187,8 @@ class AlwaysSilent(HonestStrategy):
     def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
         return False
 
-    def decide(self, state: LocalState, rng: Random) -> Decision:
-        return Decision(DecisionKind.STOP, learned=state.has_learned())
+    def decide(self, state: LocalState, rng: Random) -> DecisionKind:
+        return DecisionKind.STOP
 
 
 class AlwaysBroadcast(HonestStrategy):
@@ -257,7 +238,7 @@ class ForcedCoins(Strategy):
     def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
         return self.inner.wants_broadcast(state, rng)
 
-    def decide(self, state: LocalState, rng: Random) -> Decision:
+    def decide(self, state: LocalState, rng: Random) -> DecisionKind:
         return self.inner.decide(state, rng)
 
     def forwards_to_leader(self, state: LocalState, rng: Random) -> bool:

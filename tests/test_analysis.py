@@ -211,6 +211,15 @@ def test_audit_below_threshold_finds_no_incentive():
     assert all(e.verdict == analysis.NO_INCENTIVE for e in report.entries)
 
 
+def test_audit_at_the_threshold_finds_no_incentive():
+    # At alpha* = 0.5 withholding ties honesty exactly: its closed form is
+    # u_all = 1, which is not strictly better.
+    report = analysis.nash_audit(0.5, canonical_table(), deviations=("withhold",),
+                                 trials=10_000, seed=0)
+    assert [e.closed_form for e in report.entries] == [1.0, 1.0, 1.0]
+    assert [e.verdict for e in report.entries] == [analysis.NO_INCENTIVE] * 3
+
+
 def test_audit_above_threshold_flags_withholding_only():
     report = analysis.nash_audit(0.8, canonical_table(), trials=10_000, seed=31)
     flagged = {(e.deviation, e.deviator) for e in report.entries if e.verdict == analysis.PROFITABLE}

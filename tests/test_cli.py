@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from ratshare.cli import (
     MAX_TRIALS,
     RESTART_LINE_BYTES,
     SHARE_LINE_BYTES,
+    _dump_size,
     _dumped_runs,
     _jsonl_line,
     _line_head,
@@ -26,7 +28,13 @@ from ratshare import analysis
 from ratshare.engine import DEFAULT_CAP
 from ratshare.protocol import MessageKind, RoundMessage, Step
 from ratshare.shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer
-from ratshare.strategies import UtilityTable
+from ratshare.strategies import (
+    DEVIATIONS,
+    UtilityTable,
+    all_info_vectors,
+    deviation_profile,
+    info_key,
+)
 
 
 def run_cli(capsys, *argv):
@@ -194,16 +202,41 @@ def test_config_names_the_table_analysed(argv, capsys):
 # R = (u_all - u_none) / (u_only - u_all) overflows to inf in the first
 # table and underflows to 0 in the second; the axioms accept both.
 @pytest.mark.parametrize(
-    "scalars", [(1e-300, 0.0, -1e300), (1e300, 0.0, -1e-300)], ids=["ratio-inf", "ratio-zero"]
+    "scalars, threshold",
+    [((1e-300, 0.0, -1e300), 1.0), ((1e300, 0.0, -1e-300), 1e-300)],
+    ids=["ratio-inf", "ratio-zero"],
 )
-def test_alpha_star_at_the_float_extremes(scalars, capsys):
+def test_alpha_star_at_the_float_extremes(scalars, threshold, capsys):
     star = analysis.alpha_star(UtilityTable.from_scalars(*scalars))
     assert all(0 < value <= 1 for value in star.per_player.values())
+    assert star.per_player == pytest.approx({1: threshold, 2: threshold, 3: threshold}, rel=1e-12)
     flags = [f"--{name}={value!r}" for name, value in zip(("u-only", "u-all", "u-none"), scalars)]
-    assert run_cli(capsys, "audit", "--alpha", "auto", "--trials", "10000", "--seed", "1",
-                   *flags)[0] == 0
+    code, out = run_cli(capsys, "audit", "--alpha", "auto", "--trials", "10000", "--seed", "1",
+                        *flags)
+    assert code == 0
+    errors = [float(line.rpartition(" = ")[2]) for line in out.splitlines() if ".std-error = " in line]
+    assert len(errors) == 15 and all(math.isfinite(se) for se in errors)
     assert run_cli(capsys, "simulate", "--alpha", "auto", "--trials", "10", "--seed", "1",
                    *flags)[0] == 0
+
+
+def test_alpha_star_when_gain_and_loss_overflow(tmp_path, capsys):
+    # Payoffs by the number of other learners; u_only - u_all overflows.
+    learning, missing = (1.7e308, 0.0, -1.7e308), (-1.75e308, -1.76e308, -1.77e308)
+    payoffs = {
+        str(player): {
+            info_key(vec): (learning if vec[player - 1] else missing)[sum(vec) - vec[player - 1]]
+            for vec in all_info_vectors(3)
+        }
+        for player in (1, 2, 3)
+    }
+    doc = {"players": 3, "payoffs": payoffs}
+    star = analysis.alpha_star(UtilityTable.from_doc(doc, 3))
+    assert all(0 < value <= 1 for value in star.per_player.values())
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "audit", "--alpha", "auto", "--trials", "10000", "--seed", "1",
+                   "--utilities", str(path))[0] == 0
 
 
 def test_audit_below_threshold(capsys):
@@ -404,11 +437,39 @@ def test_dump_with_multi_digit_numbers_matches_golden_digests(tmp_path):
     )
 
 
+# The honest profile and every registry deviation, by player 1 to 3.
+DUMP_PROFILES = [(None, None, None)] + [
+    (name, deviator, 0.2 if name == "biased-coin" else None)
+    for name in DEVIATIONS
+    for deviator in (1, 2, 3)
+]
+
+
+def _dump(trials, alpha, name, deviator, alpha_prime):
+    """What a dump of these runs writes: (bytes, iterations, the guard's estimate)."""
+    profile = deviation_profile(name, deviator, alpha_prime)
+    fh = io.StringIO()
+    iterations = sum(o.iterations for o in _dumped_runs(fh, trials, alpha, 17, profile, DEFAULT_CAP))
+    estimate = _dump_size(trials, alpha, DEFAULT_CAP, name, deviator, profile)
+    return len(fh.getvalue().encode()), iterations, estimate
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
 def test_dump_bytes_per_iteration_bounds_honest_dumps(alpha):
-    fh = io.StringIO()
-    iterations = sum(o.iterations for o in _dumped_runs(fh, 20, alpha, 17, {}, DEFAULT_CAP))
-    assert len(fh.getvalue().encode()) / iterations <= dump_bytes_per_iteration(alpha)
+    # Deviations change how long a run lasts, not what an iteration
+    # writes at most, so the figure bounds every profile's iterations.
+    for spec in DUMP_PROFILES:
+        size, iterations, _ = _dump(20, alpha, *spec)
+        assert size / iterations <= dump_bytes_per_iteration(alpha), spec
+
+
+def test_dump_size_estimate_bounds_every_profile():
+    # At alpha 1 an honest run takes one iteration; biased-coin:0.2 runs
+    # take five on average, so sizing them as honest undercounts them
+    # about threefold.
+    for spec in DUMP_PROFILES:
+        size, _, estimate = _dump(100, 1.0, *spec)
+        assert size <= estimate, spec
 
 
 def test_dump_line_sizes_bound_the_widest_lines():
@@ -595,6 +656,9 @@ PD_DOC = json.dumps({
          "--dump-transcripts", "DUMP"],
         ["simulate", "--alpha", "0.1", "--trials", "10000000", "--seed", "1", "--cap", "1",
          "--dump-transcripts", "DUMP"],
+        # A deviant's runs last longer than honest ones: about 4,000 iterations, 422 GB.
+        ["simulate", "--alpha", "0.5", "--trials", "60000", "--seed", "1", "--deviant",
+         "1:biased-coin:0.001", "--dump-transcripts", "DUMP"],
         # Caps past 2**53, which the samplers cannot count exactly.
         ["simulate", "--alpha", "1e-200", "--trials", "10", "--seed", "1",
          "--cap", "9223372036854775808"],
@@ -617,7 +681,7 @@ PD_DOC = json.dumps({
         "dominance-bounded-r2-3-players", "game-with-table-flags", "game-with-builtin",
         "game-with-default-u-none", "game-unknown-labels", "builtin-unknown-label", "trials-1e20", "trials-over-bound", "trials-1e20-dump",
         "audit-trials-1e20", "dump-over-budget", "dump-over-budget-low-alpha",
-        "dump-over-budget-cap-1", "cap-2to63", "cap-2to63-minus-1", "cap-2to53-plus-1-dump",
+        "dump-over-budget-cap-1", "dump-over-budget-deviant", "cap-2to63", "cap-2to63-minus-1", "cap-2to53-plus-1-dump",
         "audit-cap-1e23",
     ],
 )

@@ -477,11 +477,22 @@ def test_recording_does_not_change_the_run(name, deviator, alpha_prime, alpha):
         assert on.transcripts and not off.transcripts
 
 
-def _tamper(sub, recipient):
-    """Forge the subshare player 1 hands player 3."""
-    if sub.parent_holder == 1 and recipient == 3:
-        return dataclasses.replace(sub, value=FieldElement((sub.value.value + 1) % 101, 101))
-    return sub
+def forge_subshare_for_player_3(game: TwoOfNExchange) -> TwoOfNExchange:
+    """Make `game`'s issuer forge the subshare holder 1 hands player 3: its
+    piece with index 2, whose tag then no longer verifies."""
+    split = game.issuer.split_subshares
+
+    def split_and_forge(share, count, rng):
+        subs = split(share, count, rng)
+        if share.holder == 1:
+            value = subs[1].value
+            subs[1] = dataclasses.replace(
+                subs[1], value=FieldElement((value.value + 1) % value.modulus, value.modulus)
+            )
+        return subs
+
+    game.issuer.split_subshares = split_and_forge
+    return game
 
 
 LIFTS = [("m-of-n", size) for size in ((3, 4), (3, 6), (4, 5))] + [
@@ -501,7 +512,10 @@ def _lifted_exchange(lift, size, play, record, trial):
     secret = FieldElement(5, 101)
     if lift == "m-of-n":
         return MOfNExchange(secret, groups, leaders, m, **kw)
-    return TwoOfNExchange(secret, n, subshare_filter=_tamper if play == "tamper" else None, **kw)
+    game = TwoOfNExchange(secret, n, **kw)
+    if play == "tamper":
+        forge_subshare_for_player_3(game).honest = False  # a forged piece voids all-or-nothing
+    return game
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Group lifts: m-of-n via leaders, 2-of-n via subshares."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -23,6 +22,7 @@ from ratshare.shamir import (
     reconstruct,
 )
 from ratshare.strategies import GarbleStep2, WithholdFromLeader
+from test_engine import forge_subshare_for_player_3
 
 
 def collect_broadcast_payloads(outcome):
@@ -53,6 +53,9 @@ def test_partition_known_cases():
     assert partition_players(6, 3) == ([[1], [2], [3, 4, 5, 6]], [1, 2, 3])
     assert partition_players(5, 4) == ([[1], [2, 3], [4, 5]], [1, 2, 4])
     assert partition_players(6, 6) == ([[1, 2], [3, 4], [5, 6]], [1, 3, 5])
+    # Equal largest groups; the spread then decides.
+    assert partition_players(7, 5) == ([[1, 2], [3, 4], [5, 6, 7]], [1, 3, 5])
+    assert [len(group) for group in partition_players(10, 7)[0]] == [3, 3, 4]
 
 
 def test_partition_validation():
@@ -138,22 +141,28 @@ def test_two_of_two_is_rejected():
         lift_2_of_n(42, 2, alpha=0.5, seed=1)
 
 
-def test_tampered_subshare_treated_as_missing():
-    def tamper(sub, recipient):
-        if recipient == 3 and sub.parent_holder == 1:
-            return dataclasses.replace(sub, value=FieldElement((sub.value.value + 1) % 101, 101))
-        return sub
+def _tampered_two_of_three():
+    return forge_subshare_for_player_3(TwoOfNExchange(
+        FieldElement(42, 101), 3, alpha=1.0, profile=None, seed=13, trial=0, cap=5, record=True,
+    ))
 
-    game = TwoOfNExchange(
-        FieldElement(42, 101), 3, subshare_filter=tamper, alpha=1.0, profile=None, seed=13,
-        trial=0, cap=5, record=True,
-    )
+
+def test_tampered_subshare_treated_as_missing():
+    game = _tampered_two_of_three()
+    game.honest = False  # the forged piece breaks all-or-nothing; let the run finish
     outcome = game.run()
     # Player 3 dropped the forged piece, so its bundle cannot complete
     # holder 1's share for anyone; holder 1 still learns (own share plus
     # the other holder's subshares), the rest cannot.
     assert any(e.kind == "invalid-tag" for e in game.states[3].cheat_evidence)
     assert outcome.info == (1, 0, 0)
+
+
+def test_honest_guard_rejects_a_partial_info_vector():
+    # The same run with the honest-play checks on: every strategy follows
+    # the honest rules, yet only holder 1 learns, which the guard refuses.
+    with pytest.raises(InvariantViolationError, match=r"partial info \(1, 0, 0\)"):
+        _tampered_two_of_three().run()
 
 
 def test_lift_alpha_validation():

@@ -27,6 +27,7 @@ from ratshare.strategies import (
     DEVIATIONS,
     ForcedCoins,
     HonestStrategy,
+    UtilityTable,
     canonical_table,
     deviation_profile,
     parse_deviation,
@@ -177,6 +178,28 @@ def test_reference_and_vectorized_agree_for_withhold():
     for stats, trials in ((ref, 2000), (vec, 20_000)):
         mean, se = stats.mean_utility(table, 1)
         assert abs(mean - closed) < 4 * se
+
+
+def _two_trials(first, second):
+    """Two one-iteration trials that end in these info vectors."""
+    return montecarlo.TrialStats(
+        iterations=np.array([1, 1]),
+        causes=np.array([1, 1], dtype=np.uint8),
+        info=np.array([first, second], dtype=np.uint8),
+    )
+
+
+def test_mean_utility_uses_the_sample_standard_deviation():
+    # Player 1's payoffs are 0 and 2: sample variance 2, standard error sqrt(2 / 2).
+    stats = _two_trials((0, 0, 0), (1, 0, 0))
+    assert stats.mean_utility(canonical_table(), 1) == (1.0, 1.0)
+
+
+def test_mean_utility_does_not_overflow_near_the_largest_float():
+    # Payoffs -1.7e308 and 1.7e308, whose squares overflow.
+    stats = _two_trials((0, 0, 0), (1, 0, 0))
+    mean, se = stats.mean_utility(UtilityTable.from_scalars(1.7e308, 0.0, -1.7e308), 1)
+    assert mean == 0.0 and se == pytest.approx(1.7e308, rel=1e-15)
 
 
 def test_utilities_lookup():

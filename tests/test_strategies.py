@@ -8,7 +8,7 @@ import pytest
 
 from ratshare import analysis
 from ratshare.dominance import build_bounded_game, build_oneshot_sharing_game
-from ratshare.engine import run_mechanism
+from ratshare.engine import MOfNExchange, run_mechanism
 from ratshare.protocol import (
     CoinTriple,
     DecisionKind,
@@ -34,8 +34,13 @@ from ratshare.strategies import (
 )
 
 
-def make_state(player=1, coins=None, parity=None, observed=(), holdings_count=1, threshold=3):
-    state = LocalState(player=player, n_players=3, threshold=threshold)
+# A 3-ring exchange, whose `_learned` is the rule for who learned.
+RING = MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3, alpha=0.5, profile=None, seed=0, trial=0,
+                    cap=1, record=False)
+
+
+def make_state(player=1, coins=None, parity=None, observed=(), holdings_count=1):
+    state = LocalState(player=player)
     state.begin_iteration(1, 0)
     state.own_payload = "share"
     if coins is not None:
@@ -217,14 +222,15 @@ def test_honest_broadcast_rule():
 
 
 def test_honest_decide_rule():
+    # The strategy only chooses; the 3-ring exchange judges who learned.
     strat = HonestStrategy()
     rng = Random(0)
-    stop = strat.decide(make_state(coins=(1, 0), parity=1, observed=(1, 2, 3), holdings_count=3), rng)
-    assert stop.kind == DecisionKind.STOP and stop.learned
+    stop = make_state(coins=(1, 0), parity=1, observed=(1, 2, 3), holdings_count=3)
+    assert strat.decide(stop, rng) == DecisionKind.STOP and RING._learned(stop)
     restart = strat.decide(make_state(coins=(1, 0), parity=1, observed=(1,)), rng)
-    assert restart.kind == DecisionKind.RESTART
-    caught = strat.decide(make_state(coins=(0, 0), parity=1, observed=()), rng)
-    assert caught.kind == DecisionKind.STOP and not caught.learned
+    assert restart == DecisionKind.RESTART
+    caught = make_state(coins=(0, 0), parity=1, observed=())
+    assert strat.decide(caught, rng) == DecisionKind.STOP and not RING._learned(caught)
 
 
 # --- deviations -----------------------------------------------------------------
@@ -330,8 +336,8 @@ class RandomizationProbe(HonestStrategy):
         self.violations = []
 
     def _check(self, state, proxy):
-        if proxy.calls and (state.has_learned() or state.broadcast_own):
-            self.violations.append((state.player, state.iteration, state.step))
+        if proxy.calls and (RING._learned(state) or state.broadcast_own):
+            self.violations.append((state.player, state.iteration))
 
     def coins(self, state, rng, alpha):
         proxy = CountingProxy(rng)
