@@ -139,12 +139,14 @@ def _check_trials(trials: int) -> None:
 
 
 def _dump_size(trials: int, alpha: float, cap: int, deviation, deviator, profile) -> float:
-    """Expected dump bytes: a run lasts about 1/P iterations, at most `cap`, where P
-    is the weight `sample_runs` gives the patterns that end it under `profile`."""
-    restart = montecarlo.iteration_kernel(deviation, deviator).restart
-    cdf = montecarlo.absorbing_weights(alpha, profile, restart)[1]
+    """Expected dump bytes: a run lasts about 1/P iterations, where P is the weight
+    `sample_runs` gives the patterns that end it under `profile`, plus the abort
+    iterations (`extra`) that follow the pattern it ends in; at most `cap`."""
+    kernel = montecarlo.iteration_kernel(deviation, deviator)
+    absorbing, cdf = montecarlo.absorbing_weights(alpha, profile, kernel.restart)
     ending = float(cdf[-1]) if cdf.size else 0.0
-    iterations = min(cap, 1 / ending) if ending else cap
+    extra = float(np.diff(cdf, prepend=0.0) @ kernel.extra[absorbing])
+    iterations = min(cap, (1 + extra) / ending) if ending else cap
     return trials * iterations * dump_bytes_per_iteration(alpha)
 
 

@@ -7,11 +7,14 @@ each other, so a game also keeps, per player, the rank of each payoff
 among that player's distinct exact values; comparisons run on these small
 integers, and ties stay ties.  (A common denominator would not do: a
 `Fraction(float)` such as `Fraction(1e-300)` has a denominator near
-2**1049, far past int64.)  Deletion removes, simultaneously for every player,
-every strategy that some other pure strategy weakly dominates against
-the current restriction sets, and repeats to a fixpoint.  Dominators are
-pure strategies only; mixed dominators would need an LP and none of the
-desk-scale demonstrations here require them.
+2**1049, far past int64.)  A loaded document's payoffs are checked and
+parsed once per distinct raw value.  Deletion removes, simultaneously for
+every player, every strategy that some other pure strategy weakly
+dominates against the current restriction sets, and repeats to a
+fixpoint; each check compares all pairs of a player's strategies in one
+array operation.  Dominators are pure strategies only; mixed dominators
+would need an LP and none of the desk-scale demonstrations here require
+them.
 
 The builders materialize, from a valid 2-player utility table (checked
 by `UtilityTable.require(2)`), tiny two-player share-exchange games: the
@@ -39,6 +42,8 @@ SEND = "send"
 WITHHOLD = "withhold"
 
 _BAD_PAYOFFS = "payoffs of {!r} must be a list of finite numbers or strings"
+# About the most elements one boolean temporary of `weakly_dominated` holds.
+_BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclass
@@ -114,21 +119,22 @@ class NormalFormGame:
                 raise ValueError(f"player {player} strategies must be a list of distinct strings")
         strategies = tuple(tuple(s) for s in doc["strategies"])
         indexes = [{lbl: k for k, lbl in enumerate(labels)} for labels in strategies]
-        # A game repeats few distinct payoffs: parse each raw value once.
-        fraction = lru_cache(maxsize=None, typed=True)(Fraction)
+        # A game repeats few distinct payoffs: check and parse each raw value once.
+        parse = lru_cache(maxsize=None, typed=True)(_parse_payoff)
         payoffs = {}
         for key, us in doc["payoffs"].items():
-            if not (isinstance(us, list) and all(map(_is_payoff, us))):
+            if not isinstance(us, list):
                 raise ValueError(_BAD_PAYOFFS.format(key))
+            try:
+                values = tuple(map(parse, us))
+            except (TypeError, ZeroDivisionError):  # also unhashable values and "1/0"
+                raise ValueError(_BAD_PAYOFFS.format(key)) from None
             labels = key.split(",")
             try:
                 profile = tuple(indexes[i][lbl] for i, lbl in enumerate(labels))
             except KeyError as exc:
                 raise ValueError(f"payoffs of {key!r} name an unknown strategy {exc}") from None
-            try:
-                payoffs[profile] = tuple(map(fraction, us))
-            except ZeroDivisionError:  # a string such as "1/0"
-                raise ValueError(_BAD_PAYOFFS.format(key)) from None
+            payoffs[profile] = values
         return cls(strategies=strategies, payoffs=payoffs, name=doc.get("name", "game"))
 
     @classmethod
@@ -137,10 +143,12 @@ class NormalFormGame:
             return cls.from_doc(json.load(fh))
 
 
-def _is_payoff(u) -> bool:
-    if isinstance(u, float):
-        return math.isfinite(u)
-    return isinstance(u, (int, str)) and not isinstance(u, bool)
+def _parse_payoff(u) -> Fraction:
+    """`u` as an exact rational; TypeError unless it is a finite number or a string."""
+    ok = math.isfinite(u) if isinstance(u, float) else isinstance(u, (int, str))
+    if not ok or isinstance(u, bool):
+        raise TypeError(f"not a payoff: {u!r}")
+    return Fraction(u)
 
 
 def _rank_rows(values, shape: tuple[int, ...], axis: int) -> np.ndarray:
@@ -163,23 +171,27 @@ def weakly_dominated(
     restricted set does at least as well against every restricted opponent
     profile and strictly better against at least one.
     """
-    sizes = [len(s) for s in game.strategies]
-    if any(not r for r in restriction):
-        raise ValueError("restriction sets must be nonempty")
-    if any(not 0 <= k < n for r, n in zip(restriction, sizes, strict=True) for k in r):
-        raise ValueError("restriction indexes an unknown strategy")
-    others = [sorted(restriction[j]) for j in range(len(sizes)) if j != player - 1]
-    columns = np.ravel_multi_index(
-        np.ix_(*others), [n for j, n in enumerate(sizes) if j != player - 1]
-    )
-    mine = sorted(restriction[player - 1])
-    sub = game.ranks[player - 1][np.ix_(mine, np.ravel(columns))]
-    dominated: dict[int, int] = {}
-    for sigma, row in zip(mine, sub):
-        dominators = (sub >= row).all(1) & (sub > row).any(1)
-        if dominators.any():
-            dominated[sigma] = mine[int(dominators.argmax())]
-    return dominated
+    ordered = [sorted(r) for r in restriction]
+    for ks, n in zip(ordered, map(len, game.strategies), strict=True):
+        if not ks:
+            raise ValueError("restriction sets must be nonempty")
+        if ks[0] < 0 or ks[-1] >= n:
+            raise ValueError("restriction indexes an unknown strategy")
+    # Opponent profiles as C-order flat column indexes into `ranks`.
+    cols = np.zeros(1, dtype=np.int64)
+    for j, ks in enumerate(ordered):
+        if j != player - 1:
+            cols = (cols[:, None] * len(game.strategies[j]) + ks).ravel()
+    mine = ordered[player - 1]
+    sub = game.ranks[player - 1][mine][:, cols]
+    # ge[d, s]: d does at least as well as s against every column, in
+    # blocks of rows d.
+    step = max(1, _BLOCK_ELEMENTS // sub.size)
+    ge = np.concatenate([(sub[i:i + step, None] >= sub).all(2) for i in range(0, len(sub), step)])
+    # d is strictly better somewhere exactly when s is not at least as good everywhere.
+    dominates = ge & ~ge.T
+    witness = dominates.argmax(0)
+    return {mine[s]: mine[witness[s]] for s in np.flatnonzero(dominates.any(0))}
 
 
 @dataclass

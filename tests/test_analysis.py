@@ -220,6 +220,28 @@ def test_audit_at_the_threshold_finds_no_incentive():
     assert [e.verdict for e in report.entries] == [analysis.NO_INCENTIVE] * 3
 
 
+def test_audit_flags_a_sampled_gain_past_three_standard_errors(monkeypatch):
+    # Neither deviation has a closed form, so the sampled estimate alone
+    # decides: 4 standard errors above the baseline is profitable, 2 is not.
+    se = 0.01
+    above = {"garble-step2": 4, "always-silent": 2}
+
+    class Stats:
+        def __init__(self, deviation):
+            self.deviation = deviation
+
+        def mean_utility(self, table, deviator):
+            return table.u_all(deviator) + above[self.deviation] * se, se
+
+    monkeypatch.setattr(montecarlo, "sample_runs",
+                        lambda alpha, trials, seed, deviation, **kw: Stats(deviation))
+    report = analysis.nash_audit(0.25, canonical_table(), deviations=tuple(above),
+                                 trials=10_000, seed=0, deviators=(1,))
+    assert [(e.deviation, e.verdict) for e in report.entries] == [
+        ("garble-step2", analysis.PROFITABLE), ("always-silent", analysis.NO_INCENTIVE)
+    ]
+
+
 def test_audit_above_threshold_flags_withholding_only():
     report = analysis.nash_audit(0.8, canonical_table(), trials=10_000, seed=31)
     flagged = {(e.deviation, e.deviator) for e in report.entries if e.verdict == analysis.PROFITABLE}

@@ -24,7 +24,7 @@ from ratshare.cli import (
     main,
     run_command,
 )
-from ratshare import analysis
+from ratshare import analysis, cli, montecarlo
 from ratshare.engine import DEFAULT_CAP
 from ratshare.protocol import MessageKind, RoundMessage, Step
 from ratshare.shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer
@@ -472,6 +472,27 @@ def test_dump_size_estimate_bounds_every_profile():
         assert size <= estimate, spec
 
 
+def test_dump_size_counts_the_abort_iteration_after_a_stop():
+    per_iteration = dump_bytes_per_iteration(0.5)
+    # At alpha 0.5 every pattern ends a garble-step2 run, and in all but
+    # all-ones the others abort one iteration later: 1 + 7/8 iterations.
+    for deviator in (1, 2, 3):
+        profile = deviation_profile("garble-step2", deviator, None)
+        estimate = _dump_size(10, 0.5, DEFAULT_CAP, "garble-step2", deviator, profile)
+        assert estimate == 10 * (15 / 8) * per_iteration
+        assert _dump_size(10, 0.5, 1, "garble-step2", deviator, profile) == 10 * per_iteration
+    # Honest runs end only when all three coins are 1 and never abort.
+    honest = _dump_size(10, 0.5, DEFAULT_CAP, None, None, deviation_profile(None, None, None))
+    assert honest == 10 * 8 * per_iteration
+    # The estimate is the sampler's mean iteration count, for every profile.
+    for name, deviator, alpha_prime in DUMP_PROFILES:
+        stats = montecarlo.sample_runs(0.5, 20_000, 5, name, deviator, alpha_prime)
+        runs = stats.iterations
+        profile = deviation_profile(name, deviator, alpha_prime)
+        estimate = _dump_size(1, 0.5, DEFAULT_CAP, name, deviator, profile) / per_iteration
+        assert abs(runs.mean() - estimate) <= 4 * runs.std(ddof=1) / math.sqrt(len(runs)) + 1e-9
+
+
 def test_dump_line_sizes_bound_the_widest_lines():
     wide = MAX_TRIALS - 1  # 7 digits, as are iterations up to the default cap
     assert len(str(DEFAULT_CAP)) == len(str(wide))
@@ -685,7 +706,13 @@ PD_DOC = json.dumps({
         "audit-cap-1e23",
     ],
 )
-def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys):
+def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a refused dump started writing")
+
+    # A regressed dump guard then fails at once instead of writing the dump.
+    monkeypatch.setattr(cli, "_dumped_runs", refuse)
+
     def materialize(arg):
         if arg == "DUMP":
             return str(tmp_path / "dump.jsonl")

@@ -9,6 +9,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratshare import dominance
 from ratshare.dominance import (
     SEND,
     WITHHOLD,
@@ -34,21 +35,26 @@ def full_restriction(game):
     return [set(range(len(s))) for s in game.strategies]
 
 
-def random_game(rng, shape=(3, 3, 3), lo=0, hi=5):
+def random_game(rng, shape=(3, 3, 3), lo=0, hi=5, pool=None):
+    """Payoffs are integers in [lo, hi], or drawn from `pool` when given."""
     strategies = tuple(tuple(f"s{i}{k}" for k in range(n)) for i, n in enumerate(shape))
+    draw = (lambda: rng.choice(pool)) if pool else (lambda: Fraction(rng.randint(lo, hi)))
     payoffs = {
-        profile: tuple(Fraction(rng.randint(lo, hi)) for _ in shape)
+        profile: tuple(draw() for _ in shape)
         for profile in product(*(range(n) for n in shape))
     }
     return NormalFormGame(strategies=strategies, payoffs=payoffs)
 
 
 def brute_force_dominated(game, player, restriction):
-    """Direct quantifier translation, kept separate from the engine."""
-    out = set()
+    """Direct quantifier translation, kept separate from the engine.
+
+    Maps each dominated strategy to its lowest-index dominator.
+    """
+    out = {}
     others = [sorted(restriction[j]) for j in range(game.n_players) if j != player - 1]
-    for sigma in restriction[player - 1]:
-        for tau in restriction[player - 1]:
+    for sigma in sorted(restriction[player - 1]):
+        for tau in sorted(restriction[player - 1]):
             if tau == sigma:
                 continue
             always_le = True
@@ -65,7 +71,7 @@ def brute_force_dominated(game, player, restriction):
                 if u_sigma < u_tau:
                     somewhere_lt = True
             if always_le and somewhere_lt:
-                out.add(sigma)
+                out[sigma] = tau
                 break
     return out
 
@@ -104,7 +110,7 @@ def test_engine_matches_brute_force_on_random_games():
         game = random_game(rng)
         restriction = full_restriction(game)
         for player in (1, 2, 3):
-            assert set(weakly_dominated(game, player, restriction)) == brute_force_dominated(
+            assert weakly_dominated(game, player, restriction) == brute_force_dominated(
                 game, player, restriction
             )
 
@@ -118,7 +124,7 @@ def test_engine_matches_brute_force_under_restriction():
             for s in game.strategies
         ]
         for player in (1, 2, 3):
-            assert set(weakly_dominated(game, player, restriction)) == brute_force_dominated(
+            assert weakly_dominated(game, player, restriction) == brute_force_dominated(
                 game, player, restriction
             )
 
@@ -169,6 +175,26 @@ PAYOFF_POOL = (
     Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 10), Fraction(0.1),
     Fraction(1e-300), Fraction(-1e-300), Fraction(1, 3), Fraction(1 / 3),
 )
+
+
+@pytest.mark.parametrize("block", [None, 30], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("n_players", [2, 3])
+def test_witness_is_the_lowest_index_dominator(n_players, block, monkeypatch):
+    if block:
+        # Blocks of one to a few rows, so the blocked comparison is covered.
+        monkeypatch.setattr(dominance, "_BLOCK_ELEMENTS", block)
+    rng = Random(107 + n_players)
+    for _ in range(150):
+        shape = tuple(rng.randint(1, 5) for _ in range(n_players))
+        pool = rng.sample(PAYOFF_POOL, rng.randint(2, 4))
+        game = random_game(rng, shape, pool=pool)
+        restriction = [set(rng.sample(range(n), rng.randint(1, n))) for n in shape]
+        for player in range(1, n_players + 1):
+            expected = brute_force_dominated(game, player, restriction)
+            # Witnesses and increasing-strategy order both.
+            assert list(weakly_dominated(game, player, restriction).items()) == list(
+                expected.items()
+            )
 
 
 @st.composite
