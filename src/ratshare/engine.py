@@ -276,7 +276,6 @@ class GroupedExchange:
             if st.coins is not None:
                 st.parity = parity_rule(st.bit_from_pred, masked, st.coins.c)
             if strategies[pid].wants_broadcast(st, rngs[pid]) and st.own_payload is not None:
-                st.broadcast_own = True
                 st.observed_broadcasts.add(pid)
                 broadcasts.append((pid, st.own_payload))
                 if record:

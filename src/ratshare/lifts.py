@@ -48,16 +48,14 @@ def partition_players(n: int, m: int) -> tuple[list[list[int]], list[int]]:
         raise ValueError("need at least 3 designated players to fill 3 groups")
     if n < 3:
         raise ValueError("need at least 3 players")
+    # Boundaries (2, 3) are admissible whenever m, n >= 3, so `best` is set.
     best_key = None
-    best = None
     for s2 in range(2, n):
         for s3 in range(s2 + 1, min(m, n) + 1):
             sizes = (s2 - 1, s3 - s2, n - s3 + 1)
             key = (max(sizes), sum(x * x for x in sizes), s2, s3)
             if best_key is None or key < best_key:
                 best_key, best = key, (s2, s3)
-    if best is None:
-        raise ValueError(f"no admissible 3-group partition for n={n}, m={m}")
     s2, s3 = best
     groups = [list(range(1, s2)), list(range(s2, s3)), list(range(s3, n + 1))]
     leaders = [min(p for p in group if p <= m) for group in groups]

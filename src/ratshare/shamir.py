@@ -113,15 +113,6 @@ class Share:
     epoch: int
     tag: bytes
 
-    def to_record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "holder": self.holder,
-            "x": self.x.value,
-            "y": self.y.value,
-            "tag": self.tag.hex(),
-        }
-
 
 @dataclass(frozen=True)
 class Subshare:
@@ -132,15 +123,6 @@ class Subshare:
     value: FieldElement
     epoch: int
     tag: bytes
-
-    def to_record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "parent": self.parent_holder,
-            "index": self.index,
-            "value": self.value.value,
-            "tag": self.tag.hex(),
-        }
 
 
 def _eval_poly(coefficients: list[int], x: int, p: int) -> int:

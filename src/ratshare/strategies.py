@@ -57,7 +57,6 @@ class LocalState:
     masked_from_succ: int | None = None
     parity: int | None = None
     own_payload: object = None
-    broadcast_own: bool = False
     observed_broadcasts: set[int] = field(default_factory=set)
     holdings: dict[int, dict[object, object]] = field(default_factory=dict)
     cheat_evidence: list[CheatEvidence] = field(default_factory=list)
@@ -76,7 +75,6 @@ class LocalState:
         self.masked_from_succ = None
         self.parity = None
         self.own_payload = None
-        self.broadcast_own = False
         self.observed_broadcasts = set()
         self.holdings.setdefault(epoch, {})
 

@@ -9,23 +9,15 @@ from random import Random
 import pytest
 
 from ratshare.cli import (
-    BIT_LINE_BYTES,
     MAX_TRIALS,
-    RESTART_LINE_BYTES,
-    SHARE_LINE_BYTES,
     _dump_size,
     _dumped_runs,
-    _jsonl_line,
-    _line_head,
-    _payload_json,
-    _share_record,
     build_parser,
-    dump_bytes_per_iteration,
     main,
     run_command,
 )
 from ratshare import analysis, cli, montecarlo
-from ratshare.engine import DEFAULT_CAP
+from ratshare.engine import DEFAULT_CAP, run_mechanism
 from ratshare.protocol import MessageKind, RoundMessage, Step
 from ratshare.shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer
 from ratshare.strategies import (
@@ -34,6 +26,17 @@ from ratshare.strategies import (
     all_info_vectors,
     deviation_profile,
     info_key,
+    parse_deviation,
+)
+from ratshare.transcript import (
+    BIT_LINE_BYTES,
+    RESTART_LINE_BYTES,
+    SHARE_LINE_BYTES,
+    _jsonl_line,
+    _line_head,
+    _payload_json,
+    _payload_record,
+    dump_bytes_per_iteration,
 )
 
 
@@ -437,6 +440,35 @@ def test_dump_with_multi_digit_numbers_matches_golden_digests(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "alpha, trials, deviant",
+    [("0.5", 5, deviant) for deviant in GOLDEN_DUMPS] + [("0.3", 12, None)],
+    ids=["honest", "garble-step2", "always-silent", "withhold", "biased-coin-0.3", "multi-digit"],
+)
+def test_dump_lines_are_the_recorded_messages_in_order(alpha, trials, deviant, tmp_path):
+    # Each message the recorded runs sent is written exactly once, in
+    # sending order, under its trial and its transcript's iteration and epoch.
+    path = tmp_path / "run.jsonl"
+    argv = ["simulate", "--alpha", alpha, "--trials", str(trials), "--seed", "3",
+            "--dump-transcripts", str(path)]
+    profile = None
+    if deviant:
+        argv += ["--deviant", deviant]
+        head, _, spec = deviant.partition(":")
+        name, alpha_prime = parse_deviation(spec)
+        profile = deviation_profile(name, int(head), alpha_prime)
+    run_command(build_parser().parse_args(argv))
+    records = [
+        {"trial": t, "iteration": tr.iteration, "epoch": tr.epoch, "step": int(m.step),
+         "kind": m.kind.value, "sender": m.sender, "receiver": m.receiver,
+         "payload": _payload_record(m.payload)}
+        for t in range(trials)
+        for tr in run_mechanism(5, float(alpha), profile, 3, record=True, trial=t).transcripts
+        for m in tr.messages
+    ]
+    assert [json.loads(line) for line in path.read_text().splitlines()] == records
+
+
 # The honest profile and every registry deviation, by player 1 to 3.
 DUMP_PROFILES = [(None, None, None)] + [
     (name, deviator, 0.2 if name == "biased-coin" else None)
@@ -537,7 +569,7 @@ def test_jsonl_line_is_json_dumps_of_the_record(name):
             "kind": msg.kind.value,
             "sender": msg.sender,
             "receiver": msg.receiver,
-            "payload": _share_record(payload),
+            "payload": _payload_record(payload),
         }
         line = _jsonl_line(msg, _line_head(6, 11, 4), _payload_json(payload))
         assert line == json.dumps(record, separators=(",", ":")) + "\n"
@@ -689,6 +721,16 @@ PD_DOC = json.dumps({
          "--cap", "9007199254740993", "--dump-transcripts", "DUMP"],
         ["audit", "--alpha", "1e-300", "--trials", "10000", "--seed", "1",
          "--cap", "100000000000000000000000"],
+        # A deviant with no player.
+        ["simulate", "--alpha", "0.5", "--trials", "3", "--seed", "1", "--deviant", "withhold"],
+        # One label for a 2-player game.
+        ["dominance", "--builtin", "bounded-r2", "--profile", "S|SSS"],
+        # A payoff document with no map for player 2, or a key of the wrong length.
+        ["alpha-star", "--utilities", 'DOC:{"players": 3, "payoffs": {"1": {"111": 1}}}'],
+        ["alpha-star", "--utilities",
+         'DOC:{"players": 3, "payoffs": {"1": {"11": 1}, "2": {}, "3": {}}}'],
+        # One payoff for a 2-player profile.
+        ["dominance", "--game", 'DOC:{"strategies": [["a"], ["b"]], "payoffs": {"a,b": [1]}}'],
     ],
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
@@ -703,7 +745,8 @@ PD_DOC = json.dumps({
         "game-with-default-u-none", "game-unknown-labels", "builtin-unknown-label", "trials-1e20", "trials-over-bound", "trials-1e20-dump",
         "audit-trials-1e20", "dump-over-budget", "dump-over-budget-low-alpha",
         "dump-over-budget-cap-1", "dump-over-budget-deviant", "cap-2to63", "cap-2to63-minus-1", "cap-2to53-plus-1-dump",
-        "audit-cap-1e23",
+        "audit-cap-1e23", "deviant-without-player", "profile-one-label",
+        "utilities-missing-player-map", "utilities-short-key", "game-one-payoff",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -728,10 +771,22 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
-    if "--profile" in argv:
+    if "X,Y" in argv or "send,sned" in argv:
         # The message names the first unknown label and its player.
         player, label = (1, "X") if "X,Y" in argv else (2, "sned")
         assert err == f"config error: player {player} has no strategy {label!r}\n"
+    # These cases are here to reach one raise each, so the message must be that raise's.
+    ends = {
+        "withhold": "--deviant must look like PLAYER:NAME, got 'withhold'",
+        "S|SSS": "profile needs 2 strategies",
+        'DOC:{"players": 3, "payoffs": {"1": {"111": 1}}}': "missing payoff map for player 2",
+        'DOC:{"players": 3, "payoffs": {"1": {"11": 1}, "2": {}, "3": {}}}':
+            "key '11' has wrong length for 3 players",
+        'DOC:{"strategies": [["a"], ["b"]], "payoffs": {"a,b": [1]}}':
+            "profile (0, 0) needs one payoff per player",
+    }
+    if argv[-1] in ends:
+        assert err.endswith(f"{ends[argv[-1]]}\n")
     assert not (tmp_path / "dump.jsonl").exists()
 
 

@@ -33,6 +33,7 @@ from ratshare.strategies import (
     AlwaysSilent,
     ForcedCoins,
     GarbleStep2,
+    HonestStrategy,
     WithholdFromLeader,
     WithholdShare,
     deviation_profile,
@@ -281,6 +282,49 @@ def test_tampered_broadcast_counts_as_missing():
     assert outcome.info == (0, 1, 0)
     assert any(e.kind == "invalid-tag" for e in states[1].cheat_evidence)
     assert any(e.kind == "invalid-tag" for e in states[3].cheat_evidence)
+
+
+class ReplayFirstPayload(HonestStrategy):
+    """Broadcasts, in every epoch, the valid payload it held in epoch 0."""
+
+    honest_rules = False
+
+    def __init__(self):
+        self.first = None
+
+    def wants_broadcast(self, state, rng):
+        if self.first is None:
+            self.first = state.own_payload
+        state.own_payload = self.first
+        return super().wants_broadcast(state, rng)
+
+
+@pytest.mark.parametrize("lift", ["3-ring", "2-of-4"])
+def test_replayed_payload_of_an_earlier_epoch_is_stale(lift):
+    # Player 1 leads in both.  Its lone head restarts epoch 0; in epoch 1
+    # all heads make every leader broadcast, player 1 its epoch-0 payload:
+    # the bare share on the ring, a bundle of subshares in the lift.
+    def scripted(pid):
+        script = [(1, 0), (1, 0)] if pid == 1 else [(0, 0), (1, 0)]
+        return ForcedCoins(script, ReplayFirstPayload() if pid == 1 else None)
+
+    kw = dict(alpha=0.5, seed=1, trial=0, cap=3, record=True)
+    if lift == "3-ring":
+        game = MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3,
+                            profile={pid: scripted(pid) for pid in (1, 2, 3)}, **kw)
+        kind, victims, info = "stale-share", (2, 3), (1, 0, 0)
+    else:
+        leaders = partition_players(4, 4)[1]
+        game = TwoOfNExchange(FieldElement(5, 101), 4,
+                              profile={pid: scripted(pid) for pid in leaders}, **kw)
+        # Holder 2 gets share 1's other subshares from players 3 and 4.
+        kind, victims, info = "stale-subshare", (2, 3, 4), (1, 1, 0, 0)
+    outcome = game.run()
+    assert (outcome.cause, outcome.info, outcome.iterations) == (TerminalCause.CHEAT_STOP, info, 2)
+    assert game.states[1].cheat_evidence == []
+    for pid in victims:
+        stale = [(e.iteration, e.about) for e in game.states[pid].cheat_evidence if e.kind == kind]
+        assert stale and set(stale) == {(2, 1)}, pid
 
 
 # --- exhaustive iteration semantics -------------------------------------------

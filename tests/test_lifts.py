@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from ratshare.cli import _share_record
 from ratshare.engine import InvariantViolationError, run_mechanism
 from ratshare.lifts import (
     TwoOfNExchange,
@@ -22,6 +21,7 @@ from ratshare.shamir import (
     reconstruct,
 )
 from ratshare.strategies import GarbleStep2, WithholdFromLeader
+from ratshare.transcript import _payload_record
 from test_engine import forge_subshare_for_player_3
 
 
@@ -38,8 +38,9 @@ def collect_broadcast_payloads(outcome):
 
 
 def test_partition_covers_designated_players():
-    for n in range(4, 12):
-        for m in range(3, n + 1):
+    # m > n is accepted: every player is designated.
+    for n in range(3, 30):
+        for m in range(3, n + 3):
             groups, leaders = partition_players(n, m)
             assert [p for group in groups for p in group] == list(range(1, n + 1))
             assert len(groups) == 3
@@ -206,7 +207,7 @@ GOLDEN_LIFT_MESSAGES = {
 def test_lifted_messages_match_golden_digests(name):
     run, count, digest = GOLDEN_LIFT_MESSAGES[name]
     rows = [
-        (m.sender, m.receiver, int(m.step), m.kind.value, _share_record(m.payload), t.iteration)
+        (m.sender, m.receiver, int(m.step), m.kind.value, _payload_record(m.payload), t.iteration)
         for t in run().transcripts
         for m in t.messages
     ]

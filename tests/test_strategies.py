@@ -336,7 +336,7 @@ class RandomizationProbe(HonestStrategy):
         self.violations = []
 
     def _check(self, state, proxy):
-        if proxy.calls and (RING._learned(state) or state.broadcast_own):
+        if proxy.calls and (RING._learned(state) or state.player in state.observed_broadcasts):
             self.violations.append((state.player, state.iteration))
 
     def coins(self, state, rng, alpha):

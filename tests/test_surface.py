@@ -25,7 +25,6 @@ KEPT = {
     "replaces the hand-written game",
     "strategies.WithholdFromLeader": "the lifts' forwarding deviation, a test fixture",
     "analysis.IterationDistribution.p_silent_restart": "acceptance 02 checks it",
-    "strategies.LocalState.broadcast_own": "part of the strategies' view of the game",
     "dominance.NormalFormGame.to_doc": "the inverse that tests check from_doc against",
     "strategies.UtilityTable.to_doc": "the inverse that tests check from_doc against",
 }

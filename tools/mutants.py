@@ -1,0 +1,164 @@
+"""Apply each listed source mutant to a copy of the repository and run the test meant to kill it.
+
+    python tools/mutants.py
+
+A mutant is one textual replacement in one file under `src/ratshare`
+that a named test must notice.  The script copies `src`, `tests`,
+`bench`, `pyproject.toml` and `README.md` into a temporary directory,
+first runs every listed test on the unmutated copy (they must pass), then
+for each mutant replaces its old text, runs only its test with `-x`, and
+restores the file.  A mutant is killed when that test fails.  The exit
+code is 0 when every mutant was killed.
+
+Grow the list with each new closed form or protocol rule.
+`tests/test_mutants.py` checks that every old text still occurs exactly
+once in its file and that every named test exists.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "bench", "pyproject.toml", "README.md")
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    test: str  # pytest node id, relative to the repository root
+
+
+MUTANTS = [
+    # Protocol rules, closed forms, the sampler, tags and hiding.
+    Mutant("restart-rule", "src/ratshare/protocol.py",
+           "(parity == 1 and observed_count == 1)", "(parity == 1 and observed_count == 2)",
+           "tests/test_protocol.py::test_restart_rule"),
+    Mutant("alpha-star-max-over-players", "src/ratshare/analysis.py",
+           "min(per_player.values())", "max(per_player.values())",
+           "tests/test_analysis.py::test_asymmetric_global_star_is_the_minimum"),
+    Mutant("sampler-strict-cdf-edge", "src/ratshare/montecarlo.py",
+           "row += v >= edge", "row += v > edge",
+           "tests/test_montecarlo.py::test_sampler_matches_searchsorted_oracle"),
+    Mutant("tag-check-always-passes", "src/ratshare/shamir.py",
+           "return hmac.compare_digest(item.tag, expected)", "return True",
+           "tests/test_shamir.py::test_tags_and_verification_agree_with_an_hmac_oracle"),
+    Mutant("withhold-closed-form-scaled", "src/ratshare/analysis.py",
+           "table.u_none(player)) / (a2 + b2)", "table.u_none(player)) / (a2 + b2) * 1.0001",
+           "tests/test_montecarlo.py::test_kernel_matches_closed_forms_exactly"),
+    Mutant("zero-coin-masks", "src/ratshare/strategies.py",
+           "CoinTriple.make(c, rng.getrandbits(1))", "CoinTriple.make(c, 0)",
+           "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
+    Mutant("expected-steps-plus-one", "src/ratshare/analysis.py",
+           "return STEPS_PER_ITERATION / cube if cube", "return STEPS_PER_ITERATION / cube + 1 if cube",
+           "tests/test_montecarlo.py::test_kernel_matches_closed_forms_exactly"),
+    Mutant("hiding-check-always-passes", "src/ratshare/shamir.py",
+           "return bool((counts.min(axis=1) == counts.max(axis=1)).all())", "return True",
+           "tests/test_shamir.py::test_hiding_check_matches_counting_oracle"),
+    Mutant("no-clip-at-cap", "src/ratshare/montecarlo.py",
+           "np.minimum(k, cap, out=k)", "np.minimum(k, np.inf, out=k)",
+           "tests/test_montecarlo.py::test_cap_leaves_cause_cap_hit"),
+    Mutant("no-parity-agreement-guard", "src/ratshare/engine.py",
+           "if len(parities) > 1:", "if len(parities) > 3:",
+           "tests/test_lifts.py::test_honest_lift_checks_parity_agreement"),
+    Mutant("audit-thirty-standard-errors", "src/ratshare/analysis.py",
+           "mc - baseline > 3 * se", "mc - baseline > 30 * se",
+           "tests/test_analysis.py::test_audit_flags_a_sampled_gain_past_three_standard_errors"),
+    Mutant("population-standard-deviation", "src/ratshare/montecarlo.py",
+           "u.std(ddof=1)", "u.std(ddof=0)",
+           "tests/test_montecarlo.py::test_mean_utility_uses_the_sample_standard_deviation"),
+    Mutant("closed-form-ties-profit", "src/ratshare/analysis.py",
+           "closed > baseline", "closed >= baseline",
+           "tests/test_analysis.py::test_audit_at_the_threshold_finds_no_incentive"),
+    Mutant("partition-without-spread", "src/ratshare/lifts.py",
+           "key = (max(sizes), sum(x * x for x in sizes), s2, s3)", "key = (max(sizes), s2, s3)",
+           "tests/test_lifts.py::test_partition_known_cases"),
+    Mutant("float-extreme-gain-loss-swapped", "src/ratshare/analysis.py",
+           "math.sqrt(loss) / (math.sqrt(loss) + math.sqrt(gain))",
+           "math.sqrt(gain) / (math.sqrt(loss) + math.sqrt(gain))",
+           "tests/test_cli.py::test_alpha_star_at_the_float_extremes"),
+    Mutant("no-partial-info-guard", "src/ratshare/engine.py",
+           "if self.honest and any(info) and not all(info):", "if False:",
+           "tests/test_lifts.py::test_honest_guard_rejects_a_partial_info_vector"),
+    # Weak-dominance deletion.
+    Mutant("last-dominator-witness", "src/ratshare/dominance.py",
+           "witness = dominates.argmax(0)", "witness = len(mine) - 1 - dominates[::-1].argmax(0)",
+           "tests/test_dominance.py::test_witness_is_the_lowest_index_dominator"),
+    Mutant("dominance-without-strictness", "src/ratshare/dominance.py",
+           "dominates = ge & ~ge.T", "dominates = ge",
+           "tests/test_dominance.py::test_witness_is_the_lowest_index_dominator"),
+    Mutant("fortran-order-columns", "src/ratshare/dominance.py",
+           "for j, ks in enumerate(ordered):", "for j, ks in reversed(list(enumerate(ordered))):",
+           "tests/test_dominance.py::test_witness_is_the_lowest_index_dominator"),
+    # Stale items and the transcript dump.
+    Mutant("no-epoch-check", "src/ratshare/engine.py",
+           "or item.epoch != state.epoch:", ":",
+           "tests/test_engine.py::test_replayed_payload_of_an_earlier_epoch_is_stale"),
+    Mutant("share-record-keys-swapped", "src/ratshare/transcript.py",
+           '"x": payload.x.value,\n            "y": payload.y.value,',
+           '"y": payload.y.value,\n            "x": payload.x.value,',
+           "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
+    Mutant("payload-text-always-reused", "src/ratshare/transcript.py",
+           "if text is None or msg.payload is not payload:", "if text is None:",
+           "tests/test_cli.py::test_dump_lines_are_the_recorded_messages_in_order"),
+]
+
+
+def _pytest(copy: Path, tests: list[str]) -> int:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return -1
+    return done.returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="ratshare-mutants-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(source, copy / name)
+        baseline = _pytest(copy, sorted({m.test for m in MUTANTS}))
+        if baseline != 0:
+            print(f"the listed tests fail on the unmutated copy (pytest exit {baseline})")
+            return 1
+        survivors = 0
+        for m in MUTANTS:
+            path = copy / m.file
+            original = path.read_text()
+            if original.count(m.old) != 1:
+                print(f"{m.name}: old text occurs {original.count(m.old)} times in {m.file}")
+                return 1
+            path.write_text(original.replace(m.old, m.new))
+            start = time.perf_counter()
+            try:
+                code = _pytest(copy, [m.test])
+            finally:
+                path.write_text(original)
+            # pytest exits 1 when a test failed; anything else (0 passed,
+            # 2-5 an error, -1 a timeout) does not count as a kill.
+            verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR (exit {code})"
+            survivors += code != 1
+            print(f"{m.name:34} {verdict:10} {time.perf_counter() - start:6.1f} s  {m.test}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 0 if survivors == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
