@@ -133,7 +133,6 @@ PROFITABLE = "ProfitableDeviation"
 class AuditEntry:
     deviation: str
     deviator: int
-    baseline: float
     mc_estimate: float
     std_error: float
     closed_form: float | None
@@ -218,7 +217,6 @@ def nash_audit(
                 AuditEntry(
                     deviation=spec,
                     deviator=deviator,
-                    baseline=baseline,
                     mc_estimate=mc,
                     std_error=se,
                     closed_form=closed,

@@ -130,6 +130,10 @@ class NormalFormGame:
             except (TypeError, ZeroDivisionError):  # also unhashable values and "1/0"
                 raise ValueError(_BAD_PAYOFFS.format(key)) from None
             labels = key.split(",")
+            if len(labels) != len(strategies):
+                raise ValueError(
+                    f"payoffs key {key!r} has {len(labels)} labels for {len(strategies)} players"
+                )
             try:
                 profile = tuple(indexes[i][lbl] for i, lbl in enumerate(labels))
             except KeyError as exc:
@@ -254,7 +258,6 @@ class PracticalVerdict:
     is_nash: bool
     survives: bool
     nash_witness: tuple[int, int] | None = None
-    dominance_witness: tuple[int, int] | None = None
 
     @property
     def practical(self) -> bool:
@@ -264,7 +267,8 @@ class PracticalVerdict:
 def check_practical(
     game: NormalFormGame, profile: Profile, trace: DeletionTrace
 ) -> PracticalVerdict:
-    """Sweep unilateral pure deviations and replay `trace`, the game's deletion."""
+    """Sweep unilateral pure deviations and look the profile up in `trace`,
+    the game's deletion."""
     for player in range(1, game.n_players + 1):
         if not 0 <= profile[player - 1] < len(game.strategies[player - 1]):
             raise ValueError(f"profile indexes an unknown strategy for player {player}")
@@ -281,30 +285,11 @@ def check_practical(
                 break
         if not is_nash:
             break
-    survives = True
-    dominance_witness = None
-    for player in range(1, game.n_players + 1):
-        if not trace.survives(player, profile[player - 1]):
-            survives = False
-            for rnd in trace.rounds:
-                if profile[player - 1] in rnd.deleted.get(player, {}):
-                    dominance_witness = (player, rnd.deleted[player][profile[player - 1]])
-                    break
-            break
-    return PracticalVerdict(
-        is_nash=is_nash,
-        survives=survives,
-        nash_witness=nash_witness,
-        dominance_witness=dominance_witness,
-    )
+    survives = all(trace.survives(player, s) for player, s in enumerate(profile, start=1))
+    return PracticalVerdict(is_nash=is_nash, survives=survives, nash_witness=nash_witness)
 
 
 # --- builders: tiny explicit share-exchange games ----------------------------
-
-
-def _exact(x) -> Fraction:
-    # Fraction(float) is the exact binary value, so ties stay ties.
-    return Fraction(x)
 
 
 def build_oneshot_sharing_game(table: UtilityTable) -> NormalFormGame:
@@ -318,10 +303,8 @@ def build_oneshot_sharing_game(table: UtilityTable) -> NormalFormGame:
     info_map = {}
     for a, b in product(range(2), repeat=2):
         info = (1 if b == 0 else 0, 1 if a == 0 else 0)
-        payoffs[(a, b)] = (
-            _exact(table.payoff(1, info)),
-            _exact(table.payoff(2, info)),
-        )
+        # Fraction(float) is the exact binary value, so ties stay ties.
+        payoffs[(a, b)] = (Fraction(table.payoff(1, info)), Fraction(table.payoff(2, info)))
         info_map[(a, b)] = info
     return NormalFormGame(
         strategies=(labels, labels), payoffs=payoffs, name="oneshot-2of2", info_map=info_map
@@ -380,9 +363,10 @@ def build_bounded_game(rounds: int, table: UtilityTable) -> NormalFormGame:
         for plan in product((SEND, WITHHOLD), repeat=len(BOUNDED_HISTORIES))
     ]
     labels = tuple(bounded_strategy_label(a1, plan) for a1, plan in pures)
-    # 256 cells share 4 info vectors: convert each vector's payoffs once.
+    # 256 cells share 4 info vectors: convert each vector's payoffs once,
+    # exactly, as in the one-shot game.
     exact = {
-        info: (_exact(table.payoff(1, info)), _exact(table.payoff(2, info)))
+        info: (Fraction(table.payoff(1, info)), Fraction(table.payoff(2, info)))
         for info in product((0, 1), repeat=2)
     }
     payoffs = {}

@@ -215,17 +215,18 @@ class GroupedExchange:
         leaders = self.leaders
         decisions: dict[int, DecisionKind] = {}
         live = {pos: pid for pos, pid in seats.items() if pid is not None}
-        inbox_plus: dict[int, int] = {}
-        inbox_minus: dict[int, int] = {}
-        inbox_masked: dict[int, int] = {}
         broadcasts: list[tuple[int, object]] = []
 
-        def abort(pos: int, step: Step, about_pos: int, detail: str) -> None:
+        def abort(pos: int, step: Step, about_pos: int) -> None:
             pid = live.pop(pos)
             states[pid].cheat_evidence.append(
-                CheatEvidence("missing-bit", iteration, int(step), leaders[about_pos - 1], detail)
+                CheatEvidence("missing-bit", iteration, int(step), leaders[about_pos - 1])
             )
             decisions[pid] = DecisionKind.ABORT
+
+        # Each bit goes straight into its receiver's state, which reads it
+        # one step later: step-1 bits at step 2, masked bits at step 3.  A
+        # strategy must not read a bit during the step that sends it.
 
         # Step 1: each player commits coins and sends the masked pieces.
         for pos, pid in live.items():
@@ -234,47 +235,42 @@ class GroupedExchange:
             st.coins = triple
             if triple is None:
                 continue
-            succ, pred = _SUCC[pos], _PRED[pos]
-            inbox_plus[succ] = triple.c_plus
-            inbox_minus[pred] = triple.c_minus
+            succ, pred = leaders[_SUCC[pos] - 1], leaders[_PRED[pos] - 1]
+            states[succ].bit_from_pred = triple.c_plus
+            states[pred].bit_from_succ = triple.c_minus
             if record:
                 msgs.append(RoundMessage(
-                    pid, leaders[succ - 1], Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, triple.c_plus
+                    pid, succ, Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, triple.c_plus
                 ))
                 msgs.append(RoundMessage(
-                    pid, leaders[pred - 1], Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, triple.c_minus
+                    pid, pred, Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, triple.c_minus
                 ))
 
-        # Step 2: read the step-1 bits (delivered one round later), forward the
-        # masked combination to the predecessor.
+        # Step 2: read the step-1 bits, forward the masked combination to the
+        # predecessor.
         for pos, pid in list(live.items()):
             st = states[pid]
-            st.bit_from_pred = inbox_plus.get(pos)
-            st.bit_from_succ = inbox_minus.get(pos)
             if st.bit_from_pred is None or st.bit_from_succ is None:
-                missing = _PRED[pos] if st.bit_from_pred is None else _SUCC[pos]
-                abort(pos, Step.MASKED_BIT, missing, "expected coin bit never arrived")
+                abort(pos, Step.MASKED_BIT, _PRED[pos] if st.bit_from_pred is None else _SUCC[pos])
                 continue
             bit = strategies[pid].masked_bit(st, rngs[pid])
             if bit is not None:
-                pred = _PRED[pos]
-                inbox_masked[pred] = bit
+                pred = leaders[_PRED[pos] - 1]
+                states[pred].masked_from_succ = bit
                 if record:
                     msgs.append(RoundMessage(
-                        pid, leaders[pred - 1], Step.MASKED_BIT, MessageKind.MASKED_BIT, bit
+                        pid, pred, Step.MASKED_BIT, MessageKind.MASKED_BIT, bit
                     ))
 
         # Step 3: assemble the parity and decide whether to broadcast to the
         # other seated leaders, then to every observer.
         for pos, pid in list(live.items()):
             st = states[pid]
-            masked = inbox_masked.get(pos)
-            st.masked_from_succ = masked
-            if masked is None:
-                abort(pos, Step.BROADCAST, _SUCC[pos], "expected masked bit never arrived")
+            if st.masked_from_succ is None:
+                abort(pos, Step.BROADCAST, _SUCC[pos])
                 continue
             if st.coins is not None:
-                st.parity = parity_rule(st.bit_from_pred, masked, st.coins.c)
+                st.parity = parity_rule(st.bit_from_pred, st.masked_from_succ, st.coins.c)
             if strategies[pid].wants_broadcast(st, rngs[pid]) and st.own_payload is not None:
                 st.observed_broadcasts.add(pid)
                 broadcasts.append((pid, st.own_payload))
@@ -305,13 +301,7 @@ class GroupedExchange:
                     ))
             elif decision == DecisionKind.STOP and not self._learned(st):
                 st.cheat_evidence.append(
-                    CheatEvidence(
-                        "stopped-without-learning",
-                        iteration,
-                        int(Step.DECIDE),
-                        None,
-                        f"parity={st.parity} broadcasts={st.observed_count}",
-                    )
+                    CheatEvidence("stopped-without-learning", iteration, int(Step.DECIDE))
                 )
 
         return decisions

@@ -227,12 +227,11 @@ def sample_runs_reference(
     deviator: int | None = None,
     alpha_prime: float | None = None,
     cap: int = engine.DEFAULT_CAP,
-    secret: int = 5,
 ) -> TrialStats:
     """Same interface as sample_runs, but looping the message-level engine."""
     profile = deviation_profile(deviation, deviator, alpha_prime)
     outcomes = (
-        engine.run_mechanism(secret, alpha, profile, seed, cap=cap, record=False, trial=t)
+        engine.run_mechanism(5, alpha, profile, seed, cap=cap, record=False, trial=t)
         for t in range(trials)
     )
     return TrialStats.from_outcomes(outcomes)

@@ -113,10 +113,6 @@ class RunOutcome:
     cause: TerminalCause
     transcripts: list[IterationTranscript] = field(default_factory=list)
 
-    @property
-    def total_steps(self) -> int:
-        return STEPS_PER_ITERATION * self.iterations
-
 
 # --- pure per-step rules of the recommended strategy -------------------------
 

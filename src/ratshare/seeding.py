@@ -15,9 +15,9 @@ import random
 import numpy as np
 
 
-def derive_bytes(root: int, *path: int | float | str, size: int = 16) -> bytes:
-    """Hash (root, path...) into `size` bytes."""
-    h = hashlib.blake2b(digest_size=size)
+def derive_bytes(root: int, *path: int | float | str) -> bytes:
+    """Hash (root, path...) into 16 bytes."""
+    h = hashlib.blake2b(digest_size=16)
     h.update(repr(int(root)).encode())
     for part in path:
         h.update(b"/")
@@ -37,5 +37,5 @@ def derive_rng(root: int, *path: int | float | str) -> random.Random:
 
 def derive_generator(root: int, *path: int | float | str) -> np.random.Generator:
     """Counter-based numpy generator (Philox) for bulk array draws."""
-    key = np.frombuffer(derive_bytes(root, *path, size=16), dtype=np.uint64)
+    key = np.frombuffer(derive_bytes(root, *path), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

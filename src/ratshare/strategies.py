@@ -41,7 +41,6 @@ class CheatEvidence:
     iteration: int
     step: int
     about: int | None = None
-    detail: str = ""
 
 
 @dataclass
@@ -88,7 +87,6 @@ class LocalState:
 class Strategy:
     """Decision rule: (LocalState, randomness) -> action for the current step."""
 
-    name = "strategy"
     # True when the strategy follows the recommended message rules (possibly
     # with different coin distributions), so parity-agreement and
     # all-or-nothing invariants are expected to hold.
@@ -114,9 +112,6 @@ class Strategy:
 class HonestStrategy(Strategy):
     """The recommended strategy: randomize only in the coin choice."""
 
-    name = "honest"
-    honest_rules = True
-
     def coin_bias(self, alpha: float) -> float:
         """Probability that this player's send-intent coin is 1."""
         return alpha
@@ -138,7 +133,6 @@ class HonestStrategy(Strategy):
 class WithholdShare(HonestStrategy):
     """Never broadcast, even when parity and the own coin are both 1."""
 
-    name = "withhold"
     honest_rules = False
 
     def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
@@ -147,9 +141,6 @@ class WithholdShare(HonestStrategy):
 
 class BiasedCoin(HonestStrategy):
     """Honest play with the send-intent coin drawn at a different bias."""
-
-    name = "biased-coin"
-    honest_rules = True
 
     def __init__(self, alpha_prime: float):
         if alpha_prime is None or not 0 < alpha_prime <= 1:
@@ -163,7 +154,6 @@ class BiasedCoin(HonestStrategy):
 class GarbleStep2(HonestStrategy):
     """Flip the forwarded masked bit, corrupting the predecessor's parity."""
 
-    name = "garble-step2"
     honest_rules = False
 
     def masked_bit(self, state: LocalState, rng: Random) -> int:
@@ -171,9 +161,12 @@ class GarbleStep2(HonestStrategy):
 
 
 class AlwaysSilent(HonestStrategy):
-    """Send nothing at any step."""
+    """Send nothing at any step.
 
-    name = "always-silent"
+    Without coins its parity stays None, so the inherited rules never
+    broadcast and always stop.
+    """
+
     honest_rules = False
 
     def coins(self, state: LocalState, rng: Random, alpha: float) -> None:
@@ -182,17 +175,10 @@ class AlwaysSilent(HonestStrategy):
     def masked_bit(self, state: LocalState, rng: Random) -> None:
         return None
 
-    def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
-        return False
-
-    def decide(self, state: LocalState, rng: Random) -> DecisionKind:
-        return DecisionKind.STOP
-
 
 class AlwaysBroadcast(HonestStrategy):
     """Broadcast the share every iteration regardless of parity."""
 
-    name = "always-broadcast"
     honest_rules = False
 
     def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
@@ -202,7 +188,6 @@ class AlwaysBroadcast(HonestStrategy):
 class WithholdFromLeader(HonestStrategy):
     """Group lifts: never forward the own share to the group leader."""
 
-    name = "withhold-from-leader"
     honest_rules = False
 
     def forwards_to_leader(self, state: LocalState, rng: Random) -> bool:
@@ -222,7 +207,6 @@ class ForcedCoins(Strategy):
         self.script = script
         self.inner = inner if inner is not None else HonestStrategy()
         self.honest_rules = self.inner.honest_rules
-        self.name = f"forced+{self.inner.name}"
 
     def coins(self, state: LocalState, rng: Random, alpha: float) -> CoinTriple | None:
         triple = self.inner.coins(state, rng, alpha)

@@ -731,6 +731,9 @@ PD_DOC = json.dumps({
          'DOC:{"players": 3, "payoffs": {"1": {"11": 1}, "2": {}, "3": {}}}'],
         # One payoff for a 2-player profile.
         ["dominance", "--game", 'DOC:{"strategies": [["a"], ["b"]], "payoffs": {"a,b": [1]}}'],
+        # A key with more labels than players, and a game with no players.
+        ["dominance", "--game", 'DOC:{"strategies": [["a"], ["b"]], "payoffs": {"a,b,c": [1, 1]}}'],
+        ["dominance", "--game", 'DOC:{"strategies": [], "payoffs": {}}'],
     ],
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
@@ -747,6 +750,7 @@ PD_DOC = json.dumps({
         "dump-over-budget-cap-1", "dump-over-budget-deviant", "cap-2to63", "cap-2to63-minus-1", "cap-2to53-plus-1-dump",
         "audit-cap-1e23", "deviant-without-player", "profile-one-label",
         "utilities-missing-player-map", "utilities-short-key", "game-one-payoff",
+        "game-key-three-labels", "game-no-players",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -784,6 +788,9 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
             "key '11' has wrong length for 3 players",
         'DOC:{"strategies": [["a"], ["b"]], "payoffs": {"a,b": [1]}}':
             "profile (0, 0) needs one payoff per player",
+        'DOC:{"strategies": [["a"], ["b"]], "payoffs": {"a,b,c": [1, 1]}}':
+            "payoffs key 'a,b,c' has 3 labels for 2 players",
+        'DOC:{"strategies": [], "payoffs": {}}': "every player needs a nonempty strategy set",
     }
     if argv[-1] in ends:
         assert err.endswith(f"{ends[argv[-1]]}\n")

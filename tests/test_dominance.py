@@ -348,11 +348,12 @@ def test_mutual_withholding_is_practical_but_fruitless():
 def test_mutual_sending_is_not_practical():
     game = build_oneshot_sharing_game(pair_table())
     s = game.index(1, SEND)
-    verdict = check_practical(game, (s, s), iterate_deletion(game))
+    trace = iterate_deletion(game)
+    verdict = check_practical(game, (s, s), trace)
     assert not verdict.is_nash
     assert verdict.nash_witness == (1, game.index(1, WITHHOLD))
     assert not verdict.survives
-    assert verdict.dominance_witness == (1, game.index(1, WITHHOLD))
+    assert trace.rounds[0].deleted[1][s] == game.index(1, WITHHOLD)
 
 
 def test_prisoners_dilemma_defection_is_practical():
@@ -360,6 +361,15 @@ def test_prisoners_dilemma_defection_is_practical():
     d = game.index(1, "defect")
     verdict = check_practical(game, (d, d), iterate_deletion(game))
     assert verdict.practical
+
+
+def test_survival_needs_every_players_strategy_to_survive():
+    # Player 1's defect survives deletion, player 2's cooperate does not.
+    game = prisoners_dilemma()
+    d, c = game.index(1, "defect"), game.index(2, "cooperate")
+    trace = iterate_deletion(game)
+    assert trace.survives(1, d) and not trace.survives(2, c)
+    assert not check_practical(game, (d, c), trace).survives
 
 
 def test_check_practical_validates_profile():

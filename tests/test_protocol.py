@@ -5,8 +5,6 @@ import pytest
 from ratshare.engine import _PRED, _SUCC
 from ratshare.protocol import (
     CoinTriple,
-    RunOutcome,
-    TerminalCause,
     broadcast_rule,
     masked_bit_rule,
     parity_rule,
@@ -90,7 +88,3 @@ def test_broadcast_rule():
 def test_restart_rule(parity, count, expect_restart):
     assert restart_rule(parity, count) is expect_restart
 
-
-def test_run_outcome_step_accounting():
-    out = RunOutcome(iterations=3, info=(1, 1, 1), cause=TerminalCause.ALL_LEARNED)
-    assert out.total_steps == 15

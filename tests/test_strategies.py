@@ -247,7 +247,7 @@ def test_catalog_contents():
         "withhold", "biased-coin", "garble-step2", "always-silent", "always-broadcast"
     }
     for name in DEVIATIONS:
-        assert spec_strategy(name).name == name
+        assert type(spec_strategy(name)) is DEVIATIONS[name]
 
 
 def test_withhold_never_broadcasts():
@@ -272,7 +272,7 @@ def test_biased_coin_validates_range():
 
 
 def test_build_deviation_parsing():
-    assert spec_strategy("withhold").name == "withhold"
+    assert type(spec_strategy("withhold")) is WithholdShare
     assert spec_strategy("biased-coin:0.25").alpha_prime == 0.25
     assert spec_strategy("biased-coin").alpha_prime == 1.0
     with pytest.raises(ValueError):

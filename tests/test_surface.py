@@ -7,6 +7,13 @@ string names), or in `README.md`.  So must every public member of a
 public class: its methods and properties, its dataclass or NamedTuple
 fields and its class attributes.  Tests do not count, since a helper only
 tests call is a second copy of a path the package already has.
+
+A top-level name counts as read when some code loads it as a bare name
+or an attribute, or names it in a whole string.  A member counts only
+through an attribute load (`x.member`), a whole string or the README: a
+local, parameter or keyword argument of the same spelling does not read
+it.  The guard still cannot tell a member from a same-named member of
+another class (`RunOutcome.total_steps` from `TrialStats.total_steps`).
 """
 
 import ast
@@ -27,6 +34,10 @@ KEPT = {
     "analysis.IterationDistribution.p_silent_restart": "acceptance 02 checks it",
     "dominance.NormalFormGame.to_doc": "the inverse that tests check from_doc against",
     "strategies.UtilityTable.to_doc": "the inverse that tests check from_doc against",
+    "dominance.DeletionTrace.would_empty": "stores the fault of a round that would empty a "
+    "player's set, rather than applying it",
+    "dominance.NormalFormGame.info_map": "hashed by the bounded-r2 golden and read by "
+    "acceptance 08",
 }
 
 
@@ -64,15 +75,16 @@ def _public_members(definitions: dict[str, ast.AST]) -> dict[str, ast.AST]:
     return found
 
 
-def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Names, attribute names and whole-string constants that `tree` loads, outside `skip`."""
+def _reads(tree: ast.AST, skip: ast.AST | None = None, bare: bool = True) -> set[str]:
+    """Attribute names and whole-string constants that `tree` loads outside
+    `skip`, and with `bare` its loaded bare names too."""
     names = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if bare and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
@@ -93,14 +105,16 @@ def _unread(members: bool = False) -> set[str]:
         if path.name != "__init__.py"
     }
     readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    everywhere = {path: _reads(tree) for path, tree in trees.items()}
+    # A member is read through an attribute (`x.member`) or a string, never
+    # through a bare name: a local or keyword of the same spelling is not it.
+    everywhere = {path: _reads(tree, bare=not members) for path, tree in trees.items()}
     unread = set()
     for qualified, node in definitions.items():
         module, *_, name = qualified.split(".")
         own = SRC / f"{module}.py"
         if name in readme or any(name in reads for path, reads in everywhere.items() if path != own):
             continue
-        if name not in _reads(trees[own], skip=node):
+        if name not in _reads(trees[own], skip=node, bare=not members):
             unread.add(qualified)
     return unread
 

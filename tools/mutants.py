@@ -100,7 +100,13 @@ MUTANTS = [
     Mutant("fortran-order-columns", "src/ratshare/dominance.py",
            "for j, ks in enumerate(ordered):", "for j, ks in reversed(list(enumerate(ordered))):",
            "tests/test_dominance.py::test_witness_is_the_lowest_index_dominator"),
-    # Stale items and the transcript dump.
+    Mutant("survival-of-any-player", "src/ratshare/dominance.py",
+           "survives = all(trace.survives(", "survives = any(trace.survives(",
+           "tests/test_dominance.py::test_survival_needs_every_players_strategy_to_survive"),
+    # Bit delivery, stale items and the transcript dump.
+    Mutant("masked-bit-kept-by-sender", "src/ratshare/engine.py",
+           "states[pred].masked_from_succ = bit", "st.masked_from_succ = bit",
+           "tests/test_engine.py::test_honest_parity_agreement_and_atomicity_all_64"),
     Mutant("no-epoch-check", "src/ratshare/engine.py",
            "or item.epoch != state.epoch:", ":",
            "tests/test_engine.py::test_replayed_payload_of_an_earlier_epoch_is_stale"),
