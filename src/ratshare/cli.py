@@ -46,10 +46,10 @@ from .shamir import (
 from .strategies import TableSizeError, UtilityTable, deviation_profile, parse_deviation
 
 
-# `hiding` enumerates every polynomial over GF(p) at 20-25 us per
-# reconstruction (p = 31, n = 3 makes 33,852 in 0.6-0.9 s on a 2-CPU
-# Xeon).  The count grows as p^3: a prime near 100 would take about half a
-# minute and one near 1,000 six to seven hours, so larger inputs are refused.
+# `hiding` enumerates every polynomial over GF(p) at 13-21 us per
+# reconstruction (p = 31, n = 3 makes 33,852 in 0.44-0.72 s on a 2-CPU
+# Xeon).  The count grows as p^3: a prime near 100 would take 15-25 s and
+# one near 1,000 four to six hours, so larger inputs are refused.
 HIDING_BUDGET = 50_000
 
 # `simulate` on the vectorized sampler peaks at about 34 bytes per trial
@@ -336,6 +336,13 @@ def cmd_hiding(args) -> Section:
         raise ConfigError(f"--prime must be a prime below 2**64, got {args.prime}")
     if not 3 <= args.n < args.prime:
         raise ConfigError(f"--n must satisfy 3 <= n < prime, got n={args.n}")
+    # Threshold 1 alone recovers p > n polynomials from each of 2**n - 1
+    # subsets, so past this n the count is over budget before it is summed.
+    if args.n >= HIDING_BUDGET.bit_length():
+        raise ConfigError(
+            f"--n {args.n} needs more than 2**{args.n} - 1 reconstructions, "
+            f"over the budget of {HIDING_BUDGET}"
+        )
     work = round_trip_reconstructions(args.prime, args.n)
     if work > HIDING_BUDGET:
         raise ConfigError(

@@ -7,12 +7,16 @@ leave the secret information-theoretically hidden.  A trusted issuer
 tags every share (and every additive subshare) with a keyed MAC so
 holders cannot substitute forged values.  The MAC is HMAC-SHA256 (RFC
 2104), computed from the inner and outer pad states that each issuer
-builds once from its key.
+builds once from its key.  An issuer computes each tag once per epoch:
+it keeps the tags of its latest epoch, so issuing a point of that epoch
+again, or verifying one of its items, is a lookup.
 
 The parts that do not depend on the secret are built once: an issuer
 keeps its evaluation points x = 1..n, and the Lagrange weights at zero
 are cached per x-set and field.  Reconstruction checks its items in one
-pass.
+pass.  The values an issuer or a reconstruction has just reduced mod an
+already checked modulus are built into their items directly, without
+the public constructors' checks; every other item is checked.
 
 The exhaustive small-field verifiers (reconstruction round-trip and
 hiding-posterior uniformity) live here so the command-line `hiding`
@@ -46,6 +50,11 @@ _LAGRANGE_CACHE_SIZE = 256
 _BLOCK = 64
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
+# The most tags an issuer keeps for its latest epoch; an issue that would
+# pass it starts afresh.  The largest `hiding` run accepted keeps n * p =
+# 93 (p = 31, n = 3), and an engine epoch keeps n shares or their
+# subshares.
+_LATEST_SIZE = 256
 
 
 class ReconstructionError(ValueError):
@@ -125,6 +134,45 @@ class Subshare:
     tag: bytes
 
 
+# Trusted builds: each sets an item's fields on a new instance the way
+# the frozen dataclass `__init__` does, but skips `__init__` and
+# `__post_init__`.  They are only for values reduced mod a modulus that a
+# FieldElement already checked, so the result equals, hashes and compares
+# like the public construction of the same fields, and stays frozen.
+# (Writing into the instance `__dict__` instead would be quicker to build
+# but about three times slower to read a field from.)
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _element(value: int, modulus: int) -> FieldElement:
+    item = _new(FieldElement)
+    _set(item, "value", value)
+    _set(item, "modulus", modulus)
+    return item
+
+
+def _share(holder: int, x: FieldElement, y: FieldElement, epoch: int, tag: bytes) -> Share:
+    item = _new(Share)
+    _set(item, "holder", holder)
+    _set(item, "x", x)
+    _set(item, "y", y)
+    _set(item, "epoch", epoch)
+    _set(item, "tag", tag)
+    return item
+
+
+def _subshare(parent: int, index: int, value: FieldElement, epoch: int, tag: bytes) -> Subshare:
+    item = _new(Subshare)
+    _set(item, "parent_holder", parent)
+    _set(item, "index", index)
+    _set(item, "value", value)
+    _set(item, "epoch", epoch)
+    _set(item, "tag", tag)
+    return item
+
+
 def _eval_poly(coefficients: list[int], x: int, p: int) -> int:
     """Evaluate a0 + a1*x + ... at x mod p (Horner)."""
     acc = 0
@@ -151,12 +199,14 @@ class ShareIssuer:
         self._inner = hashlib.sha256(key.translate(_IPAD))
         self._outer = hashlib.sha256(key.translate(_OPAD))
         self.modulus = modulus
-        # The tags of the latest issue, so verifying one of its items is a
-        # lookup.  Keyed by the MAC message, not the field tuple, because
-        # 1 == True == 1.0 would match fields whose MAC differs.  A share's
-        # entry gives way to those of its first split, so this never holds
-        # more than one issue's items.
+        # The tags of the latest epoch, so issuing a point of it again or
+        # verifying one of its items is a lookup.  Keyed by the MAC
+        # message, not the field tuple, because 1 == True == 1.0 would
+        # match fields whose MAC differs.  An issue at another epoch, or
+        # one that would pass _LATEST_SIZE, empties it; a share's entry
+        # gives way to those of its first split.
         self._latest: dict[bytes, bytes] = {}
+        self._latest_epoch: int | None = None
         # The evaluation points x = 1, 2, ... built so far; an issue of n
         # shares uses the first n.
         self._xs: list[FieldElement] = []
@@ -219,26 +269,36 @@ class ShareIssuer:
         if len(coefficients) != m - 1:
             raise ValueError("need exactly m-1 coefficients")
         poly = [secret.value] + [c % p for c in coefficients]
+        # The y values are built unchecked, so every coefficient must
+        # reduce to an int for them to be ints in [0, p).
+        for c in poly:
+            if type(c) is not int:
+                raise ValueError(f"coefficient {c!r} is not an int")
         xs = self._xs
         while len(xs) < n:
             xs.append(FieldElement(len(xs) + 1, p))
+        latest = self._latest
+        if epoch != self._latest_epoch or len(latest) + n > _LATEST_SIZE:
+            latest.clear()
+            self._latest_epoch = epoch
         prefix = self._share_prefix(epoch)
         encode, mac = self._share_msg, self._mac
-        self._latest = latest = {}
         shares = []
         append = shares.append
         for x in xs[:n]:
             i = x.value
             y = _eval_poly(poly, i, p)
             msg = encode(epoch, i, y, prefix)
-            tag = latest[msg] = mac(msg)
-            append(Share(i, x, FieldElement(y, p), epoch, tag))
+            tag = latest.get(msg)
+            if tag is None:
+                tag = latest[msg] = mac(msg)
+            append(_share(i, x, _element(y, p), epoch, tag))
         return shares
 
     def verify_tag(self, item: Share | Subshare) -> bool:
         """True iff the tag matches the issuer's keyed code over the fields.
 
-        The code of an item from the latest issue is the one computed when
+        The code of an item from the latest epoch is the one computed when
         it was tagged; any other item's code is computed afresh.
         """
         if isinstance(item, Share):
@@ -264,7 +324,7 @@ class ShareIssuer:
         values = [rng.randrange(p) for _ in range(count - 1)]
         values.append((share.y.value - sum(values)) % p)
         epoch, parent = share.epoch, share.holder
-        # A share of the latest issue hands its entry on to its subshares.
+        # A share of the latest epoch hands its entry on to its subshares.
         latest = self._latest
         parent_msg = self._share_msg(epoch, share.x.value, share.y.value)
         from_latest = latest.pop(parent_msg, None) is not None
@@ -277,7 +337,7 @@ class ShareIssuer:
             tag = mac(msg)
             if from_latest:
                 latest[msg] = tag
-            append(Subshare(parent, k, FieldElement(v, p), epoch, tag))
+            append(_subshare(parent, k, _element(v, p), epoch, tag))
         return subshares
 
 
@@ -344,7 +404,7 @@ def reconstruct(
                 raise ReconstructionError(f"tag verification failed for holder {s.holder}")
     weights = _lagrange_at_zero(tuple(xs[:m]), p)
     total = sum(s.y.value * w for s, w in zip(shares, weights)) % p
-    return FieldElement(total, p)
+    return _element(total, p)
 
 
 def _x_value(share: Share) -> int:
@@ -386,7 +446,7 @@ def combine_subshares(
         for s in subshares:
             if not verify(s):
                 raise ReconstructionError(f"tag verification failed for subshare {s.index}")
-    return FieldElement(total % p, p)
+    return _element(total % p, p)
 
 
 # --- exhaustive small-field verifiers ---------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import time
 from random import Random
 
 import pytest
@@ -672,6 +673,9 @@ PD_DOC = json.dumps({
         ["hiding", "--prime", "1009"],
         ["hiding", "--prime", "2305843009213693951"],
         ["hiding", "--prime", "13", "--n", "12"],
+        # An --n whose subset count alone is too large to sum.
+        ["hiding", "--prime", "2305843009213693951", "--n", "20000"],
+        ["hiding", "--prime", "2305843009213693951", "--n", "2305843009213693950"],
         # Utility tables of the wrong size for the command.
         ["alpha-star", "--utilities", 'DOC:{"players": 1, "u_only": 2, "u_all": 1, "u_none": 0}'],
         ["alpha-star", "--utilities", 'DOC:{"players": 1, "payoffs": {"1": {"1": 1, "0": 0}}}'],
@@ -741,7 +745,8 @@ PD_DOC = json.dumps({
         "game-list", "game-strategies-strings", "game-payoff-string", "game-duplicate-labels",
         "game-payoff-infinite", "game-payoff-zero-denominator", "utilities-payoff-list", "utilities-list", "utilities-players-float",
         "utilities-players-bool", "utilities-players-string", "hiding-prime-1009",
-        "hiding-prime-2to61", "hiding-n-12", "alpha-star-1-player-scalars",
+        "hiding-prime-2to61", "hiding-n-12", "hiding-n-20000", "hiding-n-2to61",
+        "alpha-star-1-player-scalars",
         "alpha-star-1-player-payoffs", "alpha-star-0-players", "alpha-star-4-players",
         "audit-2-players", "audit-4-players", "simulate-auto-1-player", "dominance-oneshot-3-players",
         "dominance-bounded-r2-3-players", "game-with-table-flags", "game-with-builtin",
@@ -760,6 +765,15 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
     # A regressed dump guard then fails at once instead of writing the dump.
     monkeypatch.setattr(cli, "_dumped_runs", refuse)
 
+    count = cli.round_trip_reconstructions
+
+    def small_count(p, n):
+        assert n < 64, "hiding started summing subsets of a huge --n"
+        return count(p, n)
+
+    # And a regressed --n guard fails at once instead of summing for hours.
+    monkeypatch.setattr(cli, "round_trip_reconstructions", small_count)
+
     def materialize(arg):
         if arg == "DUMP":
             return str(tmp_path / "dump.jsonl")
@@ -771,7 +785,11 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
             return str(path)
         return arg
 
+    start = time.perf_counter()
     assert main([materialize(arg) for arg in argv]) == 2
+    if argv[0] == "hiding":
+        # Refused before any big-int count, not after summing one.
+        assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1

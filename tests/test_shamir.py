@@ -11,7 +11,10 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from ratshare import cli
 from ratshare.shamir import (
+    _LATEST_SIZE,
+    DEFAULT_PRIME,
     FieldElement,
     ReconstructionError,
     Share,
@@ -80,6 +83,11 @@ def test_field_element_rejects_values_that_are_not_ints():
     issuer = ShareIssuer(b"k", modulus=13)
     with pytest.raises(ValueError, match="is not an int in"):
         issuer.issue_shares(FieldElement(2.5, 13), 3, 3, 0, Random(0))
+    # Nor does a coefficient that is not an int, though the issuer builds
+    # its y values without the constructor's check.
+    for coefficient in (1.5, 2.0):
+        with pytest.raises(ValueError, match="is not an int"):
+            issuer.issue_shares(fe(2), 2, 3, 0, Random(0), coefficients=[coefficient])
 
 
 def test_field_rejects_composite_modulus():
@@ -432,8 +440,9 @@ def test_remembered_tags_never_outlast_one_issue(ops):
         elif issued:
             issuer.split_subshares(issued[pick % len(issued)], size, rng)
             count = max(count, size)
-        # Only items of the latest issue are remembered: each of its shares,
-        # or in its place the subshares of that share's first split.
+        # Each issue has an epoch of its own, so only items of the latest
+        # issue are remembered: each of its shares, or in its place the
+        # subshares of that share's first split.
         assert len(issuer._latest) <= latest_n * count
         assert {msg.split(b"|")[2] for msg in issuer._latest} <= {str(latest_epoch).encode()}
 
@@ -447,6 +456,75 @@ def test_two_of_n_issue_remembers_each_subshare_once(issuer13):
     subs = issuer13.split_subshares(shares[0], 4, Random(2))
     assert len(issuer13._latest) == 8
     assert all(issuer13.verify_tag(s) for s in subs)
+
+
+def test_an_epoch_computes_each_tag_once(capsys, monkeypatch):
+    # The round trip issues all p**m polynomials of m = 1, 2, 3 at epoch 0,
+    # which have n * p = 21 distinct points (1,197 shares at p = 7).
+    macs = []
+    real = ShareIssuer._mac
+    monkeypatch.setattr(ShareIssuer, "_mac", lambda self, msg: macs.append(msg) or real(self, msg))
+    assert cli.main(["hiding", "--prime", "7"]) == 0
+    assert "all-pass = true" in capsys.readouterr().out
+    assert len(macs) == len(set(macs)) == 21
+
+
+def test_remembered_tags_are_the_macs_of_their_messages():
+    issuer = ShareIssuer(b"memo", modulus=13)
+    rng = Random(0)
+    items = []
+    for secret, slope in product(range(13), repeat=2):
+        shares = issuer.issue_shares(fe(secret), 2, 3, 5, rng, coefficients=[slope])
+        items += shares + issuer.split_subshares(shares[secret % 3], 2 + secret % 3, rng)
+    fresh = ShareIssuer(b"memo", modulus=13)
+    assert issuer._latest
+    for msg, tag in issuer._latest.items():
+        assert tag == fresh._mac(msg)
+    for item in items:
+        assert item.tag == oracle_tag(b"memo", *oracle_fields(issuer, item))
+
+
+def test_remembered_tags_are_bounded_and_kept_for_one_epoch():
+    issuer = ShareIssuer(b"bound", modulus=DEFAULT_PRIME)
+    rng = Random(0)
+    sizes = set()
+    for _ in range(10_000):
+        issuer.issue_shares(FieldElement(rng.randrange(DEFAULT_PRIME), DEFAULT_PRIME), 2, 3, 7, rng)
+        sizes.add(len(issuer._latest))
+    assert max(sizes) <= _LATEST_SIZE
+    assert min(sizes) == 3  # emptied when full, not only at a new epoch
+    shares = issuer.issue_shares(FieldElement(1, DEFAULT_PRIME), 2, 4, 8, rng)
+    assert sorted(issuer._latest.values()) == sorted(s.tag for s in shares)
+
+
+def _public(item):
+    """The same fields put through the public constructors."""
+    return type(item)(**{
+        f.name: _public(v) if dataclasses.is_dataclass(v) else v
+        for f in dataclasses.fields(item)
+        for v in [getattr(item, f.name)]
+    })
+
+
+def test_issuer_built_items_are_the_public_items(issuer13):
+    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=4, rng=Random(0), coefficients=[3])
+    subs = issuer13.split_subshares(shares[1], 3, Random(1))
+    built = [
+        *shares, *subs, *(s.y for s in shares), *(s.value for s in subs),
+        reconstruct(shares, 2, issuer13), combine_subshares(subs, 3, issuer13),
+    ]
+    for item in built:
+        public = _public(item)
+        assert item == public and public == item
+        assert hash(item) == hash(public)
+        assert repr(item) == repr(public)
+        assert dataclasses.replace(item) == item
+        name = dataclasses.fields(item)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(item, name, getattr(item, name))
+    # Public construction still checks: a replaced value out of range fails.
+    with pytest.raises(ValueError):
+        dataclasses.replace(built[-1], value=13)
 
 
 # --- subshares --------------------------------------------------------------

@@ -62,6 +62,15 @@ MUTANTS = [
     Mutant("expected-steps-plus-one", "src/ratshare/analysis.py",
            "return STEPS_PER_ITERATION / cube if cube", "return STEPS_PER_ITERATION / cube + 1 if cube",
            "tests/test_montecarlo.py::test_kernel_matches_closed_forms_exactly"),
+    Mutant("tag-memo-kept-across-epochs", "src/ratshare/shamir.py",
+           "if epoch != self._latest_epoch or len(latest)", "if len(latest)",
+           "tests/test_shamir.py::test_remembered_tags_are_bounded_and_kept_for_one_epoch"),
+    Mutant("tag-memo-unbounded", "src/ratshare/shamir.py",
+           " or len(latest) + n > _LATEST_SIZE:", ":",
+           "tests/test_shamir.py::test_remembered_tags_are_bounded_and_kept_for_one_epoch"),
+    Mutant("reconstruct-unreduced", "src/ratshare/shamir.py",
+           "for s, w in zip(shares, weights)) % p", "for s, w in zip(shares, weights))",
+           "tests/test_shamir.py::test_hand_lagrange"),
     Mutant("hiding-check-always-passes", "src/ratshare/shamir.py",
            "return bool((counts.min(axis=1) == counts.max(axis=1)).all())", "return True",
            "tests/test_shamir.py::test_hiding_check_matches_counting_oracle"),
