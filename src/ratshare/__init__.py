@@ -2,11 +2,9 @@
 
 from .analysis import (
     AlphaStar,
-    IterationDistribution,
     NashAuditReport,
     alpha_star,
     expected_steps,
-    iteration_distribution,
     nash_audit,
 )
 from .dominance import (

@@ -1,8 +1,8 @@
 """Exact incentive analysis of the coin mechanism.
 
-Closed forms for the per-iteration outcome distribution, the expected
-payoff of withholding, the coin-bias threshold below which honesty is a
-Nash equilibrium, and the expected running time; plus a Monte Carlo
+Closed forms for the expected payoff of withholding, the coin-bias
+threshold below which honesty is a Nash equilibrium, and the expected
+running time; plus a Monte Carlo
 audit that compares every catalogued deviation against the honest
 baseline.
 
@@ -26,35 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import montecarlo
 from .engine import DEFAULT_CAP
 from .protocol import STEPS_PER_ITERATION
 from .seeding import derive_int
 from .strategies import UtilityTable, deviation_profile, parse_deviation
-
-
-@dataclass(frozen=True)
-class IterationDistribution:
-    """Honest per-iteration outcome probabilities; sums to 1 exactly."""
-
-    alpha: float
-    p_success: float
-    p_lone_send: float
-    p_silent_restart: float
-
-
-def iteration_distribution(alpha: float) -> IterationDistribution:
-    """Probabilities of success, lone-send restart, and silent restart."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    a = Fraction(alpha)
-    p_success = a**3
-    p_lone = 3 * a * (1 - a) ** 2
-    p_silent = (1 - a) ** 3 + 3 * a**2 * (1 - a)
-    assert p_success + p_lone + p_silent == 1
-    return IterationDistribution(alpha, float(p_success), float(p_lone), float(p_silent))
 
 
 def withhold_lhs(alpha: float, table: UtilityTable, player: int) -> float:

@@ -10,10 +10,11 @@ Subcommands:
 
 `simulate` and `audit` take at most 10,000,000 trials (MAX_TRIALS), and
 `simulate --dump-transcripts` refuses a dump expected to pass 1 GB
-(DUMP_BUDGET_BYTES); that size is an expectation, not a bound, so a
-small dump can write somewhat more.  The dump runs each trial once
-through the engine and hands its messages to `ratshare.transcript`,
-which owns the format.
+(DUMP_BUDGET_BYTES): the messages of each kind that the iteration kernel
+expects a run of the dumped profile to send, each at its widest line.
+That size is an expectation, not a bound, so a small dump can write
+somewhat more.  The dump runs each trial once through the engine and
+hands its messages to `ratshare.transcript`, which owns the format.
 
 `run_command` builds every report around the results section a
 subcommand's handler returns: [config] echoes the flags, and [timing]
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import analysis, dominance, montecarlo, transcript
 from .engine import DEFAULT_CAP, InvariantViolationError, check_run_config, run_mechanism
-from .protocol import TerminalCause
+from .protocol import MessageKind, TerminalCause
 from .report import Report, Section
 from .shamir import (
     exhaustive_hiding_check,
@@ -117,18 +118,15 @@ def _check_trials(trials: int) -> None:
 
 
 def _dump_size(trials: int, alpha: float, cap: int, deviation, deviator, profile) -> float:
-    """Expected dump bytes: a run lasts about 1/P iterations, where P is the weight
-    `sample_runs` gives the patterns that end it under `profile`, plus the abort
-    iterations (`extra`) that follow the pattern it ends in; at most `cap`.
+    """Expected dump bytes: the messages of each kind a run under `profile` is
+    expected to send (`montecarlo.expected_run`), each at its widest line.
 
     An expectation, not a bound: sampling noise lets a small dump pass it
-    (40-trial dumps at alpha 0.5 wrote up to 1.077 times it over seeds 0-9)."""
+    (over seeds 0-9, 40-trial dumps at alpha 0.5 wrote up to 1.05 times it
+    for honest play and 1.21 times for biased-coin:0.2)."""
     kernel = montecarlo.iteration_kernel(deviation, deviator)
-    absorbing, cdf = montecarlo.absorbing_weights(alpha, profile, kernel.restart)
-    ending = float(cdf[-1]) if cdf.size else 0.0
-    extra = float(np.diff(cdf, prepend=0.0) @ kernel.extra[absorbing])
-    iterations = min(cap, (1 + extra) / ending) if ending else cap
-    return trials * iterations * transcript.dump_bytes_per_iteration(alpha)
+    _, sent = montecarlo.expected_run(alpha, profile, kernel, cap)
+    return trials * sum(count * transcript.LINE_BYTES[kind] for kind, count in zip(MessageKind, sent))
 
 
 def _dumped_runs(fh, trials: int, alpha: float, seed: int, profile, cap: int):

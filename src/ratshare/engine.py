@@ -79,13 +79,13 @@ def issue_round(
     n: int,
     epoch: int,
     rng: Random,
-    issued: set[int],
+    issued: int,
 ) -> dict[int, Share]:
-    """Issue one epoch of shares, one per player, from a fresh polynomial."""
-    if epoch in issued:
+    """Issue one epoch of shares, one per player, from a fresh polynomial; epochs
+    go up, so one not past `issued`, the last issued (-1 at first), is a repeat."""
+    if epoch <= issued:
         raise DuplicateEpochError(f"epoch {epoch} already issued")
     shares = issuer.issue_shares(secret, m, n, epoch, rng)
-    issued.add(epoch)
     return {share.holder: share for share in shares}
 
 
@@ -149,20 +149,20 @@ class GroupedExchange:
         self.issuer_rng = derive_rng(seed, trial, "issuer")
         self.rngs = {p: derive_rng(seed, trial, "player", p) for p in self.players}
         self.states = {p: LocalState(player=p) for p in self.players}
-        self.issued: set[int] = set()
+        self.issued = -1
 
     # Subclass hooks ----------------------------------------------------------
 
     def _issue_epoch(self, epoch: int) -> None:
-        """Distribute fresh material for `epoch` into player holdings."""
+        """Distribute fresh material for `epoch` into holdings; set `issued`."""
         raise NotImplementedError
 
     def _forwarders(self):
         """Players expected to forward their bundle to their group leader."""
         raise NotImplementedError
 
-    def _bundle(self, player: int, epoch: int) -> list:
-        """What `player` holds for `epoch` and hands on: a fresh list."""
+    def _bundle(self, player: int) -> list:
+        """What `player` holds of this epoch and hands on: a fresh list."""
         raise NotImplementedError
 
     item_type: type
@@ -174,7 +174,7 @@ class GroupedExchange:
 
     def _learned(self, state: LocalState) -> bool:
         """Who learned, the exchange's call: `threshold` items of one epoch."""
-        return any(len(items) >= self.threshold for items in state.holdings.values())
+        return state.learned_earlier or len(state.holdings) >= self.threshold
 
     def _accept_item(self, state: LocalState, sender: int, item) -> bool:
         """Validate one broadcast/forwarded item of the state's epoch and store it."""
@@ -183,7 +183,7 @@ class GroupedExchange:
         elif not self.issuer.verify_tag(item):
             evidence = CheatEvidence("invalid-tag", state.iteration, int(Step.DECIDE), sender)
         else:
-            state.add_holding(state.epoch, self._holding_key(item), item)
+            state.add_holding(self._holding_key(item), item)
             return True
         state.cheat_evidence.append(evidence)
         return False
@@ -323,12 +323,14 @@ class GroupedExchange:
         while iterations < self.cap:
             iterations += 1
             for state in states.values():
+                # Holdings keep one epoch; the flag keeps what earlier ones taught.
+                state.learned_earlier = self._learned(state)
                 state.begin_iteration(iterations, epoch)
             self._issue_epoch(epoch)
 
             # Forwarding phase: every forwarder is asked, even when its
             # leader's seat is vacated; only a seated leader can stall.
-            bundles = {leader: self._bundle(leader, epoch) for leader in self.leaders}
+            bundles = {leader: self._bundle(leader) for leader in self.leaders}
             msgs: list[RoundMessage] = []
             if record:
                 transcripts.append(IterationTranscript(iterations, epoch, msgs))
@@ -337,7 +339,7 @@ class GroupedExchange:
                 if not strategies[p].forwards_to_leader(states[p], rngs[p]):
                     stalled.add(leader)
                     continue
-                items = self._bundle(p, epoch)
+                items = self._bundle(p)
                 for item in items:
                     if self._accept_item(states[leader], p, item):
                         bundles[leader].append(item)
@@ -402,14 +404,15 @@ class MOfNExchange(GroupedExchange):
         shares = issue_round(
             self.issuer, self.secret, self.threshold, self.n, epoch, self.issuer_rng, self.issued
         )
+        self.issued = epoch
         for p in self.players:
-            self.states[p].add_holding(epoch, ("share", p), shares[p])
+            self.states[p].add_holding(("share", p), shares[p])
 
     def _forwarders(self):
         return range(1, self.threshold + 1)
 
-    def _bundle(self, player: int, epoch: int) -> list[Share]:
-        return [self.states[player].holdings[epoch][("share", player)]]
+    def _bundle(self, player: int) -> list[Share]:
+        return [self.states[player].holdings[("share", player)]]
 
     item_type = Share
     stale_evidence = "stale-share"

@@ -108,19 +108,18 @@ class TwoOfNExchange(GroupedExchange):
 
     def _learned(self, state: LocalState) -> bool:
         """All n-1 subshares of each holder's share in one epoch; a holder's own share will do."""
-        return any(
-            all(
-                (parent == state.player and ("share", parent) in items)
-                or sum(key[:2] == ("sub", parent) for key in items) >= self.n - 1
-                for parent in self.holders
-            )
-            for items in state.holdings.values()
+        items = state.holdings
+        return state.learned_earlier or all(
+            (parent == state.player and ("share", parent) in items)
+            or sum(key[:2] == ("sub", parent) for key in items) >= self.n - 1
+            for parent in self.holders
         )
 
     def _issue_epoch(self, epoch: int) -> None:
         shares = issue_round(self.issuer, self.secret, 2, 2, epoch, self.issuer_rng, self.issued)
+        self.issued = epoch
         for holder in self.holders:
-            self.states[holder].add_holding(epoch, ("share", holder), shares[holder])
+            self.states[holder].add_holding(("share", holder), shares[holder])
         # Each holder splits its share into n-1 subshares, one per other
         # player; receivers check the tag and treat bad pieces as missing.
         for holder in self.holders:
@@ -132,8 +131,8 @@ class TwoOfNExchange(GroupedExchange):
     def _forwarders(self):
         return self.players
 
-    def _bundle(self, player: int, epoch: int) -> list[Subshare]:
-        items = self.states[player].holdings.get(epoch, {})
+    def _bundle(self, player: int) -> list[Subshare]:
+        items = self.states[player].holdings
         return [items[key] for key in sorted(k for k in items if k[0] == "sub")]
 
     item_type = Subshare

@@ -9,6 +9,9 @@ player's `coin_bias`, read from its strategy, and draws each trial from
 two uniforms at fixed offsets of one Philox stream.  Cost is O(trials)
 at any alpha, trial t does not depend on the batch size, and the engine
 and the strategies are the only definition of what an iteration does.
+The kernel also counts each pattern's messages by kind; `expected_run`
+turns it into a run's expected iterations and messages, which size a
+transcript dump before it is written.
 
 Anything outside that family goes through the engine:
 `sample_runs_reference` loops it, and `TrialStats.from_outcomes`
@@ -19,7 +22,7 @@ transcript dump.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
@@ -28,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from . import engine
-from .protocol import STEPS_PER_ITERATION, RunOutcome, TerminalCause
+from .protocol import STEPS_PER_ITERATION, MessageKind, RunOutcome, TerminalCause
 from .seeding import derive_generator
 from .strategies import ForcedCoins, HonestStrategy, Strategy, UtilityTable, deviation_profile, info_key
 
@@ -45,8 +48,9 @@ CAUSE_CODE = {cause: idx for idx, cause in enumerate(CAUSE_ORDER)}
 _VECTORS = list(product((0, 1), repeat=3))
 PATTERNS = np.array(_VECTORS, dtype=bool)
 _PATTERN_CODE = np.array([4, 2, 1], dtype=np.int64)
-# One profile's iteration table: a column per field, a row per pattern.
-Kernel = namedtuple("Kernel", "restart info extra cause")
+# One profile's iteration table: a column per field, a row per pattern;
+# `sent` and `extra_sent` have one column per MessageKind, in its order.
+Kernel = namedtuple("Kernel", "restart info extra cause sent extra_sent")
 
 
 @dataclass
@@ -120,21 +124,30 @@ def iteration_kernel(deviation: str | None, deviator: int | None) -> Kernel:
     Runs the engine once per pattern with the coins forced (masking bits
     0, cap 2, so a restarting pattern restarts again and hits the cap) and
     records whether every player asked for a restart, who learned, the
-    abort iterations that follow a stop (iterations - 1) and the cause
-    code.  Forced coins make the table independent of alpha, alpha' and
-    the seed; a strategy's `coin_bias` only draws coins.
+    abort iterations that follow a stop (iterations - 1), the cause code,
+    and the messages of each kind sent by the pattern's iteration and by
+    the iterations after it.  Forced coins make the table independent of
+    alpha, alpha' and the seed; a strategy's `coin_bias` only draws coins.
     """
     profile = deviation_profile(deviation, deviator, 1.0)
     rows = []
     for pattern in PATTERNS:
         forced = {p: ForcedCoins([(int(pattern[p - 1]), 0)] * 2, profile.get(p)) for p in (1, 2, 3)}
-        out = engine.run_mechanism(5, 0.5, forced, seed=0, cap=2, record=False)
+        out = engine.run_mechanism(5, 0.5, forced, seed=0, cap=2, record=True)
+        first, *after = out.transcripts
         rows.append((out.cause == TerminalCause.ITERATION_CAP_HIT, out.info,
-                     out.iterations - 1, CAUSE_CODE[out.cause]))
+                     out.iterations - 1, CAUSE_CODE[out.cause],
+                     _kind_counts([first]), _kind_counts(after)))
     kernel = Kernel(*(np.array(column) for column in zip(*rows)))
     for column in kernel:
         column.flags.writeable = False
     return kernel
+
+
+def _kind_counts(transcripts) -> list[int]:
+    """The messages of each MessageKind that the transcripts hold."""
+    counts = Counter(msg.kind for transcript in transcripts for msg in transcript.messages)
+    return [counts[kind] for kind in MessageKind]
 
 
 def iteration_outcome(
@@ -142,22 +155,42 @@ def iteration_outcome(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Look up one iteration for each row of a (T, 3) coin matrix.
 
-    Returns the profile's kernel columns (restart, info, extra, cause)
+    Returns the profile's kernel columns restart, info, extra and cause
     at each row's send-intent pattern.  Columns are players 1..3;
     `deviation` of None means all honest.
     """
     kernel = iteration_kernel(deviation, deviator if deviation is not None else None)
     codes = np.asarray(coins, dtype=np.int64) @ _PATTERN_CODE
-    return tuple(column[codes] for column in kernel)
+    return tuple(column[codes] for column in (kernel.restart, kernel.info, kernel.extra, kernel.cause))
+
+
+def pattern_weights(alpha, profile: dict[int, Strategy]) -> np.ndarray:
+    """Each pattern's probability in one iteration, from each player's
+    `coin_bias(alpha)`; a Fraction alpha gives exact Fraction weights."""
+    heads = np.array([profile.get(p, HonestStrategy()).coin_bias(alpha) for p in (1, 2, 3)])
+    return np.where(PATTERNS, heads, 1 - heads).prod(axis=1)
 
 
 def absorbing_weights(alpha: float, profile: dict[int, Strategy], restart: np.ndarray):
-    """The patterns of positive weight that do not `restart`, and their cumulative
-    weights; a pattern's weight comes from each player's `coin_bias(alpha)`."""
-    heads = np.array([profile.get(p, HonestStrategy()).coin_bias(alpha) for p in (1, 2, 3)])
-    weight = np.where(PATTERNS, heads, 1 - heads).prod(axis=1)
+    """The patterns of positive weight that do not `restart`, and their cumulative weights."""
+    weight = pattern_weights(alpha, profile)
     absorbing = np.flatnonzero(~restart & (weight > 0))
     return absorbing, np.cumsum(weight[absorbing])
+
+
+def expected_run(alpha: float, profile: dict[int, Strategy], kernel: Kernel,
+                 cap: int) -> tuple[float, np.ndarray]:
+    """A run's expected iterations and messages of each kind (`kernel.sent`'s columns):
+    it ends at the first pattern that does not restart, after its abort iterations.
+    Past `cap` iterations, or if no pattern ends it, it lasts `cap` average iterations."""
+    weight = pattern_weights(alpha, profile)
+    ends = np.where(kernel.restart, 0.0, weight)
+    ending = ends.sum()
+    # What one drawn pattern adds to a run, in iterations and in messages.
+    drawn = weight.sum() + ends @ kernel.extra
+    sent = weight @ kernel.sent + ends @ kernel.extra_sent
+    iterations = min(cap, drawn / ending) if ending else cap
+    return iterations, sent * (iterations / drawn)
 
 
 def sample_runs(

@@ -45,7 +45,8 @@ class CheatEvidence:
 
 @dataclass
 class LocalState:
-    """Everything one player has observed; append-only across iterations."""
+    """What one player has observed: this iteration's bits and broadcasts, this
+    epoch's items, whether an earlier epoch taught it the secret, and its evidence."""
 
     player: int
     iteration: int = 0
@@ -57,7 +58,8 @@ class LocalState:
     parity: int | None = None
     own_payload: object = None
     observed_broadcasts: set[int] = field(default_factory=set)
-    holdings: dict[int, dict[object, object]] = field(default_factory=dict)
+    holdings: dict[object, object] = field(default_factory=dict)
+    learned_earlier: bool = False
     cheat_evidence: list[CheatEvidence] = field(default_factory=list)
 
     @property
@@ -75,10 +77,10 @@ class LocalState:
         self.parity = None
         self.own_payload = None
         self.observed_broadcasts = set()
-        self.holdings.setdefault(epoch, {})
+        self.holdings = {}
 
-    def add_holding(self, epoch: int, key: object, item: object) -> None:
-        self.holdings.setdefault(epoch, {})[key] = item
+    def add_holding(self, key: object, item: object) -> None:
+        self.holdings[key] = item
 
 
 # --- strategies --------------------------------------------------------------

@@ -12,42 +12,24 @@ its record: a share as `{epoch, holder, x, y, tag}`, a subshare as
 `{epoch, parent, index, value, tag}` (tags in hex), a tuple as a list of
 records.
 
-`dump_bytes_per_iteration` is what sizes a dump before it is written.
+`LINE_BYTES` is the widest line of each message kind; a dump is sized
+before it is written by weighting it with the expected message counts
+of `montecarlo.expected_run`.
 """
 
 from __future__ import annotations
 
 import json
 
-from .analysis import iteration_distribution
 from .protocol import MessageKind, RunOutcome, Step
 from .shamir import Share, Subshare
 
-# Longest dump lines with 7-digit trial, iteration and epoch numbers
-# (trials stay below the CLI's 10**7; the default cap is 10**6): a coin
-# piece or masked bit, a restart request, and a broadcast share with a
-# 10-digit y.
-BIT_LINE_BYTES, RESTART_LINE_BYTES, SHARE_LINE_BYTES = 118, 126, 244
-
-
-def dump_bytes_per_iteration(alpha: float) -> float:
-    """At least what an honest iteration writes to a dump, on average.
-
-    Each iteration sends six coin pieces and three masked bits.  When
-    exactly one coin is 1, its owner broadcasts to the other two and all
-    three ask for a restart; when all three are 1, all broadcast and the
-    run ends; otherwise all three ask for a restart.  An iteration's coins
-    do not depend on whether it is reached, so a run's bytes per iteration
-    average to this expectation.  At alpha 0.5 it is 1.76 KB (measured:
-    about 1.55 KB).
-    """
-    dist = iteration_distribution(alpha)
-    broadcasters = dist.p_lone_send + 3 * dist.p_success
-    return (
-        9 * BIT_LINE_BYTES
-        + 3 * (1 - dist.p_success) * RESTART_LINE_BYTES
-        + 2 * broadcasters * SHARE_LINE_BYTES
-    )
+# Longest dump line of each message kind, with 7-digit trial, iteration
+# and epoch numbers (trials stay below the CLI's 10**7; the default cap is
+# 10**6): a coin piece or masked bit, a restart request, and a broadcast
+# share with a 10-digit y.
+LINE_BYTES = {MessageKind.COIN_PLUS: 118, MessageKind.COIN_MINUS: 118, MessageKind.MASKED_BIT: 118,
+              MessageKind.RESTART_REQUEST: 126, MessageKind.SHARE_BROADCAST: 244}
 
 
 def _payload_record(payload) -> object:

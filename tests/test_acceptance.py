@@ -25,13 +25,14 @@ from ratshare.dominance import (
 )
 from ratshare.engine import run_mechanism
 from ratshare.lifts import lift_2_of_n, lift_m_of_n
-from ratshare.protocol import TerminalCause
+from ratshare.protocol import MessageKind, TerminalCause
 from ratshare.shamir import (
     FieldElement,
     exhaustive_hiding_check,
     exhaustive_round_trip_check,
 )
 from ratshare.strategies import ForcedCoins, UtilityTable, canonical_table
+from test_analysis import kernel_iteration_kinds
 from test_engine import decode_iteration
 
 SEED = 20240314
@@ -70,12 +71,17 @@ def test_acceptance_02_iteration_distribution():
     def check():
         # Run one engine iteration under every forced (c, c+) assignment and
         # sort it by how many shares were broadcast: 3 is success, 1 a lone
-        # send, 0 a silent restart.
+        # send, 0 a silent restart.  The kernel's row for the same coins
+        # sends two share lines per broadcaster.
+        kernel = montecarlo.iteration_kernel(None, None)
+        shares = kernel.sent[:, list(MessageKind).index(MessageKind.SHARE_BROADCAST)]
         broadcasts = {}
         for assignment in product(product((0, 1), repeat=2), repeat=3):
             profile = {p: ForcedCoins([assignment[p - 1]]) for p in (1, 2, 3)}
             out = run_mechanism(5, 0.5, profile, seed=SEED, cap=1, record=True)
             broadcasts[assignment] = len(decode_iteration(out.transcripts[0]).broadcasters)
+            row = 4 * assignment[0][0] + 2 * assignment[1][0] + assignment[2][0]
+            assert shares[row] == 2 * broadcasts[assignment]
         assert set(broadcasts.values()) == {0, 1, 3}
         for alpha in (0.1, 0.25, 0.5, 0.8, 1):
             a = Fraction(alpha)
@@ -84,9 +90,7 @@ def test_acceptance_02_iteration_distribution():
                 heads = sum(c for c, _ in assignment)
                 weight[count] += a**heads * (1 - a) ** (3 - heads) / 8
             assert weight[3] == a**3 and weight[1] == 3 * a * (1 - a) ** 2
-            dist = analysis.iteration_distribution(alpha)
-            assert (dist.p_success, dist.p_lone_send, dist.p_silent_restart) == (
-                float(weight[3]), float(weight[1]), float(weight[0]))
+            assert kernel_iteration_kinds(a) == (weight[3], weight[1], weight[0])
 
     _announce(2, "engine iteration outcomes weigh exactly (a^3, 3a(1-a)^2, rest) at 5 alphas", check)
 

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from ratshare import analysis, montecarlo
+from ratshare.protocol import MessageKind
 from ratshare.strategies import UtilityTable, canonical_table
 
 
@@ -24,6 +25,18 @@ def enumerate_iteration_kinds(alpha):
         else:
             p_silent += prob
     return p_success, p_lone, p_silent
+
+
+def kernel_iteration_kinds(alpha):
+    """The honest kernel's weights of success, lone-send restart and silent
+    restart, exact Fractions for a Fraction alpha.  A lone send is a restarting
+    pattern whose one broadcaster sends its share to the other two."""
+    kernel = montecarlo.iteration_kernel(None, None)
+    weight = montecarlo.pattern_weights(alpha, {})
+    shares = kernel.sent[:, list(MessageKind).index(MessageKind.SHARE_BROADCAST)]
+    assert set(shares[kernel.restart]) == {0, 2}
+    return (weight[~kernel.restart].sum(), weight[kernel.restart & (shares == 2)].sum(),
+            weight[kernel.restart & (shares == 0)].sum())
 
 
 def table_from_player_scalars(scalars):
@@ -64,32 +77,23 @@ def bisect_threshold(u_only, u_all, u_none, tol=1e-12):
 
 
 def test_distribution_at_half():
-    dist = analysis.iteration_distribution(0.5)
-    assert (dist.p_success, dist.p_lone_send, dist.p_silent_restart) == (0.125, 0.375, 0.5)
+    assert kernel_iteration_kinds(0.5) == (0.125, 0.375, 0.5)
 
 
 def test_distribution_certainty():
-    dist = analysis.iteration_distribution(1.0)
-    assert (dist.p_success, dist.p_lone_send, dist.p_silent_restart) == (1.0, 0.0, 0.0)
+    assert kernel_iteration_kinds(1.0) == (1.0, 0.0, 0.0)
 
 
 def test_distribution_matches_enumeration_oracle():
     rng = Random(5)
     for _ in range(100):
         alpha = rng.uniform(0.01, 0.99)
-        dist = analysis.iteration_distribution(alpha)
+        success, lone, silent = kernel_iteration_kinds(alpha)
         s, l, r = enumerate_iteration_kinds(alpha)
-        assert math.isclose(dist.p_success, s, abs_tol=1e-12)
-        assert math.isclose(dist.p_lone_send, l, abs_tol=1e-12)
-        assert math.isclose(dist.p_silent_restart, r, abs_tol=1e-12)
-        assert math.isclose(dist.p_success + dist.p_lone_send + dist.p_silent_restart, 1.0)
-
-
-def test_distribution_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        analysis.iteration_distribution(0.0)
-    with pytest.raises(ValueError):
-        analysis.iteration_distribution(1.2)
+        assert math.isclose(success, s, abs_tol=1e-12)
+        assert math.isclose(lone, l, abs_tol=1e-12)
+        assert math.isclose(silent, r, abs_tol=1e-12)
+        assert math.isclose(success + lone + silent, 1.0)
 
 
 # --- expected utilities ---------------------------------------------------------

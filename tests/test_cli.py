@@ -7,6 +7,7 @@ import math
 import time
 from random import Random
 
+import numpy as np
 import pytest
 
 from ratshare.cli import (
@@ -30,14 +31,11 @@ from ratshare.strategies import (
     parse_deviation,
 )
 from ratshare.transcript import (
-    BIT_LINE_BYTES,
-    RESTART_LINE_BYTES,
-    SHARE_LINE_BYTES,
+    LINE_BYTES,
     _jsonl_line,
     _line_head,
     _payload_json,
     _payload_record,
-    dump_bytes_per_iteration,
 )
 
 
@@ -487,13 +485,20 @@ def _dump(trials, alpha, name, deviator, alpha_prime):
     return len(fh.getvalue().encode()), iterations, estimate
 
 
+def _expected_run(alpha, name, deviator, alpha_prime, cap=DEFAULT_CAP):
+    """The kernel's expected iterations and messages of each kind per run."""
+    profile = deviation_profile(name, deviator, alpha_prime)
+    return montecarlo.expected_run(alpha, profile, montecarlo.iteration_kernel(name, deviator), cap)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
 def test_dump_bytes_per_iteration_bounds_honest_dumps(alpha):
-    # Deviations change how long a run lasts, not what an iteration
-    # writes at most, so the figure bounds every profile's iterations.
+    # Each profile's own figure: its expected bytes per run, every line at
+    # its widest, over its expected iterations per run.
     for spec in DUMP_PROFILES:
-        size, iterations, _ = _dump(20, alpha, *spec)
-        assert size / iterations <= dump_bytes_per_iteration(alpha), spec
+        size, iterations, estimate = _dump(20, alpha, *spec)
+        expected_iterations, _ = _expected_run(alpha, *spec)
+        assert size / iterations <= estimate / (20 * expected_iterations), spec
 
 
 def test_dump_size_estimate_bounds_every_profile():
@@ -506,24 +511,53 @@ def test_dump_size_estimate_bounds_every_profile():
 
 
 def test_dump_size_counts_the_abort_iteration_after_a_stop():
-    per_iteration = dump_bytes_per_iteration(0.5)
     # At alpha 0.5 every pattern ends a garble-step2 run, and in all but
     # all-ones the others abort one iteration later: 1 + 7/8 iterations.
     for deviator in (1, 2, 3):
-        profile = deviation_profile("garble-step2", deviator, None)
-        estimate = _dump_size(10, 0.5, DEFAULT_CAP, "garble-step2", deviator, profile)
-        assert estimate == 10 * (15 / 8) * per_iteration
-        assert _dump_size(10, 0.5, 1, "garble-step2", deviator, profile) == 10 * per_iteration
+        iterations, _ = _expected_run(0.5, "garble-step2", deviator, None)
+        assert iterations == 15 / 8
+        assert _expected_run(0.5, "garble-step2", deviator, None, cap=1)[0] == 1
     # Honest runs end only when all three coins are 1 and never abort.
-    honest = _dump_size(10, 0.5, DEFAULT_CAP, None, None, deviation_profile(None, None, None))
-    assert honest == 10 * 8 * per_iteration
-    # The estimate is the sampler's mean iteration count, for every profile.
+    assert _expected_run(0.5, None, None, None)[0] == 8
+    # The expected iterations are the sampler's mean iteration count, for every profile.
+    for spec in DUMP_PROFILES:
+        runs = montecarlo.sample_runs(0.5, 20_000, 5, *spec).iterations
+        iterations, _ = _expected_run(0.5, *spec)
+        assert abs(runs.mean() - iterations) <= 4 * runs.std(ddof=1) / math.sqrt(len(runs)) + 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8])
+def test_expected_messages_match_recorded_runs(alpha):
+    # The mean count of each message kind over recorded engine runs lies
+    # within five standard errors of the kernel's expectation (a normal
+    # tail of 6e-7 per count; the seed is fixed, so the test is repeatable).
+    trials = 200
     for name, deviator, alpha_prime in DUMP_PROFILES:
-        stats = montecarlo.sample_runs(0.5, 20_000, 5, name, deviator, alpha_prime)
-        runs = stats.iterations
         profile = deviation_profile(name, deviator, alpha_prime)
-        estimate = _dump_size(1, 0.5, DEFAULT_CAP, name, deviator, profile) / per_iteration
-        assert abs(runs.mean() - estimate) <= 4 * runs.std(ddof=1) / math.sqrt(len(runs)) + 1e-9
+        counts = np.array([
+            [sum(m.kind == kind for tr in out.transcripts for m in tr.messages) for kind in MessageKind]
+            for out in (run_mechanism(5, alpha, profile, 23, record=True, trial=t) for t in range(trials))
+        ])
+        _, expected = _expected_run(alpha, name, deviator, alpha_prime)
+        bound = 5 * counts.std(axis=0, ddof=1) / math.sqrt(trials) + 1e-9
+        assert (abs(counts.mean(axis=0) - expected) <= bound).all(), (name, deviator)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.37, 0.5, 0.8, 1.0])
+def test_honest_dump_size_is_the_hand_count(alpha):
+    # An honest iteration sends six coin pieces and three masked bits.  When
+    # exactly one coin is 1 its owner broadcasts to the other two and all
+    # three ask for a restart; when all three are 1 all broadcast and the
+    # run ends; otherwise all three ask for a restart.  A run lasts 1/alpha^3
+    # iterations.
+    success, lone = alpha**3, 3 * alpha * (1 - alpha) ** 2
+    per_iteration = (
+        9 * LINE_BYTES[MessageKind.MASKED_BIT]
+        + 3 * (1 - success) * LINE_BYTES[MessageKind.RESTART_REQUEST]
+        + 2 * (lone + 3 * success) * LINE_BYTES[MessageKind.SHARE_BROADCAST]
+    )
+    estimate = _dump_size(1, alpha, DEFAULT_CAP, None, None, {})
+    assert estimate == pytest.approx(per_iteration / success, rel=1e-15)
 
 
 def test_dump_line_sizes_bound_the_widest_lines():
@@ -532,15 +566,19 @@ def test_dump_line_sizes_bound_the_widest_lines():
     share = Share(3, FieldElement(3, DEFAULT_PRIME), FieldElement(DEFAULT_PRIME - 1, DEFAULT_PRIME),
                   wide, bytes(32))
     cases = [
-        (BIT_LINE_BYTES, Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, 1),
-        (BIT_LINE_BYTES, Step.MASKED_BIT, MessageKind.MASKED_BIT, 1),
-        (RESTART_LINE_BYTES, Step.DECIDE, MessageKind.RESTART_REQUEST, None),
-        (SHARE_LINE_BYTES, Step.BROADCAST, MessageKind.SHARE_BROADCAST, share),
+        (Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, 1),
+        (Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, 1),
+        (Step.MASKED_BIT, MessageKind.MASKED_BIT, 1),
+        (Step.DECIDE, MessageKind.RESTART_REQUEST, None),
+        (Step.BROADCAST, MessageKind.SHARE_BROADCAST, share),
     ]
-    for size, step, kind, payload in cases:
+    widths = {}
+    for step, kind, payload in cases:
         msg = RoundMessage(3, 3, step, kind, payload)
         line = _jsonl_line(msg, _line_head(wide, wide, wide), _payload_json(payload))
-        assert len(line.encode()) == size
+        widths[kind] = len(line.encode())
+    # "CoinPlus" is a byte shorter than "CoinMinus"; both take the bit width.
+    assert widths == {**LINE_BYTES, MessageKind.COIN_PLUS: LINE_BYTES[MessageKind.COIN_PLUS] - 1}
 
 
 def _payloads() -> dict:
@@ -713,7 +751,7 @@ PD_DOC = json.dumps({
          "--dump-transcripts", "DUMP"],
         ["simulate", "--alpha", "0.1", "--trials", "10000000", "--seed", "1", "--cap", "1",
          "--dump-transcripts", "DUMP"],
-        # A deviant's runs last longer than honest ones: about 4,000 iterations, 422 GB.
+        # A deviant's runs last longer than honest ones: about 4,000 iterations, 404 GB.
         ["simulate", "--alpha", "0.5", "--trials", "60000", "--seed", "1", "--deviant",
          "1:biased-coin:0.001", "--dump-transcripts", "DUMP"],
         # Caps past 2**53, which the samplers cannot count exactly.

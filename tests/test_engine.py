@@ -127,7 +127,7 @@ def forced_profile(assignment, inner=None):
 
 def test_issue_round_shape():
     issuer = ShareIssuer(b"k", modulus=13)
-    shares = issue_round(issuer, FieldElement(5, 13), 3, 3, 0, Random(0), set())
+    shares = issue_round(issuer, FieldElement(5, 13), 3, 3, 0, Random(0), -1)
     assert sorted(shares) == [1, 2, 3]
     assert all(issuer.verify_tag(s) for s in shares.values())
     assert all(s.holder == pid for pid, s in shares.items())
@@ -136,9 +136,8 @@ def test_issue_round_shape():
 def test_issue_round_fresh_polynomial_per_epoch():
     issuer = ShareIssuer(b"k", modulus=101)
     rng = Random(1)
-    issued = set()
-    first = issue_round(issuer, FieldElement(55, 101), 3, 3, 0, rng, issued)
-    second = issue_round(issuer, FieldElement(55, 101), 3, 3, 1, rng, issued)
+    first = issue_round(issuer, FieldElement(55, 101), 3, 3, 0, rng, -1)
+    second = issue_round(issuer, FieldElement(55, 101), 3, 3, 1, rng, 0)
     assert [s.y.value for s in first.values()] != [s.y.value for s in second.values()]
     assert reconstruct(list(first.values()), 3, issuer).value == 55
     assert reconstruct(list(second.values()), 3, issuer).value == 55
@@ -146,10 +145,9 @@ def test_issue_round_fresh_polynomial_per_epoch():
 
 def test_issue_round_rejects_duplicate_epoch():
     issuer = ShareIssuer(b"k", modulus=13)
-    issued = set()
-    issue_round(issuer, FieldElement(5, 13), 3, 3, 0, Random(0), issued)
+    issue_round(issuer, FieldElement(5, 13), 3, 3, 0, Random(0), -1)
     with pytest.raises(DuplicateEpochError):
-        issue_round(issuer, FieldElement(5, 13), 3, 3, 0, Random(0), issued)
+        issue_round(issuer, FieldElement(5, 13), 3, 3, 0, Random(0), 0)
 
 
 # --- message flow ------------------------------------------------------------
@@ -346,16 +344,12 @@ def test_honest_parity_agreement_and_atomicity_all_64():
             assert outcome.cause == TerminalCause.ITERATION_CAP_HIT
             assert outcome.info == (0, 0, 0)
             assert len(decoded.broadcasters) <= 1
+            # Each player holds its own share of the epoch and at most one
+            # other.
             for st in states.values():
-                for epoch, items in st.holdings.items():
-                    assert len(items) < 3
-            # After the restart each player holds exactly its own share of
-            # the current epoch.
-            for st in states.values():
-                assert set(st.holdings[tr.epoch]) <= {
-                    ("share", 1), ("share", 2), ("share", 3)
-                }
-                assert len(st.holdings[tr.epoch]) <= 2
+                assert set(st.holdings) <= {("share", 1), ("share", 2), ("share", 3)}
+                assert len(st.holdings) <= 2
+                assert not st.learned_earlier
 
 
 def test_messages_determine_the_iteration():
@@ -432,6 +426,59 @@ def test_garble_all_heads_feeds_the_victim():
     outcome = run_mechanism(5, 0.5, profile, seed=13, cap=2)
     assert outcome.info == (1, 0, 0)
     assert sorted(decode_iteration(outcome.transcripts[0]).broadcasters) == [2, 3]
+
+
+class RestartAfterLearning(HonestStrategy):
+    """Honest play, except that it always asks for a restart: where everyone
+    broadcasts it learns, and it plays on into the next epoch."""
+
+    honest_rules = False
+
+    def decide(self, state, rng):
+        return DecisionKind.RESTART
+
+
+def _epoch_exchange(exchange, profile, cap):
+    """The 3-ring or the 2-of-4 lift, with `profile` keyed by ring seat."""
+    kw = dict(alpha=0.5, seed=5, trial=0, cap=cap, record=False)
+    if exchange == "ring":
+        leaders = [1, 2, 3]
+        return MOfNExchange(5, [[1], [2], [3]], leaders, 3,
+                            profile={leaders[seat]: s for seat, s in profile.items()}, **kw)
+    _, leaders = partition_players(4, 4)
+    return TwoOfNExchange(5, 4, profile={leaders[seat]: s for seat, s in profile.items()}, **kw)
+
+
+@pytest.mark.parametrize("exchange", ["ring", "2-of-4"])
+def test_what_an_earlier_epoch_taught_is_kept(exchange):
+    # All three coins are heads: everyone learns in epoch 0.  The first
+    # leader restarts instead of stopping and aborts alone in epoch 1,
+    # whose items teach nobody; what epoch 0 taught still counts.
+    coins = [(1, 0)]
+    profile = {0: ForcedCoins(coins, RestartAfterLearning()), 1: ForcedCoins(coins),
+               2: ForcedCoins(coins)}
+    game = _epoch_exchange(exchange, profile, cap=10)
+    outcome = game.run()
+    assert outcome.iterations == 2
+    assert (outcome.info, outcome.cause) == ((1,) * game.n, TerminalCause.ALL_LEARNED)
+    for st in game.states.values():
+        assert st.learned_earlier and st.epoch == 1
+        assert all(item.epoch == 1 for item in st.holdings.values())
+
+
+@pytest.mark.parametrize("exchange", ["ring", "2-of-4"])
+def test_a_long_run_holds_only_its_last_epochs_items(exchange):
+    # All coins tails: every iteration restarts, until the cap.
+    profile = {seat: ForcedCoins([(0, 0)] * 300) for seat in range(3)}
+    game = _epoch_exchange(exchange, profile, cap=300)
+    outcome = game.run()
+    assert (outcome.iterations, outcome.cause) == (300, TerminalCause.ITERATION_CAP_HIT)
+    assert game.issued == 299
+    for st in game.states.values():
+        assert st.epoch == 299 and not st.learned_earlier
+        assert st.holdings and all(item.epoch == 299 for item in st.holdings.values())
+    if exchange == "ring":
+        assert all(set(st.holdings) == {("share", p)} for p, st in game.states.items())
 
 
 def test_alpha_one_terminates_immediately():

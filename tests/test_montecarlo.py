@@ -2,8 +2,9 @@
 
 The equivalence tests drive the engine with forced coins over all 64
 (coin, masking bit) assignments for every registered profile and compare
-cause, info vector, and iteration count against the iteration kernel's
-row for the same coins.  Together with per-iteration independence this
+cause, info vector, iteration count and the messages of each kind sent
+by the first iteration and by the ones after it against the iteration
+kernel's row for the same coins.  Together with per-iteration independence this
 makes the two samplers interchangeable.
 """
 
@@ -19,9 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratshare import montecarlo
-from ratshare.analysis import expected_steps, iteration_distribution, withhold_lhs
+from ratshare.analysis import expected_steps, withhold_lhs
 from ratshare.engine import DEFAULT_CAP, run_mechanism
-from ratshare.protocol import TerminalCause
+from ratshare.protocol import MessageKind, TerminalCause
 from ratshare.seeding import derive_generator
 from ratshare.strategies import (
     DEVIATIONS,
@@ -50,18 +51,25 @@ def engine_signature(assignment, deviation, deviator):
     profile = {
         pid: ForcedCoins([assignment[pid - 1]] * 2, inner.get(pid)) for pid in (1, 2, 3)
     }
-    out = run_mechanism(5, 0.5, profile, seed=1, cap=2, record=False)
-    return out.cause, out.info, out.iterations
+    out = run_mechanism(5, 0.5, profile, seed=1, cap=2, record=True)
+    first, *after = out.transcripts
+    sent = [sum(m.kind == kind for m in first.messages) for kind in MessageKind]
+    extra_sent = [sum(m.kind == kind for t in after for m in t.messages) for kind in MessageKind]
+    return out.cause, out.info, out.iterations, sent, extra_sent
 
 
 def vector_signature(assignment, deviation, deviator):
     coins = np.array([[assignment[i][0] for i in range(3)]], dtype=bool)
     name = parse_deviation(deviation)[0] if deviation is not None else None
     restart, info, extra, cause = montecarlo.iteration_outcome(coins, name, deviator)
+    kernel = montecarlo.iteration_kernel(name, deviator)
+    row = 4 * assignment[0][0] + 2 * assignment[1][0] + assignment[2][0]
+    sent, extra_sent = kernel.sent[row].tolist(), kernel.extra_sent[row].tolist()
     if restart[0]:
         # Same coins forced again -> still restarting when the cap of 2 hits.
-        return TerminalCause.ITERATION_CAP_HIT, (0, 0, 0), 2
-    return CAUSE_BY_CODE[int(cause[0])], tuple(int(b) for b in info[0]), 1 + int(extra[0])
+        return TerminalCause.ITERATION_CAP_HIT, (0, 0, 0), 2, sent, extra_sent
+    return (CAUSE_BY_CODE[int(cause[0])], tuple(int(b) for b in info[0]), 1 + int(extra[0]),
+            sent, extra_sent)
 
 
 # Every registered deviation; biased-coin's bias is overridden by the
@@ -126,7 +134,6 @@ def kernel_absorption(alpha, deviation, deviator):
 def test_kernel_matches_closed_forms_exactly(alpha):
     q = sum(w for w, _ in kernel_absorption(alpha, None, None))
     assert q == Fraction(alpha) ** 3
-    assert float(q) == iteration_distribution(alpha).p_success
     assert float(1 / q) == pytest.approx(expected_steps(alpha) / 5, rel=1e-12)
     table = canonical_table()
     for deviator in (1, 2, 3):
@@ -324,7 +331,8 @@ def absorbing_cdf(alpha, deviation, deviator, alpha_prime):
 
 def oracle_sample(u, alpha, deviation, deviator, alpha_prime, cap):
     """The searchsorted/np.where sampler on given (T, 2) uniforms."""
-    _, info, extra, cause = montecarlo.iteration_kernel(deviation, deviator)
+    kernel = montecarlo.iteration_kernel(deviation, deviator)
+    info, extra, cause = kernel.info, kernel.extra, kernel.cause
     absorbing, cdf = absorbing_cdf(alpha, deviation, deviator, alpha_prime)
     with np.errstate(divide="ignore"):
         k = 1 + np.floor(np.log1p(-u[:, 0]) / np.log1p(-min(cdf[-1], 1.0)))

@@ -3,16 +3,17 @@
 Every public top-level function and class in `src/ratshare` must be read
 outside its own definition and the package `__init__`: by other code in
 `src/ratshare`, by `bench/` (whose tracer also patches bindings by their
-string names), or in `README.md`.  So must every public member of a
+string names), or in an inline code span of `README.md`.  So must every public member of a
 public class: its methods and properties, its dataclass or NamedTuple
 fields and its class attributes.  Tests do not count, since a helper only
 tests call is a second copy of a path the package already has.
 
 A top-level name counts as read when some code loads it as a bare name
 or an attribute, or names it in a whole string.  A member counts only
-through an attribute load (`x.member`), a whole string or the README: a
-local, parameter or keyword argument of the same spelling does not read
-it.  The guard still cannot tell a member from a same-named member of
+through an attribute load (`x.member`), a whole string or a README code
+span: a local, parameter or keyword argument of the same spelling does
+not read it, and neither does a word of README prose or of a fenced
+block.  The guard still cannot tell a member from a same-named member of
 another class (`RunOutcome.total_steps` from `TrialStats.total_steps`).
 """
 
@@ -31,13 +32,14 @@ KEPT = {
     "dominance.bounded_strategy_sends": "labels the bounded-r2 survivors in tests until r = 3 "
     "replaces the hand-written game",
     "strategies.WithholdFromLeader": "the lifts' forwarding deviation, a test fixture",
-    "analysis.IterationDistribution.p_silent_restart": "acceptance 02 checks it",
     "dominance.NormalFormGame.to_doc": "the inverse that tests check from_doc against",
     "strategies.UtilityTable.to_doc": "the inverse that tests check from_doc against",
     "dominance.DeletionTrace.would_empty": "stores the fault of a round that would empty a "
     "player's set, rather than applying it",
     "dominance.NormalFormGame.info_map": "hashed by the bounded-r2 golden and read by "
     "acceptance 08",
+    "strategies.CheatEvidence.about": "the player a piece of cheat evidence names, for the "
+    "[diagnostics] section that will report the evidence",
 }
 
 
@@ -94,6 +96,12 @@ def _reads(tree: ast.AST, skip: ast.AST | None = None, bare: bool = True) -> set
     return names
 
 
+def _readme_code_words() -> set[str]:
+    """The words inside README inline code spans; fenced blocks and prose do not count."""
+    text = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(), flags=re.M | re.S)
+    return {word for span in re.findall(r"`([^`]+)`", text) for word in re.findall(r"\w+", span)}
+
+
 def _unread(members: bool = False) -> set[str]:
     """The public definitions, or with `members` the public class members, read nowhere."""
     definitions = _public_definitions()
@@ -104,7 +112,7 @@ def _unread(members: bool = False) -> set[str]:
         for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
         if path.name != "__init__.py"
     }
-    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    readme = _readme_code_words()
     # A member is read through an attribute (`x.member`) or a string, never
     # through a bare name: a local or keyword of the same spelling is not it.
     everywhere = {path: _reads(tree, bare=not members) for path, tree in trees.items()}

@@ -12,7 +12,8 @@ code is 0 when every mutant was killed.
 
 Grow the list with each new closed form or protocol rule.
 `tests/test_mutants.py` checks that every old text still occurs exactly
-once in its file and that every named test exists.
+once in its file, that every mutated file still parses, and that every
+named test exists.
 """
 
 from __future__ import annotations
@@ -96,6 +97,19 @@ MUTANTS = [
            "math.sqrt(loss) / (math.sqrt(loss) + math.sqrt(gain))",
            "math.sqrt(gain) / (math.sqrt(loss) + math.sqrt(gain))",
            "tests/test_cli.py::test_alpha_star_at_the_float_extremes"),
+    Mutant("broadcast-without-own-coin", "src/ratshare/protocol.py",
+           "return parity == 1 and own_c == 1", "return parity == 1",
+           "tests/test_acceptance.py::test_acceptance_01_running_time"),
+    Mutant("parity-without-own-coin", "src/ratshare/protocol.py",
+           "return c_plus_from_pred ^ masked_from_succ ^ own_c",
+           "return c_plus_from_pred ^ masked_from_succ",
+           "tests/test_acceptance.py::test_acceptance_01_running_time"),
+    Mutant("masked-bit-without-own-coin", "src/ratshare/protocol.py",
+           "return c_minus_from_succ ^ own_c", "return c_minus_from_succ",
+           "tests/test_acceptance.py::test_acceptance_01_running_time"),
+    Mutant("two-of-n-learns-one-subshare-short", "src/ratshare/lifts.py",
+           ">= self.n - 1", ">= self.n - 2",
+           "tests/test_engine.py::test_replayed_payload_of_an_earlier_epoch_is_stale"),
     Mutant("no-partial-info-guard", "src/ratshare/engine.py",
            "if self.honest and any(info) and not all(info):", "if False:",
            "tests/test_lifts.py::test_honest_guard_rejects_a_partial_info_vector"),
@@ -112,7 +126,7 @@ MUTANTS = [
     Mutant("survival-of-any-player", "src/ratshare/dominance.py",
            "survives = all(trace.survives(", "survives = any(trace.survives(",
            "tests/test_dominance.py::test_survival_needs_every_players_strategy_to_survive"),
-    # Bit delivery, stale items and the transcript dump.
+    # Bit delivery, epochs, stale items, the kernel's message counts and the dump.
     Mutant("masked-bit-kept-by-sender", "src/ratshare/engine.py",
            "states[pred].masked_from_succ = bit", "st.masked_from_succ = bit",
            "tests/test_engine.py::test_honest_parity_agreement_and_atomicity_all_64"),
@@ -126,6 +140,13 @@ MUTANTS = [
     Mutant("payload-text-always-reused", "src/ratshare/transcript.py",
            "if text is None or msg.payload is not payload:", "if text is None:",
            "tests/test_cli.py::test_dump_lines_are_the_recorded_messages_in_order"),
+    Mutant("kernel-drops-restart-requests", "src/ratshare/montecarlo.py",
+           "return [counts[kind] for kind in MessageKind]",
+           "return [counts[kind] if kind != MessageKind.RESTART_REQUEST else 0 for kind in MessageKind]",
+           "tests/test_cli.py::test_dump_bytes_per_iteration_bounds_honest_dumps"),
+    Mutant("earlier-epoch-forgotten", "src/ratshare/engine.py",
+           "state.learned_earlier = self._learned(state)", "state.learned_earlier = False",
+           "tests/test_engine.py::test_what_an_earlier_epoch_taught_is_kept"),
 ]
 
 
