@@ -15,6 +15,11 @@ withholding payoff, and equating it with the honest payoff yields the
 threshold alpha* = sqrt(R) / (1 + sqrt(R)) with
 R = (u_all - u_none) / (u_only - u_all).
 
+Table payoffs are exact (`strategies.parse_payoff`), so gain, loss and R
+are exact, and the audit decides the closed-form withholding verdict in
+Q at the float alpha it is given; only the square roots and the sampled
+estimates are floats.
+
 All of this is about the 3-ring (the withholding payoff rests on "both
 other coins"), so `alpha_star` and `nash_audit` first run
 `table.require(3)`: a table of any other size, or one that breaks the
@@ -26,16 +31,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import montecarlo
 from .engine import DEFAULT_CAP
 from .protocol import STEPS_PER_ITERATION
 from .seeding import derive_int
-from .strategies import UtilityTable, deviation_profile, parse_deviation
+from .strategies import UtilityTable, deviation_profile, float_view, parse_deviation
 
 
-def withhold_lhs(alpha: float, table: UtilityTable, player: int) -> float:
-    """Expected payoff of unilaterally withholding the share.
+def withhold_lhs(alpha: Fraction, table: UtilityTable, player: int) -> Fraction:
+    """Expected payoff of unilaterally withholding the share, exact at an exact alpha.
 
     Conditioned on absorption, the player alone learns with probability
     a^2/(a^2+(1-a)^2) and nobody learns otherwise.  No validation: the
@@ -52,7 +58,13 @@ class AlphaStar:
 
     per_player: dict[int, float]
     global_star: float
-    ratio: dict[int, float]
+    ratio: dict[int, float]  # the float view of each exact R
+
+
+def _sqrt(x: Fraction) -> float:
+    """sqrt(x) as a float, also for an x below the normal float range."""
+    half = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(x / Fraction(4) ** half), half)
 
 
 def alpha_star(table: UtilityTable) -> AlphaStar:
@@ -69,25 +81,24 @@ def alpha_star(table: UtilityTable) -> AlphaStar:
     weakly dominates honest play, being strictly better against some
     non-honest opponents, so that holds only strictly below.  The axioms
     make the gain u_only - u_all and the loss u_all - u_none positive for
-    every player of a 3-player table; where one overflows, both come from
-    halved payoffs (exact).  Where their float ratio R still overflows to
-    inf or underflows to 0, the same threshold is computed as
-    sqrt(loss) / (sqrt(loss) + sqrt(gain)), which stays in (0, 1].
+    every player of a 3-player table, and both are exact.  Where the
+    float view of R overflows to inf or underflows to 0, the same
+    threshold is computed as sqrt(loss) / (sqrt(loss) + sqrt(gain)),
+    both scaled by the larger so that each root is a float in [0, 1].
     """
     table.require(3)
     per_player, ratio = {}, {}
     for player in (1, 2, 3):
         gain = table.u_only(player) - table.u_all(player)
         loss = table.u_all(player) - table.u_none(player)
-        if math.isinf(gain) or math.isinf(loss):
-            gain = table.u_only(player) / 2 - table.u_all(player) / 2
-            loss = table.u_all(player) / 2 - table.u_none(player) / 2
-        ratio[player] = loss / gain
+        ratio[player] = float_view(loss / gain)
         if 0 < ratio[player] < math.inf:
             root = math.sqrt(ratio[player])
             per_player[player] = root / (1 + root)
         else:
-            per_player[player] = math.sqrt(loss) / (math.sqrt(loss) + math.sqrt(gain))
+            top = max(gain, loss)
+            root_loss, root_gain = _sqrt(loss / top), _sqrt(gain / top)
+            per_player[player] = root_loss / (root_loss + root_gain)
     return AlphaStar(per_player, min(per_player.values()), ratio)
 
 
@@ -112,7 +123,7 @@ class AuditEntry:
     deviator: int
     mc_estimate: float
     std_error: float
-    closed_form: float | None
+    closed_form: Fraction | None
     verdict: str
 
 
@@ -157,9 +168,9 @@ def nash_audit(
 
     A deviation is flagged as profitable when its estimate beats the
     honest baseline by more than three standard errors, or when its
-    closed form (withholding only) strictly beats the baseline.  Two specs
-    that parse to the same deviation, or a repeated deviator, raise
-    ValueError before anything is sampled.
+    closed form (withholding only), exact at the given alpha, strictly
+    beats the baseline.  Two specs that parse to the same deviation, or
+    a repeated deviator, raise ValueError before anything is sampled.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -188,8 +199,10 @@ def nash_audit(
             )
             baseline = table.u_all(deviator)
             mc, se = stats.mean_utility(table, deviator)
-            closed = withhold_lhs(alpha, table, deviator) if name == "withhold" else None
-            profitable = mc - baseline > 3 * se or (closed is not None and closed > baseline)
+            closed = withhold_lhs(Fraction(alpha), table, deviator) if name == "withhold" else None
+            profitable = mc - float_view(baseline) > 3 * se or (
+                closed is not None and closed > baseline
+            )
             entries.append(
                 AuditEntry(
                     deviation=spec,

@@ -44,7 +44,9 @@ from .shamir import (
     is_prime,
     round_trip_reconstructions,
 )
-from .strategies import TableSizeError, UtilityTable, deviation_profile, parse_deviation
+from .strategies import (
+    TableSizeError, UtilityTable, deviation_profile, parse_deviation, parse_payoff,
+)
 
 
 # `hiding` enumerates every polynomial over GF(p) at 13-21 us per
@@ -85,7 +87,11 @@ def _create(path: str, what: str):
 
 
 def _load_table(args) -> UtilityTable:
-    """The subcommand's utility table, of the size it needs (`args.players`)."""
+    """The subcommand's utility table, of the size it needs (`args.players`).
+
+    The scalar flags are parsed by `parse_payoff`, and their exact values
+    replace the flags' text, so [config] echoes them like floats.
+    """
     if args.utilities:
         try:
             with open(args.utilities) as fh:
@@ -95,6 +101,12 @@ def _load_table(args) -> UtilityTable:
         except _BAD_DOCUMENT as exc:
             raise ConfigError(f"cannot load utilities from {args.utilities}: {exc}")
     else:
+        try:
+            for dest in TABLE_DEFAULTS:
+                flag = f"--{dest.replace('_', '-')}"
+                setattr(args, dest, parse_payoff(getattr(args, dest), flag))
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         table = UtilityTable.from_scalars(args.u_only, args.u_all, args.u_none, args.players)
     try:
         return table.require(args.players)
@@ -363,11 +375,12 @@ def cmd_hiding(args) -> Section:
 
 
 def _add_table_flags(parser, players: int = 3) -> None:
-    parser.add_argument("--u-only", type=float, default=TABLE_DEFAULTS["u_only"],
-                        help="payoff when only this player learns (default 2)")
-    parser.add_argument("--u-all", type=float, default=TABLE_DEFAULTS["u_all"],
+    parser.add_argument("--u-only", default=TABLE_DEFAULTS["u_only"],
+                        help="payoff when only this player learns, a number or a "
+                        "rational such as 1/3 (default 2)")
+    parser.add_argument("--u-all", default=TABLE_DEFAULTS["u_all"],
                         help="payoff when everyone learns (default 1)")
-    parser.add_argument("--u-none", type=float, default=TABLE_DEFAULTS["u_none"],
+    parser.add_argument("--u-none", default=TABLE_DEFAULTS["u_none"],
                         help="payoff when nobody learns (default 0)")
     parser.add_argument("--utilities", metavar="FILE",
                         help="JSON utility table (overrides the scalar flags)")

@@ -2,31 +2,31 @@
 
 Payoffs are exact rationals because weak dominance is equality-sensitive:
 a float tie would silently turn "never worse, somewhere better" into
-"sometimes worse".  Weak dominance only compares one player's payoffs with
-each other, so a game also keeps, per player, the rank of each payoff
-among that player's distinct exact values; comparisons run on these small
+"sometimes worse".  A document's payoffs follow the one payoff rule of
+utility tables, `strategies.parse_payoff`, applied once per distinct raw
+value.  Weak dominance only compares one player's payoffs with each
+other, so a game also keeps, per player, the rank of each payoff among
+that player's distinct exact values; comparisons run on these small
 integers, and ties stay ties.  (A common denominator would not do: a
 `Fraction(float)` such as `Fraction(1e-300)` has a denominator near
-2**1049, far past int64.)  A loaded document's payoffs are checked and
-parsed once per distinct raw value.  Deletion removes, simultaneously for
-every player, every strategy that some other pure strategy weakly
-dominates against the current restriction sets, and repeats to a
-fixpoint; each check compares all pairs of a player's strategies in one
-array operation.  Dominators are pure strategies only; mixed dominators
-would need an LP and none of the desk-scale demonstrations here require
-them.
+2**1049, far past int64.)  Deletion removes, simultaneously for every
+player, every strategy that some other pure strategy weakly dominates
+against the current restriction sets, and repeats to a fixpoint; each
+check compares all pairs of a player's strategies in one array
+operation.  Dominators are pure strategies only; mixed dominators would
+need an LP and none of the desk-scale demonstrations here require them.
 
 The builders materialize, from a valid 2-player utility table (checked
-by `UtilityTable.require(2)`), tiny two-player share-exchange games: the
-one-shot game, where withholding weakly dominates sending outright, and
-the two-round bounded game, where the same conclusion needs the full
+by `UtilityTable.require(2)`), tiny two-player share-exchange games whose
+cells are the table's exact entries, converting nothing: the one-shot
+game, where withholding weakly dominates sending outright, and the
+two-round bounded game, where the same conclusion needs the full
 backward-induction cascade of deletion rounds.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +34,7 @@ from itertools import product
 
 import numpy as np
 
-from .strategies import UtilityTable
+from .strategies import UtilityTable, parse_payoff
 
 Profile = tuple[int, ...]
 
@@ -120,14 +120,14 @@ class NormalFormGame:
         strategies = tuple(tuple(s) for s in doc["strategies"])
         indexes = [{lbl: k for k, lbl in enumerate(labels)} for labels in strategies]
         # A game repeats few distinct payoffs: check and parse each raw value once.
-        parse = lru_cache(maxsize=None, typed=True)(_parse_payoff)
+        parse = lru_cache(maxsize=None, typed=True)(parse_payoff)
         payoffs = {}
         for key, us in doc["payoffs"].items():
             if not isinstance(us, list):
                 raise ValueError(_BAD_PAYOFFS.format(key))
             try:
                 values = tuple(map(parse, us))
-            except (TypeError, ZeroDivisionError):  # also unhashable values and "1/0"
+            except (TypeError, ValueError):  # TypeError: an unhashable value
                 raise ValueError(_BAD_PAYOFFS.format(key)) from None
             labels = key.split(",")
             if len(labels) != len(strategies):
@@ -145,14 +145,6 @@ class NormalFormGame:
     def load(cls, path) -> "NormalFormGame":
         with open(path) as fh:
             return cls.from_doc(json.load(fh))
-
-
-def _parse_payoff(u) -> Fraction:
-    """`u` as an exact rational; TypeError unless it is a finite number or a string."""
-    ok = math.isfinite(u) if isinstance(u, float) else isinstance(u, (int, str))
-    if not ok or isinstance(u, bool):
-        raise TypeError(f"not a payoff: {u!r}")
-    return Fraction(u)
 
 
 def _rank_rows(values, shape: tuple[int, ...], axis: int) -> np.ndarray:
@@ -303,8 +295,7 @@ def build_oneshot_sharing_game(table: UtilityTable) -> NormalFormGame:
     info_map = {}
     for a, b in product(range(2), repeat=2):
         info = (1 if b == 0 else 0, 1 if a == 0 else 0)
-        # Fraction(float) is the exact binary value, so ties stay ties.
-        payoffs[(a, b)] = (Fraction(table.payoff(1, info)), Fraction(table.payoff(2, info)))
+        payoffs[(a, b)] = (table.payoff(1, info), table.payoff(2, info))
         info_map[(a, b)] = info
     return NormalFormGame(
         strategies=(labels, labels), payoffs=payoffs, name="oneshot-2of2", info_map=info_map
@@ -363,18 +354,14 @@ def build_bounded_game(rounds: int, table: UtilityTable) -> NormalFormGame:
         for plan in product((SEND, WITHHOLD), repeat=len(BOUNDED_HISTORIES))
     ]
     labels = tuple(bounded_strategy_label(a1, plan) for a1, plan in pures)
-    # 256 cells share 4 info vectors: convert each vector's payoffs once,
-    # exactly, as in the one-shot game.
-    exact = {
-        info: (Fraction(table.payoff(1, info)), Fraction(table.payoff(2, info)))
-        for info in product((0, 1), repeat=2)
-    }
+    # Each player's map of the table, read directly in each of the 256 cells.
+    first, second = table.payoffs
     payoffs = {}
     info_map = {}
     for i, s1 in enumerate(pures):
         for j, s2 in enumerate(pures):
             info = _bounded_outcome(s1, s2)
-            payoffs[(i, j)] = exact[info]
+            payoffs[(i, j)] = (first[info], second[info])
             info_map[(i, j)] = info
     return NormalFormGame(
         strategies=(labels, labels), payoffs=payoffs, name="bounded-r2", info_map=info_map

@@ -33,7 +33,9 @@ import numpy as np
 from . import engine
 from .protocol import STEPS_PER_ITERATION, MessageKind, RunOutcome, TerminalCause
 from .seeding import derive_generator
-from .strategies import ForcedCoins, HonestStrategy, Strategy, UtilityTable, deviation_profile, info_key
+from .strategies import (
+    ForcedCoins, HonestStrategy, Strategy, UtilityTable, deviation_profile, float_view, info_key,
+)
 
 CAUSE_ORDER = (
     TerminalCause.ALL_LEARNED,
@@ -103,8 +105,9 @@ class TrialStats:
         }
 
     def utilities(self, table: UtilityTable, player: int) -> np.ndarray:
-        """Payoffs per trial; cap-hit trials already carry the all-zero vector."""
-        lut = np.array([table.payoff(player, vec) for vec in _VECTORS])
+        """Payoffs per trial, as float views of the exact entries; cap-hit trials
+        already carry the all-zero vector."""
+        lut = np.array([float_view(table.payoff(player, vec)) for vec in _VECTORS])
         return lut.take(self._info_codes())
 
     def mean_utility(self, table: UtilityTable, player: int) -> tuple[float, float]:

@@ -2,12 +2,17 @@
 
 One document per command: a schema line, a [config] echo, one
 [results.*] section, and a [timing] section.  Keys are dotted paths,
-values render deterministically (floats at 12 significant digits), so
-equal configurations produce byte-identical result sections; only
-[timing] varies between runs.
+values render deterministically (floats at 12 significant digits, and
+exact Fractions like the float nearest them), so equal configurations
+produce byte-identical result sections; only [timing] varies between
+runs.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from .strategies import float_view
 
 SCHEMA = "ratshare.report.v1"
 ARTIFACT_VERSION = "0.1.0"
@@ -18,6 +23,8 @@ def fmt_value(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, Fraction):
+        value = float_view(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)

@@ -8,19 +8,29 @@ coins is reachable from here.  A decision is a DecisionKind: who
 learned is the exchange's call (`engine.GroupedExchange._learned`).
 
 Utilities depend only on the terminal info vector (which players learned
-the secret).  A UtilityTable stores one payoff per info vector per
+the secret).  A UtilityTable stores one exact payoff per info vector per
 player and is validated against three axioms: payoffs are a function of
 the info vector alone, every learning outcome strictly beats every
 non-learning outcome, and lowering any other player's bit strictly
 raises one's payoff.  `UtilityTable.require(n)` is the one check every
-consumer runs: the player count it needs, then the axioms.  The size rule
-is `UtilityTable.check_size`, which `from_doc` also runs before it
-expands a document.
+consumer runs: the player count it needs, then the axioms, decided once
+per table.  The size rule is `UtilityTable.check_size`, which `from_doc`
+also runs before it expands a document.
+
+`parse_payoff` is the one rule for what a payoff is, for utility tables
+and for `dominance` games alike: a finite int or float, or a rational
+string such as "1/3" or "0.1" (exactly 1/10), never a bool.  Every
+payoff is a `Fraction`, so the axioms and the thresholds built on them
+compare exactly; `float_view` is the float that numpy and the reports
+read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from random import Random
 
@@ -275,7 +285,33 @@ def deviation_profile(
     return {deviator: BiasedCoin(alpha_prime) if name == "biased-coin" else DEVIATIONS[name]()}
 
 
-# --- info vectors and utilities ----------------------------------------------
+# --- payoffs, info vectors and utilities -------------------------------------
+
+
+def parse_payoff(u, what: str = "payoff") -> Fraction:
+    """`u` as an exact rational: a Fraction, a finite int or float, or a
+    rational string such as "1/3" or "0.1" (exactly 1/10).
+
+    Raises ValueError naming `what` and `u` for anything else, a bool,
+    inf, nan and "1/0" among them.
+    """
+    if type(u) is Fraction:
+        return u
+    ok = math.isfinite(u) if isinstance(u, float) else isinstance(u, (int, str))
+    if ok and not isinstance(u, bool):
+        try:
+            return Fraction(u)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} must be a finite number or a rational string, got {u!r}")
+
+
+def float_view(u: Fraction) -> float:
+    """The float nearest `u`, and +-inf past the float range, as float arithmetic gives."""
+    try:
+        return float(u)
+    except OverflowError:
+        return math.inf if u > 0 else -math.inf
 
 
 def info_key(info: tuple[int, ...]) -> str:
@@ -296,60 +332,75 @@ class TableSizeError(ValueError):
     """A utility table, or a document of one, has the wrong number of players."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class UtilityTable:
-    """Per-player payoffs keyed by info vector.
+    """Per-player exact payoffs keyed by info vector.
 
     Keying by the info vector alone bakes in the first axiom; validation
-    checks the two strict-preference axioms.
+    checks the two strict-preference axioms.  The constructor copies each
+    map and parses every entry that is not a Fraction with `parse_payoff`,
+    so every entry is exact whichever constructor built the table, and
+    `require` decides the axioms once per table.
     """
 
     n_players: int
-    payoffs: tuple[dict[tuple[int, ...], float], ...]
+    payoffs: tuple[dict[tuple[int, ...], Fraction], ...]
 
-    def payoff(self, player: int, info: tuple[int, ...]) -> float:
+    def __post_init__(self) -> None:
+        tables = []
+        for player, raw in enumerate(self.payoffs, start=1):
+            entries = dict(raw)
+            for vec, u in raw.items():
+                if type(u) is not Fraction:  # the common case skips building the name
+                    what = f"payoff of player {player} at {info_key(vec)!r}"
+                    entries[vec] = parse_payoff(u, what)
+            tables.append(entries)
+        object.__setattr__(self, "payoffs", tuple(tables))
+
+    def payoff(self, player: int, info: tuple[int, ...]) -> Fraction:
         try:
             return self.payoffs[player - 1][tuple(info)]
         except KeyError:
             raise ValueError(f"missing vector entry {info_key(info)} for player {player}") from None
 
-    def u_only(self, player: int) -> float:
+    def u_only(self, player: int) -> Fraction:
         vec = tuple(1 if i == player else 0 for i in range(1, self.n_players + 1))
         return self.payoff(player, vec)
 
-    def u_all(self, player: int) -> float:
+    def u_all(self, player: int) -> Fraction:
         return self.payoff(player, (1,) * self.n_players)
 
-    def u_none(self, player: int) -> float:
+    def u_none(self, player: int) -> Fraction:
         return self.payoff(player, (0,) * self.n_players)
 
     @classmethod
-    def from_scalars(
-        cls, u_only: float, u_all: float, u_none: float, n_players: int = 3
-    ) -> "UtilityTable":
-        """Expand the three canonical scalars into a full symmetric table.
+    def from_scalars(cls, u_only, u_all, u_none, n_players: int = 3) -> "UtilityTable":
+        """Expand the three canonical scalars, each parsed by `parse_payoff`,
+        into a full symmetric table.
 
         Payoffs fall linearly in the number of other learners, from u_only
         down to u_all while learning and from u_none downward while not;
         both slopes are strictly positive exactly when u_only > u_all >
         u_none, so the expansion satisfies the axioms iff the scalars are
-        ordered.
+        ordered.  The 2 * n_players distinct values are computed once.
         """
         if n_players < 2:
             raise ValueError(f"scalar utilities need at least 2 players, got {n_players}")
+        u_only, u_all, u_none = (
+            parse_payoff(u, name)
+            for u, name in ((u_only, "u_only"), (u_all, "u_all"), (u_none, "u_none"))
+        )
         step_learn = (u_only - u_all) / (n_players - 1)
         step_miss = (u_all - u_none) / (n_players - 1)
-        tables = []
-        for player in range(1, n_players + 1):
-            entries = {}
-            for vec in all_info_vectors(n_players):
-                others = sum(vec) - vec[player - 1]
-                if vec[player - 1]:
-                    entries[vec] = u_only - others * step_learn
-                else:
-                    entries[vec] = u_none - others * step_miss
-            tables.append(entries)
-        return cls(n_players=n_players, payoffs=tuple(tables))
+        # Indexed by the number of other learners.
+        learning = [u_only - k * step_learn for k in range(n_players)]
+        missing = [u_none - k * step_miss for k in range(n_players)]
+        vectors = all_info_vectors(n_players)
+        tables = tuple(
+            {vec: (learning if vec[i] else missing)[sum(vec) - vec[i]] for vec in vectors}
+            for i in range(n_players)
+        )
+        return cls(n_players=n_players, payoffs=tables)
 
     @staticmethod
     def check_size(n_players: int, needed: int) -> None:
@@ -363,6 +414,8 @@ class UtilityTable:
 
         A document of other than `n_players` players raises TableSizeError
         before anything is expanded: the scalar form grows as 2**players.
+        Payoffs are parsed by `parse_payoff`; a bad one raises ValueError
+        naming it, with its player and key in a map.
         """
         n = doc.get("players", 3)
         if type(n) is not int:
@@ -379,21 +432,21 @@ class UtilityTable:
                     vec = parse_info_key(key)
                     if len(vec) != n:
                         raise ValueError(f"key {key!r} has wrong length for {n} players")
-                    entries[vec] = float(value)
+                    entries[vec] = value
                 tables.append(entries)
             return cls(n_players=n, payoffs=tuple(tables))
         try:
-            return cls.from_scalars(
-                float(doc["u_only"]), float(doc["u_all"]), float(doc["u_none"]), n
-            )
+            scalars = doc["u_only"], doc["u_all"], doc["u_none"]
         except KeyError as missing:
             raise ValueError(f"utility document needs payoffs or scalar aliases ({missing})")
+        return cls.from_scalars(*scalars, n)
 
     def to_doc(self) -> dict:
+        """The explicit-map document, each payoff as its exact string ("1/3")."""
         return {
             "players": self.n_players,
             "payoffs": {
-                str(player): {info_key(vec): value for vec, value in table.items()}
+                str(player): {info_key(vec): str(value) for vec, value in table.items()}
                 for player, table in enumerate(self.payoffs, start=1)
             },
         }
@@ -402,6 +455,10 @@ class UtilityTable:
         """Violated (axiom, player, vector, vector) tuples, empty iff the axioms hold."""
         violations = []
         vectors = all_info_vectors(self.n_players)
+        # Strict monotonicity is checked on adjacent pairs (one other bit
+        # lowered); the general comparisons follow by chaining.
+        adjacent = [(vec, j, vec[:j] + (0,) + vec[j + 1:])
+                    for vec in vectors for j in range(self.n_players) if vec[j]]
         for player in range(1, self.n_players + 1):
             values = {vec: self.payoff(player, vec) for vec in vectors}
             i = player - 1
@@ -411,16 +468,15 @@ class UtilityTable:
                 for r2 in missing:
                     if not values[r] > values[r2]:
                         violations.append(("U2", player, r, r2))
-            # Strict monotonicity on adjacent pairs (one other bit lowered);
-            # the general comparisons follow by chaining.
-            for vec in vectors:
-                for j in range(self.n_players):
-                    if j == i or vec[j] == 0:
-                        continue
-                    lowered = tuple(0 if k == j else b for k, b in enumerate(vec))
-                    if not values[lowered] > values[vec]:
-                        violations.append(("U3", player, lowered, vec))
+            for vec, j, lowered in adjacent:
+                if j != i and not values[lowered] > values[vec]:
+                    violations.append(("U3", player, lowered, vec))
         return violations
+
+    @cached_property
+    def _violations(self) -> list[tuple[str, int, tuple[int, ...], tuple[int, ...]]]:
+        # The entries never change, so `validate` runs once per table.
+        return self.validate()
 
     def require(self, n_players: int) -> UtilityTable:
         """This table, if it has `n_players` players and satisfies the axioms.
@@ -429,7 +485,7 @@ class UtilityTable:
         violated axiom.
         """
         self.check_size(self.n_players, n_players)
-        violations = self.validate()
+        violations = self._violations
         if violations:
             kind, player = violations[0][:2]
             raise ValueError(

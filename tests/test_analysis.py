@@ -1,6 +1,7 @@
 """Closed forms, the honesty threshold, and the incentive audit."""
 
 import math
+from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -222,6 +223,40 @@ def test_audit_at_the_threshold_finds_no_incentive():
                                  trials=10_000, seed=0)
     assert [e.closed_form for e in report.entries] == [1.0, 1.0, 1.0]
     assert [e.verdict for e in report.entries] == [analysis.NO_INCENTIVE] * 3
+
+
+# alpha* of 0.7/0.2/0.1 is (sqrt(5) - 1) / 4 = 0.30901699437494742410..., and
+# the two floats beside it are about 3e-17 away.  alpha* of 2/0.2/0 is 1/4
+# exactly, where the closed form ties u_all = 1/5; computed in floats, it
+# beats 1/5 there.
+@pytest.mark.parametrize(
+    "alpha, scalars, verdict",
+    [(0.3090169943749474, ("0.7", "0.2", "0.1"), analysis.NO_INCENTIVE),
+     (0.30901699437494745, ("0.7", "0.2", "0.1"), analysis.PROFITABLE),
+     (0.5, (2, 1, 0), analysis.NO_INCENTIVE),
+     (math.nextafter(0.5, 1), (2, 1, 0), analysis.PROFITABLE),
+     (0.25, ("2", "0.2", "0"), analysis.NO_INCENTIVE),
+     (math.nextafter(0.25, 1), ("2", "0.2", "0"), analysis.PROFITABLE)],
+    ids=["below-root", "above-root", "canonical-tie", "canonical-ulp-above", "rational-tie",
+         "rational-ulp-above"],
+)
+def test_withhold_verdict_at_the_threshold_is_exact(alpha, scalars, verdict, monkeypatch):
+    # The sampled estimate alone never flags: only the closed form decides.
+    class Stats:
+        def mean_utility(self, table, deviator):
+            return float(table.u_all(deviator)), 1.0
+
+    monkeypatch.setattr(montecarlo, "sample_runs", lambda *args, **kw: Stats())
+    # Oracle: the paper's condition, written out in exact rationals.
+    a = Fraction(alpha)
+    u_only, u_all, u_none = map(Fraction, scalars)
+    assert (a**2 * (u_only - u_all) > (1 - a) ** 2 * (u_all - u_none)) == (
+        verdict == analysis.PROFITABLE
+    )
+    table = UtilityTable.from_scalars(*scalars)
+    report = analysis.nash_audit(alpha, table, deviations=("withhold",), trials=10_000, seed=0,
+                                 deviators=(1,))
+    assert [e.verdict for e in report.entries] == [verdict]
 
 
 def test_audit_flags_a_sampled_gain_past_three_standard_errors(monkeypatch):

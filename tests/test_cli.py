@@ -26,6 +26,7 @@ from ratshare.strategies import (
     DEVIATIONS,
     UtilityTable,
     all_info_vectors,
+    canonical_table,
     deviation_profile,
     info_key,
     parse_deviation,
@@ -239,6 +240,62 @@ def test_alpha_star_when_gain_and_loss_overflow(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, "audit", "--alpha", "auto", "--trials", "10000", "--seed", "1",
                    "--utilities", str(path))[0] == 0
+
+
+# Rational strings reach past the float range: R = 1e-600 and 1e800, whose
+# thresholds are 1e-300 and 1 - 1e-400, and a square root of each payoff
+# would overflow.
+@pytest.mark.parametrize(
+    "scalars, threshold",
+    [(("1e700", "0", "-1e100"), "1e-300"), (("1e-100", "0", "-1e700"), "1")],
+    ids=["ratio-1e-600", "ratio-1e800"],
+)
+def test_alpha_star_past_the_float_range(scalars, threshold, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(zip(("u_only", "u_all", "u_none"), scalars))))
+    code, out = run_cli(capsys, "alpha-star", "--utilities", str(path))
+    assert code == 0
+    assert f"global = {threshold}\n" in out
+
+
+RATIONAL_DOC = {"u_only": "2", "u_all": "1/3", "u_none": 0}
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [(["alpha-star"], RATIONAL_DOC),
+     (["audit", "--alpha", "auto", "--trials", "10000", "--seed", "1"], RATIONAL_DOC),
+     (["simulate", "--alpha", "auto", "--trials", "10", "--seed", "1"], RATIONAL_DOC),
+     (["alpha-star"], "5/2"),
+     (["alpha-star", "--u-all", "1/3"], None)],
+    ids=["alpha-star-scalars", "audit-auto-scalars", "simulate-auto-scalars", "alpha-star-map",
+         "alpha-star-flag"],
+)
+def test_rational_strings_in_every_table_form(argv, table, tmp_path, capsys):
+    if table is not None:
+        path = tmp_path / "utilities.json"
+        path.write_text(json.dumps(table) if isinstance(table, dict)
+                        else _canonical_map(1, "100", table))
+        argv = [*argv, "--utilities", str(path)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    if argv[0] == "alpha-star" and table != "5/2":
+        # R = (1/3) / (5/3) = 1/5 for every player.
+        assert "player1.ratio = 0.2\n" in out
+        assert f"global = {math.sqrt(0.2) / (1 + math.sqrt(0.2)):.12g}\n" in out
+
+
+@pytest.mark.parametrize(
+    "alpha, verdict",
+    [("0.3090169943749474", "NoIncentive"), ("0.30901699437494745", "ProfitableDeviation")],
+)
+def test_withhold_verdict_beside_an_irrational_threshold(alpha, verdict, capsys):
+    # alpha* = (sqrt(5) - 1) / 4 = 0.30901699437494742410... lies between the two.
+    code, out = run_cli(capsys, "audit", "--alpha", alpha, "--u-only", "0.7", "--u-all", "0.2",
+                        "--u-none", "0.1", "--deviations", "withhold", "--deviators", "1",
+                        "--trials", "10000", "--seed", "1")
+    assert code == 0
+    assert f"withhold.deviator1.verdict = {verdict}\n" in out
 
 
 def test_audit_below_threshold(capsys):
@@ -666,6 +723,17 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
     assert code == 2
 
 
+def _canonical_map(player: int, key: str, value) -> str:
+    """The canonical table's explicit-map document, one entry replaced, as JSON."""
+    doc = canonical_table().to_doc()
+    doc["payoffs"][str(player)][key] = value
+    return json.dumps(doc)
+
+
+# json writes float("inf") as Infinity, which json.load reads back as inf.
+INFINITE_DOC = _canonical_map(1, "100", float("inf"))
+NOT_A_PAYOFF = "must be a finite number or a rational string, got"
+
 PD_DOC = json.dumps({
     "strategies": [["cooperate", "defect"], ["cooperate", "defect"]],
     "payoffs": {"cooperate,cooperate": [2, 2], "cooperate,defect": [0, 3],
@@ -776,6 +844,15 @@ PD_DOC = json.dumps({
         # A key with more labels than players, and a game with no players.
         ["dominance", "--game", 'DOC:{"strategies": [["a"], ["b"]], "payoffs": {"a,b,c": [1, 1]}}'],
         ["dominance", "--game", 'DOC:{"strategies": [], "payoffs": {}}'],
+        # Payoffs that are not finite numbers or rational strings, in every table form.
+        ["alpha-star", "--utilities", f"DOC:{INFINITE_DOC}"],
+        ["audit", "--alpha", "auto", "--trials", "10000", "--seed", "1",
+         "--utilities", f"DOC:{INFINITE_DOC}"],
+        ["alpha-star", "--u-only", "inf"],
+        ["alpha-star", "--u-only", "nan"],
+        ["alpha-star", "--utilities", 'DOC:{"u_only": true, "u_all": 1, "u_none": 0}'],
+        ["alpha-star", "--utilities", f"DOC:{_canonical_map(3, '011', False)}"],
+        ["dominance", "--builtin", "bounded-r2", "--u-all", "1/0"],
     ],
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
@@ -793,7 +870,9 @@ PD_DOC = json.dumps({
         "dump-over-budget-cap-1", "dump-over-budget-deviant", "cap-2to63", "cap-2to63-minus-1", "cap-2to53-plus-1-dump",
         "audit-cap-1e23", "deviant-without-player", "profile-one-label",
         "utilities-missing-player-map", "utilities-short-key", "game-one-payoff",
-        "game-key-three-labels", "game-no-players",
+        "game-key-three-labels", "game-no-players", "utilities-map-infinity",
+        "audit-auto-map-infinity", "u-only-inf", "u-only-nan", "utilities-scalar-bool",
+        "utilities-map-bool", "u-all-zero-denominator",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -847,6 +926,12 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
         'DOC:{"strategies": [["a"], ["b"]], "payoffs": {"a,b,c": [1, 1]}}':
             "payoffs key 'a,b,c' has 3 labels for 2 players",
         'DOC:{"strategies": [], "payoffs": {}}': "every player needs a nonempty strategy set",
+        f"DOC:{INFINITE_DOC}": f"payoff of player 1 at '100' {NOT_A_PAYOFF} inf",
+        "inf": f"--u-only {NOT_A_PAYOFF} 'inf'",
+        "nan": f"--u-only {NOT_A_PAYOFF} 'nan'",
+        'DOC:{"u_only": true, "u_all": 1, "u_none": 0}': f"u_only {NOT_A_PAYOFF} True",
+        f"DOC:{_canonical_map(3, '011', False)}": f"payoff of player 3 at '011' {NOT_A_PAYOFF} False",
+        "1/0": f"--u-all {NOT_A_PAYOFF} '1/0'",
     }
     if argv[-1] in ends:
         assert err.endswith(f"{ends[argv[-1]]}\n")

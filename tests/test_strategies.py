@@ -1,6 +1,8 @@
 """Utility axioms, deviation catalogue, and strategy behavior."""
 
+import json
 import re
+from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -165,6 +167,12 @@ def test_doc_round_trip(tmp_path):
     doc = table.to_doc()
     again = UtilityTable.from_doc(doc, 3)
     assert again.payoffs == table.payoffs
+    # Through JSON, a 1/3 entry comes back exactly.
+    thirds = UtilityTable.from_scalars(2, "1/3", 0)
+    path = tmp_path / "thirds.json"
+    path.write_text(json.dumps(thirds.to_doc()))
+    again = UtilityTable.from_doc(json.loads(path.read_text()), 3)
+    assert again.payoffs == thirds.payoffs and again.u_all(1) == Fraction(1, 3)
     scalars = UtilityTable.from_doc({"players": 3, "u_only": 2, "u_all": 1, "u_none": 0}, 3)
     assert scalars.payoffs == table.payoffs
     with pytest.raises(ValueError):
@@ -175,6 +183,38 @@ def test_doc_round_trip(tmp_path):
             UtilityTable.from_doc({"players": players, "u_only": 2, "u_all": 1, "u_none": 0}, 3)
     with pytest.raises(TableSizeError, match="^needs a 2-player utility table, got 3$"):
         UtilityTable.from_doc(doc, 2)
+
+
+def test_every_entry_is_exact_whichever_constructor_built_it():
+    doc = {"players": 3, "u_only": 2, "u_all": "0.1", "u_none": 0}
+    assert UtilityTable.from_doc(doc, 3).u_all(1) == Fraction(1, 10)
+    explicit = canonical_table().to_doc()
+    explicit["payoffs"]["1"]["100"] = "5/2"
+    tables = [canonical_table(), UtilityTable.from_scalars(0.7, 0.2, 0.1),
+              UtilityTable.from_doc(doc, 3), UtilityTable.from_doc(explicit, 3),
+              UtilityTable(3, ({vec: 0.5 for vec in all_info_vectors(3)},) * 3)]
+    for table in tables:
+        assert {type(u) for entries in table.payoffs for u in entries.values()} == {Fraction}
+    assert tables[3].u_only(1) == Fraction(5, 2)
+    # A float is its exact binary value, a string its exact decimal one.
+    assert tables[1].u_all(1) == Fraction(0.2) != Fraction(1, 5)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: UtilityTable.from_scalars(float("inf"), 1, 0),
+      "u_only must be a finite number or a rational string, got inf"),
+     (lambda: UtilityTable.from_doc({"u_only": True, "u_all": 1, "u_none": 0}, 3),
+      "u_only must be a finite number or a rational string, got True"),
+     (lambda: UtilityTable.from_doc({"u_only": 2, "u_all": "1/0", "u_none": 0}, 3),
+      "u_all must be a finite number or a rational string, got '1/0'"),
+     (lambda: UtilityTable(2, ({(1, 1): 1.0}, {(1, 1): float("nan")})),
+      "payoff of player 2 at '11' must be a finite number or a rational string, got nan")],
+    ids=["scalar-inf", "doc-bool", "doc-zero-denominator", "entry-nan"],
+)
+def test_a_bad_payoff_is_named(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_require_names_the_size_or_the_first_violation():

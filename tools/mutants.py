@@ -82,7 +82,7 @@ MUTANTS = [
            "if len(parities) > 1:", "if len(parities) > 3:",
            "tests/test_lifts.py::test_honest_lift_checks_parity_agreement"),
     Mutant("audit-thirty-standard-errors", "src/ratshare/analysis.py",
-           "mc - baseline > 3 * se", "mc - baseline > 30 * se",
+           "mc - float_view(baseline) > 3 * se", "mc - float_view(baseline) > 30 * se",
            "tests/test_analysis.py::test_audit_flags_a_sampled_gain_past_three_standard_errors"),
     Mutant("population-standard-deviation", "src/ratshare/montecarlo.py",
            "u.std(ddof=1)", "u.std(ddof=0)",
@@ -94,9 +94,16 @@ MUTANTS = [
            "key = (max(sizes), sum(x * x for x in sizes), s2, s3)", "key = (max(sizes), s2, s3)",
            "tests/test_lifts.py::test_partition_known_cases"),
     Mutant("float-extreme-gain-loss-swapped", "src/ratshare/analysis.py",
-           "math.sqrt(loss) / (math.sqrt(loss) + math.sqrt(gain))",
-           "math.sqrt(gain) / (math.sqrt(loss) + math.sqrt(gain))",
+           "root_loss / (root_loss + root_gain)", "root_gain / (root_loss + root_gain)",
            "tests/test_cli.py::test_alpha_star_at_the_float_extremes"),
+    Mutant("audit-withhold-in-float", "src/ratshare/analysis.py",
+           "withhold_lhs(Fraction(alpha), table, deviator)", "withhold_lhs(alpha, table, deviator)",
+           "tests/test_analysis.py::test_withhold_verdict_at_the_threshold_is_exact"),
+    # The one payoff rule.
+    Mutant("payoff-parser-accepts-non-finite", "src/ratshare/strategies.py",
+           "math.isfinite(u) if isinstance(u, float) else isinstance(u, (int, str))",
+           "isinstance(u, (int, float, str))",
+           "tests/test_cli.py::test_bad_input_exits_two_with_one_line"),
     Mutant("broadcast-without-own-coin", "src/ratshare/protocol.py",
            "return parity == 1 and own_c == 1", "return parity == 1",
            "tests/test_acceptance.py::test_acceptance_01_running_time"),
