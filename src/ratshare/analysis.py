@@ -17,8 +17,10 @@ R = (u_all - u_none) / (u_only - u_all).
 
 Table payoffs are exact (`strategies.parse_payoff`), so gain, loss and R
 are exact, and the audit decides the closed-form withholding verdict in
-Q at the float alpha it is given; only the square roots and the sampled
-estimates are floats.
+Q at the float alpha it is given.  The sampled mean is exact too (a sum
+over the trials' info counts), and the audit compares its gain over the
+baseline with three standard errors in Q; only the square roots are
+floats.
 
 All of this is about the 3-ring (the withholding payoff rests on "both
 other coins"), so `alpha_star` and `nash_audit` first run
@@ -37,7 +39,7 @@ from . import montecarlo
 from .engine import DEFAULT_CAP
 from .protocol import STEPS_PER_ITERATION
 from .seeding import derive_int
-from .strategies import UtilityTable, deviation_profile, float_view, parse_deviation
+from .strategies import UtilityTable, deviation_profile, float_view, parse_deviation, sqrt_view
 
 
 def withhold_lhs(alpha: Fraction, table: UtilityTable, player: int) -> Fraction:
@@ -59,12 +61,6 @@ class AlphaStar:
     per_player: dict[int, float]
     global_star: float
     ratio: dict[int, float]  # the float view of each exact R
-
-
-def _sqrt(x: Fraction) -> float:
-    """sqrt(x) as a float, also for an x below the normal float range."""
-    half = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
-    return math.ldexp(math.sqrt(x / Fraction(4) ** half), half)
 
 
 def alpha_star(table: UtilityTable) -> AlphaStar:
@@ -97,7 +93,7 @@ def alpha_star(table: UtilityTable) -> AlphaStar:
             per_player[player] = root / (1 + root)
         else:
             top = max(gain, loss)
-            root_loss, root_gain = _sqrt(loss / top), _sqrt(gain / top)
+            root_loss, root_gain = sqrt_view(loss / top), sqrt_view(gain / top)
             per_player[player] = root_loss / (root_loss + root_gain)
     return AlphaStar(per_player, min(per_player.values()), ratio)
 
@@ -166,8 +162,9 @@ def nash_audit(
 ) -> NashAuditReport:
     """Monte Carlo every catalogued unilateral deviation against honesty.
 
-    A deviation is flagged as profitable when its estimate beats the
-    honest baseline by more than three standard errors, or when its
+    A deviation is flagged as profitable when its exact sampled mean
+    beats the honest baseline by more than three times the reported
+    standard error (compared in Q), or when its
     closed form (withholding only), exact at the given alpha, strictly
     beats the baseline.  Two specs that parse to the same deviation, or
     a repeated deviator, raise ValueError before anything is sampled.
@@ -200,14 +197,12 @@ def nash_audit(
             baseline = table.u_all(deviator)
             mc, se = stats.mean_utility(table, deviator)
             closed = withhold_lhs(Fraction(alpha), table, deviator) if name == "withhold" else None
-            profitable = mc - float_view(baseline) > 3 * se or (
-                closed is not None and closed > baseline
-            )
+            profitable = (mc - baseline) / 3 > se or (closed is not None and closed > baseline)
             entries.append(
                 AuditEntry(
                     deviation=spec,
                     deviator=deviator,
-                    mc_estimate=mc,
+                    mc_estimate=float_view(mc),
                     std_error=se,
                     closed_form=closed,
                     verdict=PROFITABLE if profitable else NO_INCENTIVE,

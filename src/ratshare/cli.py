@@ -117,7 +117,10 @@ def _load_table(args) -> UtilityTable:
 def _resolve_alpha(args, table: UtilityTable | None) -> float:
     """Parse --alpha; its range is checked by the sampler or the audit."""
     if args.alpha == "auto":
-        return analysis.alpha_star(table).global_star / 2
+        alpha = analysis.alpha_star(table).global_star / 2
+        if alpha == 0:
+            raise ConfigError("--alpha auto found an alpha* below the float range; give --alpha")
+        return alpha
     try:
         return float(args.alpha)
     except ValueError:

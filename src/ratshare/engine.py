@@ -46,10 +46,6 @@ from .strategies import (
 
 DEFAULT_CAP = 10**6
 
-# Successor and predecessor of each seat on the coin ring.
-_SUCC = {1: 2, 2: 3, 3: 1}
-_PRED = {1: 3, 2: 1, 3: 2}
-
 
 class InvariantViolationError(RuntimeError):
     """A protocol invariant that must hold under honest rules was broken."""
@@ -139,6 +135,9 @@ class GroupedExchange:
         self.strategies = normalize_profile(profile, self.players)
         self.honest = all(self.strategies[p].honest_rules for p in self.players)
         self.leaders = leaders
+        # Each leader's successor and predecessor on the coin ring.
+        self.succ = {p: leaders[(k + 1) % 3] for k, p in enumerate(leaders)}
+        self.pred = {p: leaders[k - 1] for k, p in enumerate(leaders)}
         self.leader_of = {p: leaders[g] for g, group in enumerate(groups) for p in group}
         self.observers = [p for p in self.players if p not in leaders]
         # The field is the secret's own; an int secret lives in DEFAULT_PRIME's.
@@ -203,24 +202,24 @@ class GroupedExchange:
     # One iteration ------------------------------------------------------------
 
     def _coin_iteration(
-        self, seats: dict[int, int | None], iteration: int, msgs: list[RoundMessage]
+        self, seated: list[int], iteration: int, msgs: list[RoundMessage]
     ) -> dict[int, DecisionKind]:
         """Execute steps 1-4 of one iteration among the seated leaders.
 
-        `seats` maps each ring position to its leader, or to None once the
-        leader has left.  Returns the decisions by player, and appends the
-        messages sent to `msgs` only when recording.
+        `seated` lists the leaders still on the ring, in ring order.
+        Returns the decisions by player, and appends the messages sent to
+        `msgs` only when recording.
         """
         states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
-        leaders = self.leaders
+        succ, pred = self.succ, self.pred
         decisions: dict[int, DecisionKind] = {}
-        live = {pos: pid for pos, pid in seats.items() if pid is not None}
+        live = list(seated)
         broadcasts: list[tuple[int, object]] = []
 
-        def abort(pos: int, step: Step, about_pos: int) -> None:
-            pid = live.pop(pos)
+        def abort(pid: int, step: Step, about: int) -> None:
+            live.remove(pid)
             states[pid].cheat_evidence.append(
-                CheatEvidence("missing-bit", iteration, int(step), leaders[about_pos - 1])
+                CheatEvidence("missing-bit", iteration, int(step), about)
             )
             decisions[pid] = DecisionKind.ABORT
 
@@ -229,45 +228,43 @@ class GroupedExchange:
         # strategy must not read a bit during the step that sends it.
 
         # Step 1: each player commits coins and sends the masked pieces.
-        for pos, pid in live.items():
+        for pid in seated:
             st = states[pid]
             triple = strategies[pid].coins(st, rngs[pid], self.alpha)
             st.coins = triple
             if triple is None:
                 continue
-            succ, pred = leaders[_SUCC[pos] - 1], leaders[_PRED[pos] - 1]
-            states[succ].bit_from_pred = triple.c_plus
-            states[pred].bit_from_succ = triple.c_minus
+            states[succ[pid]].bit_from_pred = triple.c_plus
+            states[pred[pid]].bit_from_succ = triple.c_minus
             if record:
                 msgs.append(RoundMessage(
-                    pid, succ, Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, triple.c_plus
+                    pid, succ[pid], Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, triple.c_plus
                 ))
                 msgs.append(RoundMessage(
-                    pid, pred, Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, triple.c_minus
+                    pid, pred[pid], Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, triple.c_minus
                 ))
 
         # Step 2: read the step-1 bits, forward the masked combination to the
         # predecessor.
-        for pos, pid in list(live.items()):
+        for pid in seated:
             st = states[pid]
             if st.bit_from_pred is None or st.bit_from_succ is None:
-                abort(pos, Step.MASKED_BIT, _PRED[pos] if st.bit_from_pred is None else _SUCC[pos])
+                abort(pid, Step.MASKED_BIT, pred[pid] if st.bit_from_pred is None else succ[pid])
                 continue
             bit = strategies[pid].masked_bit(st, rngs[pid])
             if bit is not None:
-                pred = leaders[_PRED[pos] - 1]
-                states[pred].masked_from_succ = bit
+                states[pred[pid]].masked_from_succ = bit
                 if record:
                     msgs.append(RoundMessage(
-                        pid, pred, Step.MASKED_BIT, MessageKind.MASKED_BIT, bit
+                        pid, pred[pid], Step.MASKED_BIT, MessageKind.MASKED_BIT, bit
                     ))
 
         # Step 3: assemble the parity and decide whether to broadcast to the
         # other seated leaders, then to every observer.
-        for pos, pid in list(live.items()):
+        for pid in list(live):
             st = states[pid]
             if st.masked_from_succ is None:
-                abort(pos, Step.BROADCAST, _SUCC[pos])
+                abort(pid, Step.BROADCAST, succ[pid])
                 continue
             if st.coins is not None:
                 st.parity = parity_rule(st.bit_from_pred, st.masked_from_succ, st.coins.c)
@@ -275,7 +272,7 @@ class GroupedExchange:
                 st.observed_broadcasts.add(pid)
                 broadcasts.append((pid, st.own_payload))
                 if record:
-                    recipients = [other for other in seats.values() if other not in (None, pid)]
+                    recipients = [other for other in seated if other != pid]
                     msgs += [
                         RoundMessage(
                             pid, receiver, Step.BROADCAST, MessageKind.SHARE_BROADCAST, st.own_payload
@@ -285,12 +282,12 @@ class GroupedExchange:
 
         # Step 4: take delivery of broadcasts, then stop or ask for a restart.
         for sender, payload in broadcasts:
-            for pid in live.values():
+            for pid in live:
                 if pid != sender and self._accept_payload(states[pid], sender, payload):
                     states[pid].observed_broadcasts.add(sender)
             for obs in self.observers:
                 self._accept_payload(states[obs], sender, payload)
-        for pid in live.values():
+        for pid in live:
             st = states[pid]
             decision = strategies[pid].decide(st, rngs[pid])
             decisions[pid] = decision
@@ -310,18 +307,18 @@ class GroupedExchange:
 
     def run(self) -> RunOutcome:
         states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
-        seats: dict[int, int | None] = dict(enumerate(self.leaders, start=1))
+        seated = list(self.leaders)
         leader_states = [states[leader] for leader in self.leaders]
         forwarders = [
             (p, self.leader_of[p]) for p in self._forwarders() if self.leader_of[p] != p
         ]
         transcripts: list[IterationTranscript] = []
         ending = None
-        epoch = 0
         iterations = 0
 
         while iterations < self.cap:
             iterations += 1
+            epoch = iterations - 1  # every iteration issues a fresh epoch
             for state in states.values():
                 # Holdings keep one epoch; the flag keeps what earlier ones taught.
                 state.learned_earlier = self._learned(state)
@@ -348,7 +345,6 @@ class GroupedExchange:
                         RoundMessage(p, leader, Step.ISSUE, MessageKind.SHARE_BROADCAST, tuple(items))
                     )
 
-            seated = [pid for pid in seats.values() if pid is not None]
             if stalled and any(pid in stalled for pid in seated):
                 # A leader cannot assemble its bundle: ask the issuer to
                 # restart before any coins are tossed.
@@ -357,12 +353,11 @@ class GroupedExchange:
                         RoundMessage(pid, ISSUER_ID, Step.ISSUE, MessageKind.RESTART_REQUEST, None)
                         for pid in seated
                     ]
-                epoch += 1
                 continue
 
             for pid in seated:
                 states[pid].own_payload = self._payload(bundles[pid])
-            decisions = self._coin_iteration(seats, iterations, msgs)
+            decisions = self._coin_iteration(seated, iterations, msgs)
 
             if self.honest:
                 parities = {st.parity for st in leader_states if st.parity is not None}
@@ -379,10 +374,8 @@ class GroupedExchange:
                 ending = TerminalCause.MISSING_BIT_ABORT if aborted else TerminalCause.CHEAT_STOP
             if not restarters:
                 break
-            for pos, pid in seats.items():
-                if pid not in restarters:
-                    seats[pos] = None  # stopped or aborted: the seat stays empty
-            epoch += 1
+            # Who stopped or aborted leaves the ring for good.
+            seated = [pid for pid in seated if pid in restarters]
 
         info = tuple(1 if self._learned(states[p]) else 0 for p in self.players)
         if all(info):

@@ -7,9 +7,12 @@ leave the secret information-theoretically hidden.  A trusted issuer
 tags every share (and every additive subshare) with a keyed MAC so
 holders cannot substitute forged values.  The MAC is HMAC-SHA256 (RFC
 2104), computed from the inner and outer pad states that each issuer
-builds once from its key.  An issuer computes each tag once per epoch:
-it keeps the tags of its latest epoch, so issuing a point of that epoch
-again, or verifying one of its items, is a lookup.
+builds once from its key.  A tag is a pure function of its message, so
+each issuer's MAC is itself a bounded cache (its 256 most recent
+messages) that issuing, splitting and verifying all call: a point issued
+again, or an item verified, while its message is cached computes no
+MAC.  The cache is keyed by the message, not by an item's fields,
+because 1 == True == 1.0.
 
 The parts that do not depend on the secret are built once: an issuer
 keeps its evaluation points x = 1..n, and the Lagrange weights at zero
@@ -50,11 +53,10 @@ _LAGRANGE_CACHE_SIZE = 256
 _BLOCK = 64
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
-# The most tags an issuer keeps for its latest epoch; an issue that would
-# pass it starts afresh.  The largest `hiding` run accepted keeps n * p =
-# 93 (p = 31, n = 3), and an engine epoch keeps n shares or their
-# subshares.
-_LATEST_SIZE = 256
+# How many of its most recent messages' MACs an issuer keeps.  The largest
+# `hiding` run accepted has n * p = 93 distinct points (p = 31, n = 3), and
+# an engine epoch tags n items for m-of-n and 2n for 2-of-n.
+_MAC_CACHE_SIZE = 256
 
 
 class ReconstructionError(ValueError):
@@ -173,6 +175,31 @@ def _subshare(parent: int, index: int, value: FieldElement, epoch: int, tag: byt
     return item
 
 
+def _keyed_mac(key: bytes):
+    """HMAC-SHA256 under `key` (RFC 2104), as a cache of its most recent
+    messages.
+
+    The inner and outer hash states after the padded key are built once,
+    and every tag copies both.  The closure holds only those two states,
+    so an issuer and its MAC form no reference cycle.
+    """
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    inner_state = hashlib.sha256(key.translate(_IPAD))
+    outer_state = hashlib.sha256(key.translate(_OPAD))
+
+    @lru_cache(maxsize=_MAC_CACHE_SIZE)
+    def mac(msg: str) -> bytes:
+        inner = inner_state.copy()
+        inner.update(msg.encode())
+        outer = outer_state.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    return mac
+
+
 def _eval_poly(coefficients: list[int], x: int, p: int) -> int:
     """Evaluate a0 + a1*x + ... at x mod p (Horner)."""
     acc = 0
@@ -191,32 +218,11 @@ class ShareIssuer:
 
     def __init__(self, key: bytes, modulus: int = DEFAULT_PRIME):
         _check_modulus(modulus)
-        # HMAC-SHA256 (RFC 2104) keyed once: the inner and outer hash
-        # states after the padded key, which every tag copies.
-        if len(key) > _BLOCK:
-            key = hashlib.sha256(key).digest()
-        key = key.ljust(_BLOCK, b"\0")
-        self._inner = hashlib.sha256(key.translate(_IPAD))
-        self._outer = hashlib.sha256(key.translate(_OPAD))
+        self._mac = _keyed_mac(key)
         self.modulus = modulus
-        # The tags of the latest epoch, so issuing a point of it again or
-        # verifying one of its items is a lookup.  Keyed by the MAC
-        # message, not the field tuple, because 1 == True == 1.0 would
-        # match fields whose MAC differs.  An issue at another epoch, or
-        # one that would pass _LATEST_SIZE, empties it; a share's entry
-        # gives way to those of its first split.
-        self._latest: dict[bytes, bytes] = {}
-        self._latest_epoch: int | None = None
         # The evaluation points x = 1, 2, ... built so far; an issue of n
         # shares uses the first n.
         self._xs: list[FieldElement] = []
-
-    def _mac(self, msg: bytes) -> bytes:
-        inner = self._inner.copy()
-        inner.update(msg)
-        outer = self._outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()
 
     # The MAC message of an item is "|"-joined: its kind, the modulus, the
     # epoch (and a subshare's parent), then the item's own fields.  These
@@ -226,20 +232,20 @@ class ShareIssuer:
     def _share_prefix(self, epoch: int) -> str:
         return f"share|{self.modulus!s}|{epoch!s}|"
 
-    def _share_msg(self, epoch: int, x: int, y: int, prefix: str | None = None) -> bytes:
+    def _share_msg(self, epoch: int, x: int, y: int, prefix: str | None = None) -> str:
         if prefix is None:
             prefix = self._share_prefix(epoch)
-        return f"{prefix}{x!s}|{y!s}".encode()
+        return f"{prefix}{x!s}|{y!s}"
 
     def _subshare_prefix(self, epoch: int, parent: int) -> str:
         return f"subshare|{self.modulus!s}|{epoch!s}|{parent!s}|"
 
     def _subshare_msg(
         self, epoch: int, parent: int, index: int, value: int, prefix: str | None = None
-    ) -> bytes:
+    ) -> str:
         if prefix is None:
             prefix = self._subshare_prefix(epoch, parent)
-        return f"{prefix}{index!s}|{value!s}".encode()
+        return f"{prefix}{index!s}|{value!s}"
 
     def issue_shares(
         self,
@@ -277,10 +283,6 @@ class ShareIssuer:
         xs = self._xs
         while len(xs) < n:
             xs.append(FieldElement(len(xs) + 1, p))
-        latest = self._latest
-        if epoch != self._latest_epoch or len(latest) + n > _LATEST_SIZE:
-            latest.clear()
-            self._latest_epoch = epoch
         prefix = self._share_prefix(epoch)
         encode, mac = self._share_msg, self._mac
         shares = []
@@ -288,27 +290,17 @@ class ShareIssuer:
         for x in xs[:n]:
             i = x.value
             y = _eval_poly(poly, i, p)
-            msg = encode(epoch, i, y, prefix)
-            tag = latest.get(msg)
-            if tag is None:
-                tag = latest[msg] = mac(msg)
+            tag = mac(encode(epoch, i, y, prefix))
             append(_share(i, x, _element(y, p), epoch, tag))
         return shares
 
     def verify_tag(self, item: Share | Subshare) -> bool:
-        """True iff the tag matches the issuer's keyed code over the fields.
-
-        The code of an item from the latest epoch is the one computed when
-        it was tagged; any other item's code is computed afresh.
-        """
+        """True iff the tag matches the issuer's keyed code over the fields."""
         if isinstance(item, Share):
             msg = self._share_msg(item.epoch, item.x.value, item.y.value)
         else:
             msg = self._subshare_msg(item.epoch, item.parent_holder, item.index, item.value.value)
-        expected = self._latest.get(msg)
-        if expected is None:
-            expected = self._mac(msg)
-        return hmac.compare_digest(item.tag, expected)
+        return hmac.compare_digest(item.tag, self._mac(msg))
 
     def split_subshares(self, share: Share, count: int, rng: Random) -> list[Subshare]:
         """Split a share into `count` additive subshares summing to share.y.
@@ -324,19 +316,12 @@ class ShareIssuer:
         values = [rng.randrange(p) for _ in range(count - 1)]
         values.append((share.y.value - sum(values)) % p)
         epoch, parent = share.epoch, share.holder
-        # A share of the latest epoch hands its entry on to its subshares.
-        latest = self._latest
-        parent_msg = self._share_msg(epoch, share.x.value, share.y.value)
-        from_latest = latest.pop(parent_msg, None) is not None
         prefix = self._subshare_prefix(epoch, parent)
         encode, mac = self._subshare_msg, self._mac
         subshares = []
         append = subshares.append
         for k, v in enumerate(values, start=1):
-            msg = encode(epoch, parent, k, v, prefix)
-            tag = mac(msg)
-            if from_latest:
-                latest[msg] = tag
+            tag = mac(encode(epoch, parent, k, v, prefix))
             append(_subshare(parent, k, _element(v, p), epoch, tag))
         return subshares
 

@@ -22,7 +22,7 @@ and for `dominance` games alike: a finite int or float, or a rational
 string such as "1/3" or "0.1" (exactly 1/10), never a bool.  Every
 payoff is a `Fraction`, so the axioms and the thresholds built on them
 compare exactly; `float_view` is the float that numpy and the reports
-read.
+read, and `sqrt_view` the float square root of an exact value.
 """
 
 from __future__ import annotations
@@ -312,6 +312,15 @@ def float_view(u: Fraction) -> float:
         return float(u)
     except OverflowError:
         return math.inf if u > 0 else -math.inf
+
+
+def sqrt_view(x: Fraction) -> float:
+    """sqrt(x) as a float, also for an x outside the float range; inf past it."""
+    half = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(x / Fraction(4) ** half), half)
+    except OverflowError:
+        return math.inf
 
 
 def info_key(info: tuple[int, ...]) -> str:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 from random import Random
 
+import numpy as np
 import pytest
 
 from ratshare import analysis, montecarlo
@@ -278,6 +279,32 @@ def test_audit_flags_a_sampled_gain_past_three_standard_errors(monkeypatch):
                                  trials=10_000, seed=0, deviators=(1,))
     assert [(e.deviation, e.verdict) for e in report.entries] == [
         ("garble-step2", analysis.PROFITABLE), ("always-silent", analysis.NO_INCENTIVE)
+    ]
+
+
+def test_audit_verdict_is_decided_in_exact_rationals(monkeypatch):
+    # Every biased-coin:1 trial ends with everyone learning and pays exactly
+    # u_all = 7/10: no gain, and no spread (a float mean of the 10,000 trials
+    # rounded above 0.7, with a standard error at rounding level).
+    table = UtilityTable.from_scalars(2, "0.7", 0)
+    report = analysis.nash_audit(0.25, table, deviations=("biased-coin:1",), trials=10_000,
+                                 seed=1)
+    assert [(e.mc_estimate, e.std_error, e.verdict) for e in report.entries] == [
+        (0.7, 0.0, analysis.NO_INCENTIVE)
+    ] * 3
+    # A deviator that learns alone in every trial gains u_only - u_all =
+    # 1e-20, which the float views of both payoffs (1.0) cannot tell apart.
+    alone = montecarlo.TrialStats(
+        iterations=np.ones(10_000, dtype=np.int64),
+        causes=np.ones(10_000, dtype=np.uint8),
+        info=np.tile(np.array([1, 0, 0], dtype=np.uint8), (10_000, 1)),
+    )
+    monkeypatch.setattr(montecarlo, "sample_runs", lambda *args, **kw: alone)
+    table = UtilityTable.from_scalars("1.00000000000000000001", 1, 0)
+    report = analysis.nash_audit(0.25, table, deviations=("always-silent",), trials=10_000,
+                                 seed=1, deviators=(1,))
+    assert [(e.mc_estimate, e.std_error, e.verdict) for e in report.entries] == [
+        (1.0, 0.0, analysis.PROFITABLE)
     ]
 
 

@@ -298,6 +298,38 @@ def test_withhold_verdict_beside_an_irrational_threshold(alpha, verdict, capsys)
     assert f"withhold.deviator1.verdict = {verdict}\n" in out
 
 
+HUGE_DOC = json.dumps({"u_only": "1e400", "u_all": "0", "u_none": "-1"})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(["--alpha", "0.25", "--trials", "10000", "--seed", "1", "--u-only", "2", "--u-all", "0.7",
+       "--u-none", "0", "--deviations", "biased-coin:1"],
+      [f"biased-coin:1.deviator{d}.{key}" for d in (1, 2, 3)
+       for key in ("mc-estimate = 0.7", "std-error = 0", "verdict = NoIncentive")]
+      + ["any-profitable = false"]),
+     (["--alpha", "0.3", "--trials", "20000", "--seed", "3", "--u-only", "0.7", "--u-all", "0.2",
+       "--u-none", "0.1"],
+      [f"{spec}.deviator{d}.{key}" for spec, u in (("biased-coin:1", "0.2"), ("always-silent", "0.1"))
+       for d in (1, 2, 3) for key in (f"mc-estimate = {u}", "std-error = 0")]),
+     (["--alpha", "0.25", "--trials", "10000", "--seed", "1", "--deviations", "withhold",
+       "--deviators", "1", "--utilities", "HUGE"],
+      ["withhold.deviator1.mc-estimate = inf", "withhold.deviator1.std-error = inf",
+       "withhold.deviator1.verdict = ProfitableDeviation"])],
+    ids=["constant-at-the-baseline", "constant-samples", "past-the-float-range"],
+)
+def test_audit_statistics_are_exact_sums(argv, lines, tmp_path, capsys):
+    # A constant sample has a standard error of exactly 0, and one past the
+    # float range an infinite one, never nan.
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_DOC)
+    code, out = run_cli(capsys, "audit", *[str(path) if a == "HUGE" else a for a in argv])
+    assert code == 0
+    for line in lines:
+        assert f"\n{line}\n" in out
+
+
 def test_audit_below_threshold(capsys):
     code, out = run_cli(
         capsys, "audit", "--alpha", "0.25", "--trials", "10000", "--seed", "5",
@@ -733,6 +765,7 @@ def _canonical_map(player: int, key: str, value) -> str:
 # json writes float("inf") as Infinity, which json.load reads back as inf.
 INFINITE_DOC = _canonical_map(1, "100", float("inf"))
 NOT_A_PAYOFF = "must be a finite number or a rational string, got"
+TINY_STAR_DOC = json.dumps({"u_only": "1e1000", "u_all": "1", "u_none": "0"})
 
 PD_DOC = json.dumps({
     "strategies": [["cooperate", "defect"], ["cooperate", "defect"]],
@@ -853,6 +886,11 @@ PD_DOC = json.dumps({
         ["alpha-star", "--utilities", 'DOC:{"u_only": true, "u_all": 1, "u_none": 0}'],
         ["alpha-star", "--utilities", f"DOC:{_canonical_map(3, '011', False)}"],
         ["dominance", "--builtin", "bounded-r2", "--u-all", "1/0"],
+        # An alpha* of about 1e-500, whose half rounds to 0.
+        ["audit", "--alpha", "auto", "--trials", "10000", "--seed", "1",
+         "--utilities", f"DOC:{TINY_STAR_DOC}"],
+        ["simulate", "--alpha", "auto", "--trials", "10", "--seed", "1",
+         "--utilities", f"DOC:{TINY_STAR_DOC}"],
     ],
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
@@ -872,7 +910,8 @@ PD_DOC = json.dumps({
         "utilities-missing-player-map", "utilities-short-key", "game-one-payoff",
         "game-key-three-labels", "game-no-players", "utilities-map-infinity",
         "audit-auto-map-infinity", "u-only-inf", "u-only-nan", "utilities-scalar-bool",
-        "utilities-map-bool", "u-all-zero-denominator",
+        "utilities-map-bool", "u-all-zero-denominator", "audit-auto-alpha-star-underflows",
+        "simulate-auto-alpha-star-underflows",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -932,6 +971,7 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
         'DOC:{"u_only": true, "u_all": 1, "u_none": 0}': f"u_only {NOT_A_PAYOFF} True",
         f"DOC:{_canonical_map(3, '011', False)}": f"payoff of player 3 at '011' {NOT_A_PAYOFF} False",
         "1/0": f"--u-all {NOT_A_PAYOFF} '1/0'",
+        f"DOC:{TINY_STAR_DOC}": "--alpha auto found an alpha* below the float range; give --alpha",
     }
     if argv[-1] in ends:
         assert err.endswith(f"{ends[argv[-1]]}\n")

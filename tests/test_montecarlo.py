@@ -209,15 +209,27 @@ def test_mean_utility_does_not_overflow_near_the_largest_float():
     assert mean == 0.0 and se == pytest.approx(1.7e308, rel=1e-15)
 
 
-def test_utilities_lookup():
-    table = canonical_table()
+def test_mean_utility_is_an_exact_sum_over_info_vectors():
+    # Player 1's payoffs 1, -1/2 and 0 (a cap hit carries 000); player 2's 1, 2 and 0.
     stats = montecarlo.TrialStats(
         iterations=np.array([1, 2, 3]),
         causes=np.array([0, 1, 3], dtype=np.uint8),
         info=np.array([[1, 1, 1], [0, 1, 0], [0, 0, 0]], dtype=np.uint8),
     )
-    np.testing.assert_allclose(stats.utilities(table, 1), [1.0, -0.5, 0.0])
-    np.testing.assert_allclose(stats.utilities(table, 2), [1.0, 2.0, 0.0])
+    table = canonical_table()
+    mean, se = stats.mean_utility(table, 1)
+    # Sample variance ((5/6)**2 + (2/3)**2 + (1/6)**2) / 2 = 7/12.
+    assert type(mean) is Fraction and mean == Fraction(1, 6)
+    assert se == pytest.approx((7 / 36) ** 0.5, rel=1e-15)
+    mean, se = stats.mean_utility(table, 2)
+    assert mean == 1 and se == pytest.approx((1 / 3) ** 0.5, rel=1e-15)
+    # A constant sample has no spread at all, whatever its payoff.
+    constant = montecarlo.TrialStats(
+        iterations=np.ones(10_000, dtype=np.int64),
+        causes=np.zeros(10_000, dtype=np.uint8),
+        info=np.ones((10_000, 3), dtype=np.uint8),
+    )
+    assert constant.mean_utility(UtilityTable.from_scalars(2, "0.7", 0), 1) == (Fraction(7, 10), 0.0)
 
 
 def test_sampler_reproducible():

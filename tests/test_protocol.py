@@ -2,7 +2,8 @@
 
 import pytest
 
-from ratshare.engine import _PRED, _SUCC
+from ratshare.engine import MOfNExchange
+from ratshare.lifts import TwoOfNExchange, partition_players
 from ratshare.protocol import (
     CoinTriple,
     broadcast_rule,
@@ -13,17 +14,31 @@ from ratshare.protocol import (
 
 
 def test_ring_wraparound():
-    assert _SUCC[3] == 1
-    assert _PRED[1] == 3
-    assert _SUCC[1] == 2
-    assert _PRED[2] == 1
+    # The 3-ring's last leader passes to its first, and the first hears
+    # from the last.
+    game = MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3, alpha=0.5, profile=None,
+                        seed=0, trial=0, cap=10, record=False)
+    assert game.succ[3] == 1
+    assert game.pred[1] == 3
+    assert game.succ[1] == 2
+    assert game.pred[2] == 1
 
 
 def test_ring_successor_predecessor_inverse():
-    assert set(_SUCC) == set(_PRED) == {1, 2, 3}
-    for i in (1, 2, 3):
-        assert _PRED[_SUCC[i]] == i
-        assert _SUCC[_PRED[i]] == i
+    # On the 3-ring and on both lifts (whose leaders are 1, 2, 3 and 1, 2,
+    # 4), succ and pred are inverse and form one 3-cycle in leaders order.
+    run = dict(alpha=0.5, profile=None, seed=0, trial=0, cap=10, record=False)
+    for game in (
+        MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3, **run),
+        MOfNExchange(5, *partition_players(6, 3), 3, **run),
+        TwoOfNExchange(5, 5, **run),
+    ):
+        leaders = game.leaders
+        assert set(game.succ) == set(game.pred) == set(leaders)
+        for k, leader in enumerate(leaders):
+            assert game.succ[leader] == leaders[(k + 1) % 3]
+            assert game.pred[game.succ[leader]] == leader
+            assert game.succ[game.pred[leader]] == leader
 
 
 def test_coin_triple_invariant():

@@ -1,8 +1,10 @@
 """Field elements, share issuance, reconstruction, tags, subshares."""
 
 import dataclasses
+import gc
 import hashlib
 import hmac
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -13,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from ratshare import cli
 from ratshare.shamir import (
-    _LATEST_SIZE,
+    _MAC_CACHE_SIZE,
     DEFAULT_PRIME,
     FieldElement,
     ReconstructionError,
@@ -349,11 +351,12 @@ def test_tag_soundness_under_mutation(field, delta, secret):
 )
 def test_mac_is_hmac_sha256(key_len, data):
     # Keys up to the 64-byte block are padded, longer ones hashed first;
-    # several messages per issuer show a tag leaves the keyed state as it was.
+    # several messages per issuer, some repeated, show a tag leaves the
+    # keyed state as it was and a cached tag is the message's MAC.
     key = data.draw(st.binary(min_size=key_len, max_size=key_len), label="key")
     issuer = ShareIssuer(key, modulus=13)
-    for msg in data.draw(st.lists(st.binary(max_size=300), min_size=1, max_size=4)):
-        assert issuer._mac(msg) == hmac.new(key, msg, hashlib.sha256).digest()
+    for msg in data.draw(st.lists(st.text(max_size=300), min_size=1, max_size=4)) * 2:
+        assert issuer._mac(msg) == hmac.new(key, msg.encode(), hashlib.sha256).digest()
 
 
 def test_other_key_rejects(issuer13):
@@ -404,18 +407,33 @@ def test_tags_and_verification_agree_with_an_hmac_oracle(key, p, n, data):
     assert not issuer.verify_tag(mutant)
 
 
-def test_items_of_an_earlier_issue_verify_by_recomputation(issuer13, monkeypatch):
+def test_items_of_an_earlier_issue_verify_by_recomputation(issuer13):
     old = issuer13.issue_shares(fe(7), m=2, n=3, epoch=0, rng=Random(1))
     old_subs = issuer13.split_subshares(old[0], 3, Random(2))
-    issuer13.issue_shares(fe(7), m=2, n=3, epoch=1, rng=Random(3))
+    # Later issues tag more distinct messages than the cache keeps.
+    rng = Random(3)
+    for epoch in range(10, 10 + _MAC_CACHE_SIZE):
+        issuer13.issue_shares(fe(7), m=2, n=3, epoch=epoch, rng=rng)
 
-    macs = []
-    real = issuer13._mac
-    monkeypatch.setattr(issuer13, "_mac", lambda msg: macs.append(msg) or real(msg))
+    before = issuer13._mac.cache_info().misses
     for item in [*old, *old_subs]:
         assert issuer13.verify_tag(item)
         assert not issuer13.verify_tag(dataclasses.replace(item, epoch=5))
-    assert len(macs) == 2 * (len(old) + len(old_subs))
+    assert issuer13._mac.cache_info().misses - before == 2 * (len(old) + len(old_subs))
+
+
+def test_remembered_tags_are_bounded_and_kept_for_one_epoch():
+    issuer = ShareIssuer(b"bound", modulus=DEFAULT_PRIME)
+    rng = Random(0)
+    for epoch in range(10_000):
+        secret = FieldElement(rng.randrange(DEFAULT_PRIME), DEFAULT_PRIME)
+        shares = issuer.issue_shares(secret, 2, 3, epoch, rng)
+        assert issuer._mac.cache_info().currsize <= _MAC_CACHE_SIZE
+    info = issuer._mac.cache_info()
+    assert info.misses == 30_000 and info.currsize == _MAC_CACHE_SIZE
+    # The latest items are still cached: verifying them computes no MAC.
+    assert all(issuer.verify_tag(s) for s in shares)
+    assert issuer._mac.cache_info().misses == 30_000
 
 
 @given(
@@ -425,48 +443,77 @@ def test_items_of_an_earlier_issue_verify_by_recomputation(issuer13, monkeypatch
             st.integers(min_value=2, max_value=6),  # n, or the subshare count
             st.integers(min_value=0, max_value=100),  # which earlier share to split
         ),
-        max_size=25,
+        max_size=100,
     )
 )
-def test_remembered_tags_never_outlast_one_issue(ops):
+def test_the_tag_cache_stays_bounded_over_issues_and_splits(ops):
     issuer = ShareIssuer(b"bounded", modulus=101)
     rng = Random(0)
     issued: list[Share] = []
-    latest_n, latest_epoch, count = 0, None, 1
     for epoch, (op, size, pick) in enumerate(ops):
         if op == "issue":
-            issued += issuer.issue_shares(fe(5, 101), 2, size, epoch, rng)
-            latest_n, latest_epoch, count = size, epoch, 1
+            items = issuer.issue_shares(fe(5, 101), 2, size, epoch, rng)
+            issued += items
         elif issued:
-            issuer.split_subshares(issued[pick % len(issued)], size, rng)
-            count = max(count, size)
-        # Each issue has an epoch of its own, so only items of the latest
-        # issue are remembered: each of its shares, or in its place the
-        # subshares of that share's first split.
-        assert len(issuer._latest) <= latest_n * count
-        assert {msg.split(b"|")[2] for msg in issuer._latest} <= {str(latest_epoch).encode()}
+            items = issuer.split_subshares(issued[pick % len(issued)], size, rng)
+        else:
+            continue
+        # Each tag computed enters the cache until it is full, and the
+        # items just made are still there: verifying them computes no MAC.
+        info = issuer._mac.cache_info()
+        assert info.currsize == min(info.misses, _MAC_CACHE_SIZE)
+        assert all(issuer.verify_tag(item) for item in items)
+        assert issuer._mac.cache_info().misses == info.misses
+
+
+def test_the_tag_cache_is_keyed_by_the_message(issuer13):
+    # 1 == True == 1.0, but each writes a message of its own, so an epoch
+    # of True or 1.0 does not match the cached tag of epoch 1.
+    share = issuer13.issue_shares(fe(7), m=2, n=3, epoch=1, rng=Random(0))[0]
+    assert issuer13.verify_tag(share)
+    for epoch in (True, 1.0):
+        assert not issuer13.verify_tag(dataclasses.replace(share, epoch=epoch))
+
+
+def test_an_issuer_is_freed_without_the_garbage_collector():
+    # The engine builds an issuer per run: its cached MAC must not hold a
+    # reference back to it.
+    gc.disable()
+    try:
+        issuer = ShareIssuer(b"cycle", modulus=13)
+        assert issuer.verify_tag(issuer.issue_shares(fe(3), 2, 3, 0, Random(0))[0])
+        refs = weakref.ref(issuer), weakref.ref(issuer._mac)
+        del issuer
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_two_of_n_issue_remembers_each_subshare_once(issuer13):
     shares = issuer13.issue_shares(fe(4), m=2, n=2, epoch=0, rng=Random(0))
-    for share in shares:
-        issuer13.split_subshares(share, 4, Random(1))
-    assert len(issuer13._latest) == 8
-    # A second split of the same share is tagged but not remembered.
-    subs = issuer13.split_subshares(shares[0], 4, Random(2))
-    assert len(issuer13._latest) == 8
-    assert all(issuer13.verify_tag(s) for s in subs)
+    subs = [s for share in shares for s in issuer13.split_subshares(share, 4, Random(1))]
+    assert issuer13._mac.cache_info().misses == 2 + 8
+    # Verifying the epoch's items is a lookup.
+    assert all(issuer13.verify_tag(item) for item in [*shares, *subs])
+    assert issuer13._mac.cache_info().misses == 2 + 8
 
 
 def test_an_epoch_computes_each_tag_once(capsys, monkeypatch):
     # The round trip issues all p**m polynomials of m = 1, 2, 3 at epoch 0,
-    # which have n * p = 21 distinct points (1,197 shares at p = 7).
-    macs = []
-    real = ShareIssuer._mac
-    monkeypatch.setattr(ShareIssuer, "_mac", lambda self, msg: macs.append(msg) or real(self, msg))
-    assert cli.main(["hiding", "--prime", "7"]) == 0
-    assert "all-pass = true" in capsys.readouterr().out
-    assert len(macs) == len(set(macs)) == 21
+    # which have n * p distinct points (21 of 1,197 shares at p = 7).
+    issuers = []
+    init = ShareIssuer.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        issuers.append(self)
+
+    monkeypatch.setattr(ShareIssuer, "__init__", keep)
+    for p, points in ((7, 21), (13, 39)):
+        assert cli.main(["hiding", "--prime", str(p)]) == 0
+        assert "all-pass = true" in capsys.readouterr().out
+        assert [issuer._mac.cache_info().misses for issuer in issuers] == [points]
+        issuers.clear()
 
 
 def test_remembered_tags_are_the_macs_of_their_messages():
@@ -476,25 +523,13 @@ def test_remembered_tags_are_the_macs_of_their_messages():
     for secret, slope in product(range(13), repeat=2):
         shares = issuer.issue_shares(fe(secret), 2, 3, 5, rng, coefficients=[slope])
         items += shares + issuer.split_subshares(shares[secret % 3], 2 + secret % 3, rng)
-    fresh = ShareIssuer(b"memo", modulus=13)
-    assert issuer._latest
-    for msg, tag in issuer._latest.items():
-        assert tag == fresh._mac(msg)
+    for item in items[-20:]:
+        msg = "|".join(map(str, oracle_fields(issuer, item)))
+        hits = issuer._mac.cache_info().hits
+        assert issuer._mac(msg) == oracle_tag(b"memo", *oracle_fields(issuer, item))
+        assert issuer._mac.cache_info().hits == hits + 1
     for item in items:
         assert item.tag == oracle_tag(b"memo", *oracle_fields(issuer, item))
-
-
-def test_remembered_tags_are_bounded_and_kept_for_one_epoch():
-    issuer = ShareIssuer(b"bound", modulus=DEFAULT_PRIME)
-    rng = Random(0)
-    sizes = set()
-    for _ in range(10_000):
-        issuer.issue_shares(FieldElement(rng.randrange(DEFAULT_PRIME), DEFAULT_PRIME), 2, 3, 7, rng)
-        sizes.add(len(issuer._latest))
-    assert max(sizes) <= _LATEST_SIZE
-    assert min(sizes) == 3  # emptied when full, not only at a new epoch
-    shares = issuer.issue_shares(FieldElement(1, DEFAULT_PRIME), 2, 4, 8, rng)
-    assert sorted(issuer._latest.values()) == sorted(s.tag for s in shares)
 
 
 def _public(item):

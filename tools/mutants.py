@@ -52,7 +52,7 @@ MUTANTS = [
            "row += v >= edge", "row += v > edge",
            "tests/test_montecarlo.py::test_sampler_matches_searchsorted_oracle"),
     Mutant("tag-check-always-passes", "src/ratshare/shamir.py",
-           "return hmac.compare_digest(item.tag, expected)", "return True",
+           "return hmac.compare_digest(item.tag, self._mac(msg))", "return True",
            "tests/test_shamir.py::test_tags_and_verification_agree_with_an_hmac_oracle"),
     Mutant("withhold-closed-form-scaled", "src/ratshare/analysis.py",
            "table.u_none(player)) / (a2 + b2)", "table.u_none(player)) / (a2 + b2) * 1.0001",
@@ -63,11 +63,8 @@ MUTANTS = [
     Mutant("expected-steps-plus-one", "src/ratshare/analysis.py",
            "return STEPS_PER_ITERATION / cube if cube", "return STEPS_PER_ITERATION / cube + 1 if cube",
            "tests/test_montecarlo.py::test_kernel_matches_closed_forms_exactly"),
-    Mutant("tag-memo-kept-across-epochs", "src/ratshare/shamir.py",
-           "if epoch != self._latest_epoch or len(latest)", "if len(latest)",
-           "tests/test_shamir.py::test_remembered_tags_are_bounded_and_kept_for_one_epoch"),
-    Mutant("tag-memo-unbounded", "src/ratshare/shamir.py",
-           " or len(latest) + n > _LATEST_SIZE:", ":",
+    Mutant("tag-cache-unbounded", "src/ratshare/shamir.py",
+           "@lru_cache(maxsize=_MAC_CACHE_SIZE)", "@lru_cache(maxsize=None)",
            "tests/test_shamir.py::test_remembered_tags_are_bounded_and_kept_for_one_epoch"),
     Mutant("reconstruct-unreduced", "src/ratshare/shamir.py",
            "for s, w in zip(shares, weights)) % p", "for s, w in zip(shares, weights))",
@@ -82,10 +79,10 @@ MUTANTS = [
            "if len(parities) > 1:", "if len(parities) > 3:",
            "tests/test_lifts.py::test_honest_lift_checks_parity_agreement"),
     Mutant("audit-thirty-standard-errors", "src/ratshare/analysis.py",
-           "mc - float_view(baseline) > 3 * se", "mc - float_view(baseline) > 30 * se",
+           "(mc - baseline) / 3 > se", "(mc - baseline) / 30 > se",
            "tests/test_analysis.py::test_audit_flags_a_sampled_gain_past_three_standard_errors"),
     Mutant("population-standard-deviation", "src/ratshare/montecarlo.py",
-           "u.std(ddof=1)", "u.std(ddof=0)",
+           "(n - 1) * n * n * den * den", "n * n * n * den * den",
            "tests/test_montecarlo.py::test_mean_utility_uses_the_sample_standard_deviation"),
     Mutant("closed-form-ties-profit", "src/ratshare/analysis.py",
            "closed > baseline", "closed >= baseline",
@@ -99,6 +96,9 @@ MUTANTS = [
     Mutant("audit-withhold-in-float", "src/ratshare/analysis.py",
            "withhold_lhs(Fraction(alpha), table, deviator)", "withhold_lhs(alpha, table, deviator)",
            "tests/test_analysis.py::test_withhold_verdict_at_the_threshold_is_exact"),
+    Mutant("audit-verdict-in-float", "src/ratshare/analysis.py",
+           "(mc - baseline) / 3 > se", "float_view(mc) - float_view(baseline) > 3 * se",
+           "tests/test_analysis.py::test_audit_verdict_is_decided_in_exact_rationals"),
     # The one payoff rule.
     Mutant("payoff-parser-accepts-non-finite", "src/ratshare/strategies.py",
            "math.isfinite(u) if isinstance(u, float) else isinstance(u, (int, str))",
@@ -117,6 +117,9 @@ MUTANTS = [
     Mutant("two-of-n-learns-one-subshare-short", "src/ratshare/lifts.py",
            ">= self.n - 1", ">= self.n - 2",
            "tests/test_engine.py::test_replayed_payload_of_an_earlier_epoch_is_stale"),
+    Mutant("two-of-n-forgets-earlier-epochs", "src/ratshare/lifts.py",
+           "return state.learned_earlier or all(", "return all(",
+           "tests/test_engine.py::test_what_an_earlier_epoch_taught_is_kept"),
     Mutant("no-partial-info-guard", "src/ratshare/engine.py",
            "if self.honest and any(info) and not all(info):", "if False:",
            "tests/test_lifts.py::test_honest_guard_rejects_a_partial_info_vector"),
@@ -135,7 +138,7 @@ MUTANTS = [
            "tests/test_dominance.py::test_survival_needs_every_players_strategy_to_survive"),
     # Bit delivery, epochs, stale items, the kernel's message counts and the dump.
     Mutant("masked-bit-kept-by-sender", "src/ratshare/engine.py",
-           "states[pred].masked_from_succ = bit", "st.masked_from_succ = bit",
+           "states[pred[pid]].masked_from_succ = bit", "st.masked_from_succ = bit",
            "tests/test_engine.py::test_honest_parity_agreement_and_atomicity_all_64"),
     Mutant("no-epoch-check", "src/ratshare/engine.py",
            "or item.epoch != state.epoch:", ":",
