@@ -32,8 +32,6 @@ import sys
 import time
 from functools import cache, partial
 
-import numpy as np
-
 from . import analysis, dominance, montecarlo, transcript
 from .engine import DEFAULT_CAP, InvariantViolationError, check_run_config, run_mechanism
 from .protocol import MessageKind, TerminalCause
@@ -45,7 +43,7 @@ from .shamir import (
     round_trip_reconstructions,
 )
 from .strategies import (
-    TableSizeError, UtilityTable, deviation_profile, parse_deviation, parse_payoff,
+    TableSizeError, UtilityTable, deviation_profile, info_key, parse_deviation, parse_payoff,
 )
 
 
@@ -209,9 +207,8 @@ def cmd_simulate(args) -> Section:
     section.add("mean-total-steps", float(stats.total_steps.mean()))
     section.add("honest-expected-steps", analysis.expected_steps(alpha))
     if deviation is not None:
-        absorbed = int(np.count_nonzero(stats.causes != montecarlo.CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT]))
-        only = tuple(1 if p == deviator else 0 for p in (1, 2, 3))
-        only_count = int(histogram["".join(map(str, only))])
+        absorbed = args.trials - cause_counts[TerminalCause.ITERATION_CAP_HIT]
+        only_count = histogram[info_key(tuple(int(p == deviator) for p in (1, 2, 3)))]
         section.add("deviant.absorbed-count", absorbed)
         section.add(
             "deviant.only-deviator-learned-fraction",
@@ -304,7 +301,7 @@ def cmd_dominance(args) -> Section:
             setattr(args, dest, value)
     table = _load_table(args) if not args.game else None
     game, labels = _build_game(args, table)
-    if args.profile:
+    if args.profile is not None:
         labels = args.profile.split(",")
     recommended = None
     if labels is not None:

@@ -7,14 +7,17 @@ utility tables, `strategies.parse_payoff`, applied once per distinct raw
 value.  Weak dominance only compares one player's payoffs with each
 other, so a game also keeps, per player, the rank of each payoff among
 that player's distinct exact values; comparisons run on these small
-integers, and ties stay ties.  (A common denominator would not do: a
-`Fraction(float)` such as `Fraction(1e-300)` has a denominator near
-2**1049, far past int64.)  Deletion removes, simultaneously for every
-player, every strategy that some other pure strategy weakly dominates
-against the current restriction sets, and repeats to a fixpoint; each
-check compares all pairs of a player's strategies in one array
-operation.  Dominators are pure strategies only; mixed dominators would
-need an LP and none of the desk-scale demonstrations here require them.
+integers, and ties stay ties.  The ranks come from a sort on each
+value's float, which rounding never reverses, with exact comparisons
+only between values whose floats tie.  (A common denominator would not
+do: adversarial denominators make it arbitrarily large, and
+`Fraction(1e-300)` alone has one near 2**1049.)  Deletion removes,
+simultaneously for every player, every strategy that some other pure
+strategy weakly dominates against the current restriction sets, and
+repeats to a fixpoint; each check compares all pairs of a player's
+strategies in one array operation.  Dominators are pure strategies
+only; mixed dominators would need an LP and none of the desk-scale
+demonstrations here require them.
 
 The builders materialize, from a valid 2-player utility table (checked
 by `UtilityTable.require(2)`), tiny two-player share-exchange games whose
@@ -34,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .strategies import UtilityTable, parse_payoff
+from .strategies import UtilityTable, float_view, parse_payoff
 
 Profile = tuple[int, ...]
 
@@ -127,8 +130,10 @@ class NormalFormGame:
                 raise ValueError(_BAD_PAYOFFS.format(key))
             try:
                 values = tuple(map(parse, us))
-            except (TypeError, ValueError):  # TypeError: an unhashable value
+            except TypeError:  # an unhashable value
                 raise ValueError(_BAD_PAYOFFS.format(key)) from None
+            except ValueError as exc:
+                raise ValueError(f"payoffs of {key!r}: {exc}") from None
             labels = key.split(",")
             if len(labels) != len(strategies):
                 raise ValueError(
@@ -153,7 +158,10 @@ def _rank_rows(values, shape: tuple[int, ...], axis: int) -> np.ndarray:
     # which hash far faster than Fractions.
     keys = [(u.numerator, u.denominator) for u in values]
     distinct = dict(zip(keys, values))
-    rank = {key: r for r, key in enumerate(sorted(distinct, key=distinct.__getitem__))}
+    # Correctly rounded floats never reverse an order, so they sort the
+    # values and exact comparisons only break float ties.
+    order = sorted(zip(map(float_view, distinct.values()), distinct.values(), distinct))
+    rank = {key: r for r, (_, _, key) in enumerate(order)}
     flat = np.fromiter((rank[key] for key in keys), dtype=np.int64, count=len(keys))
     return np.moveaxis(flat.reshape(shape), axis, 0).reshape(shape[axis], -1)
 

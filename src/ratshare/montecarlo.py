@@ -6,9 +6,13 @@ pattern.  `iteration_kernel` asks the message-level engine what one
 iteration does under each of the 8 patterns, for the honest profile or
 one catalogued deviation; `sample_runs` weights the patterns by each
 player's `coin_bias`, read from its strategy, and draws each trial from
-two uniforms at fixed offsets of one Philox stream.  Cost is O(trials)
-at any alpha, trial t does not depend on the batch size, and the engine
-and the strategies are the only definition of what an iteration does.
+two uniforms at fixed offsets of one Philox stream.  A trial is its
+iteration count and its outcome, an index into OUTCOMES, the 32 pairs
+of terminal cause and info vector; cause counts, the info histogram and
+the exact mean payoff all read one count per outcome.  Cost is
+O(trials) at any alpha, trial t does not depend on the batch size, and
+the engine and the strategies are the only definition of what an
+iteration does.
 The kernel also counts each pattern's messages by kind; `expected_run`
 turns it into a run's expected iterations and messages, which size a
 transcript dump before it is written.
@@ -44,67 +48,53 @@ CAUSE_ORDER = (
     TerminalCause.MISSING_BIT_ABORT,
     TerminalCause.ITERATION_CAP_HIT,
 )
-CAUSE_CODE = {cause: idx for idx, cause in enumerate(CAUSE_ORDER)}
 
 # The 8 send-intent patterns (c1, c2, c3), also the 8 info vectors; row
 # 4*c1 + 2*c2 + c3.
 _VECTORS = list(product((0, 1), repeat=3))
 PATTERNS = np.array(_VECTORS, dtype=bool)
 _PATTERN_CODE = np.array([4, 2, 1], dtype=np.int64)
+# How a run can end: a terminal cause and an info vector, at index
+# 8 * (the cause's place in CAUSE_ORDER) + (the vector's row).
+OUTCOMES = tuple((cause, vec) for cause in CAUSE_ORDER for vec in _VECTORS)
+# A run that restarts until the cap stops there, and nobody learns.
+_CAP_OUTCOME = OUTCOMES.index((TerminalCause.ITERATION_CAP_HIT, (0, 0, 0)))
 # One profile's iteration table: a column per field, a row per pattern;
 # `sent` and `extra_sent` have one column per MessageKind, in its order.
-Kernel = namedtuple("Kernel", "restart info extra cause sent extra_sent")
+Kernel = namedtuple("Kernel", "restart outcome extra sent extra_sent")
 
 
 @dataclass
 class TrialStats:
-    """Per-trial outcomes of a batch of runs."""
+    """Per-trial results of a batch of runs: the iterations, and how the run
+    ended as an index into OUTCOMES."""
 
     iterations: np.ndarray
-    causes: np.ndarray
-    info: np.ndarray
+    outcomes: np.ndarray
 
     @classmethod
-    def from_outcomes(cls, outcomes: Iterable[RunOutcome]) -> TrialStats:
+    def from_outcomes(cls, runs: Iterable[RunOutcome]) -> TrialStats:
         """Collect engine runs, trial by trial; keeps no transcript."""
-        iterations, causes, info = [], [], []
-        for outcome in outcomes:
-            iterations.append(outcome.iterations)
-            causes.append(CAUSE_CODE[outcome.cause])
-            info.append(outcome.info)
-        return cls(
-            np.array(iterations, dtype=np.int64),
-            np.array(causes, dtype=np.uint8),
-            np.array(info, dtype=np.uint8).reshape(-1, 3),
-        )
+        iterations, outcomes = [], []
+        for run in runs:
+            iterations.append(run.iterations)
+            outcomes.append(OUTCOMES.index((run.cause, run.info)))
+        return cls(np.array(iterations, dtype=np.int64), np.array(outcomes, dtype=np.uint8))
 
     @property
     def total_steps(self) -> np.ndarray:
         return STEPS_PER_ITERATION * self.iterations
 
+    def _counts(self) -> np.ndarray:
+        """How many trials ended in each outcome: a row per cause in
+        CAUSE_ORDER, a column per info vector's row."""
+        return np.bincount(self.outcomes, minlength=len(OUTCOMES)).reshape(len(CAUSE_ORDER), -1)
+
     def cause_counts(self) -> dict[TerminalCause, int]:
-        return {
-            cause: int(np.count_nonzero(self.causes == code))
-            for cause, code in CAUSE_CODE.items()
-        }
-
-    def _info_codes(self) -> np.ndarray:
-        """Each trial's info vector as its pattern row, 4*i1 + 2*i2 + i3."""
-        codes = self.info[:, 0] << 2
-        codes |= self.info[:, 1] << 1
-        codes |= self.info[:, 2]
-        return codes
-
-    def _info_counts(self) -> list[int]:
-        """How many trials ended in each info vector, by pattern row."""
-        # One count_nonzero per row: np.bincount first casts the uint8 codes
-        # to intp and takes about 2.7 times as long (0.36 against 0.13 ms
-        # at 10**5 trials).
-        codes = self._info_codes()
-        return [int(np.count_nonzero(codes == row)) for row in range(len(_VECTORS))]
+        return dict(zip(CAUSE_ORDER, self._counts().sum(axis=1).tolist()))
 
     def info_histogram(self) -> dict[str, int]:
-        return {info_key(vec): count for vec, count in zip(_VECTORS, self._info_counts())}
+        return dict(zip(map(info_key, _VECTORS), self._counts().sum(axis=0).tolist()))
 
     def mean_utility(self, table: UtilityTable, player: int) -> tuple[Fraction, float]:
         """(mean, standard error) of the player's payoff; cap-hit trials carry the
@@ -119,7 +109,7 @@ class TrialStats:
         payoffs = [table.payoff(player, vec) for vec in _VECTORS]
         den = math.lcm(*(u.denominator for u in payoffs))
         nums = [u.numerator * (den // u.denominator) for u in payoffs]
-        counts = self._info_counts()
+        counts = self._counts().sum(axis=0).tolist()
         n = sum(counts)
         total = sum(c * a for c, a in zip(counts, nums))
         mean = Fraction(total, n * den)
@@ -137,10 +127,10 @@ def iteration_kernel(deviation: str | None, deviator: int | None) -> Kernel:
 
     Runs the engine once per pattern with the coins forced (masking bits
     0, cap 2, so a restarting pattern restarts again and hits the cap) and
-    records whether every player asked for a restart, who learned, the
-    abort iterations that follow a stop (iterations - 1), the cause code,
-    and the messages of each kind sent by the pattern's iteration and by
-    the iterations after it.  Forced coins make the table independent of
+    records whether every player asked for a restart, the run's outcome
+    (its index in OUTCOMES), the abort iterations that follow a stop
+    (iterations - 1), and the messages of each kind sent by the pattern's
+    iteration and by the iterations after it.  Forced coins make the table independent of
     alpha, alpha' and the seed; a strategy's `coin_bias` only draws coins.
     """
     profile = deviation_profile(deviation, deviator, 1.0)
@@ -149,8 +139,8 @@ def iteration_kernel(deviation: str | None, deviator: int | None) -> Kernel:
         forced = {p: ForcedCoins([(int(pattern[p - 1]), 0)] * 2, profile.get(p)) for p in (1, 2, 3)}
         out = engine.run_mechanism(5, 0.5, forced, seed=0, cap=2, record=True)
         first, *after = out.transcripts
-        rows.append((out.cause == TerminalCause.ITERATION_CAP_HIT, out.info,
-                     out.iterations - 1, CAUSE_CODE[out.cause],
+        rows.append((out.cause == TerminalCause.ITERATION_CAP_HIT,
+                     OUTCOMES.index((out.cause, out.info)), out.iterations - 1,
                      _kind_counts([first]), _kind_counts(after)))
     kernel = Kernel(*(np.array(column) for column in zip(*rows)))
     for column in kernel:
@@ -166,16 +156,16 @@ def _kind_counts(transcripts) -> list[int]:
 
 def iteration_outcome(
     coins: np.ndarray, deviation: str | None, deviator: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Look up one iteration for each row of a (T, 3) coin matrix.
 
-    Returns the profile's kernel columns restart, info, extra and cause
-    at each row's send-intent pattern.  Columns are players 1..3;
+    Returns the profile's kernel columns restart, outcome and extra at
+    each row's send-intent pattern.  Columns are players 1..3;
     `deviation` of None means all honest.
     """
     kernel = iteration_kernel(deviation, deviator if deviation is not None else None)
     codes = np.asarray(coins, dtype=np.int64) @ _PATTERN_CODE
-    return tuple(column[codes] for column in (kernel.restart, kernel.info, kernel.extra, kernel.cause))
+    return tuple(column[codes] for column in (kernel.restart, kernel.outcome, kernel.extra))
 
 
 def pattern_weights(alpha, profile: dict[int, Strategy]) -> np.ndarray:
@@ -203,7 +193,8 @@ def expected_run(alpha: float, profile: dict[int, Strategy], kernel: Kernel,
     # What one drawn pattern adds to a run, in iterations and in messages.
     drawn = weight.sum() + ends @ kernel.extra
     sent = weight @ kernel.sent + ends @ kernel.extra_sent
-    iterations = min(cap, drawn / ending) if ending else cap
+    with np.errstate(over="ignore"):  # a subnormal `ending`: past the cap
+        iterations = min(cap, drawn / ending) if ending else cap
     return iterations, sent * (iterations / drawn)
 
 
@@ -227,26 +218,25 @@ def sample_runs(
     """
     engine.check_run_config(alpha, cap)
     profile = deviation_profile(deviation, deviator, alpha_prime)
-    restart, info, extra, cause = iteration_outcome(PATTERNS, deviation, deviator)
+    restart, outcome, extra = iteration_outcome(PATTERNS, deviation, deviator)
     absorbing, cdf = absorbing_weights(alpha, profile, restart)
-    # One row per absorbing pattern, then a cap row for a trial that
-    # restarts `cap` times: it stops at the cap and nobody learns.
+    # One row per absorbing pattern, then the cap row of a trial that
+    # restarts `cap` times.
     cap_row = absorbing.size
-    info_rows = np.zeros((cap_row + 1, 3), dtype=np.uint8)
-    info_rows[:cap_row] = info[absorbing]
-    cause_rows = np.append(cause[absorbing], CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT]).astype(np.uint8)
+    outcome_rows = np.append(outcome[absorbing], _CAP_OUTCOME).astype(np.uint8)
     extra_rows = np.append(extra[absorbing], 0)
     if not cap_row:
         # No pattern that ends a run has positive weight: the coin
         # probabilities underflow (alpha**3 does below about 1e-108), so
         # every trial restarts until the cap.
-        row = np.zeros(trials, dtype=np.intp)
-        return TrialStats(np.full(trials, cap, dtype=np.int64), cause_rows.take(row),
-                          info_rows.take(row, axis=0))
+        return TrialStats(np.full(trials, cap, dtype=np.int64),
+                          np.full(trials, outcome_rows[cap_row]))
 
     rng = derive_generator(seed, "mc", deviation or "honest", deviator or 0, alpha_prime or 0.0)
     u = rng.random((trials, 2))
-    with np.errstate(divide="ignore"):  # all absorb: weights sum to 1 up to rounding, k = 1
+    # All absorb: the weights sum to 1 up to rounding, and k = 1 (divide).  A
+    # subnormal absorbing weight: k overflows to inf, past the cap (over).
+    with np.errstate(divide="ignore", over="ignore"):
         k = np.log1p(-u[:, 0])
         k /= np.log1p(-min(cdf[-1], 1.0))
     np.floor(k, out=k)
@@ -263,7 +253,7 @@ def sample_runs(
     row[k > cap] = cap_row
     k += extra_rows.take(row)
     np.minimum(k, cap, out=k)
-    return TrialStats(k.astype(np.int64), cause_rows.take(row), info_rows.take(row, axis=0))
+    return TrialStats(k.astype(np.int64), outcome_rows.take(row))
 
 
 def sample_runs_reference(

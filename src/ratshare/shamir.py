@@ -12,7 +12,9 @@ each issuer's MAC is itself a bounded cache (its 256 most recent
 messages) that issuing, splitting and verifying all call: a point issued
 again, or an item verified, while its message is cached computes no
 MAC.  The cache is keyed by the message, not by an item's fields,
-because 1 == True == 1.0.
+because 1 == True == 1.0.  Each kind of message has one definition, a
+module function of the modulus, the epoch and the item's fields
+(`_share_msg`, `_subshare_msg`), that every caller builds in full.
 
 The parts that do not depend on the secret are built once: an issuer
 keeps its evaluation points x = 1..n, and the Lagrange weights at zero
@@ -200,6 +202,19 @@ def _keyed_mac(key: bytes):
     return mac
 
 
+# The MAC message of an item is "|"-joined: its kind, the modulus p, the
+# epoch (and a subshare's parent), then the item's own fields.  These two
+# functions are its only definition.
+
+
+def _share_msg(p: int, epoch: int, x: int, y: int) -> str:
+    return f"share|{p!s}|{epoch!s}|{x!s}|{y!s}"
+
+
+def _subshare_msg(p: int, epoch: int, parent: int, index: int, value: int) -> str:
+    return f"subshare|{p!s}|{epoch!s}|{parent!s}|{index!s}|{value!s}"
+
+
 def _eval_poly(coefficients: list[int], x: int, p: int) -> int:
     """Evaluate a0 + a1*x + ... at x mod p (Horner)."""
     acc = 0
@@ -223,29 +238,6 @@ class ShareIssuer:
         # The evaluation points x = 1, 2, ... built so far; an issue of n
         # shares uses the first n.
         self._xs: list[FieldElement] = []
-
-    # The MAC message of an item is "|"-joined: its kind, the modulus, the
-    # epoch (and a subshare's parent), then the item's own fields.  These
-    # four methods are its only definition; a caller that tags many items
-    # of one epoch passes the prefix it built once.
-
-    def _share_prefix(self, epoch: int) -> str:
-        return f"share|{self.modulus!s}|{epoch!s}|"
-
-    def _share_msg(self, epoch: int, x: int, y: int, prefix: str | None = None) -> str:
-        if prefix is None:
-            prefix = self._share_prefix(epoch)
-        return f"{prefix}{x!s}|{y!s}"
-
-    def _subshare_prefix(self, epoch: int, parent: int) -> str:
-        return f"subshare|{self.modulus!s}|{epoch!s}|{parent!s}|"
-
-    def _subshare_msg(
-        self, epoch: int, parent: int, index: int, value: int, prefix: str | None = None
-    ) -> str:
-        if prefix is None:
-            prefix = self._subshare_prefix(epoch, parent)
-        return f"{prefix}{index!s}|{value!s}"
 
     def issue_shares(
         self,
@@ -283,23 +275,23 @@ class ShareIssuer:
         xs = self._xs
         while len(xs) < n:
             xs.append(FieldElement(len(xs) + 1, p))
-        prefix = self._share_prefix(epoch)
-        encode, mac = self._share_msg, self._mac
+        mac = self._mac
         shares = []
         append = shares.append
         for x in xs[:n]:
             i = x.value
             y = _eval_poly(poly, i, p)
-            tag = mac(encode(epoch, i, y, prefix))
+            tag = mac(_share_msg(p, epoch, i, y))
             append(_share(i, x, _element(y, p), epoch, tag))
         return shares
 
     def verify_tag(self, item: Share | Subshare) -> bool:
         """True iff the tag matches the issuer's keyed code over the fields."""
         if isinstance(item, Share):
-            msg = self._share_msg(item.epoch, item.x.value, item.y.value)
+            msg = _share_msg(self.modulus, item.epoch, item.x.value, item.y.value)
         else:
-            msg = self._subshare_msg(item.epoch, item.parent_holder, item.index, item.value.value)
+            msg = _subshare_msg(self.modulus, item.epoch, item.parent_holder, item.index,
+                                item.value.value)
         return hmac.compare_digest(item.tag, self._mac(msg))
 
     def split_subshares(self, share: Share, count: int, rng: Random) -> list[Subshare]:
@@ -316,12 +308,11 @@ class ShareIssuer:
         values = [rng.randrange(p) for _ in range(count - 1)]
         values.append((share.y.value - sum(values)) % p)
         epoch, parent = share.epoch, share.holder
-        prefix = self._subshare_prefix(epoch, parent)
-        encode, mac = self._subshare_msg, self._mac
+        mac = self._mac
         subshares = []
         append = subshares.append
         for k, v in enumerate(values, start=1):
-            tag = mac(encode(epoch, parent, k, v, prefix))
+            tag = mac(_subshare_msg(p, epoch, parent, k, v))
             append(_subshare(parent, k, _element(v, p), epoch, tag))
         return subshares
 

@@ -28,6 +28,7 @@ read, and `sqrt_view` the float square root of an exact value.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -287,10 +288,17 @@ def deviation_profile(
 
 # --- payoffs, info vectors and utilities -------------------------------------
 
+# The largest decimal exponent a payoff string may carry, Python's own
+# limit on the digits of an int string: Fraction("1e10000000") alone
+# builds a ten-million-digit power, in about 12 s.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
 
 def parse_payoff(u, what: str = "payoff") -> Fraction:
     """`u` as an exact rational: a Fraction, a finite int or float, or a
-    rational string such as "1/3" or "0.1" (exactly 1/10).
+    rational string such as "1/3" or "0.1" (exactly 1/10), whose decimal
+    exponent is at most 4,300 in magnitude.
 
     Raises ValueError naming `what` and `u` for anything else, a bool,
     inf, nan and "1/0" among them.
@@ -298,6 +306,10 @@ def parse_payoff(u, what: str = "payoff") -> Fraction:
     if type(u) is Fraction:
         return u
     ok = math.isfinite(u) if isinstance(u, float) else isinstance(u, (int, str))
+    if isinstance(u, str) and (exponent := _EXPONENT.search(u)):
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"{what} has a decimal exponent past {_MAX_EXPONENT:,}, got {u!r}")
     if ok and not isinstance(u, bool):
         try:
             return Fraction(u)

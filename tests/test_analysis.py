@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ratshare import analysis, montecarlo
-from ratshare.protocol import MessageKind
+from ratshare.protocol import MessageKind, TerminalCause
 from ratshare.strategies import UtilityTable, canonical_table
 
 
@@ -296,8 +296,8 @@ def test_audit_verdict_is_decided_in_exact_rationals(monkeypatch):
     # 1e-20, which the float views of both payoffs (1.0) cannot tell apart.
     alone = montecarlo.TrialStats(
         iterations=np.ones(10_000, dtype=np.int64),
-        causes=np.ones(10_000, dtype=np.uint8),
-        info=np.tile(np.array([1, 0, 0], dtype=np.uint8), (10_000, 1)),
+        outcomes=np.full(10_000, montecarlo.OUTCOMES.index((TerminalCause.CHEAT_STOP, (1, 0, 0))),
+                         dtype=np.uint8),
     )
     monkeypatch.setattr(montecarlo, "sample_runs", lambda *args, **kw: alone)
     table = UtilityTable.from_scalars("1.00000000000000000001", 1, 0)

@@ -102,24 +102,35 @@ def test_deviant_simulate_builds_the_info_histogram_once(monkeypatch, capsys):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("deviant", [[], ["--deviant", "1:withhold"]], ids=["honest", "withhold"])
-def test_simulate_at_underflowing_alpha_hits_the_cap(deviant, capsys):
-    code, out = run_cli(capsys, "simulate", "--alpha", "1e-200", "--trials", "3", "--seed", "1",
-                        *deviant)
-    assert code == 0
+# At alpha 1e-310 and below the withholder's absorbing weight is subnormal:
+# the geometric draw of restarts overflows to inf, past the cap, quietly.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "alpha, deviant",
+    [("1e-200", []), ("1e-200", ["--deviant", "1:withhold"]),
+     ("1e-310", ["--deviant", "1:withhold"])],
+    ids=["honest", "withhold", "withhold-subnormal-weight"],
+)
+def test_simulate_at_underflowing_alpha_hits_the_cap(alpha, deviant, capsys):
+    code = main(["simulate", "--alpha", alpha, "--trials", "3", "--seed", "1", *deviant])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
     assert "cause.IterationCapHit.fraction = 1\n" in out
     assert f"mean-iterations = {DEFAULT_CAP}\n" in out
     assert "honest-expected-steps = inf\n" in out
 
 
+@pytest.mark.filterwarnings("error")
 def test_audit_at_underflowing_alpha_finds_no_incentive(capsys):
-    code, out = run_cli(capsys, "audit", "--alpha", "1e-300", "--trials", "10000", "--seed", "1")
-    assert code == 0
-    # Every run of every profile hits the cap, where nobody learns.
-    estimates = [line for line in out.splitlines() if ".mc-estimate = " in line]
-    assert len(estimates) == 15
-    assert all(line.endswith(" = 0") for line in estimates)
-    assert "any-profitable = false\n" in out
+    for alpha in ("1e-300", "1e-320"):
+        code = main(["audit", "--alpha", alpha, "--trials", "10000", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        # Every run of every profile hits the cap, where nobody learns.
+        estimates = [line for line in out.splitlines() if ".mc-estimate = " in line]
+        assert len(estimates) == 15
+        assert all(line.endswith(" = 0") for line in estimates)
+        assert "any-profitable = false\n" in out
 
 
 def test_simulate_auto_alpha(capsys):
@@ -766,6 +777,9 @@ def _canonical_map(player: int, key: str, value) -> str:
 INFINITE_DOC = _canonical_map(1, "100", float("inf"))
 NOT_A_PAYOFF = "must be a finite number or a rational string, got"
 TINY_STAR_DOC = json.dumps({"u_only": "1e1000", "u_all": "1", "u_none": "0"})
+HUGE_EXPONENT = "has a decimal exponent past 4,300, got"
+HUGE_EXPONENT_DOC = json.dumps({"u_only": "1e999999999", "u_all": 1, "u_none": 0})
+HUGE_EXPONENT_GAME = json.dumps({"strategies": [["a"], ["b"]], "payoffs": {"a,b": ["1e-999999999", 1]}})
 
 PD_DOC = json.dumps({
     "strategies": [["cooperate", "defect"], ["cooperate", "defect"]],
@@ -891,6 +905,15 @@ PD_DOC = json.dumps({
          "--utilities", f"DOC:{TINY_STAR_DOC}"],
         ["simulate", "--alpha", "auto", "--trials", "10", "--seed", "1",
          "--utilities", f"DOC:{TINY_STAR_DOC}"],
+        # Decimal exponents whose powers would take seconds to hours to build.
+        ["alpha-star", "--u-only", "1e10000000"],
+        ["alpha-star", "--utilities", f"DOC:{HUGE_EXPONENT_DOC}"],
+        ["dominance", "--game", f"DOC:{HUGE_EXPONENT_GAME}"],
+        # An empty profile is one empty label.
+        ["dominance", "--builtin", "bounded-r2", "--profile", ""],
+        # A withholder's subnormal absorbing weight: a run is expected to last the cap.
+        ["simulate", "--alpha", "1e-310", "--trials", "1", "--seed", "1", "--deviant", "1:withhold",
+         "--dump-transcripts", "DUMP"],
     ],
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
@@ -911,7 +934,8 @@ PD_DOC = json.dumps({
         "game-key-three-labels", "game-no-players", "utilities-map-infinity",
         "audit-auto-map-infinity", "u-only-inf", "u-only-nan", "utilities-scalar-bool",
         "utilities-map-bool", "u-all-zero-denominator", "audit-auto-alpha-star-underflows",
-        "simulate-auto-alpha-star-underflows",
+        "simulate-auto-alpha-star-underflows", "u-only-huge-exponent", "utilities-huge-exponent",
+        "game-huge-exponent", "profile-empty", "dump-over-budget-subnormal-weight",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -972,6 +996,10 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
         f"DOC:{_canonical_map(3, '011', False)}": f"payoff of player 3 at '011' {NOT_A_PAYOFF} False",
         "1/0": f"--u-all {NOT_A_PAYOFF} '1/0'",
         f"DOC:{TINY_STAR_DOC}": "--alpha auto found an alpha* below the float range; give --alpha",
+        "1e10000000": f"--u-only {HUGE_EXPONENT} '1e10000000'",
+        f"DOC:{HUGE_EXPONENT_DOC}": f"u_only {HUGE_EXPONENT} '1e999999999'",
+        f"DOC:{HUGE_EXPONENT_GAME}": f"payoffs of 'a,b': payoff {HUGE_EXPONENT} '1e-999999999'",
+        "": "profile needs 2 strategies",
     }
     if argv[-1] in ends:
         assert err.endswith(f"{ends[argv[-1]]}\n")

@@ -405,6 +405,23 @@ def test_from_doc_parses_every_payoff_exactly():
         NormalFormGame.from_doc(doc)
 
 
+# Values whose floats tie but which differ exactly, and values past the float range.
+RANK_POOL = [
+    Fraction(0), Fraction(1e-300), -Fraction(1e-300), Fraction(1, 10**400),
+    Fraction(1, 3 * 10**400), Fraction(0.1), Fraction(1, 10), Fraction(1, 3), Fraction(1),
+    1 + Fraction(1, 10**30), Fraction(2**53), Fraction(2**53 + 1), Fraction(10**400),
+    Fraction(10**400 + 1), -Fraction(10**400),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from(RANK_POOL), min_size=1, max_size=12))
+def test_ranks_are_places_among_the_sorted_exact_values(values):
+    distinct = sorted(set(values))
+    ranks = dominance._rank_rows(values, (len(values),), 0)
+    assert ranks.ravel().tolist() == [distinct.index(u) for u in values]
+
+
 def test_payoff_tensor_must_be_total():
     with pytest.raises(ValueError):
         NormalFormGame(

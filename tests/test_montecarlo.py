@@ -2,10 +2,11 @@
 
 The equivalence tests drive the engine with forced coins over all 64
 (coin, masking bit) assignments for every registered profile and compare
-cause, info vector, iteration count and the messages of each kind sent
-by the first iteration and by the ones after it against the iteration
-kernel's row for the same coins.  Together with per-iteration independence this
-makes the two samplers interchangeable.
+the outcome (cause and info vector, as an index into OUTCOMES), iteration
+count and the messages of each kind sent by the first iteration and by
+the ones after it against the iteration kernel's row for the same coins.
+Together with per-iteration independence this makes the two samplers
+interchangeable.
 """
 
 import hashlib
@@ -40,7 +41,19 @@ ALL64 = [
     for cps in product((0, 1), repeat=3)
 ]
 
-CAUSE_BY_CODE = {code: cause for cause, code in montecarlo.CAUSE_CODE.items()}
+
+def outcome_index(cause, info):
+    return montecarlo.OUTCOMES.index((cause, tuple(info)))
+
+
+CAP_OUTCOME = outcome_index(TerminalCause.ITERATION_CAP_HIT, (0, 0, 0))
+
+
+def decode(outcomes):
+    """Each trial's cause code (its place in CAUSE_ORDER) and info vector, as uint8."""
+    causes = [montecarlo.CAUSE_ORDER.index(cause) for cause, _ in montecarlo.OUTCOMES]
+    vectors = [vec for _, vec in montecarlo.OUTCOMES]
+    return np.array(causes, dtype=np.uint8)[outcomes], np.array(vectors, dtype=np.uint8)[outcomes]
 
 
 def engine_signature(assignment, deviation, deviator):
@@ -55,21 +68,20 @@ def engine_signature(assignment, deviation, deviator):
     first, *after = out.transcripts
     sent = [sum(m.kind == kind for m in first.messages) for kind in MessageKind]
     extra_sent = [sum(m.kind == kind for t in after for m in t.messages) for kind in MessageKind]
-    return out.cause, out.info, out.iterations, sent, extra_sent
+    return montecarlo.OUTCOMES.index((out.cause, out.info)), out.iterations, sent, extra_sent
 
 
 def vector_signature(assignment, deviation, deviator):
     coins = np.array([[assignment[i][0] for i in range(3)]], dtype=bool)
     name = parse_deviation(deviation)[0] if deviation is not None else None
-    restart, info, extra, cause = montecarlo.iteration_outcome(coins, name, deviator)
+    restart, outcome, extra = montecarlo.iteration_outcome(coins, name, deviator)
     kernel = montecarlo.iteration_kernel(name, deviator)
     row = 4 * assignment[0][0] + 2 * assignment[1][0] + assignment[2][0]
     sent, extra_sent = kernel.sent[row].tolist(), kernel.extra_sent[row].tolist()
     if restart[0]:
         # Same coins forced again -> still restarting when the cap of 2 hits.
-        return TerminalCause.ITERATION_CAP_HIT, (0, 0, 0), 2, sent, extra_sent
-    return (CAUSE_BY_CODE[int(cause[0])], tuple(int(b) for b in info[0]), 1 + int(extra[0]),
-            sent, extra_sent)
+        return CAP_OUTCOME, 2, sent, extra_sent
+    return int(outcome[0]), 1 + int(extra[0]), sent, extra_sent
 
 
 # Every registered deviation; biased-coin's bias is overridden by the
@@ -95,8 +107,7 @@ def test_silent_fast_path_matches_engine():
     for alpha, deviator in product((0.2, 0.5), (1, 2, 3)):
         stats = montecarlo.sample_runs(alpha, 4, 3, deviation="always-silent", deviator=deviator)
         assert (stats.iterations == 1).all()
-        assert (stats.causes == montecarlo.CAUSE_CODE[TerminalCause.MISSING_BIT_ABORT]).all()
-        assert not stats.info.any()
+        assert (stats.outcomes == outcome_index(TerminalCause.MISSING_BIT_ABORT, (0, 0, 0))).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,8 +126,7 @@ def test_trial_results_do_not_depend_on_batch_size(alpha, seed, spec, deviator, 
     large = montecarlo.sample_runs(alpha, n + more, seed, **kwargs)
     assert (large.iterations >= 1).all()
     assert (small.iterations == large.iterations[:n]).all()
-    assert (small.causes == large.causes[:n]).all()
-    assert (small.info == large.info[:n]).all()
+    assert (small.outcomes == large.outcomes[:n]).all()
 
 
 def kernel_absorption(alpha, deviation, deviator):
@@ -124,8 +134,8 @@ def kernel_absorption(alpha, deviation, deviator):
     a = Fraction(alpha)
     kernel = montecarlo.iteration_kernel(deviation, deviator)
     return [
-        (prod(a if c else 1 - a for c in pattern), tuple(int(b) for b in info))
-        for pattern, restart, info in zip(montecarlo.PATTERNS, kernel.restart, kernel.info)
+        (prod(a if c else 1 - a for c in pattern), montecarlo.OUTCOMES[outcome][1])
+        for pattern, restart, outcome in zip(montecarlo.PATTERNS, kernel.restart, kernel.outcome)
         if not restart
     ]
 
@@ -191,8 +201,8 @@ def _two_trials(first, second):
     """Two one-iteration trials that end in these info vectors."""
     return montecarlo.TrialStats(
         iterations=np.array([1, 1]),
-        causes=np.array([1, 1], dtype=np.uint8),
-        info=np.array([first, second], dtype=np.uint8),
+        outcomes=np.array([outcome_index(TerminalCause.CHEAT_STOP, vec) for vec in (first, second)],
+                          dtype=np.uint8),
     )
 
 
@@ -213,8 +223,9 @@ def test_mean_utility_is_an_exact_sum_over_info_vectors():
     # Player 1's payoffs 1, -1/2 and 0 (a cap hit carries 000); player 2's 1, 2 and 0.
     stats = montecarlo.TrialStats(
         iterations=np.array([1, 2, 3]),
-        causes=np.array([0, 1, 3], dtype=np.uint8),
-        info=np.array([[1, 1, 1], [0, 1, 0], [0, 0, 0]], dtype=np.uint8),
+        outcomes=np.array([outcome_index(TerminalCause.ALL_LEARNED, (1, 1, 1)),
+                           outcome_index(TerminalCause.CHEAT_STOP, (0, 1, 0)), CAP_OUTCOME],
+                          dtype=np.uint8),
     )
     table = canonical_table()
     mean, se = stats.mean_utility(table, 1)
@@ -226,8 +237,7 @@ def test_mean_utility_is_an_exact_sum_over_info_vectors():
     # A constant sample has no spread at all, whatever its payoff.
     constant = montecarlo.TrialStats(
         iterations=np.ones(10_000, dtype=np.int64),
-        causes=np.zeros(10_000, dtype=np.uint8),
-        info=np.ones((10_000, 3), dtype=np.uint8),
+        outcomes=np.full(10_000, outcome_index(TerminalCause.ALL_LEARNED, (1, 1, 1)), dtype=np.uint8),
     )
     assert constant.mean_utility(UtilityTable.from_scalars(2, "0.7", 0), 1) == (Fraction(7, 10), 0.0)
 
@@ -236,8 +246,7 @@ def test_sampler_reproducible():
     a = montecarlo.sample_runs(0.4, 5000, 37, deviation="garble-step2", deviator=3)
     b = montecarlo.sample_runs(0.4, 5000, 37, deviation="garble-step2", deviator=3)
     assert (a.iterations == b.iterations).all()
-    assert (a.causes == b.causes).all()
-    assert (a.info == b.info).all()
+    assert (a.outcomes == b.outcomes).all()
 
 
 def test_sampler_validation():
@@ -258,11 +267,11 @@ def test_sampler_validation():
 
 def test_cap_leaves_cause_cap_hit():
     stats = montecarlo.sample_runs(0.05, 500, 41, cap=3)
-    codes = set(stats.causes.tolist())
-    assert montecarlo.CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT] in codes
-    capped = stats.causes == montecarlo.CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT]
+    causes, info = decode(stats.outcomes)
+    capped = causes == montecarlo.CAUSE_ORDER.index(TerminalCause.ITERATION_CAP_HIT)
+    assert capped.any()
     assert (stats.iterations[capped] == 3).all()
-    assert not stats.info[capped].any()
+    assert not info[capped].any()
     # At alpha 1e-100 no run absorbs within the largest cap, 2**53
     # restarts, and the int64 count is that cap exactly.
     stats = montecarlo.sample_runs(1e-100, 3, 1, cap=2**53)
@@ -279,16 +288,17 @@ def test_underflowing_alpha_hits_the_cap_in_every_trial(spec, cap):
     stats = montecarlo.sample_runs(1e-200, 50, 3, deviation=name, deviator=2 if name else None,
                                    alpha_prime=alpha_prime, cap=cap)
     assert stats.iterations.dtype == np.int64 and (stats.iterations == cap).all()
-    assert stats.causes.dtype == np.uint8
-    assert (stats.causes == montecarlo.CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT]).all()
-    assert stats.info.dtype == np.uint8 and stats.info.shape == (50, 3) and not stats.info.any()
+    assert stats.outcomes.dtype == np.uint8 and stats.outcomes.shape == (50,)
+    assert (stats.outcomes == CAP_OUTCOME).all()
     assert expected_steps(1e-200) == float("inf")
 
 
 # SHA-256 over iterations, causes and info (dtype, shape, bytes) of
 # sample_runs(alpha, 3000, 17, ...) for alpha in (0.3, 1) and each cap in
 # (1, 2, 5, DEFAULT_CAP), recorded with the searchsorted/np.where sampler
-# that the oracle below keeps.
+# that the oracle below keeps, when a trial carried its cause code (uint8,
+# shape (T,)) and info vector (uint8, shape (T, 3)) apart; `decode`
+# recovers both from the outcome index.
 GOLDEN_DIGESTS = {
     (None, None): "1733555e31eb806b6f8b91d5af926f6efb4cb5fed411e8218baee93a637c500f",
     ("withhold", 1): "799430e11bc9ce601c3bda7178f7e7cebd17ad66348d16a1cfef3c8d17766982",
@@ -324,7 +334,7 @@ def test_sample_runs_matches_golden_digest(spec, deviator):
     for alpha, cap in product((0.3, 1.0), (1, 2, 5, DEFAULT_CAP)):
         stats = montecarlo.sample_runs(alpha, 3000, 17, deviation=name, deviator=deviator,
                                        alpha_prime=alpha_prime, cap=cap)
-        for array in (stats.iterations, stats.causes, stats.info):
+        for array in (stats.iterations, *decode(stats.outcomes)):
             digest.update(array.dtype.str.encode())
             digest.update(str(array.shape).encode())
             digest.update(array.tobytes())
@@ -344,16 +354,14 @@ def absorbing_cdf(alpha, deviation, deviator, alpha_prime):
 def oracle_sample(u, alpha, deviation, deviator, alpha_prime, cap):
     """The searchsorted/np.where sampler on given (T, 2) uniforms."""
     kernel = montecarlo.iteration_kernel(deviation, deviator)
-    info, extra, cause = kernel.info, kernel.extra, kernel.cause
     absorbing, cdf = absorbing_cdf(alpha, deviation, deviator, alpha_prime)
     with np.errstate(divide="ignore"):
         k = 1 + np.floor(np.log1p(-u[:, 0]) / np.log1p(-min(cdf[-1], 1.0)))
     pick = absorbing[np.minimum(np.searchsorted(cdf, u[:, 1] * cdf[-1], "right"), cdf.size - 1)]
     capped = k > cap
-    iterations = np.minimum(k + extra[pick], cap).astype(np.int64)
-    causes = np.where(capped, montecarlo.CAUSE_CODE[TerminalCause.ITERATION_CAP_HIT], cause[pick])
-    info = np.where(capped[:, None], 0, info[pick]).astype(np.uint8)
-    return iterations, causes.astype(np.uint8), info
+    iterations = np.minimum(k + kernel.extra[pick], cap).astype(np.int64)
+    outcomes = np.where(capped, CAP_OUTCOME, kernel.outcome[pick]).astype(np.uint8)
+    return iterations, outcomes
 
 
 def on_edge(edge, total):
@@ -400,7 +408,7 @@ def test_sampler_matches_searchsorted_oracle(alpha, alpha_prime, deviation, devi
     with mock.patch.object(montecarlo, "derive_generator", fake_generator):
         stats = montecarlo.sample_runs(alpha, trials, seed, deviation=deviation, deviator=deviator,
                                        alpha_prime=alpha_prime, cap=cap)
-    for got, want in zip((stats.iterations, stats.causes, stats.info),
+    for got, want in zip((stats.iterations, stats.outcomes),
                          oracle_sample(u, alpha, deviation, deviator, alpha_prime, cap)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)

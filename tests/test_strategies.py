@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -33,6 +34,7 @@ from ratshare.strategies import (
     info_key,
     parse_deviation,
     parse_info_key,
+    parse_payoff,
 )
 
 
@@ -215,6 +217,21 @@ def test_every_entry_is_exact_whichever_constructor_built_it():
 def test_a_bad_payoff_is_named(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_a_payoff_exponent_is_bounded_before_any_power_is_built():
+    # Past 4,300 in magnitude is refused, whatever the spelling ...
+    for text in ("1e4301", "-1e-4301", "1E+4_301", "0.5e00004301", " 1e999999999 ", "1e10000000",
+                 "1e" + "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^u has a decimal exponent past 4,300, got "):
+            parse_payoff(text, "u")
+        assert time.perf_counter() - start < 0.1
+    # ... and up to it every string still parses exactly.
+    for exponent in (4300, 1000, 700, 400, -4300):
+        assert parse_payoff(f"1e{exponent}") == Fraction(10) ** exponent
+    assert parse_payoff("25e-0_1") == Fraction(5, 2)
+    assert UtilityTable.from_doc({"u_only": "1e1000", "u_all": 1, "u_none": 0}, 3).u_only(1) == 10**1000
 
 
 def test_require_names_the_size_or_the_first_violation():

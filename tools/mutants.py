@@ -75,6 +75,10 @@ MUTANTS = [
     Mutant("no-clip-at-cap", "src/ratshare/montecarlo.py",
            "np.minimum(k, cap, out=k)", "np.minimum(k, np.inf, out=k)",
            "tests/test_montecarlo.py::test_cap_leaves_cause_cap_hit"),
+    Mutant("cap-outcome-learned", "src/ratshare/montecarlo.py",
+           "(TerminalCause.ITERATION_CAP_HIT, (0, 0, 0))",
+           "(TerminalCause.ITERATION_CAP_HIT, (1, 1, 1))",
+           "tests/test_montecarlo.py::test_cap_leaves_cause_cap_hit"),
     Mutant("no-parity-agreement-guard", "src/ratshare/engine.py",
            "if len(parities) > 1:", "if len(parities) > 3:",
            "tests/test_lifts.py::test_honest_lift_checks_parity_agreement"),
