@@ -43,7 +43,8 @@ from .shamir import (
     round_trip_reconstructions,
 )
 from .strategies import (
-    TableSizeError, UtilityTable, deviation_profile, info_key, parse_deviation, parse_payoff,
+    TableSizeError, UtilityTable, _json_int, deviation_profile, info_key, parse_deviation,
+    parse_payoff,
 )
 
 
@@ -93,7 +94,7 @@ def _load_table(args) -> UtilityTable:
     if args.utilities:
         try:
             with open(args.utilities) as fh:
-                table = UtilityTable.from_doc(json.load(fh), args.players)
+                table = UtilityTable.from_doc(json.load(fh, parse_int=_json_int), args.players)
         except TableSizeError as exc:
             raise ConfigError(str(exc))
         except _BAD_DOCUMENT as exc:
@@ -483,8 +484,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        # A report holds one value per line, and [config] echoes arguments.
+        for arg in argv:
+            if "\n" in arg or "\r" in arg:
+                raise ConfigError(f"argument {arg!r:.40} contains a line break")
+        args = _parser().parse_args(argv)
         text = run_command(args).render()
         if args.out:
             with _create(args.out, "the report") as fh:

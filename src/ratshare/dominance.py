@@ -37,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .strategies import UtilityTable, float_view, parse_payoff
+from .strategies import UtilityTable, _json_int, float_view, parse_payoff
 
 Profile = tuple[int, ...]
 
@@ -113,13 +113,20 @@ class NormalFormGame:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "NormalFormGame":
+        # The name and the labels are echoed into a report, one line per
+        # value, so a line break in one would forge report lines.
+        name = doc.get("name", "game")
+        if not (isinstance(name, str) and _one_line(name)):
+            raise ValueError(f"game name must be a one-line string, got {name!r:.40}")
         for player, labels in enumerate(doc["strategies"], start=1):
             if not (
                 isinstance(labels, list)
-                and all(isinstance(lbl, str) for lbl in labels)
+                and all(isinstance(lbl, str) and _one_line(lbl) for lbl in labels)
                 and len(set(labels)) == len(labels)
             ):
-                raise ValueError(f"player {player} strategies must be a list of distinct strings")
+                raise ValueError(
+                    f"player {player} strategies must be a list of distinct one-line strings"
+                )
         strategies = tuple(tuple(s) for s in doc["strategies"])
         indexes = [{lbl: k for k, lbl in enumerate(labels)} for labels in strategies]
         # A game repeats few distinct payoffs: check and parse each raw value once.
@@ -144,12 +151,16 @@ class NormalFormGame:
             except KeyError as exc:
                 raise ValueError(f"payoffs of {key!r} name an unknown strategy {exc}") from None
             payoffs[profile] = values
-        return cls(strategies=strategies, payoffs=payoffs, name=doc.get("name", "game"))
+        return cls(strategies=strategies, payoffs=payoffs, name=name)
 
     @classmethod
     def load(cls, path) -> "NormalFormGame":
         with open(path) as fh:
-            return cls.from_doc(json.load(fh))
+            return cls.from_doc(json.load(fh, parse_int=_json_int))
+
+
+def _one_line(text: str) -> bool:
+    return "\n" not in text and "\r" not in text
 
 
 def _rank_rows(values, shape: tuple[int, ...], axis: int) -> np.ndarray:

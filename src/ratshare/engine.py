@@ -411,7 +411,7 @@ class MOfNExchange(GroupedExchange):
     stale_evidence = "stale-share"
 
     def _holding_key(self, item: Share) -> tuple:
-        return ("share", item.x.value)
+        return ("share", item.holder)
 
     # The 3-of-3 ring (n = 3, one player per group) broadcasts the bare
     # share rather than a one-share bundle.

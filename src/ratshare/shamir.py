@@ -16,12 +16,13 @@ because 1 == True == 1.0.  Each kind of message has one definition, a
 module function of the modulus, the epoch and the item's fields
 (`_share_msg`, `_subshare_msg`), that every caller builds in full.
 
-The parts that do not depend on the secret are built once: an issuer
-keeps its evaluation points x = 1..n, and the Lagrange weights at zero
-are cached per x-set and field.  Reconstruction checks its items in one
-pass.  The values an issuer or a reconstruction has just reduced mod an
-already checked modulus are built into their items directly, without
-the public constructors' checks; every other item is checked.
+A share's evaluation point is its holder, so the tag covers who holds
+it: a share relabelled after issue fails its tag.  The Lagrange weights
+at zero are cached per point set and field.  Reconstruction checks its
+items in one pass.  The values an issuer or a reconstruction has just
+reduced mod an already checked modulus, and the holders 1..n < p an
+issuer numbers, are built into their items directly, without the public
+constructors' checks; every other item is checked.
 
 The exhaustive small-field verifiers (reconstruction round-trip and
 hiding-posterior uniformity) live here so the command-line `hiding`
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from operator import attrgetter
 from random import Random
 
 import numpy as np
@@ -115,16 +117,21 @@ class FieldElement:
 
 @dataclass(frozen=True)
 class Share:
-    """An authenticated point (x, y) of one sharing epoch.
+    """An authenticated point (holder, y) of one sharing epoch.
 
-    The evaluation point x doubles as the holder's player id.
+    The holder's player id is the evaluation point, an int in [0, p) for
+    y's modulus p, and the tag covers it.
     """
 
     holder: int
-    x: FieldElement
     y: FieldElement
     epoch: int
     tag: bytes
+
+    def __post_init__(self) -> None:
+        p = self.y.modulus
+        if type(self.holder) is not int or not 0 <= self.holder < p:
+            raise ValueError(f"holder {self.holder!r} is not an int in [0, {p})")
 
 
 @dataclass(frozen=True)
@@ -141,8 +148,9 @@ class Subshare:
 # Trusted builds: each sets an item's fields on a new instance the way
 # the frozen dataclass `__init__` does, but skips `__init__` and
 # `__post_init__`.  They are only for values reduced mod a modulus that a
-# FieldElement already checked, so the result equals, hashes and compares
-# like the public construction of the same fields, and stays frozen.
+# FieldElement already checked (and holders 1..n < p), so the result
+# equals, hashes and compares like the public construction of the same
+# fields, and stays frozen.
 # (Writing into the instance `__dict__` instead would be quicker to build
 # but about three times slower to read a field from.)
 
@@ -157,10 +165,9 @@ def _element(value: int, modulus: int) -> FieldElement:
     return item
 
 
-def _share(holder: int, x: FieldElement, y: FieldElement, epoch: int, tag: bytes) -> Share:
+def _share(holder: int, y: FieldElement, epoch: int, tag: bytes) -> Share:
     item = _new(Share)
     _set(item, "holder", holder)
-    _set(item, "x", x)
     _set(item, "y", y)
     _set(item, "epoch", epoch)
     _set(item, "tag", tag)
@@ -207,8 +214,8 @@ def _keyed_mac(key: bytes):
 # functions are its only definition.
 
 
-def _share_msg(p: int, epoch: int, x: int, y: int) -> str:
-    return f"share|{p!s}|{epoch!s}|{x!s}|{y!s}"
+def _share_msg(p: int, epoch: int, holder: int, y: int) -> str:
+    return f"share|{p!s}|{epoch!s}|{holder!s}|{y!s}"
 
 
 def _subshare_msg(p: int, epoch: int, parent: int, index: int, value: int) -> str:
@@ -235,9 +242,6 @@ class ShareIssuer:
         _check_modulus(modulus)
         self._mac = _keyed_mac(key)
         self.modulus = modulus
-        # The evaluation points x = 1, 2, ... built so far; an issue of n
-        # shares uses the first n.
-        self._xs: list[FieldElement] = []
 
     def issue_shares(
         self,
@@ -272,23 +276,19 @@ class ShareIssuer:
         for c in poly:
             if type(c) is not int:
                 raise ValueError(f"coefficient {c!r} is not an int")
-        xs = self._xs
-        while len(xs) < n:
-            xs.append(FieldElement(len(xs) + 1, p))
         mac = self._mac
         shares = []
         append = shares.append
-        for x in xs[:n]:
-            i = x.value
+        for i in range(1, n + 1):
             y = _eval_poly(poly, i, p)
             tag = mac(_share_msg(p, epoch, i, y))
-            append(_share(i, x, _element(y, p), epoch, tag))
+            append(_share(i, _element(y, p), epoch, tag))
         return shares
 
     def verify_tag(self, item: Share | Subshare) -> bool:
         """True iff the tag matches the issuer's keyed code over the fields."""
         if isinstance(item, Share):
-            msg = _share_msg(self.modulus, item.epoch, item.x.value, item.y.value)
+            msg = _share_msg(self.modulus, item.epoch, item.holder, item.y.value)
         else:
             msg = _subshare_msg(self.modulus, item.epoch, item.parent_holder, item.index,
                                 item.value.value)
@@ -303,7 +303,7 @@ class ShareIssuer:
         if count < 2:
             raise ValueError(f"subshare count must be >= 2, got {count}")
         p = self.modulus
-        if share.x.modulus != p or share.y.modulus != p:
+        if share.y.modulus != p:
             raise ValueError("share modulus does not match issuer modulus")
         values = [rng.randrange(p) for _ in range(count - 1)]
         values.append((share.y.value - sum(values)) % p)
@@ -342,31 +342,31 @@ def reconstruct(
 ) -> FieldElement:
     """Recover f(0) from at least m shares of one epoch.
 
-    Uses exactly the first m shares in increasing x order so transcripts
+    Uses exactly the first m shares in increasing holder order so transcripts
     reproduce; verifies every supplied tag when an issuer is given.
     """
     if m < 1:
         raise ReconstructionError(f"threshold must be >= 1, got {m}")
-    shares = sorted(shares, key=_x_value)
+    shares = sorted(shares, key=attrgetter("holder"))
     if len(shares) < m:
         raise ReconstructionError(f"need at least {m} shares, got {len(shares)}")
     # One pass gathers what the checks need; they still fail in the order
     # epochs, field, duplicate x, tags.  Sorted by x, a repeat is adjacent.
     first = shares[0]
-    epoch, p = first.epoch, first.x.modulus
+    epoch, p = first.epoch, first.y.modulus
     mixed_epochs = mixed_fields = duplicate = False
     xs = []
     prev = None
     for s in shares:
-        x = s.x
+        x = s.holder
         if s.epoch != epoch:
             mixed_epochs = True
-        if x.modulus != p or s.y.modulus != p:
+        if s.y.modulus != p:
             mixed_fields = True
-        if x.value == prev:
+        if x == prev:
             duplicate = True
-        prev = x.value
-        xs.append(prev)
+        prev = x
+        xs.append(x)
     if mixed_epochs:
         raise ReconstructionError(f"shares span epochs {sorted({s.epoch for s in shares})}")
     if mixed_fields:
@@ -381,10 +381,6 @@ def reconstruct(
     weights = _lagrange_at_zero(tuple(xs[:m]), p)
     total = sum(s.y.value * w for s, w in zip(shares, weights)) % p
     return _element(total, p)
-
-
-def _x_value(share: Share) -> int:
-    return share.x.value
 
 
 def combine_subshares(

@@ -288,34 +288,48 @@ def deviation_profile(
 
 # --- payoffs, info vectors and utilities -------------------------------------
 
-# The largest decimal exponent a payoff string may carry, Python's own
-# limit on the digits of an int string: Fraction("1e10000000") alone
-# builds a ten-million-digit power, in about 12 s.
-_MAX_EXPONENT = 4300
+# Python's own limit on the digits of an int string, which bounds both a
+# payoff string's digit runs and its decimal exponent: Fraction("1e10000000")
+# alone builds a ten-million-digit power, in about 12 s.
+_MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+_DIGIT_RUN = re.compile(r"[\d_]+")
 
 
 def parse_payoff(u, what: str = "payoff") -> Fraction:
     """`u` as an exact rational: a Fraction, a finite int or float, or a
     rational string such as "1/3" or "0.1" (exactly 1/10), whose decimal
-    exponent is at most 4,300 in magnitude.
+    exponent is at most 4,300 in magnitude and whose runs of digits are
+    at most 4,300 long.
 
-    Raises ValueError naming `what` and `u` for anything else, a bool,
-    inf, nan and "1/0" among them.
+    Raises ValueError naming `what` and quoting at most 40 characters of
+    `u` for anything else, a bool, inf, nan and "1/0" among them.
     """
     if type(u) is Fraction:
         return u
     ok = math.isfinite(u) if isinstance(u, float) else isinstance(u, (int, str))
-    if isinstance(u, str) and (exponent := _EXPONENT.search(u)):
-        digits = exponent[1].replace("_", "").lstrip("0")
-        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
-            raise ValueError(f"{what} has a decimal exponent past {_MAX_EXPONENT:,}, got {u!r}")
+    if isinstance(u, str):
+        if exponent := _EXPONENT.search(u):
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) > _MAX_DIGITS:
+                raise ValueError(f"{what} has a decimal exponent past {_MAX_DIGITS:,}, "
+                                 f"got {u!r:.40}")
+        if len(u) > _MAX_DIGITS and any(
+            len(run) - run.count("_") > _MAX_DIGITS for run in _DIGIT_RUN.findall(u)
+        ):
+            raise ValueError(f"{what} has more than {_MAX_DIGITS:,} digits, got {u!r:.40}")
     if ok and not isinstance(u, bool):
         try:
             return Fraction(u)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValueError(f"{what} must be a finite number or a rational string, got {u!r}")
+    raise ValueError(f"{what} must be a finite number or a rational string, got {u!r:.40}")
+
+
+def _json_int(text: str) -> int | str:
+    """A JSON integer as an int; past 4,300 digits, which `int` refuses, its
+    text, so that `parse_payoff` names the payoff."""
+    return int(text) if len(text.lstrip("-")) <= _MAX_DIGITS else text
 
 
 def float_view(u: Fraction) -> float:

@@ -8,9 +8,9 @@ the `trial`/`iteration`/`epoch` head once per iteration, takes the
 encodes a payload once for the run of messages that carry it (a
 broadcast's recipients).  Int payloads are written with `str` and `None`
 as `null`; every other payload goes through one shared JSON encoder as
-its record: a share as `{epoch, holder, x, y, tag}`, a subshare as
-`{epoch, parent, index, value, tag}` (tags in hex), a tuple as a list of
-records.
+its record: a share as `{epoch, holder, x, y, tag}` (x repeats the
+holder, its evaluation point), a subshare as `{epoch, parent, index,
+value, tag}` (tags in hex), a tuple as a list of records.
 
 `LINE_BYTES` is the widest line of each message kind; a dump is sized
 before it is written by weighting it with the expected message counts
@@ -38,7 +38,7 @@ def _payload_record(payload) -> object:
         return {
             "epoch": payload.epoch,
             "holder": payload.holder,
-            "x": payload.x.value,
+            "x": payload.holder,
             "y": payload.y.value,
             "tag": payload.tag.hex(),
         }

@@ -663,8 +663,7 @@ def test_honest_dump_size_is_the_hand_count(alpha):
 def test_dump_line_sizes_bound_the_widest_lines():
     wide = MAX_TRIALS - 1  # 7 digits, as are iterations up to the default cap
     assert len(str(DEFAULT_CAP)) == len(str(wide))
-    share = Share(3, FieldElement(3, DEFAULT_PRIME), FieldElement(DEFAULT_PRIME - 1, DEFAULT_PRIME),
-                  wide, bytes(32))
+    share = Share(3, FieldElement(DEFAULT_PRIME - 1, DEFAULT_PRIME), wide, bytes(32))
     cases = [
         (Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, 1),
         (Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, 1),
@@ -786,6 +785,18 @@ PD_DOC = json.dumps({
     "payoffs": {"cooperate,cooperate": [2, 2], "cooperate,defect": [0, 3],
                 "defect,cooperate": [3, 0], "defect,defect": [1, 1]},
 })
+# A name, a label or an argument with a line break would add report lines
+# of its own: a forged section, a ninth player, a [config] key.
+FORGED_NAME_GAME = json.dumps({"name": "g\n[results.fake]\nrecommended.practical = true",
+                               **json.loads(PD_DOC)})
+FORGED_LABEL_GAME = PD_DOC.replace("defect", "defect\\nsurviving.player9 = x")
+NUMBER_NAME_GAME = json.dumps({"name": 5, **json.loads(PD_DOC)})
+# Payoffs of 5,001 digits, past Python's limit on an int string, as a flag
+# and as JSON integers, which `json` alone refuses in Python's own words.
+LONG_PAYOFF = "1" + "0" * 5000
+LONG_PAYOFF_DOC = f'{{"u_only": {LONG_PAYOFF}, "u_all": 1, "u_none": 0}}'
+LONG_PAYOFF_GAME = f'{{"strategies": [["a"], ["b"]], "payoffs": {{"a,b": [{LONG_PAYOFF}, 1]}}}}'
+LONG_PAYOFF_ERROR = "has more than 4,300 digits, got '1" + "0" * 38
 
 
 @pytest.mark.parametrize(
@@ -914,6 +925,16 @@ PD_DOC = json.dumps({
         # A withholder's subnormal absorbing weight: a run is expected to last the cap.
         ["simulate", "--alpha", "1e-310", "--trials", "1", "--seed", "1", "--deviant", "1:withhold",
          "--dump-transcripts", "DUMP"],
+        # Input that would forge report lines, and a game name that is not a string.
+        ["dominance", "--game", f"DOC:{FORGED_NAME_GAME}"],
+        ["dominance", "--game", f"DOC:{FORGED_LABEL_GAME}"],
+        ["dominance", "--game", f"DOC:{NUMBER_NAME_GAME}"],
+        ["alpha-star", "--utilities", "NEWLINE_DOC"],
+        ["simulate", "--trials", "10", "--seed", "1", "--alpha", "0.5\n"],
+        # Payoffs past 4,300 digits, in every form.
+        ["alpha-star", "--u-only", LONG_PAYOFF],
+        ["alpha-star", "--utilities", f"DOC:{LONG_PAYOFF_DOC}"],
+        ["dominance", "--game", f"DOC:{LONG_PAYOFF_GAME}"],
     ],
     ids=[
         "audit-deviators-x", "trials-0", "trials-negative", "hiding-prime-8", "hiding-n-9",
@@ -936,6 +957,8 @@ PD_DOC = json.dumps({
         "utilities-map-bool", "u-all-zero-denominator", "audit-auto-alpha-star-underflows",
         "simulate-auto-alpha-star-underflows", "u-only-huge-exponent", "utilities-huge-exponent",
         "game-huge-exponent", "profile-empty", "dump-over-budget-subnormal-weight",
+        "game-name-line-break", "game-label-line-break", "game-name-int", "utilities-path-line-break",
+        "alpha-line-break", "u-only-long", "utilities-long-payoff", "game-long-payoff",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -962,6 +985,10 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
         if arg.startswith("DOC:"):
             path = tmp_path / "doc.json"
             path.write_text(arg[len("DOC:"):])
+            return str(path)
+        if arg == "NEWLINE_DOC":  # a well-formed table at a path that breaks a line
+            path = tmp_path / "u\nfake = 1.json"
+            path.write_text('{"u_only": 2, "u_all": 1, "u_none": 0}')
             return str(path)
         return arg
 
@@ -1000,6 +1027,15 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
         f"DOC:{HUGE_EXPONENT_DOC}": f"u_only {HUGE_EXPONENT} '1e999999999'",
         f"DOC:{HUGE_EXPONENT_GAME}": f"payoffs of 'a,b': payoff {HUGE_EXPONENT} '1e-999999999'",
         "": "profile needs 2 strategies",
+        f"DOC:{FORGED_NAME_GAME}": "game name must be a one-line string, got 'g\\n[results.fake]"
+                                  "\\nrecommended.practica",
+        f"DOC:{FORGED_LABEL_GAME}": "player 1 strategies must be a list of distinct one-line strings",
+        f"DOC:{NUMBER_NAME_GAME}": "game name must be a one-line string, got 5",
+        "NEWLINE_DOC": "contains a line break",
+        "0.5\n": "argument '0.5\\n' contains a line break",
+        LONG_PAYOFF: f"--u-only {LONG_PAYOFF_ERROR}",
+        f"DOC:{LONG_PAYOFF_DOC}": f"u_only {LONG_PAYOFF_ERROR}",
+        f"DOC:{LONG_PAYOFF_GAME}": f"payoffs of 'a,b': payoff {LONG_PAYOFF_ERROR}",
     }
     if argv[-1] in ends:
         assert err.endswith(f"{ends[argv[-1]]}\n")

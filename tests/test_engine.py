@@ -262,17 +262,20 @@ def test_withholder_against_two_tails_is_caught():
 
 
 def test_tampered_broadcast_counts_as_missing():
-    import dataclasses
-
     class TamperOwnShare(AlwaysBroadcast):
+        def __init__(self, tamper):
+            self.tamper = tamper
+
         def wants_broadcast(self, state, rng):
-            share = state.own_payload
-            y = FieldElement((share.y.value + 1) % share.y.modulus, share.y.modulus)
-            state.own_payload = dataclasses.replace(share, y=y)
+            state.own_payload = self.tamper(state.own_payload)
             return True
 
+    def bump_y(share):
+        y = FieldElement((share.y.value + 1) % share.y.modulus, share.y.modulus)
+        return dataclasses.replace(share, y=y)
+
     assignment = ((1, 0), (1, 1), (1, 0))
-    profile = forced_profile(assignment, inner={2: TamperOwnShare()})
+    profile = forced_profile(assignment, inner={2: TamperOwnShare(bump_y)})
     outcome, states = run_ring(0.5, profile, seed=1, cap=2)
     # Receivers drop the forged share: they see two valid broadcasts
     # (their own and the other honest player's) and stop without learning;
@@ -280,6 +283,15 @@ def test_tampered_broadcast_counts_as_missing():
     assert outcome.info == (0, 1, 0)
     assert any(e.kind == "invalid-tag" for e in states[1].cheat_evidence)
     assert any(e.kind == "invalid-tag" for e in states[3].cheat_evidence)
+
+    # The holder is the share's evaluation point and its tag covers it: a
+    # share relabelled to another holder is forged the same way.
+    relabel = TamperOwnShare(lambda share: dataclasses.replace(share, holder=99))
+    outcome, states = run_ring(1, {1: relabel}, seed=1)
+    assert (outcome.cause, outcome.info) == (TerminalCause.CHEAT_STOP, (1, 0, 0))
+    for receiver in (2, 3):
+        evidence = [(e.kind, e.about) for e in states[receiver].cheat_evidence]
+        assert evidence == [("invalid-tag", 1), ("stopped-without-learning", None)]
 
 
 class ReplayFirstPayload(HonestStrategy):

@@ -81,7 +81,7 @@ def test_four_of_five_reconstruction_from_bundles():
     for epoch, bundle in collect_broadcast_payloads(outcome):
         if epoch == final_epoch:
             for share in bundle:
-                shares[share.x.value] = share
+                shares[share.holder] = share
     assert len(shares) >= 4
     assert reconstruct(list(shares.values()), 4).value == 77
 
@@ -251,7 +251,7 @@ def test_a_run_issues_shares_in_the_secret_field(run, secret, modulus, issued):
     outcome = RUNS[run](secret)
     assert outcome.cause == TerminalCause.ALL_LEARNED
     assert issued
-    assert {(share.x.modulus, share.y.modulus) for share in issued} == {(modulus, modulus)}
+    assert {share.y.modulus for share in issued} == {modulus}
 
 
 # --- invariants of the shared run loop ----------------------------------------------

@@ -47,7 +47,7 @@ def oracle_tag(key: bytes, *fields) -> bytes:
 
 def oracle_fields(issuer: ShareIssuer, item: Share | Subshare) -> tuple:
     if isinstance(item, Share):
-        return ("share", issuer.modulus, item.epoch, item.x.value, item.y.value)
+        return ("share", issuer.modulus, item.epoch, item.holder, item.y.value)
     return ("subshare", issuer.modulus, item.epoch, item.parent_holder, item.index,
             item.value.value)
 
@@ -92,6 +92,17 @@ def test_field_element_rejects_values_that_are_not_ints():
             issuer.issue_shares(fe(2), 2, 3, 0, Random(0), coefficients=[coefficient])
 
 
+def test_share_holder_is_an_int_point_of_the_field(issuer13):
+    share = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0))[0]
+    for holder in (13, -1, True, 1.0):
+        with pytest.raises(ValueError, match="is not an int in"):
+            Share(holder=holder, y=fe(1), epoch=0, tag=b"")
+        with pytest.raises(ValueError, match="is not an int in"):
+            dataclasses.replace(share, holder=holder)
+    assert Share(holder=0, y=fe(1), epoch=0, tag=b"").holder == 0
+    assert dataclasses.replace(share, holder=12).holder == 12
+
+
 def test_field_rejects_composite_modulus():
     with pytest.raises(ValueError):
         FieldElement(1, 15)
@@ -124,8 +135,7 @@ def test_constant_polynomial_when_threshold_one(issuer13):
 def test_forced_coefficient_evaluation(issuer13):
     # f(x) = 5 + 3x mod 13 at x = 1, 2, 3.
     shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0), coefficients=[3])
-    assert [(s.x.value, s.y.value) for s in shares] == [(1, 8), (2, 11), (3, 1)]
-    assert all(s.holder == s.x.value for s in shares)
+    assert [(s.holder, s.y.value) for s in shares] == [(1, 8), (2, 11), (3, 1)]
 
 
 def test_issue_validates_threshold_and_modulus(issuer13):
@@ -199,7 +209,7 @@ def test_reconstruct_errors(issuer13):
 
 
 def _share(x, epoch=0, p=13, y=1, tag=b""):
-    return Share(holder=x, x=FieldElement(x, p), y=FieldElement(y, p), epoch=epoch, tag=tag)
+    return Share(holder=x, y=FieldElement(y, p), epoch=epoch, tag=tag)
 
 
 def _forged(share):
@@ -304,8 +314,7 @@ def test_reconstruct_matches_textbook_lagrange(data):
         # Arbitrary y values: the answer depends on which m points are used.
         ys = data.draw(st.lists(st.integers(0, p - 1), min_size=len(xs), max_size=len(xs)))
         shares = [
-            Share(holder=x, x=FieldElement(x, p), y=FieldElement(y, p), epoch=3, tag=b"")
-            for x, y in zip(xs, ys)
+            Share(holder=x, y=FieldElement(y, p), epoch=3, tag=b"") for x, y in zip(xs, ys)
         ]
         expected = lagrange_oracle(sorted(zip(xs, ys))[:m], p)
         assert reconstruct(shares, m) == FieldElement(expected, p)
@@ -323,13 +332,14 @@ def test_mutated_share_fails_verification(issuer13):
     share = issuer13.issue_shares(fe(7), m=2, n=3, epoch=4, rng=Random(4))[0]
     assert not issuer13.verify_tag(dataclasses.replace(share, y=fe((share.y.value + 1) % 13)))
     assert not issuer13.verify_tag(dataclasses.replace(share, epoch=5))
-    assert not issuer13.verify_tag(
-        dataclasses.replace(share, x=FieldElement(2, 13), holder=2)
-    )
+    # The holder is the evaluation point: a share relabelled after issue
+    # is a forgery.
+    assert not issuer13.verify_tag(dataclasses.replace(share, holder=2))
+    assert not issuer13.verify_tag(dataclasses.replace(share, holder=0))
 
 
 @given(
-    field=st.sampled_from(["epoch", "x", "y"]),
+    field=st.sampled_from(["epoch", "holder", "y"]),
     delta=st.integers(min_value=1, max_value=12),
     secret=st.integers(min_value=0, max_value=12),
 )
@@ -338,8 +348,8 @@ def test_tag_soundness_under_mutation(field, delta, secret):
     share = issuer.issue_shares(fe(secret), m=2, n=3, epoch=2, rng=Random(5))[0]
     if field == "epoch":
         mutant = dataclasses.replace(share, epoch=share.epoch + delta)
-    elif field == "x":
-        mutant = dataclasses.replace(share, x=fe((share.x.value + delta) % 13))
+    elif field == "holder":
+        mutant = dataclasses.replace(share, holder=(share.holder + delta) % 13)
     else:
         mutant = dataclasses.replace(share, y=fe((share.y.value + delta) % 13))
     assert not issuer.verify_tag(mutant)
@@ -390,7 +400,7 @@ def test_tags_and_verification_agree_with_an_hmac_oracle(key, p, n, data):
     # Each single-field change is caught, as the oracle says it must be.
     item = data.draw(st.sampled_from(items))
     if isinstance(item, Share):
-        field = data.draw(st.sampled_from(["epoch", "x", "y", "tag"]))
+        field = data.draw(st.sampled_from(["epoch", "holder", "y", "tag"]))
     else:
         field = data.draw(st.sampled_from(["epoch", "parent_holder", "index", "value", "tag"]))
     delta = data.draw(st.integers(min_value=1, max_value=p - 1))
@@ -401,7 +411,12 @@ def test_tags_and_verification_agree_with_an_hmac_oracle(key, p, n, data):
         mutant = dataclasses.replace(item, tag=bytes(changed))
     else:
         old = getattr(item, field)
-        new = fe((old.value + delta) % p, p) if isinstance(old, FieldElement) else old + delta
+        if isinstance(old, FieldElement):
+            new = fe((old.value + delta) % p, p)
+        elif field == "holder":  # a point of the field
+            new = (old + delta) % p
+        else:
+            new = old + delta
         mutant = dataclasses.replace(item, **{field: new})
     assert mutant.tag != oracle_tag(key, *oracle_fields(issuer, mutant))
     assert not issuer.verify_tag(mutant)
@@ -622,7 +637,6 @@ def test_partial_subshares_leave_parent_uniform():
         for parent_y in range(p):
             share = Share(
                 holder=1,
-                x=FieldElement(1, p),
                 y=FieldElement(parent_y, p),
                 epoch=0,
                 tag=oracle_tag(b"sub7", "share", 7, 0, 1, parent_y),

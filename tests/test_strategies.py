@@ -28,6 +28,7 @@ from ratshare.strategies import (
     TableSizeError,
     UtilityTable,
     WithholdShare,
+    _json_int,
     all_info_vectors,
     canonical_table,
     deviation_profile,
@@ -232,6 +233,28 @@ def test_a_payoff_exponent_is_bounded_before_any_power_is_built():
         assert parse_payoff(f"1e{exponent}") == Fraction(10) ** exponent
     assert parse_payoff("25e-0_1") == Fraction(5, 2)
     assert UtilityTable.from_doc({"u_only": "1e1000", "u_all": 1, "u_none": 0}, 3).u_only(1) == 10**1000
+
+
+def test_a_payoff_has_at_most_4300_digits_and_a_bad_one_is_quoted_short():
+    # Past Python's limit on an int string, whatever the spelling, a payoff
+    # is named, and 40 characters of it are quoted ...
+    for text in ("1" + "0" * 4300, "0." + "3" * 4301, "1/" + "7" * 4301, "1_" * 4301 + "1",
+                 "1e" + "0" * 5000):
+        with pytest.raises(ValueError, match=r"^u has more than 4,300 digits, got '.{39}$"):
+            parse_payoff(text, "u")
+    with pytest.raises(ValueError, match=r"^u must be a finite number or a rational string, "
+                                         r"got 'x{39}$"):
+        parse_payoff("x" * 5000, "u")
+    # ... as is a JSON integer past the limit, which the loaders read as text.
+    long = json.loads('{"u_only": 1' + "0" * 5000 + ', "u_all": 1, "u_none": 0}', parse_int=_json_int)
+    with pytest.raises(ValueError, match="^u_only has more than 4,300 digits, got '1"):
+        UtilityTable.from_doc(long, 3)
+    # Up to it every spelling still parses exactly.
+    assert parse_payoff("9" * 4300) == parse_payoff("-" + "9" * 4300) * -1 == 10**4300 - 1
+    assert parse_payoff("1e4300") == 10**4300
+    doc = json.loads(f'{{"u_only": {"9" * 4300}, "u_all": -{"9" * 4300}, "u_none": 0}}',
+                     parse_int=_json_int)
+    assert doc["u_only"] == -doc["u_all"] == 10**4300 - 1
 
 
 def test_require_names_the_size_or_the_first_violation():

@@ -66,6 +66,10 @@ MUTANTS = [
     Mutant("tag-cache-unbounded", "src/ratshare/shamir.py",
            "@lru_cache(maxsize=_MAC_CACHE_SIZE)", "@lru_cache(maxsize=None)",
            "tests/test_shamir.py::test_remembered_tags_are_bounded_and_kept_for_one_epoch"),
+    Mutant("share-holder-unranged", "src/ratshare/shamir.py",
+           "if type(self.holder) is not int or not 0 <= self.holder < p:",
+           "if type(self.holder) is not int:",
+           "tests/test_shamir.py::test_share_holder_is_an_int_point_of_the_field"),
     Mutant("reconstruct-unreduced", "src/ratshare/shamir.py",
            "for s, w in zip(shares, weights)) % p", "for s, w in zip(shares, weights))",
            "tests/test_shamir.py::test_hand_lagrange"),
@@ -148,8 +152,8 @@ MUTANTS = [
            "or item.epoch != state.epoch:", ":",
            "tests/test_engine.py::test_replayed_payload_of_an_earlier_epoch_is_stale"),
     Mutant("share-record-keys-swapped", "src/ratshare/transcript.py",
-           '"x": payload.x.value,\n            "y": payload.y.value,',
-           '"y": payload.y.value,\n            "x": payload.x.value,',
+           '"x": payload.holder,\n            "y": payload.y.value,',
+           '"y": payload.y.value,\n            "x": payload.holder,',
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
     Mutant("payload-text-always-reused", "src/ratshare/transcript.py",
            "if text is None or msg.payload is not payload:", "if text is None:",
