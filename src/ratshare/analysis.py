@@ -146,8 +146,8 @@ def _reject_repeats(what: str, keys, labels) -> None:
     first = {}
     for key, label in zip(keys, labels):
         if key in first:
-            alias = f" (first as {first[key]!r})" if first[key] != label else ""
-            raise ValueError(f"{what} {label!r} is listed twice{alias}")
+            alias = f" (first as {first[key]!r:.40})" if first[key] != label else ""
+            raise ValueError(f"{what} {label!r:.40} is listed twice{alias}")
         first[key] = label
 
 

@@ -35,7 +35,7 @@ from functools import cache, partial
 from . import analysis, dominance, montecarlo, transcript
 from .engine import DEFAULT_CAP, InvariantViolationError, check_run_config, run_mechanism
 from .protocol import MessageKind, TerminalCause
-from .report import Report, Section
+from .report import Report, Section, one_line
 from .shamir import (
     exhaustive_hiding_check,
     exhaustive_round_trip_check,
@@ -123,7 +123,7 @@ def _resolve_alpha(args, table: UtilityTable | None) -> float:
     try:
         return float(args.alpha)
     except ValueError:
-        raise ConfigError(f"--alpha must be a number or 'auto', got {args.alpha!r}")
+        raise ConfigError(f"--alpha must be a number or 'auto', got {args.alpha!r:.40}")
 
 
 def _check_trials(trials: int) -> None:
@@ -137,7 +137,8 @@ def _dump_size(trials: int, alpha: float, cap: int, deviation, deviator, profile
 
     An expectation, not a bound: sampling noise lets a small dump pass it
     (over seeds 0-9, 40-trial dumps at alpha 0.5 wrote up to 1.05 times it
-    for honest play and 1.21 times for biased-coin:0.2)."""
+    for honest play, 1.19 times for withhold and 1.21 times for
+    biased-coin:0.2, both by player 2)."""
     kernel = montecarlo.iteration_kernel(deviation, deviator)
     _, sent = montecarlo.expected_run(alpha, profile, kernel, cap)
     return trials * sum(count * transcript.LINE_BYTES[kind] for kind, count in zip(MessageKind, sent))
@@ -166,7 +167,7 @@ def cmd_simulate(args) -> Section:
         if args.deviant:
             head, _, spec = args.deviant.partition(":")
             if not head.isdecimal():
-                raise ValueError(f"--deviant must look like PLAYER:NAME, got {args.deviant!r}")
+                raise ValueError(f"--deviant must look like PLAYER:NAME, got {args.deviant!r:.40}")
             deviator = int(head)
             deviation, alpha_prime = parse_deviation(spec)
         # Checked before any run, and before a dump file is opened.
@@ -240,7 +241,7 @@ def cmd_audit(args) -> Section:
     try:
         deviators = (1, 2, 3) if args.deviators is None else tuple(int(d) for d in args.deviators.split(","))
     except ValueError:
-        raise ConfigError(f"--deviators must be a comma list of players, got {args.deviators!r}")
+        raise ConfigError(f"--deviators must be a comma list of players, got {args.deviators!r:.40}")
     try:
         audit = analysis.nash_audit(
             alpha, table, deviations=deviations, trials=args.trials,
@@ -488,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # A report holds one value per line, and [config] echoes arguments.
         for arg in argv:
-            if "\n" in arg or "\r" in arg:
+            if not one_line(arg):
                 raise ConfigError(f"argument {arg!r:.40} contains a line break")
         args = _parser().parse_args(argv)
         text = run_command(args).render()

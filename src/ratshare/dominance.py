@@ -37,6 +37,7 @@ from itertools import product
 
 import numpy as np
 
+from .report import one_line
 from .strategies import UtilityTable, _json_int, float_view, parse_payoff
 
 Profile = tuple[int, ...]
@@ -96,7 +97,7 @@ class NormalFormGame:
         try:
             return self.strategies[player - 1].index(label)
         except ValueError:
-            raise ValueError(f"player {player} has no strategy {label!r}") from None
+            raise ValueError(f"player {player} has no strategy {label!r:.40}") from None
 
     def to_doc(self) -> dict:
         return {
@@ -116,12 +117,12 @@ class NormalFormGame:
         # The name and the labels are echoed into a report, one line per
         # value, so a line break in one would forge report lines.
         name = doc.get("name", "game")
-        if not (isinstance(name, str) and _one_line(name)):
+        if not (isinstance(name, str) and one_line(name)):
             raise ValueError(f"game name must be a one-line string, got {name!r:.40}")
         for player, labels in enumerate(doc["strategies"], start=1):
             if not (
                 isinstance(labels, list)
-                and all(isinstance(lbl, str) and _one_line(lbl) for lbl in labels)
+                and all(isinstance(lbl, str) and one_line(lbl) for lbl in labels)
                 and len(set(labels)) == len(labels)
             ):
                 raise ValueError(
@@ -157,10 +158,6 @@ class NormalFormGame:
     def load(cls, path) -> "NormalFormGame":
         with open(path) as fh:
             return cls.from_doc(json.load(fh, parse_int=_json_int))
-
-
-def _one_line(text: str) -> bool:
-    return "\n" not in text and "\r" not in text
 
 
 def _rank_rows(values, shape: tuple[int, ...], axis: int) -> np.ndarray:

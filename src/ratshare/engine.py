@@ -223,15 +223,14 @@ class GroupedExchange:
             )
             decisions[pid] = DecisionKind.ABORT
 
-        # Each bit goes straight into its receiver's state, which reads it
-        # one step later: step-1 bits at step 2, masked bits at step 3.  A
-        # strategy must not read a bit during the step that sends it.
+        # Every step is simultaneous: the seated leaders act on what earlier
+        # steps delivered, and the step's messages arrive after all have acted.
 
-        # Step 1: each player commits coins and sends the masked pieces.
+        # Step 1: each player commits coins, then the masked pieces are sent.
         for pid in seated:
-            st = states[pid]
-            triple = strategies[pid].coins(st, rngs[pid], self.alpha)
-            st.coins = triple
+            states[pid].coins = strategies[pid].coins(states[pid], rngs[pid], self.alpha)
+        for pid in seated:
+            triple = states[pid].coins
             if triple is None:
                 continue
             states[succ[pid]].bit_from_pred = triple.c_plus
@@ -244,8 +243,9 @@ class GroupedExchange:
                     pid, pred[pid], Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, triple.c_minus
                 ))
 
-        # Step 2: read the step-1 bits, forward the masked combination to the
-        # predecessor.
+        # Step 2: read the step-1 bits, then forward the masked combinations
+        # to the predecessors.
+        masked: list[tuple[int, int]] = []
         for pid in seated:
             st = states[pid]
             if st.bit_from_pred is None or st.bit_from_succ is None:
@@ -253,11 +253,13 @@ class GroupedExchange:
                 continue
             bit = strategies[pid].masked_bit(st, rngs[pid])
             if bit is not None:
-                states[pred[pid]].masked_from_succ = bit
-                if record:
-                    msgs.append(RoundMessage(
-                        pid, pred[pid], Step.MASKED_BIT, MessageKind.MASKED_BIT, bit
-                    ))
+                masked.append((pid, bit))
+        for pid, bit in masked:
+            states[pred[pid]].masked_from_succ = bit
+            if record:
+                msgs.append(RoundMessage(
+                    pid, pred[pid], Step.MASKED_BIT, MessageKind.MASKED_BIT, bit
+                ))
 
         # Step 3: assemble the parity and decide whether to broadcast to the
         # other seated leaders, then to every observer.

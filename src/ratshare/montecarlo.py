@@ -31,7 +31,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
 
 import numpy as np
 
@@ -39,21 +38,16 @@ from . import engine
 from .protocol import STEPS_PER_ITERATION, MessageKind, RunOutcome, TerminalCause
 from .seeding import derive_generator
 from .strategies import (
-    ForcedCoins, HonestStrategy, Strategy, UtilityTable, deviation_profile, info_key, sqrt_view,
+    ForcedCoins, HonestStrategy, Strategy, UtilityTable, all_info_vectors, deviation_profile,
+    info_key, sqrt_view,
 )
 
-CAUSE_ORDER = (
-    TerminalCause.ALL_LEARNED,
-    TerminalCause.CHEAT_STOP,
-    TerminalCause.MISSING_BIT_ABORT,
-    TerminalCause.ITERATION_CAP_HIT,
-)
+CAUSE_ORDER = tuple(TerminalCause)
 
 # The 8 send-intent patterns (c1, c2, c3), also the 8 info vectors; row
 # 4*c1 + 2*c2 + c3.
-_VECTORS = list(product((0, 1), repeat=3))
+_VECTORS = all_info_vectors(3)
 PATTERNS = np.array(_VECTORS, dtype=bool)
-_PATTERN_CODE = np.array([4, 2, 1], dtype=np.int64)
 # How a run can end: a terminal cause and an info vector, at index
 # 8 * (the cause's place in CAUSE_ORDER) + (the vector's row).
 OUTCOMES = tuple((cause, vec) for cause in CAUSE_ORDER for vec in _VECTORS)
@@ -155,17 +149,12 @@ def _kind_counts(transcripts) -> list[int]:
 
 
 def iteration_outcome(
-    coins: np.ndarray, deviation: str | None, deviator: int | None
+    deviation: str | None, deviator: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Look up one iteration for each row of a (T, 3) coin matrix.
-
-    Returns the profile's kernel columns restart, outcome and extra at
-    each row's send-intent pattern.  Columns are players 1..3;
-    `deviation` of None means all honest.
-    """
+    """The profile's kernel columns restart, outcome and extra, a row per
+    send-intent pattern; `deviation` of None means all honest."""
     kernel = iteration_kernel(deviation, deviator if deviation is not None else None)
-    codes = np.asarray(coins, dtype=np.int64) @ _PATTERN_CODE
-    return tuple(column[codes] for column in (kernel.restart, kernel.outcome, kernel.extra))
+    return kernel.restart, kernel.outcome, kernel.extra
 
 
 def pattern_weights(alpha, profile: dict[int, Strategy]) -> np.ndarray:
@@ -218,7 +207,7 @@ def sample_runs(
     """
     engine.check_run_config(alpha, cap)
     profile = deviation_profile(deviation, deviator, alpha_prime)
-    restart, outcome, extra = iteration_outcome(PATTERNS, deviation, deviator)
+    restart, outcome, extra = iteration_outcome(deviation, deviator)
     absorbing, cdf = absorbing_weights(alpha, profile, restart)
     # One row per absorbing pattern, then the cap row of a trial that
     # restarts `cap` times.

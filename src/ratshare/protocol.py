@@ -9,8 +9,11 @@ stops or asks the issuer to restart with fresh shares.
 
 Messages take exactly one synchronous round to arrive: bits sent at the
 coin-exchange step are read at the masked-bit step, masked bits at the
-broadcast step, and broadcasts at the decision step.  A recorded
-iteration (`IterationTranscript`) keeps the messages it sent and nothing else.
+broadcast step, and broadcasts at the decision step.  Steps are
+simultaneous by construction: the engine delivers a step's messages
+only after every sender has acted at it, so no strategy at any seat can
+read a message of the step that sends it.  A recorded iteration
+(`IterationTranscript`) keeps the messages it sent and nothing else.
 """
 
 from __future__ import annotations

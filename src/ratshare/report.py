@@ -5,7 +5,9 @@ One document per command: a schema line, a [config] echo, one
 values render deterministically (floats at 12 significant digits, and
 exact Fractions like the float nearest them), so equal configurations
 produce byte-identical result sections; only [timing] varies between
-runs.
+runs.  A reader may split a report with `str.splitlines`, which breaks
+lines at U+000B, U+000C, U+001C-U+001E, U+0085, U+2028 and U+2029 as
+well as at LF and CR, so text echoed into one must be `one_line`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ from .strategies import float_view
 
 SCHEMA = "ratshare.report.v1"
 ARTIFACT_VERSION = "0.1.0"
+
+
+def one_line(text: str) -> bool:
+    """Whether `text` reads as at most one line under `str.splitlines`."""
+    return text.splitlines() in ([], [text])
 
 
 def fmt_value(value) -> str:

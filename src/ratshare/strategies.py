@@ -4,8 +4,10 @@ A strategy is a decision rule from a player's local view (its own coins,
 the bits and shares it has received, the shares it holds) to the action
 of the current step.  Strategies can only read the LocalState they are
 handed, so locality is structural: nothing about other players' private
-coins is reachable from here.  A decision is a DecisionKind: who
-learned is the exchange's call (`engine.GroupedExchange._learned`).
+coins is reachable from here.  Steps are simultaneous by construction
+(see `protocol`): at any seat, a strategy sees only what earlier steps
+delivered.  A decision is a DecisionKind: who learned is the exchange's
+call (`engine.GroupedExchange._learned`).
 
 Utilities depend only on the terminal info vector (which players learned
 the secret).  A UtilityTable stores one exact payoff per info vector per
@@ -261,12 +263,15 @@ def parse_deviation(spec: str) -> tuple[str, float | None]:
     """
     name, _, param = spec.partition(":")
     if name not in DEVIATIONS:
-        raise ValueError(f"unknown deviation {name!r}")
+        raise ValueError(f"unknown deviation {name!r:.40}")
     if name != "biased-coin":
         if param:
             raise ValueError(f"deviation {name!r} takes no parameter")
         return name, None
-    return name, float(param) if param else 1.0
+    try:
+        return name, float(param) if param else 1.0
+    except ValueError:
+        raise ValueError(f"biased-coin needs a number alpha', got {param!r:.40}") from None
 
 
 def deviation_profile(
@@ -280,7 +285,7 @@ def deviation_profile(
     if name is None:
         return {}
     if name not in DEVIATIONS:
-        raise ValueError(f"unknown deviation {name!r}")
+        raise ValueError(f"unknown deviation {name!r:.40}")
     if deviator not in (1, 2, 3):
         raise ValueError("deviator must be one of players 1..3")
     return {deviator: BiasedCoin(alpha_prime) if name == "biased-coin" else DEVIATIONS[name]()}

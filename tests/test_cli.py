@@ -791,6 +791,9 @@ FORGED_NAME_GAME = json.dumps({"name": "g\n[results.fake]\nrecommended.practical
                                **json.loads(PD_DOC)})
 FORGED_LABEL_GAME = PD_DOC.replace("defect", "defect\\nsurviving.player9 = x")
 NUMBER_NAME_GAME = json.dumps({"name": 5, **json.loads(PD_DOC)})
+# `str.splitlines` also breaks lines at U+2028, U+0085 and a vertical tab.
+SEPARATOR_NAME_GAME = json.dumps({"name": "g\u2028fake.section = 1", **json.loads(PD_DOC)})
+NEL_LABEL_GAME = PD_DOC.replace("defect", "defect\\u0085surviving.player9 = x")
 # Payoffs of 5,001 digits, past Python's limit on an int string, as a flag
 # and as JSON integers, which `json` alone refuses in Python's own words.
 LONG_PAYOFF = "1" + "0" * 5000
@@ -931,6 +934,9 @@ LONG_PAYOFF_ERROR = "has more than 4,300 digits, got '1" + "0" * 38
         ["dominance", "--game", f"DOC:{NUMBER_NAME_GAME}"],
         ["alpha-star", "--utilities", "NEWLINE_DOC"],
         ["simulate", "--trials", "10", "--seed", "1", "--alpha", "0.5\n"],
+        ["dominance", "--game", f"DOC:{SEPARATOR_NAME_GAME}"],
+        ["dominance", "--game", f"DOC:{NEL_LABEL_GAME}"],
+        ["simulate", "--trials", "10", "--seed", "1", "--alpha", "0.5\v"],
         # Payoffs past 4,300 digits, in every form.
         ["alpha-star", "--u-only", LONG_PAYOFF],
         ["alpha-star", "--utilities", f"DOC:{LONG_PAYOFF_DOC}"],
@@ -958,7 +964,8 @@ LONG_PAYOFF_ERROR = "has more than 4,300 digits, got '1" + "0" * 38
         "simulate-auto-alpha-star-underflows", "u-only-huge-exponent", "utilities-huge-exponent",
         "game-huge-exponent", "profile-empty", "dump-over-budget-subnormal-weight",
         "game-name-line-break", "game-label-line-break", "game-name-int", "utilities-path-line-break",
-        "alpha-line-break", "u-only-long", "utilities-long-payoff", "game-long-payoff",
+        "alpha-line-break", "game-name-line-separator", "game-label-next-line",
+        "alpha-vertical-tab", "u-only-long", "utilities-long-payoff", "game-long-payoff",
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -999,7 +1006,7 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
         assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
-    assert err.count("\n") == 1
+    assert err.endswith("\n") and len(err.splitlines()) == 1
     if "X,Y" in argv or "send,sned" in argv:
         # The message names the first unknown label and its player.
         player, label = (1, "X") if "X,Y" in argv else (2, "sned")
@@ -1033,6 +1040,9 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
         f"DOC:{NUMBER_NAME_GAME}": "game name must be a one-line string, got 5",
         "NEWLINE_DOC": "contains a line break",
         "0.5\n": "argument '0.5\\n' contains a line break",
+        f"DOC:{SEPARATOR_NAME_GAME}": "game name must be a one-line string, got 'g\\u2028fake.section = 1'",
+        f"DOC:{NEL_LABEL_GAME}": "player 1 strategies must be a list of distinct one-line strings",
+        "0.5\v": "argument '0.5\\x0b' contains a line break",
         LONG_PAYOFF: f"--u-only {LONG_PAYOFF_ERROR}",
         f"DOC:{LONG_PAYOFF_DOC}": f"u_only {LONG_PAYOFF_ERROR}",
         f"DOC:{LONG_PAYOFF_GAME}": f"payoffs of 'a,b': payoff {LONG_PAYOFF_ERROR}",
@@ -1040,6 +1050,36 @@ def test_bad_input_exits_two_with_one_line(argv, tmp_path, capsys, monkeypatch):
     if argv[-1] in ends:
         assert err.endswith(f"{ends[argv[-1]]}\n")
     assert not (tmp_path / "dump.jsonl").exists()
+
+
+LONG_VALUE = "x" * 3000
+LONG_INT = "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--trials", "10", "--seed", "1", "--alpha", LONG_VALUE],
+        ["simulate", "--trials", "10", "--seed", "1", "--alpha", "0.5", "--deviant", LONG_VALUE],
+        ["simulate", "--trials", "10", "--seed", "1", "--alpha", "0.5", "--deviant", f"1:{LONG_VALUE}"],
+        ["simulate", "--trials", "10", "--seed", "1", "--alpha", "0.5",
+         "--deviant", f"1:biased-coin:{LONG_VALUE}"],
+        ["audit", "--alpha", "0.5", "--trials", "10000", "--seed", "1", "--deviations", LONG_VALUE],
+        ["audit", "--alpha", "0.5", "--trials", "10000", "--seed", "1",
+         "--deviations", "biased-coin:0.5,biased-coin:0.5" + "0" * 3000],
+        ["audit", "--alpha", "0.5", "--trials", "10000", "--seed", "1", "--deviators", LONG_VALUE],
+        ["audit", "--alpha", "0.5", "--trials", "10000", "--seed", "1",
+         "--deviators", f"{LONG_INT},{LONG_INT}"],
+        ["dominance", "--builtin", "bounded-r2", "--profile", f"{LONG_VALUE},send"],
+    ],
+    ids=["alpha", "deviant-shape", "deviant-name", "deviant-biased-coin-param", "deviations",
+         "deviations-twice", "deviators", "deviators-twice", "profile-label"],
+)
+def test_config_errors_quote_at_most_40_characters_of_a_bad_value(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith("\n") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200, err[:100]
 
 
 @pytest.mark.parametrize(

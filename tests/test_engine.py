@@ -692,3 +692,35 @@ def test_strategy_actions_depend_only_on_observations():
     assert parity_a == parity_b == 0
     assert sent_a == sent_b
     assert decision_a == decision_b
+
+
+class Peeker(HonestStrategy):
+    """Honest play that notes what its state holds of steps 1 and 2 while it acts at them."""
+
+    def __init__(self):
+        self.seen = []
+
+    def coins(self, state, rng, alpha):
+        self.seen.append((state.bit_from_pred, state.bit_from_succ))
+        return super().coins(state, rng, alpha)
+
+    def masked_bit(self, state, rng):
+        self.seen.append(state.masked_from_succ)
+        return super().masked_bit(state, rng)
+
+
+@pytest.mark.parametrize("lift", ["3-ring", "3-of-6"])
+def test_no_strategy_reads_a_bit_of_the_step_that_sends_it(lift):
+    # Steps are simultaneous: whatever its seat, a leader acting at step 1
+    # or 2 holds no bit of that step, not even one sent by a leader that
+    # acted before it in ring order.
+    leaders = [1, 2, 3] if lift == "3-ring" else partition_players(6, 3)[1]
+    for seat in leaders:
+        peeker = Peeker()
+        for trial in range(4):
+            kw = dict(seed=1, cap=20, record=False, trial=trial)
+            if lift == "3-ring":
+                run_mechanism(5, 0.9, {seat: peeker}, **kw)
+            else:
+                lift_m_of_n(5, 3, 6, 0.9, {seat: peeker}, **kw)
+        assert set(peeker.seen) == {(None, None), None}, (seat, peeker.seen)

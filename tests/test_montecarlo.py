@@ -72,16 +72,14 @@ def engine_signature(assignment, deviation, deviator):
 
 
 def vector_signature(assignment, deviation, deviator):
-    coins = np.array([[assignment[i][0] for i in range(3)]], dtype=bool)
     name = parse_deviation(deviation)[0] if deviation is not None else None
-    restart, outcome, extra = montecarlo.iteration_outcome(coins, name, deviator)
     kernel = montecarlo.iteration_kernel(name, deviator)
     row = 4 * assignment[0][0] + 2 * assignment[1][0] + assignment[2][0]
     sent, extra_sent = kernel.sent[row].tolist(), kernel.extra_sent[row].tolist()
-    if restart[0]:
+    if kernel.restart[row]:
         # Same coins forced again -> still restarting when the cap of 2 hits.
         return CAP_OUTCOME, 2, sent, extra_sent
-    return int(outcome[0]), 1 + int(extra[0]), sent, extra_sent
+    return int(kernel.outcome[row]), 1 + int(kernel.extra[row]), sent, extra_sent
 
 
 # Every registered deviation; biased-coin's bias is overridden by the

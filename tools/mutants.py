@@ -146,8 +146,15 @@ MUTANTS = [
            "tests/test_dominance.py::test_survival_needs_every_players_strategy_to_survive"),
     # Bit delivery, epochs, stale items, the kernel's message counts and the dump.
     Mutant("masked-bit-kept-by-sender", "src/ratshare/engine.py",
-           "states[pred[pid]].masked_from_succ = bit", "st.masked_from_succ = bit",
+           "states[pred[pid]].masked_from_succ = bit", "states[pid].masked_from_succ = bit",
            "tests/test_engine.py::test_honest_parity_agreement_and_atomicity_all_64"),
+    Mutant("step-1-delivered-while-acting", "src/ratshare/engine.py",
+           "states[pid].coins = strategies[pid].coins(states[pid], rngs[pid], self.alpha)",
+           "triple = states[pid].coins = strategies[pid].coins(states[pid], rngs[pid], self.alpha)\n"
+           "            if triple is not None:\n"
+           "                states[succ[pid]].bit_from_pred = triple.c_plus\n"
+           "                states[pred[pid]].bit_from_succ = triple.c_minus",
+           "tests/test_engine.py::test_no_strategy_reads_a_bit_of_the_step_that_sends_it"),
     Mutant("no-epoch-check", "src/ratshare/engine.py",
            "or item.epoch != state.epoch:", ":",
            "tests/test_engine.py::test_replayed_payload_of_an_earlier_epoch_is_stale"),
