@@ -389,8 +389,28 @@ def _add_table_flags(parser, players: int = 3) -> None:
     parser.set_defaults(players=players)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, whose own rejections are one `config error:` line (exit 2)
+    that quotes at most 40 characters of any argument."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._arguments = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        # argparse echoes a bad argument whole, quoted (%r) or, when it is
+        # unrecognized, as given; the longest are cut first, so a long
+        # argument that contains a shorter one is cut as itself.
+        values = {v for arg in self._arguments for v in (arg, arg.partition("=")[2])}
+        for value in sorted(values, key=len, reverse=True):
+            if len(value) > 40:
+                message = message.replace(repr(value), f"{value!r:.40}")
+                message = message.replace(value, value[:40])
+        self.exit(2, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratshare",
         description="Rational secret sharing: simulation, incentives, dominance.",
     )

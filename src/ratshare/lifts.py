@@ -108,10 +108,17 @@ class TwoOfNExchange(GroupedExchange):
 
     def _learned(self, state: LocalState) -> bool:
         """All n-1 subshares of each holder's share in one epoch; a holder's own share will do."""
+        if state.learned_earlier:
+            return True
+        # One pass counts the subshares held of each parent.
         items = state.holdings
-        return state.learned_earlier or all(
+        subs = {}
+        for key in items:
+            if key[0] == "sub":
+                subs[key[1]] = subs.get(key[1], 0) + 1
+        return all(
             (parent == state.player and ("share", parent) in items)
-            or sum(key[:2] == ("sub", parent) for key in items) >= self.n - 1
+            or subs.get(parent, 0) >= self.n - 1
             for parent in self.holders
         )
 

@@ -12,17 +12,20 @@ each issuer's MAC is itself a bounded cache (its 256 most recent
 messages) that issuing, splitting and verifying all call: a point issued
 again, or an item verified, while its message is cached computes no
 MAC.  The cache is keyed by the message, not by an item's fields,
-because 1 == True == 1.0.  Each kind of message has one definition, a
-module function of the modulus, the epoch and the item's fields
-(`_share_msg`, `_subshare_msg`), that every caller builds in full.
+because 1 == True == 1.0, nor by the item, which `object.__setattr__`
+can still change.  Each kind of message has one definition, a module
+function of the modulus, the epoch and the item's fields (`_share_msg`,
+`_subshare_msg`), that every caller builds in full; verification builds
+it on every call.
 
 A share's evaluation point is its holder, so the tag covers who holds
 it: a share relabelled after issue fails its tag.  The Lagrange weights
 at zero are cached per point set and field.  Reconstruction checks its
-items in one pass.  The values an issuer or a reconstruction has just
-reduced mod an already checked modulus, and the holders 1..n < p an
-issuer numbers, are built into their items directly, without the public
-constructors' checks; every other item is checked.
+items in one pass.  Items are frozen, slot-backed dataclasses.  The
+values an issuer or a reconstruction has just reduced mod an already
+checked modulus, and the holders 1..n < p an issuer numbers, are set
+into their items' slots directly, without the public constructors'
+checks; every other item is checked.
 
 The exhaustive small-field verifiers (reconstruction round-trip and
 hiding-posterior uniformity) live here so the command-line `hiding`
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, mul
 from random import Random
 
 import numpy as np
@@ -101,7 +104,7 @@ def _check_modulus(p: int) -> None:
     _checked_moduli.add(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """A checked element of GF(p), p prime; the arithmetic runs on ints."""
 
@@ -115,7 +118,7 @@ class FieldElement:
             raise ValueError(f"value {self.value!r} is not an int in [0, {self.modulus})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Share:
     """An authenticated point (holder, y) of one sharing epoch.
 
@@ -134,7 +137,7 @@ class Share:
             raise ValueError(f"holder {self.holder!r} is not an int in [0, {p})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subshare:
     """One additive piece of a parent share's y value."""
 
@@ -145,42 +148,46 @@ class Subshare:
     tag: bytes
 
 
-# Trusted builds: each sets an item's fields on a new instance the way
-# the frozen dataclass `__init__` does, but skips `__init__` and
+# Trusted builds: each sets an item's fields on a new instance through
+# the slots' member descriptors, the way the frozen dataclass `__init__`
+# does through `object.__setattr__`, but skips `__init__` and
 # `__post_init__`.  They are only for values reduced mod a modulus that a
 # FieldElement already checked (and holders 1..n < p), so the result
 # equals, hashes and compares like the public construction of the same
 # fields, and stays frozen.
-# (Writing into the instance `__dict__` instead would be quicker to build
-# but about three times slower to read a field from.)
 
 _new = object.__new__
-_set = object.__setattr__
+_set_value, _set_modulus = FieldElement.value.__set__, FieldElement.modulus.__set__
+_set_holder, _set_y = Share.holder.__set__, Share.y.__set__
+_set_epoch, _set_tag = Share.epoch.__set__, Share.tag.__set__
+_set_parent, _set_index = Subshare.parent_holder.__set__, Subshare.index.__set__
+_set_sub_value, _set_sub_epoch = Subshare.value.__set__, Subshare.epoch.__set__
+_set_sub_tag = Subshare.tag.__set__
 
 
 def _element(value: int, modulus: int) -> FieldElement:
     item = _new(FieldElement)
-    _set(item, "value", value)
-    _set(item, "modulus", modulus)
+    _set_value(item, value)
+    _set_modulus(item, modulus)
     return item
 
 
 def _share(holder: int, y: FieldElement, epoch: int, tag: bytes) -> Share:
     item = _new(Share)
-    _set(item, "holder", holder)
-    _set(item, "y", y)
-    _set(item, "epoch", epoch)
-    _set(item, "tag", tag)
+    _set_holder(item, holder)
+    _set_y(item, y)
+    _set_epoch(item, epoch)
+    _set_tag(item, tag)
     return item
 
 
 def _subshare(parent: int, index: int, value: FieldElement, epoch: int, tag: bytes) -> Subshare:
     item = _new(Subshare)
-    _set(item, "parent_holder", parent)
-    _set(item, "index", index)
-    _set(item, "value", value)
-    _set(item, "epoch", epoch)
-    _set(item, "tag", tag)
+    _set_parent(item, parent)
+    _set_index(item, index)
+    _set_sub_value(item, value)
+    _set_sub_epoch(item, epoch)
+    _set_sub_tag(item, tag)
     return item
 
 
@@ -220,14 +227,6 @@ def _share_msg(p: int, epoch: int, holder: int, y: int) -> str:
 
 def _subshare_msg(p: int, epoch: int, parent: int, index: int, value: int) -> str:
     return f"subshare|{p!s}|{epoch!s}|{parent!s}|{index!s}|{value!s}"
-
-
-def _eval_poly(coefficients: list[int], x: int, p: int) -> int:
-    """Evaluate a0 + a1*x + ... at x mod p (Horner)."""
-    acc = 0
-    for c in reversed(coefficients):
-        acc = (acc * x + c) % p
-    return acc
 
 
 class ShareIssuer:
@@ -276,18 +275,26 @@ class ShareIssuer:
         for c in poly:
             if type(c) is not int:
                 raise ValueError(f"coefficient {c!r} is not an int")
+        poly.reverse()  # highest degree first, for Horner's rule
         mac = self._mac
         shares = []
         append = shares.append
         for i in range(1, n + 1):
-            y = _eval_poly(poly, i, p)
+            y = 0
+            for c in poly:
+                y = (y * i + c) % p
             tag = mac(_share_msg(p, epoch, i, y))
             append(_share(i, _element(y, p), epoch, tag))
         return shares
 
     def verify_tag(self, item: Share | Subshare) -> bool:
         """True iff the tag matches the issuer's keyed code over the fields."""
-        if isinstance(item, Share):
+        # The two exact types dispatch at once; anything else is formatted
+        # as a share if `isinstance` says it is one, else as a subshare.
+        kind = type(item)
+        if kind is not Share and kind is not Subshare:
+            kind = Share if isinstance(item, Share) else Subshare
+        if kind is Share:
             msg = _share_msg(self.modulus, item.epoch, item.holder, item.y.value)
         else:
             msg = _subshare_msg(self.modulus, item.epoch, item.parent_holder, item.index,
@@ -351,22 +358,25 @@ def reconstruct(
     if len(shares) < m:
         raise ReconstructionError(f"need at least {m} shares, got {len(shares)}")
     # One pass gathers what the checks need; they still fail in the order
-    # epochs, field, duplicate x, tags.  Sorted by x, a repeat is adjacent.
+    # epochs, field, duplicate holder, tags.  Sorted by holder, a repeat is
+    # adjacent.
     first = shares[0]
     epoch, p = first.epoch, first.y.modulus
     mixed_epochs = mixed_fields = duplicate = False
     xs = []
+    ys = []
     prev = None
     for s in shares:
-        x = s.holder
+        x, y = s.holder, s.y
         if s.epoch != epoch:
             mixed_epochs = True
-        if s.y.modulus != p:
+        if y.modulus != p:
             mixed_fields = True
         if x == prev:
             duplicate = True
         prev = x
         xs.append(x)
+        ys.append(y.value)
     if mixed_epochs:
         raise ReconstructionError(f"shares span epochs {sorted({s.epoch for s in shares})}")
     if mixed_fields:
@@ -378,9 +388,9 @@ def reconstruct(
         for s in shares:
             if not verify(s):
                 raise ReconstructionError(f"tag verification failed for holder {s.holder}")
+    # The weights are m long, so only the first m y values are summed.
     weights = _lagrange_at_zero(tuple(xs[:m]), p)
-    total = sum(s.y.value * w for s, w in zip(shares, weights)) % p
-    return _element(total, p)
+    return _element(sum(map(mul, ys, weights)) % p, p)
 
 
 def combine_subshares(

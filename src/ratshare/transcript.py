@@ -59,9 +59,12 @@ def _payload_record(payload) -> object:
 # share this one.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-# The `"step":..,"kind":..,` part of a dump line, per (step, kind).
+# The `"step":..,"kind":..,` part of a dump line, per step and kind
+# value.  A `Step` hashes as its int, but a `MessageKind` only through
+# the Python-level `Enum.__hash__`, so the table is keyed by the kind's
+# value string instead.
 _STEP_KIND = {
-    (step, kind): f'"step":{int(step)},"kind":{_encode(kind.value)},'
+    (step, kind._value_): f'"step":{int(step)},"kind":{_encode(kind.value)},'
     for step in Step
     for kind in MessageKind
 }
@@ -79,24 +82,26 @@ def _payload_json(payload) -> str:
     return _encode(_payload_record(payload))
 
 
-def _jsonl_line(msg, head: str, payload_json: str) -> str:
+def _jsonl_line(head: str, sender: int, receiver: int, step: Step, kind: MessageKind,
+                payload_json: str) -> str:
     """One dump line, from `_line_head` of the message's trial, iteration and
-    epoch and `_payload_json` of its payload."""
+    epoch, its fields and `_payload_json` of its payload."""
     return (
-        f'{head}{_STEP_KIND[msg.step, msg.kind]}"sender":{msg.sender},'
-        f'"receiver":{msg.receiver},"payload":{payload_json}}}\n'
+        f'{head}{_STEP_KIND[step, kind._value_]}"sender":{sender},'
+        f'"receiver":{receiver},"payload":{payload_json}}}\n'
     )
 
 
 def write(fh, trial: int, outcome: RunOutcome) -> None:
     """Write the messages of one recorded run, in sending order, with one `fh.write`."""
     lines = []
+    append = lines.append
     for transcript in outcome.transcripts:
         head = _line_head(trial, transcript.iteration, transcript.epoch)
         # A broadcast sends one payload object to every recipient in a row.
         payload = text = None
-        for msg in transcript.messages:
-            if text is None or msg.payload is not payload:
-                payload, text = msg.payload, _payload_json(msg.payload)
-            lines.append(_jsonl_line(msg, head, text))
+        for sender, receiver, step, kind, item in transcript.messages:
+            if text is None or item is not payload:
+                payload, text = item, _payload_json(item)
+            append(_jsonl_line(head, sender, receiver, step, kind, text))
     fh.write("".join(lines))

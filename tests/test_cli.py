@@ -673,8 +673,7 @@ def test_dump_line_sizes_bound_the_widest_lines():
     ]
     widths = {}
     for step, kind, payload in cases:
-        msg = RoundMessage(3, 3, step, kind, payload)
-        line = _jsonl_line(msg, _line_head(wide, wide, wide), _payload_json(payload))
+        line = _jsonl_line(_line_head(wide, wide, wide), 3, 3, step, kind, _payload_json(payload))
         widths[kind] = len(line.encode())
     # "CoinPlus" is a byte shorter than "CoinMinus"; both take the bit width.
     assert widths == {**LINE_BYTES, MessageKind.COIN_PLUS: LINE_BYTES[MessageKind.COIN_PLUS] - 1}
@@ -709,7 +708,7 @@ def test_jsonl_line_is_json_dumps_of_the_record(name):
             "receiver": msg.receiver,
             "payload": _payload_record(payload),
         }
-        line = _jsonl_line(msg, _line_head(6, 11, 4), _payload_json(payload))
+        line = _jsonl_line(_line_head(6, 11, 4), *msg[:4], _payload_json(payload))
         assert line == json.dumps(record, separators=(",", ":")) + "\n"
 
 
@@ -1079,6 +1078,33 @@ def test_config_errors_quote_at_most_40_characters_of_a_bad_value(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.endswith("\n") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200, err[:100]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--alpha", "0.5", "--seed", "1", "--trials", LONG_VALUE],
+        ["simulate", "--alpha", "0.5", "--seed", "1", f"--trials={LONG_VALUE}"],
+        ["dominance", "--builtin", LONG_VALUE],
+        ["simulate", "--alpha", "0.5", "--seed", "1", LONG_VALUE],
+        ["audit", f"--de={LONG_VALUE}"],
+        [LONG_VALUE],
+    ],
+    ids=["int-value", "int-value-after-equals", "choice", "unrecognized", "ambiguous-option",
+         "command"],
+)
+def test_argparse_rejections_are_one_config_error_line(argv, capsys):
+    # argparse exits on its own, with status 2, as it always has.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    err = captured.err
+    assert captured.out == ""
+    assert err.startswith("config error: ") and err.endswith("\n") and len(err.splitlines()) == 1
+    # The bad value is echoed, cut to 40 characters (its quote included).
+    assert "x" * 35 in err and "x" * 41 not in err
     assert len(err.encode()) < 200, err[:100]
 
 

@@ -483,11 +483,54 @@ def test_the_tag_cache_stays_bounded_over_issues_and_splits(ops):
 
 def test_the_tag_cache_is_keyed_by_the_message(issuer13):
     # 1 == True == 1.0, but each writes a message of its own, so an epoch
-    # of True or 1.0 does not match the cached tag of epoch 1.
+    # (or a subshare's parent or index) of True or 1.0 does not match the
+    # cached tag of 1.
     share = issuer13.issue_shares(fe(7), m=2, n=3, epoch=1, rng=Random(0))[0]
-    assert issuer13.verify_tag(share)
-    for epoch in (True, 1.0):
-        assert not issuer13.verify_tag(dataclasses.replace(share, epoch=epoch))
+    sub = issuer13.split_subshares(share, 3, Random(1))[0]
+    assert (share.holder, sub.parent_holder, sub.index) == (1, 1, 1)
+    assert issuer13.verify_tag(share) and issuer13.verify_tag(sub)
+    for other in (True, 1.0):
+        assert not issuer13.verify_tag(dataclasses.replace(share, epoch=other))
+        for field in ("epoch", "parent_holder", "index"):
+            assert not issuer13.verify_tag(dataclasses.replace(sub, **{field: other}))
+
+
+def test_an_item_changed_in_place_after_issue_fails_its_tag(issuer13):
+    # A frozen dataclass still yields to object.__setattr__: verification
+    # must read the item's fields on every call, not remember the item.
+    shares = issuer13.issue_shares(fe(7), m=2, n=3, epoch=1, rng=Random(0))
+    subs = issuer13.split_subshares(shares[0], 3, Random(1))
+    changes = [
+        (shares[0], "y", fe(8)), (shares[1], "holder", 3), (shares[2], "epoch", 2),
+        (shares[2], "epoch", 1.0), (subs[0], "value", fe(0)), (subs[1], "index", 3),
+        (subs[2], "parent_holder", 2), (subs[2], "epoch", True),
+    ]
+    for item, field, value in changes:
+        assert issuer13.verify_tag(item)
+        old = getattr(item, field)
+        object.__setattr__(item, field, value)
+        assert not issuer13.verify_tag(item), (field, value)
+        object.__setattr__(item, field, old)
+        assert issuer13.verify_tag(item)
+
+
+class _SubclassedShare(Share):
+    pass
+
+
+def test_verify_tag_formats_each_item_by_its_type(issuer13):
+    share = issuer13.issue_shares(fe(7), m=2, n=3, epoch=1, rng=Random(0))[0]
+    sub = issuer13.split_subshares(share, 2, Random(1))[0]
+    assert issuer13.verify_tag(share) and issuer13.verify_tag(sub)
+    # A subshare carrying the tag of the share message its parent, epoch
+    # and value would make is not a share.
+    share_message_tag = oracle_tag(b"test-key-13", "share", 13, sub.epoch, sub.parent_holder,
+                                   sub.value.value)
+    assert not issuer13.verify_tag(dataclasses.replace(sub, tag=share_message_tag))
+    # A subclass of Share is verified as the share it extends.
+    subclassed = _SubclassedShare(share.holder, share.y, share.epoch, share.tag)
+    assert issuer13.verify_tag(subclassed)
+    assert not issuer13.verify_tag(dataclasses.replace(subclassed, epoch=2))
 
 
 def test_an_issuer_is_freed_without_the_garbage_collector():
@@ -569,12 +612,18 @@ def test_issuer_built_items_are_the_public_items(issuer13):
         assert hash(item) == hash(public)
         assert repr(item) == repr(public)
         assert dataclasses.replace(item) == item
-        name = dataclasses.fields(item)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(item, name, getattr(item, name))
-    # Public construction still checks: a replaced value out of range fails.
-    with pytest.raises(ValueError):
-        dataclasses.replace(built[-1], value=13)
+        # Slot-backed, as the public items are, and frozen in every field.
+        assert not hasattr(item, "__dict__") and not hasattr(public, "__dict__")
+        for f in dataclasses.fields(item):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(item, f.name, getattr(item, f.name))
+    # Public construction still checks: a replaced value or holder out of
+    # range fails, for each kind of built item.
+    for element in (built[-1], built[-2], shares[0].y, subs[0].value):
+        with pytest.raises(ValueError, match="is not an int in"):
+            dataclasses.replace(element, value=13)
+    with pytest.raises(ValueError, match="is not an int in"):
+        dataclasses.replace(shares[0], holder=13)
 
 
 # --- subshares --------------------------------------------------------------

@@ -71,8 +71,15 @@ MUTANTS = [
            "if type(self.holder) is not int:",
            "tests/test_shamir.py::test_share_holder_is_an_int_point_of_the_field"),
     Mutant("reconstruct-unreduced", "src/ratshare/shamir.py",
-           "for s, w in zip(shares, weights)) % p", "for s, w in zip(shares, weights))",
+           "sum(map(mul, ys, weights)) % p", "sum(map(mul, ys, weights))",
            "tests/test_shamir.py::test_hand_lagrange"),
+    Mutant("subshare-tagged-as-share", "src/ratshare/shamir.py",
+           "_subshare_msg(self.modulus, item.epoch, item.parent_holder, item.index,",
+           "_share_msg(self.modulus, item.epoch, item.parent_holder,",
+           "tests/test_shamir.py::test_verify_tag_formats_each_item_by_its_type"),
+    Mutant("share-subclass-tagged-as-subshare", "src/ratshare/shamir.py",
+           "kind = Share if isinstance(item, Share) else Subshare", "kind = Subshare",
+           "tests/test_shamir.py::test_verify_tag_formats_each_item_by_its_type"),
     Mutant("hiding-check-always-passes", "src/ratshare/shamir.py",
            "return bool((counts.min(axis=1) == counts.max(axis=1)).all())", "return True",
            "tests/test_shamir.py::test_hiding_check_matches_counting_oracle"),
@@ -126,7 +133,7 @@ MUTANTS = [
            ">= self.n - 1", ">= self.n - 2",
            "tests/test_engine.py::test_replayed_payload_of_an_earlier_epoch_is_stale"),
     Mutant("two-of-n-forgets-earlier-epochs", "src/ratshare/lifts.py",
-           "return state.learned_earlier or all(", "return all(",
+           "if state.learned_earlier:\n            return True", "if False:\n            return True",
            "tests/test_engine.py::test_what_an_earlier_epoch_taught_is_kept"),
     Mutant("no-partial-info-guard", "src/ratshare/engine.py",
            "if self.honest and any(info) and not all(info):", "if False:",
@@ -163,7 +170,7 @@ MUTANTS = [
            '"y": payload.y.value,\n            "x": payload.holder,',
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
     Mutant("payload-text-always-reused", "src/ratshare/transcript.py",
-           "if text is None or msg.payload is not payload:", "if text is None:",
+           "if text is None or item is not payload:", "if text is None:",
            "tests/test_cli.py::test_dump_lines_are_the_recorded_messages_in_order"),
     Mutant("kernel-drops-restart-requests", "src/ratshare/montecarlo.py",
            "return [counts[kind] for kind in MessageKind]",
