@@ -110,7 +110,6 @@ class TwoOfNExchange(GroupedExchange):
         """All n-1 subshares of each holder's share in one epoch; a holder's own share will do."""
         if state.learned_earlier:
             return True
-        # One pass counts the subshares held of each parent.
         items = state.holdings
         subs = {}
         for key in items:

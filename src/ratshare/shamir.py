@@ -289,12 +289,7 @@ class ShareIssuer:
 
     def verify_tag(self, item: Share | Subshare) -> bool:
         """True iff the tag matches the issuer's keyed code over the fields."""
-        # The two exact types dispatch at once; anything else is formatted
-        # as a share if `isinstance` says it is one, else as a subshare.
-        kind = type(item)
-        if kind is not Share and kind is not Subshare:
-            kind = Share if isinstance(item, Share) else Subshare
-        if kind is Share:
+        if isinstance(item, Share):
             msg = _share_msg(self.modulus, item.epoch, item.holder, item.y.value)
         else:
             msg = _subshare_msg(self.modulus, item.epoch, item.parent_holder, item.index,

@@ -77,9 +77,6 @@ MUTANTS = [
            "_subshare_msg(self.modulus, item.epoch, item.parent_holder, item.index,",
            "_share_msg(self.modulus, item.epoch, item.parent_holder,",
            "tests/test_shamir.py::test_verify_tag_formats_each_item_by_its_type"),
-    Mutant("share-subclass-tagged-as-subshare", "src/ratshare/shamir.py",
-           "kind = Share if isinstance(item, Share) else Subshare", "kind = Subshare",
-           "tests/test_shamir.py::test_verify_tag_formats_each_item_by_its_type"),
     Mutant("hiding-check-always-passes", "src/ratshare/shamir.py",
            "return bool((counts.min(axis=1) == counts.max(axis=1)).all())", "return True",
            "tests/test_shamir.py::test_hiding_check_matches_counting_oracle"),
