@@ -398,16 +398,3 @@ def prisoners_dilemma() -> NormalFormGame:
         payoffs=payoffs,
         name="prisoners-dilemma",
     )
-
-
-def matching_pennies() -> NormalFormGame:
-    """Reference game with no weakly dominated strategies."""
-    payoffs = {}
-    for a, b in product(range(2), repeat=2):
-        win = 1 if a == b else -1
-        payoffs[(a, b)] = (Fraction(win), Fraction(-win))
-    return NormalFormGame(
-        strategies=(("heads", "tails"), ("heads", "tails")),
-        payoffs=payoffs,
-        name="matching-pennies",
-    )

@@ -108,7 +108,10 @@ class GroupedExchange:
 
     Subclasses define what one epoch issues, who forwards, what a
     player's bundle is, and its items' type, stale-item evidence kind and
-    holding key, which `_accept_item`, the one item check, reads.
+    holding key.  `_check_item` judges each delivered item once, however
+    many players receive it; every receiver then keeps the valid items and
+    records evidence for the rest.  Only the players who act, the leaders
+    and the forwarders, get a random stream.
     """
 
     def __init__(
@@ -140,13 +143,19 @@ class GroupedExchange:
         self.pred = {p: leaders[k - 1] for k, p in enumerate(leaders)}
         self.leader_of = {p: leaders[g] for g, group in enumerate(groups) for p in group}
         self.observers = [p for p in self.players if p not in leaders]
+        self.forwarders = [
+            (p, self.leader_of[p]) for p in self._forwarders() if self.leader_of[p] != p
+        ]
         # The field is the secret's own; an int secret lives in DEFAULT_PRIME's.
         if not isinstance(secret, FieldElement):
             secret = FieldElement(secret % DEFAULT_PRIME, DEFAULT_PRIME)
         self.secret = secret
         self.issuer = ShareIssuer(derive_bytes(seed, trial, "issuer-key"), secret.modulus)
         self.issuer_rng = derive_rng(seed, trial, "issuer")
-        self.rngs = {p: derive_rng(seed, trial, "player", p) for p in self.players}
+        # Streams are derived independently per player, so skipping those
+        # who never draw changes no draw.
+        actors = {*leaders, *(p for p, _ in self.forwarders)}
+        self.rngs = {p: derive_rng(seed, trial, "player", p) for p in actors}
         self.states = {p: LocalState(player=p) for p in self.players}
         self.issued = -1
 
@@ -175,36 +184,32 @@ class GroupedExchange:
         """Who learned, the exchange's call: `threshold` items of one epoch."""
         return state.learned_earlier or len(state.holdings) >= self.threshold
 
-    def _accept_item(self, state: LocalState, sender: int, item) -> bool:
-        """Validate one broadcast/forwarded item of the state's epoch and store it."""
-        if not isinstance(item, self.item_type) or item.epoch != state.epoch:
-            evidence = CheatEvidence(self.stale_evidence, state.iteration, int(Step.DECIDE), sender)
-        elif not self.issuer.verify_tag(item):
-            evidence = CheatEvidence("invalid-tag", state.iteration, int(Step.DECIDE), sender)
-        else:
+    def _check_item(self, item, epoch: int) -> str | None:
+        """The evidence kind a delivered item of `epoch` earns; None if it is valid."""
+        if not isinstance(item, self.item_type) or item.epoch != epoch:
+            return self.stale_evidence
+        return None if self.issuer.verify_tag(item) else "invalid-tag"
+
+    def _take_item(self, state: LocalState, sender: int, item, kind: str | None) -> None:
+        """One receiver's take of a checked item: kept if valid, else its evidence."""
+        if kind is None:
             state.add_holding(self._holding_key(item), item)
-            return True
-        state.cheat_evidence.append(evidence)
-        return False
+        else:
+            state.cheat_evidence.append(CheatEvidence(kind, state.iteration, int(Step.DECIDE), sender))
 
     def _payload(self, bundle: list) -> object:
         return tuple(bundle)
 
-    def _accept_payload(self, state: LocalState, sender: int, payload) -> bool:
-        if not isinstance(payload, tuple):
-            return False
-        ok = True
-        for item in payload:
-            if not self._accept_item(state, sender, item):
-                ok = False
-        return ok
+    def _items(self, payload) -> tuple | None:
+        """A broadcast payload's items; None when it is not a bundle at all."""
+        return payload if isinstance(payload, tuple) else None
 
     # One iteration ------------------------------------------------------------
 
     def _coin_iteration(
-        self, seated: list[int], iteration: int, msgs: list[RoundMessage]
+        self, seated: list[int], iteration: int, epoch: int, msgs: list[RoundMessage]
     ) -> dict[int, DecisionKind]:
-        """Execute steps 1-4 of one iteration among the seated leaders.
+        """Execute steps 1-4 of one iteration of `epoch` among the seated leaders.
 
         `seated` lists the leaders still on the ring, in ring order.
         Returns the decisions by player, and appends the messages sent to
@@ -283,12 +288,26 @@ class GroupedExchange:
                     ]
 
         # Step 4: take delivery of broadcasts, then stop or ask for a restart.
+        # No strategy acts during delivery, so each item is checked once and
+        # its verdict holds for every receiver.
         for sender, payload in broadcasts:
-            for pid in live:
-                if pid != sender and self._accept_payload(states[pid], sender, payload):
+            items = self._items(payload)
+            if items is None:
+                continue
+            kept, evidence = [], []
+            for item in items:
+                kind = self._check_item(item, epoch)
+                if kind is None:
+                    kept.append((self._holding_key(item), item))
+                else:
+                    evidence.append(CheatEvidence(kind, iteration, int(Step.DECIDE), sender))
+            receivers = [pid for pid in live if pid != sender]
+            for pid in receivers + self.observers:
+                states[pid].holdings.update(kept)
+                states[pid].cheat_evidence += evidence
+            if not evidence:
+                for pid in receivers:
                     states[pid].observed_broadcasts.add(sender)
-            for obs in self.observers:
-                self._accept_payload(states[obs], sender, payload)
         for pid in live:
             st = states[pid]
             decision = strategies[pid].decide(st, rngs[pid])
@@ -311,9 +330,6 @@ class GroupedExchange:
         states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
         seated = list(self.leaders)
         leader_states = [states[leader] for leader in self.leaders]
-        forwarders = [
-            (p, self.leader_of[p]) for p in self._forwarders() if self.leader_of[p] != p
-        ]
         transcripts: list[IterationTranscript] = []
         ending = None
         iterations = 0
@@ -334,13 +350,15 @@ class GroupedExchange:
             if record:
                 transcripts.append(IterationTranscript(iterations, epoch, msgs))
             stalled = set()
-            for p, leader in forwarders:
+            for p, leader in self.forwarders:
                 if not strategies[p].forwards_to_leader(states[p], rngs[p]):
                     stalled.add(leader)
                     continue
                 items = self._bundle(p)
                 for item in items:
-                    if self._accept_item(states[leader], p, item):
+                    kind = self._check_item(item, epoch)
+                    self._take_item(states[leader], p, item, kind)
+                    if kind is None:
                         bundles[leader].append(item)
                 if record:
                     msgs.append(
@@ -359,7 +377,7 @@ class GroupedExchange:
 
             for pid in seated:
                 states[pid].own_payload = self._payload(bundles[pid])
-            decisions = self._coin_iteration(seated, iterations, msgs)
+            decisions = self._coin_iteration(seated, iterations, epoch, msgs)
 
             if self.honest:
                 parities = {st.parity for st in leader_states if st.parity is not None}
@@ -421,10 +439,8 @@ class MOfNExchange(GroupedExchange):
     def _payload(self, bundle: list[Share]) -> object:
         return bundle[0] if self.n == 3 else tuple(bundle)
 
-    def _accept_payload(self, state: LocalState, sender: int, payload) -> bool:
-        if self.n == 3:
-            return self._accept_item(state, sender, payload)
-        return super()._accept_payload(state, sender, payload)
+    def _items(self, payload) -> tuple | None:
+        return (payload,) if self.n == 3 else super()._items(payload)
 
 
 def run_mechanism(

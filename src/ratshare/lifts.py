@@ -105,21 +105,20 @@ class TwoOfNExchange(GroupedExchange):
     def __init__(self, secret, n, **kw):
         groups, leaders = partition_players(n, n)
         super().__init__(secret, groups, leaders, 2, **kw)
+        # The holding keys of each holder's n-1 subshares.
+        self.sub_keys = [
+            (parent, {("sub", parent, k) for k in range(1, n)}) for parent in self.holders
+        ]
 
     def _learned(self, state: LocalState) -> bool:
         """All n-1 subshares of each holder's share in one epoch; a holder's own share will do."""
         if state.learned_earlier:
             return True
-        items = state.holdings
-        subs = {}
-        for key in items:
-            if key[0] == "sub":
-                subs[key[1]] = subs.get(key[1], 0) + 1
-        return all(
-            (parent == state.player and ("share", parent) in items)
-            or subs.get(parent, 0) >= self.n - 1
-            for parent in self.holders
-        )
+        keys = state.holdings.keys()
+        for parent, sub_keys in self.sub_keys:
+            if not (keys >= sub_keys or (parent == state.player and ("share", parent) in keys)):
+                return False
+        return True
 
     def _issue_epoch(self, epoch: int) -> None:
         shares = issue_round(self.issuer, self.secret, 2, 2, epoch, self.issuer_rng, self.issued)
@@ -132,7 +131,7 @@ class TwoOfNExchange(GroupedExchange):
             subs = self.issuer.split_subshares(shares[holder], self.n - 1, self.issuer_rng)
             recipients = [p for p in self.players if p != holder]
             for sub, recipient in zip(subs, recipients):
-                self._accept_item(self.states[recipient], holder, sub)
+                self._take_item(self.states[recipient], holder, sub, self._check_item(sub, epoch))
 
     def _forwarders(self):
         return self.players

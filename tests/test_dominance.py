@@ -20,11 +20,23 @@ from ratshare.dominance import (
     build_oneshot_sharing_game,
     check_practical,
     iterate_deletion,
-    matching_pennies,
     prisoners_dilemma,
     weakly_dominated,
 )
 from ratshare.strategies import UtilityTable, canonical_table
+
+
+def matching_pennies():
+    """Reference game with no weakly dominated strategies."""
+    payoffs = {}
+    for a, b in product(range(2), repeat=2):
+        win = 1 if a == b else -1
+        payoffs[(a, b)] = (Fraction(win), Fraction(-win))
+    return NormalFormGame(
+        strategies=(("heads", "tails"), ("heads", "tails")),
+        payoffs=payoffs,
+        name="matching-pennies",
+    )
 
 
 def pair_table():

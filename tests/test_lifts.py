@@ -1,26 +1,29 @@
 """Group lifts: m-of-n via leaders, 2-of-n via subshares."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from ratshare.engine import InvariantViolationError, run_mechanism
+import ratshare.engine as engine
+from ratshare.engine import InvariantViolationError, MOfNExchange, run_mechanism
 from ratshare.lifts import (
     TwoOfNExchange,
     lift_2_of_n,
     lift_m_of_n,
     partition_players,
 )
-from ratshare.protocol import MessageKind, TerminalCause
+from ratshare.protocol import MessageKind, Step, TerminalCause
 from ratshare.shamir import (
     DEFAULT_PRIME,
     FieldElement,
+    Share,
     ShareIssuer,
     combine_subshares,
     reconstruct,
 )
-from ratshare.strategies import GarbleStep2, WithholdFromLeader
+from ratshare.strategies import CheatEvidence, GarbleStep2, HonestStrategy, WithholdFromLeader
 from ratshare.transcript import _payload_record
 from test_engine import forge_subshare_for_player_3
 
@@ -276,3 +279,106 @@ def test_honest_lift_checks_parity_agreement(lift):
     # corrupted in the first iteration.
     with pytest.raises(InvariantViolationError, match="disagree on parity"):
         lift({2: HonestFlaggedGarble()})
+
+
+# --- work per actor, not per player -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run, actors",
+    [
+        (lambda: run_mechanism(5, 0.5), [1, 2, 3]),
+        (lambda: lift_m_of_n(5, 3, 6, 0.5), [1, 2, 3]),  # leaders 1, 2, 3; nobody forwards
+        (lambda: lift_m_of_n(5, 4, 5, 0.5), [1, 2, 3, 4]),  # player 3 forwards to leader 2
+        (lambda: lift_2_of_n(5, 5, 0.5), [1, 2, 3, 4, 5]),  # everyone forwards or leads
+    ],
+    ids=["3-ring", "3-of-6", "4-of-5", "2-of-5"],
+)
+def test_only_players_who_act_get_a_stream(run, actors, monkeypatch):
+    paths = []
+    derive_rng = engine.derive_rng
+    monkeypatch.setattr(engine, "derive_rng", lambda *path: paths.append(path) or derive_rng(*path))
+    run()
+    assert sorted(paths) == sorted([(0, 0, "issuer")] + [(0, 0, "player", p) for p in actors])
+
+
+class ForgeOneItem(HonestStrategy):
+    """Broadcasts its bundle with item `index` changed, so its tag no longer verifies."""
+
+    honest_rules = False
+
+    def __init__(self, index):
+        self.index = index
+
+    def wants_broadcast(self, state, rng):
+        items = list(state.own_payload)
+        item = items[self.index]
+        field = "y" if isinstance(item, Share) else "value"
+        v = getattr(item, field)
+        items[self.index] = dataclasses.replace(
+            item, **{field: FieldElement((v.value + 1) % v.modulus, v.modulus)}
+        )
+        state.own_payload = tuple(items)
+        return super().wants_broadcast(state, rng)
+
+
+@pytest.mark.parametrize("lift", ["3-of-6", "2-of-5"])
+def test_each_delivered_item_is_checked_once_and_judged_for_every_receiver(lift):
+    # All coins are heads, so all three leaders broadcast in iteration 1.
+    # One leader forges an item of its bundle: in 3-of-6, leader 3 its lone
+    # share; in 2-of-5, leader 4 the third of its four subshares.
+    kw = dict(alpha=1.0, seed=4, trial=0, cap=1, record=True)
+    if lift == "3-of-6":
+        leaders, forger, index, size = [1, 2, 3], 3, 0, 1
+        game = MOfNExchange(FieldElement(5, 101), partition_players(6, 3)[0], leaders, 3,
+                            profile={forger: ForgeOneItem(index)}, **kw)
+    else:
+        leaders, forger, index, size = [1, 2, 4], 4, 2, 4
+        game = TwoOfNExchange(FieldElement(5, 101), 5, profile={forger: ForgeOneItem(index)}, **kw)
+    assert game.leaders == leaders
+
+    # Count the tag checks made while the leaders deliver their broadcasts.
+    checked, delivering = [], False
+    verify_tag, coin_iteration = game.issuer.verify_tag, game._coin_iteration
+
+    def counting_verify_tag(item):
+        if delivering:
+            checked.append(item)
+        return verify_tag(item)
+
+    def flagged_coin_iteration(*args):
+        nonlocal delivering
+        delivering = True
+        try:
+            return coin_iteration(*args)
+        finally:
+            delivering = False
+
+    game.issuer.verify_tag = counting_verify_tag
+    game._coin_iteration = flagged_coin_iteration
+    (transcript,) = game.run().transcripts
+
+    broadcasts = {}
+    for msg in transcript.messages:
+        if msg.step == Step.BROADCAST:
+            broadcasts.setdefault(msg.sender, msg.payload)
+    assert list(broadcasts) == leaders and len(broadcasts[forger]) == size
+    # One tag check per item and broadcast, however many players receive it.
+    assert checked == [item for payload in broadcasts.values() for item in payload]
+
+    forged = broadcasts[forger][index]
+    valid = [item for payload in broadcasts.values() for item in payload if item is not forged]
+    for pid, st in game.states.items():
+        if pid == forger:
+            assert not any(e.kind == "invalid-tag" for e in st.cheat_evidence)
+            continue
+        # Every receiver, observers included, keeps the valid items and
+        # records its own evidence against the forger.
+        assert [e for e in st.cheat_evidence if e.kind == "invalid-tag"] == [
+            CheatEvidence("invalid-tag", 1, int(Step.DECIDE), forger)
+        ], pid
+        assert forged not in st.holdings.values(), pid
+        for item in valid:
+            assert st.holdings[game._holding_key(item)] == item, pid
+        if pid in leaders:
+            assert st.observed_broadcasts == {*leaders} - {forger}, pid

@@ -27,7 +27,6 @@ SRC = ROOT / "src" / "ratshare"
 # Kept on purpose, though only tests read them.
 KEPT = {
     "shamir.combine_subshares": "the inverse that tests check split_subshares against",
-    "dominance.matching_pennies": "a reference game with no dominated strategy, a test fixture",
     "strategies.canonical_table": "the running example's utility table, a test fixture",
     "dominance.bounded_strategy_sends": "labels the bounded-r2 survivors in tests until r = 3 "
     "replaces the hand-written game",

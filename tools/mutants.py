@@ -127,8 +127,8 @@ MUTANTS = [
            "return c_minus_from_succ ^ own_c", "return c_minus_from_succ",
            "tests/test_acceptance.py::test_acceptance_01_running_time"),
     Mutant("two-of-n-learns-one-subshare-short", "src/ratshare/lifts.py",
-           ">= self.n - 1", ">= self.n - 2",
-           "tests/test_engine.py::test_replayed_payload_of_an_earlier_epoch_is_stale"),
+           "for k in range(1, n)}", "for k in range(1, n - 1)}",
+           "tests/test_lifts.py::test_tampered_subshare_treated_as_missing"),
     Mutant("two-of-n-forgets-earlier-epochs", "src/ratshare/lifts.py",
            "if state.learned_earlier:\n            return True", "if False:\n            return True",
            "tests/test_engine.py::test_what_an_earlier_epoch_taught_is_kept"),
@@ -160,8 +160,16 @@ MUTANTS = [
            "                states[pred[pid]].bit_from_succ = triple.c_minus",
            "tests/test_engine.py::test_no_strategy_reads_a_bit_of_the_step_that_sends_it"),
     Mutant("no-epoch-check", "src/ratshare/engine.py",
-           "or item.epoch != state.epoch:", ":",
+           "or item.epoch != epoch:", ":",
            "tests/test_engine.py::test_replayed_payload_of_an_earlier_epoch_is_stale"),
+    Mutant("bundle-judged-by-first-item", "src/ratshare/engine.py",
+           "kind = self._check_item(item, epoch)\n                if kind is None:",
+           "kind = self._check_item(items[0], epoch)\n                if kind is None:",
+           "tests/test_lifts.py::test_each_delivered_item_is_checked_once_and_judged_for_every_receiver"),
+    Mutant("evidence-to-first-receiver-only", "src/ratshare/engine.py",
+           "states[pid].cheat_evidence += evidence",
+           "states[pid].cheat_evidence += evidence if pid == (receivers + self.observers)[0] else []",
+           "tests/test_lifts.py::test_each_delivered_item_is_checked_once_and_judged_for_every_receiver"),
     Mutant("share-record-keys-swapped", "src/ratshare/transcript.py",
            '"x": payload.holder,\n            "y": payload.y.value,',
            '"y": payload.y.value,\n            "x": payload.holder,',
