@@ -30,6 +30,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from functools import cache, partial
 
 from . import analysis, dominance, montecarlo, transcript
@@ -77,10 +78,14 @@ class ConfigError(ValueError):
     pass
 
 
+@contextmanager
 def _create(path: str, what: str):
-    """Open `path` for writing; a path that cannot be written is a config error."""
+    """Open `path` for writing; failing to open, write or close it is a config error.
+
+    What was written before a failure stays in the file."""
     try:
-        return open(path, "w")
+        with open(path, "w") as fh:
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {what} to {path}: {exc}")
 

@@ -46,6 +46,26 @@ from .strategies import (
 
 DEFAULT_CAP = 10**6
 
+# On Python 3.11 each read of an Enum member goes through
+# `EnumType.__getattr__` (about 0.14 us); the per-message and per-decision
+# paths read these bindings instead.  They build each message as
+# `tuple.__new__(RoundMessage, ...)`, the same `RoundMessage` without the
+# NamedTuple's Python-level `__new__`.
+_ISSUE = Step.ISSUE
+_COIN_EXCHANGE = Step.COIN_EXCHANGE
+_MASKED_BIT_STEP = Step.MASKED_BIT
+_BROADCAST = Step.BROADCAST
+_DECIDE = Step.DECIDE
+_DECIDE_INT = int(Step.DECIDE)  # the step that cheat evidence records
+_COIN_PLUS = MessageKind.COIN_PLUS
+_COIN_MINUS = MessageKind.COIN_MINUS
+_MASKED_BIT = MessageKind.MASKED_BIT
+_SHARE_BROADCAST = MessageKind.SHARE_BROADCAST
+_RESTART_REQUEST = MessageKind.RESTART_REQUEST
+_STOP = DecisionKind.STOP
+_RESTART = DecisionKind.RESTART
+_ABORT = DecisionKind.ABORT
+
 
 class InvariantViolationError(RuntimeError):
     """A protocol invariant that must hold under honest rules was broken."""
@@ -195,7 +215,7 @@ class GroupedExchange:
         if kind is None:
             state.add_holding(self._holding_key(item), item)
         else:
-            state.cheat_evidence.append(CheatEvidence(kind, state.iteration, int(Step.DECIDE), sender))
+            state.cheat_evidence.append(CheatEvidence(kind, state.iteration, _DECIDE_INT, sender))
 
     def _payload(self, bundle: list) -> object:
         return tuple(bundle)
@@ -226,7 +246,7 @@ class GroupedExchange:
             states[pid].cheat_evidence.append(
                 CheatEvidence("missing-bit", iteration, int(step), about)
             )
-            decisions[pid] = DecisionKind.ABORT
+            decisions[pid] = _ABORT
 
         # Every step is simultaneous: the seated leaders act on what earlier
         # steps delivered, and the step's messages arrive after all have acted.
@@ -241,12 +261,12 @@ class GroupedExchange:
             states[succ[pid]].bit_from_pred = triple.c_plus
             states[pred[pid]].bit_from_succ = triple.c_minus
             if record:
-                msgs.append(RoundMessage(
-                    pid, succ[pid], Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, triple.c_plus
-                ))
-                msgs.append(RoundMessage(
-                    pid, pred[pid], Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, triple.c_minus
-                ))
+                msgs.append(tuple.__new__(RoundMessage, (
+                    pid, succ[pid], _COIN_EXCHANGE, _COIN_PLUS, triple.c_plus
+                )))
+                msgs.append(tuple.__new__(RoundMessage, (
+                    pid, pred[pid], _COIN_EXCHANGE, _COIN_MINUS, triple.c_minus
+                )))
 
         # Step 2: read the step-1 bits, then forward the masked combinations
         # to the predecessors.
@@ -254,7 +274,7 @@ class GroupedExchange:
         for pid in seated:
             st = states[pid]
             if st.bit_from_pred is None or st.bit_from_succ is None:
-                abort(pid, Step.MASKED_BIT, pred[pid] if st.bit_from_pred is None else succ[pid])
+                abort(pid, _MASKED_BIT_STEP, pred[pid] if st.bit_from_pred is None else succ[pid])
                 continue
             bit = strategies[pid].masked_bit(st, rngs[pid])
             if bit is not None:
@@ -262,16 +282,16 @@ class GroupedExchange:
         for pid, bit in masked:
             states[pred[pid]].masked_from_succ = bit
             if record:
-                msgs.append(RoundMessage(
-                    pid, pred[pid], Step.MASKED_BIT, MessageKind.MASKED_BIT, bit
-                ))
+                msgs.append(tuple.__new__(RoundMessage, (
+                    pid, pred[pid], _MASKED_BIT_STEP, _MASKED_BIT, bit
+                )))
 
         # Step 3: assemble the parity and decide whether to broadcast to the
         # other seated leaders, then to every observer.
         for pid in list(live):
             st = states[pid]
             if st.masked_from_succ is None:
-                abort(pid, Step.BROADCAST, succ[pid])
+                abort(pid, _BROADCAST, succ[pid])
                 continue
             if st.coins is not None:
                 st.parity = parity_rule(st.bit_from_pred, st.masked_from_succ, st.coins.c)
@@ -281,9 +301,9 @@ class GroupedExchange:
                 if record:
                     recipients = [other for other in seated if other != pid]
                     msgs += [
-                        RoundMessage(
-                            pid, receiver, Step.BROADCAST, MessageKind.SHARE_BROADCAST, st.own_payload
-                        )
+                        tuple.__new__(RoundMessage, (
+                            pid, receiver, _BROADCAST, _SHARE_BROADCAST, st.own_payload
+                        ))
                         for receiver in recipients + self.observers
                     ]
 
@@ -300,7 +320,7 @@ class GroupedExchange:
                 if kind is None:
                     kept.append((self._holding_key(item), item))
                 else:
-                    evidence.append(CheatEvidence(kind, iteration, int(Step.DECIDE), sender))
+                    evidence.append(CheatEvidence(kind, iteration, _DECIDE_INT, sender))
             receivers = [pid for pid in live if pid != sender]
             for pid in receivers + self.observers:
                 states[pid].holdings.update(kept)
@@ -312,14 +332,14 @@ class GroupedExchange:
             st = states[pid]
             decision = strategies[pid].decide(st, rngs[pid])
             decisions[pid] = decision
-            if decision == DecisionKind.RESTART:
+            if decision == _RESTART:
                 if record:
-                    msgs.append(RoundMessage(
-                        pid, ISSUER_ID, Step.DECIDE, MessageKind.RESTART_REQUEST, None
-                    ))
-            elif decision == DecisionKind.STOP and not self._learned(st):
+                    msgs.append(tuple.__new__(RoundMessage, (
+                        pid, ISSUER_ID, _DECIDE, _RESTART_REQUEST, None
+                    )))
+            elif decision == _STOP and not self._learned(st):
                 st.cheat_evidence.append(
-                    CheatEvidence("stopped-without-learning", iteration, int(Step.DECIDE))
+                    CheatEvidence("stopped-without-learning", iteration, _DECIDE_INT)
                 )
 
         return decisions
@@ -361,16 +381,16 @@ class GroupedExchange:
                     if kind is None:
                         bundles[leader].append(item)
                 if record:
-                    msgs.append(
-                        RoundMessage(p, leader, Step.ISSUE, MessageKind.SHARE_BROADCAST, tuple(items))
-                    )
+                    msgs.append(tuple.__new__(
+                        RoundMessage, (p, leader, _ISSUE, _SHARE_BROADCAST, tuple(items))
+                    ))
 
             if stalled and any(pid in stalled for pid in seated):
                 # A leader cannot assemble its bundle: ask the issuer to
                 # restart before any coins are tossed.
                 if record:
                     msgs += [
-                        RoundMessage(pid, ISSUER_ID, Step.ISSUE, MessageKind.RESTART_REQUEST, None)
+                        tuple.__new__(RoundMessage, (pid, ISSUER_ID, _ISSUE, _RESTART_REQUEST, None))
                         for pid in seated
                     ]
                 continue
@@ -386,11 +406,11 @@ class GroupedExchange:
                         f"honest players disagree on parity at iteration {iterations}"
                     )
 
-            restarters = [pid for pid, d in decisions.items() if d == DecisionKind.RESTART]
+            restarters = [pid for pid, d in decisions.items() if d == _RESTART]
             if ending is None and len(restarters) < len(seated):
                 # The run's first ending decides its cause; within an
                 # iteration, aborts (steps 2-3) come before stops (step 4).
-                aborted = DecisionKind.ABORT in decisions.values()
+                aborted = _ABORT in decisions.values()
                 ending = TerminalCause.MISSING_BIT_ABORT if aborted else TerminalCause.CHEAT_STOP
             if not restarters:
                 break

@@ -45,6 +45,11 @@ from .protocol import (
     restart_rule,
 )
 
+# Honest `decide` runs once per seated player per iteration; a bound member
+# skips Python 3.11's `EnumType.__getattr__` (see `engine`).
+_STOP = DecisionKind.STOP
+_RESTART = DecisionKind.RESTART
+
 # --- local state -------------------------------------------------------------
 
 
@@ -142,7 +147,7 @@ class HonestStrategy(Strategy):
         return broadcast_rule(state.parity, state.coins.c if state.coins else None)
 
     def decide(self, state: LocalState, rng: Random) -> DecisionKind:
-        return DecisionKind.RESTART if restart_rule(state.parity, state.observed_count) else DecisionKind.STOP
+        return _RESTART if restart_rule(state.parity, state.observed_count) else _STOP
 
 
 class WithholdShare(HonestStrategy):

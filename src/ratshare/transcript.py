@@ -6,11 +6,14 @@ that key order and byte for byte, but formatted directly: `write` builds
 the `trial`/`iteration`/`epoch` head once per iteration, takes the
 `step`/`kind` part from a table built once per `(step, kind)`, and
 encodes a payload once for the run of messages that carry it (a
-broadcast's recipients).  Int payloads are written with `str` and `None`
-as `null`; every other payload goes through one shared JSON encoder as
-its record: a share as `{epoch, holder, x, y, tag}` (x repeats the
-holder, its evaluation point), a subshare as `{epoch, parent, index,
-value, tag}` (tags in hex), a tuple as a list of records.
+broadcast's recipients).  An int payload is written with `str`, `None`
+as `null`, and a `Share` whose holder, epoch and y value are exact ints
+and whose tag is `bytes` (every share the issuer makes) as one f-string
+of its record `{epoch, holder, x, y, tag}` (x repeats the holder, its
+evaluation point; the tag in hex).  Every other payload goes through one
+shared JSON encoder as its record: a share with any other field, a
+subshare as `{epoch, parent, index, value, tag}` (tag in hex), a tuple
+as a list of records, and a bool, float or str as itself.
 
 `LINE_BYTES` is the widest line of each message kind; a dump is sized
 before it is written by weighting it with the expected message counts
@@ -79,6 +82,10 @@ def _payload_json(payload) -> str:
         return str(payload)
     if payload is None:
         return "null"
+    if type(payload) is Share:
+        holder, epoch, y, tag = payload.holder, payload.epoch, payload.y.value, payload.tag
+        if type(holder) is int and type(epoch) is int and type(y) is int and type(tag) is bytes:
+            return f'{{"epoch":{epoch},"holder":{holder},"x":{holder},"y":{y},"tag":"{tag.hex()}"}}'
     return _encode(_payload_record(payload))
 
 

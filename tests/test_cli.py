@@ -1,10 +1,14 @@
 """Command-line interface: reports, determinism, exit codes."""
 
+import copy
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import time
+from enum import IntEnum
 from random import Random
 
 import numpy as np
@@ -18,10 +22,11 @@ from ratshare.cli import (
     main,
     run_command,
 )
-from ratshare import analysis, cli, montecarlo
+from ratshare import analysis, cli, montecarlo, transcript
 from ratshare.engine import DEFAULT_CAP, run_mechanism
+from ratshare.lifts import lift_2_of_n, lift_m_of_n
 from ratshare.protocol import MessageKind, RoundMessage, Step
-from ratshare.shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer
+from ratshare.shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer, Subshare
 from ratshare.strategies import (
     DEVIATIONS,
     UtilityTable,
@@ -679,15 +684,63 @@ def test_dump_line_sizes_bound_the_widest_lines():
     assert widths == {**LINE_BYTES, MessageKind.COIN_PLUS: LINE_BYTES[MessageKind.COIN_PLUS] - 1}
 
 
+def _record(payload):
+    """The dump's JSON value of a payload, built here from the item's fields
+    as the README states the format, not by `ratshare.transcript`."""
+    if isinstance(payload, Share):
+        return {"epoch": payload.epoch, "holder": payload.holder, "x": payload.holder,
+                "y": payload.y.value, "tag": payload.tag.hex()}
+    if isinstance(payload, Subshare):
+        return {"epoch": payload.epoch, "parent": payload.parent_holder, "index": payload.index,
+                "value": payload.value.value, "tag": payload.tag.hex()}
+    if isinstance(payload, tuple):
+        return [_record(item) for item in payload]
+    return payload
+
+
+def _dump_line(trial, iteration, epoch, msg) -> str:
+    record = {"trial": trial, "iteration": iteration, "epoch": epoch, "step": int(msg.step),
+              "kind": msg.kind.value, "sender": msg.sender, "receiver": msg.receiver,
+              "payload": _record(msg.payload)}
+    return json.dumps(record, separators=(",", ":"))
+
+
+class _Three(IntEnum):
+    THREE = 3
+
+
+# Field values the public constructors refuse or do not expect, set
+# behind their checks as `object.__setattr__` can.
+ODD_FIELD_VALUES = {"true": True, "float": 1.0, "str": "7", "big": 2**70, "intenum": _Three.THREE}
+
+
+def _with_field(item, field, value):
+    """A copy of `item` with `field` (for `y` and `value`, the element's value) set to `value`."""
+    item = copy.copy(item)
+    if field in ("y", "value"):
+        element = copy.copy(getattr(item, field))
+        object.__setattr__(element, "value", value)
+        value = element
+    object.__setattr__(item, field, value)
+    return item
+
+
 def _payloads() -> dict:
     issuer = ShareIssuer(b"line", modulus=101)
     shares = issuer.issue_shares(FieldElement(9, 101), 2, 3, 4, Random(0))
-    return {
+    subshares = issuer.split_subshares(shares[0], 3, Random(1))
+    payloads = {
         "zero": 0, "one": 1, "int": 7, "none": None, "true": True, "false": False,
         "str": "text", "float": 0.25, "share": shares[1], "share-tuple": tuple(shares),
-        "subshare-tuple": tuple(issuer.split_subshares(shares[0], 3, Random(1))),
-        "mixed-tuple": (0, None),
+        "subshare-tuple": tuple(subshares), "mixed-tuple": (0, None),
+        "share-built-with-epoch-true": Share(shares[1].holder, shares[1].y, True, shares[1].tag),
     }
+    for name, value in ODD_FIELD_VALUES.items():
+        for field in ("holder", "epoch", "y"):
+            payloads[f"share-{field}-{name}"] = _with_field(shares[1], field, value)
+        for field in ("parent_holder", "index", "epoch", "value"):
+            payloads[f"subshare-{field}-{name}"] = _with_field(subshares[0], field, value)
+    return payloads
 
 
 PAYLOADS = _payloads()
@@ -698,18 +751,35 @@ def test_jsonl_line_is_json_dumps_of_the_record(name):
     payload = PAYLOADS[name]
     for kind in MessageKind:
         msg = RoundMessage(2, 3, Step.BROADCAST, kind, payload)
-        record = {
-            "trial": 6,
-            "iteration": 11,
-            "epoch": 4,
-            "step": int(msg.step),
-            "kind": msg.kind.value,
-            "sender": msg.sender,
-            "receiver": msg.receiver,
-            "payload": _payload_record(payload),
-        }
         line = _jsonl_line(_line_head(6, 11, 4), *msg[:4], _payload_json(payload))
-        assert line == json.dumps(record, separators=(",", ":")) + "\n"
+        assert line == _dump_line(6, 11, 4, msg) + "\n"
+
+
+RECORDED_RUNS = {
+    "honest": lambda t: run_mechanism(5, 0.5, {}, 3, trial=t),
+    **{
+        f"2:{name}": lambda t, name=name: run_mechanism(
+            5, 0.5, deviation_profile(name, 2, 0.3 if name == "biased-coin" else None), 3,
+            cap=40, trial=t)
+        for name in DEVIATIONS
+    },
+    "3-of-6": lambda t: lift_m_of_n(5, 3, 6, 0.5, seed=3, trial=t),
+    "2-of-5": lambda t: lift_2_of_n(5, 5, 0.5, seed=3, trial=t),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDED_RUNS))
+def test_written_lines_are_json_dumps_of_the_recorded_messages(name):
+    outcomes = [RECORDED_RUNS[name](t) for t in range(4)]
+    fh = io.StringIO()
+    for t, outcome in enumerate(outcomes):
+        transcript.write(fh, t, outcome)
+    assert fh.getvalue().splitlines() == [
+        _dump_line(t, tr.iteration, tr.epoch, m)
+        for t, outcome in enumerate(outcomes)
+        for tr in outcome.transcripts
+        for m in tr.messages
+    ]
 
 
 def test_dump_runs_each_trial_once(tmp_path, monkeypatch, capsys):
@@ -737,6 +807,51 @@ def test_out_flag_writes_file(tmp_path, capsys):
     )
     assert code == 0
     assert path.read_text().startswith("schema = ratshare.report.v1")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["simulate", "--alpha", "0.5", "--trials", "3", "--seed", "1",
+          "--dump-transcripts", "/dev/full"], "transcripts"),
+        (["--out", "/dev/full", "alpha-star"], "the report"),
+    ],
+    ids=["dump", "report"],
+)
+def test_a_failed_write_is_a_config_error(argv, what, capsys):
+    # /dev/full opens but fails every write with ENOSPC, here when the file
+    # is flushed on close.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: cannot write {what} to /dev/full: "
+                            f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_a_dump_failing_mid_run_keeps_the_trials_written_before(tmp_path, monkeypatch, capsys):
+    real = transcript.write
+
+    def write(fh, trial, outcome):
+        if trial == 2:
+            raise OSError(errno.EIO, "write refused")
+        real(fh, trial, outcome)
+
+    monkeypatch.setattr(transcript, "write", write)
+    path = tmp_path / "run.jsonl"
+    code = main(["simulate", "--alpha", "0.5", "--trials", "5", "--seed", "3",
+                 "--dump-transcripts", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: cannot write transcripts to {path}: [Errno {errno.EIO}] write refused\n"
+    )
+    monkeypatch.undo()
+    kept = io.StringIO()
+    for _ in _dumped_runs(kept, 2, 0.5, 3, {}, DEFAULT_CAP):
+        pass
+    assert path.read_text() == kept.getvalue() != ""
 
 
 # --- exit codes -------------------------------------------------------------------

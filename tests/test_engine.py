@@ -19,6 +19,7 @@ from ratshare.protocol import (
     CoinTriple,
     DecisionKind,
     MessageKind,
+    RoundMessage,
     Step,
     TerminalCause,
     broadcast_rule,
@@ -638,11 +639,43 @@ def test_recording_does_not_change_lifted_runs(lift, size, play):
         assert on_outcome.transcripts and not off_outcome.transcripts
 
 
+def test_recorded_messages_are_round_messages():
+    # A plain tuple compares equal to a RoundMessage, so golden digests
+    # cannot tell them apart.  These runs send every kind of message: coin
+    # pieces, masked bits, broadcasts, restart requests, forwarded bundles
+    # and a stalled leader's restart requests.
+    profiles = [{}, {3: WithholdFromLeader()}] + [
+        deviation_profile(name, deviator, 0.3 if name == "biased-coin" else None)
+        for name in DEVIATIONS
+        for deviator in (1, 2)
+    ]
+    kinds = set()
+    for profile in profiles:
+        for trial in range(2):
+            kw = dict(seed=47, cap=30, record=True, trial=trial)
+            for outcome in (run_mechanism(5, 0.5, profile, **kw),
+                            lift_m_of_n(5, 3, 6, 0.5, profile, **kw),
+                            lift_2_of_n(5, 5, 0.5, profile, **kw)):
+                for tr in outcome.transcripts:
+                    for m in tr.messages:
+                        assert type(m) is RoundMessage, m
+                        kinds.add((m.step, m.kind))
+    assert kinds == {
+        (Step.ISSUE, MessageKind.SHARE_BROADCAST), (Step.ISSUE, MessageKind.RESTART_REQUEST),
+        (Step.COIN_EXCHANGE, MessageKind.COIN_PLUS), (Step.COIN_EXCHANGE, MessageKind.COIN_MINUS),
+        (Step.MASKED_BIT, MessageKind.MASKED_BIT), (Step.BROADCAST, MessageKind.SHARE_BROADCAST),
+        (Step.DECIDE, MessageKind.RESTART_REQUEST),
+    }
+
+
 def test_unrecorded_runs_build_no_message(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an unrecorded run built a message or a transcript")
 
     monkeypatch.setattr(engine, "RoundMessage", refuse)
+    # The patch catches a message however it is built: a recorded run trips it.
+    with pytest.raises((AssertionError, TypeError)):
+        run_mechanism(5, 0.5, {}, seed=47, cap=30, record=True)
     monkeypatch.setattr(engine, "IterationTranscript", refuse)
     profiles = [{}, {3: WithholdFromLeader()}] + [
         deviation_profile(name, deviator, 0.3 if name == "biased-coin" else None)

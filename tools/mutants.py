@@ -171,9 +171,11 @@ MUTANTS = [
            "states[pid].cheat_evidence += evidence if pid == (receivers + self.observers)[0] else []",
            "tests/test_lifts.py::test_each_delivered_item_is_checked_once_and_judged_for_every_receiver"),
     Mutant("share-record-keys-swapped", "src/ratshare/transcript.py",
-           '"x": payload.holder,\n            "y": payload.y.value,',
-           '"y": payload.y.value,\n            "x": payload.holder,',
+           '"x":{holder},"y":{y},', '"y":{y},"x":{holder},',
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
+    Mutant("share-direct-format-accepts-bool", "src/ratshare/transcript.py",
+           "type(y) is int", "isinstance(y, int)",
+           "tests/test_cli.py::test_jsonl_line_is_json_dumps_of_the_record"),
     Mutant("payload-text-always-reused", "src/ratshare/transcript.py",
            "if text is None or item is not payload:", "if text is None:",
            "tests/test_cli.py::test_dump_lines_are_the_recorded_messages_in_order"),
