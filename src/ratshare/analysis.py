@@ -39,7 +39,9 @@ from . import montecarlo
 from .engine import DEFAULT_CAP
 from .protocol import STEPS_PER_ITERATION
 from .seeding import derive_int
-from .strategies import UtilityTable, deviation_profile, float_view, parse_deviation, sqrt_view
+from .strategies import (
+    DEVIATIONS, UtilityTable, deviation_profile, float_view, parse_deviation, sqrt_view
+)
 
 
 def withhold_lhs(alpha: Fraction, table: UtilityTable, player: int) -> Fraction:
@@ -132,12 +134,9 @@ class NashAuditReport:
         return any(e.verdict == PROFITABLE for e in self.entries)
 
 
-DEFAULT_AUDIT_DEVIATIONS = (
-    "withhold",
-    "biased-coin:1",
-    "garble-step2",
-    "always-silent",
-    "always-broadcast",
+# Every registry deviation, in its order; biased-coin with alpha' = 1.
+DEFAULT_AUDIT_DEVIATIONS = tuple(
+    "biased-coin:1" if name == "biased-coin" else name for name in DEVIATIONS
 )
 
 

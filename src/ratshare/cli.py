@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -522,7 +523,15 @@ def main(argv: list[str] | None = None) -> int:
             with _create(args.out, "the report") as fh:
                 fh.write(text)
         else:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError as exc:
+                # Shutdown flushes stdout again; the null device takes it quietly.
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, sys.stdout.fileno())
+                os.close(null)
+                raise ConfigError(f"cannot write the report to stdout: {exc}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,9 @@ coin iteration it repeats (`_coin_iteration`), reading the players'
 states, strategies and streams from itself.  A recorded run keeps, per
 iteration, the messages sent and nothing else.  Players sit in three
 groups; each group's leader takes one seat on the coin ring and
-broadcasts its group's bundle.  The 3-of-3 mechanism is the m-of-n share
+broadcasts its group's bundle.  Every delivered item, whether split
+piece, forwarded bundle or broadcast, is judged by `_deliver` and kept
+under its `holding_key`.  The 3-of-3 mechanism is the m-of-n share
 exchange with three one-player groups, and the lifts in `ratshare.lifts`
 supply the other groupings and payloads through the exchange's hooks.
 
@@ -36,7 +38,7 @@ from .protocol import (
     parity_rule,
 )
 from .seeding import derive_bytes, derive_rng
-from .shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer
+from .shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer, Subshare
 from .strategies import (
     CheatEvidence,
     HonestStrategy,
@@ -105,6 +107,14 @@ def issue_round(
     return {share.holder: share for share in shares}
 
 
+def holding_key(item: Share | Subshare) -> tuple:
+    """Where a kept item sits in its holder's holdings: ("share", holder) for
+    a share, ("sub", parent holder, index) for a subshare."""
+    if isinstance(item, Share):
+        return ("share", item.holder)
+    return ("sub", item.parent_holder, item.index)
+
+
 def normalize_profile(
     profile: dict[int, Strategy] | None, players: tuple[int, ...]
 ) -> dict[int, Strategy]:
@@ -126,12 +136,14 @@ class GroupedExchange:
     bundle as the broadcast payload.  A seated leader left short by a
     forwarder asks the issuer to restart before any coins are tossed.
 
-    Subclasses define what one epoch issues, who forwards, what a
-    player's bundle is, and its items' type, stale-item evidence kind and
-    holding key.  `_check_item` judges each delivered item once, however
-    many players receive it; every receiver then keeps the valid items and
-    records evidence for the rest.  Only the players who act, the leaders
-    and the forwarders, get a random stream.
+    Subclasses define what one epoch issues into holdings and bundles
+    (`bundles[p]` is what `p` was handed this epoch and hands on), who
+    forwards, and their items' type and stale-item evidence kind.
+    `_deliver` judges every delivered item once, however many players
+    receive it: the split pieces of 2-of-n, the forwarded bundles and the
+    broadcasts.  Every receiver then keeps the valid items under their
+    `holding_key` and records evidence for the rest.  Only the players who
+    act, the leaders and the forwarders, get a random stream.
     """
 
     def __init__(
@@ -178,44 +190,45 @@ class GroupedExchange:
         self.rngs = {p: derive_rng(seed, trial, "player", p) for p in actors}
         self.states = {p: LocalState(player=p) for p in self.players}
         self.issued = -1
+        self.bundles: dict[int, list] = {}
 
     # Subclass hooks ----------------------------------------------------------
 
     def _issue_epoch(self, epoch: int) -> None:
-        """Distribute fresh material for `epoch` into holdings; set `issued`."""
+        """Distribute fresh material for `epoch` into holdings and `bundles`."""
         raise NotImplementedError
 
     def _forwarders(self):
         """Players expected to forward their bundle to their group leader."""
         raise NotImplementedError
 
-    def _bundle(self, player: int) -> list:
-        """What `player` holds of this epoch and hands on: a fresh list."""
-        raise NotImplementedError
-
     item_type: type
     stale_evidence: str
-
-    def _holding_key(self, item) -> tuple:
-        """Where a received item is kept in its holder's holdings."""
-        raise NotImplementedError
 
     def _learned(self, state: LocalState) -> bool:
         """Who learned, the exchange's call: `threshold` items of one epoch."""
         return state.learned_earlier or len(state.holdings) >= self.threshold
 
-    def _check_item(self, item, epoch: int) -> str | None:
-        """The evidence kind a delivered item of `epoch` earns; None if it is valid."""
-        if not isinstance(item, self.item_type) or item.epoch != epoch:
-            return self.stale_evidence
-        return None if self.issuer.verify_tag(item) else "invalid-tag"
-
-    def _take_item(self, state: LocalState, sender: int, item, kind: str | None) -> None:
-        """One receiver's take of a checked item: kept if valid, else its evidence."""
-        if kind is None:
-            state.add_holding(self._holding_key(item), item)
-        else:
-            state.cheat_evidence.append(CheatEvidence(kind, state.iteration, _DECIDE_INT, sender))
+    def _deliver(self, sender: int, items, epoch: int, receivers) -> tuple[dict, tuple]:
+        """Hand `sender`'s items of `epoch` to `receivers`, checking each once:
+        type, then epoch, then tag.  Every receiver keeps the valid items by
+        `holding_key` and records the same evidence, dated the iteration all
+        players are in, for the rest.  Returns (kept by key, evidence)."""
+        kept, evidence = {}, ()
+        for item in items:
+            if not isinstance(item, self.item_type) or item.epoch != epoch:
+                kind = self.stale_evidence
+            elif self.issuer.verify_tag(item):
+                kept[holding_key(item)] = item
+                continue
+            else:
+                kind = "invalid-tag"
+            evidence += (CheatEvidence(kind, self.states[sender].iteration, _DECIDE_INT, sender),)
+        for pid in receivers:
+            state = self.states[pid]
+            state.holdings.update(kept)
+            state.cheat_evidence += evidence
+        return kept, evidence
 
     def _payload(self, bundle: list) -> object:
         return tuple(bundle)
@@ -308,23 +321,12 @@ class GroupedExchange:
                     ]
 
         # Step 4: take delivery of broadcasts, then stop or ask for a restart.
-        # No strategy acts during delivery, so each item is checked once and
-        # its verdict holds for every receiver.
         for sender, payload in broadcasts:
             items = self._items(payload)
             if items is None:
                 continue
-            kept, evidence = [], []
-            for item in items:
-                kind = self._check_item(item, epoch)
-                if kind is None:
-                    kept.append((self._holding_key(item), item))
-                else:
-                    evidence.append(CheatEvidence(kind, iteration, _DECIDE_INT, sender))
             receivers = [pid for pid in live if pid != sender]
-            for pid in receivers + self.observers:
-                states[pid].holdings.update(kept)
-                states[pid].cheat_evidence += evidence
+            _, evidence = self._deliver(sender, items, epoch, receivers + self.observers)
             if not evidence:
                 for pid in receivers:
                     states[pid].observed_broadcasts.add(sender)
@@ -362,10 +364,11 @@ class GroupedExchange:
                 state.learned_earlier = self._learned(state)
                 state.begin_iteration(iterations, epoch)
             self._issue_epoch(epoch)
+            self.issued = epoch
+            bundles = self.bundles
 
             # Forwarding phase: every forwarder is asked, even when its
             # leader's seat is vacated; only a seated leader can stall.
-            bundles = {leader: self._bundle(leader) for leader in self.leaders}
             msgs: list[RoundMessage] = []
             if record:
                 transcripts.append(IterationTranscript(iterations, epoch, msgs))
@@ -374,12 +377,9 @@ class GroupedExchange:
                 if not strategies[p].forwards_to_leader(states[p], rngs[p]):
                     stalled.add(leader)
                     continue
-                items = self._bundle(p)
-                for item in items:
-                    kind = self._check_item(item, epoch)
-                    self._take_item(states[leader], p, item, kind)
-                    if kind is None:
-                        bundles[leader].append(item)
+                items = bundles[p]
+                kept, _ = self._deliver(p, items, epoch, (leader,))
+                bundles[leader] += kept.values()
                 if record:
                     msgs.append(tuple.__new__(
                         RoundMessage, (p, leader, _ISSUE, _SHARE_BROADCAST, tuple(items))
@@ -437,21 +437,16 @@ class MOfNExchange(GroupedExchange):
         shares = issue_round(
             self.issuer, self.secret, self.threshold, self.n, epoch, self.issuer_rng, self.issued
         )
-        self.issued = epoch
-        for p in self.players:
-            self.states[p].add_holding(("share", p), shares[p])
+        self.bundles = {}
+        for p, share in shares.items():
+            self.states[p].holdings[holding_key(share)] = share
+            self.bundles[p] = [share]
 
     def _forwarders(self):
         return range(1, self.threshold + 1)
 
-    def _bundle(self, player: int) -> list[Share]:
-        return [self.states[player].holdings[("share", player)]]
-
     item_type = Share
     stale_evidence = "stale-share"
-
-    def _holding_key(self, item: Share) -> tuple:
-        return ("share", item.holder)
 
     # The 3-of-3 ring (n = 3, one player per group) broadcasts the bare
     # share rather than a one-share bundle.

@@ -23,6 +23,7 @@ from .engine import (
     DEFAULT_CAP,
     GroupedExchange,
     MOfNExchange,
+    holding_key,
     issue_round,
 )
 from .protocol import RunOutcome
@@ -122,29 +123,24 @@ class TwoOfNExchange(GroupedExchange):
 
     def _issue_epoch(self, epoch: int) -> None:
         shares = issue_round(self.issuer, self.secret, 2, 2, epoch, self.issuer_rng, self.issued)
-        self.issued = epoch
         for holder in self.holders:
-            self.states[holder].add_holding(("share", holder), shares[holder])
+            self.states[holder].holdings[holding_key(shares[holder])] = shares[holder]
         # Each holder splits its share into n-1 subshares, one per other
         # player; receivers check the tag and treat bad pieces as missing.
+        # A player's bundle is the pieces it kept, in holder order.
+        self.bundles = {p: [] for p in self.players}
         for holder in self.holders:
             subs = self.issuer.split_subshares(shares[holder], self.n - 1, self.issuer_rng)
             recipients = [p for p in self.players if p != holder]
             for sub, recipient in zip(subs, recipients):
-                self._take_item(self.states[recipient], holder, sub, self._check_item(sub, epoch))
+                kept, _ = self._deliver(holder, (sub,), epoch, (recipient,))
+                self.bundles[recipient] += kept.values()
 
     def _forwarders(self):
         return self.players
 
-    def _bundle(self, player: int) -> list[Subshare]:
-        items = self.states[player].holdings
-        return [items[key] for key in sorted(k for k in items if k[0] == "sub")]
-
     item_type = Subshare
     stale_evidence = "stale-subshare"
-
-    def _holding_key(self, item: Subshare) -> tuple:
-        return ("sub", item.parent_holder, item.index)
 
 
 def lift_2_of_n(

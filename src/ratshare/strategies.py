@@ -97,9 +97,6 @@ class LocalState:
         self.observed_broadcasts = set()
         self.holdings = {}
 
-    def add_holding(self, key: object, item: object) -> None:
-        self.holdings[key] = item
-
 
 # --- strategies --------------------------------------------------------------
 

@@ -7,8 +7,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from enum import IntEnum
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -827,6 +830,28 @@ def test_a_failed_write_is_a_config_error(argv, what, capsys):
     assert captured.out == ""
     assert captured.err == (f"config error: cannot write {what} to /dev/full: "
                             f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_a_closed_stdout_pipe_is_a_config_error():
+    # The pipe's read end is closed before the command starts, so writing
+    # the report fails with EPIPE (Python ignores SIGPIPE).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ratshare.cli", "simulate", "--alpha", "0.5", "--trials", "200",
+             "--seed", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.decode() == (
+        f"config error: cannot write the report to stdout: [Errno {errno.EPIPE}] "
+        f"{os.strerror(errno.EPIPE)}\n"
+    )
 
 
 def test_a_dump_failing_mid_run_keeps_the_trials_written_before(tmp_path, monkeypatch, capsys):

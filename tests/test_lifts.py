@@ -3,11 +3,12 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 import ratshare.engine as engine
-from ratshare.engine import InvariantViolationError, MOfNExchange, run_mechanism
+from ratshare.engine import InvariantViolationError, MOfNExchange, holding_key, run_mechanism
 from ratshare.lifts import (
     TwoOfNExchange,
     lift_2_of_n,
@@ -379,6 +380,65 @@ def test_each_delivered_item_is_checked_once_and_judged_for_every_receiver(lift)
         ], pid
         assert forged not in st.holdings.values(), pid
         for item in valid:
-            assert st.holdings[game._holding_key(item)] == item, pid
+            assert st.holdings[holding_key(item)] == item, pid
         if pid in leaders:
             assert st.observed_broadcasts == {*leaders} - {forger}, pid
+
+
+@pytest.mark.parametrize(
+    "lift, size, forged",
+    [("m-of-n", size, False) for size in ((3, 4), (3, 6), (4, 5))]
+    + [("2-of-n", n, forged) for n in range(3, 7) for forged in (False, True)],
+)
+def test_a_bundle_is_the_valid_items_its_sender_was_handed(lift, size, forged):
+    # A player's bundle is the valid items the issue left it, in holding-key
+    # order: its share in m-of-n, its subshares in 2-of-n (a forged split
+    # piece is not among them).  A forwarder sends its bundle; a leader
+    # broadcasts its own followed by the items forwarded to it.
+    kw = dict(alpha=0.5, profile=None, seed=5, trial=0, cap=20, record=True)
+    if lift == "m-of-n":
+        (m, n), kind = size, "share"
+        game = MOfNExchange(FieldElement(5, 101), *partition_players(n, m), m, **kw)
+    else:
+        n, kind = size, "sub"
+        game = TwoOfNExchange(FieldElement(5, 101), n, **kw)
+        if forged:
+            forge_subshare_for_player_3(game).honest = False
+    held, checks = {}, Counter()
+    issue_epoch, verify_tag = game._issue_epoch, game.issuer.verify_tag
+
+    def recording_issue_epoch(epoch):
+        issue_epoch(epoch)
+        held[epoch] = {
+            p: [st.holdings[key] for key in sorted(st.holdings) if key[0] == kind]
+            for p, st in game.states.items()
+        }
+
+    def counting_verify_tag(item):
+        checks[game.states[1].iteration] += 1
+        return verify_tag(item)
+
+    game._issue_epoch = recording_issue_epoch
+    game.issuer.verify_tag = counting_verify_tag
+    transcripts = game.run().transcripts
+    assert transcripts
+
+    for transcript in transcripts:
+        bundles = held[transcript.epoch]
+        forwarded = {leader: [] for leader in game.leaders}
+        broadcast = {}
+        for msg in transcript.messages:
+            if msg.kind != MessageKind.SHARE_BROADCAST:
+                continue
+            if msg.step == Step.ISSUE:
+                assert list(msg.payload) == bundles[msg.sender], (transcript.iteration, msg)
+                forwarded[msg.receiver] += msg.payload
+            else:
+                broadcast[msg.sender] = msg.payload
+        for sender, payload in broadcast.items():
+            assert list(payload) == bundles[sender] + forwarded[sender], (transcript.iteration, sender)
+        if lift == "2-of-n":
+            # One tag check per split piece, forwarded item and broadcast item.
+            assert checks[transcript.iteration] == 2 * (n - 1) + sum(
+                len(items) for items in [*forwarded.values(), *broadcast.values()]
+            ), transcript.iteration

@@ -163,13 +163,15 @@ MUTANTS = [
            "or item.epoch != epoch:", ":",
            "tests/test_engine.py::test_replayed_payload_of_an_earlier_epoch_is_stale"),
     Mutant("bundle-judged-by-first-item", "src/ratshare/engine.py",
-           "kind = self._check_item(item, epoch)\n                if kind is None:",
-           "kind = self._check_item(items[0], epoch)\n                if kind is None:",
+           "elif self.issuer.verify_tag(item):", "elif self.issuer.verify_tag(items[0]):",
            "tests/test_lifts.py::test_each_delivered_item_is_checked_once_and_judged_for_every_receiver"),
     Mutant("evidence-to-first-receiver-only", "src/ratshare/engine.py",
-           "states[pid].cheat_evidence += evidence",
-           "states[pid].cheat_evidence += evidence if pid == (receivers + self.observers)[0] else []",
+           "state.cheat_evidence += evidence",
+           "state.cheat_evidence += evidence if pid == receivers[0] else ()",
            "tests/test_lifts.py::test_each_delivered_item_is_checked_once_and_judged_for_every_receiver"),
+    Mutant("forged-split-piece-bundled", "src/ratshare/lifts.py",
+           "self.bundles[recipient] += kept.values()", "self.bundles[recipient].append(sub)",
+           "tests/test_lifts.py::test_a_bundle_is_the_valid_items_its_sender_was_handed"),
     Mutant("share-record-keys-swapped", "src/ratshare/transcript.py",
            '"x":{holder},"y":{y},', '"y":{y},"x":{holder},',
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
