@@ -292,9 +292,9 @@ def _build_game(args, table: UtilityTable):
 
 
 # `dominance` parses these with no default, so it can tell a given flag from
-# an absent one: with --game a given one is an error, since a loaded game
-# uses neither a builtin nor a utility table.  The defaults are filled in
-# here, so the [config] echo is the same as with parser defaults.
+# an absent one: with --game a given one is an error, and [config] echoes them
+# as none, since a loaded game uses neither a builtin nor a utility table.  A
+# builtin gets the defaults here, so its echo is the same as with parser defaults.
 _DOMINANCE_DEFAULTS = {"builtin": "oneshot-2of2", **TABLE_DEFAULTS}
 
 
@@ -304,9 +304,10 @@ def cmd_dominance(args) -> Section:
                  if getattr(args, dest) is not None]
         if given:
             raise ConfigError(f"--game cannot be combined with {', '.join(given)}")
-    for dest, value in _DOMINANCE_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+    else:
+        for dest, value in _DOMINANCE_DEFAULTS.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
     table = _load_table(args) if not args.game else None
     game, labels = _build_game(args, table)
     if args.profile is not None:
@@ -382,6 +383,15 @@ def cmd_hiding(args) -> Section:
     return section
 
 
+def _add_run_flags(p, alpha_range: str, trials: int, trials_help: str) -> str:
+    """Declare the flags a sampled run depends on; returns their [config] keys."""
+    p.add_argument("--alpha", required=True, help=f"coin bias in {alpha_range}, or 'auto' for alpha*/2")
+    p.add_argument("--trials", type=int, default=trials, help=f"{trials_help}, at most {MAX_TRIALS:,}")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="iteration cap per run, at most 2**53")
+    return "alpha trials seed cap"
+
+
 def _add_table_flags(parser, players: int = 3) -> None:
     parser.add_argument("--u-only", default=TABLE_DEFAULTS["u_only"],
                         help="payoff when only this player learns, a number or a "
@@ -424,35 +434,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run seeded mechanism trials")
-    p.add_argument("--alpha", required=True, help="coin bias in (0, 1], or 'auto' for alpha*/2")
-    p.add_argument("--trials", type=int, default=10_000,
-                   help=f"number of runs, at most {MAX_TRIALS:,}")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="iteration cap per run, at most 2**53")
+    run_keys = _add_run_flags(p, "(0, 1]", 10_000, "number of runs")
     p.add_argument("--deviant", metavar="PLAYER:NAME[:PARAM]",
                    help="one player deviates (e.g. 1:withhold, 2:biased-coin:0.9)")
     p.add_argument("--dump-transcripts", metavar="FILE",
                    help="write the JSONL message stream (uses the reference engine; "
                    f"refused when expected to pass {DUMP_BUDGET_BYTES / 1e9:g} GB)")
     _add_table_flags(p)
-    p.set_defaults(handler=cmd_simulate, config_keys="alpha trials seed cap deviant")
+    p.set_defaults(handler=cmd_simulate, config_keys=f"{run_keys} deviant")
 
     p = sub.add_parser("alpha-star", help="honesty threshold from a utility table")
     _add_table_flags(p)
     p.set_defaults(handler=cmd_alpha_star, config_keys=TABLE_KEYS)
 
     p = sub.add_parser("audit", help="Monte Carlo incentive audit")
-    p.add_argument("--alpha", required=True, help="coin bias in (0, 1), or 'auto' for alpha*/2")
-    p.add_argument("--trials", type=int, default=100_000,
-                   help=f"runs per deviation and deviator, at most {MAX_TRIALS:,}")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="iteration cap per run, at most 2**53")
+    run_keys = _add_run_flags(p, "(0, 1)", 100_000, "runs per deviation and deviator")
     p.add_argument("--deviations", help="comma list (default: full catalogue)")
     p.add_argument("--deviators", help="comma list of players (default: 1,2,3)")
     _add_table_flags(p)
-    p.set_defaults(handler=cmd_audit, config_keys=f"alpha trials seed deviations deviators {TABLE_KEYS}")
+    p.set_defaults(handler=cmd_audit, config_keys=f"{run_keys} deviations deviators {TABLE_KEYS}")
 
     p = sub.add_parser("dominance", help="iterated deletion of weakly dominated strategies")
     p.add_argument("--builtin", choices=list(BUILTIN_GAMES),

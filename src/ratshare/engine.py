@@ -14,9 +14,9 @@ iteration, the messages sent and nothing else.  Players sit in three
 groups; each group's leader takes one seat on the coin ring and
 broadcasts its group's bundle.  Every delivered item, whether split
 piece, forwarded bundle or broadcast, is judged by `_deliver` and kept
-under its `holding_key`.  The 3-of-3 mechanism is the m-of-n share
-exchange with three one-player groups, and the lifts in `ratshare.lifts`
-supply the other groupings and payloads through the exchange's hooks.
+under its `holding_key`, which `item_key` builds from numbers.  The 3-ring
+is the m-of-n exchange with three one-player groups; the lifts in
+`ratshare.lifts` supply the other groupings and what their epochs issue.
 
 Runs are deterministic given (seed, trial, profile, config): each player
 and the issuer draw from independent derived substreams.
@@ -115,6 +115,11 @@ def holding_key(item: Share | Subshare) -> tuple:
     return ("sub", item.parent_holder, item.index)
 
 
+def item_key(holder: int, index: int | None = None) -> tuple:
+    """`holding_key` from numbers: of `holder`'s share, or of its subshare `index`."""
+    return ("share", holder) if index is None else ("sub", holder, index)
+
+
 def normalize_profile(
     profile: dict[int, Strategy] | None, players: tuple[int, ...]
 ) -> dict[int, Strategy]:
@@ -136,14 +141,16 @@ class GroupedExchange:
     bundle as the broadcast payload.  A seated leader left short by a
     forwarder asks the issuer to restart before any coins are tossed.
 
-    Subclasses define what one epoch issues into holdings and bundles
-    (`bundles[p]` is what `p` was handed this epoch and hands on), who
-    forwards, and their items' type and stale-item evidence kind.
-    `_deliver` judges every delivered item once, however many players
-    receive it: the split pieces of 2-of-n, the forwarded bundles and the
-    broadcasts.  Every receiver then keeps the valid items under their
-    `holding_key` and records evidence for the rest.  Only the players who
-    act, the leaders and the forwarders, get a random stream.
+    Subclasses define only what differs: what an epoch issues into holdings
+    and `bundles` (what each player was handed and hands on), who forwards,
+    the item type and its stale-item evidence kind, and 2-of-n's who-learned
+    rule.  A leader broadcasts its bundle as a tuple, and a payload that is no
+    tuple is ignored; with `bare_share` (the 3-ring) it broadcasts its one
+    share bare, and whatever arrives is judged as one item.  `_deliver`
+    judges each delivered item once, however many players receive it: split
+    pieces, forwarded bundles and broadcasts.  Every receiver keeps the valid
+    items under their `holding_key` and records evidence for the rest.  Only
+    the players who act, the leaders and the forwarders, get a random stream.
     """
 
     def __init__(
@@ -204,6 +211,7 @@ class GroupedExchange:
 
     item_type: type
     stale_evidence: str
+    bare_share = False
 
     def _learned(self, state: LocalState) -> bool:
         """Who learned, the exchange's call: `threshold` items of one epoch."""
@@ -229,13 +237,6 @@ class GroupedExchange:
             state.holdings.update(kept)
             state.cheat_evidence += evidence
         return kept, evidence
-
-    def _payload(self, bundle: list) -> object:
-        return tuple(bundle)
-
-    def _items(self, payload) -> tuple | None:
-        """A broadcast payload's items; None when it is not a bundle at all."""
-        return payload if isinstance(payload, tuple) else None
 
     # One iteration ------------------------------------------------------------
 
@@ -322,8 +323,8 @@ class GroupedExchange:
 
         # Step 4: take delivery of broadcasts, then stop or ask for a restart.
         for sender, payload in broadcasts:
-            items = self._items(payload)
-            if items is None:
+            items = (payload,) if self.bare_share else payload
+            if not isinstance(items, tuple):
                 continue
             receivers = [pid for pid in live if pid != sender]
             _, evidence = self._deliver(sender, items, epoch, receivers + self.observers)
@@ -362,7 +363,7 @@ class GroupedExchange:
             for state in states.values():
                 # Holdings keep one epoch; the flag keeps what earlier ones taught.
                 state.learned_earlier = self._learned(state)
-                state.begin_iteration(iterations, epoch)
+                state.begin_iteration(iterations)
             self._issue_epoch(epoch)
             self.issued = epoch
             bundles = self.bundles
@@ -396,7 +397,8 @@ class GroupedExchange:
                 continue
 
             for pid in seated:
-                states[pid].own_payload = self._payload(bundles[pid])
+                bundle = bundles[pid]
+                states[pid].own_payload = bundle[0] if self.bare_share else tuple(bundle)
             decisions = self._coin_iteration(seated, iterations, epoch, msgs)
 
             if self.honest:
@@ -433,6 +435,10 @@ class GroupedExchange:
 class MOfNExchange(GroupedExchange):
     """m-of-n Shamir shares; designated players 1..m forward theirs to their leader."""
 
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.bare_share = self.n == 3  # the 3-of-3 ring: one player per group
+
     def _issue_epoch(self, epoch: int) -> None:
         shares = issue_round(
             self.issuer, self.secret, self.threshold, self.n, epoch, self.issuer_rng, self.issued
@@ -447,15 +453,6 @@ class MOfNExchange(GroupedExchange):
 
     item_type = Share
     stale_evidence = "stale-share"
-
-    # The 3-of-3 ring (n = 3, one player per group) broadcasts the bare
-    # share rather than a one-share bundle.
-
-    def _payload(self, bundle: list[Share]) -> object:
-        return bundle[0] if self.n == 3 else tuple(bundle)
-
-    def _items(self, payload) -> tuple | None:
-        return (payload,) if self.n == 3 else super()._items(payload)
 
 
 def run_mechanism(

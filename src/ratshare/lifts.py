@@ -23,8 +23,8 @@ from .engine import (
     DEFAULT_CAP,
     GroupedExchange,
     MOfNExchange,
-    holding_key,
     issue_round,
+    item_key,
 )
 from .protocol import RunOutcome
 
@@ -106,9 +106,10 @@ class TwoOfNExchange(GroupedExchange):
     def __init__(self, secret, n, **kw):
         groups, leaders = partition_players(n, n)
         super().__init__(secret, groups, leaders, 2, **kw)
-        # The holding keys of each holder's n-1 subshares.
-        self.sub_keys = [
-            (parent, {("sub", parent, k) for k in range(1, n)}) for parent in self.holders
+        # The holding keys of each holder's share and of its n-1 subshares.
+        self.holder_keys = [
+            (parent, item_key(parent), {item_key(parent, k) for k in range(1, n)})
+            for parent in self.holders
         ]
 
     def _learned(self, state: LocalState) -> bool:
@@ -116,15 +117,15 @@ class TwoOfNExchange(GroupedExchange):
         if state.learned_earlier:
             return True
         keys = state.holdings.keys()
-        for parent, sub_keys in self.sub_keys:
-            if not (keys >= sub_keys or (parent == state.player and ("share", parent) in keys)):
+        for parent, share_key, sub_keys in self.holder_keys:
+            if not (keys >= sub_keys or (parent == state.player and share_key in keys)):
                 return False
         return True
 
     def _issue_epoch(self, epoch: int) -> None:
         shares = issue_round(self.issuer, self.secret, 2, 2, epoch, self.issuer_rng, self.issued)
         for holder in self.holders:
-            self.states[holder].holdings[holding_key(shares[holder])] = shares[holder]
+            self.states[holder].holdings[item_key(holder)] = shares[holder]
         # Each holder splits its share into n-1 subshares, one per other
         # player; receivers check the tag and treat bad pieces as missing.
         # A player's bundle is the pieces it kept, in holder order.

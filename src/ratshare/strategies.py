@@ -63,12 +63,11 @@ class CheatEvidence:
 
 @dataclass
 class LocalState:
-    """What one player has observed: this iteration's bits and broadcasts, this
-    epoch's items, whether an earlier epoch taught it the secret, and its evidence."""
+    """What one player has observed this iteration: its bits and broadcasts, the
+    items its epoch issued, whether an earlier epoch taught it the secret, and its evidence."""
 
     player: int
     iteration: int = 0
-    epoch: int = -1
     coins: CoinTriple | None = None
     bit_from_pred: int | None = None
     bit_from_succ: int | None = None
@@ -85,9 +84,8 @@ class LocalState:
         """Distinct valid broadcasts seen this iteration, own iff sent."""
         return len(self.observed_broadcasts)
 
-    def begin_iteration(self, iteration: int, epoch: int) -> None:
+    def begin_iteration(self, iteration: int) -> None:
         self.iteration = iteration
-        self.epoch = epoch
         self.coins = None
         self.bit_from_pred = None
         self.bit_from_succ = None

@@ -189,8 +189,8 @@ def test_alpha_star_from_file(tmp_path, capsys):
       ["builtin = bounded-r2", "game = none", "utilities = {path}", "profile = none"]),
      (["audit", "--alpha", "0.25", "--trials", "10000", "--seed", "1", "--deviations", "withhold",
        "--deviators", "1"], 3,
-      ["alpha = 0.25", "trials = 10000", "seed = 1", "deviations = withhold", "deviators = 1",
-       "utilities = {path}"]),
+      ["alpha = 0.25", "trials = 10000", "seed = 1", "cap = 1000000", "deviations = withhold",
+       "deviators = 1", "utilities = {path}"]),
      (["simulate", "--alpha", "auto", "--trials", "10", "--seed", "1"], 3,
       ["alpha = auto", "trials = 10", "seed = 1", "cap = 1000000", "deviant = none",
        "utilities = {path}"])],
@@ -221,6 +221,17 @@ def test_config_names_the_table_analysed(argv, capsys):
     assert results[0] != results[1]
 
 
+def test_audit_config_names_the_cap(capsys):
+    # A cap of 3 cuts off many withholding runs, so the estimate moves, and
+    # [config] must move with it.
+    argv = ["audit", "--alpha", "0.3", "--trials", "10000", "--seed", "1", "--deviations",
+            "withhold", "--deviators", "1"]
+    outs = [run_cli(capsys, *argv, *flag)[1] for flag in ([], ["--cap", "3"])]
+    assert [line for line in _config(outs[0]) if line.startswith("cap")] == ["cap = 1000000"]
+    assert [line for line in _config(outs[1]) if line.startswith("cap")] == ["cap = 3"]
+    estimates = [line for out in outs for line in out.splitlines() if ".mc-estimate" in line]
+    assert estimates == ["withhold.deviator1.mc-estimate = 0.3126",
+                         "withhold.deviator1.mc-estimate = 0.1304"]
 # R = (u_all - u_none) / (u_only - u_all) overflows to inf in the first
 # table and underflows to 0 in the second; the axioms accept both.
 @pytest.mark.parametrize(
@@ -395,6 +406,20 @@ def test_dominance_game_file(tmp_path, capsys):
     assert "recommended.practical = true" in out
 
 
+def test_dominance_game_file_echoes_no_builtin_and_no_table(tmp_path, capsys):
+    # A loaded game reads neither a builtin nor a utility table, so [config]
+    # echoes none for each.
+    from ratshare.dominance import prisoners_dilemma
+
+    path = tmp_path / "pd.json"
+    path.write_text(json.dumps(prisoners_dilemma().to_doc()))
+    code, out = run_cli(capsys, "dominance", "--game", str(path), "--profile", "defect,defect")
+    assert code == 0
+    assert _config(out) == ["command = dominance", "builtin = none", f"game = {path}",
+                            "u-only = none", "u-all = none", "u-none = none",
+                            "profile = defect,defect"]
+
+
 # Player 1's a and c tie exactly and both beat b only through float-derived
 # gaps (1e-300 against 0, 0.1 against 1/10); player 2's y beats x by the same
 # gap, then z falls once b is gone.  Deletion takes two rounds.
@@ -411,13 +436,14 @@ TIES_AND_FLOATS = {
 
 # sha256 of Report.result_text() for `dominance --builtin B` and for
 # `dominance --game TIES_AND_FLOATS --profile a,y`, recorded while deletion
-# still compared Fractions pair by pair.
+# still compared Fractions pair by pair; ties-and-floats re-pinned when a
+# loaded game's [config] stopped echoing a builtin and a table it never read.
 GOLDEN_DOMINANCE = {
     "oneshot-2of2": "098837cf9fd51c22ed659994022325bc46656bfc3163b289a24ac1239e65d725",
     "bounded-r1": "8e8066355170d6214e66e3d9cc285b839acdb1d5e08c749ddedee9cc775882f4",
     "bounded-r2": "257e845954627336c8f1fb34bb104e8e98d3724033bbee119e3a3400cc43432c",
     "prisoners-dilemma": "c67c0843fa094d029c8f9209349bd4456b8a2f7850c65c67973aaea8423ba3cd",
-    "ties-and-floats": "6ccb8dc1c3819803b0defe7b68f9bcee336093dfb13ceb29cb5b38e3b8589bc8",
+    "ties-and-floats": "0918583a849981505e9cba5897ab39fd000987e6594d8c9501b320a339926e02",
 }
 
 

@@ -32,6 +32,7 @@ from ratshare.strategies import (
     DEVIATIONS,
     AlwaysBroadcast,
     AlwaysSilent,
+    CheatEvidence,
     ForcedCoins,
     GarbleStep2,
     HonestStrategy,
@@ -338,6 +339,41 @@ def test_replayed_payload_of_an_earlier_epoch_is_stale(lift):
         assert stale and set(stale) == {(2, 1)}, pid
 
 
+class ReshapePayload(AlwaysBroadcast):
+    """Broadcasts every iteration, its payload first passed through `reshape`."""
+
+    def __init__(self, reshape):
+        self.reshape = reshape
+
+    def wants_broadcast(self, state, rng):
+        state.own_payload = self.reshape(state.own_payload)
+        return True
+
+
+@pytest.mark.parametrize("exchange", ["3-ring", "3-of-6"])
+def test_a_broadcast_of_the_wrong_shape(exchange):
+    # The ring broadcasts its bare share and judges whatever arrives as one
+    # item, so a one-share bundle is a stale item.  A lift broadcasts its
+    # bundle as a tuple and ignores, with no evidence, a payload that is not
+    # one, so a leader's bare first item is ignored.
+    kw = dict(alpha=0.5, seed=1, trial=0, cap=1, record=False)
+    if exchange == "3-ring":
+        game = MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3,
+                            profile={1: ReshapePayload(lambda share: (share,))}, **kw)
+        evidence = [CheatEvidence("stale-share", 1, int(Step.DECIDE), 1)]
+    else:
+        game = MOfNExchange(5, *partition_players(6, 3), 3,
+                            profile={1: ReshapePayload(lambda bundle: bundle[0])}, **kw)
+        evidence = []
+    assert game.leaders == [1, 2, 3]
+    game.run()
+    for pid in game.players[1:]:
+        st = game.states[pid]
+        assert [e for e in st.cheat_evidence if e.about == 1] == evidence, pid
+        assert 1 not in st.observed_broadcasts, pid
+    assert 1 in game.states[1].observed_broadcasts
+
+
 # --- exhaustive iteration semantics -------------------------------------------
 
 
@@ -475,7 +511,7 @@ def test_what_an_earlier_epoch_taught_is_kept(exchange):
     assert outcome.iterations == 2
     assert (outcome.info, outcome.cause) == ((1,) * game.n, TerminalCause.ALL_LEARNED)
     for st in game.states.values():
-        assert st.learned_earlier and st.epoch == 1
+        assert st.learned_earlier and st.iteration == 2
         assert all(item.epoch == 1 for item in st.holdings.values())
 
 
@@ -488,7 +524,7 @@ def test_a_long_run_holds_only_its_last_epochs_items(exchange):
     assert (outcome.iterations, outcome.cause) == (300, TerminalCause.ITERATION_CAP_HIT)
     assert game.issued == 299
     for st in game.states.values():
-        assert st.epoch == 299 and not st.learned_earlier
+        assert st.iteration == 300 and not st.learned_earlier
         assert st.holdings and all(item.epoch == 299 for item in st.holdings.values())
     if exchange == "ring":
         assert all(set(st.holdings) == {("share", p)} for p, st in game.states.items())

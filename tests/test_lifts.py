@@ -442,3 +442,44 @@ def test_a_bundle_is_the_valid_items_its_sender_was_handed(lift, size, forged):
             assert checks[transcript.iteration] == 2 * (n - 1) + sum(
                 len(items) for items in [*forwarded.values(), *broadcast.values()]
             ), transcript.iteration
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["honest", "forged-piece"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_two_of_n_learns_by_the_keys_of_the_items_an_epoch_issues(n, forged):
+    # The keys `_learned` tests are the holding keys of each holder's share
+    # and of its n-1 split pieces, so every who-learned call agrees with a
+    # recomputation from the items the epoch issued.
+    game = TwoOfNExchange(FieldElement(5, 101), n, alpha=0.5, profile=None, seed=6, trial=0,
+                          cap=30, record=True)
+    if forged:
+        forge_subshare_for_player_3(game).honest = False
+    issued = {}  # holder -> (its share, its split pieces), of the latest epoch
+    split, learned = game.issuer.split_subshares, game._learned
+    answers = Counter()
+
+    def recording_split(share, count, rng):
+        subs = split(share, count, rng)
+        issued[share.holder] = (share, subs)
+        return subs
+
+    def checked_learned(state):
+        keys = state.holdings.keys()
+        expected = state.learned_earlier or bool(issued) and all(
+            (holder == state.player and holding_key(share) in keys)
+            or {holding_key(sub) for sub in subs} <= keys
+            for holder, (share, subs) in issued.items()
+        )
+        assert learned(state) == expected, (state.player, state.iteration)
+        answers[expected] += 1
+        return expected
+
+    game.issuer.split_subshares = recording_split
+    game._learned = checked_learned
+    outcome = game.run()
+    assert answers[True] and answers[False]
+    assert outcome.info == ((1, 0) + (0,) * (n - 2) if forged else (1,) * n)
+    assert game.holder_keys == [
+        (holder, holding_key(share), {holding_key(sub) for sub in subs})
+        for holder, (share, subs) in sorted(issued.items())
+    ]

@@ -46,7 +46,7 @@ RING = MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3, alpha=0.5, profile=None, s
 
 def make_state(player=1, coins=None, parity=None, observed=(), holdings_count=1):
     state = LocalState(player=player)
-    state.begin_iteration(1, 0)
+    state.begin_iteration(1)
     state.own_payload = "share"
     if coins is not None:
         state.coins = CoinTriple.make(*coins)

@@ -135,6 +135,9 @@ MUTANTS = [
     Mutant("no-partial-info-guard", "src/ratshare/engine.py",
            "if self.honest and any(info) and not all(info):", "if False:",
            "tests/test_lifts.py::test_honest_guard_rejects_a_partial_info_vector"),
+    Mutant("item-key-parent-and-index-swapped", "src/ratshare/engine.py",
+           'else ("sub", holder, index)', 'else ("sub", index, holder)',
+           "tests/test_lifts.py::test_two_of_n_learns_by_the_keys_of_the_items_an_epoch_issues"),
     # Weak-dominance deletion.
     Mutant("last-dominator-witness", "src/ratshare/dominance.py",
            "witness = dominates.argmax(0)", "witness = len(mine) - 1 - dominates[::-1].argmax(0)",
@@ -172,6 +175,9 @@ MUTANTS = [
     Mutant("forged-split-piece-bundled", "src/ratshare/lifts.py",
            "self.bundles[recipient] += kept.values()", "self.bundles[recipient].append(sub)",
            "tests/test_lifts.py::test_a_bundle_is_the_valid_items_its_sender_was_handed"),
+    Mutant("ring-sends-a-one-share-bundle", "src/ratshare/engine.py",
+           "self.bare_share = self.n == 3", "self.bare_share = False",
+           "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
     Mutant("share-record-keys-swapped", "src/ratshare/transcript.py",
            '"x":{holder},"y":{y},', '"y":{y},"x":{holder},',
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
