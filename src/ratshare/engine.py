@@ -13,10 +13,14 @@ states, strategies and streams from itself.  A recorded run keeps, per
 iteration, the messages sent and nothing else.  Players sit in three
 groups; each group's leader takes one seat on the coin ring and
 broadcasts its group's bundle.  Every delivered item, whether split
-piece, forwarded bundle or broadcast, is judged by `_deliver` and kept
-under its `holding_key`, which `item_key` builds from numbers.  The 3-ring
-is the m-of-n exchange with three one-player groups; the lifts in
-`ratshare.lifts` supply the other groupings and what their epochs issue.
+piece, forwarded bundle or broadcast, is judged by `_deliver`; a player's
+holdings are the holding keys of what it holds (`holding_key` of an item,
+`item_key` from numbers), and the items themselves travel in bundles.  An
+epoch builds items only for the players who can send them: an m-of-n
+epoch issues shares to the designated players 1..m, and the others hold
+only their own share's key.  The 3-ring is the m-of-n exchange with three
+one-player groups; the lifts in `ratshare.lifts` supply the other
+groupings and what their epochs issue.
 
 Runs are deterministic given (seed, trial, profile, config): each player
 and the issuer draw from independent derived substreams.
@@ -99,8 +103,10 @@ def issue_round(
     rng: Random,
     issued: int,
 ) -> dict[int, Share]:
-    """Issue one epoch of shares, one per player, from a fresh polynomial; epochs
-    go up, so one not past `issued`, the last issued (-1 at first), is a repeat."""
+    """Issue one epoch of shares, to holders 1..n, from a fresh degree-(m-1)
+    polynomial; epochs go up, so one not past `issued`, the last issued (-1 at
+    first), is a repeat.  An n below the player count evaluates the same
+    polynomial at fewer points, after the same draws."""
     if epoch <= issued:
         raise DuplicateEpochError(f"epoch {epoch} already issued")
     shares = issuer.issue_shares(secret, m, n, epoch, rng)
@@ -108,8 +114,8 @@ def issue_round(
 
 
 def holding_key(item: Share | Subshare) -> tuple:
-    """Where a kept item sits in its holder's holdings: ("share", holder) for
-    a share, ("sub", parent holder, index) for a subshare."""
+    """The key a kept item adds to its holder's holdings: ("share", holder)
+    for a share, ("sub", parent holder, index) for a subshare."""
     if isinstance(item, Share):
         return ("share", item.holder)
     return ("sub", item.parent_holder, item.index)
@@ -141,16 +147,17 @@ class GroupedExchange:
     bundle as the broadcast payload.  A seated leader left short by a
     forwarder asks the issuer to restart before any coins are tossed.
 
-    Subclasses define only what differs: what an epoch issues into holdings
-    and `bundles` (what each player was handed and hands on), who forwards,
-    the item type and its stale-item evidence kind, and 2-of-n's who-learned
-    rule.  A leader broadcasts its bundle as a tuple, and a payload that is no
-    tuple is ignored; with `bare_share` (the 3-ring) it broadcasts its one
-    share bare, and whatever arrives is judged as one item.  `_deliver`
-    judges each delivered item once, however many players receive it: split
-    pieces, forwarded bundles and broadcasts.  Every receiver keeps the valid
-    items under their `holding_key` and records evidence for the rest.  Only
-    the players who act, the leaders and the forwarders, get a random stream.
+    Subclasses define only what differs: what an epoch puts into holdings
+    (keys) and `bundles` (the items each player was handed and hands on),
+    who forwards, the item type and its stale-item evidence kind, and
+    2-of-n's who-learned rule.  A leader broadcasts its bundle as a tuple,
+    and a payload that is no tuple is ignored; with `bare_share` (the
+    3-ring) it broadcasts its one share bare, and whatever arrives is judged
+    as one item.  `_deliver` judges each delivered item once, however many
+    players receive it: split pieces, forwarded bundles and broadcasts.
+    Every receiver holds the valid items' `holding_key`s and records
+    evidence for the rest.  Only the players who act, the leaders and the
+    forwarders, get a random stream.
     """
 
     def __init__(
@@ -202,7 +209,7 @@ class GroupedExchange:
     # Subclass hooks ----------------------------------------------------------
 
     def _issue_epoch(self, epoch: int) -> None:
-        """Distribute fresh material for `epoch` into holdings and `bundles`."""
+        """Distribute fresh material for `epoch`: keys into holdings, items into `bundles`."""
         raise NotImplementedError
 
     def _forwarders(self):
@@ -214,14 +221,15 @@ class GroupedExchange:
     bare_share = False
 
     def _learned(self, state: LocalState) -> bool:
-        """Who learned, the exchange's call: `threshold` items of one epoch."""
+        """Who learned, the exchange's call: the keys of `threshold` items of one epoch."""
         return state.learned_earlier or len(state.holdings) >= self.threshold
 
     def _deliver(self, sender: int, items, epoch: int, receivers) -> tuple[dict, tuple]:
         """Hand `sender`'s items of `epoch` to `receivers`, checking each once:
-        type, then epoch, then tag.  Every receiver keeps the valid items by
-        `holding_key` and records the same evidence, dated the iteration all
-        players are in, for the rest.  Returns (kept by key, evidence)."""
+        type, then epoch, then tag.  Every receiver adds the valid items'
+        `holding_key`s to its holdings and records the same evidence, dated the
+        iteration all players are in, for the rest.  Returns (kept by key,
+        evidence)."""
         kept, evidence = {}, ()
         for item in items:
             if not isinstance(item, self.item_type) or item.epoch != epoch:
@@ -234,7 +242,7 @@ class GroupedExchange:
             evidence += (CheatEvidence(kind, self.states[sender].iteration, _DECIDE_INT, sender),)
         for pid in receivers:
             state = self.states[pid]
-            state.holdings.update(kept)
+            state.holdings.update(kept)  # the keys
             state.cheat_evidence += evidence
         return kept, evidence
 
@@ -433,20 +441,28 @@ class GroupedExchange:
 
 
 class MOfNExchange(GroupedExchange):
-    """m-of-n Shamir shares; designated players 1..m forward theirs to their leader."""
+    """m-of-n Shamir shares; designated players 1..m forward theirs to their leader.
+
+    Only players 1..m can send a share, so an epoch issues shares to them
+    alone; every player holds its own share's key, which counts toward the
+    threshold.  Shares sit at the points 1..n, so n must be below p.
+    """
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
+        modulus = self.secret.modulus
+        if self.n >= modulus:
+            raise ValueError(f"need n < p, got n={self.n}, p={modulus}")
         self.bare_share = self.n == 3  # the 3-of-3 ring: one player per group
+        self.own_keys = {p: item_key(p) for p in self.players}
 
     def _issue_epoch(self, epoch: int) -> None:
-        shares = issue_round(
-            self.issuer, self.secret, self.threshold, self.n, epoch, self.issuer_rng, self.issued
-        )
-        self.bundles = {}
-        for p, share in shares.items():
-            self.states[p].holdings[holding_key(share)] = share
-            self.bundles[p] = [share]
+        m = self.threshold
+        shares = issue_round(self.issuer, self.secret, m, m, epoch, self.issuer_rng, self.issued)
+        self.bundles = {p: [share] for p, share in shares.items()}
+        states = self.states
+        for p, key in self.own_keys.items():
+            states[p].holdings.add(key)
 
     def _forwarders(self):
         return range(1, self.threshold + 1)

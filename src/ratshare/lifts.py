@@ -2,9 +2,12 @@
 
 For m-of-n (m >= 3, n > 3) the players are partitioned into three groups,
 players 1..m are designated, and the lowest-indexed designated player of
-each group leads it.  Designated players forward their shares to their
-leader; the three leaders then run the coin mechanism, broadcasting their
-whole group bundle to every player when they would broadcast a share.  A
+each group leads it.  Only designated players are issued a share; each of
+players m+1..n holds just its own share's key, which counts toward the
+threshold once m-1 broadcast shares arrive.  Designated players forward
+their shares to their leader; the three leaders then run the coin
+mechanism, broadcasting their whole group bundle to every player when they
+would broadcast a share.  A
 leader whose bundle is incomplete asks the issuer to restart before any
 coins are tossed, so a designated player that withholds from its leader
 stalls the run forever (cap hit) without learning anything itself.
@@ -12,7 +15,8 @@ stalls the run forever (cap hit) without learning anything itself.
 For 2-of-n (n >= 3) the two shareholders split their shares into n-1
 additive subshares, spread them so the originals hold one foreign
 subshare each and everyone else holds two, and the n players run the
-grouped n-of-n exchange with subshare bundles as payloads.  2-of-2 is
+grouped n-of-n exchange with subshare bundles as payloads; the holders keep
+their own share's key, and the pieces travel in bundles.  2-of-2 is
 rejected: with nobody else to hold the exchange hostage, no coin bias
 makes honesty an equilibrium.
 """
@@ -116,7 +120,7 @@ class TwoOfNExchange(GroupedExchange):
         """All n-1 subshares of each holder's share in one epoch; a holder's own share will do."""
         if state.learned_earlier:
             return True
-        keys = state.holdings.keys()
+        keys = state.holdings
         for parent, share_key, sub_keys in self.holder_keys:
             if not (keys >= sub_keys or (parent == state.player and share_key in keys)):
                 return False
@@ -124,8 +128,8 @@ class TwoOfNExchange(GroupedExchange):
 
     def _issue_epoch(self, epoch: int) -> None:
         shares = issue_round(self.issuer, self.secret, 2, 2, epoch, self.issuer_rng, self.issued)
-        for holder in self.holders:
-            self.states[holder].holdings[item_key(holder)] = shares[holder]
+        for holder, share_key, _ in self.holder_keys:
+            self.states[holder].holdings.add(share_key)
         # Each holder splits its share into n-1 subshares, one per other
         # player; receivers check the tag and treat bad pieces as missing.
         # A player's bundle is the pieces it kept, in holder order.

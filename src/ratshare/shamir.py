@@ -62,7 +62,7 @@ _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 # How many of its most recent messages' MACs an issuer keeps.  The largest
 # `hiding` run accepted has n * p = 93 distinct points (p = 31, n = 3), and
-# an engine epoch tags n items for m-of-n and 2n for 2-of-n.
+# an engine epoch tags m items for m-of-n and 2n for 2-of-n.
 _MAC_CACHE_SIZE = 256
 
 

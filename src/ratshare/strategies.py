@@ -64,7 +64,9 @@ class CheatEvidence:
 @dataclass
 class LocalState:
     """What one player has observed this iteration: its bits and broadcasts, the
-    items its epoch issued, whether an earlier epoch taught it the secret, and its evidence."""
+    holding keys of the items of its epoch it holds (`holdings`, the items
+    themselves travel in the exchange's bundles), whether an earlier epoch
+    taught it the secret, and its evidence."""
 
     player: int
     iteration: int = 0
@@ -75,7 +77,7 @@ class LocalState:
     parity: int | None = None
     own_payload: object = None
     observed_broadcasts: set[int] = field(default_factory=set)
-    holdings: dict[object, object] = field(default_factory=dict)
+    holdings: set[tuple] = field(default_factory=set)
     learned_earlier: bool = False
     cheat_evidence: list[CheatEvidence] = field(default_factory=list)
 
@@ -93,7 +95,7 @@ class LocalState:
         self.parity = None
         self.own_payload = None
         self.observed_broadcasts = set()
-        self.holdings = {}
+        self.holdings = set()
 
 
 # --- strategies --------------------------------------------------------------

@@ -10,7 +10,9 @@ import ratshare.engine as engine
 from ratshare.engine import (
     DuplicateEpochError,
     MOfNExchange,
+    holding_key,
     issue_round,
+    item_key,
     run_mechanism,
 )
 from ratshare.lifts import TwoOfNExchange, lift_2_of_n, lift_m_of_n, partition_players
@@ -498,6 +500,18 @@ def _epoch_exchange(exchange, profile, cap):
     return TwoOfNExchange(5, 4, profile={leaders[seat]: s for seat, s in profile.items()}, **kw)
 
 
+def _handed_keys(game):
+    """The holding keys of what each player was handed in the last epoch: the
+    items in its bundle and its own share, issued or not.  A player that took
+    delivery of no broadcast holds exactly these."""
+    owners = game.holders if isinstance(game, TwoOfNExchange) else game.players
+    return {
+        p: {holding_key(item) for item in game.bundles.get(p, ())}
+        | ({item_key(p)} if p in owners else set())
+        for p in game.players
+    }
+
+
 @pytest.mark.parametrize("exchange", ["ring", "2-of-4"])
 def test_what_an_earlier_epoch_taught_is_kept(exchange):
     # All three coins are heads: everyone learns in epoch 0.  The first
@@ -510,9 +524,11 @@ def test_what_an_earlier_epoch_taught_is_kept(exchange):
     outcome = game.run()
     assert outcome.iterations == 2
     assert (outcome.info, outcome.cause) == ((1,) * game.n, TerminalCause.ALL_LEARNED)
-    for st in game.states.values():
+    assert all(item.epoch == 1 for bundle in game.bundles.values() for item in bundle)
+    handed = _handed_keys(game)
+    for p, st in game.states.items():
         assert st.learned_earlier and st.iteration == 2
-        assert all(item.epoch == 1 for item in st.holdings.values())
+        assert st.holdings == handed[p], p
 
 
 @pytest.mark.parametrize("exchange", ["ring", "2-of-4"])
@@ -523,9 +539,11 @@ def test_a_long_run_holds_only_its_last_epochs_items(exchange):
     outcome = game.run()
     assert (outcome.iterations, outcome.cause) == (300, TerminalCause.ITERATION_CAP_HIT)
     assert game.issued == 299
-    for st in game.states.values():
+    assert all(item.epoch == 299 for bundle in game.bundles.values() for item in bundle)
+    handed = _handed_keys(game)
+    for p, st in game.states.items():
         assert st.iteration == 300 and not st.learned_earlier
-        assert st.holdings and all(item.epoch == 299 for item in st.holdings.values())
+        assert st.holdings and st.holdings == handed[p], p
     if exchange == "ring":
         assert all(set(st.holdings) == {("share", p)} for p, st in game.states.items())
 
@@ -672,6 +690,7 @@ def test_recording_does_not_change_lifted_runs(lift, size, play):
         for p in on.players:
             assert on.states[p].cheat_evidence == off.states[p].cheat_evidence
             assert on.states[p].holdings == off.states[p].holdings
+        assert on.bundles == off.bundles
         assert on_outcome.transcripts and not off_outcome.transcripts
 
 

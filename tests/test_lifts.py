@@ -8,7 +8,13 @@ from collections import Counter
 import pytest
 
 import ratshare.engine as engine
-from ratshare.engine import InvariantViolationError, MOfNExchange, holding_key, run_mechanism
+from ratshare.engine import (
+    InvariantViolationError,
+    MOfNExchange,
+    holding_key,
+    item_key,
+    run_mechanism,
+)
 from ratshare.lifts import (
     TwoOfNExchange,
     lift_2_of_n,
@@ -24,7 +30,14 @@ from ratshare.shamir import (
     combine_subshares,
     reconstruct,
 )
-from ratshare.strategies import CheatEvidence, GarbleStep2, HonestStrategy, WithholdFromLeader
+from ratshare.strategies import (
+    CheatEvidence,
+    ForcedCoins,
+    GarbleStep2,
+    HonestStrategy,
+    WithholdFromLeader,
+    WithholdShare,
+)
 from ratshare.transcript import _payload_record
 from test_engine import forge_subshare_for_player_3
 
@@ -303,6 +316,64 @@ def test_only_players_who_act_get_a_stream(run, actors, monkeypatch):
     assert sorted(paths) == sorted([(0, 0, "issuer")] + [(0, 0, "player", p) for p in actors])
 
 
+@pytest.mark.parametrize(
+    "run, holders",
+    [
+        (lambda: run_mechanism(5, 0.5), {1, 2, 3}),
+        (lambda: lift_m_of_n(5, 3, 6, 0.5), {1, 2, 3}),
+        (lambda: lift_m_of_n(5, 4, 5, 0.5), {1, 2, 3, 4}),
+        (lambda: lift_2_of_n(5, 5, 0.5), {1, 2}),
+    ],
+    ids=["3-ring", "3-of-6", "4-of-5", "2-of-5"],
+)
+def test_each_epoch_issues_shares_only_to_players_who_can_send(run, holders, monkeypatch):
+    # Only the designated players of m-of-n and the two shareholders of
+    # 2-of-n ever send a share (or its pieces); the others get none.
+    issued = []
+    issue_shares = ShareIssuer.issue_shares
+
+    def recording_issue_shares(self, *args, **kwargs):
+        shares = issue_shares(self, *args, **kwargs)
+        issued.append({share.holder for share in shares})
+        return shares
+
+    monkeypatch.setattr(ShareIssuer, "issue_shares", recording_issue_shares)
+    outcome = run()
+    assert len(issued) == outcome.iterations
+    assert all(epoch_holders == holders for epoch_holders in issued)
+
+
+@pytest.mark.parametrize(
+    "m, n, leaders, info",
+    [(3, 6, [1, 2, 3], (1, 0, 0, 1, 1, 1)), (4, 5, [1, 2, 4], (1, 0, 0, 0, 1))],
+    ids=["3-of-6", "4-of-5"],
+)
+def test_a_player_past_m_learns_through_its_own_key(m, n, leaders, info):
+    # All coins are heads and leader 1 withholds: the other two leaders
+    # broadcast m-1 shares between them.  A player past m is issued no share,
+    # yet its own share's key makes the m-th, so it learns; so does leader 1,
+    # while the designated players without the withheld share do not.
+    assert partition_players(n, m)[1] == leaders
+    profile = {leader: ForcedCoins([(1, 0)], WithholdShare() if leader == 1 else None)
+               for leader in leaders}
+    outcome = lift_m_of_n(FieldElement(5, 101), m, n, 0.5, profile=profile, record=False)
+    assert (outcome.iterations, outcome.info, outcome.cause) == (1, info, TerminalCause.CHEAT_STOP)
+
+
+@pytest.mark.parametrize("n, p", [(6, 5), (5, 5), (3, 3)])
+def test_m_of_n_needs_fewer_players_than_the_field_size(n, p):
+    # Shares sit at the points 1..n, and the point p is 0 mod p, the secret.
+    # The refusal comes when the exchange is built, before any epoch.
+    message = f"need n < p, got n={n}, p={p}"
+    m, secret = 3, FieldElement(1, p)
+    with pytest.raises(ValueError, match=message):
+        MOfNExchange(secret, *partition_players(n, m), m, alpha=0.5, profile=None, seed=0,
+                     trial=0, cap=10, record=False)
+    with pytest.raises(ValueError, match=message):
+        run_mechanism(secret, 0.5) if n == 3 else lift_m_of_n(secret, m, n, 0.5)
+    assert lift_m_of_n(FieldElement(1, 7), 3, 6, 0.5).cause == TerminalCause.ALL_LEARNED
+
+
 class ForgeOneItem(HonestStrategy):
     """Broadcasts its bundle with item `index` changed, so its tag no longer verifies."""
 
@@ -378,9 +449,12 @@ def test_each_delivered_item_is_checked_once_and_judged_for_every_receiver(lift)
         assert [e for e in st.cheat_evidence if e.kind == "invalid-tag"] == [
             CheatEvidence("invalid-tag", 1, int(Step.DECIDE), forger)
         ], pid
-        assert forged not in st.holdings.values(), pid
+        # The forged item's key is held only where the genuine item was handed.
+        genuine = game.bundles[forger][index]
+        assert genuine != forged
+        assert holding_key(forged) not in st.holdings or genuine in game.bundles.get(pid, ()), pid
         for item in valid:
-            assert st.holdings[holding_key(item)] == item, pid
+            assert holding_key(item) in st.holdings, pid
         if pid in leaders:
             assert st.observed_broadcasts == {*leaders} - {forger}, pid
 
@@ -409,10 +483,16 @@ def test_a_bundle_is_the_valid_items_its_sender_was_handed(lift, size, forged):
 
     def recording_issue_epoch(epoch):
         issue_epoch(epoch)
-        held[epoch] = {
-            p: [st.holdings[key] for key in sorted(st.holdings) if key[0] == kind]
-            for p, st in game.states.items()
-        }
+        held[epoch] = {p: list(bundle) for p, bundle in game.bundles.items()}
+        for p, st in game.states.items():
+            keys = sorted(key for key in st.holdings if key[0] == kind)
+            if p in held[epoch]:
+                bundle = held[epoch][p]
+                assert [holding_key(item) for item in bundle] == keys, (epoch, p)
+                assert all(item.epoch == epoch and verify_tag(item) for item in bundle), (epoch, p)
+            else:
+                # An m-of-n player past m is handed no share, only its key.
+                assert lift == "m-of-n" and p > m and keys == [item_key(p)], (epoch, p)
 
     def counting_verify_tag(item):
         checks[game.states[1].iteration] += 1
@@ -464,7 +544,7 @@ def test_two_of_n_learns_by_the_keys_of_the_items_an_epoch_issues(n, forged):
         return subs
 
     def checked_learned(state):
-        keys = state.holdings.keys()
+        keys = state.holdings
         expected = state.learned_earlier or bool(issued) and all(
             (holder == state.player and holding_key(share) in keys)
             or {holding_key(sub) for sub in subs} <= keys

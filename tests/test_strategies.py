@@ -53,7 +53,7 @@ def make_state(player=1, coins=None, parity=None, observed=(), holdings_count=1)
     state.parity = parity
     state.observed_broadcasts = set(observed)
     for k in range(holdings_count):
-        state.holdings[("share", k + 1)] = object()
+        state.holdings.add(("share", k + 1))
     return state
 
 

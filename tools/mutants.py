@@ -138,6 +138,15 @@ MUTANTS = [
     Mutant("item-key-parent-and-index-swapped", "src/ratshare/engine.py",
            'else ("sub", holder, index)', 'else ("sub", index, holder)',
            "tests/test_lifts.py::test_two_of_n_learns_by_the_keys_of_the_items_an_epoch_issues"),
+    Mutant("m-of-n-n-below-p-unchecked", "src/ratshare/engine.py",
+           "if self.n >= modulus:", "if False:",
+           "tests/test_lifts.py::test_m_of_n_needs_fewer_players_than_the_field_size"),
+    Mutant("own-keys-only-for-players-1-to-m", "src/ratshare/engine.py",
+           "item_key(p) for p in self.players}", "item_key(p) for p in range(1, self.threshold + 1)}",
+           "tests/test_lifts.py::test_a_player_past_m_learns_through_its_own_key"),
+    Mutant("m-of-n-issues-to-every-player", "src/ratshare/engine.py",
+           "self.secret, m, m, epoch,", "self.secret, m, self.n, epoch,",
+           "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
     # Weak-dominance deletion.
     Mutant("last-dominator-witness", "src/ratshare/dominance.py",
            "witness = dominates.argmax(0)", "witness = len(mine) - 1 - dominates[::-1].argmax(0)",
