@@ -18,7 +18,11 @@ holdings are the holding keys of what it holds (`holding_key` of an item,
 `item_key` from numbers), and the items themselves travel in bundles.  An
 epoch builds items only for the players who can send them: an m-of-n
 epoch issues shares to the designated players 1..m, and the others hold
-only their own share's key.  The 3-ring is the m-of-n exchange with three
+only their own share's key.  It draws its polynomial when it is issued,
+but builds the shares only when a bundle is first read, by a forwarder or
+a leader that broadcasts, so an epoch that sends no share builds none.  A
+leader's payload exists only once it broadcasts, and its strategy may
+replace it (`Strategy.broadcast_payload`).  The 3-ring is the m-of-n exchange with three
 one-player groups; the lifts in `ratshare.lifts` supply the other
 groupings and what their epochs issue.
 
@@ -42,7 +46,7 @@ from .protocol import (
     parity_rule,
 )
 from .seeding import derive_bytes, derive_rng
-from .shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer, Subshare
+from .shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer, Subshare, require_points
 from .strategies import (
     CheatEvidence,
     HonestStrategy,
@@ -102,14 +106,17 @@ def issue_round(
     epoch: int,
     rng: Random,
     issued: int,
+    coefficients: list[int] | None = None,
 ) -> dict[int, Share]:
     """Issue one epoch of shares, to holders 1..n, from a fresh degree-(m-1)
     polynomial; epochs go up, so one not past `issued`, the last issued (-1 at
     first), is a repeat.  An n below the player count evaluates the same
-    polynomial at fewer points, after the same draws."""
+    polynomial at fewer points, after the same draws.  `coefficients`, drawn
+    earlier by `ShareIssuer.draw_coefficients`, pins the polynomial and
+    draws nothing more from `rng`."""
     if epoch <= issued:
         raise DuplicateEpochError(f"epoch {epoch} already issued")
-    shares = issuer.issue_shares(secret, m, n, epoch, rng)
+    shares = issuer.issue_shares(secret, m, n, epoch, rng, coefficients)
     return {share.holder: share for share in shares}
 
 
@@ -151,7 +158,8 @@ class GroupedExchange:
     (keys) and `bundles` (the items each player was handed and hands on),
     who forwards, the item type and its stale-item evidence kind, and
     2-of-n's who-learned rule.  A leader broadcasts its bundle as a tuple,
-    and a payload that is no tuple is ignored; with `bare_share` (the
+    as its strategy's `broadcast_payload` passes it on, and a payload that
+    is no tuple is ignored; with `bare_share` (the
     3-ring) it broadcasts its one share bare, and whatever arrives is judged
     as one item.  `_deliver` judges each delivered item once, however many
     players receive it: split pieces, forwarded bundles and broadcasts.
@@ -209,7 +217,8 @@ class GroupedExchange:
     # Subclass hooks ----------------------------------------------------------
 
     def _issue_epoch(self, epoch: int) -> None:
-        """Distribute fresh material for `epoch`: keys into holdings, items into `bundles`."""
+        """Distribute fresh material for `epoch`: keys into holdings, items into
+        `bundles`, which may build them when one is first read."""
         raise NotImplementedError
 
     def _forwarders(self):
@@ -258,7 +267,7 @@ class GroupedExchange:
         `msgs` only when recording.
         """
         states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
-        succ, pred = self.succ, self.pred
+        succ, pred, bundles = self.succ, self.pred, self.bundles
         decisions: dict[int, DecisionKind] = {}
         live = list(seated)
         broadcasts: list[tuple[int, object]] = []
@@ -309,7 +318,8 @@ class GroupedExchange:
                 )))
 
         # Step 3: assemble the parity and decide whether to broadcast to the
-        # other seated leaders, then to every observer.
+        # other seated leaders, then to every observer.  Only a leader that
+        # broadcasts reads its bundle, which may build the epoch's items.
         for pid in list(live):
             st = states[pid]
             if st.masked_from_succ is None:
@@ -317,14 +327,20 @@ class GroupedExchange:
                 continue
             if st.coins is not None:
                 st.parity = parity_rule(st.bit_from_pred, st.masked_from_succ, st.coins.c)
-            if strategies[pid].wants_broadcast(st, rngs[pid]) and st.own_payload is not None:
+            if not strategies[pid].wants_broadcast(st, rngs[pid]):
+                continue
+            bundle = bundles[pid]
+            payload = strategies[pid].broadcast_payload(
+                st, bundle[0] if self.bare_share else tuple(bundle)
+            )
+            if payload is not None:
                 st.observed_broadcasts.add(pid)
-                broadcasts.append((pid, st.own_payload))
+                broadcasts.append((pid, payload))
                 if record:
                     recipients = [other for other in seated if other != pid]
                     msgs += [
                         tuple.__new__(RoundMessage, (
-                            pid, receiver, _BROADCAST, _SHARE_BROADCAST, st.own_payload
+                            pid, receiver, _BROADCAST, _SHARE_BROADCAST, payload
                         ))
                         for receiver in recipients + self.observers
                     ]
@@ -404,9 +420,6 @@ class GroupedExchange:
                     ]
                 continue
 
-            for pid in seated:
-                bundle = bundles[pid]
-                states[pid].own_payload = bundle[0] if self.bare_share else tuple(bundle)
             decisions = self._coin_iteration(seated, iterations, epoch, msgs)
 
             if self.honest:
@@ -440,29 +453,53 @@ class GroupedExchange:
         return RunOutcome(iterations=iterations, info=info, cause=cause, transcripts=transcripts)
 
 
+class _EpochBundles(dict):
+    """An m-of-n epoch's bundles, empty until one is read: the first read of a
+    missing bundle builds them all, once, with `build(epoch, coefficients)`."""
+
+    __slots__ = ("build", "epoch", "coefficients")
+
+    def __missing__(self, player: int) -> list:
+        build, self.build = self.build, None
+        if build is None:
+            raise KeyError(player)
+        self.update(build(self.epoch, self.coefficients))
+        return self[player]
+
+
 class MOfNExchange(GroupedExchange):
     """m-of-n Shamir shares; designated players 1..m forward theirs to their leader.
 
-    Only players 1..m can send a share, so an epoch issues shares to them
+    Only players 1..m can send a share, so an epoch builds shares for them
     alone; every player holds its own share's key, which counts toward the
-    threshold.  Shares sit at the points 1..n, so n must be below p.
+    threshold.  Issuing an epoch only draws its polynomial: its shares are
+    built the first time a bundle is read, when a designated player forwards
+    or a leader broadcasts, so an epoch that sends no share builds none.
+    Shares sit at the points 1..n, so n must be below p.
     """
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
-        modulus = self.secret.modulus
-        if self.n >= modulus:
-            raise ValueError(f"need n < p, got n={self.n}, p={modulus}")
+        require_points(self.n, self.secret.modulus)
         self.bare_share = self.n == 3  # the 3-of-3 ring: one player per group
         self.own_keys = {p: item_key(p) for p in self.players}
+        self.built = -1  # the last epoch whose shares were built
 
     def _issue_epoch(self, epoch: int) -> None:
-        m = self.threshold
-        shares = issue_round(self.issuer, self.secret, m, m, epoch, self.issuer_rng, self.issued)
-        self.bundles = {p: [share] for p, share in shares.items()}
+        bundles = self.bundles = _EpochBundles()
+        bundles.build, bundles.epoch = self._build, epoch
+        bundles.coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)
         states = self.states
         for p, key in self.own_keys.items():
             states[p].holdings.add(key)
+
+    def _build(self, epoch: int, coefficients: list[int]) -> dict[int, list[Share]]:
+        """The bundles of `epoch`: each designated player's share of its drawn polynomial."""
+        m = self.threshold
+        shares = issue_round(self.issuer, self.secret, m, m, epoch, self.issuer_rng, self.built,
+                             coefficients)
+        self.built = epoch
+        return {p: [share] for p, share in shares.items()}
 
     def _forwarders(self):
         return range(1, self.threshold + 1)

@@ -2,15 +2,16 @@
 
 For m-of-n (m >= 3, n > 3) the players are partitioned into three groups,
 players 1..m are designated, and the lowest-indexed designated player of
-each group leads it.  Only designated players are issued a share; each of
-players m+1..n holds just its own share's key, which counts toward the
-threshold once m-1 broadcast shares arrive.  Designated players forward
-their shares to their leader; the three leaders then run the coin
-mechanism, broadcasting their whole group bundle to every player when they
-would broadcast a share.  A
-leader whose bundle is incomplete asks the issuer to restart before any
-coins are tossed, so a designated player that withholds from its leader
-stalls the run forever (cap hit) without learning anything itself.
+each group leads it.  An epoch draws its polynomial when it is issued, but
+builds shares only for designated players, and only once one of them
+forwards or broadcasts; each of players m+1..n holds just its own share's
+key, which counts toward the threshold once m-1 broadcast shares arrive.
+Designated players forward their shares to their leader; the three
+leaders then run the coin mechanism, broadcasting their whole group
+bundle to every player when they would broadcast a share.  A leader whose
+bundle is incomplete asks the issuer to restart before any coins are
+tossed, so a designated player that withholds from its leader stalls the
+run forever (cap hit) without learning anything itself.
 
 For 2-of-n (n >= 3) the two shareholders split their shares into n-1
 additive subshares, spread them so the originals hold one foreign
@@ -36,7 +37,7 @@ from .protocol import RunOutcome
 # bench/tracer.py patches lifts.issue_round, lifts.derive_bytes and
 # lifts.derive_rng by name.
 from .seeding import derive_bytes, derive_rng  # noqa: F401
-from .shamir import FieldElement, Subshare
+from .shamir import FieldElement, Subshare, require_points
 from .strategies import LocalState, Strategy
 
 
@@ -110,6 +111,7 @@ class TwoOfNExchange(GroupedExchange):
     def __init__(self, secret, n, **kw):
         groups, leaders = partition_players(n, n)
         super().__init__(secret, groups, leaders, 2, **kw)
+        require_points(len(self.holders), self.secret.modulus)
         # The holding keys of each holder's share and of its n-1 subshares.
         self.holder_keys = [
             (parent, item_key(parent), {item_key(parent, k) for k in range(1, n)})

@@ -62,7 +62,8 @@ _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 # How many of its most recent messages' MACs an issuer keeps.  The largest
 # `hiding` run accepted has n * p = 93 distinct points (p = 31, n = 3), and
-# an engine epoch tags m items for m-of-n and 2n for 2-of-n.
+# an engine epoch tags 2n items for 2-of-n, and for m-of-n m items when one
+# of its shares is sent, none otherwise.
 _MAC_CACHE_SIZE = 256
 
 
@@ -229,6 +230,13 @@ def _subshare_msg(p: int, epoch: int, parent: int, index: int, value: int) -> st
     return f"subshare|{p!s}|{epoch!s}|{parent!s}|{index!s}|{value!s}"
 
 
+def require_points(n: int, p: int) -> None:
+    """Refuse shares at the points 1..n of GF(p) unless n < p: the point p is
+    0 mod p, where the polynomial is the secret."""
+    if n >= p:
+        raise ValueError(f"need n < p, got n={n}, p={p}")
+
+
 class ShareIssuer:
     """Trusted issuer: creates, tags, and verifies shares.
 
@@ -253,20 +261,20 @@ class ShareIssuer:
     ) -> list[Share]:
         """Issue n tagged shares of `secret` with reconstruction threshold m.
 
-        Coefficients a_1..a_{m-1} are drawn uniformly from the field unless
-        `coefficients` pins them (deterministic tests).
+        Coefficients a_1..a_{m-1} come from `draw_coefficients` unless
+        `coefficients` pins them: an engine epoch drawn before it is built,
+        or a deterministic test.
         """
         p = self.modulus
         if secret.modulus != p:
             raise ValueError("secret modulus does not match issuer modulus")
         if not 1 <= m <= n:
             raise ValueError(f"threshold m={m} out of range for n={n}")
-        if n >= p:
-            raise ValueError(f"need n < p, got n={n}, p={p}")
+        require_points(n, p)
         if epoch < 0:
             raise ValueError("epoch must be non-negative")
         if coefficients is None:
-            coefficients = [rng.randrange(p) for _ in range(m - 1)]
+            coefficients = self.draw_coefficients(m, rng)
         if len(coefficients) != m - 1:
             raise ValueError("need exactly m-1 coefficients")
         poly = [secret.value] + [c % p for c in coefficients]
@@ -286,6 +294,12 @@ class ShareIssuer:
             tag = mac(_share_msg(p, epoch, i, y))
             append(_share(i, _element(y, p), epoch, tag))
         return shares
+
+    def draw_coefficients(self, m: int, rng: Random) -> list[int]:
+        """The coefficients a_1..a_{m-1} of a fresh degree-(m-1) polynomial,
+        uniform over the field: the draws `issue_shares` makes unless pinned."""
+        p = self.modulus
+        return [rng.randrange(p) for _ in range(m - 1)]
 
     def verify_tag(self, item: Share | Subshare) -> bool:
         """True iff the tag matches the issuer's keyed code over the fields."""

@@ -65,8 +65,9 @@ class CheatEvidence:
 class LocalState:
     """What one player has observed this iteration: its bits and broadcasts, the
     holding keys of the items of its epoch it holds (`holdings`, the items
-    themselves travel in the exchange's bundles), whether an earlier epoch
-    taught it the secret, and its evidence."""
+    themselves travel in the exchange's bundles, and a leader sees its own
+    payload only in `Strategy.broadcast_payload`, once it broadcasts),
+    whether an earlier epoch taught it the secret, and its evidence."""
 
     player: int
     iteration: int = 0
@@ -75,7 +76,6 @@ class LocalState:
     bit_from_succ: int | None = None
     masked_from_succ: int | None = None
     parity: int | None = None
-    own_payload: object = None
     observed_broadcasts: set[int] = field(default_factory=set)
     holdings: set[tuple] = field(default_factory=set)
     learned_earlier: bool = False
@@ -93,7 +93,6 @@ class LocalState:
         self.bit_from_succ = None
         self.masked_from_succ = None
         self.parity = None
-        self.own_payload = None
         self.observed_broadcasts = set()
         self.holdings = set()
 
@@ -102,7 +101,12 @@ class LocalState:
 
 
 class Strategy:
-    """Decision rule: (LocalState, randomness) -> action for the current step."""
+    """Decision rule: (LocalState, randomness) -> action for the current step.
+
+    `broadcast_payload` is called only after `wants_broadcast` said yes, with
+    the payload the exchange built for the leader: what it returns is sent,
+    and None sends nothing.
+    """
 
     # True when the strategy follows the recommended message rules (possibly
     # with different coin distributions), so parity-agreement and
@@ -117,6 +121,10 @@ class Strategy:
 
     def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
         raise NotImplementedError
+
+    def broadcast_payload(self, state: LocalState, payload: object) -> object:
+        """The payload to broadcast in place of the leader's own; honest play keeps it."""
+        return payload
 
     def decide(self, state: LocalState, rng: Random) -> DecisionKind:
         raise NotImplementedError
@@ -236,6 +244,9 @@ class ForcedCoins(Strategy):
 
     def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
         return self.inner.wants_broadcast(state, rng)
+
+    def broadcast_payload(self, state: LocalState, payload: object) -> object:
+        return self.inner.broadcast_payload(state, payload)
 
     def decide(self, state: LocalState, rng: Random) -> DecisionKind:
         return self.inner.decide(state, rng)

@@ -270,9 +270,8 @@ def test_tampered_broadcast_counts_as_missing():
         def __init__(self, tamper):
             self.tamper = tamper
 
-        def wants_broadcast(self, state, rng):
-            state.own_payload = self.tamper(state.own_payload)
-            return True
+        def broadcast_payload(self, state, payload):
+            return self.tamper(payload)
 
     def bump_y(share):
         y = FieldElement((share.y.value + 1) % share.y.modulus, share.y.modulus)
@@ -299,18 +298,17 @@ def test_tampered_broadcast_counts_as_missing():
 
 
 class ReplayFirstPayload(HonestStrategy):
-    """Broadcasts, in every epoch, the valid payload it held in epoch 0."""
+    """Broadcasts, in every epoch, the valid payload it broadcast in epoch 0."""
 
     honest_rules = False
 
     def __init__(self):
         self.first = None
 
-    def wants_broadcast(self, state, rng):
+    def broadcast_payload(self, state, payload):
         if self.first is None:
-            self.first = state.own_payload
-        state.own_payload = self.first
-        return super().wants_broadcast(state, rng)
+            self.first = payload
+        return self.first
 
 
 @pytest.mark.parametrize("lift", ["3-ring", "2-of-4"])
@@ -347,9 +345,8 @@ class ReshapePayload(AlwaysBroadcast):
     def __init__(self, reshape):
         self.reshape = reshape
 
-    def wants_broadcast(self, state, rng):
-        state.own_payload = self.reshape(state.own_payload)
-        return True
+    def broadcast_payload(self, state, payload):
+        return self.reshape(payload)
 
 
 @pytest.mark.parametrize("exchange", ["3-ring", "3-of-6"])
@@ -500,13 +497,21 @@ def _epoch_exchange(exchange, profile, cap):
     return TwoOfNExchange(5, 4, profile={leaders[seat]: s for seat, s in profile.items()}, **kw)
 
 
+def _bundles(game):
+    """Each player's bundle of the last epoch.  Reading one builds an m-of-n
+    epoch's shares if no player sent one, from the polynomial drawn at issue."""
+    owners = game.players if isinstance(game, TwoOfNExchange) else range(1, game.threshold + 1)
+    return {p: game.bundles[p] for p in owners}
+
+
 def _handed_keys(game):
     """The holding keys of what each player was handed in the last epoch: the
     items in its bundle and its own share, issued or not.  A player that took
     delivery of no broadcast holds exactly these."""
     owners = game.holders if isinstance(game, TwoOfNExchange) else game.players
+    bundles = _bundles(game)
     return {
-        p: {holding_key(item) for item in game.bundles.get(p, ())}
+        p: {holding_key(item) for item in bundles.get(p, ())}
         | ({item_key(p)} if p in owners else set())
         for p in game.players
     }
@@ -524,7 +529,7 @@ def test_what_an_earlier_epoch_taught_is_kept(exchange):
     outcome = game.run()
     assert outcome.iterations == 2
     assert (outcome.info, outcome.cause) == ((1,) * game.n, TerminalCause.ALL_LEARNED)
-    assert all(item.epoch == 1 for bundle in game.bundles.values() for item in bundle)
+    assert all(item.epoch == 1 for bundle in _bundles(game).values() for item in bundle)
     handed = _handed_keys(game)
     for p, st in game.states.items():
         assert st.learned_earlier and st.iteration == 2
@@ -539,7 +544,7 @@ def test_a_long_run_holds_only_its_last_epochs_items(exchange):
     outcome = game.run()
     assert (outcome.iterations, outcome.cause) == (300, TerminalCause.ITERATION_CAP_HIT)
     assert game.issued == 299
-    assert all(item.epoch == 299 for bundle in game.bundles.values() for item in bundle)
+    assert all(item.epoch == 299 for bundle in _bundles(game).values() for item in bundle)
     handed = _handed_keys(game)
     for p, st in game.states.items():
         assert st.iteration == 300 and not st.learned_earlier
@@ -690,7 +695,7 @@ def test_recording_does_not_change_lifted_runs(lift, size, play):
         for p in on.players:
             assert on.states[p].cheat_evidence == off.states[p].cheat_evidence
             assert on.states[p].holdings == off.states[p].holdings
-        assert on.bundles == off.bundles
+        assert _bundles(on) == _bundles(off)
         assert on_outcome.transcripts and not off_outcome.transcripts
 
 

@@ -328,19 +328,49 @@ def test_only_players_who_act_get_a_stream(run, actors, monkeypatch):
 )
 def test_each_epoch_issues_shares_only_to_players_who_can_send(run, holders, monkeypatch):
     # Only the designated players of m-of-n and the two shareholders of
-    # 2-of-n ever send a share (or its pieces); the others get none.
-    issued = []
+    # 2-of-n ever send a share (or its pieces); the others get none.  An
+    # epoch builds its shares once, and only if its transcript carries one,
+    # as a broadcast or a forwarded bundle.
+    issued = []  # (epoch, holders), one per issue_shares call
     issue_shares = ShareIssuer.issue_shares
 
-    def recording_issue_shares(self, *args, **kwargs):
-        shares = issue_shares(self, *args, **kwargs)
-        issued.append({share.holder for share in shares})
+    def recording_issue_shares(self, secret, m, n, epoch, *args, **kwargs):
+        shares = issue_shares(self, secret, m, n, epoch, *args, **kwargs)
+        issued.append((epoch, {share.holder for share in shares}))
         return shares
 
     monkeypatch.setattr(ShareIssuer, "issue_shares", recording_issue_shares)
     outcome = run()
-    assert len(issued) == outcome.iterations
-    assert all(epoch_holders == holders for epoch_holders in issued)
+    sending = [
+        transcript.epoch for transcript in outcome.transcripts
+        if any(msg.kind == MessageKind.SHARE_BROADCAST for msg in transcript.messages)
+    ]
+    assert [epoch for epoch, _ in issued] == sending
+    assert all(epoch_holders == holders for _, epoch_holders in issued)
+
+
+@pytest.mark.parametrize("tails", [0, 3])
+@pytest.mark.parametrize(
+    "run",
+    [lambda profile: run_mechanism(5, 0.5, profile, seed=1),
+     lambda profile: lift_m_of_n(5, 3, 6, 0.5, profile, seed=1)],  # leaders 1, 2, 3
+    ids=["3-ring", "3-of-6"],
+)
+def test_only_the_epoch_that_broadcasts_builds_shares(run, tails, monkeypatch):
+    # `tails` all-tails iterations restart with nothing sent; in the all-heads
+    # iteration after them every leader broadcasts, so its epoch alone builds.
+    built = []
+    issue_shares = ShareIssuer.issue_shares
+
+    def recording_issue_shares(self, secret, m, n, epoch, *args, **kwargs):
+        built.append(epoch)
+        return issue_shares(self, secret, m, n, epoch, *args, **kwargs)
+
+    monkeypatch.setattr(ShareIssuer, "issue_shares", recording_issue_shares)
+    script = [(0, 0)] * tails + [(1, 0)]
+    outcome = run({leader: ForcedCoins(script) for leader in (1, 2, 3)})
+    assert (outcome.iterations, outcome.cause) == (tails + 1, TerminalCause.ALL_LEARNED)
+    assert built == [tails]
 
 
 @pytest.mark.parametrize(
@@ -374,6 +404,15 @@ def test_m_of_n_needs_fewer_players_than_the_field_size(n, p):
     assert lift_m_of_n(FieldElement(1, 7), 3, 6, 0.5).cause == TerminalCause.ALL_LEARNED
 
 
+def test_two_of_n_needs_a_field_past_its_two_holders():
+    # The holders' shares sit at the points 1 and 2, so GF(2) cannot hold
+    # them; the refusal comes when the exchange is built, before any epoch.
+    with pytest.raises(ValueError, match="need n < p, got n=2, p=2"):
+        TwoOfNExchange(FieldElement(1, 2), 3, alpha=0.5, profile=None, seed=0, trial=0, cap=10,
+                       record=False)
+    assert lift_2_of_n(FieldElement(1, 3), 3, 0.5).cause == TerminalCause.ALL_LEARNED
+
+
 class ForgeOneItem(HonestStrategy):
     """Broadcasts its bundle with item `index` changed, so its tag no longer verifies."""
 
@@ -382,16 +421,15 @@ class ForgeOneItem(HonestStrategy):
     def __init__(self, index):
         self.index = index
 
-    def wants_broadcast(self, state, rng):
-        items = list(state.own_payload)
+    def broadcast_payload(self, state, payload):
+        items = list(payload)
         item = items[self.index]
         field = "y" if isinstance(item, Share) else "value"
         v = getattr(item, field)
         items[self.index] = dataclasses.replace(
             item, **{field: FieldElement((v.value + 1) % v.modulus, v.modulus)}
         )
-        state.own_payload = tuple(items)
-        return super().wants_broadcast(state, rng)
+        return tuple(items)
 
 
 @pytest.mark.parametrize("lift", ["3-of-6", "2-of-5"])
@@ -481,9 +519,13 @@ def test_a_bundle_is_the_valid_items_its_sender_was_handed(lift, size, forged):
     held, checks = {}, Counter()
     issue_epoch, verify_tag = game._issue_epoch, game.issuer.verify_tag
 
+    # Reading a bundle builds an m-of-n epoch's shares from the polynomial
+    # drawn at issue, so reading them all here changes no other item.
+    owners = range(1, m + 1) if lift == "m-of-n" else game.players
+
     def recording_issue_epoch(epoch):
         issue_epoch(epoch)
-        held[epoch] = {p: list(bundle) for p, bundle in game.bundles.items()}
+        held[epoch] = {p: list(game.bundles[p]) for p in owners}
         for p, st in game.states.items():
             keys = sorted(key for key in st.holdings if key[0] == kind)
             if p in held[epoch]:

@@ -1,5 +1,6 @@
 """Utility axioms, deviation catalogue, and strategy behavior."""
 
+import inspect
 import json
 import re
 import time
@@ -25,6 +26,7 @@ from ratshare.strategies import (
     ForcedCoins,
     HonestStrategy,
     LocalState,
+    Strategy,
     TableSizeError,
     UtilityTable,
     WithholdShare,
@@ -47,7 +49,6 @@ RING = MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3, alpha=0.5, profile=None, s
 def make_state(player=1, coins=None, parity=None, observed=(), holdings_count=1):
     state = LocalState(player=player)
     state.begin_iteration(1)
-    state.own_payload = "share"
     if coins is not None:
         state.coins = CoinTriple.make(*coins)
     state.parity = parity
@@ -442,6 +443,31 @@ class RandomizationProbe(HonestStrategy):
         out = super().decide(state, proxy)
         assert proxy.calls == 0
         return out
+
+
+def test_forced_coins_delegates_every_hook_but_coins():
+    # The kernel and the tests wrap strategies in ForcedCoins, so every public
+    # method of Strategy but `coins` must reach the inner strategy with the
+    # same arguments and hand back its answer, a hook added later included.
+    hooks = [name for name, _ in inspect.getmembers(Strategy, inspect.isfunction)
+             if not name.startswith("_") and name != "coins"]
+    assert "broadcast_payload" in hooks and "forwards_to_leader" in hooks
+    calls = []
+
+    def recorder(name):
+        def hook(self, *args):
+            calls.append((name, args))
+            return (name, "inner")
+        return hook
+
+    inner = type("Recording", (Strategy,), {name: recorder(name) for name in hooks})()
+    wrapper = ForcedCoins([(1, 0)], inner)
+    for name in hooks:
+        arity = len(inspect.signature(getattr(Strategy, name)).parameters) - 1
+        args = tuple(object() for _ in range(arity))
+        assert getattr(wrapper, name)(*args) == (name, "inner"), name
+        assert calls == [(name, args)], name
+        calls.clear()
 
 
 def test_honest_randomizes_only_before_holding_everything():

@@ -139,14 +139,30 @@ MUTANTS = [
            'else ("sub", holder, index)', 'else ("sub", index, holder)',
            "tests/test_lifts.py::test_two_of_n_learns_by_the_keys_of_the_items_an_epoch_issues"),
     Mutant("m-of-n-n-below-p-unchecked", "src/ratshare/engine.py",
-           "if self.n >= modulus:", "if False:",
+           "require_points(self.n, self.secret.modulus)", "None",
            "tests/test_lifts.py::test_m_of_n_needs_fewer_players_than_the_field_size"),
+    Mutant("two-of-n-points-unchecked", "src/ratshare/lifts.py",
+           "require_points(len(self.holders), self.secret.modulus)", "None",
+           "tests/test_lifts.py::test_two_of_n_needs_a_field_past_its_two_holders"),
     Mutant("own-keys-only-for-players-1-to-m", "src/ratshare/engine.py",
            "item_key(p) for p in self.players}", "item_key(p) for p in range(1, self.threshold + 1)}",
            "tests/test_lifts.py::test_a_player_past_m_learns_through_its_own_key"),
     Mutant("m-of-n-issues-to-every-player", "src/ratshare/engine.py",
-           "self.secret, m, m, epoch,", "self.secret, m, self.n, epoch,",
+           "issue_round(self.issuer, self.secret, m, m, epoch, self.issuer_rng, self.built,",
+           "issue_round(self.issuer, self.secret, m, self.n, epoch, self.issuer_rng, self.built,",
            "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
+    Mutant("m-of-n-epoch-built-eagerly", "src/ratshare/engine.py",
+           "bundles.coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)",
+           "bundles.coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)"
+           "\n        bundles[1]",
+           "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
+    Mutant("coefficients-drawn-at-build", "src/ratshare/engine.py",
+           "bundles.coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)",
+           "bundles.coefficients = None",
+           "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
+    Mutant("forced-coins-drops-broadcast-payload", "src/ratshare/strategies.py",
+           "return self.inner.broadcast_payload(state, payload)", "return payload",
+           "tests/test_engine.py::test_tampered_broadcast_counts_as_missing"),
     # Weak-dominance deletion.
     Mutant("last-dominator-witness", "src/ratshare/dominance.py",
            "witness = dominates.argmax(0)", "witness = len(mine) - 1 - dominates[::-1].argmax(0)",
