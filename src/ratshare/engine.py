@@ -11,20 +11,22 @@ realization of stopping.
 coin iteration it repeats (`_coin_iteration`), reading the players'
 states, strategies and streams from itself.  A recorded run keeps, per
 iteration, the messages sent and nothing else.  Players sit in three
-groups; each group's leader takes one seat on the coin ring and
-broadcasts its group's bundle.  Every delivered item, whether split
-piece, forwarded bundle or broadcast, is judged by `_deliver`; a player's
-holdings are the holding keys of what it holds (`holding_key` of an item,
-`item_key` from numbers), and the items themselves travel in bundles.  An
+groups; each group's first player leads it, takes one seat on the coin
+ring and broadcasts its group's bundle.  Each iteration issues a fresh
+epoch, and `run` refuses a repeat before it touches any state.  Every
+delivered item, whether split piece, forwarded bundle or broadcast, is
+judged by `_deliver`; a player's holdings are the holding keys of what it
+holds (`holding_key` of an item, `item_key` from numbers), and the items
+themselves travel in bundles.  An
 epoch builds items only for the players who can send them: an m-of-n
 epoch issues shares to the designated players 1..m, and the others hold
 only their own share's key.  It draws its polynomial when it is issued,
 but builds the shares only when a bundle is first read, by a forwarder or
 a leader that broadcasts, so an epoch that sends no share builds none.  A
 leader's payload exists only once it broadcasts, and its strategy may
-replace it (`Strategy.broadcast_payload`).  The 3-ring is the m-of-n exchange with three
-one-player groups; the lifts in `ratshare.lifts` supply the other
-groupings and what their epochs issue.
+replace it (`Strategy.broadcast_payload`).  The 3-ring is the m-of-n
+exchange with three one-player groups; the lifts in `ratshare.lifts`
+supply the other groupings and what their epochs issue.
 
 Runs are deterministic given (seed, trial, profile, config): each player
 and the issuer draw from independent derived substreams.
@@ -32,6 +34,7 @@ and the issuer draw from independent derived substreams.
 
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 
 from .protocol import (
@@ -82,7 +85,7 @@ class InvariantViolationError(RuntimeError):
 
 
 class DuplicateEpochError(ValueError):
-    """An epoch was issued twice."""
+    """An epoch issued twice, as a second `run()` of one exchange would."""
 
 
 def check_run_config(alpha: float, cap: int) -> None:
@@ -102,21 +105,16 @@ def issue_round(
     issuer: ShareIssuer,
     secret: FieldElement,
     m: int,
-    n: int,
     epoch: int,
     rng: Random,
-    issued: int,
     coefficients: list[int] | None = None,
 ) -> dict[int, Share]:
-    """Issue one epoch of shares, to holders 1..n, from a fresh degree-(m-1)
-    polynomial; epochs go up, so one not past `issued`, the last issued (-1 at
-    first), is a repeat.  An n below the player count evaluates the same
-    polynomial at fewer points, after the same draws.  `coefficients`, drawn
-    earlier by `ShareIssuer.draw_coefficients`, pins the polynomial and
-    draws nothing more from `rng`."""
-    if epoch <= issued:
-        raise DuplicateEpochError(f"epoch {epoch} already issued")
-    shares = issuer.issue_shares(secret, m, n, epoch, rng, coefficients)
+    """Issue one epoch of shares, to holders 1..m, from a fresh degree-(m-1)
+    polynomial.  `coefficients`, drawn earlier by
+    `ShareIssuer.draw_coefficients`, pins the polynomial and draws nothing
+    more from `rng`.  That no epoch is issued twice is the run loop's rule
+    (`GroupedExchange.run`)."""
+    shares = issuer.issue_shares(secret, m, m, epoch, rng, coefficients)
     return {share.holder: share for share in shares}
 
 
@@ -147,12 +145,15 @@ def normalize_profile(
 class GroupedExchange:
     """The run loop shared by the 3-of-3 mechanism and the group lifts.
 
-    Players 1..n sit in three groups; `leaders[k]` takes ring seat k+1.
-    Each iteration every player begins afresh, the issuer hands out the
-    epoch's material, forwarders hand their bundle to their group leader,
-    and the seated leaders run the coin iteration with their group's
-    bundle as the broadcast payload.  A seated leader left short by a
-    forwarder asks the issuer to restart before any coins are tossed.
+    Players 1..n sit in three groups; `leaders[k]`, the first player of
+    group k, takes ring seat k+1.  Each iteration issues a fresh epoch, and
+    `run` refuses one not past `issued`, the last issued, before any state
+    is reset or any draw is made.  Then every player begins afresh, the
+    issuer hands out the epoch's material, forwarders hand their bundle to
+    their group leader, and the seated leaders run the coin iteration with
+    their group's bundle as the broadcast payload.  A seated leader left
+    short by a forwarder asks the issuer to restart before any coins are
+    tossed.
 
     Subclasses define only what differs: what an epoch puts into holdings
     (keys) and `bundles` (the items each player was handed and hands on),
@@ -172,7 +173,6 @@ class GroupedExchange:
         self,
         secret: FieldElement | int,
         groups: list[list[int]],
-        leaders: list[int],
         threshold: int,
         *,
         alpha: float,
@@ -191,7 +191,7 @@ class GroupedExchange:
         self.players = tuple(range(1, self.n + 1))
         self.strategies = normalize_profile(profile, self.players)
         self.honest = all(self.strategies[p].honest_rules for p in self.players)
-        self.leaders = leaders
+        self.leaders = leaders = [group[0] for group in groups]
         # Each leader's successor and predecessor on the coin ring.
         self.succ = {p: leaders[(k + 1) % 3] for k, p in enumerate(leaders)}
         self.pred = {p: leaders[k - 1] for k, p in enumerate(leaders)}
@@ -382,8 +382,10 @@ class GroupedExchange:
         iterations = 0
 
         while iterations < self.cap:
+            epoch = iterations  # every iteration issues a fresh epoch
+            if epoch <= self.issued:
+                raise DuplicateEpochError(f"epoch {epoch} already issued")
             iterations += 1
-            epoch = iterations - 1  # every iteration issues a fresh epoch
             for state in states.values():
                 # Holdings keep one epoch; the flag keeps what earlier ones taught.
                 state.learned_earlier = self._learned(state)
@@ -455,15 +457,19 @@ class GroupedExchange:
 
 class _EpochBundles(dict):
     """An m-of-n epoch's bundles, empty until one is read: the first read of a
-    missing bundle builds them all, once, with `build(epoch, coefficients)`."""
+    missing bundle builds them all, once, with `build()`, the epoch's
+    `MOfNExchange._build` over its drawn coefficients."""
 
-    __slots__ = ("build", "epoch", "coefficients")
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
 
     def __missing__(self, player: int) -> list:
         build, self.build = self.build, None
         if build is None:
             raise KeyError(player)
-        self.update(build(self.epoch, self.coefficients))
+        self.update(build())
         return self[player]
 
 
@@ -483,22 +489,18 @@ class MOfNExchange(GroupedExchange):
         require_points(self.n, self.secret.modulus)
         self.bare_share = self.n == 3  # the 3-of-3 ring: one player per group
         self.own_keys = {p: item_key(p) for p in self.players}
-        self.built = -1  # the last epoch whose shares were built
 
     def _issue_epoch(self, epoch: int) -> None:
-        bundles = self.bundles = _EpochBundles()
-        bundles.build, bundles.epoch = self._build, epoch
-        bundles.coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)
+        coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)
+        self.bundles = _EpochBundles(partial(self._build, epoch, coefficients))
         states = self.states
         for p, key in self.own_keys.items():
             states[p].holdings.add(key)
 
     def _build(self, epoch: int, coefficients: list[int]) -> dict[int, list[Share]]:
         """The bundles of `epoch`: each designated player's share of its drawn polynomial."""
-        m = self.threshold
-        shares = issue_round(self.issuer, self.secret, m, m, epoch, self.issuer_rng, self.built,
+        shares = issue_round(self.issuer, self.secret, self.threshold, epoch, self.issuer_rng,
                              coefficients)
-        self.built = epoch
         return {p: [share] for p, share in shares.items()}
 
     def _forwarders(self):
@@ -527,7 +529,6 @@ def run_mechanism(
     return MOfNExchange(
         secret,
         [[1], [2], [3]],
-        [1, 2, 3],
         3,
         alpha=alpha,
         profile=profile,

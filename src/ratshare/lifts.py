@@ -1,11 +1,12 @@
 """Group lifts: larger thresholds and player counts on top of the 3-ring.
 
-For m-of-n (m >= 3, n > 3) the players are partitioned into three groups,
-players 1..m are designated, and the lowest-indexed designated player of
-each group leads it.  An epoch draws its polynomial when it is issued, but
-builds shares only for designated players, and only once one of them
-forwards or broadcasts; each of players m+1..n holds just its own share's
-key, which counts toward the threshold once m-1 broadcast shares arrive.
+For m-of-n (m >= 3, n > 3) the players are partitioned into three
+contiguous groups, players 1..m are designated, and each group's first
+player, a designated one, leads it.  An epoch draws its polynomial when
+it is issued, but builds shares only for designated players, and only
+once one of them forwards or broadcasts; each of players m+1..n holds
+just its own share's key, which counts toward the threshold once m-1
+broadcast shares arrive.
 Designated players forward their shares to their leader; the three
 leaders then run the coin mechanism, broadcasting their whole group
 bundle to every player when they would broadcast a share.  A leader whose
@@ -41,14 +42,14 @@ from .shamir import FieldElement, Subshare, require_points
 from .strategies import LocalState, Strategy
 
 
-def partition_players(n: int, m: int) -> tuple[list[list[int]], list[int]]:
-    """Split players 1..n into three contiguous groups, leaders designated.
+def partition_players(n: int, m: int) -> list[list[int]]:
+    """Split players 1..n into three contiguous groups, each led by its first player.
 
     Groups are as equal as possible subject to each containing at least one
     designated player (1..m): minimize the largest group, then the size
-    spread, then take the lexicographically first boundary pair.  Returns
-    (groups, leaders) with leaders[k] the lowest-indexed designated player
-    of group k.
+    spread, then take the lexicographically first boundary pair.  The
+    groups are contiguous, so a group's first player is its lowest-indexed
+    designated one, its leader.
     """
     if m < 3:
         raise ValueError("need at least 3 designated players to fill 3 groups")
@@ -63,9 +64,7 @@ def partition_players(n: int, m: int) -> tuple[list[list[int]], list[int]]:
             if best_key is None or key < best_key:
                 best_key, best = key, (s2, s3)
     s2, s3 = best
-    groups = [list(range(1, s2)), list(range(s2, s3)), list(range(s3, n + 1))]
-    leaders = [min(p for p in group if p <= m) for group in groups]
-    return groups, leaders
+    return [list(range(1, s2)), list(range(s2, s3)), list(range(s3, n + 1))]
 
 
 def lift_m_of_n(
@@ -87,11 +86,9 @@ def lift_m_of_n(
         raise ValueError(f"group lift needs n > 3, got n={n}")
     if m > n:
         raise ValueError(f"threshold m={m} cannot exceed n={n}")
-    groups, leaders = partition_players(n, m)
     game = MOfNExchange(
         secret,
-        groups,
-        leaders,
+        partition_players(n, m),
         m,
         alpha=alpha,
         profile=profile,
@@ -109,8 +106,7 @@ class TwoOfNExchange(GroupedExchange):
     holders = (1, 2)
 
     def __init__(self, secret, n, **kw):
-        groups, leaders = partition_players(n, n)
-        super().__init__(secret, groups, leaders, 2, **kw)
+        super().__init__(secret, partition_players(n, n), 2, **kw)
         require_points(len(self.holders), self.secret.modulus)
         # The holding keys of each holder's share and of its n-1 subshares.
         self.holder_keys = [
@@ -129,7 +125,7 @@ class TwoOfNExchange(GroupedExchange):
         return True
 
     def _issue_epoch(self, epoch: int) -> None:
-        shares = issue_round(self.issuer, self.secret, 2, 2, epoch, self.issuer_rng, self.issued)
+        shares = issue_round(self.issuer, self.secret, 2, epoch, self.issuer_rng)
         for holder, share_key, _ in self.holder_keys:
             self.states[holder].holdings.add(share_key)
         # Each holder splits its share into n-1 subshares, one per other

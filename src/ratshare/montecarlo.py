@@ -153,7 +153,7 @@ def iteration_outcome(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The profile's kernel columns restart, outcome and extra, a row per
     send-intent pattern; `deviation` of None means all honest."""
-    kernel = iteration_kernel(deviation, deviator if deviation is not None else None)
+    kernel = iteration_kernel(deviation, deviator)
     return kernel.restart, kernel.outcome, kernel.extra
 
 
@@ -203,9 +203,15 @@ def sample_runs(
     i.i.d., so a run restarts a geometric number of times and absorbs in
     one pattern drawn by its weight: trial t reads uniforms 2t and 2t+1
     of one Philox stream for the two draws.  Each player's coin bias is
-    its strategy's own `coin_bias(alpha)`.
+    its strategy's own `coin_bias(alpha)`.  The draws depend only on the
+    profile: a `deviator` without a deviation, or an `alpha_prime` for a
+    deviation other than biased-coin, is dropped first.
     """
     engine.check_run_config(alpha, cap)
+    if deviation is None:
+        deviator = None
+    if deviation != "biased-coin":
+        alpha_prime = None
     profile = deviation_profile(deviation, deviator, alpha_prime)
     restart, outcome, extra = iteration_outcome(deviation, deviator)
     absorbing, cdf = absorbing_weights(alpha, profile, restart)

@@ -1,5 +1,6 @@
 """The synchronous executor: issuance, message flow, decisions, termination."""
 
+import copy
 import dataclasses
 from itertools import product
 from random import Random
@@ -53,7 +54,7 @@ ALL64 = [
 def run_ring(alpha, profile, seed, *, cap=engine.DEFAULT_CAP, record=True, trial=0):
     """The run `run_mechanism(5, ...)` makes, plus the players' final local states."""
     ring = MOfNExchange(
-        5, [[1], [2], [3]], [1, 2, 3], 3, alpha=alpha, profile=profile, seed=seed,
+        5, [[1], [2], [3]], 3, alpha=alpha, profile=profile, seed=seed,
         trial=trial, cap=cap, record=record,
     )
     return ring.run(), ring.states
@@ -131,7 +132,7 @@ def forced_profile(assignment, inner=None):
 
 def test_issue_round_shape():
     issuer = ShareIssuer(b"k", modulus=13)
-    shares = issue_round(issuer, FieldElement(5, 13), 3, 3, 0, Random(0), -1)
+    shares = issue_round(issuer, FieldElement(5, 13), 3, 0, Random(0))
     assert sorted(shares) == [1, 2, 3]
     assert all(issuer.verify_tag(s) for s in shares.values())
     assert all(s.holder == pid for pid, s in shares.items())
@@ -140,18 +141,45 @@ def test_issue_round_shape():
 def test_issue_round_fresh_polynomial_per_epoch():
     issuer = ShareIssuer(b"k", modulus=101)
     rng = Random(1)
-    first = issue_round(issuer, FieldElement(55, 101), 3, 3, 0, rng, -1)
-    second = issue_round(issuer, FieldElement(55, 101), 3, 3, 1, rng, 0)
+    first = issue_round(issuer, FieldElement(55, 101), 3, 0, rng)
+    second = issue_round(issuer, FieldElement(55, 101), 3, 1, rng)
     assert [s.y.value for s in first.values()] != [s.y.value for s in second.values()]
     assert reconstruct(list(first.values()), 3, issuer).value == 55
     assert reconstruct(list(second.values()), 3, issuer).value == 55
 
 
-def test_issue_round_rejects_duplicate_epoch():
-    issuer = ShareIssuer(b"k", modulus=13)
-    issue_round(issuer, FieldElement(5, 13), 3, 3, 0, Random(0), -1)
-    with pytest.raises(DuplicateEpochError):
-        issue_round(issuer, FieldElement(5, 13), 3, 3, 0, Random(0), 0)
+@pytest.mark.parametrize("exchange", ["3-ring-alpha-1", "3-ring-all-tails", "3-of-6", "2-of-4"])
+def test_a_second_run_is_refused_before_it_touches_anything(exchange):
+    # Every run starts at epoch 0, so a second run of one exchange would
+    # issue its first epoch again.  It is refused before any state is reset
+    # or any draw is made: after one epoch (alpha 1, so issued is 0), after
+    # several in which no share was ever built (all tails to the cap), and
+    # on both lifts.
+    kw = dict(alpha=0.5, profile=None, seed=3, trial=0, cap=5, record=False)
+    if exchange == "3-ring-alpha-1":
+        game = MOfNExchange(5, [[1], [2], [3]], 3, **{**kw, "alpha": 1.0})
+    elif exchange == "3-ring-all-tails":
+        tails = {pid: ForcedCoins([(0, 0)] * 5) for pid in (1, 2, 3)}
+        game = MOfNExchange(5, [[1], [2], [3]], 3, **{**kw, "profile": tails})
+    elif exchange == "3-of-6":
+        game = MOfNExchange(5, partition_players(6, 3), 3, **kw)
+    else:
+        game = TwoOfNExchange(5, 4, **kw)
+    first = game.run()
+    assert game.issued == first.iterations - 1
+    if exchange == "3-ring-alpha-1":
+        assert game.issued == 0
+    if exchange == "3-ring-all-tails":
+        assert (first.iterations, first.cause) == (5, TerminalCause.ITERATION_CAP_HIT)
+
+    states = {pid: copy.deepcopy(vars(state)) for pid, state in game.states.items()}
+    issuer_rng = game.issuer_rng.getstate()
+    rngs = {pid: rng.getstate() for pid, rng in game.rngs.items()}
+    with pytest.raises(DuplicateEpochError, match=r"^epoch 0 already issued$"):
+        game.run()
+    assert {pid: vars(state) for pid, state in game.states.items()} == states
+    assert game.issuer_rng.getstate() == issuer_rng
+    assert {pid: rng.getstate() for pid, rng in game.rngs.items()} == rngs
 
 
 # --- message flow ------------------------------------------------------------
@@ -322,11 +350,11 @@ def test_replayed_payload_of_an_earlier_epoch_is_stale(lift):
 
     kw = dict(alpha=0.5, seed=1, trial=0, cap=3, record=True)
     if lift == "3-ring":
-        game = MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3,
+        game = MOfNExchange(5, [[1], [2], [3]], 3,
                             profile={pid: scripted(pid) for pid in (1, 2, 3)}, **kw)
         kind, victims, info = "stale-share", (2, 3), (1, 0, 0)
     else:
-        leaders = partition_players(4, 4)[1]
+        leaders = [group[0] for group in partition_players(4, 4)]
         game = TwoOfNExchange(FieldElement(5, 101), 4,
                               profile={pid: scripted(pid) for pid in leaders}, **kw)
         # Holder 2 gets share 1's other subshares from players 3 and 4.
@@ -357,11 +385,11 @@ def test_a_broadcast_of_the_wrong_shape(exchange):
     # one, so a leader's bare first item is ignored.
     kw = dict(alpha=0.5, seed=1, trial=0, cap=1, record=False)
     if exchange == "3-ring":
-        game = MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3,
+        game = MOfNExchange(5, [[1], [2], [3]], 3,
                             profile={1: ReshapePayload(lambda share: (share,))}, **kw)
         evidence = [CheatEvidence("stale-share", 1, int(Step.DECIDE), 1)]
     else:
-        game = MOfNExchange(5, *partition_players(6, 3), 3,
+        game = MOfNExchange(5, partition_players(6, 3), 3,
                             profile={1: ReshapePayload(lambda bundle: bundle[0])}, **kw)
         evidence = []
     assert game.leaders == [1, 2, 3]
@@ -490,10 +518,9 @@ def _epoch_exchange(exchange, profile, cap):
     """The 3-ring or the 2-of-4 lift, with `profile` keyed by ring seat."""
     kw = dict(alpha=0.5, seed=5, trial=0, cap=cap, record=False)
     if exchange == "ring":
-        leaders = [1, 2, 3]
-        return MOfNExchange(5, [[1], [2], [3]], leaders, 3,
-                            profile={leaders[seat]: s for seat, s in profile.items()}, **kw)
-    _, leaders = partition_players(4, 4)
+        return MOfNExchange(5, [[1], [2], [3]], 3,
+                            profile={seat + 1: s for seat, s in profile.items()}, **kw)
+    leaders = [group[0] for group in partition_players(4, 4)]
     return TwoOfNExchange(5, 4, profile={leaders[seat]: s for seat, s in profile.items()}, **kw)
 
 
@@ -665,7 +692,8 @@ LIFTS = [("m-of-n", size) for size in ((3, 4), (3, 6), (4, 5))] + [
 def _lifted_exchange(lift, size, play, record, trial):
     """The exchange a lift runs, so its final states can be read."""
     m, n = size if lift == "m-of-n" else (2, size)
-    groups, leaders = partition_players(n, m if lift == "m-of-n" else n)
+    groups = partition_players(n, m if lift == "m-of-n" else n)
+    leaders = [group[0] for group in groups]
     forwarders = range(1, m + 1) if lift == "m-of-n" else range(1, n + 1)
     # A forwarder that leads no group, if there is one, stalls its leader.
     withholder = next((p for p in forwarders if p not in leaders), 1)
@@ -673,7 +701,7 @@ def _lifted_exchange(lift, size, play, record, trial):
     kw = dict(alpha=0.5, profile=profile, seed=43, trial=trial, cap=40, record=record)
     secret = FieldElement(5, 101)
     if lift == "m-of-n":
-        return MOfNExchange(secret, groups, leaders, m, **kw)
+        return MOfNExchange(secret, groups, m, **kw)
     game = TwoOfNExchange(secret, n, **kw)
     if play == "tamper":
         forge_subshare_for_player_3(game).honest = False  # a forged piece voids all-or-nothing
@@ -807,7 +835,7 @@ def test_no_strategy_reads_a_bit_of_the_step_that_sends_it(lift):
     # Steps are simultaneous: whatever its seat, a leader acting at step 1
     # or 2 holds no bit of that step, not even one sent by a leader that
     # acted before it in ring order.
-    leaders = [1, 2, 3] if lift == "3-ring" else partition_players(6, 3)[1]
+    leaders = [1, 2, 3] if lift == "3-ring" else [group[0] for group in partition_players(6, 3)]
     for seat in leaders:
         peeker = Peeker()
         for trial in range(4):

@@ -58,22 +58,21 @@ def test_partition_covers_designated_players():
     # m > n is accepted: every player is designated.
     for n in range(3, 30):
         for m in range(3, n + 3):
-            groups, leaders = partition_players(n, m)
+            groups = partition_players(n, m)
             assert [p for group in groups for p in group] == list(range(1, n + 1))
             assert len(groups) == 3
-            for group, leader in zip(groups, leaders):
-                assert leader in group
-                assert leader <= m
-                assert any(p <= m for p in group)
+            for group in groups:
+                # The leader, the group's first player, is designated.
+                assert group[0] <= m
 
 
 def test_partition_known_cases():
-    assert partition_players(6, 3) == ([[1], [2], [3, 4, 5, 6]], [1, 2, 3])
-    assert partition_players(5, 4) == ([[1], [2, 3], [4, 5]], [1, 2, 4])
-    assert partition_players(6, 6) == ([[1, 2], [3, 4], [5, 6]], [1, 3, 5])
+    assert partition_players(6, 3) == [[1], [2], [3, 4, 5, 6]]
+    assert partition_players(5, 4) == [[1], [2, 3], [4, 5]]
+    assert partition_players(6, 6) == [[1, 2], [3, 4], [5, 6]]
     # Equal largest groups; the spread then decides.
-    assert partition_players(7, 5) == ([[1, 2], [3, 4], [5, 6, 7]], [1, 3, 5])
-    assert [len(group) for group in partition_players(10, 7)[0]] == [3, 3, 4]
+    assert partition_players(7, 5) == [[1, 2], [3, 4], [5, 6, 7]]
+    assert [len(group) for group in partition_players(10, 7)] == [3, 3, 4]
 
 
 def test_partition_validation():
@@ -383,7 +382,7 @@ def test_a_player_past_m_learns_through_its_own_key(m, n, leaders, info):
     # broadcast m-1 shares between them.  A player past m is issued no share,
     # yet its own share's key makes the m-th, so it learns; so does leader 1,
     # while the designated players without the withheld share do not.
-    assert partition_players(n, m)[1] == leaders
+    assert [group[0] for group in partition_players(n, m)] == leaders
     profile = {leader: ForcedCoins([(1, 0)], WithholdShare() if leader == 1 else None)
                for leader in leaders}
     outcome = lift_m_of_n(FieldElement(5, 101), m, n, 0.5, profile=profile, record=False)
@@ -397,7 +396,7 @@ def test_m_of_n_needs_fewer_players_than_the_field_size(n, p):
     message = f"need n < p, got n={n}, p={p}"
     m, secret = 3, FieldElement(1, p)
     with pytest.raises(ValueError, match=message):
-        MOfNExchange(secret, *partition_players(n, m), m, alpha=0.5, profile=None, seed=0,
+        MOfNExchange(secret, partition_players(n, m), m, alpha=0.5, profile=None, seed=0,
                      trial=0, cap=10, record=False)
     with pytest.raises(ValueError, match=message):
         run_mechanism(secret, 0.5) if n == 3 else lift_m_of_n(secret, m, n, 0.5)
@@ -440,7 +439,7 @@ def test_each_delivered_item_is_checked_once_and_judged_for_every_receiver(lift)
     kw = dict(alpha=1.0, seed=4, trial=0, cap=1, record=True)
     if lift == "3-of-6":
         leaders, forger, index, size = [1, 2, 3], 3, 0, 1
-        game = MOfNExchange(FieldElement(5, 101), partition_players(6, 3)[0], leaders, 3,
+        game = MOfNExchange(FieldElement(5, 101), partition_players(6, 3), 3,
                             profile={forger: ForgeOneItem(index)}, **kw)
     else:
         leaders, forger, index, size = [1, 2, 4], 4, 2, 4
@@ -510,7 +509,7 @@ def test_a_bundle_is_the_valid_items_its_sender_was_handed(lift, size, forged):
     kw = dict(alpha=0.5, profile=None, seed=5, trial=0, cap=20, record=True)
     if lift == "m-of-n":
         (m, n), kind = size, "share"
-        game = MOfNExchange(FieldElement(5, 101), *partition_players(n, m), m, **kw)
+        game = MOfNExchange(FieldElement(5, 101), partition_players(n, m), m, **kw)
     else:
         n, kind = size, "sub"
         game = TwoOfNExchange(FieldElement(5, 101), n, **kw)

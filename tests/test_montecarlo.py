@@ -127,6 +127,24 @@ def test_trial_results_do_not_depend_on_batch_size(alpha, seed, spec, deviator, 
     assert (small.outcomes == large.outcomes[:n]).all()
 
 
+def test_draws_depend_only_on_the_profile_sampled():
+    # A deviator without a deviation, or an alpha' for a deviation other than
+    # biased-coin, names the same profile and kernel as the call without it,
+    # so it draws the same runs; the reference sampler ignores both too.
+    for stray, plain in [
+        (dict(deviator=2), {}),
+        (dict(deviation="withhold", deviator=1, alpha_prime=0.7),
+         dict(deviation="withhold", deviator=1)),
+    ]:
+        sampled, expected = (montecarlo.sample_runs(0.5, 2000, 1, **kw) for kw in (stray, plain))
+        assert (sampled.iterations == expected.iterations).all(), stray
+        assert (sampled.outcomes == expected.outcomes).all(), stray
+        reference, expected = (montecarlo.sample_runs_reference(0.5, 20, 1, cap=50, **kw)
+                               for kw in (stray, plain))
+        assert (reference.iterations == expected.iterations).all(), stray
+        assert (reference.outcomes == expected.outcomes).all(), stray
+
+
 def kernel_absorption(alpha, deviation, deviator):
     """Exact per-iteration weights of the kernel's absorbing patterns."""
     a = Fraction(alpha)

@@ -16,7 +16,7 @@ from ratshare.protocol import (
 def test_ring_wraparound():
     # The 3-ring's last leader passes to its first, and the first hears
     # from the last.
-    game = MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3, alpha=0.5, profile=None,
+    game = MOfNExchange(5, [[1], [2], [3]], 3, alpha=0.5, profile=None,
                         seed=0, trial=0, cap=10, record=False)
     assert game.succ[3] == 1
     assert game.pred[1] == 3
@@ -29,8 +29,8 @@ def test_ring_successor_predecessor_inverse():
     # 4), succ and pred are inverse and form one 3-cycle in leaders order.
     run = dict(alpha=0.5, profile=None, seed=0, trial=0, cap=10, record=False)
     for game in (
-        MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3, **run),
-        MOfNExchange(5, *partition_players(6, 3), 3, **run),
+        MOfNExchange(5, [[1], [2], [3]], 3, **run),
+        MOfNExchange(5, partition_players(6, 3), 3, **run),
         TwoOfNExchange(5, 5, **run),
     ):
         leaders = game.leaders

@@ -42,7 +42,7 @@ from ratshare.strategies import (
 
 
 # A 3-ring exchange, whose `_learned` is the rule for who learned.
-RING = MOfNExchange(5, [[1], [2], [3]], [1, 2, 3], 3, alpha=0.5, profile=None, seed=0, trial=0,
+RING = MOfNExchange(5, [[1], [2], [3]], 3, alpha=0.5, profile=None, seed=0, trial=0,
                     cap=1, record=False)
 
 

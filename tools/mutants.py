@@ -148,18 +148,26 @@ MUTANTS = [
            "item_key(p) for p in self.players}", "item_key(p) for p in range(1, self.threshold + 1)}",
            "tests/test_lifts.py::test_a_player_past_m_learns_through_its_own_key"),
     Mutant("m-of-n-issues-to-every-player", "src/ratshare/engine.py",
-           "issue_round(self.issuer, self.secret, m, m, epoch, self.issuer_rng, self.built,",
-           "issue_round(self.issuer, self.secret, m, self.n, epoch, self.issuer_rng, self.built,",
+           "issue_round(self.issuer, self.secret, self.threshold, epoch, self.issuer_rng,\n"
+           "                             coefficients)",
+           "{share.holder: share for share in self.issuer.issue_shares(\n"
+           "            self.secret, self.threshold, self.n, epoch, self.issuer_rng, coefficients)}",
            "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
     Mutant("m-of-n-epoch-built-eagerly", "src/ratshare/engine.py",
-           "bundles.coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)",
-           "bundles.coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)"
-           "\n        bundles[1]",
+           "self.bundles = _EpochBundles(partial(self._build, epoch, coefficients))",
+           "self.bundles = _EpochBundles(partial(self._build, epoch, coefficients))"
+           "\n        self.bundles[1]",
            "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
     Mutant("coefficients-drawn-at-build", "src/ratshare/engine.py",
-           "bundles.coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)",
-           "bundles.coefficients = None",
+           "coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)",
+           "coefficients = None",
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
+    Mutant("epoch-guard-lets-a-repeat-through", "src/ratshare/engine.py",
+           "if epoch <= self.issued:", "if epoch < self.issued:",
+           "tests/test_engine.py::test_a_second_run_is_refused_before_it_touches_anything"),
+    Mutant("leader-is-last-of-group", "src/ratshare/engine.py",
+           "[group[0] for group in groups]", "[group[-1] for group in groups]",
+           "tests/test_lifts.py::test_each_delivered_item_is_checked_once_and_judged_for_every_receiver"),
     Mutant("forced-coins-drops-broadcast-payload", "src/ratshare/strategies.py",
            "return self.inner.broadcast_payload(state, payload)", "return payload",
            "tests/test_engine.py::test_tampered_broadcast_counts_as_missing"),
