@@ -15,16 +15,17 @@ groups; each group's first player leads it, takes one seat on the coin
 ring and broadcasts its group's bundle.  Each iteration issues a fresh
 epoch, and `run` refuses a repeat before it touches any state.  Every
 delivered item, whether split piece, forwarded bundle or broadcast, is
-judged by `_deliver`; a player's holdings are the holding keys of what it
-holds (`holding_key` of an item, `item_key` from numbers), and the items
-themselves travel in bundles.  An
-epoch builds items only for the players who can send them: an m-of-n
-epoch issues shares to the designated players 1..m, and the others hold
-only their own share's key.  It draws its polynomial when it is issued,
-but builds the shares only when a bundle is first read, by a forwarder or
-a leader that broadcasts, so an epoch that sends no share builds none.  A
-leader's payload exists only once it broadcasts, and its strategy may
-replace it (`Strategy.broadcast_payload`).  The 3-ring is the m-of-n
+judged by `_deliver`, a holder's split pieces in one call, each for its
+own recipient; a player's holdings are the holding keys of what it holds
+(`holding_key` of an item, `item_key` from numbers), and the items
+themselves travel in bundles.  An epoch builds items only as they are
+sent: an m-of-n epoch draws its polynomial when it is issued, and builds
+and tags a designated player's share only when that player's bundle is
+first read, as it forwards or its leader broadcasts, so an epoch that
+sends no share builds none and one leader's broadcast builds one share.
+The others hold only their own share's key.  A leader's payload exists
+only once it broadcasts, and its strategy may replace it
+(`Strategy.broadcast_payload`).  The 3-ring is the m-of-n
 exchange with three one-player groups; the lifts in `ratshare.lifts`
 supply the other groupings and what their epochs issue.
 
@@ -108,13 +109,15 @@ def issue_round(
     epoch: int,
     rng: Random,
     coefficients: list[int] | None = None,
+    holders=None,
 ) -> dict[int, Share]:
-    """Issue one epoch of shares, to holders 1..m, from a fresh degree-(m-1)
-    polynomial.  `coefficients`, drawn earlier by
-    `ShareIssuer.draw_coefficients`, pins the polynomial and draws nothing
-    more from `rng`.  That no epoch is issued twice is the run loop's rule
-    (`GroupedExchange.run`)."""
-    shares = issuer.issue_shares(secret, m, m, epoch, rng, coefficients)
+    """Issue one epoch of shares, by holder, from a fresh degree-(m-1)
+    polynomial: to `holders`, points among 1..m, or to all of them.  An
+    m-of-n epoch issues one designated player's share per call, as it is
+    sent.  `coefficients`, drawn earlier by `ShareIssuer.draw_coefficients`,
+    pins the polynomial and draws nothing more from `rng`.  That no epoch is
+    issued twice is the run loop's rule (`GroupedExchange.run`)."""
+    shares = issuer.issue_shares(secret, m, m, epoch, rng, coefficients, holders)
     return {share.holder: share for share in shares}
 
 
@@ -165,7 +168,8 @@ class GroupedExchange:
     as one item.  `_deliver` judges each delivered item once, however many
     players receive it: split pieces, forwarded bundles and broadcasts.
     Every receiver holds the valid items' `holding_key`s and records
-    evidence for the rest.  Only the players who act, the leaders and the
+    evidence for the rest; a holder's split pieces are judged in one call,
+    each for its own recipient.  Only the players who act, the leaders and the
     forwarders, get a random stream.
     """
 
@@ -233,26 +237,39 @@ class GroupedExchange:
         """Who learned, the exchange's call: the keys of `threshold` items of one epoch."""
         return state.learned_earlier or len(state.holdings) >= self.threshold
 
-    def _deliver(self, sender: int, items, epoch: int, receivers) -> tuple[dict, tuple]:
+    def _deliver(self, sender: int, items, epoch: int, receivers,
+                 each: bool = False) -> tuple[dict, tuple]:
         """Hand `sender`'s items of `epoch` to `receivers`, checking each once:
         type, then epoch, then tag.  Every receiver adds the valid items'
         `holding_key`s to its holdings and records the same evidence, dated the
-        iteration all players are in, for the rest.  Returns (kept by key,
+        iteration all players are in, for the rest.  With `each`, item i goes
+        to `receivers[i]` alone, which also adds it to its bundle if valid: a
+        holder's split pieces, one per other player.  Returns (kept by key,
         evidence)."""
+        states = self.states
         kept, evidence = {}, ()
-        for item in items:
+        for i, item in enumerate(items):
             if not isinstance(item, self.item_type) or item.epoch != epoch:
                 kind = self.stale_evidence
             elif self.issuer.verify_tag(item):
-                kept[holding_key(item)] = item
+                key = holding_key(item)
+                kept[key] = item
+                if each:
+                    receiver = receivers[i]
+                    states[receiver].holdings.add(key)
+                    self.bundles[receiver].append(item)
                 continue
             else:
                 kind = "invalid-tag"
-            evidence += (CheatEvidence(kind, self.states[sender].iteration, _DECIDE_INT, sender),)
-        for pid in receivers:
-            state = self.states[pid]
-            state.holdings.update(kept)  # the keys
-            state.cheat_evidence += evidence
+            found = CheatEvidence(kind, states[sender].iteration, _DECIDE_INT, sender)
+            evidence += (found,)
+            if each:
+                states[receivers[i]].cheat_evidence.append(found)
+        if not each:
+            for pid in receivers:
+                state = states[pid]
+                state.holdings.update(kept)  # the keys
+                state.cheat_evidence += evidence
         return kept, evidence
 
     # One iteration ------------------------------------------------------------
@@ -456,9 +473,9 @@ class GroupedExchange:
 
 
 class _EpochBundles(dict):
-    """An m-of-n epoch's bundles, empty until one is read: the first read of a
-    missing bundle builds them all, once, with `build()`, the epoch's
-    `MOfNExchange._build` over its drawn coefficients."""
+    """An m-of-n epoch's bundles, each built at its first read: a designated
+    player's bundle is its own share, built and tagged by `build(player)`,
+    the epoch's `MOfNExchange._build` over its drawn coefficients."""
 
     __slots__ = ("build",)
 
@@ -466,11 +483,8 @@ class _EpochBundles(dict):
         self.build = build
 
     def __missing__(self, player: int) -> list:
-        build, self.build = self.build, None
-        if build is None:
-            raise KeyError(player)
-        self.update(build())
-        return self[player]
+        bundle = self[player] = self.build(player)
+        return bundle
 
 
 class MOfNExchange(GroupedExchange):
@@ -478,10 +492,11 @@ class MOfNExchange(GroupedExchange):
 
     Only players 1..m can send a share, so an epoch builds shares for them
     alone; every player holds its own share's key, which counts toward the
-    threshold.  Issuing an epoch only draws its polynomial: its shares are
-    built the first time a bundle is read, when a designated player forwards
-    or a leader broadcasts, so an epoch that sends no share builds none.
-    Shares sit at the points 1..n, so n must be below p.
+    threshold.  Issuing an epoch only draws its polynomial: a designated
+    player's share is built and tagged the first time its bundle is read,
+    when it forwards or its leader broadcasts, so an epoch builds one share
+    per sent one and none when nothing is sent.  Shares sit at the points
+    1..n, so n must be below p.
     """
 
     def __init__(self, *args, **kw):
@@ -497,11 +512,11 @@ class MOfNExchange(GroupedExchange):
         for p, key in self.own_keys.items():
             states[p].holdings.add(key)
 
-    def _build(self, epoch: int, coefficients: list[int]) -> dict[int, list[Share]]:
-        """The bundles of `epoch`: each designated player's share of its drawn polynomial."""
+    def _build(self, epoch: int, coefficients: list[int], player: int) -> list[Share]:
+        """The bundle of designated `player` in `epoch`: its share of the drawn polynomial."""
         shares = issue_round(self.issuer, self.secret, self.threshold, epoch, self.issuer_rng,
-                             coefficients)
-        return {p: [share] for p, share in shares.items()}
+                             coefficients, (player,))
+        return list(shares.values())
 
     def _forwarders(self):
         return range(1, self.threshold + 1)

@@ -3,8 +3,8 @@
 For m-of-n (m >= 3, n > 3) the players are partitioned into three
 contiguous groups, players 1..m are designated, and each group's first
 player, a designated one, leads it.  An epoch draws its polynomial when
-it is issued, but builds shares only for designated players, and only
-once one of them forwards or broadcasts; each of players m+1..n holds
+it is issued, and builds a designated player's share only once that
+player forwards or its leader broadcasts; each of players m+1..n holds
 just its own share's key, which counts toward the threshold once m-1
 broadcast shares arrive.
 Designated players forward their shares to their leader; the three
@@ -18,9 +18,14 @@ For 2-of-n (n >= 3) the two shareholders split their shares into n-1
 additive subshares, spread them so the originals hold one foreign
 subshare each and everyone else holds two, and the n players run the
 grouped n-of-n exchange with subshare bundles as payloads; the holders keep
-their own share's key, and the pieces travel in bundles.  2-of-2 is
-rejected: with nobody else to hold the exchange hostage, no coin bias
-makes honesty an equilibrium.
+their own share's key, and the pieces travel in bundles.  A holder's share
+is only ever split, never sent, so an epoch builds no share: it evaluates
+its polynomial at the two holders and splits those values, tagging only
+the pieces, and every piece is checked as it is handed out.  The pieces
+stay eager: a recorded run writes every forwarded bundle, so pieces built
+only when read would make a forged piece's evidence depend on `record`.
+2-of-2 is rejected: with nobody else to hold the exchange hostage, no coin
+bias makes honesty an equilibrium.
 """
 
 from __future__ import annotations
@@ -29,14 +34,14 @@ from .engine import (
     DEFAULT_CAP,
     GroupedExchange,
     MOfNExchange,
-    issue_round,
     item_key,
 )
 from .protocol import RunOutcome
 
-# derive_bytes and derive_rng are unused here but stay importable:
-# bench/tracer.py patches lifts.issue_round, lifts.derive_bytes and
-# lifts.derive_rng by name.
+# issue_round, derive_bytes and derive_rng are unused here but stay
+# importable: bench/tracer.py patches lifts.issue_round, lifts.derive_bytes
+# and lifts.derive_rng by name.
+from .engine import issue_round  # noqa: F401
 from .seeding import derive_bytes, derive_rng  # noqa: F401
 from .shamir import FieldElement, Subshare, require_points
 from .strategies import LocalState, Strategy
@@ -101,7 +106,12 @@ def lift_m_of_n(
 
 
 class TwoOfNExchange(GroupedExchange):
-    """n-of-n subshare exchange realizing 2-of-n sharing."""
+    """n-of-n subshare exchange realizing 2-of-n sharing.
+
+    An epoch draws its coefficient, evaluates it at the two holders, and
+    splits each value into n-1 tagged pieces, one per other player, with no
+    `Share` built; `_deliver` judges each holder's pieces in one call.
+    """
 
     holders = (1, 2)
 
@@ -113,6 +123,8 @@ class TwoOfNExchange(GroupedExchange):
             (parent, item_key(parent), {item_key(parent, k) for k in range(1, n)})
             for parent in self.holders
         ]
+        # Each holder's pieces go to the other players, in player order.
+        self.recipients = [[p for p in self.players if p != holder] for holder in self.holders]
 
     def _learned(self, state: LocalState) -> bool:
         """All n-1 subshares of each holder's share in one epoch; a holder's own share will do."""
@@ -125,19 +137,16 @@ class TwoOfNExchange(GroupedExchange):
         return True
 
     def _issue_epoch(self, epoch: int) -> None:
-        shares = issue_round(self.issuer, self.secret, 2, epoch, self.issuer_rng)
-        for holder, share_key, _ in self.holder_keys:
-            self.states[holder].holdings.add(share_key)
-        # Each holder splits its share into n-1 subshares, one per other
-        # player; receivers check the tag and treat bad pieces as missing.
-        # A player's bundle is the pieces it kept, in holder order.
+        issuer, rng = self.issuer, self.issuer_rng
+        ys = issuer.evaluate(self.secret, issuer.draw_coefficients(2, rng), self.holders)
+        # Each holder splits its share's value into n-1 subshares, one per
+        # other player; receivers check the tag and treat bad pieces as
+        # missing.  A player's bundle is the pieces it kept, in holder order.
         self.bundles = {p: [] for p in self.players}
-        for holder in self.holders:
-            subs = self.issuer.split_subshares(shares[holder], self.n - 1, self.issuer_rng)
-            recipients = [p for p in self.players if p != holder]
-            for sub, recipient in zip(subs, recipients):
-                kept, _ = self._deliver(holder, (sub,), epoch, (recipient,))
-                self.bundles[recipient] += kept.values()
+        for (holder, share_key, _), y, recipients in zip(self.holder_keys, ys, self.recipients):
+            self.states[holder].holdings.add(share_key)
+            subs = issuer.split_subshares((holder, y, epoch), self.n - 1, rng)
+            self._deliver(holder, subs, epoch, recipients, each=True)
 
     def _forwarders(self):
         return self.players

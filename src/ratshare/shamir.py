@@ -62,8 +62,8 @@ _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 # How many of its most recent messages' MACs an issuer keeps.  The largest
 # `hiding` run accepted has n * p = 93 distinct points (p = 31, n = 3), and
-# an engine epoch tags 2n items for 2-of-n, and for m-of-n m items when one
-# of its shares is sent, none otherwise.
+# an engine epoch tags the 2(n-1) split pieces of a 2-of-n epoch, and for
+# m-of-n one share per designated player whose share is sent.
 _MAC_CACHE_SIZE = 256
 
 
@@ -237,6 +237,19 @@ def require_points(n: int, p: int) -> None:
         raise ValueError(f"need n < p, got n={n}, p={p}")
 
 
+def _polynomial(secret: FieldElement, coefficients: list[int], p: int) -> list[int]:
+    """The coefficients of f with f(0) = `secret` and a_1.. = `coefficients`,
+    reduced mod p, highest degree first for Horner's rule."""
+    poly = [secret.value] + [c % p for c in coefficients]
+    # The y values are built unchecked, so every coefficient must reduce to
+    # an int for them to be ints in [0, p).
+    for c in poly:
+        if type(c) is not int:
+            raise ValueError(f"coefficient {c!r} is not an int")
+    poly.reverse()
+    return poly
+
+
 class ShareIssuer:
     """Trusted issuer: creates, tags, and verifies shares.
 
@@ -258,12 +271,15 @@ class ShareIssuer:
         epoch: int,
         rng: Random,
         coefficients: list[int] | None = None,
+        holders=None,
     ) -> list[Share]:
-        """Issue n tagged shares of `secret` with reconstruction threshold m.
+        """Issue tagged shares of `secret` with reconstruction threshold m to
+        `holders`, points among 1..n (all n of them by default).
 
         Coefficients a_1..a_{m-1} come from `draw_coefficients` unless
         `coefficients` pins them: an engine epoch drawn before it is built,
-        or a deterministic test.
+        or a deterministic test.  An engine epoch issues one holder's share
+        at a time, as it is sent; `hiding` issues every holder's.
         """
         p = self.modulus
         if secret.modulus != p:
@@ -273,27 +289,44 @@ class ShareIssuer:
         require_points(n, p)
         if epoch < 0:
             raise ValueError("epoch must be non-negative")
+        if holders is None:
+            holders = range(1, n + 1)
+        else:
+            for i in holders:
+                if type(i) is not int or not 1 <= i <= n:
+                    raise ValueError(f"holder {i!r} is not a point in 1..{n}")
         if coefficients is None:
             coefficients = self.draw_coefficients(m, rng)
         if len(coefficients) != m - 1:
             raise ValueError("need exactly m-1 coefficients")
-        poly = [secret.value] + [c % p for c in coefficients]
-        # The y values are built unchecked, so every coefficient must
-        # reduce to an int for them to be ints in [0, p).
-        for c in poly:
-            if type(c) is not int:
-                raise ValueError(f"coefficient {c!r} is not an int")
-        poly.reverse()  # highest degree first, for Horner's rule
+        poly = _polynomial(secret, coefficients, p)
         mac = self._mac
         shares = []
         append = shares.append
-        for i in range(1, n + 1):
+        # Horner's rule as in `evaluate`, inline: `hiding` issues thousands
+        # of three-point polynomials, and a call per issue costs it 2%.
+        for i in holders:
             y = 0
             for c in poly:
                 y = (y * i + c) % p
             tag = mac(_share_msg(p, epoch, i, y))
             append(_share(i, _element(y, p), epoch, tag))
         return shares
+
+    def evaluate(self, secret: FieldElement, coefficients: list[int], points) -> list[int]:
+        """The values at `points` of the polynomial with f(0) = `secret`, a
+        value of the issuer's field, and coefficients a_1.. = `coefficients`:
+        the y values `issue_shares` tags, and the values a 2-of-n epoch
+        splits without building a share."""
+        p = self.modulus
+        poly = _polynomial(secret, coefficients, p)
+        ys = []
+        for x in points:
+            y = 0
+            for c in poly:
+                y = (y * x + c) % p
+            ys.append(y)
+        return ys
 
     def draw_coefficients(self, m: int, rng: Random) -> list[int]:
         """The coefficients a_1..a_{m-1} of a fresh degree-(m-1) polynomial,
@@ -310,20 +343,26 @@ class ShareIssuer:
                                 item.value.value)
         return hmac.compare_digest(item.tag, self._mac(msg))
 
-    def split_subshares(self, share: Share, count: int, rng: Random) -> list[Subshare]:
-        """Split a share into `count` additive subshares summing to share.y.
+    def split_subshares(self, share, count: int, rng: Random) -> list[Subshare]:
+        """Split a share into `count` additive subshares summing to its y value.
 
-        All but the last value are uniform; each piece carries its own tag
-        (the tag substitutes for a proof that the split was done honestly).
+        `share` is a `Share`, or the point (holder, y, epoch) of one that was
+        never built: a 2-of-n epoch splits the values `evaluate` gave it,
+        ints in [0, p), and tags only the pieces.  All but the last value are
+        uniform; each piece carries its own tag (the tag substitutes for a
+        proof that the split was done honestly).
         """
         if count < 2:
             raise ValueError(f"subshare count must be >= 2, got {count}")
         p = self.modulus
-        if share.y.modulus != p:
-            raise ValueError("share modulus does not match issuer modulus")
+        if isinstance(share, Share):
+            if share.y.modulus != p:
+                raise ValueError("share modulus does not match issuer modulus")
+            parent, y, epoch = share.holder, share.y.value, share.epoch
+        else:
+            parent, y, epoch = share
         values = [rng.randrange(p) for _ in range(count - 1)]
-        values.append((share.y.value - sum(values)) % p)
-        epoch, parent = share.epoch, share.holder
+        values.append((y - sum(values)) % p)
         mac = self._mac
         subshares = []
         append = subshares.append

@@ -6,7 +6,11 @@ that key order and byte for byte, but formatted directly: `write` builds
 the `trial`/`iteration`/`epoch` head once per iteration, takes the
 `step`/`kind` part from a table built once per `(step, kind)`, and
 encodes a payload once for the run of messages that carry it (a
-broadcast's recipients).  An int payload is written with `str`, `None`
+broadcast's recipients).  A coin piece, masked bit or restart request,
+whose payload is an exact int or `None`, is its head followed by a tail
+that `_jsonl_line` formats once per (sender, receiver, step, kind,
+payload) and a bounded cache keeps; a bool is never an exact int, so `1`
+and `True` never share a tail.  An int payload is written with `str`, `None`
 as `null`, and a `Share` whose holder, epoch and y value are exact ints
 and whose tag is `bytes` (every share the issuer makes) as one f-string
 of its record `{epoch, holder, x, y, tag}` (x repeats the holder, its
@@ -73,6 +77,15 @@ _STEP_KIND = {
 }
 
 
+# The tails of lines whose payload is an exact int or None, by (sender,
+# receiver, step, kind value, payload).  The three seated leaders of any
+# exchange use 21 (coin pieces and masked bits of 0 or 1, and restart
+# requests) and a few more when they stall.  The cache is emptied when it
+# reaches this size, so no mix of messages grows it without bound.
+_TAIL_CACHE_SIZE = 4096
+_tails: dict[tuple, str] = {}
+
+
 def _line_head(trial: int, iteration: int, epoch: int) -> str:
     return f'{{"trial":{trial},"iteration":{iteration},"epoch":{epoch},'
 
@@ -103,11 +116,22 @@ def write(fh, trial: int, outcome: RunOutcome) -> None:
     """Write the messages of one recorded run, in sending order, with one `fh.write`."""
     lines = []
     append = lines.append
+    tails = _tails
     for transcript in outcome.transcripts:
         head = _line_head(trial, transcript.iteration, transcript.epoch)
         # A broadcast sends one payload object to every recipient in a row.
         payload = text = None
         for sender, receiver, step, kind, item in transcript.messages:
+            if item is None or type(item) is int:
+                key = (sender, receiver, step, kind._value_, item)
+                tail = tails.get(key)
+                if tail is None:
+                    if len(tails) >= _TAIL_CACHE_SIZE:
+                        tails.clear()
+                    tail = tails[key] = _jsonl_line("", sender, receiver, step, kind,
+                                                    _payload_json(item))
+                append(head + tail)
+                continue
             if text is None or item is not payload:
                 payload, text = item, _payload_json(item)
             append(_jsonl_line(head, sender, receiver, step, kind, text))

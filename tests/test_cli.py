@@ -28,7 +28,14 @@ from ratshare.cli import (
 from ratshare import analysis, cli, montecarlo, transcript
 from ratshare.engine import DEFAULT_CAP, run_mechanism
 from ratshare.lifts import lift_2_of_n, lift_m_of_n
-from ratshare.protocol import MessageKind, RoundMessage, Step
+from ratshare.protocol import (
+    IterationTranscript,
+    MessageKind,
+    RoundMessage,
+    RunOutcome,
+    Step,
+    TerminalCause,
+)
 from ratshare.shamir import DEFAULT_PRIME, FieldElement, Share, ShareIssuer, Subshare
 from ratshare.strategies import (
     DEVIATIONS,
@@ -782,6 +789,40 @@ def test_jsonl_line_is_json_dumps_of_the_record(name):
         msg = RoundMessage(2, 3, Step.BROADCAST, kind, payload)
         line = _jsonl_line(_line_head(6, 11, 4), *msg[:4], _payload_json(payload))
         assert line == _dump_line(6, 11, 4, msg) + "\n"
+
+
+TAIL_PAYLOADS = [0, 1, None, True, False, 1.0]
+
+
+def _written_lines(trial, transcripts) -> list[str]:
+    outcome = RunOutcome(len(transcripts), (0, 0, 0), TerminalCause.ITERATION_CAP_HIT, transcripts)
+    fh = io.StringIO()
+    transcript.write(fh, trial, outcome)
+    return fh.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("order", [TAIL_PAYLOADS, TAIL_PAYLOADS[::-1]], ids=["int-first", "bool-first"])
+def test_cached_tail_lines_are_json_dumps_of_the_record(order):
+    # Every (step, kind) pair with each payload, in two iterations, so the
+    # second reads the tails the first cached.  1 and True (and 0 and False)
+    # compare and hash alike, yet must never share a tail.
+    messages = [
+        RoundMessage(2, 3, step, kind, payload)
+        for step in Step for kind in MessageKind for payload in order
+    ]
+    lines = _written_lines(6, [IterationTranscript(11, 4, messages),
+                               IterationTranscript(12, 5, messages)])
+    assert lines == [_dump_line(6, iteration, epoch, m)
+                     for iteration, epoch in ((11, 4), (12, 5)) for m in messages]
+
+
+def test_the_tail_cache_is_bounded():
+    messages = [RoundMessage(sender, 0, Step.DECIDE, MessageKind.RESTART_REQUEST, None)
+                for sender in range(transcript._TAIL_CACHE_SIZE + 10)]
+    assert _written_lines(1, [IterationTranscript(1, 0, messages)]) == [
+        _dump_line(1, 1, 0, m) for m in messages
+    ]
+    assert 0 < len(transcript._tails) <= transcript._TAIL_CACHE_SIZE
 
 
 RECORDED_RUNS = {

@@ -671,9 +671,9 @@ def forge_subshare_for_player_3(game: TwoOfNExchange) -> TwoOfNExchange:
     piece with index 2, whose tag then no longer verifies."""
     split = game.issuer.split_subshares
 
-    def split_and_forge(share, count, rng):
-        subs = split(share, count, rng)
-        if share.holder == 1:
+    def split_and_forge(*args, **kwargs):
+        subs = split(*args, **kwargs)
+        if subs[1].parent_holder == 1:
             value = subs[1].value
             subs[1] = dataclasses.replace(
                 subs[1], value=FieldElement((value.value + 1) % value.modulus, value.modulus)

@@ -27,6 +27,7 @@ from ratshare.shamir import (
     FieldElement,
     Share,
     ShareIssuer,
+    Subshare,
     combine_subshares,
     reconstruct,
 )
@@ -242,17 +243,17 @@ RUNS = {
 
 @pytest.fixture
 def issued(monkeypatch):
-    """Every share any issuer hands out while the test runs."""
-    shares = []
-    real = ShareIssuer.issue_shares
+    """Every share and split piece any issuer hands out while the test runs."""
+    items = []
+    for name in ("issue_shares", "split_subshares"):
 
-    def issue_shares(self, *args, **kwargs):
-        out = real(self, *args, **kwargs)
-        shares.extend(out)
-        return out
+        def recording(self, *args, real=getattr(ShareIssuer, name), **kwargs):
+            out = real(self, *args, **kwargs)
+            items.extend(out)
+            return out
 
-    monkeypatch.setattr(ShareIssuer, "issue_shares", issue_shares)
-    return shares
+        monkeypatch.setattr(ShareIssuer, name, recording)
+    return items
 
 
 @pytest.mark.parametrize("run", list(RUNS))
@@ -263,11 +264,14 @@ def issued(monkeypatch):
 )
 def test_a_run_issues_shares_in_the_secret_field(run, secret, modulus, issued):
     # A FieldElement secret brings its field; an int secret lives in
-    # DEFAULT_PRIME's.
+    # DEFAULT_PRIME's.  2-of-n builds no share: it issues only split pieces.
     outcome = RUNS[run](secret)
     assert outcome.cause == TerminalCause.ALL_LEARNED
     assert issued
-    assert {share.y.modulus for share in issued} == {modulus}
+    assert {type(item) for item in issued} == {Subshare if run == "2-of-3" else Share}
+    assert {
+        (item.y if isinstance(item, Share) else item.value).modulus for item in issued
+    } == {modulus}
 
 
 # --- invariants of the shared run loop ----------------------------------------------
@@ -328,24 +332,52 @@ def test_only_players_who_act_get_a_stream(run, actors, monkeypatch):
 def test_each_epoch_issues_shares_only_to_players_who_can_send(run, holders, monkeypatch):
     # Only the designated players of m-of-n and the two shareholders of
     # 2-of-n ever send a share (or its pieces); the others get none.  An
-    # epoch builds its shares once, and only if its transcript carries one,
-    # as a broadcast or a forwarded bundle.
+    # m-of-n epoch builds each share once, one per issue_shares call, and
+    # only as it is sent: the shares its transcript carries, as a broadcast
+    # or a forwarded bundle, and the share of a leader a bundle is forwarded
+    # to.  A 2-of-n epoch builds no share: it splits both holders' values.
     issued = []  # (epoch, holders), one per issue_shares call
-    issue_shares = ShareIssuer.issue_shares
+    split = []  # (epoch, parent), one per split_subshares call
+    issue_shares, split_subshares = ShareIssuer.issue_shares, ShareIssuer.split_subshares
 
     def recording_issue_shares(self, secret, m, n, epoch, *args, **kwargs):
         shares = issue_shares(self, secret, m, n, epoch, *args, **kwargs)
         issued.append((epoch, {share.holder for share in shares}))
         return shares
 
+    def recording_split_subshares(self, *args, **kwargs):
+        pieces = split_subshares(self, *args, **kwargs)
+        split.append((pieces[0].epoch, pieces[0].parent_holder))
+        return pieces
+
     monkeypatch.setattr(ShareIssuer, "issue_shares", recording_issue_shares)
+    monkeypatch.setattr(ShareIssuer, "split_subshares", recording_split_subshares)
     outcome = run()
-    sending = [
-        transcript.epoch for transcript in outcome.transcripts
-        if any(msg.kind == MessageKind.SHARE_BROADCAST for msg in transcript.messages)
-    ]
-    assert [epoch for epoch, _ in issued] == sending
-    assert all(epoch_holders == holders for _, epoch_holders in issued)
+    if split:
+        assert not issued
+        assert split == [(t.epoch, parent) for t in outcome.transcripts for parent in (1, 2)]
+        assert {parent for _, parent in split} == holders
+        return
+    sent = {}  # epoch -> the holders whose shares it sends
+    for transcript in outcome.transcripts:
+        for msg in transcript.messages:
+            if msg.kind != MessageKind.SHARE_BROADCAST:
+                continue
+            carried = sent.setdefault(transcript.epoch, set())
+            items = msg.payload if isinstance(msg.payload, tuple) else (msg.payload,)
+            carried.update(item.holder for item in items)
+            if msg.step == Step.ISSUE:
+                carried.add(msg.receiver)
+    built = {}
+    for epoch, epoch_holders in issued:
+        (holder,) = epoch_holders
+        assert holder not in built.setdefault(epoch, set()), (epoch, holder)
+        built[epoch].add(holder)
+    assert [epoch for epoch, _ in issued] == sorted(epoch for epoch, _ in issued)
+    assert built == sent
+    # The last epoch succeeds: every designated player's share is sent.
+    assert built[outcome.transcripts[-1].epoch] == holders
+    assert set().union(*built.values()) == holders
 
 
 @pytest.mark.parametrize("tails", [0, 3])
@@ -357,19 +389,49 @@ def test_each_epoch_issues_shares_only_to_players_who_can_send(run, holders, mon
 )
 def test_only_the_epoch_that_broadcasts_builds_shares(run, tails, monkeypatch):
     # `tails` all-tails iterations restart with nothing sent; in the all-heads
-    # iteration after them every leader broadcasts, so its epoch alone builds.
+    # iteration after them every leader broadcasts, so its epoch alone builds,
+    # one share per leader, in ring order.
     built = []
     issue_shares = ShareIssuer.issue_shares
 
     def recording_issue_shares(self, secret, m, n, epoch, *args, **kwargs):
-        built.append(epoch)
-        return issue_shares(self, secret, m, n, epoch, *args, **kwargs)
+        shares = issue_shares(self, secret, m, n, epoch, *args, **kwargs)
+        built.append((epoch, [share.holder for share in shares]))
+        return shares
 
     monkeypatch.setattr(ShareIssuer, "issue_shares", recording_issue_shares)
     script = [(0, 0)] * tails + [(1, 0)]
     outcome = run({leader: ForcedCoins(script) for leader in (1, 2, 3)})
     assert (outcome.iterations, outcome.cause) == (tails + 1, TerminalCause.ALL_LEARNED)
-    assert built == [tails]
+    assert built == [(tails, [1]), (tails, [2]), (tails, [3])]
+
+
+@pytest.mark.parametrize("broadcaster", [1, 2, 3])
+@pytest.mark.parametrize(
+    "run",
+    [lambda profile: run_mechanism(5, 0.5, profile, seed=1, cap=1),
+     lambda profile: lift_m_of_n(5, 3, 6, 0.5, profile, seed=1, cap=1)],  # leaders 1, 2, 3
+    ids=["3-ring", "3-of-6"],
+)
+def test_a_lone_broadcast_builds_only_its_share(run, broadcaster, monkeypatch):
+    # Only `broadcaster` tosses heads (coins 010 for leader 2), so the parity
+    # is 1 and it alone broadcasts: its share is the one the epoch builds, and
+    # the others restart at the cap.
+    built = []
+    issue_shares = ShareIssuer.issue_shares
+
+    def recording_issue_shares(self, secret, m, n, epoch, *args, **kwargs):
+        shares = issue_shares(self, secret, m, n, epoch, *args, **kwargs)
+        built.append((epoch, [share.holder for share in shares]))
+        return shares
+
+    monkeypatch.setattr(ShareIssuer, "issue_shares", recording_issue_shares)
+    outcome = run({leader: ForcedCoins([(int(leader == broadcaster), 0)]) for leader in (1, 2, 3)})
+    assert (outcome.iterations, outcome.cause) == (1, TerminalCause.ITERATION_CAP_HIT)
+    (transcript,) = outcome.transcripts
+    senders = {msg.sender for msg in transcript.messages if msg.step == Step.BROADCAST}
+    assert senders == {broadcaster}
+    assert built == [(0, [broadcaster])]
 
 
 @pytest.mark.parametrize(
@@ -575,21 +637,21 @@ def test_two_of_n_learns_by_the_keys_of_the_items_an_epoch_issues(n, forged):
                           cap=30, record=True)
     if forged:
         forge_subshare_for_player_3(game).honest = False
-    issued = {}  # holder -> (its share, its split pieces), of the latest epoch
+    issued = {}  # holder -> its split pieces, of the latest epoch
     split, learned = game.issuer.split_subshares, game._learned
     answers = Counter()
 
-    def recording_split(share, count, rng):
-        subs = split(share, count, rng)
-        issued[share.holder] = (share, subs)
+    def recording_split(*args, **kwargs):
+        subs = split(*args, **kwargs)
+        issued[subs[0].parent_holder] = subs
         return subs
 
     def checked_learned(state):
         keys = state.holdings
         expected = state.learned_earlier or bool(issued) and all(
-            (holder == state.player and holding_key(share) in keys)
+            (holder == state.player and item_key(holder) in keys)
             or {holding_key(sub) for sub in subs} <= keys
-            for holder, (share, subs) in issued.items()
+            for holder, subs in issued.items()
         )
         assert learned(state) == expected, (state.player, state.iteration)
         answers[expected] += 1
@@ -601,6 +663,6 @@ def test_two_of_n_learns_by_the_keys_of_the_items_an_epoch_issues(n, forged):
     assert answers[True] and answers[False]
     assert outcome.info == ((1, 0) + (0,) * (n - 2) if forged else (1,) * n)
     assert game.holder_keys == [
-        (holder, holding_key(share), {holding_key(sub) for sub in subs})
-        for holder, (share, subs) in sorted(issued.items())
+        (holder, item_key(holder), {holding_key(sub) for sub in subs})
+        for holder, subs in sorted(issued.items())
     ]

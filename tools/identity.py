@@ -11,7 +11,10 @@ Each exchange runs honest; with every registry deviation at each leader;
 with a leader that forges the first item it broadcasts, and with one whose
 payload becomes None; with all coins heads and each leader in turn
 withholding; and with `WithholdFromLeader` at each forwarder that leads no
-group.  Every profile runs at alpha 0.5 and 0.9, trials 0-2 (an int secret
+group.  Each 2-of-n exchange also runs honest with a forged split
+(`forge_subshare_for_player_3`): holder 1's piece to player 3 has its value
+moved by one, so its tag fails, and the run is not held to the honest-play
+invariants.  Every profile runs at alpha 0.5 and 0.9, trials 0-2 (an int secret
 at trial 1, `FieldElement(5, 101)` otherwise), cap 30, with `record` on and
 off.  An exchange's leaders and forwarders are read from its honest run.
 
@@ -41,6 +44,7 @@ ALPHAS = (0.5, 0.9)
 TRIALS = 3
 CAP = 30
 SEED = 1
+FORGED_SPLIT = "forge_subshare_for_player_3"
 
 
 def _exchanges(mods):
@@ -103,6 +107,22 @@ def _profiles(mods, leaders, forwarders):
         yield lambda forwarder=forwarder: {forwarder: s.WithholdFromLeader()}
 
 
+def _forging_split(split, shamir):
+    """`split_subshares` with holder 1's piece to player 3 (its index 2)
+    forged; it reads only the pieces, so it fits either tree's signature."""
+
+    def split_and_forge(self, *args, **kwargs):
+        pieces = split(self, *args, **kwargs)
+        return [
+            dataclasses.replace(piece, value=shamir.FieldElement(
+                (piece.value.value + 1) % piece.value.modulus, piece.value.modulus))
+            if (piece.parent_holder, piece.index) == (1, 2) else piece
+            for piece in pieces
+        ]
+
+    return split_and_forge
+
+
 def _json_default(value):
     """What JSON lacks in a player's state: a set, sorted, and cheat evidence, by field."""
     if isinstance(value, set):
@@ -125,10 +145,13 @@ def tree_digest(mods) -> tuple[str, int]:
     payload_record = importlib.import_module(f"{engine.__package__}.transcript")._payload_record
     exchange_cls, issuer_cls = engine.GroupedExchange, shamir.ShareIssuer
     run, verify_tag = exchange_cls.run, issuer_cls.verify_tag
-    captured, verified = [], [0]
+    split = issuer_cls.split_subshares
+    captured, verified, forging = [], [0], [False]
 
     def capturing_run(self):
         captured.append(self)
+        if forging[0]:
+            self.honest = False  # a forged piece voids all-or-nothing
         return run(self)
 
     def counting_verify_tag(self, item):
@@ -169,6 +192,12 @@ def tree_digest(mods) -> tuple[str, int]:
             honest = run_profile(name, run_exchange, dict)
             for make in _profiles(mods, honest.leaders, honest.forwarders):
                 run_profile(name, run_exchange, make)
+            if name.startswith("2-of-"):
+                issuer_cls.split_subshares, forging[0] = _forging_split(split, shamir), True
+                try:
+                    run_profile(f"{name} {FORGED_SPLIT}", run_exchange, dict)
+                finally:
+                    issuer_cls.split_subshares, forging[0] = split, False
     finally:
         exchange_cls.run, issuer_cls.verify_tag = run, verify_tag
     return digest.hexdigest(), runs

@@ -149,10 +149,13 @@ MUTANTS = [
            "tests/test_lifts.py::test_a_player_past_m_learns_through_its_own_key"),
     Mutant("m-of-n-issues-to-every-player", "src/ratshare/engine.py",
            "issue_round(self.issuer, self.secret, self.threshold, epoch, self.issuer_rng,\n"
-           "                             coefficients)",
+           "                             coefficients, (player,))",
            "{share.holder: share for share in self.issuer.issue_shares(\n"
            "            self.secret, self.threshold, self.n, epoch, self.issuer_rng, coefficients)}",
            "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
+    Mutant("m-of-n-builds-the-next-players-share", "src/ratshare/engine.py",
+           "coefficients, (player,))", "coefficients, (player % self.threshold + 1,))",
+           "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
     Mutant("m-of-n-epoch-built-eagerly", "src/ratshare/engine.py",
            "self.bundles = _EpochBundles(partial(self._build, epoch, coefficients))",
            "self.bundles = _EpochBundles(partial(self._build, epoch, coefficients))"
@@ -205,8 +208,10 @@ MUTANTS = [
            "state.cheat_evidence += evidence",
            "state.cheat_evidence += evidence if pid == receivers[0] else ()",
            "tests/test_lifts.py::test_each_delivered_item_is_checked_once_and_judged_for_every_receiver"),
-    Mutant("forged-split-piece-bundled", "src/ratshare/lifts.py",
-           "self.bundles[recipient] += kept.values()", "self.bundles[recipient].append(sub)",
+    Mutant("forged-split-piece-bundled", "src/ratshare/engine.py",
+           "states[receivers[i]].cheat_evidence.append(found)",
+           "states[receivers[i]].cheat_evidence.append(found)\n"
+           "                self.bundles[receivers[i]].append(item)",
            "tests/test_lifts.py::test_a_bundle_is_the_valid_items_its_sender_was_handed"),
     Mutant("ring-sends-a-one-share-bundle", "src/ratshare/engine.py",
            "self.bare_share = self.n == 3", "self.bare_share = False",
@@ -217,6 +222,9 @@ MUTANTS = [
     Mutant("share-direct-format-accepts-bool", "src/ratshare/transcript.py",
            "type(y) is int", "isinstance(y, int)",
            "tests/test_cli.py::test_jsonl_line_is_json_dumps_of_the_record"),
+    Mutant("tail-cache-bool-as-int", "src/ratshare/transcript.py",
+           "if item is None or type(item) is int:", "if item is None or isinstance(item, int):",
+           "tests/test_cli.py::test_cached_tail_lines_are_json_dumps_of_the_record"),
     Mutant("payload-text-always-reused", "src/ratshare/transcript.py",
            "if text is None or item is not payload:", "if text is None:",
            "tests/test_cli.py::test_dump_lines_are_the_recorded_messages_in_order"),
