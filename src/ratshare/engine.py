@@ -15,14 +15,16 @@ groups; each group's first player leads it, takes one seat on the coin
 ring and broadcasts its group's bundle.  Each iteration issues a fresh
 epoch, and `run` refuses a repeat before it touches any state.  Every
 delivered item, whether split piece, forwarded bundle or broadcast, is
-judged by `_deliver`, a holder's split pieces in one call, each for its
-own recipient; a player's holdings are the holding keys of what it holds
-(`holding_key` of an item, `item_key` from numbers), and the items
+judged by `_deliver`, the one place a bundle grows: a holder's split
+pieces and a forwarder's bundle go item by item, each to its own
+recipient.  A player's holdings are the holding keys of what it holds
+(`holding_key` of an item, written through `item_key`), and the items
 themselves travel in bundles.  An epoch builds items only as they are
-sent: an m-of-n epoch draws its polynomial when it is issued, and builds
-and tags a designated player's share only when that player's bundle is
-first read, as it forwards or its leader broadcasts, so an epoch that
-sends no share builds none and one leader's broadcast builds one share.
+sent: an m-of-n epoch draws its polynomial when it is issued, its only
+draws, and `issue_round` builds and tags a designated player's share
+from it only when that player's bundle is first read, as it forwards or
+its leader broadcasts, so an epoch that sends no share builds none and
+one leader's broadcast builds one share.
 The others hold only their own share's key.  A leader's payload exists
 only once it broadcasts, and its strategy may replace it
 (`Strategy.broadcast_payload`).  The 3-ring is the m-of-n
@@ -36,7 +38,6 @@ and the issuer draw from independent derived substreams.
 from __future__ import annotations
 
 from functools import partial
-from random import Random
 
 from .protocol import (
     ISSUER_ID,
@@ -102,35 +103,28 @@ def check_run_config(alpha: float, cap: int) -> None:
         raise ValueError(f"iteration cap must be at most 2**53, got {cap}")
 
 
-def issue_round(
-    issuer: ShareIssuer,
-    secret: FieldElement,
-    m: int,
-    epoch: int,
-    rng: Random,
-    coefficients: list[int] | None = None,
-    holders=None,
-) -> dict[int, Share]:
-    """Issue one epoch of shares, by holder, from a fresh degree-(m-1)
-    polynomial: to `holders`, points among 1..m, or to all of them.  An
-    m-of-n epoch issues one designated player's share per call, as it is
-    sent.  `coefficients`, drawn earlier by `ShareIssuer.draw_coefficients`,
-    pins the polynomial and draws nothing more from `rng`.  That no epoch is
-    issued twice is the run loop's rule (`GroupedExchange.run`)."""
-    shares = issuer.issue_shares(secret, m, m, epoch, rng, coefficients, holders)
-    return {share.holder: share for share in shares}
+def issue_round(issuer: ShareIssuer, secret: FieldElement, m: int, epoch: int,
+                coefficients: list[int], holder: int) -> list[Share]:
+    """Designated `holder`'s bundle in `epoch`: its share, built and tagged at
+    a point among 1..m of the degree-(m-1) polynomial whose coefficients
+    `ShareIssuer.draw_coefficients` drew when the epoch was issued.  An
+    m-of-n epoch builds one share per call, as it is sent, and draws
+    nothing.  That no epoch is issued twice is the run loop's rule
+    (`GroupedExchange.run`)."""
+    return issuer.issue_shares(secret, m, m, epoch, coefficients, (holder,))
 
 
 def holding_key(item: Share | Subshare) -> tuple:
-    """The key a kept item adds to its holder's holdings: ("share", holder)
-    for a share, ("sub", parent holder, index) for a subshare."""
+    """The key a kept item adds to its holder's holdings: `item_key` of a
+    share's holder, or of a subshare's parent holder and index."""
     if isinstance(item, Share):
-        return ("share", item.holder)
-    return ("sub", item.parent_holder, item.index)
+        return item_key(item.holder)
+    return item_key(item.parent_holder, item.index)
 
 
 def item_key(holder: int, index: int | None = None) -> tuple:
-    """`holding_key` from numbers: of `holder`'s share, or of its subshare `index`."""
+    """The holding key of `holder`'s share, ("share", holder), or of its
+    subshare `index`, ("sub", holder, index): the one definition of both."""
     return ("share", holder) if index is None else ("sub", holder, index)
 
 
@@ -168,9 +162,10 @@ class GroupedExchange:
     as one item.  `_deliver` judges each delivered item once, however many
     players receive it: split pieces, forwarded bundles and broadcasts.
     Every receiver holds the valid items' `holding_key`s and records
-    evidence for the rest; a holder's split pieces are judged in one call,
-    each for its own recipient.  Only the players who act, the leaders and the
-    forwarders, get a random stream.
+    evidence for the rest; a holder's split pieces and a forwarder's bundle
+    are judged in one call each, item by item for its own recipient, whose
+    bundle `_deliver` alone grows.  Only the players who act, the leaders
+    and the forwarders, get a random stream.
     """
 
     def __init__(
@@ -237,27 +232,28 @@ class GroupedExchange:
         """Who learned, the exchange's call: the keys of `threshold` items of one epoch."""
         return state.learned_earlier or len(state.holdings) >= self.threshold
 
-    def _deliver(self, sender: int, items, epoch: int, receivers,
-                 each: bool = False) -> tuple[dict, tuple]:
+    def _deliver(self, sender: int, items, epoch: int, receivers, each: bool = False) -> tuple:
         """Hand `sender`'s items of `epoch` to `receivers`, checking each once:
         type, then epoch, then tag.  Every receiver adds the valid items'
         `holding_key`s to its holdings and records the same evidence, dated the
         iteration all players are in, for the rest.  With `each`, item i goes
         to `receivers[i]` alone, which also adds it to its bundle if valid: a
-        holder's split pieces, one per other player.  Returns (kept by key,
-        evidence)."""
+        holder's split pieces, one per other player, or a forwarder's bundle,
+        each item to its leader.  This is the one place a bundle grows.
+        Returns the evidence."""
         states = self.states
-        kept, evidence = {}, ()
+        keys, evidence = [], ()
         for i, item in enumerate(items):
             if not isinstance(item, self.item_type) or item.epoch != epoch:
                 kind = self.stale_evidence
             elif self.issuer.verify_tag(item):
                 key = holding_key(item)
-                kept[key] = item
                 if each:
                     receiver = receivers[i]
                     states[receiver].holdings.add(key)
                     self.bundles[receiver].append(item)
+                else:
+                    keys.append(key)
                 continue
             else:
                 kind = "invalid-tag"
@@ -268,9 +264,9 @@ class GroupedExchange:
         if not each:
             for pid in receivers:
                 state = states[pid]
-                state.holdings.update(kept)  # the keys
+                state.holdings.update(keys)
                 state.cheat_evidence += evidence
-        return kept, evidence
+        return evidence
 
     # One iteration ------------------------------------------------------------
 
@@ -368,7 +364,7 @@ class GroupedExchange:
             if not isinstance(items, tuple):
                 continue
             receivers = [pid for pid in live if pid != sender]
-            _, evidence = self._deliver(sender, items, epoch, receivers + self.observers)
+            evidence = self._deliver(sender, items, epoch, receivers + self.observers)
             if not evidence:
                 for pid in receivers:
                     states[pid].observed_broadcasts.add(sender)
@@ -422,8 +418,7 @@ class GroupedExchange:
                     stalled.add(leader)
                     continue
                 items = bundles[p]
-                kept, _ = self._deliver(p, items, epoch, (leader,))
-                bundles[leader] += kept.values()
+                self._deliver(p, items, epoch, [leader] * len(items), each=True)
                 if record:
                     msgs.append(tuple.__new__(
                         RoundMessage, (p, leader, _ISSUE, _SHARE_BROADCAST, tuple(items))
@@ -475,7 +470,7 @@ class GroupedExchange:
 class _EpochBundles(dict):
     """An m-of-n epoch's bundles, each built at its first read: a designated
     player's bundle is its own share, built and tagged by `build(player)`,
-    the epoch's `MOfNExchange._build` over its drawn coefficients."""
+    `issue_round` bound to the epoch and its drawn coefficients."""
 
     __slots__ = ("build",)
 
@@ -492,11 +487,12 @@ class MOfNExchange(GroupedExchange):
 
     Only players 1..m can send a share, so an epoch builds shares for them
     alone; every player holds its own share's key, which counts toward the
-    threshold.  Issuing an epoch only draws its polynomial: a designated
-    player's share is built and tagged the first time its bundle is read,
-    when it forwards or its leader broadcasts, so an epoch builds one share
-    per sent one and none when nothing is sent.  Shares sit at the points
-    1..n, so n must be below p.
+    threshold.  Issuing an epoch draws its polynomial, the epoch's only
+    draws: a designated player's share is built and tagged through
+    `issue_round` the first time its bundle is read, when it forwards or its
+    leader broadcasts, so an epoch builds one share per sent one and none
+    when nothing is sent.  Shares sit at the points 1..n, so n must be
+    below p.
     """
 
     def __init__(self, *args, **kw):
@@ -507,16 +503,12 @@ class MOfNExchange(GroupedExchange):
 
     def _issue_epoch(self, epoch: int) -> None:
         coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)
-        self.bundles = _EpochBundles(partial(self._build, epoch, coefficients))
+        self.bundles = _EpochBundles(
+            partial(issue_round, self.issuer, self.secret, self.threshold, epoch, coefficients)
+        )
         states = self.states
         for p, key in self.own_keys.items():
             states[p].holdings.add(key)
-
-    def _build(self, epoch: int, coefficients: list[int], player: int) -> list[Share]:
-        """The bundle of designated `player` in `epoch`: its share of the drawn polynomial."""
-        shares = issue_round(self.issuer, self.secret, self.threshold, epoch, self.issuer_rng,
-                             coefficients, (player,))
-        return list(shares.values())
 
     def _forwarders(self):
         return range(1, self.threshold + 1)

@@ -269,17 +269,16 @@ class ShareIssuer:
         m: int,
         n: int,
         epoch: int,
-        rng: Random,
-        coefficients: list[int] | None = None,
+        coefficients: list[int],
         holders=None,
     ) -> list[Share]:
         """Issue tagged shares of `secret` with reconstruction threshold m to
         `holders`, points among 1..n (all n of them by default).
 
-        Coefficients a_1..a_{m-1} come from `draw_coefficients` unless
-        `coefficients` pins them: an engine epoch drawn before it is built,
-        or a deterministic test.  An engine epoch issues one holder's share
-        at a time, as it is sent; `hiding` issues every holder's.
+        The polynomial's coefficients a_1..a_{m-1} are given, drawn earlier
+        by `draw_coefficients` or pinned by a caller, so issuing draws
+        nothing.  An engine epoch issues one holder's share at a time, as it
+        is sent; `hiding` issues every holder's.
         """
         p = self.modulus
         if secret.modulus != p:
@@ -295,8 +294,6 @@ class ShareIssuer:
             for i in holders:
                 if type(i) is not int or not 1 <= i <= n:
                     raise ValueError(f"holder {i!r} is not a point in 1..{n}")
-        if coefficients is None:
-            coefficients = self.draw_coefficients(m, rng)
         if len(coefficients) != m - 1:
             raise ValueError("need exactly m-1 coefficients")
         poly = _polynomial(secret, coefficients, p)
@@ -330,7 +327,7 @@ class ShareIssuer:
 
     def draw_coefficients(self, m: int, rng: Random) -> list[int]:
         """The coefficients a_1..a_{m-1} of a fresh degree-(m-1) polynomial,
-        uniform over the field: the draws `issue_shares` makes unless pinned."""
+        uniform over the field: the one place a polynomial is drawn."""
         p = self.modulus
         return [rng.randrange(p) for _ in range(m - 1)]
 
@@ -343,24 +340,20 @@ class ShareIssuer:
                                 item.value.value)
         return hmac.compare_digest(item.tag, self._mac(msg))
 
-    def split_subshares(self, share, count: int, rng: Random) -> list[Subshare]:
-        """Split a share into `count` additive subshares summing to its y value.
+    def split_subshares(self, point: tuple, count: int, rng: Random) -> list[Subshare]:
+        """Split the y value of the point (holder, y, epoch) into `count`
+        additive subshares summing to it.
 
-        `share` is a `Share`, or the point (holder, y, epoch) of one that was
-        never built: a 2-of-n epoch splits the values `evaluate` gave it,
-        ints in [0, p), and tags only the pieces.  All but the last value are
+        y must be an int in [0, p) of the issuer's field, as `evaluate`
+        gives it: a 2-of-n epoch splits its holders' values without building
+        their shares, and tags only the pieces.  All but the last value are
         uniform; each piece carries its own tag (the tag substitutes for a
         proof that the split was done honestly).
         """
         if count < 2:
             raise ValueError(f"subshare count must be >= 2, got {count}")
         p = self.modulus
-        if isinstance(share, Share):
-            if share.y.modulus != p:
-                raise ValueError("share modulus does not match issuer modulus")
-            parent, y, epoch = share.holder, share.y.value, share.epoch
-        else:
-            parent, y, epoch = share
+        parent, y, epoch = point
         values = [rng.randrange(p) for _ in range(count - 1)]
         values.append((y - sum(values)) % p)
         mac = self._mac
@@ -503,14 +496,13 @@ def exhaustive_round_trip_check(p: int = 7, n: int = 3) -> dict[int, int]:
     implementation).
     """
     issuer = ShareIssuer(b"round-trip-check", modulus=p)
-    rng = Random(0)
     failures = {}
     for m in _ROUND_TRIP_THRESHOLDS:
         bad = 0
         for secret in range(p):
             s = FieldElement(secret, p)
             for coeffs in product(range(p), repeat=m - 1):
-                shares = issuer.issue_shares(s, m, n, epoch=0, rng=rng, coefficients=list(coeffs))
+                shares = issuer.issue_shares(s, m, n, 0, list(coeffs))
                 for k in range(m, n + 1):
                     for subset in combinations(shares, k):
                         if reconstruct(list(subset), m, issuer).value != secret:

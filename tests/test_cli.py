@@ -763,8 +763,10 @@ def _with_field(item, field, value):
 
 def _payloads() -> dict:
     issuer = ShareIssuer(b"line", modulus=101)
-    shares = issuer.issue_shares(FieldElement(9, 101), 2, 3, 4, Random(0))
-    subshares = issuer.split_subshares(shares[0], 3, Random(1))
+    coefficients = issuer.draw_coefficients(2, Random(0))
+    shares = issuer.issue_shares(FieldElement(9, 101), 2, 3, 4, coefficients)
+    first = shares[0]
+    subshares = issuer.split_subshares((first.holder, first.y.value, first.epoch), 3, Random(1))
     payloads = {
         "zero": 0, "one": 1, "int": 7, "none": None, "true": True, "false": False,
         "str": "text", "float": 0.25, "share": shares[1], "share-tuple": tuple(shares),

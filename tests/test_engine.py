@@ -130,10 +130,19 @@ def forced_profile(assignment, inner=None):
 # --- issuance ----------------------------------------------------------------
 
 
+def _issue_all(issuer, secret, m, epoch, rng):
+    """Every designated holder's `issue_round` bundle of one freshly drawn polynomial."""
+    coefficients = issuer.draw_coefficients(m, rng)
+    return {holder: issue_round(issuer, secret, m, epoch, coefficients, holder)
+            for holder in range(1, m + 1)}
+
+
 def test_issue_round_shape():
     issuer = ShareIssuer(b"k", modulus=13)
-    shares = issue_round(issuer, FieldElement(5, 13), 3, 0, Random(0))
-    assert sorted(shares) == [1, 2, 3]
+    bundles = _issue_all(issuer, FieldElement(5, 13), 3, 0, Random(0))
+    assert sorted(bundles) == [1, 2, 3]
+    assert all(len(bundle) == 1 for bundle in bundles.values())
+    shares = {pid: bundle[0] for pid, bundle in bundles.items()}
     assert all(issuer.verify_tag(s) for s in shares.values())
     assert all(s.holder == pid for pid, s in shares.items())
 
@@ -141,11 +150,31 @@ def test_issue_round_shape():
 def test_issue_round_fresh_polynomial_per_epoch():
     issuer = ShareIssuer(b"k", modulus=101)
     rng = Random(1)
-    first = issue_round(issuer, FieldElement(55, 101), 3, 0, rng)
-    second = issue_round(issuer, FieldElement(55, 101), 3, 1, rng)
-    assert [s.y.value for s in first.values()] != [s.y.value for s in second.values()]
-    assert reconstruct(list(first.values()), 3, issuer).value == 55
-    assert reconstruct(list(second.values()), 3, issuer).value == 55
+    first = [b[0] for b in _issue_all(issuer, FieldElement(55, 101), 3, 0, rng).values()]
+    second = [b[0] for b in _issue_all(issuer, FieldElement(55, 101), 3, 1, rng).values()]
+    assert [s.y.value for s in first] != [s.y.value for s in second]
+    assert reconstruct(first, 3, issuer).value == 55
+    assert reconstruct(second, 3, issuer).value == 55
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (3, 6), (4, 5)], ids=["3-ring", "3-of-6", "4-of-5"])
+def test_building_an_epochs_shares_draws_nothing(m, n):
+    # An epoch's randomness is drawn when it is issued.  Its shares are built
+    # later, at the first read of each designated player's bundle, and the
+    # order of those reads changes neither the shares nor the issuer's stream.
+    built = []
+    for order in (range(1, m + 1), range(m, 0, -1)):
+        game = MOfNExchange(5, partition_players(n, m), m, alpha=0.5, profile=None, seed=7,
+                            trial=0, cap=1, record=False)
+        game._issue_epoch(0)
+        issued = game.issuer_rng.getstate()
+        bundles = {}
+        for p in order:
+            bundles[p] = game.bundles[p]
+            assert [share.holder for share in bundles[p]] == [p]
+            assert game.issuer_rng.getstate() == issued, p
+        built.append(bundles)
+    assert built[0] == built[1]
 
 
 @pytest.mark.parametrize("exchange", ["3-ring-alpha-1", "3-ring-all-tails", "3-of-6", "2-of-4"])

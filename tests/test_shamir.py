@@ -40,6 +40,16 @@ def issuer13():
     return ShareIssuer(b"test-key-13", modulus=13)
 
 
+def issue(issuer, secret, m, n, epoch, rng):
+    """`issue_shares` of a polynomial `draw_coefficients` draws from `rng`."""
+    return issuer.issue_shares(secret, m, n, epoch, issuer.draw_coefficients(m, rng))
+
+
+def point(share: Share) -> tuple:
+    """The point (holder, y, epoch) of `share`, as `split_subshares` takes it."""
+    return share.holder, share.y.value, share.epoch
+
+
 def oracle_tag(key: bytes, *fields) -> bytes:
     """HMAC-SHA256 over the '|'-joined fields, computed afresh."""
     return hmac.new(key, "|".join(map(str, fields)).encode(), hashlib.sha256).digest()
@@ -84,16 +94,16 @@ def test_field_element_rejects_values_that_are_not_ints():
     # 8.5, 1.5 and 7.5 and reconstruct to 9.0.
     issuer = ShareIssuer(b"k", modulus=13)
     with pytest.raises(ValueError, match="is not an int in"):
-        issuer.issue_shares(FieldElement(2.5, 13), 3, 3, 0, Random(0))
+        issue(issuer, FieldElement(2.5, 13), 3, 3, 0, Random(0))
     # Nor does a coefficient that is not an int, though the issuer builds
     # its y values without the constructor's check.
     for coefficient in (1.5, 2.0):
         with pytest.raises(ValueError, match="is not an int"):
-            issuer.issue_shares(fe(2), 2, 3, 0, Random(0), coefficients=[coefficient])
+            issuer.issue_shares(fe(2), 2, 3, 0, coefficients=[coefficient])
 
 
 def test_share_holder_is_an_int_point_of_the_field(issuer13):
-    share = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0))[0]
+    share = issue(issuer13, fe(5), m=2, n=3, epoch=0, rng=Random(0))[0]
     for holder in (13, -1, True, 1.0):
         with pytest.raises(ValueError, match="is not an int in"):
             Share(holder=holder, y=fe(1), epoch=0, tag=b"")
@@ -128,38 +138,38 @@ def test_is_prime_small():
 
 
 def test_constant_polynomial_when_threshold_one(issuer13):
-    shares = issuer13.issue_shares(fe(5), m=1, n=3, epoch=0, rng=Random(0))
+    shares = issue(issuer13, fe(5), m=1, n=3, epoch=0, rng=Random(0))
     assert [s.y.value for s in shares] == [5, 5, 5]
 
 
 def test_forced_coefficient_evaluation(issuer13):
     # f(x) = 5 + 3x mod 13 at x = 1, 2, 3.
-    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0), coefficients=[3])
+    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, coefficients=[3])
     assert [(s.holder, s.y.value) for s in shares] == [(1, 8), (2, 11), (3, 1)]
 
 
 def test_issue_validates_threshold_and_modulus(issuer13):
     with pytest.raises(ValueError):
-        issuer13.issue_shares(fe(5), m=0, n=3, epoch=0, rng=Random(0))
+        issue(issuer13, fe(5), m=0, n=3, epoch=0, rng=Random(0))
     with pytest.raises(ValueError):
-        issuer13.issue_shares(fe(5), m=4, n=3, epoch=0, rng=Random(0))
+        issue(issuer13, fe(5), m=4, n=3, epoch=0, rng=Random(0))
     with pytest.raises(ValueError):
-        issuer13.issue_shares(fe(5, 7), m=2, n=3, epoch=0, rng=Random(0))
+        issue(issuer13, fe(5, 7), m=2, n=3, epoch=0, rng=Random(0))
     with pytest.raises(ValueError):
-        ShareIssuer(b"k", modulus=7).issue_shares(fe(5, 7), m=2, n=8, epoch=0, rng=Random(0))
+        issue(ShareIssuer(b"k", modulus=7), fe(5, 7), m=2, n=8, epoch=0, rng=Random(0))
 
 
 # --- reconstruction --------------------------------------------------------
 
 
 def test_hand_lagrange(issuer13):
-    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0), coefficients=[3])
+    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, coefficients=[3])
     # 8*2*(2-1)^-1 + 11*1*(1-2)^-1 = 16 - 11 = 5 mod 13
     assert reconstruct(shares[:2], m=2, issuer=issuer13).value == 5
 
 
 def test_single_share_threshold_one(issuer13):
-    shares = issuer13.issue_shares(fe(9), m=1, n=3, epoch=0, rng=Random(1))
+    shares = issue(issuer13, fe(9), m=1, n=3, epoch=0, rng=Random(1))
     assert reconstruct([shares[0]], m=1, issuer=issuer13).value == 9
 
 
@@ -167,7 +177,7 @@ def test_round_trip_gf7_exhaustive():
     issuer = ShareIssuer(b"k7", modulus=7)
     rng = Random(2)
     for s in range(7):
-        shares = issuer.issue_shares(FieldElement(s, 7), m=2, n=3, epoch=0, rng=rng)
+        shares = issue(issuer, FieldElement(s, 7), m=2, n=3, epoch=0, rng=rng)
         for subset in combinations(shares, 2):
             assert reconstruct(list(subset), 2, issuer).value == s
 
@@ -177,23 +187,23 @@ def test_round_trip_random_secrets_gf101():
     rng = Random(3)
     for _ in range(100):
         s = rng.randrange(101)
-        shares = issuer.issue_shares(FieldElement(s, 101), m=3, n=3, epoch=0, rng=rng)
+        shares = issue(issuer, FieldElement(s, 101), m=3, n=3, epoch=0, rng=rng)
         assert reconstruct(shares, 3, issuer).value == s
 
 
 def test_reconstruct_uses_first_m_in_x_order(issuer13):
-    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0), coefficients=[3])
+    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, coefficients=[3])
     shuffled = [shares[2], shares[0], shares[1]]
     assert reconstruct(shuffled, 2, issuer13).value == 5
 
 
 def test_reconstruct_errors(issuer13):
-    shares = issuer13.issue_shares(fe(5), m=3, n=3, epoch=0, rng=Random(0))
+    shares = issue(issuer13, fe(5), m=3, n=3, epoch=0, rng=Random(0))
     with pytest.raises(ReconstructionError):
         reconstruct(shares[:2], 3, issuer13)
     with pytest.raises(ReconstructionError):
         reconstruct([shares[0], shares[0], shares[1]], 3, issuer13)
-    other = issuer13.issue_shares(fe(5), m=3, n=3, epoch=1, rng=Random(0))
+    other = issue(issuer13, fe(5), m=3, n=3, epoch=1, rng=Random(0))
     with pytest.raises(ReconstructionError):
         reconstruct([other[0], shares[1], shares[2]], 3, issuer13)
     forged = dataclasses.replace(shares[0], y=fe((shares[0].y.value + 1) % 13))
@@ -242,7 +252,7 @@ RECONSTRUCT_PRECEDENCE = {
 
 @pytest.mark.parametrize("case", list(RECONSTRUCT_PRECEDENCE))
 def test_reconstruct_reports_the_first_broken_rule(case, issuer13):
-    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0))
+    shares = issue(issuer13, fe(5), m=2, n=3, epoch=0, rng=Random(0))
     build, m, message = RECONSTRUCT_PRECEDENCE[case]
     with pytest.raises(ReconstructionError) as exc:
         reconstruct(build(shares), m, issuer13)
@@ -278,8 +288,8 @@ COMBINE_PRECEDENCE = {
 
 @pytest.mark.parametrize("case", list(COMBINE_PRECEDENCE))
 def test_combine_subshares_reports_the_first_broken_rule(case, issuer13):
-    share = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0))[0]
-    subs = issuer13.split_subshares(share, 3, Random(1))
+    share = issue(issuer13, fe(5), m=2, n=3, epoch=0, rng=Random(0))[0]
+    subs = issuer13.split_subshares(point(share), 3, Random(1))
     build, count, message = COMBINE_PRECEDENCE[case]
     with pytest.raises(ReconstructionError) as exc:
         combine_subshares(build(subs), count, issuer13)
@@ -324,12 +334,12 @@ def test_reconstruct_matches_textbook_lagrange(data):
 
 
 def test_fresh_tags_verify(issuer13):
-    for share in issuer13.issue_shares(fe(7), m=2, n=3, epoch=4, rng=Random(4)):
+    for share in issue(issuer13, fe(7), m=2, n=3, epoch=4, rng=Random(4)):
         assert issuer13.verify_tag(share)
 
 
 def test_mutated_share_fails_verification(issuer13):
-    share = issuer13.issue_shares(fe(7), m=2, n=3, epoch=4, rng=Random(4))[0]
+    share = issue(issuer13, fe(7), m=2, n=3, epoch=4, rng=Random(4))[0]
     assert not issuer13.verify_tag(dataclasses.replace(share, y=fe((share.y.value + 1) % 13)))
     assert not issuer13.verify_tag(dataclasses.replace(share, epoch=5))
     # The holder is the evaluation point: a share relabelled after issue
@@ -345,7 +355,7 @@ def test_mutated_share_fails_verification(issuer13):
 )
 def test_tag_soundness_under_mutation(field, delta, secret):
     issuer = ShareIssuer(b"prop-key", modulus=13)
-    share = issuer.issue_shares(fe(secret), m=2, n=3, epoch=2, rng=Random(5))[0]
+    share = issue(issuer, fe(secret), m=2, n=3, epoch=2, rng=Random(5))[0]
     if field == "epoch":
         mutant = dataclasses.replace(share, epoch=share.epoch + delta)
     elif field == "holder":
@@ -370,7 +380,7 @@ def test_mac_is_hmac_sha256(key_len, data):
 
 
 def test_other_key_rejects(issuer13):
-    share = issuer13.issue_shares(fe(7), m=2, n=3, epoch=0, rng=Random(6))[0]
+    share = issue(issuer13, fe(7), m=2, n=3, epoch=0, rng=Random(6))[0]
     assert not ShareIssuer(b"other-key", modulus=13).verify_tag(share)
 
 
@@ -389,10 +399,10 @@ def test_tags_and_verification_agree_with_an_hmac_oracle(key, p, n, data):
     epoch = data.draw(st.integers(min_value=0, max_value=10**6))
     secret = data.draw(st.integers(min_value=0, max_value=p - 1))
     rng = Random(data.draw(st.integers(min_value=0, max_value=2**32)))
-    shares = issuer.issue_shares(FieldElement(secret, p), m, n, epoch, rng)
+    shares = issue(issuer, FieldElement(secret, p), m, n, epoch, rng)
     items = list(shares)
     for share in shares[: data.draw(st.integers(min_value=0, max_value=n))]:
-        items += issuer.split_subshares(share, data.draw(st.integers(2, 5)), rng)
+        items += issuer.split_subshares(point(share), data.draw(st.integers(2, 5)), rng)
     for item in items:
         assert item.tag == oracle_tag(key, *oracle_fields(issuer, item))
         assert issuer.verify_tag(item)
@@ -423,12 +433,12 @@ def test_tags_and_verification_agree_with_an_hmac_oracle(key, p, n, data):
 
 
 def test_items_of_an_earlier_issue_verify_by_recomputation(issuer13):
-    old = issuer13.issue_shares(fe(7), m=2, n=3, epoch=0, rng=Random(1))
-    old_subs = issuer13.split_subshares(old[0], 3, Random(2))
+    old = issue(issuer13, fe(7), m=2, n=3, epoch=0, rng=Random(1))
+    old_subs = issuer13.split_subshares(point(old[0]), 3, Random(2))
     # Later issues tag more distinct messages than the cache keeps.
     rng = Random(3)
     for epoch in range(10, 10 + _MAC_CACHE_SIZE):
-        issuer13.issue_shares(fe(7), m=2, n=3, epoch=epoch, rng=rng)
+        issue(issuer13, fe(7), m=2, n=3, epoch=epoch, rng=rng)
 
     before = issuer13._mac.cache_info().misses
     for item in [*old, *old_subs]:
@@ -442,7 +452,7 @@ def test_remembered_tags_are_bounded_and_kept_for_one_epoch():
     rng = Random(0)
     for epoch in range(10_000):
         secret = FieldElement(rng.randrange(DEFAULT_PRIME), DEFAULT_PRIME)
-        shares = issuer.issue_shares(secret, 2, 3, epoch, rng)
+        shares = issue(issuer, secret, 2, 3, epoch, rng)
         assert issuer._mac.cache_info().currsize <= _MAC_CACHE_SIZE
     info = issuer._mac.cache_info()
     assert info.misses == 30_000 and info.currsize == _MAC_CACHE_SIZE
@@ -467,10 +477,10 @@ def test_the_tag_cache_stays_bounded_over_issues_and_splits(ops):
     issued: list[Share] = []
     for epoch, (op, size, pick) in enumerate(ops):
         if op == "issue":
-            items = issuer.issue_shares(fe(5, 101), 2, size, epoch, rng)
+            items = issue(issuer, fe(5, 101), 2, size, epoch, rng)
             issued += items
         elif issued:
-            items = issuer.split_subshares(issued[pick % len(issued)], size, rng)
+            items = issuer.split_subshares(point(issued[pick % len(issued)]), size, rng)
         else:
             continue
         # Each tag computed enters the cache until it is full, and the
@@ -485,8 +495,8 @@ def test_the_tag_cache_is_keyed_by_the_message(issuer13):
     # 1 == True == 1.0, but each writes a message of its own, so an epoch
     # (or a subshare's parent or index) of True or 1.0 does not match the
     # cached tag of 1.
-    share = issuer13.issue_shares(fe(7), m=2, n=3, epoch=1, rng=Random(0))[0]
-    sub = issuer13.split_subshares(share, 3, Random(1))[0]
+    share = issue(issuer13, fe(7), m=2, n=3, epoch=1, rng=Random(0))[0]
+    sub = issuer13.split_subshares(point(share), 3, Random(1))[0]
     assert (share.holder, sub.parent_holder, sub.index) == (1, 1, 1)
     assert issuer13.verify_tag(share) and issuer13.verify_tag(sub)
     for other in (True, 1.0):
@@ -498,8 +508,8 @@ def test_the_tag_cache_is_keyed_by_the_message(issuer13):
 def test_an_item_changed_in_place_after_issue_fails_its_tag(issuer13):
     # A frozen dataclass still yields to object.__setattr__: verification
     # must read the item's fields on every call, not remember the item.
-    shares = issuer13.issue_shares(fe(7), m=2, n=3, epoch=1, rng=Random(0))
-    subs = issuer13.split_subshares(shares[0], 3, Random(1))
+    shares = issue(issuer13, fe(7), m=2, n=3, epoch=1, rng=Random(0))
+    subs = issuer13.split_subshares(point(shares[0]), 3, Random(1))
     changes = [
         (shares[0], "y", fe(8)), (shares[1], "holder", 3), (shares[2], "epoch", 2),
         (shares[2], "epoch", 1.0), (subs[0], "value", fe(0)), (subs[1], "index", 3),
@@ -519,8 +529,8 @@ class _SubclassedShare(Share):
 
 
 def test_verify_tag_formats_each_item_by_its_type(issuer13):
-    share = issuer13.issue_shares(fe(7), m=2, n=3, epoch=1, rng=Random(0))[0]
-    sub = issuer13.split_subshares(share, 2, Random(1))[0]
+    share = issue(issuer13, fe(7), m=2, n=3, epoch=1, rng=Random(0))[0]
+    sub = issuer13.split_subshares(point(share), 2, Random(1))[0]
     assert issuer13.verify_tag(share) and issuer13.verify_tag(sub)
     # A subshare carrying the tag of the share message its parent, epoch
     # and value would make is not a share.
@@ -539,7 +549,7 @@ def test_an_issuer_is_freed_without_the_garbage_collector():
     gc.disable()
     try:
         issuer = ShareIssuer(b"cycle", modulus=13)
-        assert issuer.verify_tag(issuer.issue_shares(fe(3), 2, 3, 0, Random(0))[0])
+        assert issuer.verify_tag(issue(issuer, fe(3), 2, 3, 0, Random(0))[0])
         refs = weakref.ref(issuer), weakref.ref(issuer._mac)
         del issuer
         assert [ref() for ref in refs] == [None, None]
@@ -548,8 +558,8 @@ def test_an_issuer_is_freed_without_the_garbage_collector():
 
 
 def test_two_of_n_issue_remembers_each_subshare_once(issuer13):
-    shares = issuer13.issue_shares(fe(4), m=2, n=2, epoch=0, rng=Random(0))
-    subs = [s for share in shares for s in issuer13.split_subshares(share, 4, Random(1))]
+    shares = issue(issuer13, fe(4), m=2, n=2, epoch=0, rng=Random(0))
+    subs = [s for share in shares for s in issuer13.split_subshares(point(share), 4, Random(1))]
     assert issuer13._mac.cache_info().misses == 2 + 8
     # Verifying the epoch's items is a lookup.
     assert all(issuer13.verify_tag(item) for item in [*shares, *subs])
@@ -579,8 +589,8 @@ def test_remembered_tags_are_the_macs_of_their_messages():
     rng = Random(0)
     items = []
     for secret, slope in product(range(13), repeat=2):
-        shares = issuer.issue_shares(fe(secret), 2, 3, 5, rng, coefficients=[slope])
-        items += shares + issuer.split_subshares(shares[secret % 3], 2 + secret % 3, rng)
+        shares = issuer.issue_shares(fe(secret), 2, 3, 5, coefficients=[slope])
+        items += shares + issuer.split_subshares(point(shares[secret % 3]), 2 + secret % 3, rng)
     for item in items[-20:]:
         msg = "|".join(map(str, oracle_fields(issuer, item)))
         hits = issuer._mac.cache_info().hits
@@ -600,8 +610,8 @@ def _public(item):
 
 
 def test_issuer_built_items_are_the_public_items(issuer13):
-    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=4, rng=Random(0), coefficients=[3])
-    subs = issuer13.split_subshares(shares[1], 3, Random(1))
+    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=4, coefficients=[3])
+    subs = issuer13.split_subshares(point(shares[1]), 3, Random(1))
     built = [
         *shares, *subs, *(s.y for s in shares), *(s.value for s in subs),
         reconstruct(shares, 2, issuer13), combine_subshares(subs, 3, issuer13),
@@ -630,9 +640,9 @@ def test_issuer_built_items_are_the_public_items(issuer13):
 
 
 def test_subshare_additive_complement(issuer13):
-    share = issuer13.issue_shares(fe(9, 13), m=1, n=3, epoch=0, rng=Random(0))[0]
+    share = issue(issuer13, fe(9, 13), m=1, n=3, epoch=0, rng=Random(0))[0]
     assert share.y.value == 9
-    subs = issuer13.split_subshares(share, count=2, rng=ScriptRandom([4]))
+    subs = issuer13.split_subshares(point(share), count=2, rng=ScriptRandom([4]))
     assert [s.value.value for s in subs] == [4, 5]
     assert all(issuer13.verify_tag(s) for s in subs)
 
@@ -641,37 +651,31 @@ def test_subshare_sum_matches_parent(issuer13):
     rng = Random(7)
     for _ in range(100):
         secret = rng.randrange(13)
-        share = issuer13.issue_shares(fe(secret), m=2, n=3, epoch=0, rng=rng)[0]
-        subs = issuer13.split_subshares(share, count=4, rng=rng)
+        share = issue(issuer13, fe(secret), m=2, n=3, epoch=0, rng=rng)[0]
+        subs = issuer13.split_subshares(point(share), count=4, rng=rng)
         assert sum(s.value.value for s in subs) % 13 == share.y.value
         assert combine_subshares(subs, 4, issuer13).value == share.y.value
 
 
 def test_subshare_count_must_be_at_least_two(issuer13):
-    share = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0))[0]
+    share = issue(issuer13, fe(5), m=2, n=3, epoch=0, rng=Random(0))[0]
     with pytest.raises(ValueError):
-        issuer13.split_subshares(share, count=1, rng=Random(0))
+        issuer13.split_subshares(point(share), count=1, rng=Random(0))
 
 
 def test_combine_subshares_requires_all(issuer13):
-    share = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(8))[0]
-    subs = issuer13.split_subshares(share, count=3, rng=Random(8))
+    share = issue(issuer13, fe(5), m=2, n=3, epoch=0, rng=Random(8))[0]
+    subs = issuer13.split_subshares(point(share), count=3, rng=Random(8))
     with pytest.raises(ReconstructionError):
         combine_subshares(subs[:2], 3, issuer13)
 
 
-def test_split_rejects_a_share_of_another_field(issuer13):
-    share = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(0))[0]
-    with pytest.raises(ValueError):
-        ShareIssuer(b"test-key-17", modulus=17).split_subshares(share, 2, Random(0))
-
-
 def test_combine_subshares_rejects_mixed_fields(issuer13):
     issuer17 = ShareIssuer(b"test-key-17", modulus=17)
-    share13 = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, rng=Random(9))[0]
-    share17 = issuer17.issue_shares(fe(5, 17), m=2, n=3, epoch=0, rng=Random(9))[0]
-    subs13 = issuer13.split_subshares(share13, 2, Random(9))
-    subs17 = issuer17.split_subshares(share17, 2, Random(9))
+    share13 = issue(issuer13, fe(5), m=2, n=3, epoch=0, rng=Random(9))[0]
+    share17 = issue(issuer17, fe(5, 17), m=2, n=3, epoch=0, rng=Random(9))[0]
+    subs13 = issuer13.split_subshares(point(share13), 2, Random(9))
+    subs17 = issuer17.split_subshares(point(share17), 2, Random(9))
     with pytest.raises(ReconstructionError):
         combine_subshares([subs13[0], subs17[1]], 2)
 
@@ -691,7 +695,7 @@ def test_partial_subshares_leave_parent_uniform():
                 tag=oracle_tag(b"sub7", "share", 7, 0, 1, parent_y),
             )
             for firsts in product(range(p), repeat=count - 1):
-                subs = issuer.split_subshares(share, count, ScriptRandom(list(firsts)))
+                subs = issuer.split_subshares(point(share), count, ScriptRandom(list(firsts)))
                 for drop in range(count):
                     obs = tuple(s.value.value for i, s in enumerate(subs) if i != drop)
                     key = (count, drop, obs)

@@ -135,9 +135,6 @@ MUTANTS = [
     Mutant("no-partial-info-guard", "src/ratshare/engine.py",
            "if self.honest and any(info) and not all(info):", "if False:",
            "tests/test_lifts.py::test_honest_guard_rejects_a_partial_info_vector"),
-    Mutant("item-key-parent-and-index-swapped", "src/ratshare/engine.py",
-           'else ("sub", holder, index)', 'else ("sub", index, holder)',
-           "tests/test_lifts.py::test_two_of_n_learns_by_the_keys_of_the_items_an_epoch_issues"),
     Mutant("m-of-n-n-below-p-unchecked", "src/ratshare/engine.py",
            "require_points(self.n, self.secret.modulus)", "None",
            "tests/test_lifts.py::test_m_of_n_needs_fewer_players_than_the_field_size"),
@@ -148,22 +145,21 @@ MUTANTS = [
            "item_key(p) for p in self.players}", "item_key(p) for p in range(1, self.threshold + 1)}",
            "tests/test_lifts.py::test_a_player_past_m_learns_through_its_own_key"),
     Mutant("m-of-n-issues-to-every-player", "src/ratshare/engine.py",
-           "issue_round(self.issuer, self.secret, self.threshold, epoch, self.issuer_rng,\n"
-           "                             coefficients, (player,))",
-           "{share.holder: share for share in self.issuer.issue_shares(\n"
-           "            self.secret, self.threshold, self.n, epoch, self.issuer_rng, coefficients)}",
+           "issuer.issue_shares(secret, m, m, epoch, coefficients, (holder,))",
+           "issuer.issue_shares(secret, m, m, epoch, coefficients)[holder - 1:holder]",
            "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
     Mutant("m-of-n-builds-the-next-players-share", "src/ratshare/engine.py",
-           "coefficients, (player,))", "coefficients, (player % self.threshold + 1,))",
+           "coefficients, (holder,))", "coefficients, (holder % m + 1,))",
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
     Mutant("m-of-n-epoch-built-eagerly", "src/ratshare/engine.py",
-           "self.bundles = _EpochBundles(partial(self._build, epoch, coefficients))",
-           "self.bundles = _EpochBundles(partial(self._build, epoch, coefficients))"
-           "\n        self.bundles[1]",
+           "epoch, coefficients)\n        )\n",
+           "epoch, coefficients)\n        )\n        self.bundles[1]\n",
            "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
     Mutant("coefficients-drawn-at-build", "src/ratshare/engine.py",
-           "coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)",
-           "coefficients = None",
+           "partial(issue_round, self.issuer, self.secret, self.threshold, epoch, coefficients)",
+           "lambda p: issue_round(self.issuer, self.secret, self.threshold, epoch,\n"
+           "                             self.issuer.draw_coefficients(self.threshold,\n"
+           "                                                           self.issuer_rng), p)",
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
     Mutant("epoch-guard-lets-a-repeat-through", "src/ratshare/engine.py",
            "if epoch <= self.issued:", "if epoch < self.issued:",
@@ -212,6 +208,9 @@ MUTANTS = [
            "states[receivers[i]].cheat_evidence.append(found)",
            "states[receivers[i]].cheat_evidence.append(found)\n"
            "                self.bundles[receivers[i]].append(item)",
+           "tests/test_lifts.py::test_a_bundle_is_the_valid_items_its_sender_was_handed"),
+    Mutant("forwarded-to-the-forwarder", "src/ratshare/engine.py",
+           "[leader] * len(items)", "[p] * len(items)",
            "tests/test_lifts.py::test_a_bundle_is_the_valid_items_its_sender_was_handed"),
     Mutant("ring-sends-a-one-share-bundle", "src/ratshare/engine.py",
            "self.bare_share = self.n == 3", "self.bare_share = False",
