@@ -97,7 +97,7 @@ def _load_table(args) -> UtilityTable:
     The scalar flags are parsed by `parse_payoff`, and their exact values
     replace the flags' text, so [config] echoes them like floats.
     """
-    if args.utilities:
+    if args.utilities is not None:
         try:
             with open(args.utilities) as fh:
                 table = UtilityTable.from_doc(json.load(fh, parse_int=_json_int), args.players)
@@ -170,7 +170,7 @@ def cmd_simulate(args) -> Section:
     deviation = deviator = None
     alpha_prime = None
     try:
-        if args.deviant:
+        if args.deviant is not None:
             head, _, spec = args.deviant.partition(":")
             if not head.isdecimal():
                 raise ValueError(f"--deviant must look like PLAYER:NAME, got {args.deviant!r:.40}")
@@ -181,7 +181,7 @@ def cmd_simulate(args) -> Section:
         check_run_config(alpha, args.cap)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if args.dump_transcripts:
+    if args.dump_transcripts is not None:
         size = _dump_size(args.trials, alpha, args.cap, deviation, deviator, profile)
         if size > DUMP_BUDGET_BYTES:
             raise ConfigError(
@@ -282,7 +282,7 @@ BUILTIN_GAMES = {
 
 def _build_game(args, table: UtilityTable):
     """The game and its recommended labels (None for a loaded game)."""
-    if args.game:
+    if args.game is not None:
         try:
             return dominance.NormalFormGame.load(args.game), None
         except _BAD_DOCUMENT as exc:
@@ -299,7 +299,7 @@ _DOMINANCE_DEFAULTS = {"builtin": "oneshot-2of2", **TABLE_DEFAULTS}
 
 
 def cmd_dominance(args) -> Section:
-    if args.game:
+    if args.game is not None:
         given = [f"--{dest.replace('_', '-')}" for dest in (*_DOMINANCE_DEFAULTS, "utilities")
                  if getattr(args, dest) is not None]
         if given:
@@ -308,7 +308,7 @@ def cmd_dominance(args) -> Section:
         for dest, value in _DOMINANCE_DEFAULTS.items():
             if getattr(args, dest) is None:
                 setattr(args, dest, value)
-    table = _load_table(args) if not args.game else None
+    table = _load_table(args) if args.game is None else None
     game, labels = _build_game(args, table)
     if args.profile is not None:
         labels = args.profile.split(",")
@@ -490,7 +490,7 @@ def run_command(args) -> Report:
     report = Report(args.command)
     config = report.section("config").add("command", args.command)
     keys = args.config_keys.split()
-    if getattr(args, "utilities", None):
+    if getattr(args, "utilities", None) is not None:
         keys = ["utilities" if k == "u_only" else k for k in keys
                 if k not in ("u_all", "u_none", "utilities")]
     for key in keys:
@@ -519,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"argument {arg!r:.40} contains a line break")
         args = _parser().parse_args(argv)
         text = run_command(args).render()
-        if args.out:
+        if args.out is not None:
             with _create(args.out, "the report") as fh:
                 fh.write(text)
         else:

@@ -20,12 +20,13 @@ it on every call.
 
 A share's evaluation point is its holder, so the tag covers who holds
 it: a share relabelled after issue fails its tag.  The Lagrange weights
-at zero are cached per point set and field.  Reconstruction checks its
-items in one pass.  Items are frozen, slot-backed dataclasses.  The
-values an issuer or a reconstruction has just reduced mod an already
-checked modulus, and the holders 1..n < p an issuer numbers, are set
-into their items' slots directly, without the public constructors'
-checks; every other item is checked.
+at zero are cached per point set and field.  A tag is checked where an
+item arrives; reconstruction checks its items' shape in one pass and
+combines them.  Items are frozen, slot-backed dataclasses.  The values an
+issuer or a reconstruction has just reduced mod an already checked
+modulus, and the holders 1..n < p an issuer numbers, are set into their
+items' slots directly, without the public constructors' checks; every
+other item is checked.
 
 The exhaustive small-field verifiers (reconstruction round-trip and
 hiding-posterior uniformity) live here so the command-line `hiding`
@@ -383,15 +384,11 @@ def _lagrange_at_zero(xs: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def reconstruct(
-    shares: list[Share] | set[Share] | tuple[Share, ...],
-    m: int,
-    issuer: ShareIssuer | None = None,
-) -> FieldElement:
+def reconstruct(shares: list[Share] | set[Share] | tuple[Share, ...], m: int) -> FieldElement:
     """Recover f(0) from at least m shares of one epoch.
 
     Uses exactly the first m shares in increasing holder order so transcripts
-    reproduce; verifies every supplied tag when an issuer is given.
+    reproduce.  Tags are checked where shares arrive, not here.
     """
     if m < 1:
         raise ReconstructionError(f"threshold must be >= 1, got {m}")
@@ -399,7 +396,7 @@ def reconstruct(
     if len(shares) < m:
         raise ReconstructionError(f"need at least {m} shares, got {len(shares)}")
     # One pass gathers what the checks need; they still fail in the order
-    # epochs, field, duplicate holder, tags.  Sorted by holder, a repeat is
+    # epochs, field, duplicate holder.  Sorted by holder, a repeat is
     # adjacent.
     first = shares[0]
     epoch, p = first.epoch, first.y.modulus
@@ -424,28 +421,20 @@ def reconstruct(
         raise ReconstructionError("shares span different fields")
     if duplicate:
         raise ReconstructionError("duplicate x coordinates")
-    if issuer is not None:
-        verify = issuer.verify_tag
-        for s in shares:
-            if not verify(s):
-                raise ReconstructionError(f"tag verification failed for holder {s.holder}")
     # The weights are m long, so only the first m y values are summed.
     weights = _lagrange_at_zero(tuple(xs[:m]), p)
     return _element(sum(map(mul, ys, weights)) % p, p)
 
 
-def combine_subshares(
-    subshares: list[Subshare],
-    count: int,
-    issuer: ShareIssuer | None = None,
-) -> FieldElement:
-    """Recover a parent share's y value from all `count` of its subshares."""
+def combine_subshares(subshares: list[Subshare], count: int) -> FieldElement:
+    """Recover a parent share's y value from all `count` of its subshares;
+    tags are checked where subshares arrive, not here."""
     if len(subshares) != count:
         raise ReconstructionError(f"need all {count} subshares, got {len(subshares)}")
     if not subshares:  # count 0: no parent at all
         raise ReconstructionError("subshares from mixed parents or epochs")
     # One pass gathers what the checks need; they still fail in the order
-    # parents or epochs, field, indices, tags.
+    # parents or epochs, field, indices.
     first = next(iter(subshares))
     parent, epoch, p = first.parent_holder, first.epoch, first.value.modulus
     mixed = mixed_fields = False
@@ -464,11 +453,6 @@ def combine_subshares(
         raise ReconstructionError("subshares span different fields")
     if indices != set(range(1, count + 1)):
         raise ReconstructionError("subshare indices are not 1..count")
-    if issuer is not None:
-        verify = issuer.verify_tag
-        for s in subshares:
-            if not verify(s):
-                raise ReconstructionError(f"tag verification failed for subshare {s.index}")
     return _element(total % p, p)
 
 
@@ -491,11 +475,13 @@ def exhaustive_round_trip_check(p: int = 7, n: int = 3) -> dict[int, int]:
     """Count reconstruction failures over every polynomial and k-subset.
 
     For each threshold m in 1..3, every secret and every coefficient
-    vector is shared and every subset of size m..n reconstructed.
-    Returns failures per threshold (all zero for a correct
-    implementation).
+    vector is shared, each share's tag checked once as its holder would on
+    receipt (a failure raises), and every subset of size m..n
+    reconstructed.  Returns failures per threshold (all zero for a
+    correct implementation).
     """
     issuer = ShareIssuer(b"round-trip-check", modulus=p)
+    verify = issuer.verify_tag
     failures = {}
     for m in _ROUND_TRIP_THRESHOLDS:
         bad = 0
@@ -503,9 +489,13 @@ def exhaustive_round_trip_check(p: int = 7, n: int = 3) -> dict[int, int]:
             s = FieldElement(secret, p)
             for coeffs in product(range(p), repeat=m - 1):
                 shares = issuer.issue_shares(s, m, n, 0, list(coeffs))
+                for share in shares:
+                    if not verify(share):
+                        raise ReconstructionError(
+                            f"tag verification failed for holder {share.holder}")
                 for k in range(m, n + 1):
                     for subset in combinations(shares, k):
-                        if reconstruct(list(subset), m, issuer).value != secret:
+                        if reconstruct(list(subset), m).value != secret:
                             bad += 1
         failures[m] = bad
     return failures

@@ -973,6 +973,29 @@ def test_too_few_audit_trials_is_a_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--alpha", "0.5", "--trials", "3", "--seed", "1", "--dump-transcripts", ""],
+         "cannot write transcripts to : "),
+        (["simulate", "--alpha", "0.5", "--trials", "3", "--seed", "1", "--deviant", ""],
+         "--deviant must look like PLAYER:NAME, got ''"),
+        (["alpha-star", "--utilities", ""], "cannot load utilities from : "),
+        (["dominance", "--game", ""], "cannot load game from : "),
+        (["--out", "", "alpha-star"], "cannot write the report to : "),
+    ],
+    ids=["dump-transcripts", "deviant", "utilities", "game", "out"],
+)
+def test_an_empty_flag_value_is_a_config_error(argv, message, capsys):
+    # An empty value is a given value, refused like any other bad one, not
+    # read as an absent flag.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1, err
+
+
 def _canonical_map(player: int, key: str, value) -> str:
     """The canonical table's explicit-map document, one entry replaced, as JSON."""
     doc = canonical_table().to_doc()

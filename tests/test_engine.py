@@ -153,8 +153,8 @@ def test_issue_round_fresh_polynomial_per_epoch():
     first = [b[0] for b in _issue_all(issuer, FieldElement(55, 101), 3, 0, rng).values()]
     second = [b[0] for b in _issue_all(issuer, FieldElement(55, 101), 3, 1, rng).values()]
     assert [s.y.value for s in first] != [s.y.value for s in second]
-    assert reconstruct(first, 3, issuer).value == 55
-    assert reconstruct(second, 3, issuer).value == 55
+    assert reconstruct(first, 3).value == 55
+    assert reconstruct(second, 3).value == 55
 
 
 @pytest.mark.parametrize("m, n", [(3, 3), (3, 6), (4, 5)], ids=["3-ring", "3-of-6", "4-of-5"])

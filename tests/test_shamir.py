@@ -165,12 +165,12 @@ def test_issue_validates_threshold_and_modulus(issuer13):
 def test_hand_lagrange(issuer13):
     shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, coefficients=[3])
     # 8*2*(2-1)^-1 + 11*1*(1-2)^-1 = 16 - 11 = 5 mod 13
-    assert reconstruct(shares[:2], m=2, issuer=issuer13).value == 5
+    assert reconstruct(shares[:2], m=2).value == 5
 
 
 def test_single_share_threshold_one(issuer13):
     shares = issue(issuer13, fe(9), m=1, n=3, epoch=0, rng=Random(1))
-    assert reconstruct([shares[0]], m=1, issuer=issuer13).value == 9
+    assert reconstruct([shares[0]], m=1).value == 9
 
 
 def test_round_trip_gf7_exhaustive():
@@ -179,7 +179,7 @@ def test_round_trip_gf7_exhaustive():
     for s in range(7):
         shares = issue(issuer, FieldElement(s, 7), m=2, n=3, epoch=0, rng=rng)
         for subset in combinations(shares, 2):
-            assert reconstruct(list(subset), 2, issuer).value == s
+            assert reconstruct(list(subset), 2).value == s
 
 
 def test_round_trip_random_secrets_gf101():
@@ -188,32 +188,29 @@ def test_round_trip_random_secrets_gf101():
     for _ in range(100):
         s = rng.randrange(101)
         shares = issue(issuer, FieldElement(s, 101), m=3, n=3, epoch=0, rng=rng)
-        assert reconstruct(shares, 3, issuer).value == s
+        assert reconstruct(shares, 3).value == s
 
 
 def test_reconstruct_uses_first_m_in_x_order(issuer13):
     shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, coefficients=[3])
     shuffled = [shares[2], shares[0], shares[1]]
-    assert reconstruct(shuffled, 2, issuer13).value == 5
+    assert reconstruct(shuffled, 2).value == 5
 
 
 def test_reconstruct_errors(issuer13):
     shares = issue(issuer13, fe(5), m=3, n=3, epoch=0, rng=Random(0))
     with pytest.raises(ReconstructionError):
-        reconstruct(shares[:2], 3, issuer13)
+        reconstruct(shares[:2], 3)
     with pytest.raises(ReconstructionError):
-        reconstruct([shares[0], shares[0], shares[1]], 3, issuer13)
+        reconstruct([shares[0], shares[0], shares[1]], 3)
     other = issue(issuer13, fe(5), m=3, n=3, epoch=1, rng=Random(0))
     with pytest.raises(ReconstructionError):
-        reconstruct([other[0], shares[1], shares[2]], 3, issuer13)
-    forged = dataclasses.replace(shares[0], y=fe((shares[0].y.value + 1) % 13))
-    with pytest.raises(ReconstructionError):
-        reconstruct([forged, shares[1], shares[2]], 3, issuer13)
+        reconstruct([other[0], shares[1], shares[2]], 3)
     # A threshold below 1 is refused, not read as "interpolate from none"
     # (m = 0) or as a slice from the end (m = -1).
     for m in (0, -1):
         with pytest.raises(ReconstructionError):
-            reconstruct(shares, m, issuer13)
+            reconstruct(shares, m)
     with pytest.raises(ReconstructionError):
         reconstruct([], 0)
 
@@ -227,8 +224,9 @@ def _forged(share):
 
 
 # Each case breaks two rules (or one rule twice) and expects the message
-# of the rule checked first: threshold, count, epochs, field, duplicate x,
-# then tags in increasing x order.
+# of the rule checked first: threshold, count, epochs, field, duplicate x.
+# A forged tag is not among the rules: tags are checked where shares
+# arrive, so the `*-over-tag` cases pin the shape rule alone.
 RECONSTRUCT_PRECEDENCE = {
     "threshold-over-count": (lambda s: [], 0, "threshold must be >= 1, got 0"),
     "count-over-epochs": (lambda s: [s[0], _share(2, epoch=1)], 3, "need at least 3 shares, got 2"),
@@ -245,8 +243,6 @@ RECONSTRUCT_PRECEDENCE = {
                              "duplicate x coordinates"),
     "epochs-over-tag": (lambda s: [_forged(s[0]), _share(2, epoch=1)], 2,
                         "shares span epochs [0, 1]"),
-    "lowest-x-tag-first": (lambda s: [_forged(s[2]), _forged(s[1]), s[0]], 2,
-                           "tag verification failed for holder 2"),
 }
 
 
@@ -255,7 +251,7 @@ def test_reconstruct_reports_the_first_broken_rule(case, issuer13):
     shares = issue(issuer13, fe(5), m=2, n=3, epoch=0, rng=Random(0))
     build, m, message = RECONSTRUCT_PRECEDENCE[case]
     with pytest.raises(ReconstructionError) as exc:
-        reconstruct(build(shares), m, issuer13)
+        reconstruct(build(shares), m)
     assert str(exc.value) == message
 
 
@@ -264,8 +260,7 @@ def _sub(parent=1, index=1, epoch=0, p=13, tag=b""):
                     tag=tag)
 
 
-# As above for subshares: count, parents or epochs, field, indices, then
-# tags in the given order.
+# As above for subshares: count, parents or epochs, field, indices.
 COMBINE_PRECEDENCE = {
     "count-over-parents": (lambda s: [s[0], _sub(parent=2, index=2)], 3,
                            "need all 3 subshares, got 2"),
@@ -281,8 +276,6 @@ COMBINE_PRECEDENCE = {
                            "subshare indices are not 1..count"),
     "parents-over-tag": (lambda s: [_forged(s[0]), s[1], _sub(parent=2, index=3)], 3,
                          "subshares from mixed parents or epochs"),
-    "first-listed-tag-first": (lambda s: [s[0], _forged(s[2]), _forged(s[1])], 3,
-                               "tag verification failed for subshare 3"),
 }
 
 
@@ -292,7 +285,7 @@ def test_combine_subshares_reports_the_first_broken_rule(case, issuer13):
     subs = issuer13.split_subshares(point(share), 3, Random(1))
     build, count, message = COMBINE_PRECEDENCE[case]
     with pytest.raises(ReconstructionError) as exc:
-        combine_subshares(build(subs), count, issuer13)
+        combine_subshares(build(subs), count)
     assert str(exc.value) == message
 
 
@@ -614,7 +607,7 @@ def test_issuer_built_items_are_the_public_items(issuer13):
     subs = issuer13.split_subshares(point(shares[1]), 3, Random(1))
     built = [
         *shares, *subs, *(s.y for s in shares), *(s.value for s in subs),
-        reconstruct(shares, 2, issuer13), combine_subshares(subs, 3, issuer13),
+        reconstruct(shares, 2), combine_subshares(subs, 3),
     ]
     for item in built:
         public = _public(item)
@@ -654,7 +647,7 @@ def test_subshare_sum_matches_parent(issuer13):
         share = issue(issuer13, fe(secret), m=2, n=3, epoch=0, rng=rng)[0]
         subs = issuer13.split_subshares(point(share), count=4, rng=rng)
         assert sum(s.value.value for s in subs) % 13 == share.y.value
-        assert combine_subshares(subs, 4, issuer13).value == share.y.value
+        assert combine_subshares(subs, 4).value == share.y.value
 
 
 def test_subshare_count_must_be_at_least_two(issuer13):
@@ -667,7 +660,7 @@ def test_combine_subshares_requires_all(issuer13):
     share = issue(issuer13, fe(5), m=2, n=3, epoch=0, rng=Random(8))[0]
     subs = issuer13.split_subshares(point(share), count=3, rng=Random(8))
     with pytest.raises(ReconstructionError):
-        combine_subshares(subs[:2], 3, issuer13)
+        combine_subshares(subs[:2], 3)
 
 
 def test_combine_subshares_rejects_mixed_fields(issuer13):
@@ -729,8 +722,8 @@ def test_round_trip_check_counts_wrong_reconstructions(monkeypatch):
 
     real = shamir.reconstruct
 
-    def off_by_one_above_threshold(shares, m, issuer=None):
-        value = real(shares, m, issuer)
+    def off_by_one_above_threshold(shares, m):
+        value = real(shares, m)
         return fe((value.value + 1) % value.modulus, value.modulus) if len(shares) > m else value
 
     monkeypatch.setattr(shamir, "reconstruct", off_by_one_above_threshold)
@@ -738,6 +731,21 @@ def test_round_trip_check_counts_wrong_reconstructions(monkeypatch):
     expected = {m: p**m * sum(comb(n, k) for k in range(m + 1, n + 1)) for m in (1, 2, 3)}
     assert expected == {1: 20, 2: 25, 3: 0}
     assert exhaustive_round_trip_check(p=p, n=n) == expected
+
+
+def test_round_trip_refuses_a_share_whose_tag_fails(monkeypatch):
+    # The round trip checks each issued share once, as its holder would on
+    # receipt, so a share issued with a bad tag stops it.
+    real = ShareIssuer.issue_shares
+
+    def first_tag_zeroed(self, *args, **kwargs):
+        shares = real(self, *args, **kwargs)
+        shares[0] = dataclasses.replace(shares[0], tag=bytes(32))
+        return shares
+
+    monkeypatch.setattr(ShareIssuer, "issue_shares", first_tag_zeroed)
+    with pytest.raises(ReconstructionError, match="^tag verification failed for holder 1$"):
+        exhaustive_round_trip_check(p=5, n=3)
 
 
 def test_exhaustive_hiding_checker():

@@ -66,7 +66,7 @@ def test_tracer_installs_runs_and_restores(tmp_path, capsys):
 
 def test_tracer_counts_each_hiding_reconstruction_and_issue(capsys):
     # The shamir layer figures of the exact workload count these calls, so
-    # the round trip must still go through both traced entry points.
+    # the round trip must still go through the traced entry points.
     mods = _modules()
     tracer = _load_tracer().Tracer()
     tracer.install(mods)
@@ -78,6 +78,9 @@ def test_tracer_counts_each_hiding_reconstruction_and_issue(capsys):
     names = [span[0] for span in spans]
     assert names.count("shamir.reconstruct") == round_trip_reconstructions(7, 3)
     assert names.count("shamir.issue_shares") == 7 + 7**2 + 7**3
+    # Each issued share's tag is checked once, on receipt: n = 3 shares per
+    # polynomial, not one check per subset that holds the share.
+    assert names.count("shamir.verify_tag") == 3 * (7 + 7**2 + 7**3)
 
 
 def test_one_sample_runs_is_one_kernel_lookup_and_one_stream():

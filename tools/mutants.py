@@ -80,6 +80,9 @@ MUTANTS = [
     Mutant("hiding-check-always-passes", "src/ratshare/shamir.py",
            "return bool((counts.min(axis=1) == counts.max(axis=1)).all())", "return True",
            "tests/test_shamir.py::test_hiding_check_matches_counting_oracle"),
+    Mutant("round-trip-skips-tag-check", "src/ratshare/shamir.py",
+           "if not verify(share):", "if False:",
+           "tests/test_shamir.py::test_round_trip_refuses_a_share_whose_tag_fails"),
     Mutant("no-clip-at-cap", "src/ratshare/montecarlo.py",
            "np.minimum(k, cap, out=k)", "np.minimum(k, np.inf, out=k)",
            "tests/test_montecarlo.py::test_cap_leaves_cause_cap_hit"),
@@ -234,6 +237,9 @@ MUTANTS = [
     Mutant("earlier-epoch-forgotten", "src/ratshare/engine.py",
            "state.learned_earlier = self._learned(state)", "state.learned_earlier = False",
            "tests/test_engine.py::test_what_an_earlier_epoch_taught_is_kept"),
+    Mutant("empty-dump-path-ignored", "src/ratshare/cli.py",
+           "if args.dump_transcripts is not None:", "if args.dump_transcripts:",
+           "tests/test_cli.py::test_an_empty_flag_value_is_a_config_error"),
 ]
 
 
