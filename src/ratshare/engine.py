@@ -103,15 +103,15 @@ def check_run_config(alpha: float, cap: int) -> None:
         raise ValueError(f"iteration cap must be at most 2**53, got {cap}")
 
 
-def issue_round(issuer: ShareIssuer, secret: FieldElement, m: int, epoch: int,
+def issue_round(issuer: ShareIssuer, secret: FieldElement, epoch: int,
                 coefficients: list[int], holder: int) -> list[Share]:
     """Designated `holder`'s bundle in `epoch`: its share, built and tagged at
-    a point among 1..m of the degree-(m-1) polynomial whose coefficients
+    its own point of the polynomial whose coefficients
     `ShareIssuer.draw_coefficients` drew when the epoch was issued.  An
     m-of-n epoch builds one share per call, as it is sent, and draws
     nothing.  That no epoch is issued twice is the run loop's rule
     (`GroupedExchange.run`)."""
-    return issuer.issue_shares(secret, m, m, epoch, coefficients, (holder,))
+    return issuer.issue_shares(secret, epoch, coefficients, (holder,))
 
 
 def holding_key(item: Share | Subshare) -> tuple:
@@ -470,7 +470,8 @@ class GroupedExchange:
 class _EpochBundles(dict):
     """An m-of-n epoch's bundles, each built at its first read: a designated
     player's bundle is its own share, built and tagged by `build(player)`,
-    `issue_round` bound to the epoch and its drawn coefficients."""
+    `issue_round` bound to the issuer, the secret, the epoch and the
+    coefficients drawn when the epoch was issued."""
 
     __slots__ = ("build",)
 
@@ -504,7 +505,7 @@ class MOfNExchange(GroupedExchange):
     def _issue_epoch(self, epoch: int) -> None:
         coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)
         self.bundles = _EpochBundles(
-            partial(issue_round, self.issuer, self.secret, self.threshold, epoch, coefficients)
+            partial(issue_round, self.issuer, self.secret, epoch, coefficients)
         )
         states = self.states
         for p, key in self.own_keys.items():

@@ -764,7 +764,7 @@ def _with_field(item, field, value):
 def _payloads() -> dict:
     issuer = ShareIssuer(b"line", modulus=101)
     coefficients = issuer.draw_coefficients(2, Random(0))
-    shares = issuer.issue_shares(FieldElement(9, 101), 2, 3, 4, coefficients)
+    shares = issuer.issue_shares(FieldElement(9, 101), 4, coefficients, (1, 2, 3))
     first = shares[0]
     subshares = issuer.split_subshares((first.holder, first.y.value, first.epoch), 3, Random(1))
     payloads = {

@@ -133,7 +133,7 @@ def forced_profile(assignment, inner=None):
 def _issue_all(issuer, secret, m, epoch, rng):
     """Every designated holder's `issue_round` bundle of one freshly drawn polynomial."""
     coefficients = issuer.draw_coefficients(m, rng)
-    return {holder: issue_round(issuer, secret, m, epoch, coefficients, holder)
+    return {holder: issue_round(issuer, secret, epoch, coefficients, holder)
             for holder in range(1, m + 1)}
 
 

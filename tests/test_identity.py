@@ -1,9 +1,11 @@
 """`tools/identity.py`: an A/A run on this checkout, and copies whose restart
-rule differs or whose split check drops its evidence.
+rule differs, whose split check drops its evidence, or whose round trip
+checks fewer thresholds.
 
-Both run the tool in this process on a third of its settings (alpha 0.5,
-trials 0 and 1: every exchange and profile, an int secret and a field
-element one, `record` on and off), which keeps them to a few seconds.
+Each runs the tool in this process on a third of its exchange settings
+(alpha 0.5, trials 0 and 1: every exchange and profile, an int secret and
+a field element one, `record` on and off) and one small `hiding` run,
+which keeps them to a few seconds.
 """
 
 import importlib.util
@@ -23,6 +25,7 @@ def identity(monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "ALPHAS", (0.5,))
     monkeypatch.setattr(module, "TRIALS", 2)
+    monkeypatch.setattr(module, "HIDING", ((7, 3),))
     yield module
     # Each run imports its trees afresh under the same package names.
     for name in [name for name in sys.modules if name.startswith("ratshare_identity_")]:
@@ -38,7 +41,7 @@ def test_identity_passes_this_checkout_against_itself(identity, capsys):
     out = capsys.readouterr().out
     digests = _digests(out)
     assert len(digests) == 2 and digests[0] == digests[1]
-    assert "over 2020 runs" in out and "the trees agree" in out
+    assert "over 2021 runs" in out and "the trees agree" in out
 
 
 def _refused(identity, capsys, tmp_path, module, old, new):
@@ -65,3 +68,9 @@ def test_identity_refuses_a_tree_that_drops_split_evidence(identity, capsys, tmp
     # forged-split runs can tell the trees apart.
     _refused(identity, capsys, tmp_path, "engine.py",
              "states[receivers[i]].cheat_evidence.append(found)", "pass")
+
+
+def test_identity_refuses_a_tree_whose_round_trip_differs(identity, capsys, tmp_path):
+    # Only the `hiding` runs reach the round trip.
+    _refused(identity, capsys, tmp_path, "shamir.py", "_ROUND_TRIP_THRESHOLDS = (1, 2, 3)",
+             "_ROUND_TRIP_THRESHOLDS = (1, 2)")

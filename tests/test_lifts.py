@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -340,8 +341,8 @@ def test_each_epoch_issues_shares_only_to_players_who_can_send(run, holders, mon
     split = []  # (epoch, parent), one per split_subshares call
     issue_shares, split_subshares = ShareIssuer.issue_shares, ShareIssuer.split_subshares
 
-    def recording_issue_shares(self, secret, m, n, epoch, *args, **kwargs):
-        shares = issue_shares(self, secret, m, n, epoch, *args, **kwargs)
+    def recording_issue_shares(self, secret, epoch, coefficients, holders):
+        shares = issue_shares(self, secret, epoch, coefficients, holders)
         issued.append((epoch, {share.holder for share in shares}))
         return shares
 
@@ -394,8 +395,8 @@ def test_only_the_epoch_that_broadcasts_builds_shares(run, tails, monkeypatch):
     built = []
     issue_shares = ShareIssuer.issue_shares
 
-    def recording_issue_shares(self, secret, m, n, epoch, *args, **kwargs):
-        shares = issue_shares(self, secret, m, n, epoch, *args, **kwargs)
+    def recording_issue_shares(self, secret, epoch, coefficients, holders):
+        shares = issue_shares(self, secret, epoch, coefficients, holders)
         built.append((epoch, [share.holder for share in shares]))
         return shares
 
@@ -420,8 +421,8 @@ def test_a_lone_broadcast_builds_only_its_share(run, broadcaster, monkeypatch):
     built = []
     issue_shares = ShareIssuer.issue_shares
 
-    def recording_issue_shares(self, secret, m, n, epoch, *args, **kwargs):
-        shares = issue_shares(self, secret, m, n, epoch, *args, **kwargs)
+    def recording_issue_shares(self, secret, epoch, coefficients, holders):
+        shares = issue_shares(self, secret, epoch, coefficients, holders)
         built.append((epoch, [share.holder for share in shares]))
         return shares
 
@@ -666,3 +667,37 @@ def test_two_of_n_learns_by_the_keys_of_the_items_an_epoch_issues(n, forged):
         (holder, item_key(holder), {holding_key(sub) for sub in subs})
         for holder, subs in sorted(issued.items())
     ]
+
+
+# --- what an honest restart teaches ---------------------------------------------------
+
+
+def test_honest_restarts_teach_nobody_but_in_small_2_of_n_lifts():
+    # ROADMAP item 23: every restart should be a fresh start, which items 1,
+    # 2 and 10 rely on.  Each coin pattern of the seated leaders is forced
+    # twice at cap 2, so a run that restarts ends at the cap with each
+    # player's `learned_earlier` set by what the first restart taught.  The
+    # 2-of-n rows are item 23's fault, left for its mend to empty.
+    kw = dict(alpha=0.5, seed=0, trial=0, cap=2, record=False)
+    shapes = [("3-ring", [[1], [2], [3]], lambda profile: MOfNExchange(
+        5, [[1], [2], [3]], 3, profile=profile, **kw))]
+    for n in range(4, 10):
+        for m in range(3, n + 1):
+            groups = partition_players(n, m)
+            shapes.append((f"{m}-of-{n}", groups, lambda profile, groups=groups, m=m: MOfNExchange(
+                5, groups, m, profile=profile, **kw)))
+    for n in range(3, 10):
+        shapes.append((f"2-of-{n}", partition_players(n, n), lambda profile, n=n: TwoOfNExchange(
+            5, n, profile=profile, **kw)))
+    leaks = {}
+    for name, groups, build in shapes:
+        leaders = [group[0] for group in groups]
+        for pattern in product((0, 1), repeat=3):
+            exchange = build({leader: ForcedCoins([(c, 0)] * 2)
+                              for leader, c in zip(leaders, pattern)})
+            if exchange.run().cause != TerminalCause.ITERATION_CAP_HIT:
+                continue
+            learned = [p for p, state in exchange.states.items() if state.learned_earlier]
+            if learned:
+                leaks.setdefault(name, {})["".join(map(str, pattern))] = learned
+    assert leaks == {"2-of-3": {"001": [1, 2]}, "2-of-4": {"001": [1, 2]}, "2-of-5": {"001": [2]}}

@@ -41,8 +41,9 @@ def issuer13():
 
 
 def issue(issuer, secret, m, n, epoch, rng):
-    """`issue_shares` of a polynomial `draw_coefficients` draws from `rng`."""
-    return issuer.issue_shares(secret, m, n, epoch, issuer.draw_coefficients(m, rng))
+    """`issue_shares` at the points 1..n of a degree-(m-1) polynomial
+    `draw_coefficients` draws from `rng`."""
+    return issuer.issue_shares(secret, epoch, issuer.draw_coefficients(m, rng), range(1, n + 1))
 
 
 def point(share: Share) -> tuple:
@@ -99,7 +100,7 @@ def test_field_element_rejects_values_that_are_not_ints():
     # its y values without the constructor's check.
     for coefficient in (1.5, 2.0):
         with pytest.raises(ValueError, match="is not an int"):
-            issuer.issue_shares(fe(2), 2, 3, 0, coefficients=[coefficient])
+            issuer.issue_shares(fe(2), 0, [coefficient], (1, 2, 3))
 
 
 def test_share_holder_is_an_int_point_of_the_field(issuer13):
@@ -144,18 +145,18 @@ def test_constant_polynomial_when_threshold_one(issuer13):
 
 def test_forced_coefficient_evaluation(issuer13):
     # f(x) = 5 + 3x mod 13 at x = 1, 2, 3.
-    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, coefficients=[3])
+    shares = issuer13.issue_shares(fe(5), 0, [3], (1, 2, 3))
     assert [(s.holder, s.y.value) for s in shares] == [(1, 8), (2, 11), (3, 1)]
 
 
-def test_issue_validates_threshold_and_modulus(issuer13):
-    with pytest.raises(ValueError):
-        issue(issuer13, fe(5), m=0, n=3, epoch=0, rng=Random(0))
-    with pytest.raises(ValueError):
-        issue(issuer13, fe(5), m=4, n=3, epoch=0, rng=Random(0))
-    with pytest.raises(ValueError):
+def test_issue_takes_points_of_the_issuers_field(issuer13):
+    with pytest.raises(ValueError, match="secret modulus does not match"):
         issue(issuer13, fe(5, 7), m=2, n=3, epoch=0, rng=Random(0))
-    with pytest.raises(ValueError):
+    # A point is an int in [1, p): the point 0 is the secret.
+    for holder in (0, 13, -1, True, 1.0):
+        with pytest.raises(ValueError, match=r"is not a point in 1\.\.12$"):
+            issuer13.issue_shares(fe(5), 0, [3], (1, holder))
+    with pytest.raises(ValueError, match=r"^holder 7 is not a point in 1\.\.6$"):
         issue(ShareIssuer(b"k", modulus=7), fe(5, 7), m=2, n=8, epoch=0, rng=Random(0))
 
 
@@ -163,7 +164,7 @@ def test_issue_validates_threshold_and_modulus(issuer13):
 
 
 def test_hand_lagrange(issuer13):
-    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, coefficients=[3])
+    shares = issuer13.issue_shares(fe(5), 0, [3], (1, 2, 3))
     # 8*2*(2-1)^-1 + 11*1*(1-2)^-1 = 16 - 11 = 5 mod 13
     assert reconstruct(shares[:2], m=2).value == 5
 
@@ -192,7 +193,7 @@ def test_round_trip_random_secrets_gf101():
 
 
 def test_reconstruct_uses_first_m_in_x_order(issuer13):
-    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=0, coefficients=[3])
+    shares = issuer13.issue_shares(fe(5), 0, [3], (1, 2, 3))
     shuffled = [shares[2], shares[0], shares[1]]
     assert reconstruct(shuffled, 2).value == 5
 
@@ -582,7 +583,7 @@ def test_remembered_tags_are_the_macs_of_their_messages():
     rng = Random(0)
     items = []
     for secret, slope in product(range(13), repeat=2):
-        shares = issuer.issue_shares(fe(secret), 2, 3, 5, coefficients=[slope])
+        shares = issuer.issue_shares(fe(secret), 5, [slope], (1, 2, 3))
         items += shares + issuer.split_subshares(point(shares[secret % 3]), 2 + secret % 3, rng)
     for item in items[-20:]:
         msg = "|".join(map(str, oracle_fields(issuer, item)))
@@ -603,7 +604,7 @@ def _public(item):
 
 
 def test_issuer_built_items_are_the_public_items(issuer13):
-    shares = issuer13.issue_shares(fe(5), m=2, n=3, epoch=4, coefficients=[3])
+    shares = issuer13.issue_shares(fe(5), 4, [3], (1, 2, 3))
     subs = issuer13.split_subshares(point(shares[1]), 3, Random(1))
     built = [
         *shares, *subs, *(s.y for s in shares), *(s.value for s in subs),

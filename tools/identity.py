@@ -21,8 +21,11 @@ off.  An exchange's leaders and forwarders are read from its honest run.
 Per run the script hashes the outcome with its transcripts (payloads as
 `transcript._payload_record` writes them) or the error the run raised,
 each player's `vars(state)` in key order, the leaders, and the number of
-`verify_tag` calls.  It prints one SHA-256 per tree over all runs and exits
-1 if they differ; a directory without `src/ratshare` exits 2.
+`verify_tag` calls.  Each tree's own `cli` then runs `hiding` at
+`--prime 13`, `--prime 31` and `--prime 7 --n 4`, and the report's result
+text, everything but [timing], counts as one more run each.  It prints
+one SHA-256 per tree over all runs and exits 1 if they differ; a
+directory without `src/ratshare` exits 2.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ TRIALS = 3
 CAP = 30
 SEED = 1
 FORGED_SPLIT = "forge_subshare_for_player_3"
+HIDING = ((13, 3), (31, 3), (7, 4))  # (prime, n) per `hiding` run
 
 
 def _exchanges(mods):
@@ -200,6 +204,11 @@ def tree_digest(mods) -> tuple[str, int]:
                     issuer_cls.split_subshares, forging[0] = split, False
     finally:
         exchange_cls.run, issuer_cls.verify_tag = run, verify_tag
+    cli = mods.cli
+    for prime, n in HIDING:
+        args = cli.build_parser().parse_args(["hiding", "--prime", str(prime), "--n", str(n)])
+        digest.update(cli.run_command(args).result_text().encode())
+        runs += 1
     return digest.hexdigest(), runs
 
 

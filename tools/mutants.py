@@ -83,6 +83,9 @@ MUTANTS = [
     Mutant("round-trip-skips-tag-check", "src/ratshare/shamir.py",
            "if not verify(share):", "if False:",
            "tests/test_shamir.py::test_round_trip_refuses_a_share_whose_tag_fails"),
+    Mutant("point-zero-accepted", "src/ratshare/shamir.py",
+           "not 0 < i < p", "not 0 <= i < p",
+           "tests/test_shamir.py::test_issue_takes_points_of_the_issuers_field"),
     Mutant("no-clip-at-cap", "src/ratshare/montecarlo.py",
            "np.minimum(k, cap, out=k)", "np.minimum(k, np.inf, out=k)",
            "tests/test_montecarlo.py::test_cap_leaves_cause_cap_hit"),
@@ -148,19 +151,20 @@ MUTANTS = [
            "item_key(p) for p in self.players}", "item_key(p) for p in range(1, self.threshold + 1)}",
            "tests/test_lifts.py::test_a_player_past_m_learns_through_its_own_key"),
     Mutant("m-of-n-issues-to-every-player", "src/ratshare/engine.py",
-           "issuer.issue_shares(secret, m, m, epoch, coefficients, (holder,))",
-           "issuer.issue_shares(secret, m, m, epoch, coefficients)[holder - 1:holder]",
+           "issuer.issue_shares(secret, epoch, coefficients, (holder,))",
+           "issuer.issue_shares(secret, epoch, coefficients,\n"
+           "                               range(1, len(coefficients) + 2))[holder - 1:holder]",
            "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
     Mutant("m-of-n-builds-the-next-players-share", "src/ratshare/engine.py",
-           "coefficients, (holder,))", "coefficients, (holder % m + 1,))",
+           "coefficients, (holder,))", "coefficients, (holder % (len(coefficients) + 1) + 1,))",
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
     Mutant("m-of-n-epoch-built-eagerly", "src/ratshare/engine.py",
            "epoch, coefficients)\n        )\n",
            "epoch, coefficients)\n        )\n        self.bundles[1]\n",
            "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
     Mutant("coefficients-drawn-at-build", "src/ratshare/engine.py",
-           "partial(issue_round, self.issuer, self.secret, self.threshold, epoch, coefficients)",
-           "lambda p: issue_round(self.issuer, self.secret, self.threshold, epoch,\n"
+           "partial(issue_round, self.issuer, self.secret, epoch, coefficients)",
+           "lambda p: issue_round(self.issuer, self.secret, epoch,\n"
            "                             self.issuer.draw_coefficients(self.threshold,\n"
            "                                                           self.issuer_rng), p)",
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
