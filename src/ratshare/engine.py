@@ -12,19 +12,20 @@ coin iteration it repeats (`_coin_iteration`), reading the players'
 states, strategies and streams from itself.  A recorded run keeps, per
 iteration, the messages sent and nothing else.  Players sit in three
 groups; each group's first player leads it, takes one seat on the coin
-ring and broadcasts its group's bundle.  Each iteration issues a fresh
+ring and broadcasts its group's items.  Each iteration issues a fresh
 epoch, and `run` refuses a repeat before it touches any state.  Every
-delivered item, whether split piece, forwarded bundle or broadcast, is
+delivered item, whether split piece, forwarded item or broadcast, is
 judged by `_deliver`, the one place a bundle grows: a holder's split
-pieces and a forwarder's bundle go item by item, each to its own
+pieces and a forwarder's items go item by item, each to its own
 recipient.  A player's holdings are the holding keys of what it holds
 (`holding_key` of an item, written through `item_key`), and the items
-themselves travel in bundles.  An epoch builds items only as they are
-sent: an m-of-n epoch draws its polynomial when it is issued, its only
-draws, and `issue_round` builds and tags a designated player's share
-from it only when that player's bundle is first read, as it forwards or
-its leader broadcasts, so an epoch that sends no share builds none and
-one leader's broadcast builds one share.
+themselves travel in bundles: a player's bundle is the valid items it
+was handed this epoch, and `_sends` is what it forwards or broadcasts.
+An epoch builds items only as they are sent: an m-of-n epoch draws its
+polynomial when it is issued, its only draws, and `issue_round` builds
+and tags a designated player's share from it only when that player
+sends, ahead of what it was handed, so an epoch that sends no share
+builds none and one leader's broadcast builds one share.
 The others hold only their own share's key.  A leader's payload exists
 only once it broadcasts, and its strategy may replace it
 (`Strategy.broadcast_payload`).  The 3-ring is the m-of-n
@@ -105,12 +106,12 @@ def check_run_config(alpha: float, cap: int) -> None:
 
 def issue_round(issuer: ShareIssuer, secret: FieldElement, epoch: int,
                 coefficients: list[int], holder: int) -> list[Share]:
-    """Designated `holder`'s bundle in `epoch`: its share, built and tagged at
-    its own point of the polynomial whose coefficients
+    """Designated `holder`'s share in `epoch`, as a one-item list: built and
+    tagged at its own point of the polynomial whose coefficients
     `ShareIssuer.draw_coefficients` drew when the epoch was issued.  An
-    m-of-n epoch builds one share per call, as it is sent, and draws
-    nothing.  That no epoch is issued twice is the run loop's rule
-    (`GroupedExchange.run`)."""
+    m-of-n epoch calls it once per share sent, as its holder sends
+    (`MOfNExchange._sends`), and it draws nothing.  That no epoch is
+    issued twice is the run loop's rule (`GroupedExchange.run`)."""
     return issuer.issue_shares(secret, epoch, coefficients, (holder,))
 
 
@@ -146,26 +147,27 @@ class GroupedExchange:
     group k, takes ring seat k+1.  Each iteration issues a fresh epoch, and
     `run` refuses one not past `issued`, the last issued, before any state
     is reset or any draw is made.  Then every player begins afresh, the
-    issuer hands out the epoch's material, forwarders hand their bundle to
-    their group leader, and the seated leaders run the coin iteration with
-    their group's bundle as the broadcast payload.  A seated leader left
+    issuer hands out the epoch's material, forwarders hand what they send
+    to their group leader, and the seated leaders run the coin iteration
+    with what they send as the broadcast payload.  A seated leader left
     short by a forwarder asks the issuer to restart before any coins are
     tossed.
 
     Subclasses define only what differs: what an epoch puts into holdings
-    (keys) and `bundles` (the items each player was handed and hands on),
-    who forwards, the item type and its stale-item evidence kind, and
-    2-of-n's who-learned rule.  A leader broadcasts its bundle as a tuple,
-    as its strategy's `broadcast_payload` passes it on, and a payload that
-    is no tuple is ignored; with `bare_share` (the
-    3-ring) it broadcasts its one share bare, and whatever arrives is judged
-    as one item.  `_deliver` judges each delivered item once, however many
-    players receive it: split pieces, forwarded bundles and broadcasts.
-    Every receiver holds the valid items' `holding_key`s and records
-    evidence for the rest; a holder's split pieces and a forwarder's bundle
-    are judged in one call each, item by item for its own recipient, whose
-    bundle `_deliver` alone grows.  Only the players who act, the leaders
-    and the forwarders, get a random stream.
+    (keys) and `bundles` (the valid items each player was handed), what a
+    player sends (`_sends`), who forwards, the item type and its
+    stale-item evidence kind, and 2-of-n's who-learned rule.  A leader
+    broadcasts what it sends as a tuple, as its strategy's
+    `broadcast_payload` passes it on, and a payload that is no tuple is
+    ignored; with `bare_share` (the 3-ring) it broadcasts its one share
+    bare, and whatever arrives is judged as one item.  `_deliver` judges
+    each delivered item once, however many players receive it: split
+    pieces, forwarded items and broadcasts.  Every receiver holds the
+    valid items' `holding_key`s and records evidence for the rest; a
+    holder's split pieces and a forwarder's items are judged in one call
+    each, item by item for its own recipient, whose bundle `_deliver`
+    alone grows.  Only the players who act, the leaders and the
+    forwarders, get a random stream.
     """
 
     def __init__(
@@ -216,12 +218,16 @@ class GroupedExchange:
     # Subclass hooks ----------------------------------------------------------
 
     def _issue_epoch(self, epoch: int) -> None:
-        """Distribute fresh material for `epoch`: keys into holdings, items into
-        `bundles`, which may build them when one is first read."""
+        """Distribute fresh material for `epoch`: keys into holdings and the
+        items handed out at issue, if any, into `bundles`."""
         raise NotImplementedError
 
+    def _sends(self, player: int) -> list:
+        """The items `player` sends when it forwards or broadcasts: its bundle."""
+        return self.bundles[player]
+
     def _forwarders(self):
-        """Players expected to forward their bundle to their group leader."""
+        """Players expected to forward what they send to their group leader."""
         raise NotImplementedError
 
     item_type: type
@@ -238,7 +244,7 @@ class GroupedExchange:
         `holding_key`s to its holdings and records the same evidence, dated the
         iteration all players are in, for the rest.  With `each`, item i goes
         to `receivers[i]` alone, which also adds it to its bundle if valid: a
-        holder's split pieces, one per other player, or a forwarder's bundle,
+        holder's split pieces, one per other player, or a forwarder's items,
         each item to its leader.  This is the one place a bundle grows.
         Returns the evidence."""
         states = self.states
@@ -280,7 +286,7 @@ class GroupedExchange:
         `msgs` only when recording.
         """
         states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
-        succ, pred, bundles = self.succ, self.pred, self.bundles
+        succ, pred = self.succ, self.pred
         decisions: dict[int, DecisionKind] = {}
         live = list(seated)
         broadcasts: list[tuple[int, object]] = []
@@ -332,7 +338,7 @@ class GroupedExchange:
 
         # Step 3: assemble the parity and decide whether to broadcast to the
         # other seated leaders, then to every observer.  Only a leader that
-        # broadcasts reads its bundle, which may build the epoch's items.
+        # broadcasts asks what it sends, which may build the epoch's items.
         for pid in list(live):
             st = states[pid]
             if st.masked_from_succ is None:
@@ -342,9 +348,9 @@ class GroupedExchange:
                 st.parity = parity_rule(st.bit_from_pred, st.masked_from_succ, st.coins.c)
             if not strategies[pid].wants_broadcast(st, rngs[pid]):
                 continue
-            bundle = bundles[pid]
+            items = self._sends(pid)
             payload = strategies[pid].broadcast_payload(
-                st, bundle[0] if self.bare_share else tuple(bundle)
+                st, items[0] if self.bare_share else tuple(items)
             )
             if payload is not None:
                 st.observed_broadcasts.add(pid)
@@ -405,7 +411,6 @@ class GroupedExchange:
                 state.begin_iteration(iterations)
             self._issue_epoch(epoch)
             self.issued = epoch
-            bundles = self.bundles
 
             # Forwarding phase: every forwarder is asked, even when its
             # leader's seat is vacated; only a seated leader can stall.
@@ -417,7 +422,7 @@ class GroupedExchange:
                 if not strategies[p].forwards_to_leader(states[p], rngs[p]):
                     stalled.add(leader)
                     continue
-                items = bundles[p]
+                items = self._sends(p)
                 self._deliver(p, items, epoch, [leader] * len(items), each=True)
                 if record:
                     msgs.append(tuple.__new__(
@@ -467,33 +472,17 @@ class GroupedExchange:
         return RunOutcome(iterations=iterations, info=info, cause=cause, transcripts=transcripts)
 
 
-class _EpochBundles(dict):
-    """An m-of-n epoch's bundles, each built at its first read: a designated
-    player's bundle is its own share, built and tagged by `build(player)`,
-    `issue_round` bound to the issuer, the secret, the epoch and the
-    coefficients drawn when the epoch was issued."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, player: int) -> list:
-        bundle = self[player] = self.build(player)
-        return bundle
-
-
 class MOfNExchange(GroupedExchange):
     """m-of-n Shamir shares; designated players 1..m forward theirs to their leader.
 
     Only players 1..m can send a share, so an epoch builds shares for them
     alone; every player holds its own share's key, which counts toward the
     threshold.  Issuing an epoch draws its polynomial, the epoch's only
-    draws: a designated player's share is built and tagged through
-    `issue_round` the first time its bundle is read, when it forwards or its
-    leader broadcasts, so an epoch builds one share per sent one and none
-    when nothing is sent.  Shares sit at the points 1..n, so n must be
-    below p.
+    draws, and hands out no item: a bundle holds only what forwarders hand
+    a leader.  A designated player's share is built and tagged through
+    `issue_round` when that player sends, as it forwards or broadcasts, so
+    an epoch builds one share per sent one and none when nothing is sent.
+    Shares sit at the points 1..n, so n must be below p.
     """
 
     def __init__(self, *args, **kw):
@@ -504,12 +493,16 @@ class MOfNExchange(GroupedExchange):
 
     def _issue_epoch(self, epoch: int) -> None:
         coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)
-        self.bundles = _EpochBundles(
-            partial(issue_round, self.issuer, self.secret, epoch, coefficients)
-        )
+        # `build(p)` is `p`'s share of this epoch, built and tagged at each call.
+        self.build = partial(issue_round, self.issuer, self.secret, epoch, coefficients)
+        self.bundles = {leader: [] for _, leader in self.forwarders}
         states = self.states
         for p, key in self.own_keys.items():
             states[p].holdings.add(key)
+
+    def _sends(self, player: int) -> list:
+        """Its own share, built and tagged now, then what it was handed."""
+        return self.build(player) + self.bundles.get(player, [])
 
     def _forwarders(self):
         return range(1, self.threshold + 1)

@@ -3,10 +3,11 @@
 For m-of-n (m >= 3, n > 3) the players are partitioned into three
 contiguous groups, players 1..m are designated, and each group's first
 player, a designated one, leads it.  An epoch draws its polynomial when
-it is issued, and builds a designated player's share only once that
-player forwards or its leader broadcasts; each of players m+1..n holds
-just its own share's key, which counts toward the threshold once m-1
-broadcast shares arrive.
+it is issued, and builds a designated player's share only as that player
+sends it: a forwarder as it forwards, a leader as it broadcasts, so a
+leader that is forwarded to but never broadcasts builds none.  Each of
+players m+1..n holds just its own share's key, which counts toward the
+threshold once m-1 broadcast shares arrive.
 Designated players forward their shares to their leader; the three
 leaders then run the coin mechanism, broadcasting their whole group
 bundle to every player when they would broadcast a share.  A leader whose

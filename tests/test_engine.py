@@ -160,8 +160,8 @@ def test_issue_round_fresh_polynomial_per_epoch():
 @pytest.mark.parametrize("m, n", [(3, 3), (3, 6), (4, 5)], ids=["3-ring", "3-of-6", "4-of-5"])
 def test_building_an_epochs_shares_draws_nothing(m, n):
     # An epoch's randomness is drawn when it is issued.  Its shares are built
-    # later, at the first read of each designated player's bundle, and the
-    # order of those reads changes neither the shares nor the issuer's stream.
+    # later, as each designated player sends, and the order in which they
+    # send changes neither the shares nor the issuer's stream.
     built = []
     for order in (range(1, m + 1), range(m, 0, -1)):
         game = MOfNExchange(5, partition_players(n, m), m, alpha=0.5, profile=None, seed=7,
@@ -170,7 +170,7 @@ def test_building_an_epochs_shares_draws_nothing(m, n):
         issued = game.issuer_rng.getstate()
         bundles = {}
         for p in order:
-            bundles[p] = game.bundles[p]
+            bundles[p] = game._sends(p)
             assert [share.holder for share in bundles[p]] == [p]
             assert game.issuer_rng.getstate() == issued, p
         built.append(bundles)
@@ -554,10 +554,10 @@ def _epoch_exchange(exchange, profile, cap):
 
 
 def _bundles(game):
-    """Each player's bundle of the last epoch.  Reading one builds an m-of-n
-    epoch's shares if no player sent one, from the polynomial drawn at issue."""
+    """What each player sends at the end of the last epoch.  In m-of-n that
+    builds each designated player's share from the polynomial drawn at issue."""
     owners = game.players if isinstance(game, TwoOfNExchange) else range(1, game.threshold + 1)
-    return {p: game.bundles[p] for p in owners}
+    return {p: game._sends(p) for p in owners}
 
 
 def _handed_keys(game):

@@ -1,6 +1,7 @@
-"""`tools/identity.py`: an A/A run on this checkout, and copies whose restart
+"""`tools/identity.py`: an A/A run on this checkout, copies whose restart
 rule differs, whose split check drops its evidence, or whose round trip
-checks fewer thresholds.
+checks fewer thresholds, and a copy that builds more shares to the same
+runs.
 
 Each runs the tool in this process on a third of its exchange settings
 (alpha 0.5, trials 0 and 1: every exchange and profile, an int secret and
@@ -32,8 +33,12 @@ def identity(monkeypatch):
         del sys.modules[name]
 
 
+def _sides(out):
+    return [line.split() for line in out.splitlines() if line.startswith(("parent:", "change:"))]
+
+
 def _digests(out):
-    return [line.split()[1] for line in out.splitlines() if line.startswith(("parent:", "change:"))]
+    return [fields[1] for fields in _sides(out)]
 
 
 def test_identity_passes_this_checkout_against_itself(identity, capsys):
@@ -44,14 +49,19 @@ def test_identity_passes_this_checkout_against_itself(identity, capsys):
     assert "over 2021 runs" in out and "the trees agree" in out
 
 
-def _refused(identity, capsys, tmp_path, module, old, new):
-    """Run the tool on this checkout against a copy with `old` replaced by `new` in `module`."""
+def _copy(tmp_path, module, old, new):
+    """A copy of this checkout's sources with `old` replaced by `new` in `module`."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "ratshare" / module
     text = path.read_text()
     assert text.count(old) == 1
     path.write_text(text.replace(old, new))
-    assert identity.main([str(ROOT), str(tmp_path)]) == 1
+    return tmp_path
+
+
+def _refused(identity, capsys, tmp_path, module, old, new):
+    """Run the tool on this checkout against a copy with `old` replaced by `new` in `module`."""
+    assert identity.main([str(ROOT), str(_copy(tmp_path, module, old, new))]) == 1
     out = capsys.readouterr().out
     digests = _digests(out)
     assert len(digests) == 2 and digests[0] != digests[1]
@@ -74,3 +84,16 @@ def test_identity_refuses_a_tree_whose_round_trip_differs(identity, capsys, tmp_
     # Only the `hiding` runs reach the round trip.
     _refused(identity, capsys, tmp_path, "shamir.py", "_ROUND_TRIP_THRESHOLDS = (1, 2, 3)",
              "_ROUND_TRIP_THRESHOLDS = (1, 2)")
+
+
+def test_identity_counts_builds_outside_the_hash(identity, capsys, tmp_path):
+    # The copy also builds a forwarded-to leader's share when it need not:
+    # the same runs, so the trees agree, but more shares built.
+    copy = _copy(tmp_path, "engine.py", "items = self._sends(p)\n",
+                 "items = self._sends(p)\n                self._sends(leader)\n")
+    assert identity.main([str(ROOT), str(copy)]) == 0
+    out = capsys.readouterr().out
+    parent, change = _sides(out)
+    assert parent[1] == change[1] and "the trees agree" in out
+    assert parent[6:] == change[6:] == ["shares", "built"]
+    assert int(parent[5]) < int(change[5])

@@ -25,7 +25,10 @@ each player's `vars(state)` in key order, the leaders, and the number of
 `--prime 13`, `--prime 31` and `--prime 7 --n 4`, and the report's result
 text, everything but [timing], counts as one more run each.  It prints
 one SHA-256 per tree over all runs and exits 1 if they differ; a
-directory without `src/ratshare` exits 2.
+directory without `src/ratshare` exits 2.  Beside each digest, outside
+it, it prints the number of shares `ShareIssuer.issue_shares` built in
+the exchange runs, so two trees that agree can still differ in the work
+they do.
 """
 
 from __future__ import annotations
@@ -143,14 +146,15 @@ def _outcome_record(outcome, payload_record):
     return [outcome.iterations, list(outcome.info), outcome.cause.name, transcripts]
 
 
-def tree_digest(mods) -> tuple[str, int]:
-    """The SHA-256 over every run of the set on one tree, and the number of runs."""
+def tree_digest(mods) -> tuple[str, int, int]:
+    """The SHA-256 over every run of the set on one tree, the number of runs,
+    and the number of shares the exchange runs built."""
     engine, shamir = mods.engine, mods.shamir
     payload_record = importlib.import_module(f"{engine.__package__}.transcript")._payload_record
     exchange_cls, issuer_cls = engine.GroupedExchange, shamir.ShareIssuer
     run, verify_tag = exchange_cls.run, issuer_cls.verify_tag
-    split = issuer_cls.split_subshares
-    captured, verified, forging = [], [0], [False]
+    split, issue_shares = issuer_cls.split_subshares, issuer_cls.issue_shares
+    captured, verified, built, forging = [], [0], [0], [False]
 
     def capturing_run(self):
         captured.append(self)
@@ -161,6 +165,11 @@ def tree_digest(mods) -> tuple[str, int]:
     def counting_verify_tag(self, item):
         verified[0] += 1
         return verify_tag(self, item)
+
+    def counting_issue_shares(self, *args, **kwargs):
+        shares = issue_shares(self, *args, **kwargs)
+        built[0] += len(shares)
+        return shares
 
     digest, runs = hashlib.sha256(), 0
 
@@ -191,6 +200,7 @@ def tree_digest(mods) -> tuple[str, int]:
         return first
 
     exchange_cls.run, issuer_cls.verify_tag = capturing_run, counting_verify_tag
+    issuer_cls.issue_shares = counting_issue_shares
     try:
         for name, run_exchange in _exchanges(mods):
             honest = run_profile(name, run_exchange, dict)
@@ -204,12 +214,13 @@ def tree_digest(mods) -> tuple[str, int]:
                     issuer_cls.split_subshares, forging[0] = split, False
     finally:
         exchange_cls.run, issuer_cls.verify_tag = run, verify_tag
+        issuer_cls.issue_shares = issue_shares
     cli = mods.cli
     for prime, n in HIDING:
         args = cli.build_parser().parse_args(["hiding", "--prime", str(prime), "--n", str(n)])
         digest.update(cli.run_command(args).result_text().encode())
         runs += 1
-    return digest.hexdigest(), runs
+    return digest.hexdigest(), runs, built[0]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -225,8 +236,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     digests = []
     for path, side in zip((args.parent, args.change), SIDES):
-        digest, runs = tree_digest(load_tree(path.resolve(), f"ratshare_identity_{side}"))
-        print(f"{side}: {digest} over {runs} runs")
+        digest, runs, built = tree_digest(load_tree(path.resolve(), f"ratshare_identity_{side}"))
+        print(f"{side}: {digest} over {runs} runs, {built} shares built")
         digests.append(digest)
     if digests[0] != digests[1]:
         print("the trees differ")

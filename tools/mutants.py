@@ -159,9 +159,18 @@ MUTANTS = [
            "coefficients, (holder,))", "coefficients, (holder % (len(coefficients) + 1) + 1,))",
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
     Mutant("m-of-n-epoch-built-eagerly", "src/ratshare/engine.py",
-           "epoch, coefficients)\n        )\n",
-           "epoch, coefficients)\n        )\n        self.bundles[1]\n",
+           "self.bundles = {leader: [] for _, leader in self.forwarders}\n",
+           "self.bundles = {leader: [] for _, leader in self.forwarders}\n"
+           "        self.build(1)\n",
            "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
+    Mutant("leader-share-built-on-forwarding", "src/ratshare/engine.py",
+           "items = self._sends(p)\n",
+           "items = self._sends(p)\n                self._sends(leader)\n",
+           "tests/test_lifts.py::test_each_epoch_issues_shares_only_to_players_who_can_send"),
+    Mutant("forwarded-items-before-own-share", "src/ratshare/engine.py",
+           "self.build(player) + self.bundles.get(player, [])",
+           "self.bundles.get(player, []) + self.build(player)",
+           "tests/test_lifts.py::test_a_bundle_is_the_valid_items_its_sender_was_handed"),
     Mutant("coefficients-drawn-at-build", "src/ratshare/engine.py",
            "partial(issue_round, self.issuer, self.secret, epoch, coefficients)",
            "lambda p: issue_round(self.issuer, self.secret, epoch,\n"
