@@ -32,8 +32,8 @@ only once it broadcasts, and its strategy may replace it
 exchange with three one-player groups; the lifts in `ratshare.lifts`
 supply the other groupings and what their epochs issue.
 
-Runs are deterministic given (seed, trial, profile, config): each player
-and the issuer draw from independent derived substreams.
+Runs are deterministic given (seed, trial, profile, config): only the
+issuer and the leaders' coin tosses draw, each from its own substream.
 """
 
 from __future__ import annotations
@@ -92,12 +92,15 @@ class DuplicateEpochError(ValueError):
 
 
 def check_run_config(alpha: float, cap: int) -> None:
-    """Reject a coin bias outside (0, 1] or an iteration cap outside [1, 2**53].
+    """Reject a coin bias outside (0, 1], or an iteration cap that is not an
+    int (a bool included) or lies outside [1, 2**53].
 
     The bulk sampler counts iterations in float64, exact up to 2**53.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if type(cap) is not int:
+        raise ValueError(f"iteration cap must be an int, got {cap!r:.40}")
     if cap < 1:
         raise ValueError("iteration cap must be >= 1")
     if cap > 2**53:
@@ -166,8 +169,7 @@ class GroupedExchange:
     valid items' `holding_key`s and records evidence for the rest; a
     holder's split pieces and a forwarder's items are judged in one call
     each, item by item for its own recipient, whose bundle `_deliver`
-    alone grows.  Only the players who act, the leaders and the
-    forwarders, get a random stream.
+    alone grows.  Only the leaders, who toss coins, get a random stream.
     """
 
     def __init__(
@@ -207,10 +209,8 @@ class GroupedExchange:
         self.secret = secret
         self.issuer = ShareIssuer(derive_bytes(seed, trial, "issuer-key"), secret.modulus)
         self.issuer_rng = derive_rng(seed, trial, "issuer")
-        # Streams are derived independently per player, so skipping those
-        # who never draw changes no draw.
-        actors = {*leaders, *(p for p, _ in self.forwarders)}
-        self.rngs = {p: derive_rng(seed, trial, "player", p) for p in actors}
+        # Only a coin toss draws; each stream is derived on its own.
+        self.rngs = {p: derive_rng(seed, trial, "player", p) for p in leaders}
         self.states = {p: LocalState(player=p) for p in self.players}
         self.issued = -1
         self.bundles: dict[int, list] = {}
@@ -326,7 +326,7 @@ class GroupedExchange:
             if st.bit_from_pred is None or st.bit_from_succ is None:
                 abort(pid, _MASKED_BIT_STEP, pred[pid] if st.bit_from_pred is None else succ[pid])
                 continue
-            bit = strategies[pid].masked_bit(st, rngs[pid])
+            bit = strategies[pid].masked_bit(st)
             if bit is not None:
                 masked.append((pid, bit))
         for pid, bit in masked:
@@ -346,7 +346,7 @@ class GroupedExchange:
                 continue
             if st.coins is not None:
                 st.parity = parity_rule(st.bit_from_pred, st.masked_from_succ, st.coins.c)
-            if not strategies[pid].wants_broadcast(st, rngs[pid]):
+            if not strategies[pid].wants_broadcast(st):
                 continue
             items = self._sends(pid)
             payload = strategies[pid].broadcast_payload(
@@ -376,7 +376,7 @@ class GroupedExchange:
                     states[pid].observed_broadcasts.add(sender)
         for pid in live:
             st = states[pid]
-            decision = strategies[pid].decide(st, rngs[pid])
+            decision = strategies[pid].decide(st)
             decisions[pid] = decision
             if decision == _RESTART:
                 if record:
@@ -393,7 +393,7 @@ class GroupedExchange:
     # Main loop ----------------------------------------------------------------
 
     def run(self) -> RunOutcome:
-        states, strategies, rngs, record = self.states, self.strategies, self.rngs, self.record
+        states, strategies, record = self.states, self.strategies, self.record
         seated = list(self.leaders)
         leader_states = [states[leader] for leader in self.leaders]
         transcripts: list[IterationTranscript] = []
@@ -419,7 +419,7 @@ class GroupedExchange:
                 transcripts.append(IterationTranscript(iterations, epoch, msgs))
             stalled = set()
             for p, leader in self.forwarders:
-                if not strategies[p].forwards_to_leader(states[p], rngs[p]):
+                if not strategies[p].forwards_to_leader(states[p]):
                     stalled.add(leader)
                     continue
                 items = self._sends(p)

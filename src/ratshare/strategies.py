@@ -4,10 +4,10 @@ A strategy is a decision rule from a player's local view (its own coins,
 the bits and shares it has received, the shares it holds) to the action
 of the current step.  Strategies can only read the LocalState they are
 handed, so locality is structural: nothing about other players' private
-coins is reachable from here.  Steps are simultaneous by construction
-(see `protocol`): at any seat, a strategy sees only what earlier steps
-delivered.  A decision is a DecisionKind: who learned is the exchange's
-call (`engine.GroupedExchange._learned`).
+coins is reachable from here.  Only `coins` draws, from the player's own
+stream.  Steps are simultaneous by construction (see `protocol`): at any
+seat, a strategy sees only what earlier steps delivered.  A decision is
+a DecisionKind; who learned is `engine.GroupedExchange._learned`'s call.
 
 Utilities depend only on the terminal info vector (which players learned
 the secret).  A UtilityTable stores one exact payoff per info vector per
@@ -101,7 +101,7 @@ class LocalState:
 
 
 class Strategy:
-    """Decision rule: (LocalState, randomness) -> action for the current step.
+    """Decision rule: LocalState -> action for the current step (`coins` also draws).
 
     `broadcast_payload` is called only after `wants_broadcast` said yes, with
     the payload the exchange built for the leader: what it returns is sent,
@@ -116,20 +116,20 @@ class Strategy:
     def coins(self, state: LocalState, rng: Random, alpha: float) -> CoinTriple | None:
         raise NotImplementedError
 
-    def masked_bit(self, state: LocalState, rng: Random) -> int | None:
+    def masked_bit(self, state: LocalState) -> int | None:
         raise NotImplementedError
 
-    def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
+    def wants_broadcast(self, state: LocalState) -> bool:
         raise NotImplementedError
 
     def broadcast_payload(self, state: LocalState, payload: object) -> object:
         """The payload to broadcast in place of the leader's own; honest play keeps it."""
         return payload
 
-    def decide(self, state: LocalState, rng: Random) -> DecisionKind:
+    def decide(self, state: LocalState) -> DecisionKind:
         raise NotImplementedError
 
-    def forwards_to_leader(self, state: LocalState, rng: Random) -> bool:
+    def forwards_to_leader(self, state: LocalState) -> bool:
         """Group lifts only: forward the own share/bundle to the group leader."""
         return True
 
@@ -145,13 +145,13 @@ class HonestStrategy(Strategy):
         c = 1 if rng.random() < self.coin_bias(alpha) else 0
         return CoinTriple.make(c, rng.getrandbits(1))
 
-    def masked_bit(self, state: LocalState, rng: Random) -> int | None:
+    def masked_bit(self, state: LocalState) -> int | None:
         return masked_bit_rule(state.bit_from_succ, state.coins.c)
 
-    def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
+    def wants_broadcast(self, state: LocalState) -> bool:
         return broadcast_rule(state.parity, state.coins.c if state.coins else None)
 
-    def decide(self, state: LocalState, rng: Random) -> DecisionKind:
+    def decide(self, state: LocalState) -> DecisionKind:
         return _RESTART if restart_rule(state.parity, state.observed_count) else _STOP
 
 
@@ -160,7 +160,7 @@ class WithholdShare(HonestStrategy):
 
     honest_rules = False
 
-    def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
+    def wants_broadcast(self, state: LocalState) -> bool:
         return False
 
 
@@ -181,8 +181,8 @@ class GarbleStep2(HonestStrategy):
 
     honest_rules = False
 
-    def masked_bit(self, state: LocalState, rng: Random) -> int:
-        return super().masked_bit(state, rng) ^ 1
+    def masked_bit(self, state: LocalState) -> int:
+        return super().masked_bit(state) ^ 1
 
 
 class AlwaysSilent(HonestStrategy):
@@ -197,7 +197,7 @@ class AlwaysSilent(HonestStrategy):
     def coins(self, state: LocalState, rng: Random, alpha: float) -> None:
         return None
 
-    def masked_bit(self, state: LocalState, rng: Random) -> None:
+    def masked_bit(self, state: LocalState) -> None:
         return None
 
 
@@ -206,7 +206,7 @@ class AlwaysBroadcast(HonestStrategy):
 
     honest_rules = False
 
-    def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
+    def wants_broadcast(self, state: LocalState) -> bool:
         return True
 
 
@@ -215,7 +215,7 @@ class WithholdFromLeader(HonestStrategy):
 
     honest_rules = False
 
-    def forwards_to_leader(self, state: LocalState, rng: Random) -> bool:
+    def forwards_to_leader(self, state: LocalState) -> bool:
         return False
 
 
@@ -239,20 +239,20 @@ class ForcedCoins(Strategy):
             return triple
         return CoinTriple.make(*self.script[state.iteration - 1])
 
-    def masked_bit(self, state: LocalState, rng: Random) -> int | None:
-        return self.inner.masked_bit(state, rng)
+    def masked_bit(self, state: LocalState) -> int | None:
+        return self.inner.masked_bit(state)
 
-    def wants_broadcast(self, state: LocalState, rng: Random) -> bool:
-        return self.inner.wants_broadcast(state, rng)
+    def wants_broadcast(self, state: LocalState) -> bool:
+        return self.inner.wants_broadcast(state)
 
     def broadcast_payload(self, state: LocalState, payload: object) -> object:
         return self.inner.broadcast_payload(state, payload)
 
-    def decide(self, state: LocalState, rng: Random) -> DecisionKind:
-        return self.inner.decide(state, rng)
+    def decide(self, state: LocalState) -> DecisionKind:
+        return self.inner.decide(state)
 
-    def forwards_to_leader(self, state: LocalState, rng: Random) -> bool:
-        return self.inner.forwards_to_leader(state, rng)
+    def forwards_to_leader(self, state: LocalState) -> bool:
+        return self.inner.forwards_to_leader(state)
 
 
 # --- deviation registry -------------------------------------------------------

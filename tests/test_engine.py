@@ -539,7 +539,7 @@ class RestartAfterLearning(HonestStrategy):
 
     honest_rules = False
 
-    def decide(self, state, rng):
+    def decide(self, state):
         return DecisionKind.RESTART
 
 
@@ -854,9 +854,9 @@ class Peeker(HonestStrategy):
         self.seen.append((state.bit_from_pred, state.bit_from_succ))
         return super().coins(state, rng, alpha)
 
-    def masked_bit(self, state, rng):
+    def masked_bit(self, state):
         self.seen.append(state.masked_from_succ)
-        return super().masked_bit(state, rng)
+        return super().masked_bit(state)
 
 
 @pytest.mark.parametrize("lift", ["3-ring", "3-of-6"])

@@ -1,7 +1,7 @@
 """`tools/identity.py`: an A/A run on this checkout, copies whose restart
 rule differs, whose split check drops its evidence, or whose round trip
-checks fewer thresholds, and a copy that builds more shares to the same
-runs.
+checks fewer thresholds, and copies that build more shares or derive
+more streams to the same runs.
 
 Each runs the tool in this process on a third of its exchange settings
 (alpha 0.5, trials 0 and 1: every exchange and profile, an int secret and
@@ -95,5 +95,19 @@ def test_identity_counts_builds_outside_the_hash(identity, capsys, tmp_path):
     out = capsys.readouterr().out
     parent, change = _sides(out)
     assert parent[1] == change[1] and "the trees agree" in out
-    assert parent[6:] == change[6:] == ["shares", "built"]
+    assert parent[6:8] == change[6:8] == ["shares", "built,"]
     assert int(parent[5]) < int(change[5])
+
+
+def test_identity_counts_streams_outside_the_hash(identity, capsys, tmp_path):
+    # The copy also derives a stream for every forwarder, which draws
+    # nothing from it: the same runs, so the trees agree, but more streams.
+    copy = _copy(tmp_path, "engine.py", "for p in leaders}",
+                 "for p in {*leaders, *(p for p, _ in self.forwarders)}}")
+    assert identity.main([str(ROOT), str(copy)]) == 0
+    out = capsys.readouterr().out
+    parent, change = _sides(out)
+    assert parent[1] == change[1] and "the trees agree" in out
+    assert parent[5] == change[5]
+    assert parent[9:] == change[9:] == ["streams", "derived"]
+    assert int(parent[8]) < int(change[8])

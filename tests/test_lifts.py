@@ -307,8 +307,8 @@ def test_honest_lift_checks_parity_agreement(lift):
     [
         (lambda: run_mechanism(5, 0.5), [1, 2, 3]),
         (lambda: lift_m_of_n(5, 3, 6, 0.5), [1, 2, 3]),  # leaders 1, 2, 3; nobody forwards
-        (lambda: lift_m_of_n(5, 4, 5, 0.5), [1, 2, 3, 4]),  # player 3 forwards to leader 2
-        (lambda: lift_2_of_n(5, 5, 0.5), [1, 2, 3, 4, 5]),  # everyone forwards or leads
+        (lambda: lift_m_of_n(5, 4, 5, 0.5), [1, 2, 4]),  # player 3 forwards, drawing nothing
+        (lambda: lift_2_of_n(5, 5, 0.5), [1, 2, 4]),  # leaders 1, 2, 4; 3 and 5 forward
     ],
     ids=["3-ring", "3-of-6", "4-of-5", "2-of-5"],
 )

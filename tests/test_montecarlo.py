@@ -279,6 +279,11 @@ def test_sampler_validation():
         for cap in (2**53 + 1, 2**63, 10**23):
             with pytest.raises(ValueError, match=r"^iteration cap must be at most 2\*\*53"):
                 sample(1e-100, 10, 1, cap=cap)
+        # A cap of another type would count its iterations differently in
+        # each sampler: 2.5 runs 3 in the engine and 2 in the bulk sampler.
+        for cap in (2.5, True):
+            with pytest.raises(ValueError, match=r"^iteration cap must be an int, got "):
+                sample(0.01, 10, 1, cap=cap)
 
 
 def test_cap_leaves_cause_cap_hit():

@@ -296,22 +296,20 @@ def test_table_consumers_reject_a_wrong_player_count(consumer):
 
 def test_honest_broadcast_rule():
     strat = HonestStrategy()
-    rng = Random(0)
-    assert strat.wants_broadcast(make_state(coins=(1, 0), parity=1), rng)
-    assert not strat.wants_broadcast(make_state(coins=(1, 0), parity=0), rng)
-    assert not strat.wants_broadcast(make_state(coins=(0, 0), parity=1), rng)
+    assert strat.wants_broadcast(make_state(coins=(1, 0), parity=1))
+    assert not strat.wants_broadcast(make_state(coins=(1, 0), parity=0))
+    assert not strat.wants_broadcast(make_state(coins=(0, 0), parity=1))
 
 
 def test_honest_decide_rule():
     # The strategy only chooses; the 3-ring exchange judges who learned.
     strat = HonestStrategy()
-    rng = Random(0)
     stop = make_state(coins=(1, 0), parity=1, observed=(1, 2, 3), holdings_count=3)
-    assert strat.decide(stop, rng) == DecisionKind.STOP and RING._learned(stop)
-    restart = strat.decide(make_state(coins=(1, 0), parity=1, observed=(1,)), rng)
+    assert strat.decide(stop) == DecisionKind.STOP and RING._learned(stop)
+    restart = strat.decide(make_state(coins=(1, 0), parity=1, observed=(1,)))
     assert restart == DecisionKind.RESTART
     caught = make_state(coins=(0, 0), parity=1, observed=())
-    assert strat.decide(caught, rng) == DecisionKind.STOP and not RING._learned(caught)
+    assert strat.decide(caught) == DecisionKind.STOP and not RING._learned(caught)
 
 
 # --- deviations -----------------------------------------------------------------
@@ -333,7 +331,7 @@ def test_catalog_contents():
 
 def test_withhold_never_broadcasts():
     strat = WithholdShare()
-    assert not strat.wants_broadcast(make_state(coins=(1, 0), parity=1), Random(0))
+    assert not strat.wants_broadcast(make_state(coins=(1, 0), parity=1))
 
 
 def test_biased_coin_degenerate_bias():
@@ -426,24 +424,6 @@ class RandomizationProbe(HonestStrategy):
         self._check(state, proxy)
         return out
 
-    def masked_bit(self, state, rng):
-        proxy = CountingProxy(rng)
-        out = super().masked_bit(state, proxy)
-        assert proxy.calls == 0
-        return out
-
-    def wants_broadcast(self, state, rng):
-        proxy = CountingProxy(rng)
-        out = super().wants_broadcast(state, proxy)
-        assert proxy.calls == 0
-        return out
-
-    def decide(self, state, rng):
-        proxy = CountingProxy(rng)
-        out = super().decide(state, proxy)
-        assert proxy.calls == 0
-        return out
-
 
 def test_forced_coins_delegates_every_hook_but_coins():
     # The kernel and the tests wrap strategies in ForcedCoins, so every public
@@ -471,6 +451,10 @@ def test_forced_coins_delegates_every_hook_but_coins():
 
 
 def test_honest_randomizes_only_before_holding_everything():
+    # Only `coins` is handed a stream; every later hook is a function of the state.
+    drawing = [name for name, hook in inspect.getmembers(Strategy, inspect.isfunction)
+               if "rng" in inspect.signature(hook).parameters]
+    assert drawing == ["coins"]
     # Exhaustive over two iterations: every first-iteration coin assignment,
     # and for the restarting ones every second-iteration assignment.
     probes = {pid: RandomizationProbe() for pid in (1, 2, 3)}

@@ -26,9 +26,9 @@ each player's `vars(state)` in key order, the leaders, and the number of
 text, everything but [timing], counts as one more run each.  It prints
 one SHA-256 per tree over all runs and exits 1 if they differ; a
 directory without `src/ratshare` exits 2.  Beside each digest, outside
-it, it prints the number of shares `ShareIssuer.issue_shares` built in
-the exchange runs, so two trees that agree can still differ in the work
-they do.
+it, it prints the number of shares `ShareIssuer.issue_shares` built and
+of random streams `engine.derive_rng` derived in the exchange runs, so
+two trees that agree can still differ in the work they do.
 """
 
 from __future__ import annotations
@@ -146,15 +146,16 @@ def _outcome_record(outcome, payload_record):
     return [outcome.iterations, list(outcome.info), outcome.cause.name, transcripts]
 
 
-def tree_digest(mods) -> tuple[str, int, int]:
+def tree_digest(mods) -> tuple[str, int, int, int]:
     """The SHA-256 over every run of the set on one tree, the number of runs,
-    and the number of shares the exchange runs built."""
+    and the numbers of shares built and of streams derived by the exchange runs."""
     engine, shamir = mods.engine, mods.shamir
     payload_record = importlib.import_module(f"{engine.__package__}.transcript")._payload_record
     exchange_cls, issuer_cls = engine.GroupedExchange, shamir.ShareIssuer
     run, verify_tag = exchange_cls.run, issuer_cls.verify_tag
     split, issue_shares = issuer_cls.split_subshares, issuer_cls.issue_shares
-    captured, verified, built, forging = [], [0], [0], [False]
+    derive_rng = engine.derive_rng
+    captured, verified, built, derived, forging = [], [0], [0], [0], [False]
 
     def capturing_run(self):
         captured.append(self)
@@ -170,6 +171,10 @@ def tree_digest(mods) -> tuple[str, int, int]:
         shares = issue_shares(self, *args, **kwargs)
         built[0] += len(shares)
         return shares
+
+    def counting_derive_rng(*path):
+        derived[0] += 1
+        return derive_rng(*path)
 
     digest, runs = hashlib.sha256(), 0
 
@@ -200,7 +205,7 @@ def tree_digest(mods) -> tuple[str, int, int]:
         return first
 
     exchange_cls.run, issuer_cls.verify_tag = capturing_run, counting_verify_tag
-    issuer_cls.issue_shares = counting_issue_shares
+    issuer_cls.issue_shares, engine.derive_rng = counting_issue_shares, counting_derive_rng
     try:
         for name, run_exchange in _exchanges(mods):
             honest = run_profile(name, run_exchange, dict)
@@ -214,13 +219,13 @@ def tree_digest(mods) -> tuple[str, int, int]:
                     issuer_cls.split_subshares, forging[0] = split, False
     finally:
         exchange_cls.run, issuer_cls.verify_tag = run, verify_tag
-        issuer_cls.issue_shares = issue_shares
+        issuer_cls.issue_shares, engine.derive_rng = issue_shares, derive_rng
     cli = mods.cli
     for prime, n in HIDING:
         args = cli.build_parser().parse_args(["hiding", "--prime", str(prime), "--n", str(n)])
         digest.update(cli.run_command(args).result_text().encode())
         runs += 1
-    return digest.hexdigest(), runs, built[0]
+    return digest.hexdigest(), runs, built[0], derived[0]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -236,8 +241,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     digests = []
     for path, side in zip((args.parent, args.change), SIDES):
-        digest, runs, built = tree_digest(load_tree(path.resolve(), f"ratshare_identity_{side}"))
-        print(f"{side}: {digest} over {runs} runs, {built} shares built")
+        digest, runs, built, derived = tree_digest(
+            load_tree(path.resolve(), f"ratshare_identity_{side}"))
+        print(f"{side}: {digest} over {runs} runs, {built} shares built, {derived} streams derived")
         digests.append(digest)
     if digests[0] != digests[1]:
         print("the trees differ")

@@ -180,6 +180,9 @@ MUTANTS = [
     Mutant("epoch-guard-lets-a-repeat-through", "src/ratshare/engine.py",
            "if epoch <= self.issued:", "if epoch < self.issued:",
            "tests/test_engine.py::test_a_second_run_is_refused_before_it_touches_anything"),
+    Mutant("forwarders-get-a-stream", "src/ratshare/engine.py",
+           "for p in leaders}", "for p in {*leaders, *(p for p, _ in self.forwarders)}}",
+           "tests/test_lifts.py::test_only_players_who_act_get_a_stream"),
     Mutant("leader-is-last-of-group", "src/ratshare/engine.py",
            "[group[0] for group in groups]", "[group[-1] for group in groups]",
            "tests/test_lifts.py::test_each_delivered_item_is_checked_once_and_judged_for_every_receiver"),
