@@ -50,10 +50,11 @@ from .strategies import (
 )
 
 
-# `hiding` enumerates every polynomial over GF(p) at 13-21 us per
-# reconstruction (p = 31, n = 3 makes 33,852 in 0.44-0.72 s on a 2-CPU
-# Xeon).  The count grows as p^3: a prime near 100 would take 15-25 s and
-# one near 1,000 four to six hours, so larger inputs are refused.
+# `hiding` enumerates every polynomial over GF(p) at 9-16 us per
+# reconstruction (p = 31, n = 3 makes 33,852 in 0.29-0.54 s on a 2-CPU
+# Xeon).  The count grows as p^3: a prime near 100 would take 9-17 s and
+# one near 1,000 two and a half to four and a half hours, so larger inputs
+# are refused.
 HIDING_BUDGET = 50_000
 
 # `simulate` on the vectorized sampler peaks at about 34 bytes per trial

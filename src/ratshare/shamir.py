@@ -7,16 +7,21 @@ leave the secret information-theoretically hidden.  A trusted issuer
 tags every share (and every additive subshare) with a keyed MAC so
 holders cannot substitute forged values.  The MAC is HMAC-SHA256 (RFC
 2104), computed from the inner and outer pad states that each issuer
-builds once from its key.  A tag is a pure function of its message, so
-each issuer's MAC is itself a bounded cache (its 256 most recent
-messages) that issuing, splitting and verifying all call: a point issued
-again, or an item verified, while its message is cached computes no
-MAC.  The cache is keyed by the message, not by an item's fields,
-because 1 == True == 1.0, nor by the item, which `object.__setattr__`
-can still change.  Each kind of message has one definition, a module
-function of the modulus, the epoch and the item's fields (`_share_msg`,
-`_subshare_msg`), that every caller builds in full; verification builds
-it on every call.
+builds once from its key.  Each kind of message has one definition, a
+module function of the modulus, the epoch and the item's fields
+(`_share_msg`, `_subshare_msg`).  An issuer's modulus is fixed, so a tag
+is a pure function of the item's other fields, and each issuer keeps one
+bounded cache (its 256 most recent items) keyed by them: (epoch, holder,
+y) for a share, (epoch, parent, index, value) for a subshare, the arity
+telling the two apart.  Issuing, splitting and verifying all call it,
+and only a miss builds the message and runs HMAC.  Since 1 == True ==
+1.0 == Decimal(1) and each hashes alike, the key is one to one with the
+message only over exact ints: verification refuses, before any lookup,
+an item whose fields the issuer could not have tagged (a field that is
+not an exact int, a holder, parent or value outside the field, an epoch
+or index outside its range), and the issuer refuses to tag one.
+Verification reads the item's fields on every call, never the item,
+which `object.__setattr__` can still change.
 
 A share's evaluation point is its holder, so the tag covers who holds
 it: a share relabelled after issue fails its tag.  The Lagrange weights
@@ -61,11 +66,14 @@ _LAGRANGE_CACHE_SIZE = 256
 _BLOCK = 64
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
-# How many of its most recent messages' MACs an issuer keeps.  The largest
+# How many of its most recent items' tags an issuer keeps.  The largest
 # `hiding` run accepted has n * p = 93 distinct points (p = 31, n = 3), and
 # an engine epoch tags the 2(n-1) split pieces of a 2-of-n epoch, and for
 # m-of-n one share per designated player whose share is sent.
 _MAC_CACHE_SIZE = 256
+# Epochs and subshare indices are counts below this bound, so every field
+# of an item the issuer tags prints far within `str`'s digit limit.
+_COUNT_LIMIT = 2**64
 
 
 class ReconstructionError(ValueError):
@@ -193,13 +201,17 @@ def _subshare(parent: int, index: int, value: FieldElement, epoch: int, tag: byt
     return item
 
 
-def _keyed_mac(key: bytes):
-    """HMAC-SHA256 under `key` (RFC 2104), as a cache of its most recent
-    messages.
+def _keyed_tags(key: bytes, p: int):
+    """HMAC-SHA256 under `key` (RFC 2104) of an item of GF(p), as a cache of
+    its most recent items' fields.
 
-    The inner and outer hash states after the padded key are built once,
-    and every tag copies both.  The closure holds only those two states,
-    so an issuer and its MAC form no reference cycle.
+    It takes a share's fields (epoch, holder, y) or a subshare's (epoch,
+    parent, index, value), all exact ints, so the key, the argument tuple,
+    tells the two kinds apart by its length.  Only a miss builds the
+    item's message and runs HMAC.  The inner and outer hash states after
+    the padded key are built once, and every tag copies both.  The closure
+    holds only p and those two states, so an issuer and its cache form no
+    reference cycle.
     """
     if len(key) > _BLOCK:
         key = hashlib.sha256(key).digest()
@@ -208,14 +220,18 @@ def _keyed_mac(key: bytes):
     outer_state = hashlib.sha256(key.translate(_OPAD))
 
     @lru_cache(maxsize=_MAC_CACHE_SIZE)
-    def mac(msg: str) -> bytes:
+    def tag(epoch: int, point: int, a: int, b: int | None = None) -> bytes:
+        if b is None:
+            msg = _share_msg(p, epoch, point, a)
+        else:
+            msg = _subshare_msg(p, epoch, point, a, b)
         inner = inner_state.copy()
         inner.update(msg.encode())
         outer = outer_state.copy()
         outer.update(inner.digest())
         return outer.digest()
 
-    return mac
+    return tag
 
 
 # The MAC message of an item is "|"-joined: its kind, the modulus p, the
@@ -256,12 +272,15 @@ class ShareIssuer:
 
     Conceptually the issuer signs shares so holders cannot forge them; at
     desk scale a keyed MAC (HMAC-SHA256) gives simulated players the same
-    integrity guarantee, with verification going through the issuer.
+    integrity guarantee, with verification going through the issuer.  Its
+    tags are cached by item fields (`_keyed_tags`), which it takes only as
+    exact ints in the ranges it issues: it refuses to tag any other epoch
+    or point, and any other item fails verification before a lookup.
     """
 
     def __init__(self, key: bytes, modulus: int = DEFAULT_PRIME):
         _check_modulus(modulus)
-        self._mac = _keyed_mac(key)
+        self._tag = _keyed_tags(key, modulus)
         self.modulus = modulus
 
     def issue_shares(
@@ -278,13 +297,14 @@ class ShareIssuer:
         p = self.modulus
         if secret.modulus != p:
             raise ValueError("secret modulus does not match issuer modulus")
-        if epoch < 0:
-            raise ValueError("epoch must be non-negative")
+        # Inline, as the holder check: an engine epoch issues one share a call.
+        if type(epoch) is not int or not 0 <= epoch < _COUNT_LIMIT:
+            raise ValueError("epoch must be an int in [0, 2**64)")
         for i in holders:
             if type(i) is not int or not 0 < i < p:
                 raise ValueError(f"holder {i!r} is not a point in 1..{p - 1}")
         poly = _polynomial(secret, coefficients, p)
-        mac = self._mac
+        tag_of = self._tag
         shares = []
         append = shares.append
         # Horner's rule as in `evaluate`, inline: `hiding` issues thousands
@@ -294,8 +314,7 @@ class ShareIssuer:
             y = 0
             for c in poly:
                 y = (y * i + c) % p
-            tag = mac(_share_msg(p, epoch, i, y))
-            append(_share(i, _element(y, p), epoch, tag))
+            append(_share(i, _element(y, p), epoch, tag_of(epoch, i, y)))
         return shares
 
     def evaluate(self, secret: FieldElement, coefficients: list[int], points) -> list[int]:
@@ -320,13 +339,31 @@ class ShareIssuer:
         return [rng.randrange(p) for _ in range(m - 1)]
 
     def verify_tag(self, item: Share | Subshare) -> bool:
-        """True iff the tag matches the issuer's keyed code over the fields."""
+        """True iff the tag matches the issuer's keyed code over the fields.
+
+        An item the issuer could not have tagged fails before any lookup:
+        one with a field that is not an exact int (True, 1.0 and Decimal(1)
+        all equal 1 and hash like it), a holder or parent outside [1, p), a
+        value outside [0, p), an epoch outside [0, 2**64) or an index
+        outside [1, 2**64).  So each cache key looked up stands for one
+        message, and no forged value is too long to print.
+        """
+        p = self.modulus
         if isinstance(item, Share):
-            msg = _share_msg(self.modulus, item.epoch, item.holder, item.y.value)
+            epoch, holder, y = item.epoch, item.holder, item.y.value
+            if not (type(epoch) is type(holder) is type(y) is int
+                    and 0 <= epoch < _COUNT_LIMIT and 0 < holder < p and 0 <= y < p):
+                return False
+            tag = self._tag(epoch, holder, y)
         else:
-            msg = _subshare_msg(self.modulus, item.epoch, item.parent_holder, item.index,
-                                item.value.value)
-        return hmac.compare_digest(item.tag, self._mac(msg))
+            epoch, parent, index = item.epoch, item.parent_holder, item.index
+            value = item.value.value
+            if not (type(epoch) is type(parent) is type(index) is type(value) is int
+                    and 0 <= epoch < _COUNT_LIMIT and 0 < parent < p
+                    and 0 < index < _COUNT_LIMIT and 0 <= value < p):
+                return False
+            tag = self._tag(epoch, parent, index, value)
+        return hmac.compare_digest(item.tag, tag)
 
     def split_subshares(self, point: tuple, count: int, rng: Random) -> list[Subshare]:
         """Split the y value of the point (holder, y, epoch) into `count`
@@ -334,22 +371,28 @@ class ShareIssuer:
 
         y must be an int in [0, p) of the issuer's field, as `evaluate`
         gives it: a 2-of-n epoch splits its holders' values without building
-        their shares, and tags only the pieces.  All but the last value are
-        uniform; each piece carries its own tag (the tag substitutes for a
-        proof that the split was done honestly).
+        their shares, and tags only the pieces.  The holder must be a point
+        in [1, p) and the epoch an int in [0, 2**64), as for `issue_shares`.
+        All but the last value are uniform; each piece carries its own tag
+        (the tag substitutes for a proof that the split was done honestly).
         """
         if count < 2:
             raise ValueError(f"subshare count must be >= 2, got {count}")
         p = self.modulus
         parent, y, epoch = point
+        if type(parent) is not int or not 0 < parent < p:
+            raise ValueError(f"holder {parent!r} is not a point in 1..{p - 1}")
+        if type(y) is not int:
+            raise ValueError(f"y {y!r} is not an int")
+        if type(epoch) is not int or not 0 <= epoch < _COUNT_LIMIT:
+            raise ValueError("epoch must be an int in [0, 2**64)")
         values = [rng.randrange(p) for _ in range(count - 1)]
         values.append((y - sum(values)) % p)
-        mac = self._mac
+        tag_of = self._tag
         subshares = []
         append = subshares.append
         for k, v in enumerate(values, start=1):
-            tag = mac(_subshare_msg(p, epoch, parent, k, v))
-            append(_subshare(parent, k, _element(v, p), epoch, tag))
+            append(_subshare(parent, k, _element(v, p), epoch, tag_of(epoch, parent, k, v)))
         return subshares
 
 

@@ -23,6 +23,7 @@ from ratshare.protocol import (
     DecisionKind,
     MessageKind,
     RoundMessage,
+    RunOutcome,
     Step,
     TerminalCause,
     broadcast_rule,
@@ -30,7 +31,7 @@ from ratshare.protocol import (
     restart_rule,
 )
 from ratshare.seeding import derive_rng
-from ratshare.shamir import FieldElement, ShareIssuer, reconstruct
+from ratshare.shamir import FieldElement, Share, ShareIssuer, reconstruct
 from ratshare.strategies import (
     DEVIATIONS,
     AlwaysBroadcast,
@@ -404,6 +405,40 @@ class ReshapePayload(AlwaysBroadcast):
 
     def broadcast_payload(self, state, payload):
         return self.reshape(payload)
+
+
+def _too_long_to_print(item):
+    """`item` with its field element's value set, past the checks, to an int
+    of 5,001 digits: past `str`'s limit, so its message cannot be built."""
+    field = "y" if isinstance(item, Share) else "value"
+    element = copy.copy(getattr(item, field))
+    object.__setattr__(element, "value", 10**5000)
+    return dataclasses.replace(item, **{field: element})
+
+
+@pytest.mark.parametrize("lift", ["3-ring", "2-of-4"])
+def test_a_forged_value_too_long_to_print_is_evidence(lift):
+    # Leader 1 always broadcasts, its first item's value forged: the run
+    # ends as any run with a forged broadcast does, and the tag check
+    # raises nothing.
+    def forge_first(payload):
+        if isinstance(payload, tuple):
+            return (_too_long_to_print(payload[0]), *payload[1:])
+        return _too_long_to_print(payload)
+
+    profile = {1: ReshapePayload(forge_first)}
+    kw = dict(alpha=1, profile=profile, seed=1, trial=0, cap=5, record=True)
+    if lift == "3-ring":
+        game = MOfNExchange(5, [[1], [2], [3]], 3, **kw)
+    else:
+        game = TwoOfNExchange(FieldElement(5, 101), 4, **kw)
+    outcome = game.run()
+    assert isinstance(outcome, RunOutcome)
+    assert outcome.cause == TerminalCause.CHEAT_STOP and outcome.info[0] == 1
+    for pid in game.players[1:]:
+        assert ("invalid-tag", 1, 1) in [
+            (e.kind, e.iteration, e.about) for e in game.states[pid].cheat_evidence
+        ], pid
 
 
 @pytest.mark.parametrize("exchange", ["3-ring", "3-of-6"])

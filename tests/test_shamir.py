@@ -5,6 +5,8 @@ import gc
 import hashlib
 import hmac
 import weakref
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -13,7 +15,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from ratshare import cli
+from ratshare import cli, shamir
 from ratshare.shamir import (
     _MAC_CACHE_SIZE,
     DEFAULT_PRIME,
@@ -61,6 +63,34 @@ def oracle_fields(issuer: ShareIssuer, item: Share | Subshare) -> tuple:
         return ("share", issuer.modulus, item.epoch, item.holder, item.y.value)
     return ("subshare", issuer.modulus, item.epoch, item.parent_holder, item.index,
             item.value.value)
+
+
+# The fields an issuer keys an item's tag by, with a field element read as
+# its value: all of `oracle_fields` but the kind and the modulus.
+KEY_FIELDS = {
+    Share: ("epoch", "holder", "y"),
+    Subshare: ("epoch", "parent_holder", "index", "value"),
+}
+
+
+def key_fields(item: Share | Subshare) -> tuple:
+    values = (getattr(item, field) for field in KEY_FIELDS[type(item)])
+    return tuple(v.value if isinstance(v, FieldElement) else v for v in values)
+
+
+def rebuilt(item, **fields):
+    """`item` with `fields` replaced, set past the constructors' checks."""
+    new = object.__new__(type(item))
+    for f in dataclasses.fields(item):
+        object.__setattr__(new, f.name, fields.get(f.name, getattr(item, f.name)))
+    return new
+
+
+def with_field(item: Share | Subshare, field: str, value) -> Share | Subshare:
+    """`item` with one field, or its field element's value, set to `value` unchecked."""
+    if field in ("y", "value"):
+        return rebuilt(item, **{field: rebuilt(getattr(item, field), value=value)})
+    return rebuilt(item, **{field: value})
 
 
 class ScriptRandom(Random):
@@ -363,14 +393,29 @@ def test_tag_soundness_under_mutation(field, delta, secret):
     key_len=st.sampled_from([0, 1, 16, 63, 64, 65, 200]),
     data=st.data(),
 )
-def test_mac_is_hmac_sha256(key_len, data):
-    # Keys up to the 64-byte block are padded, longer ones hashed first;
-    # several messages per issuer, some repeated, show a tag leaves the
-    # keyed state as it was and a cached tag is the message's MAC.
+def test_tags_are_hmac_sha256_of_the_documented_message(key_len, data):
+    # Keys up to the 64-byte block are padded, longer ones hashed first.
+    # Each item is issued twice, so the second tag of each comes from the
+    # cache, and every tag is stdlib HMAC over the message the module
+    # docstring defines, written out here.
     key = data.draw(st.binary(min_size=key_len, max_size=key_len), label="key")
-    issuer = ShareIssuer(key, modulus=13)
-    for msg in data.draw(st.lists(st.text(max_size=300), min_size=1, max_size=4)) * 2:
-        assert issuer._mac(msg) == hmac.new(key, msg.encode(), hashlib.sha256).digest()
+    issuer = ShareIssuer(key, modulus=101)
+    epoch = data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="epoch")
+    secret = fe(data.draw(st.integers(0, 100)), 101)
+    coefficients = data.draw(st.lists(st.integers(0, 100), max_size=3), label="coefficients")
+    holders = data.draw(st.lists(st.integers(1, 100), min_size=1, max_size=4), label="holders")
+    count = data.draw(st.integers(2, 4), label="count")
+    for _ in range(2):
+        shares = issuer.issue_shares(secret, epoch, coefficients, holders)
+        subs = issuer.split_subshares(point(shares[0]), count, Random(epoch))
+        for s in shares:
+            msg = f"share|101|{epoch}|{s.holder}|{s.y.value}"
+            assert s.tag == hmac.new(key, msg.encode(), hashlib.sha256).digest()
+        for s in subs:
+            msg = f"subshare|101|{epoch}|{s.parent_holder}|{s.index}|{s.value.value}"
+            assert s.tag == hmac.new(key, msg.encode(), hashlib.sha256).digest()
+        for item in [*shares, *subs]:
+            assert issuer._tag(*key_fields(item)) == item.tag and issuer.verify_tag(item)
 
 
 def test_other_key_rejects(issuer13):
@@ -434,11 +479,11 @@ def test_items_of_an_earlier_issue_verify_by_recomputation(issuer13):
     for epoch in range(10, 10 + _MAC_CACHE_SIZE):
         issue(issuer13, fe(7), m=2, n=3, epoch=epoch, rng=rng)
 
-    before = issuer13._mac.cache_info().misses
+    before = issuer13._tag.cache_info().misses
     for item in [*old, *old_subs]:
         assert issuer13.verify_tag(item)
         assert not issuer13.verify_tag(dataclasses.replace(item, epoch=5))
-    assert issuer13._mac.cache_info().misses - before == 2 * (len(old) + len(old_subs))
+    assert issuer13._tag.cache_info().misses - before == 2 * (len(old) + len(old_subs))
 
 
 def test_remembered_tags_are_bounded_and_kept_for_one_epoch():
@@ -447,12 +492,12 @@ def test_remembered_tags_are_bounded_and_kept_for_one_epoch():
     for epoch in range(10_000):
         secret = FieldElement(rng.randrange(DEFAULT_PRIME), DEFAULT_PRIME)
         shares = issue(issuer, secret, 2, 3, epoch, rng)
-        assert issuer._mac.cache_info().currsize <= _MAC_CACHE_SIZE
-    info = issuer._mac.cache_info()
+        assert issuer._tag.cache_info().currsize <= _MAC_CACHE_SIZE
+    info = issuer._tag.cache_info()
     assert info.misses == 30_000 and info.currsize == _MAC_CACHE_SIZE
     # The latest items are still cached: verifying them computes no MAC.
     assert all(issuer.verify_tag(s) for s in shares)
-    assert issuer._mac.cache_info().misses == 30_000
+    assert issuer._tag.cache_info().misses == 30_000
 
 
 @given(
@@ -479,24 +524,112 @@ def test_the_tag_cache_stays_bounded_over_issues_and_splits(ops):
             continue
         # Each tag computed enters the cache until it is full, and the
         # items just made are still there: verifying them computes no MAC.
-        info = issuer._mac.cache_info()
+        info = issuer._tag.cache_info()
         assert info.currsize == min(info.misses, _MAC_CACHE_SIZE)
         assert all(issuer.verify_tag(item) for item in items)
-        assert issuer._mac.cache_info().misses == info.misses
+        assert issuer._tag.cache_info().misses == info.misses
 
 
-def test_the_tag_cache_is_keyed_by_the_message(issuer13):
-    # 1 == True == 1.0, but each writes a message of its own, so an epoch
-    # (or a subshare's parent or index) of True or 1.0 does not match the
-    # cached tag of 1.
+class One(IntEnum):
+    ONE = 1
+
+
+# Each equals an int the issuer tags, and all but 2**70 hash like it: True,
+# 1.0, One.ONE and Decimal(1) equal 1, and -0.0 equals 0.  Decimal(1) and
+# One.ONE also print as 1.  2**70 is 10 mod 13 and past 2**64.
+ODD_VALUES = (True, 1.0, One.ONE, Decimal(1), -0.0, 2**70)
+
+
+def _int_items(issuer13, n):
+    """A share and a subshare of GF(13) whose fields are the int n wherever
+    the issuer tags it: n mod 13 as a field value, and as a point unless
+    that is 0; n as an epoch or an index if it is a count, else 1."""
+    epoch = n if 0 <= n < 2**64 else 1
+    index = n if 0 < n < 2**64 else 1
+    x, v = n % 13 or 1, n % 13
+    share = issuer13.issue_shares(fe(v), epoch, [0], (x,))[0]
+    # The first `index` pieces take the value v, the last what is left.
+    subs = issuer13.split_subshares((x, v, epoch), index + 1, ScriptRandom([v] * index))
+    return share, subs[index - 1]
+
+
+def test_an_odd_field_never_verifies_against_the_int_items_tag(issuer13):
+    # The cache keys a tag by its item's fields, which a value that is not
+    # an exact int could match by == and hash.  Whether or not the int
+    # item's tag is cached, such an item fails.
+    for odd in ODD_VALUES:
+        for item in _int_items(issuer13, int(odd)):
+            for field in KEY_FIELDS[type(item)]:
+                forged = with_field(item, field, odd)
+                for cached in (True, False):
+                    if not cached:
+                        issuer13._tag.cache_clear()
+                    assert not issuer13.verify_tag(forged), (odd, field, cached)
+                    assert issuer13.verify_tag(item)
+
+
+def test_a_field_outside_what_the_issuer_tags_fails_before_any_lookup(issuer13):
+    # A value too long for `str` to print (over 4,300 digits) would raise if
+    # its message were built; it fails its tag instead, as does every value
+    # the issuer cannot have tagged.
     share = issue(issuer13, fe(7), m=2, n=3, epoch=1, rng=Random(0))[0]
     sub = issuer13.split_subshares(point(share), 3, Random(1))[0]
-    assert (share.holder, sub.parent_holder, sub.index) == (1, 1, 1)
-    assert issuer13.verify_tag(share) and issuer13.verify_tag(sub)
-    for other in (True, 1.0):
-        assert not issuer13.verify_tag(dataclasses.replace(share, epoch=other))
-        for field in ("epoch", "parent_holder", "index"):
-            assert not issuer13.verify_tag(dataclasses.replace(sub, **{field: other}))
+    huge = 10**5000
+    outside = {
+        "epoch": (-1, 2**64, huge), "holder": (0, 13, -1, huge), "y": (13, -1, huge),
+        "parent_holder": (0, 13, -1, huge), "index": (0, -1, 2**64, huge),
+        "value": (13, -1, huge),
+    }
+    before = issuer13._tag.cache_info()
+    for item in (share, sub):
+        for field in KEY_FIELDS[type(item)]:
+            for value in outside[field]:
+                assert not issuer13.verify_tag(with_field(item, field, value)), (field, value)
+    after = issuer13._tag.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_the_issuer_refuses_what_it_could_not_verify(issuer13):
+    for epoch in (True, 1.0, One.ONE, Decimal(1), -1, 2**64):
+        with pytest.raises(ValueError, match="epoch"):
+            issuer13.issue_shares(fe(3), epoch, [1], (1, 2))
+        with pytest.raises(ValueError, match="epoch"):
+            issuer13.split_subshares((1, 3, epoch), 2, Random(0))
+    for parent in (True, 1.0, One.ONE, 0, 13):
+        with pytest.raises(ValueError, match="is not a point"):
+            issuer13.split_subshares((parent, 3, 1), 2, Random(0))
+    for y in (1.0, Decimal(1), True):
+        with pytest.raises(ValueError, match="is not an int"):
+            issuer13.split_subshares((1, y, 1), 2, Random(0))
+
+
+@given(
+    p=st.sampled_from((13, 101)),
+    epoch=st.one_of(st.integers(-5, 2**65), st.booleans(), st.floats(allow_nan=False),
+                    st.sampled_from((One.ONE, Decimal(2)))),
+    holders=st.lists(st.one_of(st.integers(-2, 110), st.booleans(), st.just(One.ONE)),
+                     min_size=1, max_size=4),
+    y=st.one_of(st.integers(-200, 200), st.booleans(), st.just(2.0)),
+    count=st.integers(2, 4),
+)
+def test_every_item_the_issuer_returns_verifies(p, epoch, holders, y, count):
+    issuer = ShareIssuer(b"every", modulus=p)
+
+    def made(make, *args):
+        try:
+            return make(*args)
+        except ValueError:
+            return None
+
+    shares = made(issuer.issue_shares, fe(1, p), epoch, [y], holders)
+    pieces = made(issuer.split_subshares, (holders[0], y, epoch), count, Random(0))
+    for item in (shares or []) + (pieces or []):
+        assert issuer.verify_tag(item)
+    epoch_ok = type(epoch) is int and 0 <= epoch < 2**64
+    points = [type(h) is int and 0 < h < p for h in holders]
+    # Issuing takes y as a coefficient, which reduces to an int if it is a bool.
+    assert (shares is not None) == (epoch_ok and all(points) and type(y) in (int, bool))
+    assert (pieces is not None) == (epoch_ok and points[0] and type(y) is int)
 
 
 def test_an_item_changed_in_place_after_issue_fails_its_tag(issuer13):
@@ -508,6 +641,7 @@ def test_an_item_changed_in_place_after_issue_fails_its_tag(issuer13):
         (shares[0], "y", fe(8)), (shares[1], "holder", 3), (shares[2], "epoch", 2),
         (shares[2], "epoch", 1.0), (subs[0], "value", fe(0)), (subs[1], "index", 3),
         (subs[2], "parent_holder", 2), (subs[2], "epoch", True),
+        (shares[0], "holder", One.ONE), (subs[0], "index", Decimal(1)),
     ]
     for item, field, value in changes:
         assert issuer13.verify_tag(item)
@@ -538,13 +672,13 @@ def test_verify_tag_formats_each_item_by_its_type(issuer13):
 
 
 def test_an_issuer_is_freed_without_the_garbage_collector():
-    # The engine builds an issuer per run: its cached MAC must not hold a
+    # The engine builds an issuer per run: its tag cache must not hold a
     # reference back to it.
     gc.disable()
     try:
         issuer = ShareIssuer(b"cycle", modulus=13)
         assert issuer.verify_tag(issue(issuer, fe(3), 2, 3, 0, Random(0))[0])
-        refs = weakref.ref(issuer), weakref.ref(issuer._mac)
+        refs = weakref.ref(issuer), weakref.ref(issuer._tag)
         del issuer
         assert [ref() for ref in refs] == [None, None]
     finally:
@@ -554,10 +688,10 @@ def test_an_issuer_is_freed_without_the_garbage_collector():
 def test_two_of_n_issue_remembers_each_subshare_once(issuer13):
     shares = issue(issuer13, fe(4), m=2, n=2, epoch=0, rng=Random(0))
     subs = [s for share in shares for s in issuer13.split_subshares(point(share), 4, Random(1))]
-    assert issuer13._mac.cache_info().misses == 2 + 8
+    assert issuer13._tag.cache_info().misses == 2 + 8
     # Verifying the epoch's items is a lookup.
     assert all(issuer13.verify_tag(item) for item in [*shares, *subs])
-    assert issuer13._mac.cache_info().misses == 2 + 8
+    assert issuer13._tag.cache_info().misses == 2 + 8
 
 
 def test_an_epoch_computes_each_tag_once(capsys, monkeypatch):
@@ -570,15 +704,26 @@ def test_an_epoch_computes_each_tag_once(capsys, monkeypatch):
         init(self, *args, **kwargs)
         issuers.append(self)
 
+    # Only a miss builds the message.
+    builds = []
+    share_msg = shamir._share_msg
+
+    def counting_share_msg(*fields):
+        builds.append(fields)
+        return share_msg(*fields)
+
     monkeypatch.setattr(ShareIssuer, "__init__", keep)
+    monkeypatch.setattr(shamir, "_share_msg", counting_share_msg)
     for p, points in ((7, 21), (13, 39)):
         assert cli.main(["hiding", "--prime", str(p)]) == 0
         assert "all-pass = true" in capsys.readouterr().out
-        assert [issuer._mac.cache_info().misses for issuer in issuers] == [points]
+        assert [issuer._tag.cache_info().misses for issuer in issuers] == [points]
+        assert len(builds) == len(set(builds)) == points
         issuers.clear()
+        builds.clear()
 
 
-def test_remembered_tags_are_the_macs_of_their_messages():
+def test_remembered_tags_are_the_macs_of_their_fields():
     issuer = ShareIssuer(b"memo", modulus=13)
     rng = Random(0)
     items = []
@@ -586,10 +731,9 @@ def test_remembered_tags_are_the_macs_of_their_messages():
         shares = issuer.issue_shares(fe(secret), 5, [slope], (1, 2, 3))
         items += shares + issuer.split_subshares(point(shares[secret % 3]), 2 + secret % 3, rng)
     for item in items[-20:]:
-        msg = "|".join(map(str, oracle_fields(issuer, item)))
-        hits = issuer._mac.cache_info().hits
-        assert issuer._mac(msg) == oracle_tag(b"memo", *oracle_fields(issuer, item))
-        assert issuer._mac.cache_info().hits == hits + 1
+        hits = issuer._tag.cache_info().hits
+        assert issuer._tag(*key_fields(item)) == oracle_tag(b"memo", *oracle_fields(issuer, item))
+        assert issuer._tag.cache_info().hits == hits + 1
     for item in items:
         assert item.tag == oracle_tag(b"memo", *oracle_fields(issuer, item))
 

@@ -52,8 +52,15 @@ MUTANTS = [
            "row += v >= edge", "row += v > edge",
            "tests/test_montecarlo.py::test_sampler_matches_searchsorted_oracle"),
     Mutant("tag-check-always-passes", "src/ratshare/shamir.py",
-           "return hmac.compare_digest(item.tag, self._mac(msg))", "return True",
+           "return hmac.compare_digest(item.tag, tag)", "return True",
            "tests/test_shamir.py::test_tags_and_verification_agree_with_an_hmac_oracle"),
+    Mutant("tag-key-accepts-non-int", "src/ratshare/shamir.py",
+           "if not (type(epoch) is type(holder) is type(y) is int\n                    and ",
+           "if not (",
+           "tests/test_shamir.py::test_an_odd_field_never_verifies_against_the_int_items_tag"),
+    Mutant("tag-key-drops-value-range", "src/ratshare/shamir.py",
+           "and 0 < holder < p and 0 <= y < p):", "and 0 < holder < p):",
+           "tests/test_engine.py::test_a_forged_value_too_long_to_print_is_evidence"),
     Mutant("withhold-closed-form-scaled", "src/ratshare/analysis.py",
            "table.u_none(player)) / (a2 + b2)", "table.u_none(player)) / (a2 + b2) * 1.0001",
            "tests/test_montecarlo.py::test_kernel_matches_closed_forms_exactly"),
@@ -74,8 +81,7 @@ MUTANTS = [
            "sum(map(mul, ys, weights)) % p", "sum(map(mul, ys, weights))",
            "tests/test_shamir.py::test_hand_lagrange"),
     Mutant("subshare-tagged-as-share", "src/ratshare/shamir.py",
-           "_subshare_msg(self.modulus, item.epoch, item.parent_holder, item.index,",
-           "_share_msg(self.modulus, item.epoch, item.parent_holder,",
+           "tag = self._tag(epoch, parent, index, value)", "tag = self._tag(epoch, parent, value)",
            "tests/test_shamir.py::test_verify_tag_formats_each_item_by_its_type"),
     Mutant("hiding-check-always-passes", "src/ratshare/shamir.py",
            "return bool((counts.min(axis=1) == counts.max(axis=1)).all())", "return True",
