@@ -65,7 +65,7 @@ HIDING_BUDGET = 50_000
 MAX_TRIALS = 10_000_000
 
 # A dump expected to write more than this is refused before its file is
-# opened: about 71,000 honest trials at alpha 0.5 and 640 at alpha 0.1.
+# opened: about 75,000 honest trials at alpha 0.5 and 650 at alpha 0.1.
 DUMP_BUDGET_BYTES = 10**9
 
 TABLE_DEFAULTS = {"u_only": 2.0, "u_all": 1.0, "u_none": 0.0}
@@ -144,7 +144,7 @@ def _dump_size(trials: int, alpha: float, cap: int, deviation, deviator, profile
 
     An expectation, not a bound: sampling noise lets a small dump pass it
     (over seeds 0-9, 40-trial dumps at alpha 0.5 wrote up to 1.05 times it
-    for honest play, 1.19 times for withhold and 1.21 times for
+    for honest play, 1.19 times for withhold and 1.20 times for
     biased-coin:0.2, both by player 2)."""
     kernel = montecarlo.iteration_kernel(deviation, deviator)
     _, sent = montecarlo.expected_run(alpha, profile, kernel, cap)

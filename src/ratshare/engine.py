@@ -22,8 +22,8 @@ recipient.  A player's holdings are the holding keys of what it holds
 themselves travel in bundles: a player's bundle is the valid items it
 was handed this epoch, and `_sends` is what it forwards or broadcasts.
 An epoch builds items only as they are sent: an m-of-n epoch draws its
-polynomial when it is issued, its only draws, and `issue_round` builds
-and tags a designated player's share from it only when that player
+polynomial and tag keys when it is issued, its only draws, and
+`issue_round` builds and tags a designated player's share only when it
 sends, ahead of what it was handed, so an epoch that sends no share
 builds none and one leader's broadcast builds one share.
 The others hold only their own share's key.  A leader's payload exists
@@ -477,11 +477,12 @@ class MOfNExchange(GroupedExchange):
 
     Only players 1..m can send a share, so an epoch builds shares for them
     alone; every player holds its own share's key, which counts toward the
-    threshold.  Issuing an epoch draws its polynomial, the epoch's only
-    draws, and hands out no item: a bundle holds only what forwarders hand
-    a leader.  A designated player's share is built and tagged through
-    `issue_round` when that player sends, as it forwards or broadcasts, so
-    an epoch builds one share per sent one and none when nothing is sent.
+    threshold.  Issuing an epoch draws its polynomial and the tag keys of
+    players 1..m, its only draws, and hands out no item: a bundle holds
+    only what forwarders hand a leader.  A designated player's share is
+    built and tagged through `issue_round` when that player sends, as it
+    forwards or broadcasts, so an epoch builds one share per sent one and
+    none when nothing is sent.
     Shares sit at the points 1..n, so n must be below p.
     """
 
@@ -490,9 +491,11 @@ class MOfNExchange(GroupedExchange):
         require_points(self.n, self.secret.modulus)
         self.bare_share = self.n == 3  # the 3-of-3 ring: one player per group
         self.own_keys = {p: item_key(p) for p in self.players}
+        self.slots = tuple(self._forwarders())  # the shares an epoch can tag
 
     def _issue_epoch(self, epoch: int) -> None:
         coefficients = self.issuer.draw_coefficients(self.threshold, self.issuer_rng)
+        self.issuer.open_epoch(epoch, self.slots)
         # `build(p)` is `p`'s share of this epoch, built and tagged at each call.
         self.build = partial(issue_round, self.issuer, self.secret, epoch, coefficients)
         self.bundles = {leader: [] for _, leader in self.forwarders}

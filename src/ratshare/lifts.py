@@ -109,9 +109,10 @@ def lift_m_of_n(
 class TwoOfNExchange(GroupedExchange):
     """n-of-n subshare exchange realizing 2-of-n sharing.
 
-    An epoch draws its coefficient, evaluates it at the two holders, and
-    splits each value into n-1 tagged pieces, one per other player, with no
-    `Share` built; `_deliver` judges each holder's pieces in one call.
+    An epoch draws its coefficient and the tag keys of its 2(n-1) pieces,
+    evaluates it at the two holders, and splits each value into n-1 tagged
+    pieces, one per other player, with no `Share` built; `_deliver` judges
+    each holder's pieces in one call.
     """
 
     holders = (1, 2)
@@ -124,6 +125,7 @@ class TwoOfNExchange(GroupedExchange):
             (parent, item_key(parent), {item_key(parent, k) for k in range(1, n)})
             for parent in self.holders
         ]
+        self.piece_slots = tuple((parent, k) for parent in self.holders for k in range(1, n))
         # Each holder's pieces go to the other players, in player order.
         self.recipients = [[p for p in self.players if p != holder] for holder in self.holders]
 
@@ -140,6 +142,7 @@ class TwoOfNExchange(GroupedExchange):
     def _issue_epoch(self, epoch: int) -> None:
         issuer, rng = self.issuer, self.issuer_rng
         ys = issuer.evaluate(self.secret, issuer.draw_coefficients(2, rng), self.holders)
+        issuer.open_epoch(epoch, self.piece_slots)
         # Each holder splits its share's value into n-1 subshares, one per
         # other player; receivers check the tag and treat bad pieces as
         # missing.  A player's bundle is the pieces it kept, in holder order.

@@ -4,34 +4,26 @@ A secret s is shared by sampling a uniform polynomial f of degree m-1
 over GF(p) with f(0) = s; player i holds the point (i, f(i)).  Any m
 distinct points recover f(0) by Lagrange interpolation, while fewer
 leave the secret information-theoretically hidden.  A trusted issuer
-tags every share (and every additive subshare) with a keyed MAC so
-holders cannot substitute forged values.  The MAC is HMAC-SHA256 (RFC
-2104), computed from the inner and outer pad states that each issuer
-builds once from its key.  Each kind of message has one definition, a
-module function of the modulus, the epoch and the item's fields
-(`_share_msg`, `_subshare_msg`).  An issuer's modulus is fixed, so a tag
-is a pure function of the item's other fields, and each issuer keeps one
-bounded cache (its 256 most recent items) keyed by them: (epoch, holder,
-y) for a share, (epoch, parent, index, value) for a subshare, the arity
-telling the two apart.  Issuing, splitting and verifying all call it,
-and only a miss builds the message and runs HMAC.  Since 1 == True ==
-1.0 == Decimal(1) and each hashes alike, the key is one to one with the
-message only over exact ints: verification refuses, before any lookup,
-an item whose fields the issuer could not have tagged (a field that is
-not an exact int, a holder, parent or value outside the field, an epoch
-or index outside its range), and the issuer refuses to tag one.
-Verification reads the item's fields on every call, never the item,
-which `object.__setattr__` can still change.
+tags every share (and every additive subshare) so holders cannot
+substitute forged values, with a one-time MAC in the style of Wegman and
+Carter (JCSS 1981), the check vectors Rabin and Ben-Or (STOC 1989) use:
+opening an epoch draws, from the issuer's own key stream, a nonzero a
+and one b per slot (a share's holder, or a subshare's (parent, index)),
+and the item of value v in slot s is tagged with the int (a*v + b_s) mod
+p.  The issuer keeps only the open epoch's keys.  Each slot's b masks its
+tags, so a changed value never verifies (a != 0), and any other forgery,
+a share relabelled to another holder among them, verifies with
+probability at most 1/(p-1).  Verification takes only exact ints, with
+the value in [0, p) since a*(v+p) = a*v, and reads the item's fields on
+every call, never the item, which `object.__setattr__` can still change.
 
-A share's evaluation point is its holder, so the tag covers who holds
-it: a share relabelled after issue fails its tag.  The Lagrange weights
-at zero are cached per point set and field.  A tag is checked where an
-item arrives; reconstruction checks its items' shape in one pass and
-combines them.  Items are frozen, slot-backed dataclasses.  The values an
-issuer or a reconstruction has just reduced mod an already checked
-modulus, and the holders an issuer has checked as points of its field,
-are set into their items' slots directly, without the public
-constructors' checks; every other item is checked.
+A tag is checked where an item arrives; reconstruction checks its items'
+shape in one pass and combines them.  The Lagrange weights at zero are
+cached per point set and field.  Items are frozen, slot-backed
+dataclasses.  The values an issuer or a reconstruction has just reduced
+mod an already checked modulus, and the holders an issuer has checked as
+points of its field, are set into their items' slots directly, without
+the public constructors' checks; every other item is checked.
 
 The exhaustive small-field verifiers (reconstruction round-trip and
 hiding-posterior uniformity) live here so the command-line `hiding`
@@ -42,8 +34,6 @@ polynomials and evaluation points.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -61,19 +51,8 @@ _checked_moduli: set[int] = set()
 # `hiding` run at n = 3 uses 7, and one at the largest accepted n (6, at
 # p = 7) uses 41.
 _LAGRANGE_CACHE_SIZE = 256
-# HMAC-SHA256's block size in bytes, and the inner and outer key pads as
-# byte translation tables (RFC 2104).
-_BLOCK = 64
-_IPAD = bytes(b ^ 0x36 for b in range(256))
-_OPAD = bytes(b ^ 0x5C for b in range(256))
-# How many of its most recent items' tags an issuer keeps.  The largest
-# `hiding` run accepted has n * p = 93 distinct points (p = 31, n = 3), and
-# an engine epoch tags the 2(n-1) split pieces of a 2-of-n epoch, and for
-# m-of-n one share per designated player whose share is sent.
-_MAC_CACHE_SIZE = 256
-# Epochs and subshare indices are counts below this bound, so every field
-# of an item the issuer tags prints far within `str`'s digit limit.
-_COUNT_LIMIT = 2**64
+# Distinct (slots, field) layouts of tag keys kept: an exchange uses one.
+_LANES_CACHE_SIZE = 64
 
 
 class ReconstructionError(ValueError):
@@ -139,7 +118,7 @@ class Share:
     holder: int
     y: FieldElement
     epoch: int
-    tag: bytes
+    tag: int
 
     def __post_init__(self) -> None:
         p = self.y.modulus
@@ -155,7 +134,7 @@ class Subshare:
     index: int
     value: FieldElement
     epoch: int
-    tag: bytes
+    tag: int
 
 
 # Trusted builds: each sets an item's fields on a new instance through
@@ -182,7 +161,7 @@ def _element(value: int, modulus: int) -> FieldElement:
     return item
 
 
-def _share(holder: int, y: FieldElement, epoch: int, tag: bytes) -> Share:
+def _share(holder: int, y: FieldElement, epoch: int, tag: int) -> Share:
     item = _new(Share)
     _set_holder(item, holder)
     _set_y(item, y)
@@ -191,7 +170,7 @@ def _share(holder: int, y: FieldElement, epoch: int, tag: bytes) -> Share:
     return item
 
 
-def _subshare(parent: int, index: int, value: FieldElement, epoch: int, tag: bytes) -> Subshare:
+def _subshare(parent: int, index: int, value: FieldElement, epoch: int, tag: int) -> Subshare:
     item = _new(Subshare)
     _set_parent(item, parent)
     _set_index(item, index)
@@ -201,50 +180,27 @@ def _subshare(parent: int, index: int, value: FieldElement, epoch: int, tag: byt
     return item
 
 
-def _keyed_tags(key: bytes, p: int):
-    """HMAC-SHA256 under `key` (RFC 2104) of an item of GF(p), as a cache of
-    its most recent items' fields.
-
-    It takes a share's fields (epoch, holder, y) or a subshare's (epoch,
-    parent, index, value), all exact ints, so the key, the argument tuple,
-    tells the two kinds apart by its length.  Only a miss builds the
-    item's message and runs HMAC.  The inner and outer hash states after
-    the padded key are built once, and every tag copies both.  The closure
-    holds only p and those two states, so an issuer and its cache form no
-    reference cycle.
-    """
-    if len(key) > _BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_BLOCK, b"\0")
-    inner_state = hashlib.sha256(key.translate(_IPAD))
-    outer_state = hashlib.sha256(key.translate(_OPAD))
-
-    @lru_cache(maxsize=_MAC_CACHE_SIZE)
-    def tag(epoch: int, point: int, a: int, b: int | None = None) -> bytes:
-        if b is None:
-            msg = _share_msg(p, epoch, point, a)
-        else:
-            msg = _subshare_msg(p, epoch, point, a, b)
-        inner = inner_state.copy()
-        inner.update(msg.encode())
-        outer = outer_state.copy()
-        outer.update(inner.digest())
-        return outer.digest()
-
-    return tag
+def _linear_tag(a: int, v: int, b: int, p: int) -> int:
+    """The one-time MAC of the value v under the keys a and b: a*v + b mod p."""
+    return (a * v + b) % p
 
 
-# The MAC message of an item is "|"-joined: its kind, the modulus p, the
-# epoch (and a subshare's parent), then the item's own fields.  These two
-# functions are its only definition.
+@lru_cache(maxsize=_LANES_CACHE_SIZE)
+def _lanes(slots: tuple, p: int) -> tuple:
+    """An epoch's word of keys in k-bit lanes, a in the lowest: each slot's
+    lane shift (shared by issuers, never changed), the word's bits, and the
+    pad added to every lane and the carry bits above them (`open_epoch`)."""
+    k, lanes = p.bit_length(), len(slots) + 1
+    low_bits = sum(1 << k * i for i in range(lanes))
+    shift = {slot: k * i for i, slot in enumerate(slots, start=1)}
+    return shift, k * lanes, ((1 << k) - p) * low_bits, low_bits << k
 
 
-def _share_msg(p: int, epoch: int, holder: int, y: int) -> str:
-    return f"share|{p!s}|{epoch!s}|{holder!s}|{y!s}"
-
-
-def _subshare_msg(p: int, epoch: int, parent: int, index: int, value: int) -> str:
-    return f"subshare|{p!s}|{epoch!s}|{parent!s}|{index!s}|{value!s}"
+def _shown(value) -> str:
+    """`repr(value)`, but an int too long for `str` to print by its size."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"<int of {value.bit_length()} bits>"
+    return repr(value)
 
 
 def require_points(n: int, p: int) -> None:
@@ -270,24 +226,54 @@ def _polynomial(secret: FieldElement, coefficients: list[int], p: int) -> list[i
 class ShareIssuer:
     """Trusted issuer: creates, tags, and verifies shares.
 
-    Conceptually the issuer signs shares so holders cannot forge them; at
-    desk scale a keyed MAC (HMAC-SHA256) gives simulated players the same
-    integrity guarantee, with verification going through the issuer.  Its
-    tags are cached by item fields (`_keyed_tags`), which it takes only as
-    exact ints in the ranges it issues: it refuses to tag any other epoch
-    or point, and any other item fails verification before a lookup.
+    Its one-time MAC gives simulated players the integrity of signed shares
+    with no computational assumption.  Its keys come from a stream of its
+    own, `Random(key)`, apart from every stream that draws a polynomial or
+    a split, and it tags and verifies only the open epoch's slots.
     """
 
     def __init__(self, key: bytes, modulus: int = DEFAULT_PRIME):
         _check_modulus(modulus)
-        self._tag = _keyed_tags(key, modulus)
         self.modulus = modulus
+        self._mask = (1 << modulus.bit_length()) - 1
+        self._keys = Random(key)
+        self._slots, self._shift = None, {}
+        self._epoch, self._word, self._a = None, 0, 0  # the open epoch's keys
+
+    def open_epoch(self, epoch: int, slots) -> None:
+        """Draw the keys of `epoch` for `slots`, forgetting the last epoch's.
+
+        They are one `getrandbits(k * (len(slots) + 1))` of the key stream,
+        k = p.bit_length(), read as k-bit lanes from the low end: a, then
+        each slot's b.  Each lane out of range ([1, p) for a, [0, p) for a
+        b) is replaced, from the low end, by fresh `getrandbits(k)` draws
+        until one fits, so each key is uniform on its range.
+        """
+        if type(slots) is not tuple:
+            slots = tuple(slots)
+        if slots is not self._slots:  # an engine passes one tuple every epoch
+            self._slots, self._layout = slots, _lanes(slots, self.modulus)
+        self._shift, bits, pad, carries = self._layout
+        p, mask, draw = self.modulus, self._mask, self._keys.getrandbits
+        word = draw(bits)
+        # A lane c is at least p iff c + 2**k - p carries out of it, so
+        # adding that to every lane carries out of none iff all are below p.
+        if not word & mask or (word ^ pad ^ (word + pad)) & carries:
+            k, keys = mask.bit_length(), 0
+            for shift in range(0, bits, k):
+                key = word >> shift & mask
+                while key >= p or not (key or shift):
+                    key = draw(k)
+                keys |= key << shift
+            word = keys
+        self._epoch, self._word, self._a = epoch, word, word & mask
 
     def issue_shares(
         self, secret: FieldElement, epoch: int, coefficients: list[int], holders
     ) -> list[Share]:
         """Issue tagged shares of `secret` to `holders`, int points in [1, p)
-        of the issuer's field GF(p): the point 0 is the secret.
+        of the issuer's field GF(p) (the point 0 is the secret) and slots of
+        `epoch`, which must be the open epoch.
 
         The coefficients a_1.. are given, drawn earlier by `draw_coefficients`
         or pinned by a caller, so issuing draws nothing; the threshold is
@@ -297,14 +283,16 @@ class ShareIssuer:
         p = self.modulus
         if secret.modulus != p:
             raise ValueError("secret modulus does not match issuer modulus")
-        # Inline, as the holder check: an engine epoch issues one share a call.
-        if type(epoch) is not int or not 0 <= epoch < _COUNT_LIMIT:
-            raise ValueError("epoch must be an int in [0, 2**64)")
+        if type(epoch) is not int or epoch != self._epoch:
+            raise ValueError("epoch is not the issuer's open epoch")
+        shift = self._shift
         for i in holders:
             if type(i) is not int or not 0 < i < p:
-                raise ValueError(f"holder {i!r} is not a point in 1..{p - 1}")
+                raise ValueError(f"holder {_shown(i)} is not a point in 1..{p - 1}")
+            if i not in shift:
+                raise ValueError(f"holder {i} has no slot in the open epoch")
         poly = _polynomial(secret, coefficients, p)
-        tag_of = self._tag
+        a, word, mask = self._a, self._word, self._mask
         shares = []
         append = shares.append
         # Horner's rule as in `evaluate`, inline: `hiding` issues thousands
@@ -314,7 +302,7 @@ class ShareIssuer:
             y = 0
             for c in poly:
                 y = (y * i + c) % p
-            append(_share(i, _element(y, p), epoch, tag_of(epoch, i, y)))
+            append(_share(i, _element(y, p), epoch, _linear_tag(a, y, word >> shift[i] & mask, p)))
         return shares
 
     def evaluate(self, secret: FieldElement, coefficients: list[int], points) -> list[int]:
@@ -339,31 +327,28 @@ class ShareIssuer:
         return [rng.randrange(p) for _ in range(m - 1)]
 
     def verify_tag(self, item: Share | Subshare) -> bool:
-        """True iff the tag matches the issuer's keyed code over the fields.
-
-        An item the issuer could not have tagged fails before any lookup:
-        one with a field that is not an exact int (True, 1.0 and Decimal(1)
-        all equal 1 and hash like it), a holder or parent outside [1, p), a
-        value outside [0, p), an epoch outside [0, 2**64) or an index
-        outside [1, 2**64).  So each cache key looked up stands for one
-        message, and no forged value is too long to print.
+        """True iff the tag is (a*v + b) mod p for the open epoch's a and the
+        b of the item's slot, over its value v.  It never raises, and fails
+        for an item of another epoch or slot, one with a field or tag that is
+        not an exact int (True, 1.0 and Decimal(1) all equal 1 and hash like
+        it), a y or value that is no FieldElement, or a value outside [0, p).
         """
-        p = self.modulus
         if isinstance(item, Share):
-            epoch, holder, y = item.epoch, item.holder, item.y.value
-            if not (type(epoch) is type(holder) is type(y) is int
-                    and 0 <= epoch < _COUNT_LIMIT and 0 < holder < p and 0 <= y < p):
-                return False
-            tag = self._tag(epoch, holder, y)
+            slot, element, exact = item.holder, item.y, type(item.holder) is int
         else:
-            epoch, parent, index = item.epoch, item.parent_holder, item.index
-            value = item.value.value
-            if not (type(epoch) is type(parent) is type(index) is type(value) is int
-                    and 0 <= epoch < _COUNT_LIMIT and 0 < parent < p
-                    and 0 < index < _COUNT_LIMIT and 0 <= value < p):
-                return False
-            tag = self._tag(epoch, parent, index, value)
-        return hmac.compare_digest(item.tag, tag)
+            slot, element = (item.parent_holder, item.index), item.value
+            exact = type(item.parent_holder) is type(item.index) is int
+        epoch, tag = item.epoch, item.tag
+        if not (exact and type(epoch) is int and epoch == self._epoch
+                and isinstance(element, FieldElement)):
+            return False
+        v, p = element.value, self.modulus
+        if not (type(v) is type(tag) is int and 0 <= v < p):
+            return False
+        shift = self._shift.get(slot)
+        if shift is None:
+            return False
+        return tag == _linear_tag(self._a, v, self._word >> shift & self._mask, p)
 
     def split_subshares(self, point: tuple, count: int, rng: Random) -> list[Subshare]:
         """Split the y value of the point (holder, y, epoch) into `count`
@@ -372,28 +357,32 @@ class ShareIssuer:
         y must be an int in [0, p) of the issuer's field, as `evaluate`
         gives it: a 2-of-n epoch splits its holders' values without building
         their shares, and tags only the pieces.  The holder must be a point
-        in [1, p) and the epoch an int in [0, 2**64), as for `issue_shares`.
-        All but the last value are uniform; each piece carries its own tag
-        (the tag substitutes for a proof that the split was done honestly).
+        in [1, p), the epoch the open one, and each piece's slot (holder,
+        index), index 1..count, open in it.  All but the last value are
+        uniform; each piece carries its own tag (the tag substitutes for a
+        proof that the split was done honestly).
         """
         if count < 2:
             raise ValueError(f"subshare count must be >= 2, got {count}")
         p = self.modulus
         parent, y, epoch = point
         if type(parent) is not int or not 0 < parent < p:
-            raise ValueError(f"holder {parent!r} is not a point in 1..{p - 1}")
+            raise ValueError(f"holder {_shown(parent)} is not a point in 1..{p - 1}")
         if type(y) is not int:
             raise ValueError(f"y {y!r} is not an int")
-        if type(epoch) is not int or not 0 <= epoch < _COUNT_LIMIT:
-            raise ValueError("epoch must be an int in [0, 2**64)")
+        if type(epoch) is not int or epoch != self._epoch:
+            raise ValueError("epoch is not the issuer's open epoch")
+        try:
+            shifts = [self._shift[parent, k] for k in range(1, count + 1)]
+        except KeyError:
+            raise ValueError(f"holder {parent}'s {count} pieces have no slots") from None
         values = [rng.randrange(p) for _ in range(count - 1)]
         values.append((y - sum(values)) % p)
-        tag_of = self._tag
-        subshares = []
-        append = subshares.append
-        for k, v in enumerate(values, start=1):
-            append(_subshare(parent, k, _element(v, p), epoch, tag_of(epoch, parent, k, v)))
-        return subshares
+        a, word, mask = self._a, self._word, self._mask
+        return [
+            _subshare(parent, k, _element(v, p), epoch, _linear_tag(a, v, word >> shift & mask, p))
+            for k, (v, shift) in enumerate(zip(values, shifts), start=1)
+        ]
 
 
 @lru_cache(maxsize=_LAGRANGE_CACHE_SIZE)
@@ -492,7 +481,8 @@ def exhaustive_round_trip_check(p: int = 7, n: int = 3) -> dict[int, int]:
     """Count reconstruction failures over every polynomial and k-subset.
 
     For each threshold m in 1..3, every secret and every coefficient
-    vector is shared at the points 1..n (n < p), each share's tag checked
+    vector is shared at the points 1..n (n < p) of one epoch, whose keys
+    tag every polynomial's shares, each share's tag checked
     once as its holder would on receipt (a failure raises), and every
     subset of size m..n reconstructed.  Returns failures per threshold
     (all zero for a correct implementation).
@@ -500,6 +490,7 @@ def exhaustive_round_trip_check(p: int = 7, n: int = 3) -> dict[int, int]:
     issuer = ShareIssuer(b"round-trip-check", modulus=p)
     require_points(n, p)
     points = range(1, n + 1)
+    issuer.open_epoch(0, points)  # one epoch's keys tag every polynomial
     verify = issuer.verify_tag
     failures = {}
     for m in _ROUND_TRIP_THRESHOLDS:

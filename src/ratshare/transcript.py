@@ -12,12 +12,12 @@ that `_jsonl_line` formats once per (sender, receiver, step, kind,
 payload) and a bounded cache keeps; a bool is never an exact int, so `1`
 and `True` never share a tail.  An int payload is written with `str`, `None`
 as `null`, and a `Share` whose holder, epoch and y value are exact ints
-and whose tag is `bytes` (every share the issuer makes) as one f-string
-of its record `{epoch, holder, x, y, tag}` (x repeats the holder, its
-evaluation point; the tag in hex).  Every other payload goes through one
-shared JSON encoder as its record: a share with any other field, a
-subshare as `{epoch, parent, index, value, tag}` (tag in hex), a tuple
-as a list of records, and a bool, float or str as itself.
+and whose tag is an exact int (every share the issuer makes) as one
+f-string of its record `{epoch, holder, x, y, tag}` (x repeats the
+holder, its evaluation point; the tag is a JSON int).  Every other
+payload goes through one shared JSON encoder as its record: a share with
+any other field, a subshare as `{epoch, parent, index, value, tag}`, a
+tuple as a list of records, and a bool, float or str as itself.
 
 `LINE_BYTES` is the widest line of each message kind; a dump is sized
 before it is written by weighting it with the expected message counts
@@ -34,9 +34,9 @@ from .shamir import Share, Subshare
 # Longest dump line of each message kind, with 7-digit trial, iteration
 # and epoch numbers (trials stay below the CLI's 10**7; the default cap is
 # 10**6): a coin piece or masked bit, a restart request, and a broadcast
-# share with a 10-digit y.
+# share with a 10-digit y and tag.
 LINE_BYTES = {MessageKind.COIN_PLUS: 118, MessageKind.COIN_MINUS: 118, MessageKind.MASKED_BIT: 118,
-              MessageKind.RESTART_REQUEST: 126, MessageKind.SHARE_BROADCAST: 244}
+              MessageKind.RESTART_REQUEST: 126, MessageKind.SHARE_BROADCAST: 188}
 
 
 def _payload_record(payload) -> object:
@@ -47,7 +47,7 @@ def _payload_record(payload) -> object:
             "holder": payload.holder,
             "x": payload.holder,
             "y": payload.y.value,
-            "tag": payload.tag.hex(),
+            "tag": payload.tag,
         }
     if isinstance(payload, Subshare):
         return {
@@ -55,7 +55,7 @@ def _payload_record(payload) -> object:
             "parent": payload.parent_holder,
             "index": payload.index,
             "value": payload.value.value,
-            "tag": payload.tag.hex(),
+            "tag": payload.tag,
         }
     if isinstance(payload, tuple):
         return [_payload_record(item) for item in payload]
@@ -97,8 +97,8 @@ def _payload_json(payload) -> str:
         return "null"
     if type(payload) is Share:
         holder, epoch, y, tag = payload.holder, payload.epoch, payload.y.value, payload.tag
-        if type(holder) is int and type(epoch) is int and type(y) is int and type(tag) is bytes:
-            return f'{{"epoch":{epoch},"holder":{holder},"x":{holder},"y":{y},"tag":"{tag.hex()}"}}'
+        if type(holder) is int and type(epoch) is int and type(y) is int and type(tag) is int:
+            return f'{{"epoch":{epoch},"holder":{holder},"x":{holder},"y":{y},"tag":{tag}}}'
     return _encode(_payload_record(payload))
 
 

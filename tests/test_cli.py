@@ -517,15 +517,17 @@ def test_transcript_dump(tmp_path, capsys):
 
 
 # sha256 of the JSONL and of Report.result_text() for
-# `simulate --alpha 0.5 --trials 5 --seed 3 --dump-transcripts FILE [--deviant ...]`,
-# recorded before the dump and the report shared one engine pass.
+# `simulate --alpha 0.5 --trials 5 --seed 3 --dump-transcripts FILE [--deviant ...]`.
+# The reports' were recorded before the dump and the report shared one
+# engine pass; the dumps' were re-derived when tags became the linear
+# rule's ints, which changed only the tags.
 GOLDEN_DUMPS = {
     None: (
-        "22c238089872d671002571280d034a5c394395229b83e53be161fc7679987b9a",
+        "1e959647c8d8db4255960bd5ac2a2260314d7afff3af28dca1e5b3873e0637c9",
         "63cb087ce29a147d1fdc724adbe1ca99d7d8369585ca419cd71779ee2d9a6d51",
     ),
     "2:garble-step2": (
-        "b43240cd30be86493c0be2a00aab23a6ff5d25b588fdb5286913b27540a8f8cf",
+        "28e4e5a7cdd611b32832b46cd4be5d228882270463b9a41870ac66803542865f",
         "168f790bf1a04619dca6674a367c3de05ee2bbf073f36967e11097f571fe3b55",
     ),
     "1:always-silent": (
@@ -533,11 +535,11 @@ GOLDEN_DUMPS = {
         "c326265cb1309f905f85fb846a09e16b159710bdc0c70a5caeafeb481709bbd6",
     ),
     "3:withhold": (
-        "8e7f57df1b814084896b28d5b91f3a22d9a19f27e315d5b8d7bb7704bb0ef658",
+        "e9559ef3da0befa68f2c84237ae96d11f1bcfb3625daa4a90ddbdade88061dd5",
         "6d2934bda959c96b60a9ba0b835f8d0a1508d584bf3e3c4bb334023ad4e4d7d6",
     ),
     "2:biased-coin:0.3": (
-        "37a346032e2ba7c799faa05d5fe42f418e6f6c331e0130ef61552c465a128908",
+        "bc446fc3dfda40bef76d54de53b03acfe03a03fce0407bd8e0eac3122ae85d27",
         "2437c78683944de7608de5cbdbaa2accf0b38e46f4d63701f395b6dfa17d8352",
     ),
 }
@@ -564,7 +566,8 @@ def test_dump_and_report_match_golden_digests(deviant, tmp_path):
 def test_dump_with_multi_digit_numbers_matches_golden_digests(tmp_path):
     # Trial numbers reach 11 and iteration and epoch numbers three digits,
     # so each line's trial/iteration/epoch head is exercised past one digit.
-    # Recorded while every line was formatted whole.
+    # Recorded while every line was formatted whole; the dump's re-derived
+    # when tags became the linear rule's ints.
     path = tmp_path / "run.jsonl"
     argv = ["simulate", "--alpha", "0.3", "--trials", "12", "--seed", "3",
             "--dump-transcripts", str(path)]
@@ -572,7 +575,7 @@ def test_dump_with_multi_digit_numbers_matches_golden_digests(tmp_path):
     report = run_command(args)
     assert (
         hashlib.sha256(path.read_bytes()).hexdigest()
-        == "dcc2c9c2a736884b13bf9838bea7cad8d2841435d57eb17be5b3e26a4e0ccb6d"
+        == "ff2acda5e5f751f0d091b4c7e332f3dd050cb8f5d1085f40cab762714dd43bbc"
     )
     assert (
         hashlib.sha256(report.result_text().encode()).hexdigest()
@@ -704,7 +707,7 @@ def test_honest_dump_size_is_the_hand_count(alpha):
 def test_dump_line_sizes_bound_the_widest_lines():
     wide = MAX_TRIALS - 1  # 7 digits, as are iterations up to the default cap
     assert len(str(DEFAULT_CAP)) == len(str(wide))
-    share = Share(3, FieldElement(DEFAULT_PRIME - 1, DEFAULT_PRIME), wide, bytes(32))
+    share = Share(3, FieldElement(DEFAULT_PRIME - 1, DEFAULT_PRIME), wide, DEFAULT_PRIME - 1)
     cases = [
         (Step.COIN_EXCHANGE, MessageKind.COIN_PLUS, 1),
         (Step.COIN_EXCHANGE, MessageKind.COIN_MINUS, 1),
@@ -725,10 +728,10 @@ def _record(payload):
     as the README states the format, not by `ratshare.transcript`."""
     if isinstance(payload, Share):
         return {"epoch": payload.epoch, "holder": payload.holder, "x": payload.holder,
-                "y": payload.y.value, "tag": payload.tag.hex()}
+                "y": payload.y.value, "tag": payload.tag}
     if isinstance(payload, Subshare):
         return {"epoch": payload.epoch, "parent": payload.parent_holder, "index": payload.index,
-                "value": payload.value.value, "tag": payload.tag.hex()}
+                "value": payload.value.value, "tag": payload.tag}
     if isinstance(payload, tuple):
         return [_record(item) for item in payload]
     return payload
@@ -764,6 +767,7 @@ def _with_field(item, field, value):
 def _payloads() -> dict:
     issuer = ShareIssuer(b"line", modulus=101)
     coefficients = issuer.draw_coefficients(2, Random(0))
+    issuer.open_epoch(4, [1, 2, 3, (1, 1), (1, 2), (1, 3)])
     shares = issuer.issue_shares(FieldElement(9, 101), 4, coefficients, (1, 2, 3))
     first = shares[0]
     subshares = issuer.split_subshares((first.holder, first.y.value, first.epoch), 3, Random(1))
@@ -774,9 +778,9 @@ def _payloads() -> dict:
         "share-built-with-epoch-true": Share(shares[1].holder, shares[1].y, True, shares[1].tag),
     }
     for name, value in ODD_FIELD_VALUES.items():
-        for field in ("holder", "epoch", "y"):
+        for field in ("holder", "epoch", "y", "tag"):
             payloads[f"share-{field}-{name}"] = _with_field(shares[1], field, value)
-        for field in ("parent_holder", "index", "epoch", "value"):
+        for field in ("parent_holder", "index", "epoch", "value", "tag"):
             payloads[f"subshare-{field}-{name}"] = _with_field(subshares[0], field, value)
     return payloads
 
@@ -1104,14 +1108,14 @@ LONG_PAYOFF_ERROR = "has more than 4,300 digits, got '1" + "0" * 38
         ["simulate", "--alpha", "0.5", "--trials", "100000000000000000000", "--seed", "1",
          "--dump-transcripts", "DUMP"],
         ["audit", "--alpha", "0.25", "--trials", "100000000000000000000", "--seed", "1"],
-        # Dumps expected to write past DUMP_BUDGET_BYTES (14, 16 and 16 GB).
+        # Dumps expected to write past DUMP_BUDGET_BYTES (13, 15 and 15 GB).
         ["simulate", "--alpha", "0.5", "--trials", "1000000", "--seed", "1",
          "--dump-transcripts", "DUMP"],
         ["simulate", "--alpha", "0.1", "--trials", "10000", "--seed", "1",
          "--dump-transcripts", "DUMP"],
         ["simulate", "--alpha", "0.1", "--trials", "10000000", "--seed", "1", "--cap", "1",
          "--dump-transcripts", "DUMP"],
-        # A deviant's runs last longer than honest ones: about 4,000 iterations, 404 GB.
+        # A deviant's runs last longer than honest ones: about 4,000 iterations, 391 GB.
         ["simulate", "--alpha", "0.5", "--trials", "60000", "--seed", "1", "--deviant",
          "1:biased-coin:0.001", "--dump-transcripts", "DUMP"],
         # Caps past 2**53, which the samplers cannot count exactly.

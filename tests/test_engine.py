@@ -132,8 +132,10 @@ def forced_profile(assignment, inner=None):
 
 
 def _issue_all(issuer, secret, m, epoch, rng):
-    """Every designated holder's `issue_round` bundle of one freshly drawn polynomial."""
+    """Every designated holder's `issue_round` bundle of one freshly drawn
+    polynomial, in a newly opened epoch."""
     coefficients = issuer.draw_coefficients(m, rng)
+    issuer.open_epoch(epoch, range(1, m + 1))
     return {holder: issue_round(issuer, secret, epoch, coefficients, holder)
             for holder in range(1, m + 1)}
 
@@ -160,20 +162,22 @@ def test_issue_round_fresh_polynomial_per_epoch():
 
 @pytest.mark.parametrize("m, n", [(3, 3), (3, 6), (4, 5)], ids=["3-ring", "3-of-6", "4-of-5"])
 def test_building_an_epochs_shares_draws_nothing(m, n):
-    # An epoch's randomness is drawn when it is issued.  Its shares are built
-    # later, as each designated player sends, and the order in which they
-    # send changes neither the shares nor the issuer's stream.
+    # An epoch's randomness, its polynomial and its tag keys, is drawn when
+    # it is issued.  Its shares are built later, as each designated player
+    # sends, and the order in which they send changes neither the shares
+    # nor the issuer's streams.
     built = []
     for order in (range(1, m + 1), range(m, 0, -1)):
         game = MOfNExchange(5, partition_players(n, m), m, alpha=0.5, profile=None, seed=7,
                             trial=0, cap=1, record=False)
         game._issue_epoch(0)
-        issued = game.issuer_rng.getstate()
+        issued, keys = game.issuer_rng.getstate(), game.issuer._keys.getstate()
         bundles = {}
         for p in order:
             bundles[p] = game._sends(p)
             assert [share.holder for share in bundles[p]] == [p]
             assert game.issuer_rng.getstate() == issued, p
+            assert game.issuer._keys.getstate() == keys, p
         built.append(bundles)
     assert built[0] == built[1]
 
@@ -409,7 +413,7 @@ class ReshapePayload(AlwaysBroadcast):
 
 def _too_long_to_print(item):
     """`item` with its field element's value set, past the checks, to an int
-    of 5,001 digits: past `str`'s limit, so its message cannot be built."""
+    of 5,001 digits: past `str`'s limit, so nothing can print it."""
     field = "y" if isinstance(item, Share) else "value"
     element = copy.copy(getattr(item, field))
     object.__setattr__(element, "value", 10**5000)
@@ -436,6 +440,33 @@ def test_a_forged_value_too_long_to_print_is_evidence(lift):
     assert isinstance(outcome, RunOutcome)
     assert outcome.cause == TerminalCause.CHEAT_STOP and outcome.info[0] == 1
     for pid in game.players[1:]:
+        assert ("invalid-tag", 1, 1) in [
+            (e.kind, e.iteration, e.about) for e in game.states[pid].cheat_evidence
+        ], pid
+
+
+def _set_in_place(field, value):
+    """A reshape that sets its share's `field` to `value` through `object.__setattr__`."""
+
+    def reshape(share):
+        object.__setattr__(share, field, value)
+        return share
+
+    return reshape
+
+
+@pytest.mark.parametrize("field, value", [("tag", None), ("y", 3)], ids=["tag-none", "y-int"])
+def test_a_field_of_a_type_the_issuer_never_makes_is_evidence(field, value):
+    # Leader 1 always broadcasts its share with a tag that is not an int,
+    # or a y that is not a field element, set in place: the tag check
+    # returns False rather than raise, and the run ends as any run with a
+    # forged broadcast does.
+    game = MOfNExchange(5, [[1], [2], [3]], 3, alpha=1,
+                        profile={1: ReshapePayload(_set_in_place(field, value))},
+                        seed=1, trial=0, cap=5, record=True)
+    outcome = game.run()
+    assert outcome.cause == TerminalCause.CHEAT_STOP and outcome.info[0] == 1
+    for pid in (2, 3):
         assert ("invalid-tag", 1, 1) in [
             (e.kind, e.iteration, e.about) for e in game.states[pid].cheat_evidence
         ], pid

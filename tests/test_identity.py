@@ -1,7 +1,7 @@
 """`tools/identity.py`: an A/A run on this checkout, copies whose restart
 rule differs, whose split check drops its evidence, or whose round trip
-checks fewer thresholds, and copies that build more shares or derive
-more streams to the same runs.
+checks fewer thresholds, a copy whose tags alone differ, and copies that
+build more shares or derive more streams to the same runs.
 
 Each runs the tool in this process on a third of its exchange settings
 (alpha 0.5, trials 0 and 1: every exchange and profile, an int secret and
@@ -41,12 +41,19 @@ def _digests(out):
     return [fields[1] for fields in _sides(out)]
 
 
+def _blanked_digests(out):
+    """Each side's digest of the runs with every tag blanked."""
+    return [line.split()[-1] for line in out.splitlines()
+            if line.startswith(("parent with tags blanked:", "change with tags blanked:"))]
+
+
 def test_identity_passes_this_checkout_against_itself(identity, capsys):
     assert identity.main([str(ROOT), str(ROOT)]) == 0
     out = capsys.readouterr().out
-    digests = _digests(out)
+    digests, blanked = _digests(out), _blanked_digests(out)
     assert len(digests) == 2 and digests[0] == digests[1]
-    assert "over 2021 runs" in out and "the trees agree" in out
+    assert len(blanked) == 2 and blanked[0] == blanked[1] != digests[0]
+    assert "over 2021 runs" in out and out.splitlines()[-1] == "the trees agree"
 
 
 def _copy(tmp_path, module, old, new):
@@ -63,9 +70,10 @@ def _refused(identity, capsys, tmp_path, module, old, new):
     """Run the tool on this checkout against a copy with `old` replaced by `new` in `module`."""
     assert identity.main([str(ROOT), str(_copy(tmp_path, module, old, new))]) == 1
     out = capsys.readouterr().out
-    digests = _digests(out)
+    digests, blanked = _digests(out), _blanked_digests(out)
     assert len(digests) == 2 and digests[0] != digests[1]
-    assert "the trees differ" in out
+    assert len(blanked) == 2 and blanked[0] != blanked[1]
+    assert out.splitlines()[-1] == "the trees differ"
 
 
 def test_identity_refuses_a_tree_whose_restart_rule_differs(identity, capsys, tmp_path):
@@ -84,6 +92,20 @@ def test_identity_refuses_a_tree_whose_round_trip_differs(identity, capsys, tmp_
     # Only the `hiding` runs reach the round trip.
     _refused(identity, capsys, tmp_path, "shamir.py", "_ROUND_TRIP_THRESHOLDS = (1, 2, 3)",
              "_ROUND_TRIP_THRESHOLDS = (1, 2)")
+
+
+def test_identity_tells_a_tree_whose_tags_alone_differ(identity, capsys, tmp_path):
+    # The copy adds one to every tag it makes and expects: the same
+    # exchanges, so only the tags, and the full digest, differ.
+    copy = _copy(tmp_path, "shamir.py", "return (a * v + b) % p", "return (a * v + b + 1) % p")
+    assert identity.main([str(ROOT), str(copy)]) == 1
+    out = capsys.readouterr().out
+    parent, change = _sides(out)
+    blanked = _blanked_digests(out)
+    assert parent[1] != change[1]
+    assert len(blanked) == 2 and blanked[0] == blanked[1]
+    assert parent[2:] == change[2:]
+    assert out.splitlines()[-1] == "the trees differ only in their tags"
 
 
 def test_identity_counts_builds_outside_the_hash(identity, capsys, tmp_path):

@@ -195,20 +195,21 @@ def test_lift_alpha_validation():
 
 # sha256 of the compact JSON list of (sender, receiver, step, kind, payload
 # record, transcript iteration) over a lifted run's recorded messages,
-# recorded while messages were frozen dataclasses.  The withholding runs cover the
-# restart requests of a stalled leader.
+# recorded while messages were frozen dataclasses and re-derived when tags
+# became the linear rule's ints.  The withholding runs cover the restart
+# requests of a stalled leader.
 GOLDEN_LIFT_MESSAGES = {
     "3-of-6": (
         lambda: lift_m_of_n(5, 3, 6, 0.5),
-        94, "5137b00aa3c6f4ba60963d273390fc0d23ebc5a55d8807db5335d6bd53fab34d",
+        94, "51ffe292340d0a2c61e6beffa633586d4ce68fcea057a9a6ea0c519aa8a2dbd6",
     ),
     "3-of-6-trial-1": (
         lambda: lift_m_of_n(5, 3, 6, 0.5, trial=1),
-        327, "7e044472529d4834fa32f8cf974c7da353287f7347428d024ce4f3975f58ccad",
+        327, "ee20ede8cdc083d482a34f96b3948329b7ae0ae4ae4adf6075c38db1075ec6c1",
     ),
     "2-of-5": (
         lambda: lift_2_of_n(5, 5, 0.5),
-        23, "4edbd236fcd4a3dde4665970b8f3721053341b3c57d781b49ddb767f86d9cdf3",
+        23, "33544bfcf332dce70d7b35f93d1c8cb613032d0c0f784dba277922b8fce5814d",
     ),
     "4-of-5-withhold": (
         lambda: lift_m_of_n(5, 4, 5, 0.5, {3: WithholdFromLeader()}, cap=3),
@@ -216,7 +217,7 @@ GOLDEN_LIFT_MESSAGES = {
     ),
     "2-of-5-withhold": (
         lambda: lift_2_of_n(5, 5, 0.5, {3: WithholdFromLeader()}, cap=3),
-        12, "f27239408b01fc38e0c82c9812524ceb722b65986c891a077b29a4ade8697275",
+        12, "52a9a1f6472fd3fc30d991909f93e0ad03b1588fcdd66b1cc0549022b31bb2db",
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Every tag the engine judges in a recorded run, judged again by stdlib HMAC.
+"""Every tag the engine judges in a recorded run, judged again by the linear rule.
 
 The runs are a subset of `tools/identity.py`'s set, fixed before any of
 them was read: the 3-ring, the 3-of-4 lift and the 2-of-4 lift, each at
@@ -10,22 +10,27 @@ whose split forges holder 1's piece to player 3.
 
 Every item a player is handed is judged here: a split piece (its holder's
 pieces go to the other players, in player order), an item forwarded to
-its leader, or an item of a broadcast.  The oracle is HMAC-SHA256 under
-the run's issuer key, `derive_bytes(seed, trial, "issuer-key")`, over
-the message the `shamir` module defines, computed without `ShareIssuer`.
-Each receiver's `invalid-tag` evidence must be the items the oracle
+its leader, or an item of a broadcast.  The oracle is the one-time MAC
+the `shamir` module defines, computed without `ShareIssuer`: each epoch's
+keys (a, b_slot) are re-derived by `test_shamir.KeyOracle` from
+`Random(derive_bytes(seed, trial, "issuer-key"))` in the documented draw
+order, one epoch per iteration from epoch 0, for the slots an epoch opens
+(the designated holders 1..m of an m-of-n exchange, and the pieces
+(holder, index) of holders 1 and 2 of a 2-of-n one), and an item is
+accepted iff its tag is (a*v + b_slot) mod p for its epoch.  Each
+receiver's `invalid-tag` evidence must be the items the oracle
 rejects, one entry each, dated and attributed to the sender; its holdings
 at the end of the iteration must hold every item the oracle accepts, and
 the key of a rejected item only if an accepted item or its own share
 gives it that key.
 """
 
+import copy
 import dataclasses
-import hashlib
-import hmac
 from collections import Counter
 
 import pytest
+from test_shamir import KeyOracle
 
 from ratshare.engine import MOfNExchange, holding_key, item_key
 from ratshare.lifts import TwoOfNExchange, partition_players
@@ -44,12 +49,21 @@ GROUPS = {
 }
 
 
-def oracle_accepts(key: bytes, p: int, item) -> bool:
-    if isinstance(item, Share):
-        msg = f"share|{p}|{item.epoch}|{item.holder}|{item.y.value}"
-    else:
-        msg = f"subshare|{p}|{item.epoch}|{item.parent_holder}|{item.index}|{item.value.value}"
-    return hmac.compare_digest(item.tag, hmac.new(key, msg.encode(), hashlib.sha256).digest())
+# The slots each epoch of an exchange opens.
+SLOTS = {
+    "3-ring": [1, 2, 3],
+    "3-of-4": [1, 2, 3],
+    "2-of-4": [(holder, k) for holder in (1, 2) for k in range(1, 4)],
+}
+
+
+def epoch_oracles(name: str, trial: int, p: int, epochs: int) -> dict:
+    """A `KeyOracle` per epoch 0..epochs-1 of a run, holding that epoch's keys."""
+    oracle, by_epoch = KeyOracle(derive_bytes(SEED, trial, "issuer-key"), p), {}
+    for epoch in range(epochs):
+        oracle.open(epoch, SLOTS[name])
+        by_epoch[epoch] = copy.copy(oracle)
+    return by_epoch
 
 
 def _bumped(item):
@@ -157,10 +171,10 @@ def test_invalid_tag_evidence_and_holdings_follow_an_hmac_oracle(
             for p, state in game.states.items():
                 held[p, state.iteration] = state.holdings
 
-            key, modulus = derive_bytes(SEED, trial, "issuer-key"), game.secret.modulus
+            oracles = epoch_oracles(exchange, trial, game.secret.modulus, outcome.iterations)
             expected, accepted, rejected = Counter(), set(), []
             for iteration, sender, receiver, item in _deliveries(game, outcome, splits):
-                if oracle_accepts(key, modulus, item):
+                if oracles[item.epoch].accepts(item):
                     accepted.add((receiver, iteration, holding_key(item)))
                 else:
                     expected[receiver, iteration, sender] += 1

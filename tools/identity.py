@@ -28,7 +28,12 @@ one SHA-256 per tree over all runs and exits 1 if they differ; a
 directory without `src/ratshare` exits 2.  Beside each digest, outside
 it, it prints the number of shares `ShareIssuer.issue_shares` built and
 of random streams `engine.derive_rng` derived in the exchange runs, so
-two trees that agree can still differ in the work they do.
+two trees that agree can still differ in the work they do.  On a second
+line per tree it prints the SHA-256 of the same runs with every item's
+tag blanked (set to null in its payload record), so two trees whose
+tags differ but whose exchanges do not are told apart from trees that
+differ in anything else: the tool then says they differ only in their
+tags, and still exits 1.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -52,6 +58,8 @@ CAP = 30
 SEED = 1
 FORGED_SPLIT = "forge_subshare_for_player_3"
 HIDING = ((13, 3), (31, 3), (7, 4))  # (prime, n) per `hiding` run
+# A payload record's tag as a run's JSON line holds it: a string or a scalar.
+TAG = re.compile(r'"tag": (?:"[^"]*"|[^,}\]]*)')
 
 
 def _exchanges(mods):
@@ -139,16 +147,17 @@ def _json_default(value):
 
 def _outcome_record(outcome, payload_record):
     transcripts = [
-        [t.iteration, t.epoch, [[m.sender, m.receiver, int(m.step), int(m.kind),
+        [t.iteration, t.epoch, [[m.sender, m.receiver, int(m.step), m.kind.value,
                                  payload_record(m.payload)] for m in t.messages]]
         for t in outcome.transcripts
     ]
     return [outcome.iterations, list(outcome.info), outcome.cause.name, transcripts]
 
 
-def tree_digest(mods) -> tuple[str, int, int, int]:
-    """The SHA-256 over every run of the set on one tree, the number of runs,
-    and the numbers of shares built and of streams derived by the exchange runs."""
+def tree_digest(mods) -> tuple[str, str, int, int, int]:
+    """The SHA-256 over every run of the set on one tree and the same with
+    every tag blanked, the number of runs, and the numbers of shares built
+    and of streams derived by the exchange runs."""
     engine, shamir = mods.engine, mods.shamir
     payload_record = importlib.import_module(f"{engine.__package__}.transcript")._payload_record
     exchange_cls, issuer_cls = engine.GroupedExchange, shamir.ShareIssuer
@@ -176,7 +185,7 @@ def tree_digest(mods) -> tuple[str, int, int, int]:
         derived[0] += 1
         return derive_rng(*path)
 
-    digest, runs = hashlib.sha256(), 0
+    digest, blanked, runs = hashlib.sha256(), hashlib.sha256(), 0
 
     def run_profile(name, run_exchange, make):
         """Run one profile in every setting, hashing each run; returns the first exchange."""
@@ -198,8 +207,9 @@ def tree_digest(mods) -> tuple[str, int, int, int]:
                     states = [vars(state) for state in game.states.values()]
                     line = [name, alpha, trial, record, outcome, states, game.leaders,
                             verified[0]]
-                    digest.update(json.dumps(line, default=_json_default, sort_keys=True).encode()
-                                  + b"\n")
+                    text = json.dumps(line, default=_json_default, sort_keys=True) + "\n"
+                    digest.update(text.encode())
+                    blanked.update(TAG.sub('"tag": null', text).encode())
                     runs += 1
                     first = first or game
         return first
@@ -223,9 +233,11 @@ def tree_digest(mods) -> tuple[str, int, int, int]:
     cli = mods.cli
     for prime, n in HIDING:
         args = cli.build_parser().parse_args(["hiding", "--prime", str(prime), "--n", str(n)])
-        digest.update(cli.run_command(args).result_text().encode())
+        text = cli.run_command(args).result_text().encode()
+        digest.update(text)
+        blanked.update(text)
         runs += 1
-    return digest.hexdigest(), runs, built[0], derived[0]
+    return digest.hexdigest(), blanked.hexdigest(), runs, built[0], derived[0]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -241,15 +253,18 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     digests = []
     for path, side in zip((args.parent, args.change), SIDES):
-        digest, runs, built, derived = tree_digest(
+        digest, blanked, runs, built, derived = tree_digest(
             load_tree(path.resolve(), f"ratshare_identity_{side}"))
         print(f"{side}: {digest} over {runs} runs, {built} shares built, {derived} streams derived")
-        digests.append(digest)
-    if digests[0] != digests[1]:
-        print("the trees differ")
-        return 1
-    print("the trees agree")
-    return 0
+        print(f"{side} with tags blanked: {blanked}")
+        digests.append((digest, blanked))
+    (parent, parent_blanked), (change, change_blanked) = digests
+    if parent == change:
+        print("the trees agree")
+        return 0
+    print("the trees differ only in their tags" if parent_blanked == change_blanked
+          else "the trees differ")
+    return 1
 
 
 if __name__ == "__main__":

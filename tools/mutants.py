@@ -52,15 +52,23 @@ MUTANTS = [
            "row += v >= edge", "row += v > edge",
            "tests/test_montecarlo.py::test_sampler_matches_searchsorted_oracle"),
     Mutant("tag-check-always-passes", "src/ratshare/shamir.py",
-           "return hmac.compare_digest(item.tag, tag)", "return True",
-           "tests/test_shamir.py::test_tags_and_verification_agree_with_an_hmac_oracle"),
-    Mutant("tag-key-accepts-non-int", "src/ratshare/shamir.py",
-           "if not (type(epoch) is type(holder) is type(y) is int\n                    and ",
-           "if not (",
+           "return tag == _linear_tag(self._a, v, self._word >> shift & self._mask, p)",
+           "return True",
+           "tests/test_shamir.py::test_tags_and_verification_agree_with_a_linear_oracle"),
+    Mutant("tag-slot-accepts-non-int", "src/ratshare/shamir.py",
+           "item.y, type(item.holder) is int", "item.y, True",
            "tests/test_shamir.py::test_an_odd_field_never_verifies_against_the_int_items_tag"),
-    Mutant("tag-key-drops-value-range", "src/ratshare/shamir.py",
-           "and 0 < holder < p and 0 <= y < p):", "and 0 < holder < p):",
-           "tests/test_engine.py::test_a_forged_value_too_long_to_print_is_evidence"),
+    Mutant("tag-check-drops-value-range", "src/ratshare/shamir.py",
+           "if not (type(v) is type(tag) is int and 0 <= v < p):",
+           "if not (type(v) is type(tag) is int):",
+           "tests/test_shamir.py::test_a_field_outside_what_the_issuer_tags_fails"),
+    Mutant("tag-one-mask-for-every-slot", "src/ratshare/shamir.py",
+           "shift = {slot: k * i for i, slot in enumerate(slots, start=1)}",
+           "shift = dict.fromkeys(slots, k)",
+           "tests/test_shamir.py::test_a_slots_tag_is_not_forged_from_two_others"),
+    Mutant("tag-ignores-the-value", "src/ratshare/shamir.py",
+           "return (a * v + b) % p", "return b % p",
+           "tests/test_shamir.py::test_mutated_share_fails_verification"),
     Mutant("withhold-closed-form-scaled", "src/ratshare/analysis.py",
            "table.u_none(player)) / (a2 + b2)", "table.u_none(player)) / (a2 + b2) * 1.0001",
            "tests/test_montecarlo.py::test_kernel_matches_closed_forms_exactly"),
@@ -70,9 +78,6 @@ MUTANTS = [
     Mutant("expected-steps-plus-one", "src/ratshare/analysis.py",
            "return STEPS_PER_ITERATION / cube if cube", "return STEPS_PER_ITERATION / cube + 1 if cube",
            "tests/test_montecarlo.py::test_kernel_matches_closed_forms_exactly"),
-    Mutant("tag-cache-unbounded", "src/ratshare/shamir.py",
-           "@lru_cache(maxsize=_MAC_CACHE_SIZE)", "@lru_cache(maxsize=None)",
-           "tests/test_shamir.py::test_remembered_tags_are_bounded_and_kept_for_one_epoch"),
     Mutant("share-holder-unranged", "src/ratshare/shamir.py",
            "if type(self.holder) is not int or not 0 <= self.holder < p:",
            "if type(self.holder) is not int:",
@@ -81,7 +86,7 @@ MUTANTS = [
            "sum(map(mul, ys, weights)) % p", "sum(map(mul, ys, weights))",
            "tests/test_shamir.py::test_hand_lagrange"),
     Mutant("subshare-tagged-as-share", "src/ratshare/shamir.py",
-           "tag = self._tag(epoch, parent, index, value)", "tag = self._tag(epoch, parent, value)",
+           "(item.parent_holder, item.index), item.value", "item.parent_holder, item.value",
            "tests/test_shamir.py::test_verify_tag_formats_each_item_by_its_type"),
     Mutant("hiding-check-always-passes", "src/ratshare/shamir.py",
            "return bool((counts.min(axis=1) == counts.max(axis=1)).all())", "return True",
@@ -183,6 +188,12 @@ MUTANTS = [
            "                             self.issuer.draw_coefficients(self.threshold,\n"
            "                                                           self.issuer_rng), p)",
            "tests/test_cli.py::test_dump_and_report_match_golden_digests"),
+    Mutant("tag-keys-drawn-at-build", "src/ratshare/engine.py",
+           "partial(issue_round, self.issuer, self.secret, epoch, coefficients)",
+           "lambda p: (self.issuer.open_epoch(epoch, self.slots),\n"
+           "                              issue_round(self.issuer, self.secret, epoch,\n"
+           "                                          coefficients, p))[1]",
+           "tests/test_engine.py::test_building_an_epochs_shares_draws_nothing"),
     Mutant("epoch-guard-lets-a-repeat-through", "src/ratshare/engine.py",
            "if epoch <= self.issued:", "if epoch < self.issued:",
            "tests/test_engine.py::test_a_second_run_is_refused_before_it_touches_anything"),
